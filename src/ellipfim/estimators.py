@@ -1,6 +1,16 @@
 """Shape-matrix estimators: constrained SCM, Tyler's fixed point, and the
 one-step rank-based estimator with pluggable score functions.
 
+Each estimator is one kernel over a (T, n, m) stack of T datasets
+(``scm_batch``, ``tyler_batch``, ``r_step_batch``), written with stacked
+``numpy.linalg`` and ``matmul`` so that a trial's arithmetic does not
+depend on the other trials of the stack.  The single-dataset functions
+(``scm_shape``, ``tyler_shape``, ``r_estimator``) are T = 1 calls into
+the same kernels.  In a kernel a trial fails alone: its estimate is NaN
+when an intermediate is not finite or not positive definite, or when
+Tyler's iteration does not converge; the single-dataset functions raise
+``LinAlgError`` or ``TylerNonConvergenceError`` instead.
+
 The rank-based update is
     vecs(V_R) = vecs(V*) + (1 / (alpha_hat sqrt(n))) Xi_{V*} Delta_{V*},
 with V* a sqrt(n)-consistent preliminary (Tyler by default), Delta the
@@ -23,7 +33,6 @@ import numpy as np
 from scipy import linalg, stats
 
 from .matcalc import duplication_matrix, ovecs, unvecs, vec, vecs, vecs_len
-from .generators import psd_sqrt
 from .scale import ScaleFunctional, renormalize, u_basis
 
 __all__ = [
@@ -33,9 +42,12 @@ __all__ = [
     "TylerNonConvergenceError",
     "ShapeEstimate",
     "scm_shape",
+    "scm_batch",
     "tyler_shape",
+    "tyler_batch",
     "ranks",
     "r_estimator",
+    "r_step_batch",
     "mse_index",
 ]
 
@@ -57,6 +69,10 @@ class ScoreFunction:
 
     def __call__(self, u, m):
         raise NotImplementedError
+
+    def table(self, n, m):
+        """K(i / (n + 1)) for i = 1..n: entry rank - 1 is the score of a rank."""
+        return self(np.arange(1, n + 1) / (n + 1.0), m)
 
 
 class VanDerWaerden(ScoreFunction):
@@ -94,18 +110,106 @@ class ShapeEstimate:
     step_rejected: bool = False
 
 
+def _stacked(fn, a):
+    """``fn``, mapping a matrix to one of the same shape, over a stack of
+    matrices; NaN for each item that is not finite or on which ``fn`` raises
+    ``LinAlgError``.
+
+    numpy.linalg raises for the whole stack when one item fails, so only
+    then is the stack retried item by item.
+    """
+    a = np.asarray(a, dtype=float)
+    ok = np.isfinite(a).all(axis=(-2, -1))
+    if not ok.all():
+        a = np.where(ok[..., None, None], a, np.eye(a.shape[-1]))
+    try:
+        out = fn(a)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(a)
+        for idx in np.ndindex(ok.shape):
+            try:
+                out[idx] = fn(a[idx])
+            except np.linalg.LinAlgError:
+                ok[idx] = False
+    if not ok.all():
+        out[~ok] = np.nan
+    return out
+
+
+def _inv_sqrt(v):
+    """V^(-1/2) of symmetric positive-definite matrices, by eigendecomposition."""
+    w, e = np.linalg.eigh(0.5 * (v + np.swapaxes(v, -1, -2)))
+    if np.any(w[..., 0] <= 0.0):
+        raise linalg.LinAlgError("matrix is not positive definite")
+    return (e / np.sqrt(w)[..., None, :]) @ np.swapaxes(e, -1, -2)
+
+
+def scm_batch(data, scale: ScaleFunctional):
+    """Scale-normalized sample covariances of a (T, n, m) stack of zero-mean
+    datasets; NaN where the scale of a covariance is not finite and positive.
+    """
+    data = np.asarray(data, dtype=float)
+    sigma_hat = np.swapaxes(data, -1, -2) @ data / data.shape[-2]
+    s = scale.values(sigma_hat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = sigma_hat / s[..., None, None]
+    v[~(np.isfinite(s) & (s > 0))] = np.nan
+    return v
+
+
 def scm_shape(data, scale: ScaleFunctional) -> ShapeEstimate:
     """Scale-normalized sample covariance of zero-mean data."""
     data = np.asarray(data, dtype=float)
     n, m = data.shape
     if n <= m:
         raise ValueError("need n > m observations")
-    sigma_hat = data.T @ data / n
-    s = scale.value(sigma_hat)
-    if not np.isfinite(s) or s <= 0:
+    v = scm_batch(data[None], scale)[0]
+    if np.isnan(v).any():
         raise linalg.LinAlgError("singular sample covariance")
-    v = sigma_hat / s
     return ShapeEstimate(v_hat=v, scale_kind=scale.kind, method="scm")
+
+
+def tyler_batch(
+    data, scale: ScaleFunctional, tol: float = 1e-10, max_iter: int = 200
+):
+    """Tyler's fixed point, renormalized to S(V) = 1, for a (T, n, m) stack.
+
+    Returns ``(v, iterations, residual)``.  A trial leaves the active set
+    once it converges (residual < tol) or fails.  ``v`` is NaN for a failed
+    trial: its residual is NaN when an iterate went non-finite or not
+    positive definite, and the last residual (>= tol) when it did not
+    converge in ``max_iter`` iterations.
+    """
+    data = np.asarray(data, dtype=float)
+    trials, n, m = data.shape
+    v = np.full((trials, m, m), np.nan)
+    iterations = np.full(trials, max_iter)
+    residual = np.full(trials, np.nan)
+    active = np.arange(trials)
+    x = data
+    v_act = np.broadcast_to(np.eye(m), (trials, m, m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            q = np.sum((x @ _stacked(np.linalg.inv, v_act)) * x, axis=-1)
+            v_new = (m / n) * np.swapaxes(x, -1, -2) @ (x / q[..., None])
+            v_new /= scale.values(v_new)[..., None, None]
+            diff = v_new - v_act
+            res = np.sqrt(
+                np.sum(diff * diff, axis=(-2, -1))
+                / np.sum(v_act * v_act, axis=(-2, -1))
+            )
+            res[~(q > 0.0).all(axis=-1) | ~np.isfinite(res)] = np.nan
+            residual[active] = res
+            converged = res < tol
+            done = converged | np.isnan(res)
+            v_act = v_new
+            if done.any():
+                v[active[converged]] = v_new[converged]
+                iterations[active[done]] = it
+                active, x, v_act = active[~done], x[~done], v_new[~done]
+                if not active.size:
+                    break
+    return v, iterations, residual
 
 
 def tyler_shape(
@@ -119,82 +223,121 @@ def tyler_shape(
     norms = np.einsum("ij,ij->i", data, data)
     if np.any(norms == 0.0):
         raise ValueError("zero observation rows are not allowed")
-    v = np.eye(m)
-    for it in range(1, max_iter + 1):
-        w = linalg.cho_solve(linalg.cho_factor(v, lower=True), data.T).T
-        q = np.einsum("ij,ij->i", data, w)
-        v_new = (m / n) * data.T @ (data / q[:, None])
-        v_new /= scale.value(v_new)
-        residual = np.linalg.norm(v_new - v) / np.linalg.norm(v)
-        v = v_new
-        if residual < tol:
-            return ShapeEstimate(
-                v_hat=v,
-                scale_kind=scale.kind,
-                method="tyler",
-                iterations=it,
-                final_residual=residual,
-            )
-    raise TylerNonConvergenceError(residual, max_iter)
+    v, iterations, residual = tyler_batch(data[None], scale, tol, max_iter)
+    if np.isnan(residual[0]):
+        raise linalg.LinAlgError(
+            "Tyler iterate is not finite and positive definite"
+        )
+    if not residual[0] < tol:
+        raise TylerNonConvergenceError(float(residual[0]), max_iter)
+    return ShapeEstimate(
+        v_hat=v[0],
+        scale_kind=scale.kind,
+        method="tyler",
+        iterations=int(iterations[0]),
+        final_residual=float(residual[0]),
+    )
 
 
 def ranks(values):
-    """Ranks 1..n in ascending order; ties broken by original position."""
+    """Ranks 1..n in ascending order along the last axis; ties broken by
+    original position."""
     values = np.asarray(values)
-    order = np.argsort(values, kind="stable")
-    out = np.empty(len(values), dtype=np.int64)
-    out[order] = np.arange(1, len(values) + 1)
+    order = np.argsort(values, axis=-1, kind="stable")
+    out = np.empty(values.shape, dtype=np.int64)
+    np.put_along_axis(out, order, np.arange(1, values.shape[-1] + 1), axis=-1)
     return out
 
 
 def _upsilon(v_root_inv, m):
-    # D_m^T (V^-1/2 kron V^-1/2) (I - vec(I) vec(I)^T / m)
-    dm = duplication_matrix(m)
-    kron = np.kron(v_root_inv, v_root_inv)
+    # D_m^T (V^-1/2 kron V^-1/2) (I - vec(I) vec(I)^T / m), over a stack
+    r = np.asarray(v_root_inv, dtype=float)
+    kron = (r[..., :, None, :, None] * r[..., None, :, None, :]).reshape(
+        r.shape[:-2] + (m * m, m * m)
+    )
     vi = vec(np.eye(m))
     proj = np.eye(m * m) - np.outer(vi, vi) / m
-    return dm.T @ kron @ proj
+    return duplication_matrix(m).T @ kron @ proj
+
+
+def _rank_delta(data, v_root_inv, tables):
+    """Delta_V for every dataset of ``data`` and every score table.
+
+    ``v_root_inv`` holds V^(-1/2) per dataset, with leading axes (T,) or
+    (S, T); ``tables`` is (S, n), one ``ScoreFunction.table`` per score.
+    Returns (S, T, m(m+1)/2).  Upsilon_V vec(O) is applied in its matrix
+    form D_m^T vec(V^-1/2 (O - tr(O) I / m) V^-1/2), which needs no
+    Kronecker product.
+    """
+    n, m = data.shape[-2:]
+    w = data @ v_root_inv
+    q = np.sum(w * w, axis=-1)
+    u_dirs = w / np.sqrt(q)[..., None]
+    k_vals = tables[np.arange(len(tables))[:, None, None], ranks(q) - 1]
+    outer = np.swapaxes(u_dirs * k_vals[..., None], -1, -2) @ u_dirs
+    trace = np.trace(outer, axis1=-2, axis2=-1)
+    s = v_root_inv @ (outer - (trace / m)[..., None, None] * np.eye(m)) @ v_root_inv
+    sym = s + np.swapaxes(s, -1, -2)
+    diag = np.arange(m)
+    sym[..., diag, diag] = s[..., diag, diag]
+    return vecs(sym) / (2.0 * np.sqrt(n))
 
 
 def _rank_statistic(data, v, score: ScoreFunction):
     """Delta_V: the normalized rank-score statistic at shape candidate v."""
+    data = np.asarray(data, dtype=float)
     n, m = data.shape
-    v_root_inv = np.linalg.inv(psd_sqrt(v))
-    w = data @ v_root_inv
-    q = np.einsum("ij,ij->i", w, w)
-    u_dirs = w / np.sqrt(q)[:, None]
-    k_vals = score(ranks(q) / (n + 1.0), m)
-    outer = np.einsum("l,li,lj->ij", k_vals, u_dirs, u_dirs)
-    ups = _upsilon(v_root_inv, m)
-    delta = ups @ vec(outer) / (2.0 * np.sqrt(n))
-    return delta, ups
+    v_root_inv = _inv_sqrt(np.asarray(v, dtype=float))
+    delta = _rank_delta(data[None], v_root_inv[None], score.table(n, m)[None])
+    return delta[0, 0], _upsilon(v_root_inv, m)
 
 
 def _xi_matrix(ups, u):
-    g = u.T @ (ups @ ups.T) @ u
-    cho = linalg.cho_factor(g, lower=True)
-    return 2.0 * u @ linalg.cho_solve(cho, u.T)
+    """2 U [U^T Upsilon Upsilon^T U]^{-1} U^T over a stack; NaN where the
+    bracket is not positive definite."""
+    g = np.swapaxes(u, -1, -2) @ (ups @ np.swapaxes(ups, -1, -2)) @ u
+    l_inv = _stacked(np.linalg.inv, _stacked(np.linalg.cholesky, g))
+    b = u @ np.swapaxes(l_inv, -1, -2)
+    return 2.0 * b @ np.swapaxes(b, -1, -2)
 
 
-def _one_step(data, v_star, scale, score):
-    n, m = data.shape
-    delta0, ups = _rank_statistic(data, v_star, score)
-    u = u_basis(scale, v_star)
-    xi = _xi_matrix(ups, u)
-    step = xi @ delta0
-    # local slope of the rank statistic along the update direction
-    v_probe = renormalize(
-        scale, unvecs(vecs(v_star) + step / np.sqrt(n), m)
-    )
-    delta1, _ = _rank_statistic(data, v_probe, score)
-    denom = float(delta0 @ delta0)
-    if denom <= 0.0:
-        return v_star, 0.0, True  # degenerate: keep preliminary
-    alpha_hat = float((delta0 - delta1) @ delta0) / denom
-    if not np.isfinite(alpha_hat) or alpha_hat <= 0.0:
-        return v_star, alpha_hat, True
-    v_new = unvecs(vecs(v_star) + step / (alpha_hat * np.sqrt(n)), m)
-    return v_new, alpha_hat, False
+def r_step_batch(data, v, scale: ScaleFunctional, tables):
+    """One rank-based step from each shape of ``v`` (T, m, m), renormalized
+    to S(V) = 1 first, for a (T, n, m) stack of datasets and every score
+    table of ``tables`` (S, n).
+
+    Upsilon, U and Xi depend only on the starting point V*, so they are
+    built once per trial and shared by all scores.  Returns ``(v_new,
+    alpha_hat, rejected)`` with leading axes (S, T).  A rejected step keeps
+    V*; ``v_new`` is NaN where a non-finite or non-PD intermediate made the
+    step fail.
+    """
+    data = np.asarray(data, dtype=float)
+    n, m = data.shape[-2:]
+    root_n = np.sqrt(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_star = renormalize(scale, v)
+        v_root_inv = _stacked(_inv_sqrt, v_star)
+        delta0 = _rank_delta(data, v_root_inv, tables)
+        good = np.isfinite(v_root_inv).all(axis=(-2, -1))
+        u = np.full((len(v_star), vecs_len(m), vecs_len(m) - 1), np.nan)
+        if good.any():
+            u[good] = u_basis(scale, v_star[good])
+        xi = _xi_matrix(_upsilon(v_root_inv, m), u)
+        step = (xi @ delta0[..., None])[..., 0]
+        base = vecs(v_star)
+        # local slope of the rank statistic along the update direction
+        v_probe = renormalize(scale, unvecs(base + step / root_n, m))
+        delta1 = _rank_delta(data, _stacked(_inv_sqrt, v_probe), tables)
+        denom = np.sum(delta0 * delta0, axis=-1)
+        alpha_hat = np.sum((delta0 - delta1) * delta0, axis=-1) / denom
+        alpha_hat[denom <= 0.0] = 0.0  # degenerate: keep preliminary
+        rejected = ~(np.isfinite(alpha_hat) & (alpha_hat > 0.0))
+        moved = unvecs(base + step / (alpha_hat[..., None] * root_n), m)
+    v_new = np.where(rejected[..., None, None], v_star, moved)
+    failed = ~(np.isfinite(step).all(axis=-1) & np.isfinite(delta1).all(axis=-1))
+    v_new[failed] = np.nan
+    return v_new, alpha_hat, rejected
 
 
 def r_estimator(
@@ -222,6 +365,7 @@ def r_estimator(
     if iterations is None:
         iterations = 1
 
+    table = score.table(n, m)[None]
     v = np.asarray(preliminary.v_hat, dtype=float)
     alpha_hat = None
     rejected = False
@@ -229,12 +373,16 @@ def r_estimator(
     for _ in range(iterations):
         # the tangent basis and rank statistic are defined at manifold
         # points, so each sweep starts from the renormalized iterate
-        v_new, alpha_hat, rejected = _one_step(
-            data, renormalize(scale, v), scale, score
-        )
+        v_new, alpha, rej = r_step_batch(data[None], v[None], scale, table)
+        if np.isnan(v_new).any():
+            raise linalg.LinAlgError(
+                "R-step intermediate is not finite and positive definite"
+            )
+        alpha_hat = float(alpha[0, 0])
+        rejected = bool(rej[0, 0])
         if rejected:
             break
-        v = v_new
+        v = v_new[0, 0]
         done += 1
 
     if renormalize_output and not rejected:

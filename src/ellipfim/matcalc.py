@@ -30,9 +30,12 @@ __all__ = [
 
 
 def vec(a):
-    """Stack the columns of a square matrix into one column vector."""
+    """Stack the columns of a square matrix into one column vector.
+
+    A stack of matrices (leading axes) is vectorized matrix by matrix.
+    """
     a = np.asarray(a)
-    return a.reshape(-1, order="F")
+    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (-1,))
 
 
 def unvec(v, m):
@@ -47,38 +50,40 @@ def vecs_len(m):
 
 def _tril_indices_colmajor(m):
     # (i, j) pairs with i >= j, ordered by column then row: the first pair
-    # is (0, 0), matching vecs(A) = [a11, ovecs(A)^T]^T.
-    rows, cols = [], []
-    for j in range(m):
-        for i in range(j, m):
-            rows.append(i)
-            cols.append(j)
-    return np.array(rows), np.array(cols)
+    # is (0, 0), matching vecs(A) = [a11, ovecs(A)^T]^T.  The upper
+    # triangle in row-major order, transposed, is exactly that sequence.
+    cols, rows = np.triu_indices(m)
+    return rows, cols
 
 
 def vecs(a):
-    """Half-vectorization: lower-triangular entries, column-major order."""
+    """Half-vectorization: lower-triangular entries, column-major order.
+
+    Works matrix by matrix over the leading axes of a stack.
+    """
     a = np.asarray(a)
-    m = a.shape[0]
-    r, c = _tril_indices_colmajor(m)
-    return a[r, c]
+    r, c = _tril_indices_colmajor(a.shape[-1])
+    return a[..., r, c]
 
 
 def unvecs(v, m):
-    """Rebuild the symmetric matrix whose half-vectorization is ``v``."""
+    """Rebuild the symmetric matrix whose half-vectorization is ``v``.
+
+    A stack of half-vectors (leading axes) gives a stack of matrices.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != vecs_len(m):
-        raise ValueError(f"expected length {vecs_len(m)} for m={m}, got {v.shape[0]}")
-    a = np.zeros((m, m))
+    if v.shape[-1] != vecs_len(m):
+        raise ValueError(f"expected length {vecs_len(m)} for m={m}, got {v.shape[-1]}")
+    a = np.zeros(v.shape[:-1] + (m, m))
     r, c = _tril_indices_colmajor(m)
-    a[r, c] = v
-    a[c, r] = v
+    a[..., r, c] = v
+    a[..., c, r] = v
     return a
 
 
 def ovecs(a):
     """Half-vectorization with the leading (1,1) entry removed."""
-    return vecs(a)[1:]
+    return vecs(a)[..., 1:]
 
 
 def duplication_matrix(m):

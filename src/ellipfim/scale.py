@@ -56,11 +56,19 @@ class ManifoldError(ValueError):
 
 
 class ScaleFunctional:
-    """One of the three named scale functionals; stateless and shareable."""
+    """One of the three named scale functionals; stateless and shareable.
+
+    ``values``, ``gradient`` and the module functions built on them work
+    matrix by matrix over the leading axes of a stack of matrices.
+    """
 
     kind = "scale"
 
     def value(self, sigma) -> float:
+        return float(self.values(sigma))
+
+    def values(self, sigma):
+        """S over a stack of matrices; NaN where S is undefined."""
         raise NotImplementedError
 
     def gradient(self, sigma):
@@ -74,42 +82,47 @@ class ScaleFunctional:
 class _FirstElement(ScaleFunctional):
     kind = "first"
 
-    def value(self, sigma):
-        return float(np.asarray(sigma)[0, 0])
+    def values(self, sigma):
+        return np.asarray(sigma, dtype=float)[..., 0, 0]
 
     def gradient(self, sigma):
-        m = np.asarray(sigma).shape[0]
-        g = np.zeros((m, m))
-        g[0, 0] = 1.0
+        g = np.zeros(np.shape(sigma))
+        g[..., 0, 0] = 1.0
         return g
 
 
 class _NormalizedTrace(ScaleFunctional):
     kind = "trace"
 
-    def value(self, sigma):
-        sigma = np.asarray(sigma)
-        return float(np.trace(sigma)) / sigma.shape[0]
+    def values(self, sigma):
+        sigma = np.asarray(sigma, dtype=float)
+        return np.trace(sigma, axis1=-2, axis2=-1) / sigma.shape[-1]
 
     def gradient(self, sigma):
-        m = np.asarray(sigma).shape[0]
-        return np.eye(m) / m
+        shape = np.shape(sigma)
+        return np.zeros(shape) + np.eye(shape[-1]) / shape[-1]
 
 
 class _DetRoot(ScaleFunctional):
     kind = "det"
 
     def value(self, sigma):
+        s = super().value(sigma)
+        if np.isnan(s):
+            raise linalg.LinAlgError("determinant-root scale needs a PD matrix")
+        return s
+
+    def values(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
         sign, logdet = np.linalg.slogdet(sigma)
-        if sign <= 0:
-            raise linalg.LinAlgError("determinant-root scale needs a PD matrix")
-        return float(np.exp(logdet / sigma.shape[0]))
+        return np.where(sign > 0, np.exp(logdet / sigma.shape[-1]), np.nan)
 
     def gradient(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
-        m = sigma.shape[0]
-        return self.value(sigma) * np.linalg.inv(sigma) / m
+        s = self.values(sigma)
+        if np.isnan(s).any():
+            raise linalg.LinAlgError("determinant-root scale needs a PD matrix")
+        return s[..., None, None] * np.linalg.inv(sigma) / sigma.shape[-1]
 
 
 FIRST_ELEMENT = _FirstElement()
@@ -133,10 +146,10 @@ def scale_by_name(name: str) -> ScaleFunctional:
 
 
 def _check_manifold(scale: ScaleFunctional, v):
-    dev = abs(scale.value(v) - 1.0)
-    if dev > MANIFOLD_TOL:
+    dev = np.abs(scale.values(v) - 1.0)
+    if not np.all(dev <= MANIFOLD_TOL):
         raise ManifoldError(
-            f"S(V) = 1 violated by {dev:.3e} for scale {scale.kind!r}; "
+            f"S(V) = 1 violated by {np.max(dev):.3e} for scale {scale.kind!r}; "
             "renormalize explicitly if intended"
         )
 
@@ -162,7 +175,7 @@ def decompose(scale: ScaleFunctional, sigma) -> ShapeDecomposition:
 def renormalize(scale: ScaleFunctional, v):
     """Project a near-manifold matrix back onto S(V) = 1 by rescaling."""
     v = np.asarray(v, dtype=float)
-    return v / scale.value(v)
+    return v / scale.values(v)[..., None, None]
 
 
 def grad_v11(scale: ScaleFunctional, v):
@@ -200,8 +213,7 @@ def m_matrix(scale: ScaleFunctional, v):
 def constraint_gradient_vecs(scale: ScaleFunctional, v):
     """Gradient of S in half-vectorized coordinates: D_m^T vec(D_S)."""
     v = np.asarray(v, dtype=float)
-    m = v.shape[0]
-    return duplication_matrix(m).T @ vec(scale.gradient(v))
+    return vec(scale.gradient(v)) @ duplication_matrix(v.shape[-1])
 
 
 def u_basis(scale: ScaleFunctional, v):
@@ -212,20 +224,18 @@ def u_basis(scale: ScaleFunctional, v):
     (for the first-element and trace scales D_S is diagonal and this
     direction coincides with vecs(D_S)).  Built by Householder QR with a
     deterministic sign convention: first nonzero entry of each column
-    positive.
+    positive.  A stack of shapes gives a stack of bases.
     """
     v = np.asarray(v, dtype=float)
     _check_manifold(scale, v)
     g = constraint_gradient_vecs(scale, v)
-    q, _ = np.linalg.qr(g.reshape(-1, 1), mode="complete")
-    u = q[:, 1:]
+    q, _ = np.linalg.qr(g[..., None], mode="complete")
+    u = q[..., 1:]
     # sign convention for reproducibility
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-    return u
+    mag = np.abs(u)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=-2, keepdims=True), axis=-2)
+    lead = np.take_along_axis(u, first[..., None, :], axis=-2)
+    return np.where(lead < 0.0, -u, u)
 
 
 def p_projector(scale: ScaleFunctional, sigma):

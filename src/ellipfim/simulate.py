@@ -6,10 +6,15 @@ run the configured estimators, and report the MSE index next to the
 semiparametric bound trace and the scale-and-generator-known parametric
 bound trace (both divided by n, the per-dataset scale).
 
-Per-trial RNG streams derive from (root_seed, nu_index, trial_index), so
-a trial is identical whether run serially or on any worker; results are
-reduced in trial order and formatted with fixed precision, making the CSV
-byte-identical across parallelism settings.
+Trials run in blocks of a fixed size (``_block_size``), whose boundaries
+depend on the trial count and on m, never on the parallelism setting.  A
+block stacks its datasets into one (T, n, m) array and runs each
+estimator once on the stack.  Each trial keeps its own RNG stream, derived
+from (root_seed, nu_index, trial_index), and a trial that fails (a
+non-finite or non-PD intermediate, or a Tyler iteration that does not
+converge) leaves NaN in its own row only.  Serially or on any worker, the
+same blocks are computed, reduced in trial order and formatted with fixed
+precision, so the CSV is byte-identical across parallelism settings.
 """
 
 from __future__ import annotations
@@ -18,23 +23,21 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 from .bounds import crb_shape, pd_inverse
 from .estimators import (
-    ShapeEstimate,
     TScore,
     VanDerWaerden,
-    r_estimator,
-    scm_shape,
-    tyler_shape,
+    r_step_batch,
+    scm_batch,
+    tyler_batch,
 )
 from .fim import fim_eta
 from .generators import sample, student_t
-from .matcalc import ovecs
+from .matcalc import ovecs, vecs_len
 from .scale import decompose, scale_by_name
 
 __all__ = ["SimConfig", "CellResult", "SimResult", "run_simulation", "write_svg_chart"]
@@ -56,6 +59,14 @@ class SimConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("m must be >= 2")
+        if self.n <= self.m:
+            raise ValueError(f"n must exceed m = {self.m}")
+        if self.scores and self.n <= vecs_len(self.m):
+            raise ValueError(
+                f"n must exceed m(m+1)/2 = {vecs_len(self.m)} for the R-estimators"
+            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not all(nu > 2.0 for nu in self.nu_grid):
@@ -68,6 +79,8 @@ class SimConfig:
                 raise ValueError(f"unknown estimator {name!r}; valid: scm, tyler")
         for name in self.scores:
             _score_from_name(name, nu=3.0)
+        if not self.columns():
+            raise ValueError("configure at least one estimator or score")
 
     @property
     def sigma0(self):
@@ -102,6 +115,12 @@ def _score_from_name(name: str, nu: float):
     raise ValueError(f"unknown score {name!r}; valid: vdw, tnu, t<nu>")
 
 
+def _block_size(m: int) -> int:
+    """Trials per block: 32, fewer at large m, where the per-trial m^2 x m^2
+    Kronecker product of Upsilon would make a block's memory grow as m^4."""
+    return max(1, min(32, 2**22 // m**4))
+
+
 def _trial_block(cfg: dict, nu: float, nu_idx: int, start: int, stop: int):
     """Squared ovecs errors for trials [start, stop); NaN marks a failure."""
     config = SimConfig.from_dict(cfg)
@@ -110,42 +129,27 @@ def _trial_block(cfg: dict, nu: float, nu_idx: int, start: int, stop: int):
     v0 = decompose(scale, sigma0).v
     gen = student_t(nu)
     mu = np.zeros(config.m)
-    cols = config.columns()
-    out = np.full((stop - start, len(cols)), np.nan)
-    for t in range(start, stop):
-        x = sample(config.n, mu, sigma0, gen, seed=(config.root_seed, nu_idx, t))
-        row = t - start
-        tyler_est: Optional[ShapeEstimate] = None
-
-        def sq_err(est):
-            diff = ovecs(est.v_hat - v0)
-            return float(diff @ diff)
-
-        for j, name in enumerate(config.estimators):
-            try:
-                if name == "scm":
-                    out[row, j] = sq_err(scm_shape(x, scale))
-                else:
-                    tyler_est = tyler_shape(x, scale)
-                    out[row, j] = sq_err(tyler_est)
-            except Exception:
-                continue
-        base = len(config.estimators)
-        if tyler_est is None and "tyler" not in config.estimators:
-            try:
-                tyler_est = tyler_shape(x, scale)
-            except Exception:
-                tyler_est = None
-        for j, score_name in enumerate(config.scores):
-            if tyler_est is None:
-                continue  # preliminary failed: R-estimators fail with it
-            try:
-                score = _score_from_name(score_name, nu)
-                est = r_estimator(x, scale, score, tyler_est)
-                out[row, base + j] = sq_err(est)
-            except Exception:
-                continue
-    return out
+    data = np.stack(
+        [
+            sample(config.n, mu, sigma0, gen, seed=(config.root_seed, nu_idx, t))
+            for t in range(start, stop)
+        ]
+    )
+    tyler = None
+    if "tyler" in config.estimators or config.scores:
+        tyler = tyler_batch(data, scale)[0]
+    shapes = [
+        scm_batch(data, scale) if name == "scm" else tyler
+        for name in config.estimators
+    ]
+    if config.scores:
+        # a failed preliminary is NaN, so its R-estimates fail with it
+        tables = np.stack(
+            [_score_from_name(s, nu).table(config.n, config.m) for s in config.scores]
+        )
+        shapes.extend(r_step_batch(data, tyler, scale, tables)[0])
+    diff = ovecs(np.stack(shapes) - v0)
+    return np.sum(diff * diff, axis=-1).T
 
 
 @dataclass
@@ -210,57 +214,53 @@ def _bounds_for(config: SimConfig, nu: float):
 def run_simulation(config: SimConfig) -> SimResult:
     """Run the full sweep; deterministic given config and root_seed."""
     cfg = asdict(config)
-    cells = []
-    bounds = {}
     cols = config.columns()
-    workers = max(1, int(config.parallelism))
-    chunk = max(1, math.ceil(config.trials / (workers * 4)))
+    size = _block_size(config.m)
     blocks = [
-        (start, min(start + chunk, config.trials))
-        for start in range(0, config.trials, chunk)
+        (start, min(start + size, config.trials))
+        for start in range(0, config.trials, size)
     ]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for nu_idx, nu in enumerate(config.nu_grid):
-            bounds[nu] = _bounds_for(config, nu)
-            errors = np.empty((config.trials, len(cols)))
-            if pool is None:
-                results = [
-                    _trial_block(cfg, nu, nu_idx, start, stop)
-                    for start, stop in blocks
-                ]
-            else:
-                futures = [
-                    pool.submit(_trial_block, cfg, nu, nu_idx, start, stop)
-                    for start, stop in blocks
-                ]
-                results = [f.result() for f in futures]
-            for (start, stop), block in zip(blocks, results):
-                errors[start:stop] = block
-            for j, name in enumerate(cols):
-                col = errors[:, j]
-                ok = np.isfinite(col)
-                n_failed = int((~ok).sum())
-                vals = col[ok]
-                mse = float(vals.mean()) if vals.size else float("nan")
-                stderr = (
-                    float(vals.std(ddof=1) / math.sqrt(vals.size))
-                    if vals.size > 1
-                    else 0.0
+    tasks = [
+        (nu, nu_idx, start, stop)
+        for nu_idx, nu in enumerate(config.nu_grid)
+        for start, stop in blocks
+    ]
+    workers = max(1, int(config.parallelism))
+    if workers > 1:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(_trial_block, cfg, *task) for task in tasks]
+            bounds = {nu: _bounds_for(config, nu) for nu in config.nu_grid}
+            results = [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = [_trial_block(cfg, *task) for task in tasks]
+        bounds = {nu: _bounds_for(config, nu) for nu in config.nu_grid}
+    cells = []
+    for nu_idx, nu in enumerate(config.nu_grid):
+        errors = np.vstack(results[nu_idx * len(blocks) : (nu_idx + 1) * len(blocks)])
+        for j, name in enumerate(cols):
+            col = errors[:, j]
+            ok = np.isfinite(col)
+            n_failed = int((~ok).sum())
+            vals = col[ok]
+            mse = float(vals.mean()) if vals.size else float("nan")
+            stderr = (
+                float(vals.std(ddof=1) / math.sqrt(vals.size))
+                if vals.size > 1
+                else 0.0
+            )
+            cells.append(
+                CellResult(
+                    nu=nu,
+                    estimator=name,
+                    mse=mse,
+                    stderr=stderr,
+                    n_failed=n_failed,
+                    valid=bool(n_failed <= FAILURE_RATE_LIMIT * config.trials),
                 )
-                cells.append(
-                    CellResult(
-                        nu=nu,
-                        estimator=name,
-                        mse=mse,
-                        stderr=stderr,
-                        n_failed=n_failed,
-                        valid=bool(n_failed <= FAILURE_RATE_LIMIT * config.trials),
-                    )
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
     return SimResult(config=config, cells=cells, bounds=bounds)
 
 

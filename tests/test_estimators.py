@@ -12,8 +12,11 @@ from ellipfim.estimators import (
     VanDerWaerden,
     mse_index,
     r_estimator,
+    r_step_batch,
     ranks,
+    scm_batch,
     scm_shape,
+    tyler_batch,
     tyler_shape,
     _rank_statistic,
     _upsilon,
@@ -382,3 +385,107 @@ def test_mse_index_rejects_mixed_scales():
     b = ShapeEstimate(v_hat=np.eye(2), scale_kind="det", method="scm")
     with pytest.raises(ValueError):
         mse_index([a, b], np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against the single-dataset calls
+# ---------------------------------------------------------------------------
+
+
+class FlatScore(VanDerWaerden):
+    name = "flat"
+
+    def __call__(self, u, m):
+        return np.full_like(np.asarray(u, dtype=float), 2.0)
+
+
+@pytest.mark.parametrize(
+    "score", [VanDerWaerden(), TScore(3), FlatScore()], ids=lambda s: s.name
+)
+def test_score_table_indexed_by_ranks_equals_score_of_ranks(score):
+    m, n = 4, 100
+    rk = ranks(np.random.default_rng(4).standard_normal(n))
+    np.testing.assert_array_equal(score.table(n, m)[rk - 1], score(rk / (n + 1.0), m))
+
+
+def _datasets(trials, m=4, n=100, nu=4.0, seed=31):
+    sigma = toeplitz(0.8 ** np.arange(m))
+    return np.stack(
+        [
+            sample(n, np.zeros(m), sigma, student_t(nu), seed=(seed, t))
+            for t in range(trials)
+        ]
+    )
+
+
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_batched_estimators_match_single_dataset_calls(scale):
+    data = _datasets(5)
+    scores = [VanDerWaerden(), TScore(3)]
+    n, m = data.shape[1:]
+    scm = scm_batch(data, scale)
+    tyler, iterations, residual = tyler_batch(data, scale)
+    tables = np.stack([k.table(n, m) for k in scores])
+    r_v, r_alpha, r_rejected = r_step_batch(data, tyler, scale, tables)
+    for t, x in enumerate(data):
+        np.testing.assert_allclose(scm[t], scm_shape(x, scale).v_hat, rtol=1e-10)
+        pre = tyler_shape(x, scale)
+        np.testing.assert_allclose(tyler[t], pre.v_hat, rtol=1e-10)
+        assert iterations[t] == pre.iterations
+        assert residual[t] == pytest.approx(pre.final_residual, rel=1e-6)
+        for j, score in enumerate(scores):
+            est = r_estimator(x, scale, score, pre)
+            np.testing.assert_allclose(r_v[j, t], est.v_hat, rtol=1e-10)
+            assert r_alpha[j, t] == pytest.approx(est.alpha_hat, rel=1e-10)
+            assert r_rejected[j, t] == est.step_rejected
+
+
+def test_rank_statistic_matches_dense_upsilon_oracle():
+    # Delta = Upsilon vec(sum_l K_l u_l u_l^T) / (2 sqrt(n)), with the
+    # Kronecker-product Upsilon; the kernel applies it in matrix form
+    m, n = 4, 100
+    x = _datasets(1)[0]
+    v = tyler_shape(x, NORMALIZED_TRACE).v_hat
+    score = TScore(3)
+    root_inv = np.linalg.inv(psd_sqrt(v))
+    w = x @ root_inv
+    q = np.einsum("ij,ij->i", w, w)
+    u_dirs = w / np.sqrt(q)[:, None]
+    outer = np.einsum("l,li,lj->ij", score(ranks(q) / (n + 1.0), m), u_dirs, u_dirs)
+    delta, ups = _rank_statistic(x, v, score)
+    np.testing.assert_allclose(ups, _upsilon(root_inv, m), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(delta, ups @ vec(outer) / (2.0 * np.sqrt(n)), rtol=1e-10)
+
+
+def test_batched_failures_stay_in_their_trial():
+    data = _datasets(4)
+    # rank-deficient dataset: its sample covariance and Tyler iterates are singular
+    data[1, :, 2:] = 0.0
+    scale = NORMALIZED_TRACE
+    tyler, _, residual = tyler_batch(data, scale)
+    assert np.isnan(tyler[1]).all() and np.isnan(residual[1])
+    with pytest.raises(np.linalg.LinAlgError):
+        tyler_shape(data[1], scale)
+    for t in (0, 2, 3):
+        single = tyler_shape(data[t], scale).v_hat
+        np.testing.assert_allclose(tyler[t], single, rtol=1e-10)
+    r_v = r_step_batch(data, tyler, scale, VanDerWaerden().table(100, 4)[None])[0]
+    assert np.isnan(r_v[0, 1]).all()
+    assert np.isfinite(r_v[0, [0, 2, 3]]).all()
+    # a non-PD starting shape fails its R-step only
+    v_bad = tyler.copy()
+    v_bad[1] = np.diag([2.0, 1.0, 1.0, -0.5])
+    r_v = r_step_batch(data, v_bad, scale, VanDerWaerden().table(100, 4)[None])[0]
+    assert np.isnan(r_v[0, 1]).all()
+    assert np.isfinite(r_v[0, [0, 2, 3]]).all()
+
+
+def test_batched_tyler_nonconvergence_is_per_trial():
+    data = _datasets(6)
+    _, iterations, _ = tyler_batch(data, NORMALIZED_TRACE)
+    cap = int(iterations.min())
+    assert iterations.max() > cap
+    v, _, residual = tyler_batch(data, NORMALIZED_TRACE, max_iter=cap)
+    slow = iterations > cap
+    assert np.isnan(v[slow]).all() and np.all(residual[slow] >= 1e-10)
+    assert np.isfinite(v[~slow]).all() and np.all(residual[~slow] < 1e-10)

@@ -1,12 +1,17 @@
 import csv
 import json
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
 
+from ellipfim import simulate
 from ellipfim.cli import main
+from ellipfim.estimators import VanDerWaerden, tyler_batch
 from ellipfim.invariants import run_invariant_suite
-from ellipfim.generators import student_t
+from ellipfim.generators import sample, student_t
+from ellipfim.scale import scale_by_name
 from ellipfim.simulate import SimConfig, run_simulation, write_svg_chart
 
 
@@ -294,3 +299,80 @@ def test_cli_adaptivity_reports(tmp_path, capsys):
 def test_cli_verify_fast(capsys):
     assert main(["verify", "--level", "fast"]) == 0
     assert "invariant suite" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# trial blocks and failure handling
+# ---------------------------------------------------------------------------
+
+
+def test_config_rejects_impossible_dimensions():
+    with pytest.raises(ValueError):
+        SimConfig(m=1, n=100)
+    with pytest.raises(ValueError):
+        SimConfig(m=4, n=3)
+    with pytest.raises(ValueError):
+        SimConfig(m=4, n=10)  # the R-step needs n > m(m+1)/2 = 10
+    SimConfig(m=4, n=10, scores=())
+    with pytest.raises(ValueError):
+        SimConfig(estimators=(), scores=())
+
+
+def test_cli_simulate_impossible_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sim.json"
+    write_config(cfg, n=3, trials=5, nu_grid=[5.0])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "simulation_trace.csv").exists()
+
+
+@pytest.mark.parametrize("scale_kind", ["first", "det"])
+def test_trial_block_rows_independent_of_block_boundaries(scale_kind):
+    cfg = asdict(SimConfig(**{**SMALL, "scale_kind": scale_kind}))
+    trials = SMALL["trials"]
+    whole = simulate._trial_block(cfg, 3.0, 0, 0, trials)
+    assert whole.shape == (trials, 5)
+    for size in (1, 7, simulate._block_size(SMALL["m"])):
+        parts = [
+            simulate._trial_block(cfg, 3.0, 0, start, min(start + size, trials))
+            for start in range(0, trials, size)
+        ]
+        assert np.array_equal(np.vstack(parts), whole)
+
+
+def test_nonconverging_tyler_counts_as_trial_failure(monkeypatch):
+    config = SimConfig(**SMALL)
+    scale = scale_by_name(config.scale_kind)
+    iterations = {
+        nu: tyler_batch(
+            np.stack(
+                [
+                    sample(config.n, np.zeros(config.m), config.sigma0, student_t(nu),
+                           seed=(config.root_seed, nu_idx, t))
+                    for t in range(config.trials)
+                ]
+            ),
+            scale,
+        )[1]
+        for nu_idx, nu in enumerate(config.nu_grid)
+    }
+    cap = int(np.median(np.concatenate(list(iterations.values()))))
+    monkeypatch.setattr(simulate, "tyler_batch", partial(tyler_batch, max_iter=cap))
+    result = run_simulation(config)
+    for nu in config.nu_grid:
+        slow = int((iterations[nu] > cap).sum())
+        assert 0 < slow < config.trials
+        assert result.cell(nu, "scm").n_failed == 0
+        for name in ("tyler", "r_vdw", "r_t3", "r_tnu"):
+            assert result.cell(nu, name).n_failed == slow
+            assert np.isfinite(result.cell(nu, name).mse)
+
+
+def test_unexpected_error_propagates(monkeypatch):
+    def broken(self, u, m):
+        raise TypeError("score bug")
+
+    monkeypatch.setattr(VanDerWaerden, "__call__", broken)
+    with pytest.raises(TypeError, match="score bug"):
+        run_simulation(SimConfig(**{**SMALL, "trials": 3}))
