@@ -19,8 +19,8 @@ import numpy as np
 from scipy import linalg
 
 from .generators import DensityGenerator
-from .matcalc import commutation_matrix, dup_pinv, row_selector, vec
-from .scale import DET_ROOT, ScaleFunctional, p_projector
+from .matcalc import _sym_kron_core, vecs
+from .scale import DET_ROOT, ScaleFunctional, decompose
 from . import fim as fim_mod
 
 __all__ = [
@@ -46,15 +46,23 @@ class SingularCoefficientError(ValueError):
     """The rank-one correction coefficient is at its singular point."""
 
 
-def pd_inverse(a):
-    """Cholesky inverse of a symmetric positive-definite matrix."""
+def _pd_cholesky(a):
+    """Lower Cholesky factor after a strict symmetry check.
+
+    Raises ``ValueError`` for a matrix that is not symmetric to working
+    precision and ``LinAlgError`` for one that is not positive definite.
+    """
     a = np.asarray(a, dtype=float)
     norm = np.linalg.norm(a)
     if norm > 0 and np.linalg.norm(a - a.T) / norm > 1e-12:
         raise ValueError("matrix is not symmetric to working precision")
-    a = 0.5 * (a + a.T)
-    cho = linalg.cho_factor(a, lower=True)
-    inv = linalg.cho_solve(cho, np.eye(a.shape[0]))
+    return linalg.cho_factor(0.5 * (a + a.T), lower=True)
+
+
+def pd_inverse(a):
+    """Cholesky inverse of a symmetric positive-definite matrix."""
+    cho = _pd_cholesky(a)
+    inv = linalg.cho_solve(cho, np.eye(cho[0].shape[0]))
     return 0.5 * (inv + inv.T)
 
 
@@ -73,31 +81,52 @@ def crb_location(v, s, gen: DensityGenerator):
     return (s / gen.beta(v.shape[0])) * v
 
 
+def _require_ovecs(m):
+    if m < 2:
+        raise ValueError("ovecs requires m >= 2")
+
+
+def _core_minus_rank2(a, x, y):
+    """D_m^+ (I + K_m)(A (x) A) D_m^+T - x y^T - y x^T."""
+    out = _sym_kron_core(a)
+    rank1 = np.outer(x, y)
+    out -= rank1
+    out -= rank1.T
+    return out
+
+
+def _symmetric_bound(x, alpha):
+    out = x + x.T
+    out *= 0.5 / alpha
+    return out
+
+
 def crb_shape(scale: ScaleFunctional, v, gen: DensityGenerator):
-    """Parametric-and-semiparametric bound on ovecs(V) with unknown scale."""
+    """Parametric-and-semiparametric bound on ovecs(V) with unknown scale.
+
+    In vecs coordinates, with P_S = I - vec(V) vec(D_S)^T, G = D_S and
+    N = (I + K_m)(V (x) V): D_m^+ P_S N P_S^T D_m^+T is the core of V minus
+    the rank-two term a c^T + c a^T, where a = vecs(V) and
+    c = 2 vecs(V G V) - tr(G V G V) a.
+    """
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
-    alpha = gen.alpha(m)
-    sel = row_selector(m)
-    dpi = dup_pinv(m)
-    p = p_projector(scale, v)
-    core = (np.eye(m * m) + commutation_matrix(m)) @ np.kron(v, v)
-    out = (sel @ dpi @ p @ core @ p.T @ dpi.T @ sel.T) / alpha
-    return 0.5 * (out + out.T)
+    _require_ovecs(m)
+    g = scale.gradient(v)
+    g = 0.5 * (g + g.T)
+    vgv = v @ g @ v
+    a = vecs(decompose(scale, v).v)
+    c = 2.0 * vecs(vgv) - np.sum(g * vgv) * a
+    return _symmetric_bound(_core_minus_rank2(v, a, c)[1:, 1:], gen.alpha(m))
 
 
 def crb_shape_det_root(v, gen: DensityGenerator):
     """Determinant-root specialization of the shape bound."""
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
-    alpha = gen.alpha(m)
-    sel = row_selector(m)
-    dpi = dup_pinv(m)
-    core = (np.eye(m * m) + commutation_matrix(m)) @ np.kron(v, v) - (
-        2.0 / m
-    ) * np.outer(vec(v), vec(v))
-    out = (sel @ dpi @ core @ dpi.T @ sel.T) / alpha
-    return 0.5 * (out + out.T)
+    _require_ovecs(m)
+    a = vecs(v)
+    return _symmetric_bound(_core_minus_rank2(v, a, a / m)[1:, 1:], gen.alpha(m))
 
 
 @dataclass(frozen=True)
@@ -107,17 +136,21 @@ class ScaleBound:
 
 
 def crb_scale(scale: ScaleFunctional, v, s, gen: DensityGenerator) -> ScaleBound:
-    """CRB on the scale given the shape, with the shape/scale cross block."""
+    """CRB on the scale given the shape, with the shape/scale cross block.
+
+    With G = D_S: vec(G)^T (V (x) V) vec(G) = tr(G^T V G V), and the cross
+    block is the ovecs part of D_m^+ P_S vec(V G V).
+    """
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
+    _require_ovecs(m)
     alpha = gen.alpha(m)
-    g = vec(scale.gradient(v))
-    kron_v = np.kron(v, v)
-    value = (2.0 * s * s / alpha) * (g @ kron_v @ g - _rank1_coeff(alpha, m))
-    sel = row_selector(m)
-    dpi = dup_pinv(m)
-    p = p_projector(scale, v)
-    psi = (2.0 * s / alpha) * (sel @ dpi @ p @ kron_v @ g)
+    g = scale.gradient(v)
+    vgv = v @ g @ v
+    quad = float(np.sum(g * vgv))
+    value = (2.0 * s * s / alpha) * (quad - _rank1_coeff(alpha, m))
+    proj = vecs(0.5 * (vgv + vgv.T)) - quad * vecs(decompose(scale, v).v)
+    psi = (2.0 * s / alpha) * proj[1:]
     return ScaleBound(value=float(value), psi=psi)
 
 
@@ -135,12 +168,8 @@ def crb_vecs_sigma(sigma, gen: DensityGenerator):
     sigma = np.asarray(sigma, dtype=float)
     m = sigma.shape[0]
     alpha = gen.alpha(m)
-    dpi = dup_pinv(m)
-    middle = np.kron(sigma, sigma) - _rank1_coeff(alpha, m) * np.outer(
-        vec(sigma), vec(sigma)
-    )
-    out = (2.0 / alpha) * dpi @ middle @ dpi.T
-    return 0.5 * (out + out.T)
+    a = vecs(sigma)
+    return _symmetric_bound(_core_minus_rank2(sigma, a, _rank1_coeff(alpha, m) * a), alpha)
 
 
 @dataclass
@@ -168,9 +197,17 @@ class BoundSet:
 
 
 def bound_set(scale: ScaleFunctional, sigma, gen: DensityGenerator) -> BoundSet:
-    from .scale import decompose
+    """Every bound block for one model.
 
+    Raises ``ValueError`` when Sigma is not symmetric and ``LinAlgError``
+    when it is not positive definite.
+    """
     sigma = np.asarray(sigma, dtype=float)
+    # the structured forms invert nothing, so a bad scatter is caught here
+    try:
+        _pd_cholesky(sigma)
+    except linalg.LinAlgError as exc:
+        raise linalg.LinAlgError(f"scatter is not positive definite: {exc}") from exc
     dec = decompose(scale, sigma)
     sb = crb_scale(scale, dec.v, dec.s, gen)
     return BoundSet(
@@ -281,11 +318,16 @@ def verify_chain(
 
 
 def write_bounds_csv(bounds: BoundSet, path):
-    """Serialize all bound blocks row-major at 17 significant digits."""
+    """Serialize all bound blocks row-major at 17 significant digits.
+
+    The file is streamed one matrix row per write.  Each row is formatted
+    from a per-block template whose marker takes the row's "block,row"
+    prefix.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("block,row,col,value\n")
         for name, mat in bounds.blocks().items():
             mat = np.atleast_2d(mat)
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    fh.write(f"{name},{i},{j},{mat[i, j]:.17g}\n")
+            template = "".join([f"\0,{j},%.17g\n" for j in range(mat.shape[1])])
+            for i, row in enumerate(mat):
+                fh.write(template.replace("\0", f"{name},{i}") % tuple(row.tolist()))

@@ -2,7 +2,8 @@
 
 All subcommands read a JSON config (schema version 1) and write CSV plus
 optional SVG artifacts.  Exit codes: 0 success, 1 check failures, 2
-usage or configuration errors.
+usage or configuration errors, including a model the config describes
+that cannot be evaluated (one line on stderr, nothing written).
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from scipy.linalg import toeplitz
 
 from . import bounds as bounds_mod
-from .generators import gaussian, generalized_gaussian, student_t
+from .bounds import SingularCoefficientError
+from .fim import IdentifiabilityError
+from .generators import MomentUndefinedError, gaussian, generalized_gaussian, student_t
 from .invariants import run_invariant_suite
 from .parameterize import (
     LowRankModel,
@@ -28,10 +32,24 @@ from .parameterize import (
     verify_adaptivity_by_fim,
 )
 from .matcalc import ovecs, vecs
-from .scale import decompose, scale_by_name
+from .scale import ManifoldError, decompose, scale_by_name
 from .simulate import SimConfig, run_simulation, write_svg_chart
 
 SCHEMA_VERSION = 1
+
+# Raised while a model built from a config is evaluated: a generator
+# parameter out of range, a scatter that is not PD, an unidentifiable
+# parameterization, a shape off its manifold, an alpha at the singular
+# point of a bound, an undefined moment or an unknown verify level.  All
+# are ValueError subclasses; naming them records which ones exit 2.
+DOMAIN_ERRORS = (
+    ValueError,
+    LinAlgError,
+    IdentifiabilityError,
+    ManifoldError,
+    SingularCoefficientError,
+    MomentUndefinedError,
+)
 
 
 class ConfigError(ValueError):
@@ -280,6 +298,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DOMAIN_ERRORS as exc:
+        msg = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 2
 
 

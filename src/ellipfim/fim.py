@@ -21,8 +21,8 @@ import numpy as np
 from scipy import linalg
 
 from .generators import DensityGenerator
-from .matcalc import duplication_matrix, vec
-from .scale import ScaleFunctional, m_matrix
+from .matcalc import _dup_gram, _sym_kron_core, duplication_matrix, vec, vecs
+from .scale import ScaleFunctional, grad_v11, m_matrix
 
 __all__ = [
     "FimBlocksEta",
@@ -32,6 +32,8 @@ __all__ = [
     "fim_eta",
     "efficient_fim_shape",
     "fim_vecs_sigma",
+    "ModelGeometry",
+    "model_geometry",
     "score_theta",
     "efficient_score_theta",
     "fim_theta",
@@ -124,6 +126,28 @@ class FimBlocksEta:
         return out
 
 
+def _vecs_information(a_inv, c_kron, c_rank1):
+    """D_m^T [c_kron (A^-1 (x) A^-1) + c_rank1 vec(A^-1) vec(A^-1)^T] D_m.
+
+    Also returns y = D_m^T vec(A^-1).  Built from the entrywise core, so
+    nothing of size m^2 x m^2 is formed.
+    """
+    f = _dup_gram(a_inv.shape[0])
+    y = f * vecs(0.5 * (a_inv + a_inv.T))
+    x = _sym_kron_core(a_inv)
+    x *= f
+    x *= f[:, None]
+    x *= 0.5 * c_kron
+    x += np.outer(c_rank1 * y, y)
+    return x, y
+
+
+def _tangent_sandwich(x, k):
+    """K_V^T X K_V for a symmetric X, with K_V = [k^T; I]."""
+    z = x[1:, 0] + 0.5 * x[0, 0] * k
+    return x[1:, 1:] + (np.outer(k, z) + np.outer(z, k))
+
+
 def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta:
     """Analytic FIM blocks for (mu, ovecs V, s)."""
     v = np.asarray(v, dtype=float)
@@ -131,13 +155,13 @@ def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta
     alpha = gen.alpha(m)
     beta = gen.beta(m)
     v_inv = np.linalg.inv(v)
-    ms = m_matrix(scale, v)
-    kron = np.kron(v_inv, v_inv)
-    vv = np.outer(vec(v_inv), vec(v_inv))
+    k = grad_v11(scale, v)
+    # M_S = K_V^T D_m^T turns D_m^T-weighted vecs quantities into ovecs ones
+    x, y = _vecs_information(v_inv, 2.0 * alpha, alpha - 1.0)
     i_mu = beta * v_inv / s
-    i_v = 0.25 * ms @ (2.0 * alpha * kron + (alpha - 1.0) * vv) @ ms.T
+    i_v = 0.25 * _tangent_sandwich(x, k)
     i_s = (m * (m + 2) * alpha - m * m) / (4.0 * s * s)
-    i_vs = ((m + 2) * alpha - m) / (4.0 * s) * (ms @ vec(v_inv))
+    i_vs = ((m + 2) * alpha - m) / (4.0 * s) * (y[1:] + k * y[0])
     return FimBlocksEta(i_mu=i_mu, i_v=i_v, i_s=i_s, i_vs=i_vs)
 
 
@@ -146,23 +170,16 @@ def efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator):
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
     alpha = gen.alpha(m)
-    v_inv = np.linalg.inv(v)
-    ms = m_matrix(scale, v)
-    middle = np.kron(v_inv, v_inv) - np.outer(vec(v_inv), vec(v_inv)) / m
-    return 0.5 * alpha * ms @ middle @ ms.T
+    x, _ = _vecs_information(np.linalg.inv(v), 1.0, -1.0 / m)
+    return 0.5 * alpha * _tangent_sandwich(x, grad_v11(scale, v))
 
 
 def fim_vecs_sigma(sigma, gen: DensityGenerator):
     """FIM of vecs(Sigma) in the scatter parameterization."""
     sigma = np.asarray(sigma, dtype=float)
-    m = sigma.shape[0]
-    alpha = gen.alpha(m)
-    sigma_inv = np.linalg.inv(sigma)
-    dm = duplication_matrix(m)
-    middle = 0.5 * alpha * np.kron(sigma_inv, sigma_inv) + 0.25 * (
-        alpha - 1.0
-    ) * np.outer(vec(sigma_inv), vec(sigma_inv))
-    return dm.T @ middle @ dm
+    alpha = gen.alpha(sigma.shape[0])
+    x, _ = _vecs_information(np.linalg.inv(sigma), 0.5 * alpha, 0.25 * (alpha - 1.0))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -170,52 +187,99 @@ def fim_vecs_sigma(sigma, gen: DensityGenerator):
 # ---------------------------------------------------------------------------
 
 
-def _model_geometry(param, theta0):
+def _jacobians(param, theta0):
     theta0 = np.asarray(theta0, dtype=float)
     sigma = np.asarray(param.sigma_fn(theta0), dtype=float)
     j_mu = np.asarray(param.jacobian_mu(theta0), dtype=float)
     j_sig = np.asarray(param.jacobian_vec_sigma(theta0), dtype=float)
-    stacked = np.vstack([j_mu, j_sig])
-    if np.linalg.matrix_rank(stacked, tol=1e-10 * max(1.0, np.linalg.norm(stacked))) < stacked.shape[1]:
-        raise IdentifiabilityError(
-            "stacked Jacobian of (mu, vec Sigma) is rank deficient at theta0"
-        )
     return theta0, sigma, j_mu, j_sig
 
 
-def fim_theta(param, theta0, gen: DensityGenerator):
-    """Parametric FIM for theta with the generator fully known."""
-    _, sigma, j_mu, j_sig = _model_geometry(param, theta0)
+def _identifiable(j_mu, j_sig) -> bool:
+    stacked = np.vstack([j_mu, j_sig])
+    tol = 1e-10 * max(1.0, np.linalg.norm(stacked))
+    return bool(np.linalg.matrix_rank(stacked, tol=tol) == stacked.shape[1])
+
+
+_NOT_IDENTIFIABLE = "stacked Jacobian of (mu, vec Sigma) is rank deficient at theta0"
+
+
+@dataclass(frozen=True)
+class ModelGeometry:
+    """What the FIMs of theta and the adaptivity condition need at theta0.
+
+    With L the Cholesky factor of Sigma and Sigma_i = d Sigma / d theta_i,
+    the whitened slices G_i = L^-1 Sigma_i L^-T give the Slepian-Bangs
+    form tr(Sigma^-1 Sigma_i Sigma^-1 Sigma_j) = vec(G_i)^T vec(G_j) of
+    J^T (Sigma^-1 (x) Sigma^-1) J, and tr(G_i) = vec(Sigma^-1)^T vec(Sigma_i).
+    """
+
+    m: int
+    mu_gram: np.ndarray  # J_mu^T Sigma^-1 J_mu
+    sigma_gram: np.ndarray  # J^T (Sigma^-1 (x) Sigma^-1) J, J = d vec(Sigma) / d theta
+    sigma_trace: np.ndarray  # J^T vec(Sigma^-1)
+    identifiable: bool  # the stacked Jacobian of (mu, vec Sigma) has full column rank
+
+
+def model_geometry(param, theta0) -> ModelGeometry:
+    """Jacobians, identifiability and whitened Gram matrices at theta0.
+
+    Raises ``LinAlgError`` when Sigma(theta0) is not positive definite.
+    """
+    _, sigma, j_mu, j_sig = _jacobians(param, theta0)
     m = sigma.shape[0]
-    alpha = gen.alpha(m)
-    beta = gen.beta(m)
-    sigma_inv = np.linalg.inv(sigma)
-    rank1 = 0.5 * (1.0 - 1.0 / alpha)
-    middle = np.kron(sigma_inv, sigma_inv) + rank1 * np.outer(
-        vec(sigma_inv), vec(sigma_inv)
+    identifiable = _identifiable(j_mu, j_sig)
+    l_inv = linalg.solve_triangular(np.linalg.cholesky(sigma), np.eye(m), lower=True)
+    # column i of j_sig read row-major is Sigma_i^T; G_i^T has the same
+    # trace and the same pairwise inner products as G_i
+    slices = l_inv @ j_sig.T.reshape(-1, m, m) @ l_inv.T
+    flat = slices.reshape(slices.shape[0], m * m)
+    w_mu = l_inv @ j_mu
+    return ModelGeometry(
+        m=m,
+        mu_gram=w_mu.T @ w_mu,
+        sigma_gram=flat @ flat.T,
+        sigma_trace=np.trace(slices, axis1=1, axis2=2),
+        identifiable=identifiable,
     )
-    out = beta * j_mu.T @ sigma_inv @ j_mu + 0.5 * alpha * j_sig.T @ middle @ j_sig
+
+
+def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, rank1: float):
+    if not geometry.identifiable:
+        raise IdentifiabilityError(_NOT_IDENTIFIABLE)
+    t = geometry.sigma_trace
+    out = gen.beta(geometry.m) * geometry.mu_gram + 0.5 * gen.alpha(geometry.m) * (
+        geometry.sigma_gram + rank1 * np.outer(t, t)
+    )
     return 0.5 * (out + out.T)
 
 
-def sfim_theta(param, theta0, gen: DensityGenerator):
-    """Semiparametric efficient FIM for theta (generator a nuisance function)."""
-    _, sigma, j_mu, j_sig = _model_geometry(param, theta0)
-    m = sigma.shape[0]
-    alpha = gen.alpha(m)
-    beta = gen.beta(m)
-    sigma_q2 = gen.sigma_q2(m)
-    sigma_inv = np.linalg.inv(sigma)
-    rank1 = 2.0 / (alpha * sigma_q2) - 1.0 / m
-    middle = np.kron(sigma_inv, sigma_inv) + rank1 * np.outer(
-        vec(sigma_inv), vec(sigma_inv)
-    )
-    out = beta * j_mu.T @ sigma_inv @ j_mu + 0.5 * alpha * j_sig.T @ middle @ j_sig
-    return 0.5 * (out + out.T)
+def fim_theta(param, theta0, gen: DensityGenerator, *, geometry=None):
+    """Parametric FIM for theta with the generator fully known.
+
+    ``geometry`` is ``model_geometry(param, theta0)`` when the caller has it.
+    """
+    if geometry is None:
+        geometry = model_geometry(param, theta0)
+    alpha = gen.alpha(geometry.m)
+    return _theta_fim(geometry, gen, 0.5 * (1.0 - 1.0 / alpha))
+
+
+def sfim_theta(param, theta0, gen: DensityGenerator, *, geometry=None):
+    """Semiparametric efficient FIM for theta (generator a nuisance function).
+
+    ``geometry`` is ``model_geometry(param, theta0)`` when the caller has it.
+    """
+    if geometry is None:
+        geometry = model_geometry(param, theta0)
+    m = geometry.m
+    return _theta_fim(geometry, gen, 2.0 / (gen.alpha(m) * gen.sigma_q2(m)) - 1.0 / m)
 
 
 def _per_sample_parts(x, param, theta0, gen):
-    theta0, sigma, j_mu, j_sig = _model_geometry(param, theta0)
+    theta0, sigma, j_mu, j_sig = _jacobians(param, theta0)
+    if not _identifiable(j_mu, j_sig):
+        raise IdentifiabilityError(_NOT_IDENTIFIABLE)
     mu = np.asarray(param.mu_fn(theta0), dtype=float)
     m = mu.shape[0]
     d_, w, q, phi, single = _whitened_parts(x, mu, sigma, gen)

@@ -2,15 +2,22 @@
 
 Column-major ``vec`` is the library-wide convention.  ``vecs`` stacks the
 lower-triangular entries column by column, so its first element is always
-the (1,1) entry of the matrix; ``ovecs`` drops that first element.  The
-duplication matrix, the commutation matrix, the Moore-Penrose inverse of
-the duplication matrix and the first-row-deleted identity are all built as
-explicit dense arrays: dimensions stay small (m below ~50) in every use
-case, and dense construction keeps each defining identity directly
-testable.
+the (1,1) entry of the matrix; ``ovecs`` drops that first element.
+
+The duplication matrix D_m, the commutation matrix K_m and the
+Moore-Penrose inverse D_m^+ are built by index arithmetic and cached per m
+as read-only arrays; they are m^2 x m(m+1)/2 and m^2 x m^2, so they serve
+the identities they define and small-m code.  Bounds and Fisher
+informations never form them: the products they need,
+D_m^+ (I + K_m)(A (x) A) D_m^+T and D_m^T (A (x) A) D_m, are
+m(m+1)/2 x m(m+1)/2 matrices whose entries are a_ik a_jl + a_il a_jk
+(Magnus & Neudecker 1980), built by :func:`_sym_kron_core` from the
+cached ``vecs`` index pairs.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,12 +55,54 @@ def vecs_len(m):
     return m * (m + 1) // 2
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
 def _tril_indices_colmajor(m):
     # (i, j) pairs with i >= j, ordered by column then row: the first pair
     # is (0, 0), matching vecs(A) = [a11, ovecs(A)^T]^T.  The upper
     # triangle in row-major order, transposed, is exactly that sequence.
     cols, rows = np.triu_indices(m)
-    return rows, cols
+    return _frozen(rows), _frozen(cols)
+
+
+@functools.lru_cache(maxsize=16)
+def _dup_gram(m):
+    """Diagonal of D_m^T D_m: 1 at the pairs (i, i), 2 at the pairs i > j.
+
+    It is also the weight with D_m^T vec(A) = _dup_gram(m) * vecs(A) for a
+    symmetric A.
+    """
+    r, c = _tril_indices_colmajor(m)
+    return _frozen(np.where(r == c, 1.0, 2.0))
+
+
+def _sym_kron_core(a):
+    """D_m^+ (I + K_m)(A (x) A) D_m^+T for a symmetric A, entry by entry.
+
+    Entry [p, q] with p = (i, j) and q = (k, l) the ``vecs`` index pairs is
+    a_ik a_jl + a_il a_jk.  Since D_m^+ = diag(1 / D_m^T D_m) D_m^T, the
+    same core gives D_m^T (A (x) A) D_m = F core F / 2 and
+    D_m^+ (A (x) A) D_m^+T = core / 2, with F = diag(D_m^T D_m).  The
+    result is exactly symmetric.  Rows are filled in blocks so that no
+    temporary is larger than about 8 MB.
+    """
+    a = np.asarray(a, dtype=float)
+    a = 0.5 * (a + a.T)
+    r, c = _tril_indices_colmajor(a.shape[0])
+    ar, ac = a[r], a[c]
+    nh = r.size
+    out = np.empty((nh, nh))
+    step = max(1, 2**20 // nh)
+    for lo in range(0, nh, step):
+        rows = slice(lo, lo + step)
+        blk = ar[rows][:, r] * ac[rows][:, c]
+        blk += ar[rows][:, c] * ac[rows][:, r]
+        out[rows] = blk
+    return out
 
 
 def vecs(a):
@@ -86,41 +135,47 @@ def ovecs(a):
     return vecs(a)[..., 1:]
 
 
+@functools.lru_cache(maxsize=8)
 def duplication_matrix(m):
-    """Unique 0/1 matrix with ``D_m vecs(A) = vec(A)`` for symmetric ``A``."""
+    """Unique 0/1 matrix with ``D_m vecs(A) = vec(A)`` for symmetric ``A``.
+
+    Cached per m; the array is read-only.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n_half = vecs_len(m)
-    d = np.zeros((m * m, n_half))
     r, c = _tril_indices_colmajor(m)
-    for k in range(n_half):
-        i, j = r[k], c[k]
-        d[i + j * m, k] = 1.0
-        d[j + i * m, k] = 1.0
-    return d
+    k = np.arange(r.size)
+    d = np.zeros((m * m, r.size))
+    d[r + c * m, k] = 1.0
+    d[c + r * m, k] = 1.0
+    return _frozen(d)
 
 
+@functools.lru_cache(maxsize=8)
 def commutation_matrix(m):
-    """Permutation matrix with ``K_m vec(A) = vec(A^T)``."""
+    """Permutation matrix with ``K_m vec(A) = vec(A^T)``.
+
+    Cached per m; the array is read-only.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
+    # vec position p = i + j m holds a_ij, which vec(A^T) holds at j + i m
+    j, i = np.divmod(np.arange(m * m), m)
     k = np.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            k[i + j * m, j + i * m] = 1.0
-    return k
+    k[i + j * m, j + i * m] = 1.0
+    return _frozen(k)
 
 
+@functools.lru_cache(maxsize=8)
 def dup_pinv(m):
     """Moore-Penrose inverse of the duplication matrix.
 
-    Computed from the closed form (D^T D)^{-1} D^T: D_m has full column
-    rank and D^T D is diagonal, so this agrees with the SVD pseudo-inverse
-    at the cost of one trivial solve.
+    The closed form (D^T D)^{-1} D^T with the diagonal D^T D: D_m has full
+    column rank, so this is the SVD pseudo-inverse.  Cached per m; the
+    array is read-only.
     """
     d = duplication_matrix(m)
-    dtd = d.T @ d
-    return np.linalg.solve(dtd, d.T)
+    return _frozen(d.T / _dup_gram(m)[:, None])
 
 
 def row_selector(m):

@@ -113,7 +113,6 @@ def identity_parameterization(m: int) -> Parameterization:
 def shape_scale_parameterization(scale: ScaleFunctional, m: int) -> Parameterization:
     """theta = (mu, ovecs V, s): interest (mu, shape), nuisance the scale."""
     nh = vecs_len(m)
-    dm = duplication_matrix(m)
 
     def mu_fn(theta):
         return theta[:m]
@@ -130,7 +129,8 @@ def shape_scale_parameterization(scale: ScaleFunctional, m: int) -> Parameteriza
     def jac_sig(theta):
         v = reconstruct_shape(scale, theta[m : m + nh - 1], m)
         out = np.zeros((m * m, m + nh))
-        out[:, m:] = dm @ jacobian_w(scale, v, theta[-1])
+        # D_m X, one vecs column of X at a time
+        out[:, m:] = vec(unvecs(jacobian_w(scale, v, theta[-1]).T, m)).T
         return out
 
     return Parameterization(
@@ -332,7 +332,12 @@ class AdaptivityReport:
 
 
 def condition_check(
-    param: Parameterization, theta0, gen: DensityGenerator, rel_tol: float = 1e-8
+    param: Parameterization,
+    theta0,
+    gen: DensityGenerator,
+    rel_tol: float = 1e-8,
+    *,
+    geometry=None,
 ) -> ConditionReport:
     """Evaluate the adaptivity condition residual at theta0.
 
@@ -341,16 +346,16 @@ def condition_check(
     for gamma equals the parametric one (for every non-Gaussian
     generator; for the Gaussian the FIMs agree regardless).  The
     tolerance is relative to the uncorrected interest term because the
-    condition is homogeneous in the Jacobian scaling.
+    condition is homogeneous in the Jacobian scaling.  ``geometry`` is
+    ``fim.model_geometry(param, theta0)`` when the caller has it.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    sigma = np.asarray(param.sigma_fn(theta0), dtype=float)
-    w = vec(np.linalg.inv(sigma))
-    j_sig = param.jacobian_vec_sigma(theta0)
+    if geometry is None:
+        geometry = fim_mod.model_geometry(param, theta0)
     q = param.q
-    interest_term = j_sig[:, :q].T @ w
+    # J^T vec(Sigma^-1), split into the interest and the nuisance rows
+    interest_term = geometry.sigma_trace[:q]
     if param.r > 0:
-        full_fim = fim_mod.fim_theta(param, theta0, gen)
+        full_fim = fim_mod.fim_theta(param, theta0, gen, geometry=geometry)
         i_ge = full_fim[:q, q:]
         i_e = full_fim[q:, q:]
         try:
@@ -359,7 +364,7 @@ def condition_check(
             raise fim_mod.IdentifiabilityError(
                 "singular nuisance information block in condition check"
             ) from exc
-        residual = interest_term - i_ge @ linalg.cho_solve(cho, j_sig[:, q:].T @ w)
+        residual = interest_term - i_ge @ linalg.cho_solve(cho, geometry.sigma_trace[q:])
     else:
         residual = interest_term.copy()
     tol = rel_tol * max(1.0, np.abs(interest_term).max(initial=0.0))
@@ -374,9 +379,14 @@ def condition_check(
 def verify_adaptivity_by_fim(
     param: Parameterization, theta0, gen: DensityGenerator, rel_tol: float = 1e-8
 ) -> AdaptivityReport:
-    """Compare the efficient interest FIMs of the parametric and semiparametric models."""
-    full = fim_mod.fim_theta(param, theta0, gen)
-    sfull = fim_mod.sfim_theta(param, theta0, gen)
+    """Compare the efficient interest FIMs of the parametric and semiparametric models.
+
+    The Jacobians, the identifiability check and the whitened Gram matrices
+    are computed once and shared by both FIMs and the condition check.
+    """
+    geometry = fim_mod.model_geometry(param, theta0)
+    full = fim_mod.fim_theta(param, theta0, gen, geometry=geometry)
+    sfull = fim_mod.sfim_theta(param, theta0, gen, geometry=geometry)
     eff_par = fim_mod.efficient_fim_interest(full, param.q)
     eff_semi = fim_mod.efficient_fim_interest(sfull, param.q)
     gap = float(np.linalg.norm(eff_par - eff_semi))
@@ -388,5 +398,5 @@ def verify_adaptivity_by_fim(
         gap=gap,
         gap_rel=gap_rel,
         adaptive=bool(gap_rel < rel_tol),
-        condition=condition_check(param, theta0, gen, rel_tol),
+        condition=condition_check(param, theta0, gen, rel_tol, geometry=geometry),
     )

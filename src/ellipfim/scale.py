@@ -205,9 +205,16 @@ def k_matrix(scale: ScaleFunctional, v):
 
 
 def m_matrix(scale: ScaleFunctional, v):
-    """M_S = K_V^T D_m^T, full row rank m(m+1)/2 - 1."""
+    """M_S = K_V^T D_m^T, full row rank m(m+1)/2 - 1.
+
+    K_V^T is [grad_v11, I], and the first row of D_m^T is the unit vector
+    of vec position (1,1), so M_S is D_m^T without its first row plus
+    grad_v11 in column 0.
+    """
     m = np.asarray(v).shape[0]
-    return k_matrix(scale, v).T @ duplication_matrix(m).T
+    out = duplication_matrix(m).T[1:].copy()
+    out[:, 0] += grad_v11(scale, v)
+    return out
 
 
 def constraint_gradient_vecs(scale: ScaleFunctional, v):

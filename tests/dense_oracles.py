@@ -1,0 +1,149 @@
+"""Dense Kronecker forms of the bounds and FIMs: the test oracles.
+
+These are the m^2 x m^2 expressions the structured vecs-space forms in
+``ellipfim`` replace, written exactly as the formulas read: Kronecker
+products, the commutation matrix, the duplication matrix and its
+pseudo-inverse built by loops.  They cost O(m^6) time and O(m^4) memory,
+so tests call them at small m only.
+"""
+
+import numpy as np
+
+from ellipfim.bounds import _rank1_coeff
+from ellipfim.matcalc import vec, vecs_len
+from ellipfim.scale import decompose, k_matrix
+
+
+def duplication_loops(m):
+    # vecs order: column by column, the lower triangle of each column
+    pairs = [(i, j) for j in range(m) for i in range(j, m)]
+    d = np.zeros((m * m, len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        d[i + j * m, k] = 1.0
+        d[j + i * m, k] = 1.0
+    return d
+
+
+def commutation_loops(m):
+    k = np.zeros((m * m, m * m))
+    for i in range(m):
+        for j in range(m):
+            k[i + j * m, j + i * m] = 1.0
+    return k
+
+
+def dup_pinv_solve(m):
+    d = duplication_loops(m)
+    return np.linalg.solve(d.T @ d, d.T)
+
+
+def row_selector(m):
+    return np.eye(vecs_len(m))[1:]
+
+
+def m_matrix(scale, v):
+    return k_matrix(scale, v).T @ duplication_loops(np.asarray(v).shape[0]).T
+
+
+def p_projector(scale, sigma):
+    v = decompose(scale, sigma).v
+    return np.eye(v.size) - np.outer(vec(v), vec(scale.gradient(sigma)))
+
+
+def crb_shape(scale, v, gen):
+    m = v.shape[0]
+    sel, dpi, p = row_selector(m), dup_pinv_solve(m), p_projector(scale, v)
+    core = (np.eye(m * m) + commutation_loops(m)) @ np.kron(v, v)
+    out = (sel @ dpi @ p @ core @ p.T @ dpi.T @ sel.T) / gen.alpha(m)
+    return 0.5 * (out + out.T)
+
+
+def crb_shape_det_root(v, gen):
+    m = v.shape[0]
+    sel, dpi = row_selector(m), dup_pinv_solve(m)
+    core = (np.eye(m * m) + commutation_loops(m)) @ np.kron(v, v) - (
+        2.0 / m
+    ) * np.outer(vec(v), vec(v))
+    out = (sel @ dpi @ core @ dpi.T @ sel.T) / gen.alpha(m)
+    return 0.5 * (out + out.T)
+
+
+def crb_scale(scale, v, s, gen):
+    """(value, psi) of the scale bound."""
+    m = v.shape[0]
+    alpha = gen.alpha(m)
+    g = vec(scale.gradient(v))
+    kron_v = np.kron(v, v)
+    value = (2.0 * s * s / alpha) * (g @ kron_v @ g - _rank1_coeff(alpha, m))
+    sel, dpi, p = row_selector(m), dup_pinv_solve(m), p_projector(scale, v)
+    psi = (2.0 * s / alpha) * (sel @ dpi @ p @ kron_v @ g)
+    return value, psi
+
+
+def crb_vecs_sigma(sigma, gen):
+    m = sigma.shape[0]
+    alpha = gen.alpha(m)
+    dpi = dup_pinv_solve(m)
+    middle = np.kron(sigma, sigma) - _rank1_coeff(alpha, m) * np.outer(
+        vec(sigma), vec(sigma)
+    )
+    out = (2.0 / alpha) * dpi @ middle @ dpi.T
+    return 0.5 * (out + out.T)
+
+
+def fim_eta_shape(v, s, scale, gen):
+    """(i_v, i_vs) of the (mu, ovecs V, s) FIM."""
+    m = v.shape[0]
+    alpha = gen.alpha(m)
+    v_inv = np.linalg.inv(v)
+    ms = m_matrix(scale, v)
+    vv = np.outer(vec(v_inv), vec(v_inv))
+    i_v = 0.25 * ms @ (2.0 * alpha * np.kron(v_inv, v_inv) + (alpha - 1.0) * vv) @ ms.T
+    i_vs = ((m + 2) * alpha - m) / (4.0 * s) * (ms @ vec(v_inv))
+    return i_v, i_vs
+
+
+def efficient_fim_shape(v, scale, gen):
+    m = v.shape[0]
+    v_inv = np.linalg.inv(v)
+    ms = m_matrix(scale, v)
+    middle = np.kron(v_inv, v_inv) - np.outer(vec(v_inv), vec(v_inv)) / m
+    return 0.5 * gen.alpha(m) * ms @ middle @ ms.T
+
+
+def fim_vecs_sigma(sigma, gen):
+    m = sigma.shape[0]
+    alpha = gen.alpha(m)
+    sigma_inv = np.linalg.inv(sigma)
+    dm = duplication_loops(m)
+    middle = 0.5 * alpha * np.kron(sigma_inv, sigma_inv) + 0.25 * (
+        alpha - 1.0
+    ) * np.outer(vec(sigma_inv), vec(sigma_inv))
+    return dm.T @ middle @ dm
+
+
+def _fim_theta(param, theta0, gen, rank1):
+    sigma = np.asarray(param.sigma_fn(theta0), dtype=float)
+    j_mu = param.jacobian_mu(theta0)
+    j_sig = param.jacobian_vec_sigma(theta0)
+    sigma_inv = np.linalg.inv(sigma)
+    m = sigma.shape[0]
+    middle = np.kron(sigma_inv, sigma_inv) + rank1 * np.outer(
+        vec(sigma_inv), vec(sigma_inv)
+    )
+    out = (
+        gen.beta(m) * j_mu.T @ sigma_inv @ j_mu
+        + 0.5 * gen.alpha(m) * j_sig.T @ middle @ j_sig
+    )
+    return 0.5 * (out + out.T)
+
+
+def fim_theta(param, theta0, gen):
+    m = np.asarray(param.sigma_fn(theta0)).shape[0]
+    return _fim_theta(param, theta0, gen, 0.5 * (1.0 - 1.0 / gen.alpha(m)))
+
+
+def sfim_theta(param, theta0, gen):
+    m = np.asarray(param.sigma_fn(theta0)).shape[0]
+    rank1 = 2.0 / (gen.alpha(m) * gen.sigma_q2(m)) - 1.0 / m
+    return _fim_theta(param, theta0, gen, rank1)

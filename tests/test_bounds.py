@@ -286,3 +286,10 @@ def test_bound_set_det_psi_zero_and_psd():
     assert np.linalg.norm(bs.psi_cross) < 1e-12
     for mat in (bs.crb_mu, bs.crb_shape, bs.crb_vecs_sigma):
         assert np.linalg.eigvalsh(0.5 * (mat + mat.T)).min() > 0
+
+
+def test_bound_set_rejects_a_scatter_that_is_not_pd():
+    with pytest.raises(np.linalg.LinAlgError):
+        bound_set(NORMALIZED_TRACE, np.array([[1.0, 2.0], [2.0, 1.0]]), gaussian())
+    with pytest.raises(ValueError):
+        bound_set(NORMALIZED_TRACE, np.array([[2.0, 1.0], [0.0, 2.0]]), gaussian())

@@ -327,6 +327,53 @@ def test_cli_simulate_impossible_config_exits_2(tmp_path, capsys):
     assert not (out / "simulation_trace.csv").exists()
 
 
+DOMAIN_ERROR_CONFIGS = {
+    "t_nu2": ("bounds", {"m": 4, "generator": {"family": "t", "nu": 2}}),
+    "non_pd_scatter": (
+        "bounds",
+        {"m": 2, "sigma": {"kind": "matrix", "values": [[1, 2], [2, 1]]}},
+    ),
+    "low_rank_m2_p3": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank", "m": 2, "p": 3, "gamma": [0.1, 0.2, 0.3]}},
+    ),
+    "unknown_verify_level": ("verify", {"level": "bogus"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_ERROR_CONFIGS))
+def test_cli_domain_errors_exit_2_with_one_line(tmp_path, capsys, case):
+    command, data = DOMAIN_ERROR_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, **data}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    if command == "bounds":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):
+    from ellipfim import bounds
+
+    real = bounds.verify_chain
+
+    def failing_chain(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.links[0].passed = False
+        return report
+
+    monkeypatch.setattr(bounds, "verify_chain", failing_chain)
+    cfg = tmp_path / "bounds.json"
+    cfg.write_text(json.dumps({"schema": 1, "m": 3, "scale": "det"}))
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("scale_kind", ["first", "det"])
 def test_trial_block_rows_independent_of_block_boundaries(scale_kind):
     cfg = asdict(SimConfig(**{**SMALL, "scale_kind": scale_kind}))

@@ -1,0 +1,210 @@
+"""The structured vecs-space forms against their dense Kronecker oracles."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.linalg import toeplitz
+
+import dense_oracles as dense
+from ellipfim import bounds, fim
+from ellipfim.bounds import BoundSet, bound_set, write_bounds_csv
+from ellipfim.generators import gaussian, generalized_gaussian, student_t
+from ellipfim.matcalc import commutation_matrix, dup_pinv, duplication_matrix, vecs
+from ellipfim.parameterize import (
+    breaking_parameterization,
+    identity_parameterization,
+    linear_split_parameterization,
+    shape_scale_parameterization,
+    verify_adaptivity_by_fim,
+)
+from ellipfim.scale import DET_ROOT, FIRST_ELEMENT, NORMALIZED_TRACE, decompose, m_matrix
+
+ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
+GENS = [gaussian(), student_t(6), generalized_gaussian(0.5)]
+RTOL = 1e-12
+
+
+def assert_close(got, want):
+    # entries that vanish analytically (the det-scale cross blocks) come
+    # out as rounding noise on both sides, so they get an absolute floor
+    want = np.asarray(want, dtype=float)
+    atol = RTOL * max(float(np.linalg.norm(want)), 1.0)
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=atol)
+
+
+def random_sigma(rng, m):
+    a = rng.standard_normal((m, m))
+    return a @ a.T + m * np.eye(m)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_structural_matrices_match_loop_oracles(m):
+    np.testing.assert_array_equal(duplication_matrix(m), dense.duplication_loops(m))
+    np.testing.assert_array_equal(commutation_matrix(m), dense.commutation_loops(m))
+    np.testing.assert_allclose(dup_pinv(m), dense.dup_pinv_solve(m), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("build", [duplication_matrix, commutation_matrix, dup_pinv])
+def test_cached_structural_matrices_are_read_only(build):
+    first = build(4)
+    assert build(4) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("gen", GENS, ids=str)
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 9])
+def test_structured_forms_match_dense_oracles(m, scale, gen):
+    rng = np.random.default_rng(100 * m + len(scale.kind))
+    sigma = random_sigma(rng, m)
+    dec = decompose(scale, sigma)
+    v, s = dec.v, dec.s
+
+    assert_close(bounds.crb_shape(scale, v, gen), dense.crb_shape(scale, v, gen))
+    assert_close(bounds.crb_shape_det_root(v, gen), dense.crb_shape_det_root(v, gen))
+    value, psi = dense.crb_scale(scale, v, s, gen)
+    got = bounds.crb_scale(scale, v, s, gen)
+    assert got.value == pytest.approx(value, rel=RTOL)
+    assert_close(got.psi, psi)
+    assert_close(bounds.crb_vecs_sigma(sigma, gen), dense.crb_vecs_sigma(sigma, gen))
+
+    blocks = fim.fim_eta(v, s, scale, gen)
+    i_v, i_vs = dense.fim_eta_shape(v, s, scale, gen)
+    assert_close(blocks.i_v, i_v)
+    assert_close(blocks.i_vs, i_vs)
+    assert_close(fim.efficient_fim_shape(v, scale, gen), dense.efficient_fim_shape(v, scale, gen))
+    assert_close(fim.fim_vecs_sigma(sigma, gen), dense.fim_vecs_sigma(sigma, gen))
+    np.testing.assert_array_equal(m_matrix(scale, v), dense.m_matrix(scale, v))
+
+
+def _models(m, rng):
+    sigma0 = random_sigma(rng, m)
+    h = rng.standard_normal((m, 2))
+    dec = decompose(NORMALIZED_TRACE, sigma0)
+    yield linear_split_parameterization(h, m), np.concatenate(
+        [rng.standard_normal(2), vecs(sigma0)]
+    )
+    yield shape_scale_parameterization(NORMALIZED_TRACE, m), np.concatenate(
+        [rng.standard_normal(m), vecs(dec.v)[1:], [dec.s]]
+    )
+    yield identity_parameterization(m), np.concatenate([np.zeros(m), vecs(sigma0)])
+    yield breaking_parameterization(sigma0), np.array([1.3])
+
+
+@pytest.mark.parametrize("gen", GENS, ids=str)
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_theta_fims_match_dense_oracles(m, gen):
+    rng = np.random.default_rng(m)
+    for param, theta0 in _models(m, rng):
+        assert_close(fim.fim_theta(param, theta0, gen), dense.fim_theta(param, theta0, gen))
+        assert_close(fim.sfim_theta(param, theta0, gen), dense.sfim_theta(param, theta0, gen))
+
+
+def test_adaptivity_check_builds_the_geometry_once(monkeypatch):
+    m = 4
+    rng = np.random.default_rng(2)
+    param, theta0 = next(_models(m, rng))
+    calls = {"jacobian": 0, "rank": 0}
+    jac = param.jac_vec_sigma
+
+    def counted_jac(theta):
+        calls["jacobian"] += 1
+        return jac(theta)
+
+    rank = np.linalg.matrix_rank
+
+    def counted_rank(*args, **kwargs):
+        calls["rank"] += 1
+        return rank(*args, **kwargs)
+
+    param.jac_vec_sigma = counted_jac
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
+    report = verify_adaptivity_by_fim(param, theta0, student_t(6))
+    assert report.adaptive and report.condition.satisfied
+    assert calls == {"jacobian": 1, "rank": 1}
+
+
+# ---------------------------------------------------------------------------
+# the bounds CSV writer
+# ---------------------------------------------------------------------------
+
+
+def per_entry_writer(bset, path):
+    """The writer as it was: one write per entry."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("block,row,col,value\n")
+        for name, mat in bset.blocks().items():
+            mat = np.atleast_2d(mat)
+            for i in range(mat.shape[0]):
+                for j in range(mat.shape[1]):
+                    fh.write(f"{name},{i},{j},{mat[i, j]:.17g}\n")
+
+
+def _bound_sets():
+    for m in (2, 4, 9):
+        sigma = toeplitz(0.8 ** np.arange(m))
+        for scale in ALL_SCALES:
+            yield bound_set(scale, sigma, student_t(6))
+    yield BoundSet(
+        crb_mu=np.array([[1.0, -0.0], [1e300, 5e-324]]),
+        crb_shape=np.array([[0.1, 0.2, 1.0 / 3.0], [-2.5e-7, 7.0, 1e-310]]),
+        crb_scale=-0.0,
+        psi_cross=np.array([np.pi, -1e300]),
+        crb_vecs_sigma=np.array([[5e-324]]),
+        scale_kind="trace",
+        generator="hand",
+        m=2,
+        s=1.0,
+    )
+
+
+@pytest.mark.parametrize("bset", list(_bound_sets()), ids=lambda b: f"{b.generator}-m{b.m}-{b.scale_kind}")
+def test_write_bounds_csv_bytes_match_per_entry_writer(tmp_path, bset):
+    write_bounds_csv(bset, tmp_path / "rows.csv")
+    per_entry_writer(bset, tmp_path / "entries.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "entries.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# large m
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_crb_shape_inverts_efficient_fim_at_m48(scale):
+    m = 48
+    v = decompose(scale, toeplitz(0.8 ** np.arange(m))).v
+    gen = student_t(6)
+    prod = bounds.crb_shape(scale, v, gen) @ fim.efficient_fim_shape(v, scale, gen)
+    assert np.abs(prod - np.eye(prod.shape[0])).max() < 1e-8
+
+
+def test_bound_set_m64_never_holds_an_m2_by_m2_array():
+    m = 64
+    one_kron_bytes = (m * m) ** 2 * 8  # 134 MB
+    sigma = toeplitz(0.8 ** np.arange(m))
+    tracemalloc.start()
+    try:
+        bset = bound_set(NORMALIZED_TRACE, sigma, student_t(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_kron_bytes
+    assert bset.crb_vecs_sigma.shape == (m * (m + 1) // 2,) * 2
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda gen: bounds.crb_shape(NORMALIZED_TRACE, np.eye(1), gen),
+        lambda gen: bounds.crb_shape_det_root(np.eye(1), gen),
+        lambda gen: bounds.crb_scale(NORMALIZED_TRACE, np.eye(1), 1.0, gen),
+    ],
+    ids=["crb_shape", "crb_shape_det_root", "crb_scale"],
+)
+def test_ovecs_bounds_reject_m1(bound):
+    with pytest.raises(ValueError, match="m >= 2"):
+        bound(student_t(6))
