@@ -74,6 +74,11 @@ class ScoreFunction:
         """K(i / (n + 1)) for i = 1..n: entry rank - 1 is the score of a rank."""
         return self(np.arange(1, n + 1) / (n + 1.0), m)
 
+    def key(self):
+        """The score's class and parameters: equal keys give equal tables.
+        A subclass with parameters adds them."""
+        return (type(self),)
+
 
 class VanDerWaerden(ScoreFunction):
     """Chi-square quantile score: Gaussian-efficient rank weights."""
@@ -92,6 +97,9 @@ class TScore(ScoreFunction):
             raise ValueError("TScore requires nu > 0")
         self.nu = float(nu)
         self.name = f"t{nu:g}"
+
+    def key(self):
+        return (type(self), self.nu)
 
     def __call__(self, u, m):
         f_inv = stats.f.ppf(np.asarray(u, dtype=float), m, self.nu)
@@ -264,7 +272,8 @@ def _rank_delta(data, v_root_inv, tables):
     """Delta_V for every dataset of ``data`` and every score table.
 
     ``v_root_inv`` holds V^(-1/2) per dataset, with leading axes (T,) or
-    (S, T); ``tables`` is (S, n), one ``ScoreFunction.table`` per score.
+    (S, T); ``tables`` holds ``ScoreFunction.table`` rows, (S, n) for one
+    table per score or (S, T, n) for one per score and dataset.
     Returns (S, T, m(m+1)/2).  Upsilon_V vec(O) is applied in its matrix
     form D_m^T vec(V^-1/2 (O - tr(O) I / m) V^-1/2), which needs no
     Kronecker product.
@@ -273,7 +282,13 @@ def _rank_delta(data, v_root_inv, tables):
     w = data @ v_root_inv
     q = np.sum(w * w, axis=-1)
     u_dirs = w / np.sqrt(q)[..., None]
-    k_vals = tables[np.arange(len(tables))[:, None, None], ranks(q) - 1]
+    if tables.ndim == 2:
+        tables = tables[:, None, :]
+    k_vals = tables[
+        np.arange(len(tables))[:, None, None],
+        np.arange(tables.shape[1])[:, None],
+        ranks(q) - 1,
+    ]
     outer = np.swapaxes(u_dirs * k_vals[..., None], -1, -2) @ u_dirs
     trace = np.trace(outer, axis1=-2, axis2=-1)
     s = v_root_inv @ (outer - (trace / m)[..., None, None] * np.eye(m)) @ v_root_inv
@@ -304,7 +319,7 @@ def _xi_matrix(ups, u):
 def r_step_batch(data, v, scale: ScaleFunctional, tables):
     """One rank-based step from each shape of ``v`` (T, m, m), renormalized
     to S(V) = 1 first, for a (T, n, m) stack of datasets and every score
-    table of ``tables`` (S, n).
+    table of ``tables``: (S, n), or (S, T, n) for a table per dataset.
 
     Upsilon, U and Xi depend only on the starting point V*, so they are
     built once per trial and shared by all scores.  Returns ``(v_new,

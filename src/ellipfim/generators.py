@@ -33,6 +33,7 @@ __all__ = [
     "coefficients",
     "expect",
     "sample",
+    "sample_stack",
     "modular_variate",
     "psd_sqrt",
 ]
@@ -267,20 +268,32 @@ def psd_sqrt(sigma):
     return (v * np.sqrt(w)) @ v.T
 
 
+def sample_stack(n, mu, sigma, gens, seeds):
+    """Draw one dataset of n iid vectors per seed into a (T, n, m) stack.
+
+    Dataset t is ``sample(n, mu, sigma, gens[t], seeds[t])``: it keeps its
+    own RNG stream, and Sigma^(1/2) is computed once for the whole stack.
+    """
+    mu = np.asarray(mu, dtype=float)
+    m = mu.shape[0]
+    root = psd_sqrt(sigma)
+    q = np.empty((len(seeds), n))
+    z = np.empty((len(seeds), n, m))
+    for t, (gen, seed) in enumerate(zip(gens, seeds, strict=True)):
+        rng = np.random.default_rng(seed)
+        q[t] = gen.sample_q(n, m, rng)
+        z[t] = rng.standard_normal((n, m))
+    u = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    return mu + np.sqrt(q)[..., None] * (u @ root)
+
+
 def sample(n, mu, sigma, gen: DensityGenerator, seed):
     """Draw n iid vectors via x = mu + sqrt(Q) Sigma^(1/2) u.
 
     u is uniform on the unit sphere (normalized Gaussian), Q is drawn per
     family so that E{Q} = m exactly.  Deterministic given the seed.
     """
-    mu = np.asarray(mu, dtype=float)
-    m = mu.shape[0]
-    root = psd_sqrt(sigma)
-    rng = np.random.default_rng(seed)
-    q = gen.sample_q(n, m, rng)
-    z = rng.standard_normal((n, m))
-    u = z / np.linalg.norm(z, axis=1, keepdims=True)
-    return mu + np.sqrt(q)[:, None] * (u @ root)
+    return sample_stack(n, mu, sigma, [gen], [seed])[0]
 
 
 def modular_variate(x, mu, sigma):

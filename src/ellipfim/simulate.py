@@ -6,15 +6,20 @@ run the configured estimators, and report the MSE index next to the
 semiparametric bound trace and the scale-and-generator-known parametric
 bound trace (both divided by n, the per-dataset scale).
 
-Trials run in blocks of a fixed size (``_block_size``), whose boundaries
-depend on the trial count and on m, never on the parallelism setting.  A
-block stacks its datasets into one (T, n, m) array and runs each
-estimator once on the stack.  Each trial keeps its own RNG stream, derived
-from (root_seed, nu_index, trial_index), and a trial that fails (a
-non-finite or non-PD intermediate, or a Tyler iteration that does not
-converge) leaves NaN in its own row only.  Serially or on any worker, the
-same blocks are computed, reduced in trial order and formatted with fixed
-precision, so the CSV is byte-identical across parallelism settings.
+The trials of the whole run form one sequence, ordered by nu index and
+then by trial index, and a block is a contiguous run of it, so one block
+can hold trials of several nu.  Its size (``_block_size``) depends on n
+and m, never on the parallelism setting.  A block draws its datasets into
+one (T, n, m) stack, computing Sigma^(1/2) once, and runs each estimator
+once on the stack; each trial's rank scores come from tables built once
+per run for every distinct (score, nu).  Each trial keeps its own RNG
+stream, derived from (root_seed, nu_index, trial_index), and a trial that
+fails (a non-finite or non-PD intermediate, or a Tyler iteration that
+does not converge) leaves NaN in its own row only.  A process pool runs
+the blocks when there are at least two per worker; serially or on any
+worker, the same blocks are computed, reduced in trial order and
+formatted with fixed precision, so the CSV is byte-identical across
+parallelism settings.
 """
 
 from __future__ import annotations
@@ -36,13 +41,14 @@ from .estimators import (
     tyler_batch,
 )
 from .fim import fim_eta
-from .generators import sample, student_t
+from .generators import sample_stack, student_t
 from .matcalc import ovecs, vecs_len
 from .scale import decompose, scale_by_name
 
 __all__ = ["SimConfig", "CellResult", "SimResult", "run_simulation", "write_svg_chart"]
 
 FAILURE_RATE_LIMIT = 0.01
+BLOCK_DOUBLES = 2**16  # budget of a block's (T, n, m) data stack
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,13 @@ class SimConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        for name in ("m", "n", "trials", "root_seed", "parallelism"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for value in (self.rho, *self.nu_grid):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"rho and nu must be real numbers, got {value!r}")
         if self.m < 2:
             raise ValueError("m must be >= 2")
         if self.n <= self.m:
@@ -69,6 +82,10 @@ class SimConfig:
             )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        if not self.nu_grid:
+            raise ValueError("nu_grid must hold at least one nu")
         if not all(nu > 2.0 for nu in self.nu_grid):
             raise ValueError("every nu in the grid must exceed 2")
         if not -1.0 < self.rho < 1.0:
@@ -98,6 +115,8 @@ class SimConfig:
         data = dict(data)
         for key in ("nu_grid", "estimators", "scores"):
             if key in data:
+                if not isinstance(data[key], (list, tuple)):
+                    raise ValueError(f"{key} must be a list, got {data[key]!r}")
                 data[key] = tuple(data[key])
         return cls(**data)
 
@@ -115,26 +134,47 @@ def _score_from_name(name: str, nu: float):
     raise ValueError(f"unknown score {name!r}; valid: vdw, tnu, t<nu>")
 
 
-def _block_size(m: int) -> int:
-    """Trials per block: 32, fewer at large m, where the per-trial m^2 x m^2
-    Kronecker product of Upsilon would make a block's memory grow as m^4."""
-    return max(1, min(32, 2**22 // m**4))
+def _block_size(m: int, n: int) -> int:
+    """Trials per block: as many (n, m) datasets as fit in BLOCK_DOUBLES
+    doubles, and at most 2**22 // m**4, because the per-trial m^2 x m^2
+    Kronecker product of Upsilon makes a block's memory grow as m^4."""
+    return max(1, min(BLOCK_DOUBLES // (n * m), 2**22 // m**4))
 
 
-def _trial_block(cfg: dict, nu: float, nu_idx: int, start: int, stop: int):
-    """Squared ovecs errors for trials [start, stop); NaN marks a failure."""
-    config = SimConfig.from_dict(cfg)
-    scale = scale_by_name(config.scale_kind)
-    sigma0 = config.sigma0
-    v0 = decompose(scale, sigma0).v
-    gen = student_t(nu)
-    mu = np.zeros(config.m)
-    data = np.stack(
-        [
-            sample(config.n, mu, sigma0, gen, seed=(config.root_seed, nu_idx, t))
-            for t in range(start, stop)
-        ]
+def _score_tables(config: SimConfig):
+    """(S, len(nu_grid), n) score tables: entry [s, i] is the table of score
+    s at nu_grid[i].  Each distinct score (class and parameters) is
+    evaluated once."""
+    scores = [[_score_from_name(s, nu) for nu in config.nu_grid] for s in config.scores]
+    tables = {}
+    for score in (score for row in scores for score in row):
+        if score.key() not in tables:
+            tables[score.key()] = score.table(config.n, config.m)
+    return np.array([[tables[score.key()] for score in row] for row in scores])
+
+
+def _block_data(config: SimConfig, start: int, stop: int):
+    """The (T, n, m) datasets of trials [start, stop) of the run's sequence,
+    with the nu index of each; sequence entry k is trial k % trials of nu
+    index k // trials."""
+    nu_idx, trial = np.divmod(np.arange(start, stop), config.trials)
+    data = sample_stack(
+        config.n,
+        np.zeros(config.m),
+        config.sigma0,
+        [student_t(config.nu_grid[i]) for i in nu_idx],
+        [(config.root_seed, int(i), int(t)) for i, t in zip(nu_idx, trial)],
     )
+    return data, nu_idx
+
+
+def _trial_block(config: SimConfig, tables, start: int, stop: int):
+    """Squared ovecs errors for trials [start, stop) of the run's sequence,
+    one column per estimator; NaN marks a failure.  ``tables`` is
+    ``_score_tables(config)``."""
+    scale = scale_by_name(config.scale_kind)
+    v0 = decompose(scale, config.sigma0).v
+    data, nu_idx = _block_data(config, start, stop)
     tyler = None
     if "tyler" in config.estimators or config.scores:
         tyler = tyler_batch(data, scale)[0]
@@ -144,10 +184,7 @@ def _trial_block(cfg: dict, nu: float, nu_idx: int, start: int, stop: int):
     ]
     if config.scores:
         # a failed preliminary is NaN, so its R-estimates fail with it
-        tables = np.stack(
-            [_score_from_name(s, nu).table(config.n, config.m) for s in config.scores]
-        )
-        shapes.extend(r_step_batch(data, tyler, scale, tables)[0])
+        shapes.extend(r_step_batch(data, tyler, scale, tables[:, nu_idx])[0])
     diff = ovecs(np.stack(shapes) - v0)
     return np.sum(diff * diff, axis=-1).T
 
@@ -167,6 +204,9 @@ class SimResult:
     config: SimConfig
     cells: list
     bounds: dict  # nu -> (scrb_trace/n, parametric trace/n)
+    block_size: int  # trials per block
+    blocks: int
+    workers_used: int
 
     def cell(self, nu: float, estimator: str) -> CellResult:
         for c in self.cells:
@@ -191,6 +231,9 @@ class SimResult:
             "note": (
                 "desk-scale run; the reference study used 1e5 trials per cell"
             ),
+            "block_size": self.block_size,
+            "blocks": self.blocks,
+            "workers_used": self.workers_used,
             "failed_cells": [
                 {"nu": c.nu, "estimator": c.estimator, "n_failed": c.n_failed}
                 for c in self.cells
@@ -213,35 +256,29 @@ def _bounds_for(config: SimConfig, nu: float):
 
 def run_simulation(config: SimConfig) -> SimResult:
     """Run the full sweep; deterministic given config and root_seed."""
-    cfg = asdict(config)
     cols = config.columns()
-    size = _block_size(config.m)
-    blocks = [
-        (start, min(start + size, config.trials))
-        for start in range(0, config.trials, size)
-    ]
-    tasks = [
-        (nu, nu_idx, start, stop)
-        for nu_idx, nu in enumerate(config.nu_grid)
-        for start, stop in blocks
-    ]
-    workers = max(1, int(config.parallelism))
+    total = len(config.nu_grid) * config.trials
+    size = _block_size(config.m, config.n)
+    blocks = [(start, min(start + size, total)) for start in range(0, total, size)]
+    tables = _score_tables(config)
+    # below two blocks per worker, pool start-up costs more than it saves
+    workers = config.parallelism if len(blocks) >= 2 * config.parallelism else 1
     if workers > 1:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(_trial_block, cfg, *task) for task in tasks]
+            futures = [pool.submit(_trial_block, config, tables, *b) for b in blocks]
             bounds = {nu: _bounds_for(config, nu) for nu in config.nu_grid}
             results = [f.result() for f in futures]
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        results = [_trial_block(cfg, *task) for task in tasks]
+        results = [_trial_block(config, tables, *b) for b in blocks]
         bounds = {nu: _bounds_for(config, nu) for nu in config.nu_grid}
+    errors = np.vstack(results).reshape(len(config.nu_grid), config.trials, len(cols))
     cells = []
     for nu_idx, nu in enumerate(config.nu_grid):
-        errors = np.vstack(results[nu_idx * len(blocks) : (nu_idx + 1) * len(blocks)])
         for j, name in enumerate(cols):
-            col = errors[:, j]
+            col = errors[nu_idx, :, j]
             ok = np.isfinite(col)
             n_failed = int((~ok).sum())
             vals = col[ok]
@@ -261,7 +298,14 @@ def run_simulation(config: SimConfig) -> SimResult:
                     valid=bool(n_failed <= FAILURE_RATE_LIMIT * config.trials),
                 )
             )
-    return SimResult(config=config, cells=cells, bounds=bounds)
+    return SimResult(
+        config=config,
+        cells=cells,
+        bounds=bounds,
+        block_size=size,
+        blocks=len(blocks),
+        workers_used=workers,
+    )
 
 
 # ---------------------------------------------------------------------------

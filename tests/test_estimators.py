@@ -440,6 +440,24 @@ def test_batched_estimators_match_single_dataset_calls(scale):
             assert r_rejected[j, t] == est.step_rejected
 
 
+def test_per_dataset_score_tables_match_one_table_per_call():
+    # trial t uses the scores vdW and t(3 + t): an (S, T, n) table stack
+    data = _datasets(4)
+    n, m = data.shape[1:]
+    tyler = tyler_batch(data, NORMALIZED_TRACE)[0]
+    tables = np.stack(
+        [
+            [VanDerWaerden().table(n, m)] * len(data),
+            [TScore(3 + t).table(n, m) for t in range(len(data))],
+        ]
+    )
+    stacked = r_step_batch(data, tyler, NORMALIZED_TRACE, tables)
+    for t in range(len(data)):
+        single = r_step_batch(data[t : t + 1], tyler[t : t + 1], NORMALIZED_TRACE, tables[:, t])
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got[:, t], want[:, 0])
+
+
 def test_rank_statistic_matches_dense_upsilon_oracle():
     # Delta = Upsilon vec(sum_l K_l u_l u_l^T) / (2 sqrt(n)), with the
     # Kronecker-product Upsilon; the kernel applies it in matrix form

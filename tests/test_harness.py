@@ -1,6 +1,5 @@
 import csv
 import json
-from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from ellipfim import simulate
 from ellipfim.cli import main
-from ellipfim.estimators import VanDerWaerden, tyler_batch
+from ellipfim.estimators import ScoreFunction, VanDerWaerden, tyler_batch
 from ellipfim.invariants import run_invariant_suite
 from ellipfim.generators import sample, student_t
 from ellipfim.scale import scale_by_name
@@ -67,13 +66,41 @@ def small_result():
     return run_simulation(SimConfig(**SMALL))
 
 
-def test_simulation_determinism_across_parallelism(tmp_path, small_result):
-    serial = tmp_path / "serial.csv"
-    small_result.to_csv(serial)
-    pooled = run_simulation(SimConfig(**SMALL, parallelism=3))
-    pooled_path = tmp_path / "pooled.csv"
-    pooled.to_csv(pooled_path)
-    assert serial.read_bytes() == pooled_path.read_bytes()
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool run_simulation creates."""
+    created = []
+    real = simulate.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        created.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", counting)
+    return created
+
+
+# 84 trials in blocks of 21 at m=10, n=300: two blocks per worker at 2 workers
+POOLED = dict(m=10, n=300, nu_grid=(3.0, 10.0), trials=42, scale_kind="det", root_seed=5)
+
+
+def test_simulation_determinism_across_parallelism(tmp_path, pools):
+    serial = run_simulation(SimConfig(**POOLED))
+    assert serial.blocks == 4 and pools == []
+    pooled = run_simulation(SimConfig(**POOLED, parallelism=2))
+    assert pools == [2] and pooled.workers_used == 2
+    serial.to_csv(tmp_path / "serial.csv")
+    pooled.to_csv(tmp_path / "pooled.csv")
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+
+def test_simulation_one_block_runs_without_a_pool(tmp_path, small_result, pools):
+    result = run_simulation(SimConfig(**SMALL, parallelism=3))
+    assert result.blocks == 1 and result.workers_used == 1
+    assert pools == []
+    small_result.to_csv(tmp_path / "serial.csv")
+    result.to_csv(tmp_path / "par3.csv")
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par3.csv").read_bytes()
 
 
 def test_simulation_bounds_pure_functions_of_model(small_result):
@@ -136,6 +163,15 @@ def test_metadata_records_config(tmp_path, small_result):
     meta = json.loads(path.read_text())
     assert meta["schema"] == 1
     assert meta["config"]["trials"] == SMALL["trials"]
+
+
+def test_metadata_records_blocks_and_workers(tmp_path, small_result):
+    path = tmp_path / "m.json"
+    small_result.write_metadata(path)
+    meta = json.loads(path.read_text())
+    assert meta["block_size"] == simulate._block_size(SMALL["m"], SMALL["n"]) == 163
+    assert meta["blocks"] == 1
+    assert meta["workers_used"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +354,44 @@ def test_config_rejects_impossible_dimensions():
         SimConfig(estimators=(), scores=())
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"parallelism": 0},
+        {"parallelism": -2},
+        {"trials": 2.5},
+        {"m": 4.0},
+        {"nu_grid": []},
+        {"nu_grid": 5.0},
+        {"nu_grid": ["3"]},
+    ],
+    ids=[
+        "parallelism0",
+        "parallelism-2",
+        "trials2.5",
+        "m4.0",
+        "empty_nu_grid",
+        "scalar_nu_grid",
+        "string_nu",
+    ],
+)
+def test_cli_simulate_rejects_bad_config_values(tmp_path, capsys, extra):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"schema": 1, **SMALL, "trials": 5, "nu_grid": [5.0], **extra}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_integer_fields_reject_bool():
+    with pytest.raises(ValueError, match="integer"):
+        SimConfig(parallelism=True)
+    with pytest.raises(ValueError, match="integer"):
+        SimConfig(trials=np.int64(5))
+
+
 def test_cli_simulate_impossible_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     write_config(cfg, n=3, trials=5, nu_grid=[5.0])
@@ -376,16 +450,57 @@ def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("scale_kind", ["first", "det"])
 def test_trial_block_rows_independent_of_block_boundaries(scale_kind):
-    cfg = asdict(SimConfig(**{**SMALL, "scale_kind": scale_kind}))
-    trials = SMALL["trials"]
-    whole = simulate._trial_block(cfg, 3.0, 0, 0, trials)
-    assert whole.shape == (trials, 5)
-    for size in (1, 7, simulate._block_size(SMALL["m"])):
+    config = SimConfig(**{**SMALL, "scale_kind": scale_kind})
+    tables = simulate._score_tables(config)
+    total = len(SMALL["nu_grid"]) * SMALL["trials"]
+    whole = simulate._trial_block(config, tables, 0, total)
+    assert whole.shape == (total, 5)
+    for size in (1, 7, 13):
         parts = [
-            simulate._trial_block(cfg, 3.0, 0, start, min(start + size, trials))
-            for start in range(0, trials, size)
+            simulate._trial_block(config, tables, start, min(start + size, total))
+            for start in range(0, total, size)
         ]
         assert np.array_equal(np.vstack(parts), whole)
+    # trials 25..34 hold the last five of nu = 3 and the first five of nu = 8
+    assert np.array_equal(simulate._trial_block(config, tables, 25, 35), whole[25:35])
+
+
+def test_score_tables_built_once_per_distinct_score(monkeypatch):
+    config = SimConfig(**{**SMALL, "nu_grid": (2.1, 3.0, 5.0, 10.0, 20.0)})
+    calls = []
+    real = ScoreFunction.table
+
+    def counting(self, n, m):
+        calls.append(self.key())
+        return real(self, n, m)
+
+    monkeypatch.setattr(ScoreFunction, "table", counting)
+    tables = simulate._score_tables(config)
+    # vdw, t3, and tnu at the four nu other than 3, where it is t3
+    assert len(calls) == len(set(calls)) == 6
+    monkeypatch.undo()
+    assert tables.shape == (3, 5, config.n)
+    for s, name in enumerate(config.scores):
+        for i, nu in enumerate(config.nu_grid):
+            want = simulate._score_from_name(name, nu).table(config.n, config.m)
+            assert np.array_equal(tables[s, i], want)
+    assert np.array_equal(tables[2, 1], tables[1, 1])  # tnu at nu = 3 is t3
+
+
+def test_block_data_is_the_per_trial_draw():
+    config = SimConfig(**SMALL)
+    data, nu_idx = simulate._block_data(config, 25, 35)
+    assert list(nu_idx) == [0] * 5 + [1] * 5
+    for row, k in enumerate(range(25, 35)):
+        i, t = divmod(k, config.trials)
+        want = sample(
+            config.n,
+            np.zeros(config.m),
+            config.sigma0,
+            student_t(config.nu_grid[i]),
+            seed=(config.root_seed, i, t),
+        )
+        assert np.array_equal(data[row], want)
 
 
 def test_nonconverging_tyler_counts_as_trial_failure(monkeypatch):
