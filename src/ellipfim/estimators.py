@@ -16,8 +16,11 @@ The rank-based update is
 with V* a sqrt(n)-consistent preliminary (Tyler by default), Delta the
 rank statistic built from the score function K applied to the ranks of
 the whitened quadratic forms, and Xi the tangent-space weighting
-2 U [U^T Upsilon Upsilon^T U]^{-1} U^T.  alpha_hat is a local-slope
-estimate of the cross-information scalar along the update direction.
+2 U [U^T Upsilon Upsilon^T U]^{-1} U^T.  The Gram Upsilon Upsilon^T =
+D_m^T (V^-1 (x) V^-1 - vec(V^-1) vec(V^-1)^T / m) D_m is built entry by
+entry, by the vecs-space core that also serves the bounds and the FIMs,
+so no m^2 x m^2 array is formed.  alpha_hat is a local-slope estimate of
+the cross-information scalar along the update direction.
 
 The R-estimate satisfies the manifold constraint S(V) = 1 only
 asymptotically; the deviation |S(V_hat) - 1| is surfaced as a diagnostic
@@ -32,7 +35,8 @@ from typing import Optional
 import numpy as np
 from scipy import linalg, stats
 
-from .matcalc import duplication_matrix, ovecs, unvecs, vec, vecs, vecs_len
+from .fim import _vecs_information
+from .matcalc import ovecs, unvecs, vecs, vecs_len
 from .scale import ScaleFunctional, renormalize, u_basis
 
 __all__ = [
@@ -257,17 +261,6 @@ def ranks(values):
     return out
 
 
-def _upsilon(v_root_inv, m):
-    # D_m^T (V^-1/2 kron V^-1/2) (I - vec(I) vec(I)^T / m), over a stack
-    r = np.asarray(v_root_inv, dtype=float)
-    kron = (r[..., :, None, :, None] * r[..., None, :, None, :]).reshape(
-        r.shape[:-2] + (m * m, m * m)
-    )
-    vi = vec(np.eye(m))
-    proj = np.eye(m * m) - np.outer(vi, vi) / m
-    return duplication_matrix(m).T @ kron @ proj
-
-
 def _rank_delta(data, v_root_inv, tables):
     """Delta_V for every dataset of ``data`` and every score table.
 
@@ -298,19 +291,10 @@ def _rank_delta(data, v_root_inv, tables):
     return vecs(sym) / (2.0 * np.sqrt(n))
 
 
-def _rank_statistic(data, v, score: ScoreFunction):
-    """Delta_V: the normalized rank-score statistic at shape candidate v."""
-    data = np.asarray(data, dtype=float)
-    n, m = data.shape
-    v_root_inv = _inv_sqrt(np.asarray(v, dtype=float))
-    delta = _rank_delta(data[None], v_root_inv[None], score.table(n, m)[None])
-    return delta[0, 0], _upsilon(v_root_inv, m)
-
-
-def _xi_matrix(ups, u):
-    """2 U [U^T Upsilon Upsilon^T U]^{-1} U^T over a stack; NaN where the
-    bracket is not positive definite."""
-    g = np.swapaxes(u, -1, -2) @ (ups @ np.swapaxes(ups, -1, -2)) @ u
+def _xi_matrix(gram, u):
+    """2 U [U^T Upsilon Upsilon^T U]^{-1} U^T over a stack, from the Gram
+    Upsilon Upsilon^T; NaN where the bracket is not positive definite."""
+    g = np.swapaxes(u, -1, -2) @ gram @ u
     l_inv = _stacked(np.linalg.inv, _stacked(np.linalg.cholesky, g))
     b = u @ np.swapaxes(l_inv, -1, -2)
     return 2.0 * b @ np.swapaxes(b, -1, -2)
@@ -321,8 +305,8 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
     to S(V) = 1 first, for a (T, n, m) stack of datasets and every score
     table of ``tables``: (S, n), or (S, T, n) for a table per dataset.
 
-    Upsilon, U and Xi depend only on the starting point V*, so they are
-    built once per trial and shared by all scores.  Returns ``(v_new,
+    The Upsilon Gram, U and Xi depend only on the starting point V*, so
+    they are built once per trial and shared by all scores.  Returns ``(v_new,
     alpha_hat, rejected)`` with leading axes (S, T).  A rejected step keeps
     V*; ``v_new`` is NaN where a non-finite or non-PD intermediate made the
     step fail.
@@ -338,7 +322,8 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
         u = np.full((len(v_star), vecs_len(m), vecs_len(m) - 1), np.nan)
         if good.any():
             u[good] = u_basis(scale, v_star[good])
-        xi = _xi_matrix(_upsilon(v_root_inv, m), u)
+        gram = _vecs_information(v_root_inv @ v_root_inv, 1.0, -1.0 / m)[0]
+        xi = _xi_matrix(gram, u)
         step = (xi @ delta0[..., None])[..., 0]
         base = vecs(v_star)
         # local slope of the rank statistic along the update direction

@@ -130,15 +130,17 @@ def _vecs_information(a_inv, c_kron, c_rank1):
     """D_m^T [c_kron (A^-1 (x) A^-1) + c_rank1 vec(A^-1) vec(A^-1)^T] D_m.
 
     Also returns y = D_m^T vec(A^-1).  Built from the entrywise core, so
-    nothing of size m^2 x m^2 is formed.
+    nothing of size m^2 x m^2 is formed; a stack of matrices (leading
+    axes) gives a stack of results.  With (c_kron, c_rank1) = (1, -1/m) and
+    A = V this is the Gram Upsilon_V Upsilon_V^T of the R-estimator.
     """
-    f = _dup_gram(a_inv.shape[0])
-    y = f * vecs(0.5 * (a_inv + a_inv.T))
+    f = _dup_gram(a_inv.shape[-1])
+    y = f * vecs(0.5 * (a_inv + np.swapaxes(a_inv, -1, -2)))
     x = _sym_kron_core(a_inv)
     x *= f
     x *= f[:, None]
     x *= 0.5 * c_kron
-    x += np.outer(c_rank1 * y, y)
+    x += (c_rank1 * y)[..., :, None] * y[..., None, :]
     return x, y
 
 

@@ -31,13 +31,11 @@ from .complexces import (
     embedded_rectilinear_parameterization,
     sigma_bar_from_complex,
 )
-from .estimators import _upsilon
 from .generators import (
     expect,
     gaussian,
     generalized_gaussian,
     modular_variate,
-    psd_sqrt,
     sample,
     student_t,
 )
@@ -456,13 +454,15 @@ def _check_complex_consistency(_):
     return worst < 1e-8, f"max closed-form vs embedding deviation {worst:.2e}"
 
 
-def _check_upsilon_annihilation(_):
+def _check_gram_annihilation(_):
+    # Upsilon^T vecs(V) = 0, so the R-step's Gram Upsilon Upsilon^T has
+    # the scale direction in its kernel
     rng = np.random.default_rng(13)
     m = 4
     v = decompose(NORMALIZED_TRACE, _random_spd(rng, m)).v
-    ups = _upsilon(np.linalg.inv(psd_sqrt(v)), m)
-    worst = float(np.abs(ups @ vec(np.eye(m))).max())
-    return worst < 1e-12, f"identity-direction residual {worst:.2e}"
+    gram = fim_mod._vecs_information(np.linalg.inv(v), 1.0, -1.0 / m)[0]
+    worst = float(np.abs(gram @ vecs(v)).max())
+    return worst < 1e-12, f"scale-direction residual {worst:.2e}"
 
 
 # -- full-level Monte-Carlo checks ------------------------------------------
@@ -552,7 +552,7 @@ FAST_CHECKS = [
     ("bounds.equality_chain", _check_chain_reports),
     ("adaptivity.condition", _check_adaptivity_condition),
     ("complex_ces.recipe_consistency", _check_complex_consistency),
-    ("estimators.upsilon_annihilation", _check_upsilon_annihilation),
+    ("estimators.upsilon_annihilation", _check_gram_annihilation),
 ]
 
 FULL_CHECKS = [

@@ -12,12 +12,14 @@ informations never form them: the products they need,
 D_m^+ (I + K_m)(A (x) A) D_m^+T and D_m^T (A (x) A) D_m, are
 m(m+1)/2 x m(m+1)/2 matrices whose entries are a_ik a_jl + a_il a_jk
 (Magnus & Neudecker 1980), built by :func:`_sym_kron_core` from the
-cached ``vecs`` index pairs.
+cached ``vecs`` index pairs.  The same core, over a stack of matrices,
+gives the one-step R-estimator its Upsilon Upsilon^T Gram, one per trial.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -87,21 +89,23 @@ def _sym_kron_core(a):
     a_ik a_jl + a_il a_jk.  Since D_m^+ = diag(1 / D_m^T D_m) D_m^T, the
     same core gives D_m^T (A (x) A) D_m = F core F / 2 and
     D_m^+ (A (x) A) D_m^+T = core / 2, with F = diag(D_m^T D_m).  The
-    result is exactly symmetric.  Rows are filled in blocks so that no
-    temporary is larger than about 8 MB.
+    result is exactly symmetric.  A stack of matrices (leading axes) gives
+    a stack of cores, each bit-identical to its own 2-D call.  Rows are
+    filled in blocks so that no temporary over the whole stack is larger
+    than about 8 MB.
     """
     a = np.asarray(a, dtype=float)
-    a = 0.5 * (a + a.T)
-    r, c = _tril_indices_colmajor(a.shape[0])
-    ar, ac = a[r], a[c]
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
+    r, c = _tril_indices_colmajor(a.shape[-1])
+    ar, ac = a[..., r, :], a[..., c, :]
     nh = r.size
-    out = np.empty((nh, nh))
-    step = max(1, 2**20 // nh)
+    out = np.empty(a.shape[:-2] + (nh, nh))
+    step = max(1, 2**20 // (nh * math.prod(a.shape[:-2])))
     for lo in range(0, nh, step):
-        rows = slice(lo, lo + step)
-        blk = ar[rows][:, r] * ac[rows][:, c]
-        blk += ar[rows][:, c] * ac[rows][:, r]
-        out[rows] = blk
+        ar_rows, ac_rows = ar[..., lo : lo + step, :], ac[..., lo : lo + step, :]
+        blk = ar_rows[..., r] * ac_rows[..., c]
+        blk += ar_rows[..., c] * ac_rows[..., r]
+        out[..., lo : lo + step, :] = blk
     return out
 
 

@@ -3,8 +3,8 @@
 A scale functional S is 1-homogeneous, differentiable and has S(I) = 1;
 the three concrete choices are the (1,1) entry, the normalized trace and
 the m-th root of the determinant.  The shape matrix V = Sigma / S(Sigma)
-lives on the manifold S(V) = 1, and the matrices built here (K_V, M_S, U,
-P_S, the diffeomorphism Jacobians) encode that manifold's geometry in
+lives on the manifold S(V) = 1, and the matrices built here (K_V, M_S, U and
+the diffeomorphism Jacobians) encode that manifold's geometry in
 half-vectorized coordinates.
 
 Inputs claimed to sit on the manifold are checked against |S(V) - 1| <=
@@ -17,15 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .matcalc import (
-    duplication_matrix,
-    dup_pinv,
-    row_selector,
-    vec,
-    vecs,
-    unvecs,
-    vecs_len,
-)
+from .matcalc import duplication_matrix, vec, vecs, unvecs, vecs_len
 
 __all__ = [
     "ScaleFunctional",
@@ -42,7 +34,6 @@ __all__ = [
     "k_matrix",
     "m_matrix",
     "u_basis",
-    "p_projector",
     "jacobian_w",
     "jacobian_w_inv",
     "reconstruct_shape",
@@ -245,14 +236,6 @@ def u_basis(scale: ScaleFunctional, v):
     return np.where(lead < 0.0, -u, u)
 
 
-def p_projector(scale: ScaleFunctional, sigma):
-    """Annihilator P_S(V) = I - vec(V) vec(D_S)^T used by the shape CRB."""
-    sigma = np.asarray(sigma, dtype=float)
-    m = sigma.shape[0]
-    v = decompose(scale, sigma).v
-    return np.eye(m * m) - np.outer(vec(v), vec(scale.gradient(sigma)))
-
-
 def jacobian_w(scale: ScaleFunctional, v, s):
     """Jacobian of (ovecs V, s) -> vecs(Sigma):  [s K_V , vecs(V)]."""
     v = np.asarray(v, dtype=float)
@@ -263,18 +246,16 @@ def jacobian_w(scale: ScaleFunctional, v, s):
 
 
 def jacobian_w_inv(scale: ScaleFunctional, sigma):
-    """Jacobian of vecs(Sigma) -> (ovecs V, s); composes with jacobian_w to I."""
-    sigma = np.asarray(sigma, dtype=float)
-    m = sigma.shape[0]
+    """Jacobian of vecs(Sigma) -> (ovecs V, s); composes with jacobian_w to I.
+
+    With g = D_m^T vec(D_S), the rows of ovecs V are those of
+    D_m^+ P_S D_m / s = (I - vecs(V) g^T) / s without the first, where
+    P_S = I - vec(V) vec(D_S)^T, and the row of s is g^T.
+    """
     dec = decompose(scale, sigma)
-    dm = duplication_matrix(m)
-    dpi = dup_pinv(m)
-    sel = row_selector(m)
-    grad = vec(scale.gradient(sigma))
-    p = np.eye(m * m) - np.outer(vec(dec.v), grad)
-    top = (sel @ dpi @ p @ dm) / dec.s
-    bottom = (grad @ dm).reshape(1, -1)
-    return np.vstack([top, bottom])
+    g = constraint_gradient_vecs(scale, sigma)
+    top = (np.eye(g.size) - np.outer(vecs(dec.v), g))[1:] / dec.s
+    return np.vstack([top, g])
 
 
 def reconstruct_shape(scale: ScaleFunctional, ovecs_v, m):

@@ -8,8 +8,9 @@ bound trace (both divided by n, the per-dataset scale).
 
 The trials of the whole run form one sequence, ordered by nu index and
 then by trial index, and a block is a contiguous run of it, so one block
-can hold trials of several nu.  Its size (``_block_size``) depends on n
-and m, never on the parallelism setting.  A block draws its datasets into
+can hold trials of several nu.  Its size (``_block_size``) is set by a
+byte budget on its (T, n, m) data stack, so it depends on n and m, never
+on the parallelism setting.  A block draws its datasets into
 one (T, n, m) stack, computing Sigma^(1/2) once, and runs each estimator
 once on the stack; each trial's rank scores come from tables built once
 per run for every distinct (score, nu).  Each trial keeps its own RNG
@@ -86,6 +87,11 @@ class SimConfig:
             raise ValueError("parallelism must be >= 1")
         if not self.nu_grid:
             raise ValueError("nu_grid must hold at least one nu")
+        grid = list(self.nu_grid)
+        if not all(math.isfinite(nu) for nu in grid):
+            raise ValueError(f"nu_grid must hold finite values, got {grid}")
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"nu_grid must not repeat a nu, got {grid}")
         if not all(nu > 2.0 for nu in self.nu_grid):
             raise ValueError("every nu in the grid must exceed 2")
         if not -1.0 < self.rho < 1.0:
@@ -136,9 +142,10 @@ def _score_from_name(name: str, nu: float):
 
 def _block_size(m: int, n: int) -> int:
     """Trials per block: as many (n, m) datasets as fit in BLOCK_DOUBLES
-    doubles, and at most 2**22 // m**4, because the per-trial m^2 x m^2
-    Kronecker product of Upsilon makes a block's memory grow as m^4."""
-    return max(1, min(BLOCK_DOUBLES // (n * m), 2**22 // m**4))
+    doubles.  The largest per-trial arrays, the R-step's m(m+1)/2 x
+    m(m+1)/2 Gram and weighting, hold fewer than (m+1)/2 datasets' worth of
+    doubles, because the R-step needs n > m(m+1)/2."""
+    return max(1, BLOCK_DOUBLES // (n * m))
 
 
 def _score_tables(config: SimConfig):

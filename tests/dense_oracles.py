@@ -1,4 +1,4 @@
-"""Dense Kronecker forms of the bounds and FIMs: the test oracles.
+"""Dense Kronecker forms of the bounds, FIMs and geometry: the test oracles.
 
 These are the m^2 x m^2 expressions the structured vecs-space forms in
 ``ellipfim`` replace, written exactly as the formulas read: Kronecker
@@ -48,6 +48,22 @@ def m_matrix(scale, v):
 def p_projector(scale, sigma):
     v = decompose(scale, sigma).v
     return np.eye(v.size) - np.outer(vec(v), vec(scale.gradient(sigma)))
+
+
+def jacobian_w_inv(scale, sigma):
+    m = sigma.shape[0]
+    dm = duplication_loops(m)
+    sel, dpi, p = row_selector(m), dup_pinv_solve(m), p_projector(scale, sigma)
+    top = sel @ dpi @ p @ dm / decompose(scale, sigma).s
+    return np.vstack([top, vec(scale.gradient(sigma)) @ dm])
+
+
+def upsilon(v_root_inv):
+    """D_m^T (V^-1/2 (x) V^-1/2)(I - vec(I) vec(I)^T / m) of the R-step."""
+    m = v_root_inv.shape[0]
+    vi = vec(np.eye(m))
+    proj = np.eye(m * m) - np.outer(vi, vi) / m
+    return duplication_loops(m).T @ np.kron(v_root_inv, v_root_inv) @ proj
 
 
 def crb_shape(scale, v, gen):

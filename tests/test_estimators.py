@@ -4,6 +4,7 @@ from scipy.linalg import toeplitz
 from scipy.optimize import bisect
 from scipy.special import betainc, gammainc
 
+import dense_oracles as dense
 from ellipfim.bounds import crb_shape
 from ellipfim.estimators import (
     ShapeEstimate,
@@ -18,11 +19,11 @@ from ellipfim.estimators import (
     scm_shape,
     tyler_batch,
     tyler_shape,
-    _rank_statistic,
-    _upsilon,
+    _rank_delta,
 )
+from ellipfim.fim import _vecs_information
 from ellipfim.generators import gaussian, psd_sqrt, sample, student_t
-from ellipfim.matcalc import ovecs, vec
+from ellipfim.matcalc import ovecs, vec, vecs
 from ellipfim.scale import DET_ROOT, FIRST_ELEMENT, NORMALIZED_TRACE, decompose
 
 ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
@@ -276,12 +277,15 @@ def test_r_estimator_scale_kind_mismatch():
 
 
 def test_upsilon_annihilates_identity_direction():
+    # Upsilon^T vecs(V) is the projection of the whitened vec(I), which is
+    # zero, so vecs(V) is in the kernel of the R-step's Gram
     rng = np.random.default_rng(12)
     m = 4
     a = rng.standard_normal((m, m))
     v = decompose(NORMALIZED_TRACE, a @ a.T + m * np.eye(m)).v
-    ups = _upsilon(np.linalg.inv(psd_sqrt(v)), m)
-    np.testing.assert_allclose(ups @ vec(np.eye(m)), 0.0, atol=1e-12)
+    root_inv = np.linalg.inv(psd_sqrt(v))
+    gram = _vecs_information(root_inv @ root_inv, 1.0, -1.0 / m)[0]
+    np.testing.assert_allclose(gram @ vecs(v), 0.0, atol=1e-12)
 
 
 def test_rank_statistic_zero_for_degenerate_configuration():
@@ -298,7 +302,8 @@ def test_rank_statistic_zero_for_degenerate_configuration():
     m = 3
     basis = np.sqrt(m) * np.vstack([np.eye(m), -np.eye(m)])
     data = np.tile(basis, (4, 1))
-    delta, _ = _rank_statistic(data, np.eye(m), FlatScore())
+    table = FlatScore().table(len(data), m)
+    delta = _rank_delta(data[None], np.eye(m)[None], table[None])[0, 0]
     np.testing.assert_allclose(delta, 0.0, atol=1e-12)
     pre = ShapeEstimate(v_hat=np.eye(m), scale_kind="trace", method="scm")
     est = r_estimator(data, NORMALIZED_TRACE, FlatScore(), pre)
@@ -470,8 +475,8 @@ def test_rank_statistic_matches_dense_upsilon_oracle():
     q = np.einsum("ij,ij->i", w, w)
     u_dirs = w / np.sqrt(q)[:, None]
     outer = np.einsum("l,li,lj->ij", score(ranks(q) / (n + 1.0), m), u_dirs, u_dirs)
-    delta, ups = _rank_statistic(x, v, score)
-    np.testing.assert_allclose(ups, _upsilon(root_inv, m), rtol=1e-10, atol=1e-12)
+    delta = _rank_delta(x[None], root_inv[None], score.table(n, m)[None])[0, 0]
+    ups = dense.upsilon(root_inv)
     np.testing.assert_allclose(delta, ups @ vec(outer) / (2.0 * np.sqrt(n)), rtol=1e-10)
 
 

@@ -364,6 +364,8 @@ def test_config_rejects_impossible_dimensions():
         {"nu_grid": []},
         {"nu_grid": 5.0},
         {"nu_grid": ["3"]},
+        {"nu_grid": [float("inf")]},
+        {"nu_grid": [3, 3]},
     ],
     ids=[
         "parallelism0",
@@ -373,6 +375,8 @@ def test_config_rejects_impossible_dimensions():
         "empty_nu_grid",
         "scalar_nu_grid",
         "string_nu",
+        "infinite_nu",
+        "repeated_nu",
     ],
 )
 def test_cli_simulate_rejects_bad_config_values(tmp_path, capsys, extra):
@@ -383,6 +387,16 @@ def test_cli_simulate_rejects_bad_config_values(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "nu_grid",
+    [(float("inf"),), (3.0, -float("inf")), (float("nan"),), (3.0, 5.0, 3.0)],
+    ids=["inf", "minus_inf", "nan", "repeated"],
+)
+def test_config_nu_grid_errors_name_the_key(nu_grid):
+    with pytest.raises(ValueError, match="nu_grid"):
+        SimConfig(nu_grid=nu_grid)
 
 
 def test_config_integer_fields_reject_bool():

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.optimize import brentq
 
+import dense_oracles as dense
 from ellipfim.matcalc import (
     duplication_matrix,
     ovecs,
@@ -24,7 +25,6 @@ from ellipfim.scale import (
     jacobian_w_inv,
     k_matrix,
     m_matrix,
-    p_projector,
     reconstruct_shape,
     renormalize,
     scale_by_name,
@@ -266,20 +266,20 @@ def test_u_basis_spans_k_matrix_columns(scale):
 
 
 # ---------------------------------------------------------------------------
-# P_S projector
+# P_S projector (the dense oracle behind the shape CRB and jacobian_w_inv)
 # ---------------------------------------------------------------------------
 
 
 def test_p_projector_det_identity_case():
-    p = p_projector(DET_ROOT, np.eye(2))
+    p = dense.p_projector(DET_ROOT, np.eye(2))
     expected = np.eye(4) - 0.5 * np.outer(vec(np.eye(2)), vec(np.eye(2)))
     np.testing.assert_allclose(p, expected, atol=1e-14)
 
 
 def test_p_projector_trace_equals_det_at_identity():
     np.testing.assert_allclose(
-        p_projector(NORMALIZED_TRACE, np.eye(3)),
-        p_projector(DET_ROOT, np.eye(3)),
+        dense.p_projector(NORMALIZED_TRACE, np.eye(3)),
+        dense.p_projector(DET_ROOT, np.eye(3)),
         atol=1e-14,
     )
 
@@ -289,7 +289,7 @@ def test_p_projector_annihilates_vec_v(scale):
     rng = np.random.default_rng(19)
     sigma = random_spd(rng, 3)
     v = decompose(scale, sigma).v
-    p = p_projector(scale, sigma)
+    p = dense.p_projector(scale, sigma)
     np.testing.assert_allclose(p @ vec(v), 0.0, atol=1e-12)
 
 

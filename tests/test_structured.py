@@ -7,10 +7,18 @@ import pytest
 from scipy.linalg import toeplitz
 
 import dense_oracles as dense
-from ellipfim import bounds, fim
+from ellipfim import bounds, estimators, fim
 from ellipfim.bounds import BoundSet, bound_set, write_bounds_csv
-from ellipfim.generators import gaussian, generalized_gaussian, student_t
-from ellipfim.matcalc import commutation_matrix, dup_pinv, duplication_matrix, vecs
+from ellipfim.estimators import VanDerWaerden, _inv_sqrt, r_step_batch, scm_batch
+from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
+from ellipfim.matcalc import (
+    _sym_kron_core,
+    commutation_matrix,
+    dup_pinv,
+    duplication_matrix,
+    vecs,
+    vecs_len,
+)
 from ellipfim.parameterize import (
     breaking_parameterization,
     identity_parameterization,
@@ -18,7 +26,14 @@ from ellipfim.parameterize import (
     shape_scale_parameterization,
     verify_adaptivity_by_fim,
 )
-from ellipfim.scale import DET_ROOT, FIRST_ELEMENT, NORMALIZED_TRACE, decompose, m_matrix
+from ellipfim.scale import (
+    DET_ROOT,
+    FIRST_ELEMENT,
+    NORMALIZED_TRACE,
+    decompose,
+    jacobian_w_inv,
+    m_matrix,
+)
 
 ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
 GENS = [gaussian(), student_t(6), generalized_gaussian(0.5)]
@@ -78,6 +93,37 @@ def test_structured_forms_match_dense_oracles(m, scale, gen):
     assert_close(fim.efficient_fim_shape(v, scale, gen), dense.efficient_fim_shape(v, scale, gen))
     assert_close(fim.fim_vecs_sigma(sigma, gen), dense.fim_vecs_sigma(sigma, gen))
     np.testing.assert_array_equal(m_matrix(scale, v), dense.m_matrix(scale, v))
+    assert_close(jacobian_w_inv(scale, sigma), dense.jacobian_w_inv(scale, sigma))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3, 5), (2, 3, 4), (4, 32)])
+def test_stacked_core_matches_per_item_calls(shape):
+    # (4, 32) fills the rows in two blocks, as 4 x 528 rows exceed the budget
+    *stack, m = shape
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((*stack, m, m))
+    out = _sym_kron_core(a)
+    for idx in np.ndindex(*stack):
+        np.testing.assert_array_equal(out[idx], _sym_kron_core(a[idx]))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 9])
+def test_r_step_gram_matches_dense_upsilon(m, monkeypatch):
+    # the Gram that r_step_batch hands to _xi_matrix, for a stack of 3 trials
+    n = vecs_len(m) + 20
+    data = np.random.default_rng(m).standard_normal((3, n, m))
+    v = scm_batch(data, NORMALIZED_TRACE)
+    grams = []
+    xi_matrix = estimators._xi_matrix
+
+    def capture(gram, u):
+        grams.append(gram)
+        return xi_matrix(gram, u)
+
+    monkeypatch.setattr(estimators, "_xi_matrix", capture)
+    r_step_batch(data, v, NORMALIZED_TRACE, VanDerWaerden().table(n, m)[None])
+    want = [u @ u.T for u in map(dense.upsilon, _inv_sqrt(v))]
+    assert_close(grams[0], want)
 
 
 def _models(m, rng):
@@ -194,6 +240,25 @@ def test_bound_set_m64_never_holds_an_m2_by_m2_array():
         tracemalloc.stop()
     assert peak < one_kron_bytes
     assert bset.crb_vecs_sigma.shape == (m * (m + 1) // 2,) * 2
+
+
+def test_r_step_at_m32_never_holds_two_m2_by_m2_arrays():
+    m, n = 32, 600
+    two_kron_bytes = 2 * (m * m) ** 2 * 8  # 16 MiB
+    sigma = toeplitz(0.8 ** np.arange(m))
+    data = sample(n, np.zeros(m), sigma, student_t(6), seed=3)[None]
+    v = scm_batch(data, NORMALIZED_TRACE)
+    table = VanDerWaerden().table(n, m)[None]
+    # the first call fills the per-m caches of D_m and the vecs index pairs
+    r_step_batch(data, v, NORMALIZED_TRACE, table)
+    tracemalloc.start()
+    try:
+        v_new = r_step_batch(data, v, NORMALIZED_TRACE, table)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < two_kron_bytes
+    assert np.isfinite(v_new).all()
 
 
 @pytest.mark.parametrize(
