@@ -11,7 +11,7 @@ from ellipfim.matcalc import (
     commutation_matrix,
     duplication_matrix,
     dup_pinv,
-    row_selector,
+    ovecs,
     vec,
     vecs,
     unvecs,
@@ -41,9 +41,12 @@ dp = dup_pinv(m)
 print("\nD_m^# D_m = I:", np.allclose(dp @ d, np.eye(d.shape[1])))
 print("D_m D_m^# = (I + K_m)/2:", np.allclose(d @ dp, 0.5 * (np.eye(m * m) + k)))
 
-sel = row_selector(m)
-print("\nthe first-row-deleted identity maps vecs to ovecs:",
-      np.allclose(sel @ vecs(a), vecs(a)[1:]))
+print("\novecs(A) = vecs(A)[1:] drops a11:", np.array_equal(ovecs(a), vecs(a)[1:]))
+
+# D_m^T vec(B) holds b_ii on the diagonal and b_ij + b_ji off it, for any
+# square B; the scores and FIMs compute it that way, without forming D_m
+print("D_m^T vec(B) = vecs(B + B^T - diag(B)):",
+      np.allclose(d.T @ vec(b), vecs(b + b.T - np.diag(np.diag(b)))))
 
 # (I + K)/2 projects any vec onto the symmetric part
 proj = 0.5 * (np.eye(m * m) + k)

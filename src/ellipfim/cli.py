@@ -19,6 +19,7 @@ from scipy.linalg import toeplitz
 
 from . import bounds as bounds_mod
 from .bounds import SingularCoefficientError
+from .config import ConfigError, check_number, check_reals, reject_unknown
 from .fim import IdentifiabilityError
 from .generators import MomentUndefinedError, gaussian, generalized_gaussian, student_t
 from .invariants import run_invariant_suite
@@ -52,10 +53,6 @@ DOMAIN_ERRORS = (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -74,43 +71,68 @@ def _load_config(path):
     return data
 
 
+# the keys each spec accepts, by the value of its selecting key
+_T_KEYS, _GG_KEYS = ("family", "nu"), ("family", "shape")
+GENERATOR_KEYS = {
+    "gaussian": ("family",),
+    "t": _T_KEYS,
+    "student_t": _T_KEYS,
+    "gg": _GG_KEYS,
+    "generalized_gaussian": _GG_KEYS,
+}
+SIGMA_KEYS = {
+    "toeplitz": ("kind", "rho"),
+    "identity": ("kind",),
+    "matrix": ("kind", "values"),
+}
+PARAMETERIZATION_KEYS = {
+    "split": ("name", "seed", "m", "q", "rho"),
+    "low_rank": ("name", "seed", "m", "p", "gamma", "noise"),
+    "shape_scale": ("name", "seed", "m", "scale", "rho", "s"),
+    "breaking": ("name", "seed", "m", "rho", "gamma0"),
+}
+
+
+def _spec_kind(spec, key, known, where):
+    """The value of ``spec``'s selecting key, once every key of ``spec`` is
+    one that its kind accepts."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ConfigError(f'{where} spec needs a "{key}" key')
+    kind = spec[key]
+    if not isinstance(kind, str) or kind not in known:
+        raise ConfigError(f"unknown {where} {key} {kind!r}; valid: {', '.join(known)}")
+    reject_unknown(spec, known[kind], f"{where} ({kind})")
+    return kind
+
+
 def _generator_from_spec(spec):
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError('generator spec needs a "family" key')
-    family = spec["family"]
+    family = _spec_kind(spec, "family", GENERATOR_KEYS, "generator")
     if family == "gaussian":
         return gaussian()
+    # a missing parameter reads as null, which check_number rejects by name
     if family in ("t", "student_t"):
-        if "nu" not in spec:
-            raise ConfigError("t generator needs \"nu\"")
-        return student_t(float(spec["nu"]))
-    if family in ("gg", "generalized_gaussian"):
-        if "shape" not in spec:
-            raise ConfigError("generalized gaussian generator needs \"shape\"")
-        return generalized_gaussian(float(spec["shape"]))
-    raise ConfigError(
-        f"unknown generator family {family!r}; valid: gaussian, t, gg"
-    )
+        return student_t(check_number(spec.get("nu"), "generator.nu"))
+    return generalized_gaussian(check_number(spec.get("shape"), "generator.shape"))
 
 
 def _sigma_from_spec(spec, m):
-    kind = spec.get("kind", "toeplitz") if isinstance(spec, dict) else None
+    if isinstance(spec, dict):
+        spec = {"kind": "toeplitz", **spec}
+    kind = _spec_kind(spec, "kind", SIGMA_KEYS, "scatter")
     if kind == "toeplitz":
-        rho = float(spec.get("rho", 0.8))
+        rho = check_number(spec.get("rho", 0.8), "sigma.rho")
         return toeplitz(rho ** np.arange(m))
     if kind == "identity":
         return np.eye(m)
-    if kind == "matrix":
-        mat = np.asarray(spec["values"], dtype=float)
-        if mat.shape != (m, m):
-            raise ConfigError(f"explicit scatter must be {m}x{m}")
-        return mat
-    raise ConfigError(
-        f"unknown scatter kind {kind!r}; valid: toeplitz, identity, matrix"
-    )
+    mat = check_reals(spec.get("values"), "sigma.values")
+    if mat.shape != (m, m):
+        raise ConfigError(f"explicit scatter must be {m}x{m}")
+    return mat
 
 
 def _scale_from_name(name):
+    if not isinstance(name, str):
+        raise ConfigError(f"scale must be a name, got {name!r}")
     try:
         return scale_by_name(name)
     except KeyError as exc:
@@ -158,8 +180,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     data = _load_config(args.config)
+    reject_unknown(data, ("m", "scale", "generator", "sigma"), "bounds config")
     try:
-        m = int(data["m"])
+        m = check_number(data["m"], "m", int)
+        if m < 2:
+            raise ConfigError(f"m must be >= 2, got {m}")
         scale = _scale_from_name(data.get("scale", "trace"))
         gen = _generator_from_spec(data.get("generator", {"family": "gaussian"}))
         sigma = _sigma_from_spec(data.get("sigma", {"kind": "toeplitz"}), m)
@@ -180,22 +205,24 @@ def cmd_bounds(args) -> int:
 
 
 def _parameterization_from_spec(spec):
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError('parameterization spec needs a "name" key')
-    name = spec["name"]
-    rng = np.random.default_rng(int(spec.get("seed", 0)))
+    name = _spec_kind(spec, "name", PARAMETERIZATION_KEYS, "parameterization")
+
+    def get(key, default, kind=float):
+        return check_number(spec.get(key, default), f"parameterization.{key}", kind)
+
+    rng = np.random.default_rng(get("seed", 0, int))
     if name == "split":
-        m = int(spec.get("m", 4))
-        q = int(spec.get("q", 2))
+        m = get("m", 4, int)
+        q = get("q", 2, int)
         h = rng.standard_normal((m, q))
         param = linear_split_parameterization(h, m)
-        sigma0 = toeplitz(float(spec.get("rho", 0.7)) ** np.arange(m))
+        sigma0 = toeplitz(get("rho", 0.7) ** np.arange(m))
         theta0 = np.concatenate([rng.standard_normal(q), vecs(sigma0)])
         return param, theta0
     if name == "low_rank":
-        m = int(spec.get("m", 6))
-        p = int(spec.get("p", 2))
-        gamma0 = np.asarray(spec.get("gamma", [0.6, 1.7]), dtype=float)
+        m = get("m", 6, int)
+        p = get("p", 2, int)
+        gamma0 = check_reals(spec.get("gamma", [0.6, 1.7]), "parameterization.gamma")
         if gamma0.size != p:
             raise ConfigError("low_rank needs one gamma per source")
         a_fn, a_jac = sinusoid_steering(m)
@@ -204,33 +231,25 @@ def _parameterization_from_spec(spec):
             a_fn=a_fn,
             a_jac=a_jac,
             signal_cov=b @ b.T + p * np.eye(p),
-            noise_level=float(spec.get("noise", 0.8)),
+            noise_level=get("noise", 0.8),
             q=p,
         )
         return low_rank_parameterization(model), model.theta0(gamma0)
     if name == "shape_scale":
-        m = int(spec.get("m", 4))
+        m = get("m", 4, int)
         scale = _scale_from_name(spec.get("scale", "trace"))
-        sigma0 = toeplitz(float(spec.get("rho", 0.8)) ** np.arange(m))
+        sigma0 = toeplitz(get("rho", 0.8) ** np.arange(m))
         dec = decompose(scale, sigma0)
-        theta0 = np.concatenate(
-            [np.zeros(m), ovecs(dec.v), [float(spec.get("s", 1.5))]]
-        )
+        theta0 = np.concatenate([np.zeros(m), ovecs(dec.v), [get("s", 1.5)]])
         return shape_scale_parameterization(scale, m), theta0
-    if name == "breaking":
-        m = int(spec.get("m", 3))
-        sigma0 = toeplitz(float(spec.get("rho", 0.5)) ** np.arange(m))
-        return breaking_parameterization(sigma0), np.asarray(
-            [float(spec.get("gamma0", 1.3))]
-        )
-    raise ConfigError(
-        f"unknown parameterization {name!r}; valid: split, low_rank, "
-        "shape_scale, breaking"
-    )
+    m = get("m", 3, int)  # breaking
+    sigma0 = toeplitz(get("rho", 0.5) ** np.arange(m))
+    return breaking_parameterization(sigma0), np.asarray([get("gamma0", 1.3)])
 
 
 def cmd_adaptivity(args) -> int:
     data = _load_config(args.config)
+    reject_unknown(data, ("parameterization", "generator"), "adaptivity config")
     param, theta0 = _parameterization_from_spec(data.get("parameterization", {}))
     gen = _generator_from_spec(data.get("generator", {"family": "t", "nu": 8}))
     report = verify_adaptivity_by_fim(param, theta0, gen)
@@ -248,6 +267,7 @@ def cmd_verify(args) -> int:
     level = args.level
     if args.config is not None:
         data = _load_config(args.config)
+        reject_unknown(data, ("level",), "verify config")
         level = data.get("level", level)
     report = run_invariant_suite(level=level)
     print(report.format_table())

@@ -1,0 +1,49 @@
+"""Typed reads of JSON config values, shared by every subcommand.
+
+JSON hands a reader ``bool``, strings, lists and ``null`` wherever a
+number is expected, and Python's ``int(...)`` would truncate ``4.7`` to 4
+or accept ``"4"``.  Each reader here rejects such a value with a
+:class:`ConfigError` that names the key, which the CLI turns into exit
+code 2 before anything is written.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["ConfigError", "check_number", "check_reals", "reject_unknown"]
+
+
+class ConfigError(ValueError):
+    """A config key or value that the command cannot use."""
+
+
+def check_number(value, key, kind=float):
+    """``value`` as an ``int`` (``kind=int``) or a real number (``kind=float``).
+
+    ``bool`` is rejected although it is an ``int`` subclass, and so is an
+    integral float such as ``4.0`` where an ``int`` is required.
+    """
+    types = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, types):
+        what = "an integer" if kind is int else "a real number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def check_reals(value, key):
+    """A list, or a rectangular list of lists, of real numbers as a float array."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of real numbers, got {value!r}")
+    items = [check_reals(v, key) if isinstance(v, list) else check_number(v, key) for v in value]
+    try:
+        return np.array(items, dtype=float)
+    except ValueError:
+        raise ConfigError(f"{key} must be a rectangular list of lists, got {value!r}") from None
+
+
+def reject_unknown(spec, known, where):
+    """Raise on keys of ``spec`` outside ``known``; ``where`` names the spec."""
+    extra = sorted(set(spec) - set(known))
+    if extra:
+        raise ConfigError(f"unknown {where} keys {extra}; valid: {sorted(known)}")

@@ -36,7 +36,7 @@ import numpy as np
 from scipy import linalg, stats
 
 from .fim import _vecs_information
-from .matcalc import ovecs, unvecs, vecs, vecs_len
+from .matcalc import _dup_t_vec, ovecs, unvecs, vecs, vecs_len
 from .scale import ScaleFunctional, renormalize, u_basis
 
 __all__ = [
@@ -285,10 +285,7 @@ def _rank_delta(data, v_root_inv, tables):
     outer = np.swapaxes(u_dirs * k_vals[..., None], -1, -2) @ u_dirs
     trace = np.trace(outer, axis1=-2, axis2=-1)
     s = v_root_inv @ (outer - (trace / m)[..., None, None] * np.eye(m)) @ v_root_inv
-    sym = s + np.swapaxes(s, -1, -2)
-    diag = np.arange(m)
-    sym[..., diag, diag] = s[..., diag, diag]
-    return vecs(sym) / (2.0 * np.sqrt(n))
+    return _dup_t_vec(s) / (2.0 * np.sqrt(n))
 
 
 def _xi_matrix(gram, u):

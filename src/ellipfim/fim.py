@@ -21,8 +21,8 @@ import numpy as np
 from scipy import linalg
 
 from .generators import DensityGenerator
-from .matcalc import _dup_gram, _sym_kron_core, duplication_matrix, vec, vecs
-from .scale import ScaleFunctional, grad_v11, m_matrix
+from .matcalc import _dup_gram, _dup_t_vec, _sym_kron_core, vec
+from .scale import ScaleFunctional, grad_v11
 
 __all__ = [
     "FimBlocksEta",
@@ -52,13 +52,6 @@ def _as_batch(x, m):
     return np.atleast_2d(x), single
 
 
-def _vec_batch(sym_batch):
-    # (n, m, m) -> (n, m*m); the matrices are symmetric, so the row-major
-    # flatten coincides with the column-major vec convention.
-    n = sym_batch.shape[0]
-    return sym_batch.reshape(n, -1)
-
-
 def _whitened_parts(x, mu, sigma, gen: DensityGenerator):
     """Per-sample (d, W = Sigma^-1 d, Q, phibar(Q)) with the Q=0 branch."""
     m = np.asarray(mu).shape[0]
@@ -85,8 +78,8 @@ def score_eta(x, mu, v, s, scale: ScaleFunctional, gen: DensityGenerator):
     s_mu = phi[:, None] * w
     # E_l = phibar(Q_l) Sigma^-1 d_l d_l^T Sigma^-1 - Sigma^-1
     outer = phi[:, None, None] * np.einsum("li,lj->lij", w, w) - sigma_inv
-    ms = m_matrix(scale, v)
-    s_shape = 0.5 * s * _vec_batch(outer) @ ms.T
+    # M_S vec(E_l) = K_V^T D_m^T vec(E_l)
+    s_shape = 0.5 * s * _tangent_vec(_dup_t_vec(outer), grad_v11(scale, v))
     s_scale = (q * phi - m)[:, None] / (2.0 * s)
     out = np.concatenate([s_mu, s_shape, s_scale], axis=1)
     return out[0] if single else out
@@ -95,13 +88,11 @@ def score_eta(x, mu, v, s, scale: ScaleFunctional, gen: DensityGenerator):
 def score_vecs_sigma(x, mu, sigma, gen: DensityGenerator):
     """Score of vecs(Sigma) in the scatter parameterization."""
     mu = np.asarray(mu, dtype=float)
-    m = mu.shape[0]
     d, w, q, phi, single = _whitened_parts(x, mu, sigma, gen)
     sigma_inv = np.linalg.inv(np.asarray(sigma, dtype=float))
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
     outer = phi[:, None, None] * np.einsum("li,lj->lij", w, w) - sigma_inv
-    dm = duplication_matrix(m)
-    out = 0.5 * _vec_batch(outer) @ dm
+    out = 0.5 * _dup_t_vec(outer)
     return out[0] if single else out
 
 
@@ -135,13 +126,18 @@ def _vecs_information(a_inv, c_kron, c_rank1):
     A = V this is the Gram Upsilon_V Upsilon_V^T of the R-estimator.
     """
     f = _dup_gram(a_inv.shape[-1])
-    y = f * vecs(0.5 * (a_inv + np.swapaxes(a_inv, -1, -2)))
+    y = _dup_t_vec(a_inv)
     x = _sym_kron_core(a_inv)
     x *= f
     x *= f[:, None]
     x *= 0.5 * c_kron
     x += (c_rank1 * y)[..., :, None] * y[..., None, :]
     return x, y
+
+
+def _tangent_vec(y, k):
+    """K_V^T y over the last axis, with K_V = [k^T; I]."""
+    return y[..., 1:] + y[..., :1] * k
 
 
 def _tangent_sandwich(x, k):
@@ -163,7 +159,7 @@ def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta
     i_mu = beta * v_inv / s
     i_v = 0.25 * _tangent_sandwich(x, k)
     i_s = (m * (m + 2) * alpha - m * m) / (4.0 * s * s)
-    i_vs = ((m + 2) * alpha - m) / (4.0 * s) * (y[1:] + k * y[0])
+    i_vs = ((m + 2) * alpha - m) / (4.0 * s) * _tangent_vec(y, k)
     return FimBlocksEta(i_mu=i_mu, i_v=i_v, i_s=i_s, i_vs=i_vs)
 
 
@@ -286,13 +282,10 @@ def _per_sample_parts(x, param, theta0, gen):
     m = mu.shape[0]
     d_, w, q, phi, single = _whitened_parts(x, mu, sigma, gen)
     sigma_inv = np.linalg.inv(sigma)
-    dim = j_sig.shape[1]
-    # tr(P_i) = vec(Sigma^-1)^T vec(Sigma_i) and d^T Sigma^-1 Sigma_i Sigma^-1 d
+    # tr(P_i) = vec(Sigma^-1)^T vec(Sigma_i) and d^T Sigma^-1 Sigma_i Sigma^-1 d;
+    # column i of j_sig read row-major is Sigma_i^T, which gives the same w^T . w
     tr_p = vec(sigma_inv) @ j_sig
-    quad = np.empty((len(q), dim))
-    for i in range(dim):
-        sig_i = j_sig[:, i].reshape(m, m, order="F")
-        quad[:, i] = np.einsum("li,ij,lj->l", w, sig_i, w)
+    quad = np.einsum("li,kij,lj->lk", w, j_sig.T.reshape(-1, m, m), w)
     lin = w @ j_mu  # d^T Sigma^-1 mu_i
     return q, phi, tr_p, quad, lin, single, m
 

@@ -40,6 +40,7 @@ from .generators import (
     student_t,
 )
 from .matcalc import (
+    _dup_t_vec,
     commutation_matrix,
     duplication_matrix,
     dup_pinv,
@@ -126,6 +127,9 @@ def _check_duplication(corruptions):
             a = rng.standard_normal((m, m))
             a = a + a.T
             worst = max(worst, float(np.abs(d @ vecs(a) - vec(a)).max()))
+        # the entrywise D_m^T vec(B) of the compute paths, B not symmetric
+        b = rng.standard_normal((m, m))
+        worst = max(worst, float(np.abs(_dup_t_vec(b) - d.T @ vec(b)).max()))
         k = commutation_matrix(m)
         worst = max(worst, float(np.abs(k @ k - np.eye(m * m)).max()))
         worst = max(worst, float(np.abs(k @ d - d).max()))

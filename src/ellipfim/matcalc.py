@@ -6,10 +6,12 @@ the (1,1) entry of the matrix; ``ovecs`` drops that first element.
 
 The duplication matrix D_m, the commutation matrix K_m and the
 Moore-Penrose inverse D_m^+ are built by index arithmetic and cached per m
-as read-only arrays; they are m^2 x m(m+1)/2 and m^2 x m^2, so they serve
-the identities they define and small-m code.  Bounds and Fisher
-informations never form them: the products they need,
-D_m^+ (I + K_m)(A (x) A) D_m^+T and D_m^T (A (x) A) D_m, are
+as read-only arrays; they are m^2 x m(m+1)/2 and m^2 x m^2, so only the
+m^2 x d Jacobian interface of the parameterizations and the invariant
+suite build them.  No score, Fisher information, bound or estimator does:
+the map D_m^T vec(A), which every score and projected FIM contains, is
+:func:`_dup_t_vec`, entry by entry, and the products
+D_m^+ (I + K_m)(A (x) A) D_m^+T and D_m^T (A (x) A) D_m are
 m(m+1)/2 x m(m+1)/2 matrices whose entries are a_ik a_jl + a_il a_jk
 (Magnus & Neudecker 1980), built by :func:`_sym_kron_core` from the
 cached ``vecs`` index pairs.  The same core, over a stack of matrices,
@@ -33,8 +35,6 @@ __all__ = [
     "duplication_matrix",
     "commutation_matrix",
     "dup_pinv",
-    "row_selector",
-    "symmetrizer",
 ]
 
 
@@ -73,13 +73,20 @@ def _tril_indices_colmajor(m):
 
 @functools.lru_cache(maxsize=16)
 def _dup_gram(m):
-    """Diagonal of D_m^T D_m: 1 at the pairs (i, i), 2 at the pairs i > j.
-
-    It is also the weight with D_m^T vec(A) = _dup_gram(m) * vecs(A) for a
-    symmetric A.
-    """
+    """Diagonal of D_m^T D_m: 1 at the pairs (i, i), 2 at the pairs i > j."""
     r, c = _tril_indices_colmajor(m)
     return _frozen(np.where(r == c, 1.0, 2.0))
+
+
+def _dup_t_vec(a):
+    """D_m^T vec(A) for a square A, or a stack of them, entry by entry.
+
+    The entry of vecs pair (i, j) is a_ii on the diagonal and a_ij + a_ji
+    off it, the exact sum of at most two entries of A, so the result is the
+    dense product's to the bit whether or not A is symmetric.
+    """
+    a = np.asarray(a, dtype=float)
+    return _dup_gram(a.shape[-1]) * vecs(0.5 * (a + np.swapaxes(a, -1, -2)))
 
 
 def _sym_kron_core(a):
@@ -180,15 +187,3 @@ def dup_pinv(m):
     """
     d = duplication_matrix(m)
     return _frozen(d.T / _dup_gram(m)[:, None])
-
-
-def row_selector(m):
-    """Matrix mapping ``vecs(A)`` to ``ovecs(A)``: identity minus first row."""
-    if m < 2:
-        raise ValueError("ovecs requires m >= 2")
-    return np.eye(vecs_len(m))[1:]
-
-
-def symmetrizer(m):
-    """Orthogonal projector (I + K_m)/2 onto vec-images of symmetric matrices."""
-    return 0.5 * (np.eye(m * m) + commutation_matrix(m))

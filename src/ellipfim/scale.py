@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .matcalc import duplication_matrix, vec, vecs, unvecs, vecs_len
+from .matcalc import _dup_t_vec, duplication_matrix, vecs, unvecs, vecs_len
 
 __all__ = [
     "ScaleFunctional",
@@ -176,12 +176,8 @@ def grad_v11(scale: ScaleFunctional, v):
     m = v.shape[0]
     if scale.kind == "first":
         return np.zeros(vecs_len(m) - 1)
-    if scale.kind == "trace":
-        w = vec(np.eye(m))
-    else:
-        w = vec(np.linalg.inv(v))
-    dm = duplication_matrix(m)
-    row = w @ dm
+    w = np.eye(m) if scale.kind == "trace" else np.linalg.inv(v)
+    row = _dup_t_vec(w)
     return -row[1:] / row[0]
 
 
@@ -200,7 +196,9 @@ def m_matrix(scale: ScaleFunctional, v):
 
     K_V^T is [grad_v11, I], and the first row of D_m^T is the unit vector
     of vec position (1,1), so M_S is D_m^T without its first row plus
-    grad_v11 in column 0.
+    grad_v11 in column 0.  The scores and FIMs apply it as K_V^T D_m^T vec
+    without forming it; this dense matrix is the reference the invariant
+    suite checks them against.
     """
     m = np.asarray(v).shape[0]
     out = duplication_matrix(m).T[1:].copy()
@@ -209,20 +207,24 @@ def m_matrix(scale: ScaleFunctional, v):
 
 
 def constraint_gradient_vecs(scale: ScaleFunctional, v):
-    """Gradient of S in half-vectorized coordinates: D_m^T vec(D_S)."""
-    v = np.asarray(v, dtype=float)
-    return vec(scale.gradient(v)) @ duplication_matrix(v.shape[-1])
+    """Gradient of S in half-vectorized coordinates: D_m^T vec(D_S).
+
+    Computed entry by entry (:func:`~ellipfim.matcalc._dup_t_vec`), so the
+    duplication matrix is never formed; a stack of shapes gives a stack.
+    """
+    return _dup_t_vec(scale.gradient(np.asarray(v, dtype=float)))
 
 
 def u_basis(scale: ScaleFunctional, v):
     """Orthonormal basis of the manifold tangent space in vecs coordinates.
 
     The columns span the orthogonal complement of the constraint gradient
-    D_m^T vec(D_S), which is what makes col(U) = col(K_V) for every scale
-    (for the first-element and trace scales D_S is diagonal and this
-    direction coincides with vecs(D_S)).  Built by Householder QR with a
-    deterministic sign convention: first nonzero entry of each column
-    positive.  A stack of shapes gives a stack of bases.
+    g = D_m^T vec(D_S) of :func:`constraint_gradient_vecs`, which is what
+    makes col(U) = col(K_V) for every scale (for the first-element and
+    trace scales D_S is diagonal and g coincides with vecs(D_S)).  Built
+    by Householder QR with a deterministic sign convention: first nonzero
+    entry of each column positive.  A stack of shapes gives a stack of
+    bases.
     """
     v = np.asarray(v, dtype=float)
     _check_manifold(scale, v)

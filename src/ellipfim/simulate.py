@@ -34,6 +34,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .bounds import crb_shape, pd_inverse
+from .config import check_number, reject_unknown
 from .estimators import (
     TScore,
     VanDerWaerden,
@@ -67,12 +68,10 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("m", "n", "trials", "root_seed", "parallelism"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for value in (self.rho, *self.nu_grid):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"rho and nu must be real numbers, got {value!r}")
+            check_number(getattr(self, name), name, int)
+        check_number(self.rho, "rho")
+        for nu in self.nu_grid:
+            check_number(nu, "nu_grid")
         if self.m < 2:
             raise ValueError("m must be >= 2")
         if self.n <= self.m:
@@ -114,10 +113,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown simulation config keys: {sorted(extra)}")
+        reject_unknown(data, cls.__dataclass_fields__, "simulation config")
         data = dict(data)
         for key in ("nu_grid", "estimators", "scores"):
             if key in data:

@@ -41,6 +41,10 @@ def row_selector(m):
     return np.eye(vecs_len(m))[1:]
 
 
+def symmetrizer(m):
+    return 0.5 * (np.eye(m * m) + commutation_loops(m))
+
+
 def m_matrix(scale, v):
     return k_matrix(scale, v).T @ duplication_loops(np.asarray(v).shape[0]).T
 

@@ -445,6 +445,64 @@ def test_cli_domain_errors_exit_2_with_one_line(tmp_path, capsys, case):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+BAD_CONFIG_VALUES = {
+    "bounds_m_float": ("bounds", {"m": 4.7}, "m must be an integer"),
+    "bounds_m_string": ("bounds", {"m": "4"}, "m must be an integer"),
+    "bounds_m1": ("bounds", {"m": 1}, "m must be >= 2"),
+    "bounds_scale_kind": ("bounds", {"m": 4, "scale_kind": "det"}, "scale_kind"),
+    "bounds_rho_list": ("bounds", {"m": 4, "sigma": {"rho": [1]}}, "sigma.rho"),
+    "bounds_nu_null": (
+        "bounds",
+        {"m": 4, "generator": {"family": "t", "nu": None}},
+        "generator.nu",
+    ),
+    "bounds_generator_key": (
+        "bounds",
+        {"m": 4, "generator": {"family": "t", "nu": 5, "df": 3}},
+        "df",
+    ),
+    "bounds_ragged_matrix": (
+        "bounds",
+        {"m": 2, "sigma": {"kind": "matrix", "values": [[1, 0], [0]]}},
+        "sigma.values",
+    ),
+    "low_rank_m_float": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank", "m": 6.9, "p": 2}},
+        "parameterization.m",
+    ),
+    "seed_list": (
+        "adaptivity",
+        {"parameterization": {"name": "split", "seed": [1]}},
+        "parameterization.seed",
+    ),
+    "gamma0_null": (
+        "adaptivity",
+        {"parameterization": {"name": "breaking", "gamma0": None}},
+        "parameterization.gamma0",
+    ),
+    "adaptivity_key": ("adaptivity", {"parameterization": {"name": "breaking"}, "gen": {}}, "gen"),
+    "verify_key": ("verify", {"level": "fast", "levle": "full"}, "levle"),
+    "simulate_rho_null": ("simulate", {"rho": None}, "rho must be a real number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, case):
+    command, data, named = BAD_CONFIG_VALUES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, **data}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    if command in ("bounds", "simulate"):
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):
     from ellipfim import bounds
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_oracles as dense
 from ellipfim.matcalc import (
     commutation_matrix,
     duplication_matrix,
     dup_pinv,
-    row_selector,
-    symmetrizer,
     unvecs,
     vec,
     vecs,
@@ -118,22 +117,17 @@ def test_dup_pinv_matches_svd_pinv():
 
 
 def test_row_selector_m2():
-    np.testing.assert_array_equal(row_selector(2), [[0, 1, 0], [0, 0, 1]])
-
-
-def test_row_selector_rejects_m1():
-    with pytest.raises(ValueError):
-        row_selector(1)
+    np.testing.assert_array_equal(dense.row_selector(2), [[0, 1, 0], [0, 0, 1]])
 
 
 def test_row_selector_drops_a11():
     rng = np.random.default_rng(3)
     a = random_symmetric(rng, 3)
-    np.testing.assert_allclose(row_selector(3) @ vecs(a), vecs(a)[1:], atol=0)
+    np.testing.assert_allclose(dense.row_selector(3) @ vecs(a), vecs(a)[1:], atol=0)
 
 
 def test_row_selector_orthonormal_rows():
-    sel = row_selector(4)
+    sel = dense.row_selector(4)
     np.testing.assert_allclose(sel @ sel.T, np.eye(sel.shape[0]), atol=0)
 
 
@@ -161,5 +155,5 @@ def test_symmetrizer_projects_to_symmetric_part():
     m = 4
     a = rng.standard_normal((m, m))
     np.testing.assert_allclose(
-        symmetrizer(m) @ vec(a), vec(0.5 * (a + a.T)), atol=1e-14
+        dense.symmetrizer(m) @ vec(a), vec(0.5 * (a + a.T)), atol=1e-14
     )

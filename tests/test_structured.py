@@ -7,15 +7,17 @@ import pytest
 from scipy.linalg import toeplitz
 
 import dense_oracles as dense
-from ellipfim import bounds, estimators, fim
-from ellipfim.bounds import BoundSet, bound_set, write_bounds_csv
+from ellipfim import bounds, estimators, fim, matcalc
+from ellipfim.bounds import BoundSet, bound_set, verify_chain, write_bounds_csv
 from ellipfim.estimators import VanDerWaerden, _inv_sqrt, r_step_batch, scm_batch
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
 from ellipfim.matcalc import (
+    _dup_t_vec,
     _sym_kron_core,
     commutation_matrix,
     dup_pinv,
     duplication_matrix,
+    vec,
     vecs,
     vecs_len,
 )
@@ -33,7 +35,9 @@ from ellipfim.scale import (
     decompose,
     jacobian_w_inv,
     m_matrix,
+    u_basis,
 )
+from ellipfim.simulate import SimConfig, run_simulation
 
 ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
 GENS = [gaussian(), student_t(6), generalized_gaussian(0.5)]
@@ -58,6 +62,8 @@ def test_structural_matrices_match_loop_oracles(m):
     np.testing.assert_array_equal(duplication_matrix(m), dense.duplication_loops(m))
     np.testing.assert_array_equal(commutation_matrix(m), dense.commutation_loops(m))
     np.testing.assert_allclose(dup_pinv(m), dense.dup_pinv_solve(m), rtol=0, atol=1e-15)
+    a = np.random.default_rng(m).standard_normal((3, m, m))
+    np.testing.assert_array_equal(_dup_t_vec(a), vec(a) @ dense.duplication_loops(m))
 
 
 @pytest.mark.parametrize("build", [duplication_matrix, commutation_matrix, dup_pinv])
@@ -94,6 +100,19 @@ def test_structured_forms_match_dense_oracles(m, scale, gen):
     assert_close(fim.fim_vecs_sigma(sigma, gen), dense.fim_vecs_sigma(sigma, gen))
     np.testing.assert_array_equal(m_matrix(scale, v), dense.m_matrix(scale, v))
     assert_close(jacobian_w_inv(scale, sigma), dense.jacobian_w_inv(scale, sigma))
+
+    # per-sample scores through vec(E_l), E_l = phibar(Q_l) w_l w_l^T - Sigma^-1
+    x = rng.standard_normal((5, m))
+    sigma_inv = np.linalg.inv(sigma)
+    w = x @ sigma_inv
+    phi = gen.phi_bar(np.sum(x * w, axis=1), m)
+    e = vec(phi[:, None, None] * w[:, :, None] * w[:, None, :] - sigma_inv)
+    score = fim.score_eta(x, np.zeros(m), v, s, scale, gen)
+    assert_close(score[:, m:-1], 0.5 * s * e @ dense.m_matrix(scale, v).T)
+    assert_close(
+        fim.score_vecs_sigma(x, np.zeros(m), sigma, gen),
+        0.5 * e @ dense.duplication_loops(m),
+    )
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (3, 5), (2, 3, 4), (4, 32)])
@@ -242,23 +261,58 @@ def test_bound_set_m64_never_holds_an_m2_by_m2_array():
     assert bset.crb_vecs_sigma.shape == (m * (m + 1) // 2,) * 2
 
 
-def test_r_step_at_m32_never_holds_two_m2_by_m2_arrays():
+def test_compute_paths_never_build_the_duplication_matrix():
+    duplication_matrix.cache_clear()
+    m, gen = 4, student_t(6)
+    sigma = toeplitz(0.8 ** np.arange(m))
+    x = sample(20, np.zeros(m), sigma, gen, seed=1)
+    for scale in ALL_SCALES:
+        run_simulation(SimConfig(m=3, n=20, nu_grid=(5.0,), trials=3, scale_kind=scale.kind))
+        bound_set(scale, sigma, gen)
+        dec = decompose(scale, sigma)
+        verify_chain(scale, dec.v, [gen], m)
+        fim.fim_eta(dec.v, dec.s, scale, gen)
+        fim.efficient_fim_shape(dec.v, scale, gen)
+        fim.score_eta(x, np.zeros(m), dec.v, dec.s, scale, gen)
+        fim.score_vecs_sigma(x, np.zeros(m), sigma, gen)
+        u_basis(scale, dec.v)
+        jacobian_w_inv(scale, sigma)
+    assert duplication_matrix.cache_info().currsize == 0
+
+
+def _r_step_peak_m32(warm):
+    """tracemalloc peak of one m=32, n=600 R-step, after the matcalc caches
+    are emptied; ``warm`` refills them with an untraced call first."""
     m, n = 32, 600
-    two_kron_bytes = 2 * (m * m) ** 2 * 8  # 16 MiB
     sigma = toeplitz(0.8 ** np.arange(m))
     data = sample(n, np.zeros(m), sigma, student_t(6), seed=3)[None]
     v = scm_batch(data, NORMALIZED_TRACE)
     table = VanDerWaerden().table(n, m)[None]
-    # the first call fills the per-m caches of D_m and the vecs index pairs
-    r_step_batch(data, v, NORMALIZED_TRACE, table)
+    for cached in (matcalc._tril_indices_colmajor, matcalc._dup_gram, duplication_matrix):
+        cached.cache_clear()
+    if warm:
+        r_step_batch(data, v, NORMALIZED_TRACE, table)
     tracemalloc.start()
     try:
         v_new = r_step_batch(data, v, NORMALIZED_TRACE, table)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < two_kron_bytes
     assert np.isfinite(v_new).all()
+    return peak
+
+
+TWO_M32_KRONS = 2 * (32 * 32) ** 2 * 8  # 16 MiB, two m^2 x m^2 arrays at m=32
+
+
+def test_r_step_at_m32_never_holds_two_m2_by_m2_arrays():
+    # the first call fills the per-m caches of the vecs index pairs and weights
+    assert _r_step_peak_m32(warm=True) < TWO_M32_KRONS
+
+
+def test_cold_r_step_at_m32_never_holds_two_m2_by_m2_arrays():
+    # nothing is cached, and no call builds the 4.3 MB duplication matrix
+    assert _r_step_peak_m32(warm=False) < TWO_M32_KRONS
 
 
 @pytest.mark.parametrize(
