@@ -317,17 +317,60 @@ def verify_chain(
     return ChainReport(scale_kind=scale.kind, links=links)
 
 
+# the longest %.17g text of a double, as in "-1.2345678901234567e-308"
+_VALUE_WIDTH = 24
+_CHUNK_BYTES = 1 << 20
+
+
+def _distinct_bits(mat):
+    """The sorted distinct bit patterns of ``mat`` and, per entry, its index.
+
+    Bit patterns, not values, keep 0.0 and -0.0 apart.  A bitwise-symmetric
+    block, such as ``crb_shape`` or ``crb_vecs_sigma`` (formed as x + x^T),
+    sorts only its upper triangle.
+    """
+    bits = mat.view(np.uint64)
+    if mat.shape[0] != mat.shape[1] or not np.array_equal(bits, bits.T):
+        distinct, where = np.unique(bits, return_inverse=True)
+        return distinct, where.reshape(mat.shape)
+    upper = np.triu_indices(mat.shape[0])
+    distinct, inverse = np.unique(bits[upper], return_inverse=True)
+    where = np.empty(mat.shape, dtype=np.intp)
+    where[upper] = inverse
+    where.T[upper] = inverse
+    return distinct, where
+
+
 def write_bounds_csv(bounds: BoundSet, path):
     """Serialize all bound blocks row-major at 17 significant digits.
 
-    The file is streamed one matrix row per write.  Each row is formatted
-    from a per-block template whose marker takes the row's "block,row"
-    prefix.
+    Lines read ``block,row,col,value`` and end in a newline on every
+    platform.  Each block formats every distinct bit pattern once, into a
+    space-padded field of the widest %.17g text.  The file is then streamed
+    in chunks of about a mebibyte: each line is laid out in fixed-width
+    fields (row prefix, column, value, newline), and since no field's text
+    holds a space, dropping every space byte leaves the lines.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("block,row,col,value\n")
+    with open(path, "wb") as fh:
+        fh.write(b"block,row,col,value\n")
         for name, mat in bounds.blocks().items():
-            mat = np.atleast_2d(mat)
-            template = "".join([f"\0,{j},%.17g\n" for j in range(mat.shape[1])])
-            for i, row in enumerate(mat):
-                fh.write(template.replace("\0", f"{name},{i}") % tuple(row.tolist()))
+            mat = np.ascontiguousarray(np.atleast_2d(mat), dtype=float)
+            if not mat.size:
+                continue
+            nrow, ncol = mat.shape
+            distinct, where = _distinct_bits(mat)
+            text = (f"%-{_VALUE_WIDTH}.17g" * distinct.size) % tuple(distinct.view(float).tolist())
+            values = np.frombuffer(text.encode("ascii"), dtype=f"V{_VALUE_WIDTH}")
+            wr, wc = len(f"{name},{nrow - 1},"), len(f"{ncol - 1},")
+            rows = np.array([f"{name},{i},".ljust(wr) for i in range(nrow)], dtype=f"S{wr}")
+            cols = np.array([f"{j},".ljust(wc) for j in range(ncol)], dtype=f"S{wc}")
+            line = np.dtype([("row", rows.dtype), ("col", cols.dtype), ("value", values.dtype), ("end", "S1")])
+            step = max(1, _CHUNK_BYTES // (ncol * line.itemsize))
+            for i in range(0, nrow, step):
+                lines = np.empty((min(step, nrow - i), ncol), dtype=line)
+                lines["row"] = rows[i : i + step, None]
+                lines["col"] = cols
+                lines["value"] = values.take(where[i : i + step])
+                lines["end"] = b"\n"
+                flat = lines.view(np.uint8).reshape(-1)
+                fh.write(flat[flat != ord(" ")])

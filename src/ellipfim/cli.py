@@ -182,9 +182,7 @@ def cmd_bounds(args) -> int:
     data = _load_config(args.config)
     reject_unknown(data, ("m", "scale", "generator", "sigma"), "bounds config")
     try:
-        m = check_number(data["m"], "m", int)
-        if m < 2:
-            raise ConfigError(f"m must be >= 2, got {m}")
+        m = check_number(data["m"], "m", int, least=2)
         scale = _scale_from_name(data.get("scale", "trace"))
         gen = _generator_from_spec(data.get("generator", {"family": "gaussian"}))
         sigma = _sigma_from_spec(data.get("sigma", {"kind": "toeplitz"}), m)
@@ -207,13 +205,13 @@ def cmd_bounds(args) -> int:
 def _parameterization_from_spec(spec):
     name = _spec_kind(spec, "name", PARAMETERIZATION_KEYS, "parameterization")
 
-    def get(key, default, kind=float):
-        return check_number(spec.get(key, default), f"parameterization.{key}", kind)
+    def get(key, default, kind=float, least=None):
+        return check_number(spec.get(key, default), f"parameterization.{key}", kind, least)
 
     rng = np.random.default_rng(get("seed", 0, int))
     if name == "split":
-        m = get("m", 4, int)
-        q = get("q", 2, int)
+        m = get("m", 4, int, least=1)
+        q = get("q", 2, int, least=1)
         h = rng.standard_normal((m, q))
         param = linear_split_parameterization(h, m)
         sigma0 = toeplitz(get("rho", 0.7) ** np.arange(m))
@@ -221,7 +219,7 @@ def _parameterization_from_spec(spec):
         return param, theta0
     if name == "low_rank":
         m = get("m", 6, int)
-        p = get("p", 2, int)
+        p = get("p", 2, int, least=1)
         gamma0 = check_reals(spec.get("gamma", [0.6, 1.7]), "parameterization.gamma")
         if gamma0.size != p:
             raise ConfigError("low_rank needs one gamma per source")
@@ -236,13 +234,13 @@ def _parameterization_from_spec(spec):
         )
         return low_rank_parameterization(model), model.theta0(gamma0)
     if name == "shape_scale":
-        m = get("m", 4, int)
+        m = get("m", 4, int, least=2)  # a shape needs a free coordinate
         scale = _scale_from_name(spec.get("scale", "trace"))
         sigma0 = toeplitz(get("rho", 0.8) ** np.arange(m))
         dec = decompose(scale, sigma0)
         theta0 = np.concatenate([np.zeros(m), ovecs(dec.v), [get("s", 1.5)]])
         return shape_scale_parameterization(scale, m), theta0
-    m = get("m", 3, int)  # breaking
+    m = get("m", 3, int, least=1)  # breaking
     sigma0 = toeplitz(get("rho", 0.5) ** np.arange(m))
     return breaking_parameterization(sigma0), np.asarray([get("gamma0", 1.3)])
 
@@ -254,9 +252,10 @@ def cmd_adaptivity(args) -> int:
     gen = _generator_from_spec(data.get("generator", {"family": "t", "nu": 8}))
     report = verify_adaptivity_by_fim(param, theta0, gen)
     cond = report.condition
+    residual = np.abs(cond.residual).max()  # before any output: exit 2 prints nothing
     print(f"parameterization: {param.name} (q={param.q}, r={param.r})")
     print(f"generator:        {gen.name}")
-    print(f"condition residual (max abs): {np.abs(cond.residual).max():.3e} "
+    print(f"condition residual (max abs): {residual:.3e} "
           f"(tol {cond.tol:.3e}) -> {'satisfied' if cond.satisfied else 'violated'}")
     print(f"efficient-FIM gap: {report.gap:.3e} (relative {report.gap_rel:.3e}) "
           f"-> {'adaptive' if report.adaptive else 'not adaptive'}")

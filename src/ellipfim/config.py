@@ -18,8 +18,9 @@ class ConfigError(ValueError):
     """A config key or value that the command cannot use."""
 
 
-def check_number(value, key, kind=float):
-    """``value`` as an ``int`` (``kind=int``) or a real number (``kind=float``).
+def check_number(value, key, kind=float, least=None):
+    """``value`` as an ``int`` (``kind=int``) or a real number (``kind=float``),
+    no smaller than ``least`` when that is given.
 
     ``bool`` is rejected although it is an ``int`` subclass, and so is an
     integral float such as ``4.0`` where an ``int`` is required.
@@ -28,6 +29,8 @@ def check_number(value, key, kind=float):
     if isinstance(value, bool) or not isinstance(value, types):
         what = "an integer" if kind is int else "a real number"
         raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value!r}")
     return kind(value)
 
 

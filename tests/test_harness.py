@@ -482,6 +482,31 @@ BAD_CONFIG_VALUES = {
         "parameterization.gamma0",
     ),
     "adaptivity_key": ("adaptivity", {"parameterization": {"name": "breaking"}, "gen": {}}, "gen"),
+    "shape_scale_m1": (
+        "adaptivity",
+        {"parameterization": {"name": "shape_scale", "m": 1}},
+        "parameterization.m must be >= 2",
+    ),
+    "split_m0": (
+        "adaptivity",
+        {"parameterization": {"name": "split", "m": 0}},
+        "parameterization.m must be >= 1",
+    ),
+    "split_q0": (
+        "adaptivity",
+        {"parameterization": {"name": "split", "q": 0}},
+        "parameterization.q must be >= 1",
+    ),
+    "breaking_m0": (
+        "adaptivity",
+        {"parameterization": {"name": "breaking", "m": 0}},
+        "parameterization.m must be >= 1",
+    ),
+    "low_rank_p0": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank", "p": 0}},
+        "parameterization.p must be >= 1",
+    ),
     "verify_key": ("verify", {"level": "fast", "levle": "full"}, "levle"),
     "simulate_rho_null": ("simulate", {"rho": None}, "rho must be a real number"),
 }
@@ -497,10 +522,28 @@ def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, case):
     if command in ("bounds", "simulate"):
         argv += ["--out", str(out)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and named in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"name": "shape_scale", "m": 2},
+        {"name": "split", "m": 1, "q": 1},
+        {"name": "breaking", "m": 1},
+        {"name": "low_rank", "m": 2, "p": 1, "gamma": [0.6]},
+    ],
+    ids=lambda spec: spec["name"],
+)
+def test_cli_adaptivity_smallest_valid_models_exit_0(tmp_path, capsys, spec):
+    cfg = tmp_path / "adapt.json"
+    cfg.write_text(json.dumps({"schema": 1, "parameterization": spec}))
+    assert main(["adaptivity", "--config", str(cfg)]) == 0
+    assert "efficient-FIM gap" in capsys.readouterr().out
 
 
 def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):

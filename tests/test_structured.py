@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import toeplitz
 
 import dense_oracles as dense
@@ -224,13 +226,94 @@ def _bound_sets():
         m=2,
         s=1.0,
     )
+    # bit patterns that a dedupe on values would merge or mirror wrongly
+    z, nz, nan, inf, tiny = 0.0, -0.0, np.nan, np.inf, 5e-324
+    yield BoundSet(
+        # equal to its transpose as values, not as bits
+        crb_mu=np.array([[1.0, z, 2.0], [nz, 1.0, z], [2.0, nz, 1.0]]),
+        # bitwise symmetric, with both zeros, nan, +-inf and repeats
+        crb_shape=np.array(
+            [[z, nz, nan, 1.5], [nz, inf, tiny, z], [nan, tiny, -inf, 1.5], [1.5, z, 1.5, nz]]
+        ),
+        crb_scale=tiny,
+        psi_cross=np.array([z, nz, nan, inf, -inf, tiny, -tiny, z, nz, nan]),
+        crb_vecs_sigma=np.array([[z, nz, z], [tiny, -tiny, tiny]]),
+        scale_kind="trace",
+        generator="signed-zeros",
+        m=3,
+        s=1.0,
+    )
+    # about half the entries distinct: no repeats beyond the symmetry
+    yield bound_set(NORMALIZED_TRACE, random_sigma(np.random.default_rng(12), 12), student_t(6))
 
 
 @pytest.mark.parametrize("bset", list(_bound_sets()), ids=lambda b: f"{b.generator}-m{b.m}-{b.scale_kind}")
-def test_write_bounds_csv_bytes_match_per_entry_writer(tmp_path, bset):
-    write_bounds_csv(bset, tmp_path / "rows.csv")
+def test_write_bounds_csv_bytes_match_per_entry_writer(tmp_path, monkeypatch, bset):
     per_entry_writer(bset, tmp_path / "entries.csv")
-    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "entries.csv").read_bytes()
+    want = (tmp_path / "entries.csv").read_bytes()
+    write_bounds_csv(bset, tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == want
+    # a few rows per chunk: every block spans chunks, and most end on a short one
+    monkeypatch.setattr(bounds, "_CHUNK_BYTES", 200)
+    write_bounds_csv(bset, tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == want
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -0.0, 1.0])
+)
+
+
+@st.composite
+def _blocks(draw):
+    """A 1..6 x 1..6 block; half are square and symmetrized as x + x^T."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        x = draw(hnp.arrays(float, (n, n), elements=_ENTRIES))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x + x.T
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    return draw(hnp.arrays(float, shape, elements=_ENTRIES))
+
+
+@given(_blocks(), _blocks(), _blocks(), _blocks(), _ENTRIES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_write_bounds_csv_bytes_match_per_entry_writer_on_drawn_blocks(
+    tmp_path_factory, mu, shape, psi, sigma, scale
+):
+    bset = BoundSet(
+        crb_mu=mu,
+        crb_shape=shape,
+        crb_scale=scale,
+        psi_cross=psi.ravel(),
+        crb_vecs_sigma=sigma,
+        scale_kind="trace",
+        generator="drawn",
+        m=1,
+        s=1.0,
+    )
+    out = tmp_path_factory.mktemp("writer")
+    write_bounds_csv(bset, out / "rows.csv")
+    per_entry_writer(bset, out / "entries.csv")
+    assert (out / "rows.csv").read_bytes() == (out / "entries.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "random_spd"])
+def test_write_bounds_csv_at_m32_holds_less_than_the_csv(tmp_path, kind):
+    m = 32
+    if kind == "toeplitz":
+        sigma = toeplitz(0.8 ** np.arange(m))
+    else:
+        sigma = random_sigma(np.random.default_rng(32), m)
+    bset = bound_set(NORMALIZED_TRACE, sigma, student_t(6))
+    path = tmp_path / "bounds.csv"
+    tracemalloc.start()
+    try:
+        write_bounds_csv(bset, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size  # about 22.8 MB
 
 
 # ---------------------------------------------------------------------------
