@@ -320,6 +320,7 @@ def verify_chain(
 # the longest %.17g text of a double, as in "-1.2345678901234567e-308"
 _VALUE_WIDTH = 24
 _CHUNK_BYTES = 1 << 20
+_FORMAT_SLICE = 1 << 14  # distinct values formatted per %-string
 
 
 def _distinct_bits(mat):
@@ -346,10 +347,12 @@ def write_bounds_csv(bounds: BoundSet, path):
 
     Lines read ``block,row,col,value`` and end in a newline on every
     platform.  Each block formats every distinct bit pattern once, into a
-    space-padded field of the widest %.17g text.  The file is then streamed
-    in chunks of about a mebibyte: each line is laid out in fixed-width
-    fields (row prefix, column, value, newline), and since no field's text
-    holds a space, dropping every space byte leaves the lines.
+    space-padded field of the widest %.17g text; a format string covers a
+    fixed slice of the distinct values, so no text holds a whole block.
+    The file is then streamed in chunks of about a mebibyte: each line is
+    laid out in fixed-width fields (row prefix, column, value, newline),
+    and since no field's text holds a space, dropping every space byte
+    leaves the lines.
     """
     with open(path, "wb") as fh:
         fh.write(b"block,row,col,value\n")
@@ -359,8 +362,13 @@ def write_bounds_csv(bounds: BoundSet, path):
                 continue
             nrow, ncol = mat.shape
             distinct, where = _distinct_bits(mat)
-            text = (f"%-{_VALUE_WIDTH}.17g" * distinct.size) % tuple(distinct.view(float).tolist())
-            values = np.frombuffer(text.encode("ascii"), dtype=f"V{_VALUE_WIDTH}")
+            text = bytearray(distinct.size * _VALUE_WIDTH)
+            for k in range(0, distinct.size, _FORMAT_SLICE):
+                part = distinct[k : k + _FORMAT_SLICE].view(float).tolist()
+                text[k * _VALUE_WIDTH : (k + len(part)) * _VALUE_WIDTH] = (
+                    (f"%-{_VALUE_WIDTH}.17g" * len(part)) % tuple(part)
+                ).encode("ascii")
+            values = np.frombuffer(text, dtype=f"V{_VALUE_WIDTH}")
             wr, wc = len(f"{name},{nrow - 1},"), len(f"{ncol - 1},")
             rows = np.array([f"{name},{i},".ljust(wr) for i in range(nrow)], dtype=f"S{wr}")
             cols = np.array([f"{j},".ljust(wc) for j in range(ncol)], dtype=f"S{wc}")

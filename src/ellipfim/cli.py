@@ -32,7 +32,7 @@ from .parameterize import (
     sinusoid_steering,
     verify_adaptivity_by_fim,
 )
-from .matcalc import ovecs, vecs
+from .matcalc import ovecs, vecs, vecs_len
 from .scale import ManifoldError, decompose, scale_by_name
 from .simulate import SimConfig, run_simulation, write_svg_chart
 
@@ -205,8 +205,18 @@ def cmd_bounds(args) -> int:
 def _parameterization_from_spec(spec):
     name = _spec_kind(spec, "name", PARAMETERIZATION_KEYS, "parameterization")
 
-    def get(key, default, kind=float, least=None):
-        return check_number(spec.get(key, default), f"parameterization.{key}", kind, least)
+    def get(key, default, kind=float, least=None, inside=None):
+        """The spec value of ``key``; ``inside`` is an open interval (lo, hi)."""
+        value = check_number(spec.get(key, default), f"parameterization.{key}", kind, least)
+        if inside is not None and not inside[0] < value < inside[1]:
+            raise ConfigError(
+                f"parameterization.{key} must lie in ({inside[0]:g}, {inside[1]:g}), "
+                f"got {value!r}"
+            )
+        return value
+
+    unit = (-1.0, 1.0)  # a Toeplitz rho^|i-j| is PD exactly for |rho| < 1
+    positive = (0.0, np.inf)
 
     rng = np.random.default_rng(get("seed", 0, int))
     if name == "split":
@@ -214,12 +224,18 @@ def _parameterization_from_spec(spec):
         q = get("q", 2, int, least=1)
         h = rng.standard_normal((m, q))
         param = linear_split_parameterization(h, m)
-        sigma0 = toeplitz(get("rho", 0.7) ** np.arange(m))
+        sigma0 = toeplitz(get("rho", 0.7, inside=unit) ** np.arange(m))
         theta0 = np.concatenate([rng.standard_normal(q), vecs(sigma0)])
         return param, theta0
     if name == "low_rank":
         m = get("m", 6, int)
         p = get("p", 2, int, least=1)
+        # (gamma, vecs Xi, lambda) needs no more coordinates than vecs Sigma
+        if vecs_len(m) < p + vecs_len(p) + 1:
+            raise ConfigError(
+                f"parameterization.m must satisfy m(m+1)/2 >= p + p(p+1)/2 + 1 "
+                f"for p = {p}, got {m!r}"
+            )
         gamma0 = check_reals(spec.get("gamma", [0.6, 1.7]), "parameterization.gamma")
         if gamma0.size != p:
             raise ConfigError("low_rank needs one gamma per source")
@@ -229,20 +245,20 @@ def _parameterization_from_spec(spec):
             a_fn=a_fn,
             a_jac=a_jac,
             signal_cov=b @ b.T + p * np.eye(p),
-            noise_level=get("noise", 0.8),
+            noise_level=get("noise", 0.8, inside=positive),
             q=p,
         )
         return low_rank_parameterization(model), model.theta0(gamma0)
     if name == "shape_scale":
         m = get("m", 4, int, least=2)  # a shape needs a free coordinate
         scale = _scale_from_name(spec.get("scale", "trace"))
-        sigma0 = toeplitz(get("rho", 0.8) ** np.arange(m))
+        sigma0 = toeplitz(get("rho", 0.8, inside=unit) ** np.arange(m))
         dec = decompose(scale, sigma0)
-        theta0 = np.concatenate([np.zeros(m), ovecs(dec.v), [get("s", 1.5)]])
+        theta0 = np.concatenate([np.zeros(m), ovecs(dec.v), [get("s", 1.5, inside=positive)]])
         return shape_scale_parameterization(scale, m), theta0
     m = get("m", 3, int, least=1)  # breaking
-    sigma0 = toeplitz(get("rho", 0.5) ** np.arange(m))
-    return breaking_parameterization(sigma0), np.asarray([get("gamma0", 1.3)])
+    sigma0 = toeplitz(get("rho", 0.5, inside=unit) ** np.arange(m))
+    return breaking_parameterization(sigma0), np.asarray([get("gamma0", 1.3, inside=positive)])
 
 
 def cmd_adaptivity(args) -> int:

@@ -4,7 +4,12 @@ one-step rank-based estimator with pluggable score functions.
 Each estimator is one kernel over a (T, n, m) stack of T datasets
 (``scm_batch``, ``tyler_batch``, ``r_step_batch``), written with stacked
 ``numpy.linalg`` and ``matmul`` so that a trial's arithmetic does not
-depend on the other trials of the stack.  The single-dataset functions
+depend on the other trials of the stack.  Tyler and the R-step compute
+coordinate-major: each makes one C-contiguous (T, m, n) copy of the
+stack, with the n observations contiguous, so that a sum over the m
+coordinates (the quadratic forms x_i^T V^-1 x_i) is m vectorized adds of
+length n rather than n short rows.  ``scm_batch`` is one matmul on the
+stack as given.  The single-dataset functions
 (``scm_shape``, ``tyler_shape``, ``r_estimator``) are T = 1 calls into
 the same kernels.  In a kernel a trial fails alone: its estimate is NaN
 when an intermediate is not finite or not positive definite, or when
@@ -148,6 +153,12 @@ def _stacked(fn, a):
     return out
 
 
+def _coordinate_major(data):
+    """The (T, m, n) C-contiguous copy of a (T, n, m) stack, observations
+    contiguous; no copy when ``data`` is a transposed view of such a stack."""
+    return np.ascontiguousarray(np.swapaxes(np.asarray(data, dtype=float), -1, -2))
+
+
 def _inv_sqrt(v):
     """V^(-1/2) of symmetric positive-definite matrices, by eigendecomposition."""
     w, e = np.linalg.eigh(0.5 * (v + np.swapaxes(v, -1, -2)))
@@ -192,18 +203,20 @@ def tyler_batch(
     positive definite, and the last residual (>= tol) when it did not
     converge in ``max_iter`` iterations.
     """
-    data = np.asarray(data, dtype=float)
-    trials, n, m = data.shape
+    xt = _coordinate_major(data)
+    trials, m, n = xt.shape
     v = np.full((trials, m, m), np.nan)
     iterations = np.full(trials, max_iter)
     residual = np.full(trials, np.nan)
     active = np.arange(trials)
-    x = data
     v_act = np.broadcast_to(np.eye(m), (trials, m, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            q = np.sum((x @ _stacked(np.linalg.inv, v_act)) * x, axis=-1)
-            v_new = (m / n) * np.swapaxes(x, -1, -2) @ (x / q[..., None])
+            # x_i^T V^-1 x_i with V^-1 read transposed, as x V^-1 reads it:
+            # the stacked inverse is not exactly symmetric
+            v_inv_t = np.swapaxes(_stacked(np.linalg.inv, v_act), -1, -2)
+            q = np.sum((v_inv_t @ xt) * xt, axis=-2)
+            v_new = (m / n) * (xt / q[..., None, :]) @ np.swapaxes(xt, -1, -2)
             v_new /= scale.values(v_new)[..., None, None]
             diff = v_new - v_act
             res = np.sqrt(
@@ -218,7 +231,7 @@ def tyler_batch(
             if done.any():
                 v[active[converged]] = v_new[converged]
                 iterations[active[done]] = it
-                active, x, v_act = active[~done], x[~done], v_new[~done]
+                active, xt, v_act = active[~done], xt[~done], v_new[~done]
                 if not active.size:
                     break
     return v, iterations, residual
@@ -261,20 +274,22 @@ def ranks(values):
     return out
 
 
-def _rank_delta(data, v_root_inv, tables):
-    """Delta_V for every dataset of ``data`` and every score table.
+def _rank_delta(xt, v_root_inv, tables):
+    """Delta_V for every dataset of the coordinate-major stack ``xt``
+    (T, m, n) and every score table.
 
     ``v_root_inv`` holds V^(-1/2) per dataset, with leading axes (T,) or
     (S, T); ``tables`` holds ``ScoreFunction.table`` rows, (S, n) for one
     table per score or (S, T, n) for one per score and dataset.
-    Returns (S, T, m(m+1)/2).  Upsilon_V vec(O) is applied in its matrix
-    form D_m^T vec(V^-1/2 (O - tr(O) I / m) V^-1/2), which needs no
-    Kronecker product.
+    Returns (S, T, m(m+1)/2), C-contiguous, so that a sum over its last
+    axis takes the same order whatever S and T are.  Upsilon_V vec(O) is
+    applied in its matrix form D_m^T vec(V^-1/2 (O - tr(O) I / m) V^-1/2),
+    which needs no Kronecker product.
     """
-    n, m = data.shape[-2:]
-    w = data @ v_root_inv
-    q = np.sum(w * w, axis=-1)
-    u_dirs = w / np.sqrt(q)[..., None]
+    m, n = xt.shape[-2:]
+    w = np.swapaxes(v_root_inv, -1, -2) @ xt
+    q = np.sum(w * w, axis=-2)
+    u_dirs = w / np.sqrt(q)[..., None, :]
     if tables.ndim == 2:
         tables = tables[:, None, :]
     k_vals = tables[
@@ -282,10 +297,10 @@ def _rank_delta(data, v_root_inv, tables):
         np.arange(tables.shape[1])[:, None],
         ranks(q) - 1,
     ]
-    outer = np.swapaxes(u_dirs * k_vals[..., None], -1, -2) @ u_dirs
+    outer = (u_dirs * k_vals[..., None, :]) @ np.swapaxes(u_dirs, -1, -2)
     trace = np.trace(outer, axis1=-2, axis2=-1)
     s = v_root_inv @ (outer - (trace / m)[..., None, None] * np.eye(m)) @ v_root_inv
-    return _dup_t_vec(s) / (2.0 * np.sqrt(n))
+    return np.ascontiguousarray(_dup_t_vec(s)) / (2.0 * np.sqrt(n))
 
 
 def _xi_matrix(gram, u):
@@ -308,13 +323,13 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
     V*; ``v_new`` is NaN where a non-finite or non-PD intermediate made the
     step fail.
     """
-    data = np.asarray(data, dtype=float)
-    n, m = data.shape[-2:]
+    xt = _coordinate_major(data)
+    m, n = xt.shape[-2:]
     root_n = np.sqrt(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         v_star = renormalize(scale, v)
         v_root_inv = _stacked(_inv_sqrt, v_star)
-        delta0 = _rank_delta(data, v_root_inv, tables)
+        delta0 = _rank_delta(xt, v_root_inv, tables)
         good = np.isfinite(v_root_inv).all(axis=(-2, -1))
         u = np.full((len(v_star), vecs_len(m), vecs_len(m) - 1), np.nan)
         if good.any():
@@ -325,7 +340,7 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
         base = vecs(v_star)
         # local slope of the rank statistic along the update direction
         v_probe = renormalize(scale, unvecs(base + step / root_n, m))
-        delta1 = _rank_delta(data, _stacked(_inv_sqrt, v_probe), tables)
+        delta1 = _rank_delta(xt, _stacked(_inv_sqrt, v_probe), tables)
         denom = np.sum(delta0 * delta0, axis=-1)
         alpha_hat = np.sum((delta0 - delta1) * delta0, axis=-1) / denom
         alpha_hat[denom <= 0.0] = 0.0  # degenerate: keep preliminary

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import linalg
 
 from .generators import DensityGenerator
-from .matcalc import _dup_gram, _dup_t_vec, _sym_kron_core, vec
+from .matcalc import _dup_gram, _dup_t_vec, _sym_kron_core, vec, vecs
 from .scale import ScaleFunctional, grad_v11
 
 __all__ = [
@@ -193,8 +193,25 @@ def _jacobians(param, theta0):
     return theta0, sigma, j_mu, j_sig
 
 
+def _identifiability_stack(j_mu, j_sig):
+    """[J_mu; sqrt(F) vecs rows of J_vecSigma] with F = diag(D_m^T D_m).
+
+    Rows (i, j) and (j, i) of J_vecSigma are equal for a symmetric
+    Sigma(theta), and rotating each such pair by 45 degrees is orthogonal,
+    so this (m + m(m+1)/2) x d stack has the singular values and the
+    Frobenius norm of [J_mu; J_vecSigma].  The row pairs are symmetrized
+    first, which keeps the (a + b) / sqrt(2) row of each rotated pair.
+    """
+    m = j_mu.shape[0]
+    slices = j_sig.T.reshape(-1, m, m)
+    rows = np.sqrt(_dup_gram(m)) * vecs(0.5 * (slices + np.swapaxes(slices, -1, -2)))
+    return np.vstack([j_mu, rows.T])
+
+
 def _identifiable(j_mu, j_sig) -> bool:
-    stacked = np.vstack([j_mu, j_sig])
+    stacked = _identifiability_stack(j_mu, j_sig)
+    if not np.isfinite(stacked).all():  # LAPACK would print its error to stdout
+        return False
     tol = 1e-10 * max(1.0, np.linalg.norm(stacked))
     return bool(np.linalg.matrix_rank(stacked, tol=tol) == stacked.shape[1])
 

@@ -16,11 +16,13 @@ once on the stack; each trial's rank scores come from tables built once
 per run for every distinct (score, nu).  Each trial keeps its own RNG
 stream, derived from (root_seed, nu_index, trial_index), and a trial that
 fails (a non-finite or non-PD intermediate, or a Tyler iteration that
-does not converge) leaves NaN in its own row only.  A process pool runs
-the blocks when there are at least two per worker; serially or on any
-worker, the same blocks are computed, reduced in trial order and
-formatted with fixed precision, so the CSV is byte-identical across
-parallelism settings.
+does not converge) leaves NaN in its own row only.  A block also returns
+Tyler's iteration count and failure flag and the R-step rejection flags
+of each trial; the run reduces these counters per nu into the
+diagnostics of its metadata.  A process pool runs the blocks when there
+are at least two per worker; serially or on any worker, the same blocks
+are computed, reduced in trial order and formatted with fixed precision,
+so the CSV is byte-identical across parallelism settings.
 """
 
 from __future__ import annotations
@@ -172,24 +174,37 @@ def _block_data(config: SimConfig, start: int, stop: int):
 
 
 def _trial_block(config: SimConfig, tables, start: int, stop: int):
-    """Squared ovecs errors for trials [start, stop) of the run's sequence,
-    one column per estimator; NaN marks a failure.  ``tables`` is
-    ``_score_tables(config)``."""
+    """Per-trial results for trials [start, stop) of the run's sequence:
+    ``(errors, iterations, tyler_failed, rejected)``.
+
+    ``errors`` holds the squared ovecs errors, one column per estimator,
+    with NaN marking a failure.  ``iterations`` and ``tyler_failed`` are
+    Tyler's iteration count and failure flag per trial (0 and False when
+    no Tyler runs), and ``rejected`` (T, S) flags the R-steps that kept the
+    preliminary without failing.  ``tables`` is ``_score_tables(config)``.
+    """
     scale = scale_by_name(config.scale_kind)
     v0 = decompose(scale, config.sigma0).v
     data, nu_idx = _block_data(config, start, stop)
+    trials = len(data)
     tyler = None
+    iterations = np.zeros(trials, dtype=np.int64)
+    tyler_failed = np.zeros(trials, dtype=bool)
+    rejected = np.zeros((trials, len(config.scores)), dtype=bool)
     if "tyler" in config.estimators or config.scores:
-        tyler = tyler_batch(data, scale)[0]
+        tyler, iterations, _ = tyler_batch(data, scale)
+        tyler_failed = np.isnan(tyler).any(axis=(-2, -1))
     shapes = [
         scm_batch(data, scale) if name == "scm" else tyler
         for name in config.estimators
     ]
     if config.scores:
         # a failed preliminary is NaN, so its R-estimates fail with it
-        shapes.extend(r_step_batch(data, tyler, scale, tables[:, nu_idx])[0])
+        r_v, _, r_rejected = r_step_batch(data, tyler, scale, tables[:, nu_idx])
+        shapes.extend(r_v)
+        rejected = (r_rejected & np.isfinite(r_v).all(axis=(-2, -1))).T
     diff = ovecs(np.stack(shapes) - v0)
-    return np.sum(diff * diff, axis=-1).T
+    return np.sum(diff * diff, axis=-1).T, iterations, tyler_failed, rejected
 
 
 @dataclass
@@ -210,6 +225,7 @@ class SimResult:
     block_size: int  # trials per block
     blocks: int
     workers_used: int
+    diagnostics: list  # per nu: Tyler iterations and failures, R-step rejections
 
     def cell(self, nu: float, estimator: str) -> CellResult:
         for c in self.cells:
@@ -242,6 +258,7 @@ class SimResult:
                 for c in self.cells
                 if c.n_failed
             ],
+            "diagnostics": self.diagnostics,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
@@ -277,7 +294,11 @@ def run_simulation(config: SimConfig) -> SimResult:
     else:
         results = [_trial_block(config, tables, *b) for b in blocks]
         bounds = {nu: _bounds_for(config, nu) for nu in config.nu_grid}
-    errors = np.vstack(results).reshape(len(config.nu_grid), config.trials, len(cols))
+    per_nu = (len(config.nu_grid), config.trials)
+    errors, iterations, tyler_failed, rejected = (
+        np.concatenate(part).reshape(per_nu + np.shape(part[0])[1:])
+        for part in zip(*results)
+    )
     cells = []
     for nu_idx, nu in enumerate(config.nu_grid):
         for j, name in enumerate(cols):
@@ -308,7 +329,29 @@ def run_simulation(config: SimConfig) -> SimResult:
         block_size=size,
         blocks=len(blocks),
         workers_used=workers,
+        diagnostics=_diagnostics(config, iterations, tyler_failed, rejected),
     )
+
+
+def _diagnostics(config: SimConfig, iterations, tyler_failed, rejected):
+    """Per nu: Tyler's mean and maximum iterations over its converged
+    trials and its failure count, and the R-step rejection count per
+    score; integer counts, so the figures do not depend on the blocks."""
+    out = []
+    for nu_idx, nu in enumerate(config.nu_grid):
+        entry = {"nu": nu}
+        if "tyler" in config.estimators or config.scores:
+            its = iterations[nu_idx][~tyler_failed[nu_idx]]
+            entry["tyler_iterations_mean"] = float(its.mean()) if its.size else None
+            entry["tyler_iterations_max"] = int(its.max()) if its.size else None
+            entry["tyler_failures"] = int(tyler_failed[nu_idx].sum())
+        if config.scores:
+            entry["r_rejections"] = {
+                name: int(count)
+                for name, count in zip(config.scores, rejected[nu_idx].sum(axis=0))
+            }
+        out.append(entry)
+    return out
 
 
 # ---------------------------------------------------------------------------

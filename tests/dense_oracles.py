@@ -5,12 +5,17 @@ These are the m^2 x m^2 expressions the structured vecs-space forms in
 products, the commutation matrix, the duplication matrix and its
 pseudo-inverse built by loops.  They cost O(m^6) time and O(m^4) memory,
 so tests call them at small m only.
+
+The row-major Tyler iteration and rank statistic at the end are the
+Monte-Carlo kernels as they were before they went coordinate-major: each
+reduces over the length-m last axis of a (T, n, m) stack.
 """
 
 import numpy as np
 
 from ellipfim.bounds import _rank1_coeff
-from ellipfim.matcalc import vec, vecs_len
+from ellipfim.estimators import _stacked, ranks
+from ellipfim.matcalc import _dup_t_vec, vec, vecs_len
 from ellipfim.scale import decompose, k_matrix
 
 
@@ -167,3 +172,57 @@ def sfim_theta(param, theta0, gen):
     m = np.asarray(param.sigma_fn(theta0)).shape[0]
     rank1 = 2.0 / (gen.alpha(m) * gen.sigma_q2(m)) - 1.0 / m
     return _fim_theta(param, theta0, gen, rank1)
+
+
+def tyler_row_major(data, scale, tol=1e-10, max_iter=200):
+    """``estimators.tyler_batch`` on the (T, n, m) stack as it is laid out:
+    q_i = sum_j (x V^-1)_ij x_ij and V_new = (m / n) X^T (X / q)."""
+    data = np.asarray(data, dtype=float)
+    trials, n, m = data.shape
+    v = np.full((trials, m, m), np.nan)
+    iterations = np.full(trials, max_iter)
+    residual = np.full(trials, np.nan)
+    active = np.arange(trials)
+    x = data
+    v_act = np.broadcast_to(np.eye(m), (trials, m, m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            q = np.sum((x @ _stacked(np.linalg.inv, v_act)) * x, axis=-1)
+            v_new = (m / n) * np.swapaxes(x, -1, -2) @ (x / q[..., None])
+            v_new /= scale.values(v_new)[..., None, None]
+            diff = v_new - v_act
+            res = np.sqrt(
+                np.sum(diff * diff, axis=(-2, -1)) / np.sum(v_act * v_act, axis=(-2, -1))
+            )
+            res[~(q > 0.0).all(axis=-1) | ~np.isfinite(res)] = np.nan
+            residual[active] = res
+            converged = res < tol
+            done = converged | np.isnan(res)
+            v_act = v_new
+            if done.any():
+                v[active[converged]] = v_new[converged]
+                iterations[active[done]] = it
+                active, x, v_act = active[~done], x[~done], v_new[~done]
+                if not active.size:
+                    break
+    return v, iterations, residual
+
+
+def rank_delta_row_major(data, v_root_inv, tables):
+    """``estimators._rank_delta`` on a (T, n, m) stack: W = X V^-1/2, with
+    the unit directions in its rows, and sum_l K_l u_l u_l^T = (U k)^T U."""
+    n, m = data.shape[-2:]
+    w = data @ v_root_inv
+    q = np.sum(w * w, axis=-1)
+    u_dirs = w / np.sqrt(q)[..., None]
+    if tables.ndim == 2:
+        tables = tables[:, None, :]
+    k_vals = tables[
+        np.arange(len(tables))[:, None, None],
+        np.arange(tables.shape[1])[:, None],
+        ranks(q) - 1,
+    ]
+    outer = np.swapaxes(u_dirs * k_vals[..., None], -1, -2) @ u_dirs
+    trace = np.trace(outer, axis1=-2, axis2=-1)
+    s = v_root_inv @ (outer - (trace / m)[..., None, None] * np.eye(m)) @ v_root_inv
+    return _dup_t_vec(s) / (2.0 * np.sqrt(n))

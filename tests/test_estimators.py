@@ -303,7 +303,7 @@ def test_rank_statistic_zero_for_degenerate_configuration():
     basis = np.sqrt(m) * np.vstack([np.eye(m), -np.eye(m)])
     data = np.tile(basis, (4, 1))
     table = FlatScore().table(len(data), m)
-    delta = _rank_delta(data[None], np.eye(m)[None], table[None])[0, 0]
+    delta = _rank_delta(data.T[None], np.eye(m)[None], table[None])[0, 0]
     np.testing.assert_allclose(delta, 0.0, atol=1e-12)
     pre = ShapeEstimate(v_hat=np.eye(m), scale_kind="trace", method="scm")
     est = r_estimator(data, NORMALIZED_TRACE, FlatScore(), pre)
@@ -475,7 +475,7 @@ def test_rank_statistic_matches_dense_upsilon_oracle():
     q = np.einsum("ij,ij->i", w, w)
     u_dirs = w / np.sqrt(q)[:, None]
     outer = np.einsum("l,li,lj->ij", score(ranks(q) / (n + 1.0), m), u_dirs, u_dirs)
-    delta = _rank_delta(x[None], root_inv[None], score.table(n, m)[None])[0, 0]
+    delta = _rank_delta(x.T[None], root_inv[None], score.table(n, m)[None])[0, 0]
     ups = dense.upsilon(root_inv)
     np.testing.assert_allclose(delta, ups @ vec(outer) / (2.0 * np.sqrt(n)), rtol=1e-10)
 
@@ -512,3 +512,103 @@ def test_batched_tyler_nonconvergence_is_per_trial():
     slow = iterations > cap
     assert np.isnan(v[slow]).all() and np.all(residual[slow] >= 1e-10)
     assert np.isfinite(v[~slow]).all() and np.all(residual[~slow] < 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# coordinate-major kernels: layout, trial independence, row-major oracles
+# ---------------------------------------------------------------------------
+
+_SIZES = {2: 50, 4: 100, 10: 300}  # n per m
+
+
+def _kernel_outputs(data, scale):
+    """scm_batch, tyler_batch and r_step_batch (vdW and t(3)) on one stack."""
+    n, m = data.shape[1:]
+    tables = np.stack([VanDerWaerden().table(n, m), TScore(3).table(n, m)])
+    tyler = tyler_batch(data, scale)
+    return scm_batch(data, scale), tyler, r_step_batch(data, tyler[0], scale, tables)
+
+
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_kernels_give_the_same_bits_for_either_memory_layout(scale):
+    data = _datasets(5)
+    view = np.swapaxes(np.ascontiguousarray(np.swapaxes(data, -1, -2)), -1, -2)
+    assert data.flags.c_contiguous and not view.flags.c_contiguous
+    scm, tyler, r_step = _kernel_outputs(data, scale)
+    scm_v, tyler_v, r_step_v = _kernel_outputs(view, scale)
+    assert np.array_equal(scm_v, scm)
+    for got, want in zip((*tyler_v, *r_step_v), (*tyler, *r_step)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [4, 10])
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_kernel_trials_equal_their_single_trial_calls(scale, m):
+    data = _datasets(7, m=m, n=_SIZES[m])
+    scm, tyler, r_step = _kernel_outputs(data, scale)
+    for t in range(len(data)):
+        scm_1, tyler_1, r_step_1 = _kernel_outputs(data[t : t + 1], scale)
+        assert np.array_equal(scm_1[0], scm[t])
+        for got, want in zip(tyler_1, tyler):
+            assert np.array_equal(got[0], want[t])
+        for got, want in zip(r_step_1, r_step):
+            assert np.array_equal(got[:, 0], want[:, t])
+
+
+@pytest.mark.parametrize("m", [2, 4, 10])
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_tyler_matches_the_row_major_oracle(scale, m):
+    data = _datasets(6, m=m, n=_SIZES[m])
+    v, iterations, residual = tyler_batch(data, scale)
+    v_o, iterations_o, residual_o = dense.tyler_row_major(data, scale)
+    assert np.array_equal(iterations, iterations_o)
+    np.testing.assert_allclose(v, v_o, rtol=1e-12, atol=0)
+    assert np.all(residual < 1e-10) and np.all(residual_o < 1e-10)
+
+
+class _RecordingScale:
+    """A scale functional that keeps a copy of every stack it normalizes."""
+
+    def __init__(self, scale):
+        self.scale, self.seen = scale, []
+
+    def values(self, v):
+        self.seen.append(v.copy())
+        return self.scale.values(v)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_tyler_weights_are_the_row_major_quadratic_forms(m):
+    # The stacked inverse is not exactly symmetric.  The kernel reads it
+    # transposed, so each weight x_i^T V^-1 x_i is the same k-ordered sum
+    # as in the row-major (x V^-1) * x, bit for bit; reading V^-1 as it is
+    # gives the transposed sums, equal only up to rounding.
+    data = _datasets(5, m=m, n=_SIZES[m])
+    rec = _RecordingScale(NORMALIZED_TRACE)
+    tyler_batch(data, rec, max_iter=2)
+    v1 = rec.seen[0].copy()
+    v1 /= NORMALIZED_TRACE.values(v1)[..., None, None]
+    v1_inv = np.linalg.inv(v1)
+    assert not np.array_equal(v1_inv, np.swapaxes(v1_inv, -1, -2))
+    q = np.sum((data @ v1_inv) * data, axis=-1)
+    xt = np.ascontiguousarray(np.swapaxes(data, -1, -2))
+    want = (m / _SIZES[m]) * (xt / q[:, None, :]) @ np.swapaxes(xt, -1, -2)
+    assert np.array_equal(rec.seen[1], want)
+
+
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_rank_statistic_matches_the_row_major_oracle(scale):
+    # one V^-1/2 per dataset (T,) and one per score and dataset (S, T)
+    data = _datasets(4)
+    n, m = data.shape[1:]
+    v = tyler_batch(data, scale)[0]
+    root_inv = np.linalg.inv(np.stack([psd_sqrt(x) for x in v]))
+    tables = np.stack([VanDerWaerden().table(n, m), TScore(3).table(n, m)])
+    xt = np.swapaxes(data, -1, -2)
+    for r in (root_inv, np.stack([root_inv, 1.1 * root_inv])):
+        np.testing.assert_allclose(
+            _rank_delta(xt, r, tables),
+            dense.rank_delta_row_major(data, r, tables),
+            rtol=1e-12,
+            atol=1e-14,
+        )

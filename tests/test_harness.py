@@ -7,7 +7,7 @@ import pytest
 
 from ellipfim import simulate
 from ellipfim.cli import main
-from ellipfim.estimators import ScoreFunction, VanDerWaerden, tyler_batch
+from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
 from ellipfim.invariants import run_invariant_suite
 from ellipfim.generators import sample, student_t
 from ellipfim.scale import scale_by_name
@@ -92,6 +92,7 @@ def test_simulation_determinism_across_parallelism(tmp_path, pools):
     serial.to_csv(tmp_path / "serial.csv")
     pooled.to_csv(tmp_path / "pooled.csv")
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+    assert pooled.diagnostics == serial.diagnostics
 
 
 def test_simulation_one_block_runs_without_a_pool(tmp_path, small_result, pools):
@@ -172,6 +173,19 @@ def test_metadata_records_blocks_and_workers(tmp_path, small_result):
     assert meta["block_size"] == simulate._block_size(SMALL["m"], SMALL["n"]) == 163
     assert meta["blocks"] == 1
     assert meta["workers_used"] == 1
+    assert [d["nu"] for d in meta["diagnostics"]] == list(SMALL["nu_grid"])
+    for entry in meta["diagnostics"]:
+        assert set(entry) == {
+            "nu",
+            "tyler_iterations_mean",
+            "tyler_iterations_max",
+            "tyler_failures",
+            "r_rejections",
+        }
+        assert 1 <= entry["tyler_iterations_mean"] <= entry["tyler_iterations_max"] < 200
+        assert entry["tyler_failures"] == 0
+        assert set(entry["r_rejections"]) == {"vdw", "t3", "tnu"}
+        assert all(0 <= k <= SMALL["trials"] for k in entry["r_rejections"].values())
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +521,51 @@ BAD_CONFIG_VALUES = {
         {"parameterization": {"name": "low_rank", "p": 0}},
         "parameterization.p must be >= 1",
     ),
+    "split_rho_above_1": (
+        "adaptivity",
+        {"parameterization": {"name": "split", "rho": 1.5}},
+        "parameterization.rho must lie in (-1, 1)",
+    ),
+    "shape_scale_rho_1": (
+        "adaptivity",
+        {"parameterization": {"name": "shape_scale", "rho": 1.0}},
+        "parameterization.rho must lie in (-1, 1)",
+    ),
+    "shape_scale_s0": (
+        "adaptivity",
+        {"parameterization": {"name": "shape_scale", "s": 0}},
+        "parameterization.s must lie in (0, inf)",
+    ),
+    "low_rank_noise0": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank", "noise": 0}},
+        "parameterization.noise must lie in (0, inf)",
+    ),
+    "low_rank_noise_negative": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank", "noise": -1}},
+        "parameterization.noise must lie in (0, inf)",
+    ),
+    "low_rank_m1": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank", "m": 1, "p": 1, "gamma": [0.6]}},
+        "parameterization.m must satisfy",
+    ),
+    "breaking_rho2": (
+        "adaptivity",
+        {"parameterization": {"name": "breaking", "rho": 2}},
+        "parameterization.rho must lie in (-1, 1)",
+    ),
+    "breaking_gamma0_negative": (
+        "adaptivity",
+        {"parameterization": {"name": "breaking", "gamma0": -1}},
+        "parameterization.gamma0 must lie in (0, inf)",
+    ),
+    "breaking_gamma0_zero": (
+        "adaptivity",
+        {"parameterization": {"name": "breaking", "gamma0": 0}},
+        "parameterization.gamma0 must lie in (0, inf)",
+    ),
     "verify_key": ("verify", {"level": "fast", "levle": "full"}, "levle"),
     "simulate_rho_null": ("simulate", {"rho": None}, "rho must be a real number"),
 }
@@ -546,6 +605,23 @@ def test_cli_adaptivity_smallest_valid_models_exit_0(tmp_path, capsys, spec):
     assert "efficient-FIM gap" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"name": "split", "rho": -0.99},
+        {"name": "shape_scale", "rho": 0.99, "s": 1e-3},
+        {"name": "low_rank", "m": 3, "p": 2, "noise": 1e-3},
+        {"name": "breaking", "rho": -0.5, "gamma0": 1e-3},
+    ],
+    ids=lambda spec: spec["name"],
+)
+def test_cli_adaptivity_reals_inside_their_range_exit_0(tmp_path, capsys, spec):
+    cfg = tmp_path / "adapt.json"
+    cfg.write_text(json.dumps({"schema": 1, "parameterization": spec}))
+    assert main(["adaptivity", "--config", str(cfg)]) == 0
+    assert "efficient-FIM gap" in capsys.readouterr().out
+
+
 def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):
     from ellipfim import bounds
 
@@ -569,15 +645,17 @@ def test_trial_block_rows_independent_of_block_boundaries(scale_kind):
     tables = simulate._score_tables(config)
     total = len(SMALL["nu_grid"]) * SMALL["trials"]
     whole = simulate._trial_block(config, tables, 0, total)
-    assert whole.shape == (total, 5)
+    assert [a.shape for a in whole] == [(total, 5), (total,), (total,), (total, 3)]
     for size in (1, 7, 13):
         parts = [
             simulate._trial_block(config, tables, start, min(start + size, total))
             for start in range(0, total, size)
         ]
-        assert np.array_equal(np.vstack(parts), whole)
+        for got, want in zip(zip(*parts), whole):
+            assert np.array_equal(np.concatenate(got), want)
     # trials 25..34 hold the last five of nu = 3 and the first five of nu = 8
-    assert np.array_equal(simulate._trial_block(config, tables, 25, 35), whole[25:35])
+    for got, want in zip(simulate._trial_block(config, tables, 25, 35), whole):
+        assert np.array_equal(got, want[25:35])
 
 
 def test_score_tables_built_once_per_distinct_score(monkeypatch):
@@ -637,13 +715,30 @@ def test_nonconverging_tyler_counts_as_trial_failure(monkeypatch):
     cap = int(np.median(np.concatenate(list(iterations.values()))))
     monkeypatch.setattr(simulate, "tyler_batch", partial(tyler_batch, max_iter=cap))
     result = run_simulation(config)
-    for nu in config.nu_grid:
+    for nu, diagnostics in zip(config.nu_grid, result.diagnostics):
         slow = int((iterations[nu] > cap).sum())
         assert 0 < slow < config.trials
+        assert diagnostics["tyler_failures"] == slow
+        assert diagnostics["tyler_iterations_max"] <= cap
+        # a step from a failed preliminary fails; it is not a rejection
+        assert diagnostics["r_rejections"] == {"vdw": 0, "t3": 0, "tnu": 0}
         assert result.cell(nu, "scm").n_failed == 0
         for name in ("tyler", "r_vdw", "r_t3", "r_tnu"):
             assert result.cell(nu, name).n_failed == slow
             assert np.isfinite(result.cell(nu, name).mse)
+
+
+def test_diagnostics_count_the_rejected_r_steps_per_score(monkeypatch):
+    def reject_vdw(data, v, scale, tables):
+        v_new, alpha_hat, rejected = r_step_batch(data, v, scale, tables)
+        rejected = np.zeros_like(rejected)
+        rejected[0] = True
+        return v_new, alpha_hat, rejected
+
+    monkeypatch.setattr(simulate, "r_step_batch", reject_vdw)
+    result = run_simulation(SimConfig(**SMALL))
+    for diagnostics in result.diagnostics:
+        assert diagnostics["r_rejections"] == {"vdw": SMALL["trials"], "t3": 0, "tnu": 0}
 
 
 def test_unexpected_error_propagates(monkeypatch):

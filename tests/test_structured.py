@@ -11,6 +11,11 @@ from scipy.linalg import toeplitz
 import dense_oracles as dense
 from ellipfim import bounds, estimators, fim, matcalc
 from ellipfim.bounds import BoundSet, bound_set, verify_chain, write_bounds_csv
+from ellipfim.complexces import (
+    embedded_location_parameterization,
+    embedded_lowrank_parameterization,
+    embedded_rectilinear_parameterization,
+)
 from ellipfim.estimators import VanDerWaerden, _inv_sqrt, r_step_batch, scm_batch
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
 from ellipfim.matcalc import (
@@ -19,15 +24,20 @@ from ellipfim.matcalc import (
     commutation_matrix,
     dup_pinv,
     duplication_matrix,
+    ovecs,
     vec,
     vecs,
     vecs_len,
 )
 from ellipfim.parameterize import (
+    LowRankModel,
     breaking_parameterization,
     identity_parameterization,
     linear_split_parameterization,
+    low_rank_parameterization,
     shape_scale_parameterization,
+    sinusoid_steering,
+    split_parameterization,
     verify_adaptivity_by_fim,
 )
 from ellipfim.scale import (
@@ -170,6 +180,91 @@ def test_theta_fims_match_dense_oracles(m, gen):
         assert_close(fim.sfim_theta(param, theta0, gen), dense.sfim_theta(param, theta0, gen))
 
 
+def _identifiability_models():
+    """(label, param, theta0) for every parameterization builder of
+    ``parameterize`` and ``complexces``; low_rank at m=2, p=2 has more
+    coordinates than vecs(Sigma) and is rank deficient."""
+    rng = np.random.default_rng(7)
+    for m in (2, 4):
+        sigma0 = random_sigma(rng, m)
+        h = rng.standard_normal((m, 2))
+        yield f"linear_split-m{m}", linear_split_parameterization(h, m), np.concatenate(
+            [rng.standard_normal(2), vecs(sigma0)]
+        )
+        # finite-difference Jacobians
+        yield f"split_fd-m{m}", split_parameterization(
+            2, vecs_len(m), lambda g, h=h: h @ g, lambda xi, m=m: matcalc.unvecs(xi, m)
+        ), np.concatenate([rng.standard_normal(2), vecs(sigma0)])
+        for scale in ALL_SCALES:
+            dec = decompose(scale, sigma0)
+            yield f"shape_scale_{scale.kind}-m{m}", shape_scale_parameterization(
+                scale, m
+            ), np.concatenate([rng.standard_normal(m), ovecs(dec.v), [dec.s]])
+        yield f"identity-m{m}", identity_parameterization(m), np.concatenate(
+            [np.zeros(m), vecs(sigma0)]
+        )
+        yield f"breaking-m{m}", breaking_parameterization(sigma0), np.array([1.3])
+    for m, p in ((2, 2), (6, 2)):
+        a_fn, a_jac = sinusoid_steering(m)
+        model = LowRankModel(a_fn, a_jac, np.array([[2.0, 0.3], [0.3, 1.0]]), 0.8, p)
+        yield f"low_rank-m{m}-p{p}", low_rank_parameterization(model), model.theta0([0.6, 1.7])
+
+    m, p, q = 3, 2, 2
+    j = np.arange(m)[:, None]
+
+    def a_c(gamma):
+        return np.exp(1j * np.pi * j * np.sin(gamma)[None, :])
+
+    def a_c_jac(gamma):
+        out = np.zeros((m, p, q), dtype=complex)
+        for k in range(q):
+            out[:, k, k] = 1j * np.pi * j[:, 0] * np.cos(gamma[k]) * a_c(gamma)[:, k]
+        return out
+
+    b = rng.standard_normal((m, q)) + 1j * rng.standard_normal((m, q))
+    yield "embedded_location", embedded_location_parameterization(
+        lambda g: b @ g, lambda g: b, np.eye(m) + 0.2, None, q
+    ), rng.standard_normal(q)
+    gamma0 = np.array([0.3, 1.1])
+    xi_r = np.array([[2.0, 0.3], [0.3, 1.0]])
+    param, theta0_fn = embedded_lowrank_parameterization(a_c, a_c_jac, p, q, m)
+    xi_c = xi_r + 0.3j * np.array([[0, 1], [-1, 0]])
+    yield "embedded_lowrank", param, theta0_fn(gamma0, xi_c, 0.7)
+    param, theta0_fn = embedded_rectilinear_parameterization(a_c, a_c_jac, p, q, m)
+    yield "embedded_rectilinear", param, theta0_fn(gamma0, xi_r, 0.7)
+
+
+_IDENTIFIABILITY_MODELS = list(_identifiability_models())
+
+
+@pytest.mark.parametrize(
+    "label, param, theta0", _IDENTIFIABILITY_MODELS, ids=[c[0] for c in _IDENTIFIABILITY_MODELS]
+)
+def test_identifiability_rank_on_vecs_rows_matches_the_full_stack(label, param, theta0):
+    _, _, j_mu, j_sig = fim._jacobians(param, theta0)
+    full = np.vstack([j_mu, j_sig])  # the (m + m^2) x d oracle
+    stack = fim._identifiability_stack(j_mu, j_sig)
+    m = j_mu.shape[0]
+    assert stack.shape == (m + vecs_len(m), full.shape[1])
+    assert np.linalg.norm(stack) == pytest.approx(np.linalg.norm(full), rel=1e-14)
+    sv_full = np.linalg.svd(full, compute_uv=False)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    # the vecs rows drop only zero singular values
+    sv = np.concatenate([sv, np.zeros(len(sv_full) - len(sv))])
+    np.testing.assert_allclose(sv, sv_full, rtol=0, atol=1e-13 * sv_full[0])
+    tol = 1e-10 * max(1.0, np.linalg.norm(full))
+    rank_full = np.linalg.matrix_rank(full, tol=tol)
+    assert fim._identifiable(j_mu, j_sig) == (rank_full == full.shape[1])
+    assert (rank_full == full.shape[1]) == (label != "low_rank-m2-p2")
+
+
+def test_identifiability_of_a_non_finite_stack_is_false_without_an_svd(monkeypatch):
+    # an overflowed Jacobian (shape_scale with "s": 1e308) has no rank to test
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: pytest.fail("SVD called"))
+    j_sig = vec(np.array([[1.0, np.inf], [np.inf, 1.0]])).reshape(-1, 1)
+    assert not fim._identifiable(np.zeros((2, 1)), j_sig)
+
+
 def test_adaptivity_check_builds_the_geometry_once(monkeypatch):
     m = 4
     rng = np.random.default_rng(2)
@@ -253,8 +348,10 @@ def test_write_bounds_csv_bytes_match_per_entry_writer(tmp_path, monkeypatch, bs
     want = (tmp_path / "entries.csv").read_bytes()
     write_bounds_csv(bset, tmp_path / "rows.csv")
     assert (tmp_path / "rows.csv").read_bytes() == want
-    # a few rows per chunk: every block spans chunks, and most end on a short one
+    # a few rows per chunk and three values per format string: every block
+    # spans chunks and format slices, and most end on a short one
     monkeypatch.setattr(bounds, "_CHUNK_BYTES", 200)
+    monkeypatch.setattr(bounds, "_FORMAT_SLICE", 3)
     write_bounds_csv(bset, tmp_path / "rows.csv")
     assert (tmp_path / "rows.csv").read_bytes() == want
 
@@ -314,6 +411,35 @@ def test_write_bounds_csv_at_m32_holds_less_than_the_csv(tmp_path, kind):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size  # about 22.8 MB
+
+
+def test_write_bounds_csv_formats_an_all_distinct_block_in_slices(tmp_path):
+    # a 528 x 528 block with no repeated value, the m=32 crb_vecs_sigma size:
+    # formatted as one text, the writer peaked at 21.4 MiB
+    x = np.random.default_rng(528).standard_normal((528, 528))
+    bset = BoundSet(
+        crb_mu=np.ones((1, 1)),
+        crb_shape=np.ones((1, 1)),
+        crb_scale=1.0,
+        psi_cross=np.ones(1),
+        crb_vecs_sigma=x,
+        scale_kind="trace",
+        generator="distinct",
+        m=32,
+        s=1.0,
+    )
+    path = tmp_path / "bounds.csv"
+    tracemalloc.start()
+    try:
+        write_bounds_csv(bset, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 1 + 4 + x.size
+    assert lines[-1] == f"crb_vecs_sigma,527,527,{x[-1, -1]:.17g}".encode()
 
 
 # ---------------------------------------------------------------------------
