@@ -27,9 +27,9 @@ def show(title, param, theta0, gen):
     rep = verify_adaptivity_by_fim(param, theta0, gen)
     cond = rep.condition
     print(f"{title} under {gen.name}:")
-    print(f"  condition residual (max abs) = {np.abs(cond.residual).max():.3e}"
+    print(f"  condition residual (max |r_i| / sqrt(I_ii)) = {cond.scaled_residual.max():.3e}"
           f"  -> {'satisfied' if cond.satisfied else 'VIOLATED'}")
-    print(f"  efficient-FIM relative gap   = {rep.gap_rel:.3e}"
+    print(f"  efficient-FIM relative gap                  = {rep.gap_rel:.3e}"
           f"  -> {'adaptive' if rep.adaptive else 'NOT adaptive'}")
 
 

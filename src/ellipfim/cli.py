@@ -268,10 +268,10 @@ def cmd_adaptivity(args) -> int:
     gen = _generator_from_spec(data.get("generator", {"family": "t", "nu": 8}))
     report = verify_adaptivity_by_fim(param, theta0, gen)
     cond = report.condition
-    residual = np.abs(cond.residual).max()  # before any output: exit 2 prints nothing
+    residual = cond.scaled_residual.max()  # before any output: exit 2 prints nothing
     print(f"parameterization: {param.name} (q={param.q}, r={param.r})")
     print(f"generator:        {gen.name}")
-    print(f"condition residual (max abs): {residual:.3e} "
+    print(f"condition residual (max |r_i| / sqrt(I_ii)): {residual:.3e} "
           f"(tol {cond.tol:.3e}) -> {'satisfied' if cond.satisfied else 'violated'}")
     print(f"efficient-FIM gap: {report.gap:.3e} (relative {report.gap_rel:.3e}) "
           f"-> {'adaptive' if report.adaptive else 'not adaptive'}")

@@ -19,14 +19,13 @@ alpha_c(m) = alpha_r(2m), beta_c(m) = beta_r(2m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
 
 from .generators import DensityGenerator
-from .matcalc import duplication_matrix, vec, vecs, unvecs, vecs_len
-from .parameterize import Parameterization
+from .parameterize import LowRankModel, Parameterization, low_rank_parameterization
 
 __all__ = [
     "ComplexGenerator",
@@ -110,7 +109,10 @@ def complex_from_real(x_bar):
 
 
 def real_mat(c):
-    """Homomorphic real representation [[Re, -Im], [Im, Re]] of a complex matrix."""
+    """Homomorphic real representation [[Re, -Im], [Im, Re]] of a complex matrix.
+
+    A stack of matrices (leading axes) is mapped matrix by matrix.
+    """
     c = np.asarray(c, dtype=complex)
     return np.block([[c.real, -c.imag], [c.imag, c.real]])
 
@@ -281,7 +283,7 @@ def embedded_location_parameterization(mu_fn_c, jac_mu_c, sigma_c, omega_c, q):
         mu_fn=mu_fn,
         sigma_fn=lambda th: sigma_bar,
         jac_mu=jac_mu,
-        jac_vec_sigma=lambda th: np.zeros((two_m * two_m, q)),
+        jac_sigma=lambda th: np.zeros((q, two_m, two_m)),
         name="embedded_location",
     )
 
@@ -329,6 +331,7 @@ def embedded_lowrank_parameterization(a_fn_c, a_jac_c, p, q, m):
     (1/2) R(A Xi A^H) + (lambda/2) I, using the homomorphism R.
     """
     basis = hermitian_basis(p)
+    herm = np.array(basis)
     r = len(basis) + 1
 
     def unpack(theta):
@@ -346,14 +349,12 @@ def embedded_lowrank_parameterization(a_fn_c, a_jac_c, p, q, m):
         gamma, xi, lam = unpack(theta)
         a = np.asarray(a_fn_c(gamma), dtype=complex)
         da = np.asarray(a_jac_c(gamma), dtype=complex)
-        cols = []
-        for k in range(q):
-            a_k = da[:, :, k]
-            cols.append(vec(0.5 * real_mat(a_k @ xi @ a.conj().T + a @ xi @ a_k.conj().T)))
-        for e in basis:
-            cols.append(vec(0.5 * real_mat(a @ e @ a.conj().T)))
-        cols.append(vec(0.5 * np.eye(2 * m)))
-        return np.column_stack(cols)
+        # A_k Xi A^H + (A_k Xi A^H)^H with A_k = dA / d gamma_k
+        half = np.einsum("ipk,pr,jr->kij", da, xi, a.conj())
+        slices = np.concatenate(
+            [half + np.swapaxes(half, -1, -2).conj(), a @ herm @ a.conj().T, np.eye(m)[None]]
+        )
+        return 0.5 * real_mat(slices)
 
     def theta0(gamma0, xi0, lam0):
         return np.concatenate(
@@ -366,59 +367,38 @@ def embedded_lowrank_parameterization(a_fn_c, a_jac_c, p, q, m):
         mu_fn=lambda th: np.zeros(2 * m),
         sigma_fn=sigma_fn,
         jac_mu=lambda th: np.zeros((2 * m, q + r)),
-        jac_vec_sigma=jac_sig,
+        jac_sigma=jac_sig,
         name="embedded_lowrank",
     )
     return param, theta0
+
+
+def _re_over_im(c):
+    """(Re C; Im C): the rows of the real parts over those of the imaginary parts."""
+    c = np.asarray(c, dtype=complex)
+    return np.concatenate([c.real, c.imag])
 
 
 def embedded_rectilinear_parameterization(a_fn_c, a_jac_c, p, q, m):
     """Real 2m-model of the rectilinear scatter parameterization.
 
     Sigma_tilde = A_t Xi_r A_t^H + lambda I maps to the real low-rank model
-    Sigma_bar = A_bar Xi_r A_bar^T + (lambda/2) I with A_bar = (Re A; Im A).
+    Sigma_bar = A_bar Xi_r A_bar^T + (lambda/2) I with A_bar = (Re A; Im A),
+    so theta = (gamma, vecs Xi_r, lambda/2).  The efficient interest FIM
+    does not depend on how the nuisance is coordinatized.  ``m`` is implied
+    by A; it is kept for the signature of the other embedded models.
     """
-    npp = vecs_len(p)
-    dp = duplication_matrix(p)
-    r = npp + 1
-
-    def a_bar_of(gamma):
-        a = np.asarray(a_fn_c(gamma), dtype=complex)
-        return np.vstack([a.real, a.imag])
-
-    def unpack(theta):
-        gamma = theta[:q]
-        xi = unvecs(theta[q : q + npp], p)
-        lam = theta[-1]
-        return gamma, xi, lam
-
-    def sigma_fn(theta):
-        gamma, xi, lam = unpack(theta)
-        ab = a_bar_of(gamma)
-        return ab @ xi @ ab.T + 0.5 * lam * np.eye(2 * m)
-
-    def jac_sig(theta):
-        gamma, xi, lam = unpack(theta)
-        ab = a_bar_of(gamma)
-        da = np.asarray(a_jac_c(gamma), dtype=complex)
-        cols = []
-        for k in range(q):
-            db = np.vstack([da[:, :, k].real, da[:, :, k].imag])
-            cols.append(vec(db @ xi @ ab.T + ab @ xi @ db.T))
-        j_xi = np.kron(ab, ab) @ dp
-        j_lam = vec(0.5 * np.eye(2 * m)).reshape(-1, 1)
-        return np.hstack([np.column_stack(cols), j_xi, j_lam])
+    model = LowRankModel(
+        a_fn=lambda gamma: _re_over_im(a_fn_c(gamma)),
+        a_jac=lambda gamma: _re_over_im(a_jac_c(gamma)),
+        signal_cov=np.eye(p),  # only its size is read; theta0 sets the values
+        noise_level=1.0,
+        q=q,
+    )
 
     def theta0(gamma0, xi0, lam0):
-        return np.concatenate([np.asarray(gamma0, dtype=float), vecs(np.asarray(xi0, dtype=float)), [lam0]])
+        at = replace(model, signal_cov=np.asarray(xi0, dtype=float), noise_level=0.5 * lam0)
+        return at.theta0(gamma0)
 
-    param = Parameterization(
-        q=q,
-        r=r,
-        mu_fn=lambda th: np.zeros(2 * m),
-        sigma_fn=sigma_fn,
-        jac_mu=lambda th: np.zeros((2 * m, q + r)),
-        jac_vec_sigma=jac_sig,
-        name="embedded_rectilinear",
-    )
+    param = replace(low_rank_parameterization(model), name="embedded_rectilinear")
     return param, theta0

@@ -357,16 +357,14 @@ def r_estimator(
     scale: ScaleFunctional,
     score: ScoreFunction,
     preliminary: ShapeEstimate,
-    iterations: Optional[int] = None,
-    renormalize_output: bool = False,
 ) -> ShapeEstimate:
-    """One-step (optionally iterated) rank-based shape estimator.
+    """One-step rank-based shape estimator.
 
-    Iterating refreshes the tangent basis at the current estimate, which
-    only matters when U depends on the shape (det-root scale).  Measured
-    at n = 100 even there the extra sweeps cost a few percent of MSE
-    rather than helping, so the default is a single step for every scale;
-    pass iterations explicitly to study the iterated variant.
+    Iterating the step refreshes the tangent basis at the current
+    estimate, which only matters when U depends on the shape (det-root
+    scale); measured at n = 100 even there the extra sweeps cost a few
+    percent of MSE rather than helping, so the estimator takes one step
+    for every scale.
     """
     data = np.asarray(data, dtype=float)
     n, m = data.shape
@@ -374,37 +372,20 @@ def r_estimator(
         raise ValueError("need n > m(m+1)/2 observations for the one-step update")
     if preliminary.scale_kind != scale.kind:
         raise ValueError("preliminary estimate uses a different scale functional")
-    if iterations is None:
-        iterations = 1
 
-    table = score.table(n, m)[None]
     v = np.asarray(preliminary.v_hat, dtype=float)
-    alpha_hat = None
-    rejected = False
-    done = 0
-    for _ in range(iterations):
-        # the tangent basis and rank statistic are defined at manifold
-        # points, so each sweep starts from the renormalized iterate
-        v_new, alpha, rej = r_step_batch(data[None], v[None], scale, table)
-        if np.isnan(v_new).any():
-            raise linalg.LinAlgError(
-                "R-step intermediate is not finite and positive definite"
-            )
-        alpha_hat = float(alpha[0, 0])
-        rejected = bool(rej[0, 0])
-        if rejected:
-            break
+    v_new, alpha, rej = r_step_batch(data[None], v[None], scale, score.table(n, m)[None])
+    if np.isnan(v_new).any():
+        raise linalg.LinAlgError("R-step intermediate is not finite and positive definite")
+    rejected = bool(rej[0, 0])
+    if not rejected:  # a rejected step keeps the preliminary
         v = v_new[0, 0]
-        done += 1
-
-    if renormalize_output and not rejected:
-        v = renormalize(scale, v)
     return ShapeEstimate(
         v_hat=v,
         scale_kind=scale.kind,
         method=f"r[{score.name}]",
-        iterations=done,
-        alpha_hat=alpha_hat,
+        iterations=int(not rejected),
+        alpha_hat=float(alpha[0, 0]),
         manifold_dev=abs(scale.value(v) - 1.0),
         step_rejected=rejected,
     )

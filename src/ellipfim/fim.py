@@ -21,7 +21,7 @@ import numpy as np
 from scipy import linalg
 
 from .generators import DensityGenerator
-from .matcalc import _dup_gram, _dup_t_vec, _sym_kron_core, vec, vecs
+from .matcalc import _dup_gram, _dup_t_vec, _sym_kron_core, vecs
 from .scale import ScaleFunctional, grad_v11
 
 __all__ = [
@@ -46,7 +46,7 @@ class IdentifiabilityError(ValueError):
     """Parameterization Jacobians are rank deficient at the evaluation point."""
 
 
-def _as_batch(x, m):
+def _as_batch(x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     return np.atleast_2d(x), single
@@ -55,7 +55,7 @@ def _as_batch(x, m):
 def _whitened_parts(x, mu, sigma, gen: DensityGenerator):
     """Per-sample (d, W = Sigma^-1 d, Q, phibar(Q)) with the Q=0 branch."""
     m = np.asarray(mu).shape[0]
-    xb, single = _as_batch(x, m)
+    xb, single = _as_batch(x)
     d = xb - np.asarray(mu, dtype=float)
     cho = linalg.cho_factor(np.asarray(sigma, dtype=float), lower=True)
     w = linalg.cho_solve(cho, d.T).T
@@ -186,34 +186,46 @@ def fim_vecs_sigma(sigma, gen: DensityGenerator):
 
 
 def _jacobians(param, theta0):
+    """theta0, Sigma(theta0), the m x d J_mu and the (d, m, m) stack of Sigma_i."""
     theta0 = np.asarray(theta0, dtype=float)
     sigma = np.asarray(param.sigma_fn(theta0), dtype=float)
     j_mu = np.asarray(param.jacobian_mu(theta0), dtype=float)
-    j_sig = np.asarray(param.jacobian_vec_sigma(theta0), dtype=float)
+    j_sig = np.asarray(param.jacobian_sigma(theta0), dtype=float)
     return theta0, sigma, j_mu, j_sig
 
 
 def _identifiability_stack(j_mu, j_sig):
     """[J_mu; sqrt(F) vecs rows of J_vecSigma] with F = diag(D_m^T D_m).
 
-    Rows (i, j) and (j, i) of J_vecSigma are equal for a symmetric
-    Sigma(theta), and rotating each such pair by 45 degrees is orthogonal,
-    so this (m + m(m+1)/2) x d stack has the singular values and the
-    Frobenius norm of [J_mu; J_vecSigma].  The row pairs are symmetrized
-    first, which keeps the (a + b) / sqrt(2) row of each rotated pair.
+    Column i of J_vecSigma = d vec(Sigma) / d theta is vec(Sigma_i), whose
+    entries (i, j) and (j, i) are equal for a symmetric Sigma(theta), and
+    rotating each such row pair by 45 degrees is orthogonal, so this
+    (m + m(m+1)/2) x d stack has the singular values and the Frobenius
+    norm of [J_mu; J_vecSigma].  Each Sigma_i is symmetrized first, which
+    keeps the (a + b) / sqrt(2) row of each rotated pair.
     """
     m = j_mu.shape[0]
-    slices = j_sig.T.reshape(-1, m, m)
-    rows = np.sqrt(_dup_gram(m)) * vecs(0.5 * (slices + np.swapaxes(slices, -1, -2)))
+    rows = np.sqrt(_dup_gram(m)) * vecs(0.5 * (j_sig + np.swapaxes(j_sig, -1, -2)))
     return np.vstack([j_mu, rows.T])
 
 
 def _identifiable(j_mu, j_sig) -> bool:
+    """Full column rank of the stack, each column scaled to unit norm.
+
+    The rank of a matrix does not change when a column is scaled, so the
+    verdict does not depend on the units of theta_i; a zero column is a
+    coordinate that moves neither mu nor Sigma.
+    """
     stacked = _identifiability_stack(j_mu, j_sig)
     if not np.isfinite(stacked).all():  # LAPACK would print its error to stdout
         return False
-    tol = 1e-10 * max(1.0, np.linalg.norm(stacked))
-    return bool(np.linalg.matrix_rank(stacked, tol=tol) == stacked.shape[1])
+    peak = np.abs(stacked).max(axis=0)
+    if not peak.all():
+        return False
+    unit = stacked / peak  # no column norm over- or underflows
+    unit /= np.linalg.norm(unit, axis=0)
+    d = unit.shape[1]
+    return bool(np.linalg.matrix_rank(unit, tol=1e-10 * np.sqrt(d)) == d)
 
 
 _NOT_IDENTIFIABLE = "stacked Jacobian of (mu, vec Sigma) is rank deficient at theta0"
@@ -223,16 +235,17 @@ _NOT_IDENTIFIABLE = "stacked Jacobian of (mu, vec Sigma) is rank deficient at th
 class ModelGeometry:
     """What the FIMs of theta and the adaptivity condition need at theta0.
 
-    With L the Cholesky factor of Sigma and Sigma_i = d Sigma / d theta_i,
-    the whitened slices G_i = L^-1 Sigma_i L^-T give the Slepian-Bangs
-    form tr(Sigma^-1 Sigma_i Sigma^-1 Sigma_j) = vec(G_i)^T vec(G_j) of
-    J^T (Sigma^-1 (x) Sigma^-1) J, and tr(G_i) = vec(Sigma^-1)^T vec(Sigma_i).
+    With L the Cholesky factor of Sigma and Sigma_i = d Sigma / d theta_i
+    the derivative matrices of the parameterization, the whitened G_i =
+    L^-1 Sigma_i L^-T give the Slepian-Bangs form
+    tr(Sigma^-1 Sigma_i Sigma^-1 Sigma_j) = tr(G_i G_j) and
+    tr(Sigma^-1 Sigma_i) = tr(G_i).
     """
 
     m: int
     mu_gram: np.ndarray  # J_mu^T Sigma^-1 J_mu
-    sigma_gram: np.ndarray  # J^T (Sigma^-1 (x) Sigma^-1) J, J = d vec(Sigma) / d theta
-    sigma_trace: np.ndarray  # J^T vec(Sigma^-1)
+    sigma_gram: np.ndarray  # [tr(Sigma^-1 Sigma_i Sigma^-1 Sigma_j)]_ij
+    sigma_trace: np.ndarray  # [tr(Sigma^-1 Sigma_i)]_i
     identifiable: bool  # the stacked Jacobian of (mu, vec Sigma) has full column rank
 
 
@@ -245,9 +258,8 @@ def model_geometry(param, theta0) -> ModelGeometry:
     m = sigma.shape[0]
     identifiable = _identifiable(j_mu, j_sig)
     l_inv = linalg.solve_triangular(np.linalg.cholesky(sigma), np.eye(m), lower=True)
-    # column i of j_sig read row-major is Sigma_i^T; G_i^T has the same
-    # trace and the same pairwise inner products as G_i
-    slices = l_inv @ j_sig.T.reshape(-1, m, m) @ l_inv.T
+    slices = l_inv @ j_sig @ l_inv.T
+    # G_i is symmetric, so tr(G_i G_j) is the inner product of the entries
     flat = slices.reshape(slices.shape[0], m * m)
     w_mu = l_inv @ j_mu
     return ModelGeometry(
@@ -299,10 +311,9 @@ def _per_sample_parts(x, param, theta0, gen):
     m = mu.shape[0]
     d_, w, q, phi, single = _whitened_parts(x, mu, sigma, gen)
     sigma_inv = np.linalg.inv(sigma)
-    # tr(P_i) = vec(Sigma^-1)^T vec(Sigma_i) and d^T Sigma^-1 Sigma_i Sigma^-1 d;
-    # column i of j_sig read row-major is Sigma_i^T, which gives the same w^T . w
-    tr_p = vec(sigma_inv) @ j_sig
-    quad = np.einsum("li,kij,lj->lk", w, j_sig.T.reshape(-1, m, m), w)
+    # tr(P_i) = tr(Sigma^-1 Sigma_i) and d^T Sigma^-1 Sigma_i Sigma^-1 d
+    tr_p = np.einsum("ij,kji->k", sigma_inv, j_sig)
+    quad = np.einsum("li,kij,lj->lk", w, j_sig, w)
     lin = w @ j_mu  # d^T Sigma^-1 mu_i
     return q, phi, tr_p, quad, lin, single, m
 

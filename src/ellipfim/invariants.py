@@ -355,7 +355,7 @@ def _check_adaptivity_condition(_):
             cond = condition_check(param, theta, gen)
             rep = verify_adaptivity_by_fim(param, theta, gen)
             if not (cond.satisfied and rep.adaptive):
-                return False, f"{param.name}/{gen.name}: residual {cond.residual}"
+                return False, f"{param.name}/{gen.name}: scaled residual {cond.scaled_residual}"
         cond = condition_check(breaking, theta_break, gen)
         rep = verify_adaptivity_by_fim(breaking, theta_break, gen)
         if cond.satisfied or rep.adaptive:

@@ -7,8 +7,10 @@ the (1,1) entry of the matrix; ``ovecs`` drops that first element.
 The duplication matrix D_m, the commutation matrix K_m and the
 Moore-Penrose inverse D_m^+ are built by index arithmetic and cached per m
 as read-only arrays; they are m^2 x m(m+1)/2 and m^2 x m^2, so only the
-m^2 x d Jacobian interface of the parameterizations and the invariant
-suite build them.  No score, Fisher information, bound or estimator does:
+invariant suite and :func:`vecs_basis`, the derivative matrices of the
+vecs coordinates that the parameterizations hand to the Fisher
+informations, build them.  No score, Fisher information, bound or
+estimator does:
 the map D_m^T vec(A), which every score and projected FIM contains, is
 :func:`_dup_t_vec`, entry by entry, and the products
 D_m^+ (I + K_m)(A (x) A) D_m^+T and D_m^T (A (x) A) D_m are
@@ -33,6 +35,7 @@ __all__ = [
     "ovecs",
     "vecs_len",
     "duplication_matrix",
+    "vecs_basis",
     "commutation_matrix",
     "dup_pinv",
 ]
@@ -160,6 +163,15 @@ def duplication_matrix(m):
     d[r + c * m, k] = 1.0
     d[c + r * m, k] = 1.0
     return _frozen(d)
+
+
+def vecs_basis(m):
+    """The symmetric E_k with unvecs(e_k) = E_k, as an (m(m+1)/2, m, m) stack.
+
+    Column k of D_m is vec(E_k), and E_k is symmetric, so this is a
+    read-only view of the cached D_m; nothing is built per call.
+    """
+    return duplication_matrix(m).T.reshape(-1, m, m)
 
 
 @functools.lru_cache(maxsize=8)

@@ -2,10 +2,12 @@
 
 A parameterization carries the interest/nuisance split (interest first),
 the maps theta -> mu(theta) and theta -> Sigma(theta), and optionally
-analytic Jacobians; a central-difference fallback covers the rest.  The
-adaptivity condition decides, for a given generator, whether ignorance of
-the density generator costs efficiency on the interest block beyond what
-the finite-dimensional nuisance already costs.
+analytic derivatives: the m x d Jacobian of mu and the (d, m, m) stack of
+derivative matrices Sigma_i = d Sigma / d theta_i.  A central-difference
+fallback covers the rest.  The adaptivity condition decides, for a given
+generator, whether ignorance of the density generator costs efficiency on
+the interest block beyond what the finite-dimensional nuisance already
+costs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy import linalg
 
 from . import fim as fim_mod
 from .generators import DensityGenerator
-from .matcalc import duplication_matrix, ovecs, unvecs, vec, vecs, vecs_len
+from .matcalc import unvecs, vecs, vecs_basis, vecs_len
 from .scale import ScaleFunctional, jacobian_w, reconstruct_shape
 
 __all__ = [
@@ -40,17 +42,21 @@ __all__ = [
 
 
 def fd_jacobian(f: Callable, theta, h_base: float = 1e-6):
-    """Central-difference Jacobian with step h = max(h_base, h_base |theta_i|)."""
+    """Central-difference Jacobian with step h = max(h_base, h_base |theta_i|).
+
+    The derivative along theta_i is ``out[..., i]``, so ``out`` has the
+    shape of f(theta) followed by d.
+    """
     theta = np.asarray(theta, dtype=float)
     f0 = np.asarray(f(theta), dtype=float)
-    out = np.empty((f0.size, theta.size))
+    out = np.empty(f0.shape + (theta.size,))
     for i in range(theta.size):
         h = max(h_base, h_base * abs(theta[i]))
         up = theta.copy()
         dn = theta.copy()
         up[i] += h
         dn[i] -= h
-        out[:, i] = (np.asarray(f(up), dtype=float) - np.asarray(f(dn), dtype=float)).ravel() / (2 * h)
+        out[..., i] = (np.asarray(f(up), dtype=float) - np.asarray(f(dn), dtype=float)) / (2 * h)
     return out
 
 
@@ -63,7 +69,7 @@ class Parameterization:
     mu_fn: Callable
     sigma_fn: Callable
     jac_mu: Optional[Callable] = None
-    jac_vec_sigma: Optional[Callable] = None
+    jac_sigma: Optional[Callable] = None  # theta -> (d, m, m) stack of Sigma_i
     name: str = "custom"
 
     @property
@@ -73,14 +79,13 @@ class Parameterization:
     def jacobian_mu(self, theta):
         if self.jac_mu is not None:
             return np.asarray(self.jac_mu(theta), dtype=float)
-        return fd_jacobian(lambda th: np.asarray(self.mu_fn(th), dtype=float), theta)
+        return fd_jacobian(self.mu_fn, theta)
 
-    def jacobian_vec_sigma(self, theta):
-        if self.jac_vec_sigma is not None:
-            return np.asarray(self.jac_vec_sigma(theta), dtype=float)
-        return fd_jacobian(
-            lambda th: vec(np.asarray(self.sigma_fn(th), dtype=float)), theta
-        )
+    def jacobian_sigma(self, theta):
+        """The derivative matrices Sigma_i = d Sigma / d theta_i, shape (d, m, m)."""
+        if self.jac_sigma is not None:
+            return np.asarray(self.jac_sigma(theta), dtype=float)
+        return np.moveaxis(fd_jacobian(self.sigma_fn, theta), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +96,12 @@ class Parameterization:
 def identity_parameterization(m: int) -> Parameterization:
     """theta = (mu, vecs Sigma), everything interest."""
     nh = vecs_len(m)
-    dm = duplication_matrix(m)
 
     def jac_mu(theta):
         return np.hstack([np.eye(m), np.zeros((m, nh))])
 
     def jac_sig(theta):
-        return np.hstack([np.zeros((m * m, m)), dm])
+        return np.concatenate([np.zeros((m, m, m)), vecs_basis(m)])
 
     return Parameterization(
         q=m + nh,
@@ -105,7 +109,7 @@ def identity_parameterization(m: int) -> Parameterization:
         mu_fn=lambda th: th[:m],
         sigma_fn=lambda th: unvecs(th[m:], m),
         jac_mu=jac_mu,
-        jac_vec_sigma=jac_sig,
+        jac_sigma=jac_sig,
         name="identity",
     )
 
@@ -128,10 +132,9 @@ def shape_scale_parameterization(scale: ScaleFunctional, m: int) -> Parameteriza
 
     def jac_sig(theta):
         v = reconstruct_shape(scale, theta[m : m + nh - 1], m)
-        out = np.zeros((m * m, m + nh))
-        # D_m X, one vecs column of X at a time
-        out[:, m:] = vec(unvecs(jacobian_w(scale, v, theta[-1]).T, m)).T
-        return out
+        # column i of the vecs Jacobian is vecs(Sigma_i)
+        dsig = unvecs(jacobian_w(scale, v, theta[-1]).T, m)
+        return np.concatenate([np.zeros((m, m, m)), dsig])
 
     return Parameterization(
         q=m + nh - 1,
@@ -139,7 +142,7 @@ def shape_scale_parameterization(scale: ScaleFunctional, m: int) -> Parameteriza
         mu_fn=mu_fn,
         sigma_fn=sigma_fn,
         jac_mu=jac_mu,
-        jac_vec_sigma=jac_sig,
+        jac_sigma=jac_sig,
         name=f"shape_scale[{scale.kind}]",
     )
 
@@ -150,8 +153,7 @@ def split_parameterization(
     mu_of_gamma,
     sigma_of_xi,
     jac_mu_gamma=None,
-    jac_vec_sigma_xi=None,
-    m=None,
+    jac_sigma_xi=None,
 ) -> Parameterization:
     """mu depends only on gamma, Sigma only on xi (no parameters in common)."""
 
@@ -169,15 +171,15 @@ def split_parameterization(
             block = np.asarray(jac_mu_gamma(theta[:q]), dtype=float)
             return np.hstack([block, np.zeros((block.shape[0], r))])
 
-    if jac_vec_sigma_xi is not None:
+    if jac_sigma_xi is not None:
 
         def jac_sig(theta):
-            block = np.asarray(jac_vec_sigma_xi(theta[q:]), dtype=float)
-            return np.hstack([np.zeros((block.shape[0], q)), block])
+            block = np.asarray(jac_sigma_xi(theta[q:]), dtype=float)
+            return np.concatenate([np.zeros((q,) + block.shape[1:]), block])
 
     return Parameterization(
         q=q, r=r, mu_fn=mu_fn, sigma_fn=sigma_fn, jac_mu=jac_mu,
-        jac_vec_sigma=jac_sig, name="split",
+        jac_sigma=jac_sig, name="split",
     )
 
 
@@ -185,16 +187,13 @@ def linear_split_parameterization(h, m: int) -> Parameterization:
     """Concrete split model: mu = H gamma, Sigma = unvecs(xi)."""
     h = np.asarray(h, dtype=float)
     q = h.shape[1]
-    nh = vecs_len(m)
-    dm = duplication_matrix(m)
     return split_parameterization(
         q=q,
-        r=nh,
+        r=vecs_len(m),
         mu_of_gamma=lambda g: h @ g,
         sigma_of_xi=lambda xi: unvecs(xi, m),
         jac_mu_gamma=lambda g: h,
-        jac_vec_sigma_xi=lambda xi: dm,
-        m=m,
+        jac_sigma_xi=lambda xi: vecs_basis(m),
     )
 
 
@@ -220,7 +219,6 @@ def low_rank_parameterization(model: LowRankModel) -> Parameterization:
     q = model.q
     p = np.asarray(model.signal_cov).shape[0]
     npp = vecs_len(p)
-    dp = duplication_matrix(p)
 
     def unpack(theta):
         gamma = theta[:q]
@@ -248,14 +246,11 @@ def low_rank_parameterization(model: LowRankModel) -> Parameterization:
         if np.linalg.matrix_rank(a, tol=1e-12 * max(1.0, np.linalg.norm(a))) < a.shape[1]:
             raise fim_mod.IdentifiabilityError("factor matrix A is rank deficient")
         da = np.asarray(model.a_jac(gamma), dtype=float)
-        cols = []
-        for k in range(q):
-            a_k = da[:, :, k]
-            cols.append(vec(a_k @ xi @ a.T + a @ xi @ a_k.T))
-        j_gamma = np.column_stack(cols) if cols else np.zeros((m * m, 0))
-        j_xi = np.kron(a, a) @ dp
-        j_lam = vec(np.eye(m)).reshape(-1, 1)
-        return np.hstack([j_gamma, j_xi, j_lam])
+        # Sigma_k = A_k Xi A^T + (A_k Xi A^T)^T with A_k = dA / d gamma_k
+        half = np.einsum("ipk,pr,jr->kij", da, xi, a)
+        return np.concatenate(
+            [half + np.swapaxes(half, -1, -2), a @ vecs_basis(p) @ a.T, np.eye(m)[None]]
+        )
 
     return Parameterization(
         q=q,
@@ -263,7 +258,7 @@ def low_rank_parameterization(model: LowRankModel) -> Parameterization:
         mu_fn=mu_fn,
         sigma_fn=sigma_fn,
         jac_mu=jac_mu,
-        jac_vec_sigma=jac_sig,
+        jac_sigma=jac_sig,
         name="low_rank",
     )
 
@@ -283,7 +278,7 @@ def breaking_parameterization(sigma0) -> Parameterization:
         mu_fn=lambda th: np.zeros(m),
         sigma_fn=lambda th: th[0] * sigma0,
         jac_mu=lambda th: np.zeros((m, 1)),
-        jac_vec_sigma=lambda th: vec(sigma0).reshape(-1, 1),
+        jac_sigma=lambda th: sigma0[None],
         name="breaking",
     )
 
@@ -315,9 +310,10 @@ def sinusoid_steering(m: int, phase: float = 0.3):
 
 @dataclass
 class ConditionReport:
-    residual: np.ndarray
+    residual: np.ndarray  # r_i, in the units of 1 / theta_i
     interest_term: np.ndarray
-    tol: float
+    scaled_residual: np.ndarray  # |r_i| / sqrt(I_theta[i, i]), free of units
+    tol: float  # the bound on each scaled_residual entry
     satisfied: bool
 
 
@@ -344,35 +340,35 @@ def condition_check(
     The residual (J_gamma^T[vec Sigma] - I_ge I_e^-1 J_xi^T[vec Sigma])
     vec(Sigma^-1) vanishes exactly when the semiparametric efficient FIM
     for gamma equals the parametric one (for every non-Gaussian
-    generator; for the Gaussian the FIMs agree regardless).  The
-    tolerance is relative to the uncorrected interest term because the
-    condition is homogeneous in the Jacobian scaling.  ``geometry`` is
-    ``fim.model_geometry(param, theta0)`` when the caller has it.
+    generator; for the Gaussian the FIMs agree regardless).  Component
+    r_i has the units of 1 / theta_i, as has sqrt(I_theta[i, i]) of the
+    parametric FIM, so the condition holds when |r_i| <= rel_tol
+    sqrt(I_theta[i, i]) for every i, whatever the units of theta.
+    ``geometry`` is ``fim.model_geometry(param, theta0)`` when the caller
+    has it.
     """
     if geometry is None:
         geometry = fim_mod.model_geometry(param, theta0)
     q = param.q
-    # J^T vec(Sigma^-1), split into the interest and the nuisance rows
+    full_fim = fim_mod.fim_theta(param, theta0, gen, geometry=geometry)
+    # tr(Sigma^-1 Sigma_i), split into the interest and the nuisance rows
     interest_term = geometry.sigma_trace[:q]
+    residual = interest_term.copy()
     if param.r > 0:
-        full_fim = fim_mod.fim_theta(param, theta0, gen, geometry=geometry)
-        i_ge = full_fim[:q, q:]
-        i_e = full_fim[q:, q:]
         try:
-            cho = linalg.cho_factor(i_e, lower=True)
+            cho = linalg.cho_factor(full_fim[q:, q:], lower=True)
         except linalg.LinAlgError as exc:
             raise fim_mod.IdentifiabilityError(
                 "singular nuisance information block in condition check"
             ) from exc
-        residual = interest_term - i_ge @ linalg.cho_solve(cho, geometry.sigma_trace[q:])
-    else:
-        residual = interest_term.copy()
-    tol = rel_tol * max(1.0, np.abs(interest_term).max(initial=0.0))
+        residual -= full_fim[:q, q:] @ linalg.cho_solve(cho, geometry.sigma_trace[q:])
+    scaled = np.abs(residual) / np.sqrt(np.diag(full_fim)[:q])
     return ConditionReport(
         residual=residual,
         interest_term=interest_term,
-        tol=tol,
-        satisfied=bool(np.abs(residual).max(initial=0.0) < tol),
+        scaled_residual=scaled,
+        tol=rel_tol,
+        satisfied=bool(np.all(scaled <= rel_tol)),
     )
 
 

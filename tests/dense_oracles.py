@@ -150,7 +150,7 @@ def fim_vecs_sigma(sigma, gen):
 def _fim_theta(param, theta0, gen, rank1):
     sigma = np.asarray(param.sigma_fn(theta0), dtype=float)
     j_mu = param.jacobian_mu(theta0)
-    j_sig = param.jacobian_vec_sigma(theta0)
+    j_sig = vec(param.jacobian_sigma(theta0)).T  # d vec(Sigma) / d theta, m^2 x d
     sigma_inv = np.linalg.inv(sigma)
     m = sigma.shape[0]
     middle = np.kron(sigma_inv, sigma_inv) + rank1 * np.outer(

@@ -161,4 +161,4 @@ def test_lowrank_rank_deficient_a_rejected():
     )
     param = low_rank_parameterization(model)
     with pytest.raises(IdentifiabilityError):
-        param.jacobian_vec_sigma(model.theta0(np.array([0.4])))
+        param.jacobian_sigma(model.theta0(np.array([0.4])))

@@ -622,6 +622,24 @@ def test_cli_adaptivity_reals_inside_their_range_exit_0(tmp_path, capsys, spec):
     assert "efficient-FIM gap" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, key", [("breaking", "gamma0"), ("shape_scale", "s"), ("low_rank", "noise")]
+)
+def test_cli_adaptivity_verdicts_do_not_depend_on_units(tmp_path, capsys, name, key):
+    # r_i and sqrt(I_theta[i, i]) both have the units of 1 / theta_i
+    verdicts = set()
+    for value in (1e-9, 1e-3, 1.0, 1e3, 1e9):
+        cfg = tmp_path / "adapt.json"
+        spec = {"name": name, "seed": 5, key: value}
+        cfg.write_text(json.dumps({"schema": 1, "parameterization": spec}))
+        assert main(["adaptivity", "--config", str(cfg)]) == 0, value
+        out = capsys.readouterr().out
+        satisfied, adaptive = "-> satisfied" in out, "-> adaptive" in out
+        assert satisfied == adaptive, (value, out)
+        verdicts.add(satisfied)
+    assert verdicts == {name != "breaking"}
+
+
 def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):
     from ellipfim import bounds
 

@@ -32,6 +32,7 @@ from ellipfim.matcalc import (
 from ellipfim.parameterize import (
     LowRankModel,
     breaking_parameterization,
+    fd_jacobian,
     identity_parameterization,
     linear_split_parameterization,
     low_rank_parameterization,
@@ -180,10 +181,11 @@ def test_theta_fims_match_dense_oracles(m, gen):
         assert_close(fim.sfim_theta(param, theta0, gen), dense.sfim_theta(param, theta0, gen))
 
 
-def _identifiability_models():
+def _builder_models():
     """(label, param, theta0) for every parameterization builder of
-    ``parameterize`` and ``complexces``; low_rank at m=2, p=2 has more
-    coordinates than vecs(Sigma) and is rank deficient."""
+    ``parameterize`` and ``complexces``, and the finite-difference
+    fallback; low_rank at m=2, p=2 has more coordinates than vecs(Sigma)
+    and is rank deficient."""
     rng = np.random.default_rng(7)
     for m in (2, 4):
         sigma0 = random_sigma(rng, m)
@@ -234,15 +236,28 @@ def _identifiability_models():
     yield "embedded_rectilinear", param, theta0_fn(gamma0, xi_r, 0.7)
 
 
-_IDENTIFIABILITY_MODELS = list(_identifiability_models())
+_BUILDER_MODELS = list(_builder_models())
 
 
 @pytest.mark.parametrize(
-    "label, param, theta0", _IDENTIFIABILITY_MODELS, ids=[c[0] for c in _IDENTIFIABILITY_MODELS]
+    "label, param, theta0", _BUILDER_MODELS, ids=[c[0] for c in _BUILDER_MODELS]
+)
+def test_analytic_jacobians_match_finite_differences(label, param, theta0):
+    got = param.jacobian_sigma(theta0)
+    fd = np.moveaxis(fd_jacobian(param.sigma_fn, theta0), -1, 0)
+    m = np.asarray(param.sigma_fn(theta0)).shape[0]
+    assert got.shape == fd.shape == (param.d, m, m)
+    atol = 1e-6 * max(1.0, np.abs(got).max())
+    for i, (slice_got, slice_fd) in enumerate(zip(got, fd)):
+        np.testing.assert_allclose(slice_got, slice_fd, rtol=0, atol=atol, err_msg=f"Sigma_{i}")
+
+
+@pytest.mark.parametrize(
+    "label, param, theta0", _BUILDER_MODELS, ids=[c[0] for c in _BUILDER_MODELS]
 )
 def test_identifiability_rank_on_vecs_rows_matches_the_full_stack(label, param, theta0):
     _, _, j_mu, j_sig = fim._jacobians(param, theta0)
-    full = np.vstack([j_mu, j_sig])  # the (m + m^2) x d oracle
+    full = np.vstack([j_mu, vec(j_sig).T])  # the (m + m^2) x d oracle
     stack = fim._identifiability_stack(j_mu, j_sig)
     m = j_mu.shape[0]
     assert stack.shape == (m + vecs_len(m), full.shape[1])
@@ -252,16 +267,32 @@ def test_identifiability_rank_on_vecs_rows_matches_the_full_stack(label, param, 
     # the vecs rows drop only zero singular values
     sv = np.concatenate([sv, np.zeros(len(sv_full) - len(sv))])
     np.testing.assert_allclose(sv, sv_full, rtol=0, atol=1e-13 * sv_full[0])
-    tol = 1e-10 * max(1.0, np.linalg.norm(full))
-    rank_full = np.linalg.matrix_rank(full, tol=tol)
+    # the rank with every column scaled to unit norm
+    unit = full / np.linalg.norm(full, axis=0)
+    rank_full = np.linalg.matrix_rank(unit, tol=1e-10 * np.sqrt(full.shape[1]))
     assert fim._identifiable(j_mu, j_sig) == (rank_full == full.shape[1])
     assert (rank_full == full.shape[1]) == (label != "low_rank-m2-p2")
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-12, 1e12, 1e200])
+def test_identifiability_does_not_depend_on_the_scale_of_a_coordinate(s):
+    # the shape columns grow with s while the scale column vec(V) does not
+    m = 4
+    dec = decompose(NORMALIZED_TRACE, toeplitz(0.8 ** np.arange(m)))
+    theta0 = np.concatenate([np.zeros(m), ovecs(dec.v), [s]])
+    _, _, j_mu, j_sig = fim._jacobians(shape_scale_parameterization(NORMALIZED_TRACE, m), theta0)
+    assert fim._identifiable(j_mu, j_sig)
+
+
+def test_a_coordinate_that_moves_nothing_is_not_identifiable():
+    j_sig = np.stack([np.eye(2), np.zeros((2, 2))])
+    assert not fim._identifiable(np.zeros((2, 2)), j_sig)
 
 
 def test_identifiability_of_a_non_finite_stack_is_false_without_an_svd(monkeypatch):
     # an overflowed Jacobian (shape_scale with "s": 1e308) has no rank to test
     monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: pytest.fail("SVD called"))
-    j_sig = vec(np.array([[1.0, np.inf], [np.inf, 1.0]])).reshape(-1, 1)
+    j_sig = np.array([[[1.0, np.inf], [np.inf, 1.0]]])
     assert not fim._identifiable(np.zeros((2, 1)), j_sig)
 
 
@@ -270,7 +301,7 @@ def test_adaptivity_check_builds_the_geometry_once(monkeypatch):
     rng = np.random.default_rng(2)
     param, theta0 = next(_models(m, rng))
     calls = {"jacobian": 0, "rank": 0}
-    jac = param.jac_vec_sigma
+    jac = param.jac_sigma
 
     def counted_jac(theta):
         calls["jacobian"] += 1
@@ -282,7 +313,7 @@ def test_adaptivity_check_builds_the_geometry_once(monkeypatch):
         calls["rank"] += 1
         return rank(*args, **kwargs)
 
-    param.jac_vec_sigma = counted_jac
+    param.jac_sigma = counted_jac
     monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
     report = verify_adaptivity_by_fim(param, theta0, student_t(6))
     assert report.adaptive and report.condition.satisfied
