@@ -55,7 +55,7 @@ lam0 = 0.7
 general = cces_lowrank_fim(a_fn(gamma0), a_jac(gamma0), xi0, lam0, gen_c)
 d0 = np.stack([a_jac(gamma0)[:, k, k] for k in range(p)], axis=1)
 hadamard = doa_fim(a_fn(gamma0), d0, xi0, lam0, gen_c)
-param, theta0_fn = embedded_lowrank_parameterization(a_fn, a_jac, p, p, m)
+param, theta0_fn = embedded_lowrank_parameterization(a_fn, a_jac, p, p)
 oracle = efficient_fim_interest(
     fim_theta(param, theta0_fn(gamma0, xi0, lam0), gen_c.real()), p
 )

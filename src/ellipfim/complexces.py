@@ -2,11 +2,11 @@
 
 A complex m-vector is elliptically distributed when its stacked
 real/imaginary representation is a real elliptical 2m-vector.  The
-closed-form complex FIMs below are implemented directly in complex
-arithmetic; the real-embedded pipeline (build the 2m-dimensional real
-model, run the generic parameterized-FIM machinery) exists independently
-as the cross-check path, which is what makes the agreement tests
-meaningful.
+closed-form complex FIMs below work in complex arithmetic; the low-rank
+and rectilinear ones share one contraction [tr(A_k^H P A_l H)]_kl =
+vec(A_k)^H (H^T (x) P) vec(A_l), formed without the Kronecker product.
+The real-embedded models, run through the generic parameterized-FIM
+machinery, are the independent cross-check path.
 
 Conventions: x_tilde = (x^T, x^H)^T = sqrt(2) M x_bar with the fixed
 unitary M; Sigma_tilde = [[Sigma, Omega], [Omega*, Sigma*]] =
@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
-from .generators import DensityGenerator
+from .generators import DensityGenerator, gaussian, student_t
+from .matcalc import vecs_basis
 from .parameterize import LowRankModel, Parameterization, low_rank_parameterization
 
 __all__ = [
@@ -74,14 +75,10 @@ class ComplexGenerator:
 
 
 def complex_gaussian() -> ComplexGenerator:
-    from .generators import gaussian
-
     return ComplexGenerator(gaussian())
 
 
 def complex_student_t(nu) -> ComplexGenerator:
-    from .generators import student_t
-
     return ComplexGenerator(student_t(nu))
 
 
@@ -100,6 +97,12 @@ def embed_vector(x):
     """Complex m-vector -> real 2m-vector (Re, Im)."""
     x = np.asarray(x, dtype=complex)
     return np.concatenate([x.real, x.imag], axis=-1)
+
+
+def _re_over_im(c):
+    """(Re C; Im C): the rows of the real parts over those of the imaginary parts."""
+    c = np.asarray(c, dtype=complex)
+    return np.concatenate([c.real, c.imag])
 
 
 def complex_from_real(x_bar):
@@ -192,10 +195,27 @@ def ncces_fim_location(jac_mu_c, sigma_c, omega_c, gen_c: ComplexGenerator):
     return gen_c.beta(m) * _real_sym(j_tilde.conj().T @ sol, "nc location FIM")
 
 
-def _perp_projector(a):
-    a = np.asarray(a, dtype=complex)
-    gram = a.conj().T @ a
-    return np.eye(a.shape[0]) - a @ np.linalg.solve(gram, a.conj().T)
+def _lowrank_geometry(a, xi, lam):
+    """(H, P) of the low-rank scatter Sigma = A Xi A^H + lam I.
+
+    H = Xi A^H Sigma^-1 A Xi, and P = I - A (A^H A)^-1 A^H projects onto
+    the orthogonal complement of the columns of A.
+    """
+    eye = np.eye(a.shape[0])
+    sigma = a @ xi @ a.conj().T + lam * eye
+    h = xi @ a.conj().T @ np.linalg.solve(sigma, a) @ xi
+    perp = eye - a @ np.linalg.solve(a.conj().T @ a, a.conj().T)
+    return h, perp
+
+
+def _lowrank_contraction(da, h, perp):
+    """[tr(A_k^H P A_l H)]_kl for the slices A_k = da[:, :, k].
+
+    This is vec(A_k)^H (H^T (x) P) vec(A_l), since (H^T (x) P) vec(A_l)
+    = vec(P A_l H), without forming the Kronecker product.
+    """
+    slices = np.moveaxis(da, -1, 0)
+    return np.einsum("kij,lij->kl", slices.conj(), perp @ slices @ h)
 
 
 def cces_lowrank_fim(a, a_jac, signal_cov_c, lam, gen_c: ComplexGenerator):
@@ -205,60 +225,41 @@ def cces_lowrank_fim(a, a_jac, signal_cov_c, lam, gen_c: ComplexGenerator):
     Hermitian PD (p, p), lam > 0 noise level.
     """
     a = np.asarray(a, dtype=complex)
-    da = np.asarray(a_jac, dtype=complex)
-    xi = np.asarray(signal_cov_c, dtype=complex)
     m, p = a.shape
-    q = da.shape[2]
     if np.linalg.matrix_rank(a, tol=1e-12 * max(1.0, np.linalg.norm(a))) < p:
         raise ValueError("factor matrix must have full column rank")
-    sigma_c = a @ xi @ a.conj().T + lam * np.eye(m)
-    h0 = xi @ a.conj().T @ np.linalg.solve(sigma_c, a) @ xi
-    perp = _perp_projector(a)
-    j_vec_a = np.stack([da[:, :, k].reshape(-1, order="F") for k in range(q)], axis=1)
-    core = np.kron(h0.T, perp)
-    out = (2.0 * gen_c.alpha(m) / lam) * (j_vec_a.conj().T @ core @ j_vec_a).real
-    return _real_sym(out, "low-rank FIM")
+    h, perp = _lowrank_geometry(a, np.asarray(signal_cov_c, dtype=complex), lam)
+    gram = _lowrank_contraction(np.asarray(a_jac, dtype=complex), h, perp)
+    return _real_sym((2.0 * gen_c.alpha(m) / lam) * gram.real, "low-rank FIM")
 
 
 def doa_fim(a, d, signal_cov_c, lam, gen_c: ComplexGenerator):
     """One-parameter-per-source specialization: (2 alpha/lam) Re{(D^H P D) o H^T}."""
     a = np.asarray(a, dtype=complex)
     d = np.asarray(d, dtype=complex)
-    xi = np.asarray(signal_cov_c, dtype=complex)
-    m = a.shape[0]
-    sigma_c = a @ xi @ a.conj().T + lam * np.eye(m)
-    h0 = xi @ a.conj().T @ np.linalg.solve(sigma_c, a) @ xi
-    perp = _perp_projector(a)
+    h, perp = _lowrank_geometry(a, np.asarray(signal_cov_c, dtype=complex), lam)
     # the Hadamard factors are Hermitian, so the entrywise product has a
     # symmetric real part but conjugate-antisymmetric imaginary part
-    core = ((d.conj().T @ perp @ d) * h0.T).real
-    return (2.0 * gen_c.alpha(m) / lam) * 0.5 * (core + core.T)
+    core = ((d.conj().T @ perp @ d) * h.T).real
+    return (2.0 * gen_c.alpha(a.shape[0]) / lam) * 0.5 * (core + core.T)
 
 
 def rectilinear_fim(a, a_jac, signal_cov_r, lam, gen_c: ComplexGenerator):
     """Efficient interest FIM for the rectilinear low-rank model.
 
-    The augmented factor stacks A over its conjugate; the signal
-    covariance is real SPD.  Requires 2m > p.
+    The low-rank contraction of ``cces_lowrank_fim`` on the augmented
+    factor (A; A*) and its derivatives (A_k; A_k*); the signal covariance
+    is real SPD.  Requires 2m > p.
     """
     a = np.asarray(a, dtype=complex)
     da = np.asarray(a_jac, dtype=complex)
-    xi = np.asarray(signal_cov_r, dtype=float)
     m, p = a.shape
     if 2 * m <= p:
         raise ValueError("rectilinear model requires 2m > p")
-    q = da.shape[2]
-    a_t = np.vstack([a, a.conj()])
-    sig_t = a_t @ xi @ a_t.conj().T + lam * np.eye(2 * m)
-    h_t = xi @ a_t.conj().T @ np.linalg.solve(sig_t, a_t) @ xi
-    perp = _perp_projector(a_t)
-    j_vec = np.stack(
-        [np.vstack([da[:, :, k], da[:, :, k].conj()]).reshape(-1, order="F") for k in range(q)],
-        axis=1,
-    )
-    core = np.kron(h_t.T, perp)
-    out = (gen_c.alpha(m) / lam) * (j_vec.conj().T @ core @ j_vec)
-    return _real_sym(out, "rectilinear FIM")
+    xi = np.asarray(signal_cov_r, dtype=float)
+    h, perp = _lowrank_geometry(np.vstack([a, a.conj()]), xi, lam)
+    gram = _lowrank_contraction(np.concatenate([da, da.conj()]), h, perp)
+    return _real_sym((gen_c.alpha(m) / lam) * gram, "rectilinear FIM")
 
 
 # ---------------------------------------------------------------------------
@@ -270,123 +271,85 @@ def embedded_location_parameterization(mu_fn_c, jac_mu_c, sigma_c, omega_c, q):
     """Real 2m-model for a complex location parameterization with fixed scatter."""
     sigma_bar = sigma_bar_from_complex(sigma_c, omega_c)
     two_m = sigma_bar.shape[0]
-
-    def mu_fn(theta):
-        return embed_vector(mu_fn_c(theta))
-
-    def jac_mu(theta):
-        return np.vstack([np.asarray(jac_mu_c(theta)).real, np.asarray(jac_mu_c(theta)).imag])
-
     return Parameterization(
         q=q,
         r=0,
-        mu_fn=mu_fn,
+        mu_fn=lambda th: embed_vector(mu_fn_c(th)),
         sigma_fn=lambda th: sigma_bar,
-        jac_mu=jac_mu,
+        jac_mu=lambda th: _re_over_im(jac_mu_c(th)),
         jac_sigma=lambda th: np.zeros((q, two_m, two_m)),
         name="embedded_location",
     )
 
 
 def hermitian_basis(p: int):
-    """Real basis of Hermitian p x p matrices: p(p+1)/2 symmetric + p(p-1)/2 skew."""
-    basis = []
-    for j in range(p):
-        for i in range(j, p):
-            e = np.zeros((p, p), dtype=complex)
-            if i == j:
-                e[i, i] = 1.0
-            else:
-                e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-    for j in range(p):
-        for i in range(j + 1, p):
-            e = np.zeros((p, p), dtype=complex)
-            e[i, j] = 1j
-            e[j, i] = -1j
-            basis.append(e)
-    return basis
+    """Real basis of Hermitian p x p matrices as a (p^2, p, p) stack.
+
+    First the p(p+1)/2 symmetric ``vecs_basis(p)``, then the skew
+    i(E_ij - E_ji), i > j, in the same column-major order.
+    """
+    cols, rows = np.triu_indices(p, 1)
+    skew = np.zeros((len(rows), p, p), dtype=complex)
+    k = np.arange(len(rows))
+    skew[k, rows, cols] = 1j
+    skew[k, cols, rows] = -1j
+    return np.concatenate([vecs_basis(p), skew])
 
 
-def _hermitian_from_params(params, basis):
-    out = np.zeros_like(basis[0])
-    for c, e in zip(params, basis):
-        out = out + c * e
-    return out
-
-
-def _hermitian_params(xi, basis):
-    coords = []
-    for e in basis:
-        # basis elements are orthogonal under Re tr(E^H X) with norms 1 or 2
-        norm = np.real(np.vdot(e, e))
-        coords.append(np.real(np.vdot(e, xi)) / norm)
-    return np.array(coords)
-
-
-def embedded_lowrank_parameterization(a_fn_c, a_jac_c, p, q, m):
+def embedded_lowrank_parameterization(a_fn_c, a_jac_c, p, q):
     """Real 2m-model of the circular low-rank scatter parameterization.
 
     theta = (gamma, hermitian params of Xi, lambda); Sigma_bar =
-    (1/2) R(A Xi A^H) + (lambda/2) I, using the homomorphism R.
+    (1/2) R(A Xi A^H) + (lambda/2) I, using the homomorphism R.  m is
+    read from A.
     """
-    basis = hermitian_basis(p)
-    herm = np.array(basis)
-    r = len(basis) + 1
+    herm = hermitian_basis(p)
+    # the basis is orthogonal under Re tr(E^H X), with squared norms 1 or 2
+    norms = np.einsum("kij,kij->k", herm.conj(), herm).real
+    r = len(herm) + 1
 
     def unpack(theta):
-        gamma = theta[:q]
-        xi = _hermitian_from_params(theta[q : q + len(basis)], basis)
-        lam = theta[-1]
-        return gamma, xi, lam
+        a = np.asarray(a_fn_c(theta[:q]), dtype=complex)
+        xi = np.tensordot(theta[q : q + len(herm)], herm, axes=1)
+        return a, xi, theta[-1]
 
     def sigma_fn(theta):
-        gamma, xi, lam = unpack(theta)
-        a = np.asarray(a_fn_c(gamma), dtype=complex)
-        return 0.5 * real_mat(a @ xi @ a.conj().T) + 0.5 * lam * np.eye(2 * m)
+        a, xi, lam = unpack(theta)
+        return 0.5 * real_mat(a @ xi @ a.conj().T) + 0.5 * lam * np.eye(2 * len(a))
 
     def jac_sig(theta):
-        gamma, xi, lam = unpack(theta)
-        a = np.asarray(a_fn_c(gamma), dtype=complex)
-        da = np.asarray(a_jac_c(gamma), dtype=complex)
+        a, xi, _ = unpack(theta)
+        da = np.asarray(a_jac_c(theta[:q]), dtype=complex)
         # A_k Xi A^H + (A_k Xi A^H)^H with A_k = dA / d gamma_k
         half = np.einsum("ipk,pr,jr->kij", da, xi, a.conj())
         slices = np.concatenate(
-            [half + np.swapaxes(half, -1, -2).conj(), a @ herm @ a.conj().T, np.eye(m)[None]]
+            [half + np.swapaxes(half, -1, -2).conj(), a @ herm @ a.conj().T, np.eye(len(a))[None]]
         )
         return 0.5 * real_mat(slices)
 
     def theta0(gamma0, xi0, lam0):
-        return np.concatenate(
-            [np.asarray(gamma0, dtype=float), _hermitian_params(np.asarray(xi0, dtype=complex), basis), [lam0]]
-        )
+        coords = np.einsum("kij,ij->k", herm.conj(), np.asarray(xi0, dtype=complex)).real / norms
+        return np.concatenate([np.asarray(gamma0, dtype=float), coords, [lam0]])
 
     param = Parameterization(
         q=q,
         r=r,
-        mu_fn=lambda th: np.zeros(2 * m),
+        mu_fn=lambda th: np.zeros(2 * len(a_fn_c(th[:q]))),
         sigma_fn=sigma_fn,
-        jac_mu=lambda th: np.zeros((2 * m, q + r)),
+        jac_mu=lambda th: np.zeros((2 * len(a_fn_c(th[:q])), q + r)),
         jac_sigma=jac_sig,
         name="embedded_lowrank",
     )
     return param, theta0
 
 
-def _re_over_im(c):
-    """(Re C; Im C): the rows of the real parts over those of the imaginary parts."""
-    c = np.asarray(c, dtype=complex)
-    return np.concatenate([c.real, c.imag])
-
-
-def embedded_rectilinear_parameterization(a_fn_c, a_jac_c, p, q, m):
+def embedded_rectilinear_parameterization(a_fn_c, a_jac_c, p, q):
     """Real 2m-model of the rectilinear scatter parameterization.
 
     Sigma_tilde = A_t Xi_r A_t^H + lambda I maps to the real low-rank model
     Sigma_bar = A_bar Xi_r A_bar^T + (lambda/2) I with A_bar = (Re A; Im A),
     so theta = (gamma, vecs Xi_r, lambda/2).  The efficient interest FIM
-    does not depend on how the nuisance is coordinatized.  ``m`` is implied
-    by A; it is kept for the signature of the other embedded models.
+    does not depend on how the nuisance is coordinatized.
     """
     model = LowRankModel(
         a_fn=lambda gamma: _re_over_im(a_fn_c(gamma)),

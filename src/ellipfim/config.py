@@ -9,6 +9,8 @@ code 2 before anything is written.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["ConfigError", "check_number", "check_reals", "reject_unknown"]
@@ -19,8 +21,8 @@ class ConfigError(ValueError):
 
 
 def check_number(value, key, kind=float, least=None):
-    """``value`` as an ``int`` (``kind=int``) or a real number (``kind=float``),
-    no smaller than ``least`` when that is given.
+    """``value`` as an ``int`` (``kind=int``) or a finite real number
+    (``kind=float``), no smaller than ``least`` when that is given.
 
     ``bool`` is rejected although it is an ``int`` subclass, and so is an
     integral float such as ``4.0`` where an ``int`` is required.
@@ -29,6 +31,13 @@ def check_number(value, key, kind=float, least=None):
     if isinstance(value, bool) or not isinstance(value, types):
         what = "an integer" if kind is int else "a real number"
         raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if kind is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(f"{key} must be >= {least}, got {value!r}")
     return kind(value)

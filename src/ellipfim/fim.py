@@ -252,21 +252,31 @@ class ModelGeometry:
 def model_geometry(param, theta0) -> ModelGeometry:
     """Jacobians, identifiability and whitened Gram matrices at theta0.
 
-    Raises ``LinAlgError`` when Sigma(theta0) is not positive definite.
+    Raises ``LinAlgError`` when Sigma(theta0) is not positive definite and
+    ``ValueError`` when the Gram matrices are not finite.
     """
     _, sigma, j_mu, j_sig = _jacobians(param, theta0)
     m = sigma.shape[0]
     identifiable = _identifiable(j_mu, j_sig)
     l_inv = linalg.solve_triangular(np.linalg.cholesky(sigma), np.eye(m), lower=True)
-    slices = l_inv @ j_sig @ l_inv.T
-    # G_i is symmetric, so tr(G_i G_j) is the inner product of the entries
-    flat = slices.reshape(slices.shape[0], m * m)
-    w_mu = l_inv @ j_mu
+    # a Sigma_i far larger than Sigma (theta in extreme units) overflows the
+    # products; that is reported once below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        slices = l_inv @ j_sig @ l_inv.T
+        # G_i is symmetric, so tr(G_i G_j) is the inner product of the entries
+        flat = slices.reshape(slices.shape[0], m * m)
+        w_mu = l_inv @ j_mu
+        mu_gram, sigma_gram = w_mu.T @ w_mu, flat @ flat.T
+        trace = np.trace(slices, axis1=1, axis2=2)
+        # sum_i t_i^2 bounds every entry of the rank-one term t t^T
+        finite = all(np.isfinite(x).all() for x in (mu_gram, sigma_gram, trace @ trace))
+    if not finite:
+        raise ValueError("whitened Gram matrices are not finite at theta0")
     return ModelGeometry(
         m=m,
-        mu_gram=w_mu.T @ w_mu,
-        sigma_gram=flat @ flat.T,
-        sigma_trace=np.trace(slices, axis1=1, axis2=2),
+        mu_gram=mu_gram,
+        sigma_gram=sigma_gram,
+        sigma_trace=trace,
         identifiable=identifiable,
     )
 

@@ -145,8 +145,9 @@ class _StudentT(DensityGenerator):
         return (m + self.nu) / (m + self.nu + 2.0)
 
     def beta(self, m):
+        # two bounded ratios: the product nu (m + nu) overflows for huge nu
         nu = self.nu
-        return nu * (m + nu) / ((nu - 2.0) * (m + nu + 2.0))
+        return (nu / (nu - 2.0)) * ((m + nu) / (m + nu + 2.0))
 
     def sigma_q2(self, m):
         if self.nu <= 4.0:

@@ -426,7 +426,7 @@ def _check_complex_consistency(_):
     w = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
     xi0 = w @ w.conj().T + p * np.eye(p)
     closed = cces_lowrank_fim(a_fn(gamma0), a_jac(gamma0), xi0, 0.7, gen_c)
-    param, theta0_fn = embedded_lowrank_parameterization(a_fn, a_jac, p, q, m)
+    param, theta0_fn = embedded_lowrank_parameterization(a_fn, a_jac, p, q)
     oracle = fim_mod.efficient_fim_interest(
         fim_mod.fim_theta(param, theta0_fn(gamma0, xi0, 0.7), gen_c.real()), q
     )
@@ -450,7 +450,7 @@ def _check_complex_consistency(_):
     xr = rng.standard_normal((p2, p2))
     xi_r = xr @ xr.T + p2 * np.eye(p2)
     closed = rectilinear_fim(ar_fn(gamma0), ar_jac(gamma0), xi_r, 0.9, gen_c)
-    param, theta0_fn = embedded_rectilinear_parameterization(ar_fn, ar_jac, p2, q2, m2)
+    param, theta0_fn = embedded_rectilinear_parameterization(ar_fn, ar_jac, p2, q2)
     oracle = fim_mod.efficient_fim_interest(
         fim_mod.fim_theta(param, theta0_fn(gamma0, xi_r, 0.9), gen_c.real()), q2
     )

@@ -89,8 +89,6 @@ class SimConfig:
         if not self.nu_grid:
             raise ValueError("nu_grid must hold at least one nu")
         grid = list(self.nu_grid)
-        if not all(math.isfinite(nu) for nu in grid):
-            raise ValueError(f"nu_grid must hold finite values, got {grid}")
         if len(set(grid)) < len(grid):
             raise ValueError(f"nu_grid must not repeat a nu, got {grid}")
         if not all(nu > 2.0 for nu in self.nu_grid):

@@ -4,7 +4,8 @@ These are the m^2 x m^2 expressions the structured vecs-space forms in
 ``ellipfim`` replace, written exactly as the formulas read: Kronecker
 products, the commutation matrix, the duplication matrix and its
 pseudo-inverse built by loops.  They cost O(m^6) time and O(m^4) memory,
-so tests call them at small m only.
+so tests call them at small m only.  The Kronecker form of the complex
+low-rank contraction and the loop-built Hermitian basis are here too.
 
 The row-major Tyler iteration and rank statistic at the end are the
 Monte-Carlo kernels as they were before they went coordinate-major: each
@@ -27,6 +28,30 @@ def duplication_loops(m):
         d[i + j * m, k] = 1.0
         d[j + i * m, k] = 1.0
     return d
+
+
+def hermitian_basis_loops(p):
+    """The p(p+1)/2 symmetric E_ij + E_ji (E_ii on the diagonal), then the
+    p(p-1)/2 skew i(E_ij - E_ji), i > j, each in column-major order."""
+    basis = []
+    for j in range(p):
+        for i in range(j, p):
+            e = np.zeros((p, p), dtype=complex)
+            e[i, j] = e[j, i] = 1.0
+            basis.append(e)
+    for j in range(p):
+        for i in range(j + 1, p):
+            e = np.zeros((p, p), dtype=complex)
+            e[i, j] = 1j
+            e[j, i] = -1j
+            basis.append(e)
+    return np.array(basis)
+
+
+def lowrank_kron(a_jac, h, perp):
+    """[vec(A_k)^H (H^T (x) P) vec(A_l)]_kl with A_k = a_jac[:, :, k]."""
+    j_vec = a_jac.reshape(-1, a_jac.shape[-1], order="F")
+    return j_vec.conj().T @ np.kron(h.T, perp) @ j_vec
 
 
 def commutation_loops(m):

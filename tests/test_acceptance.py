@@ -493,7 +493,7 @@ def test_criterion_8_complex_consistency():
         lam0 = 0.4 + rng.uniform(0, 1)
         a0, da0 = a_fn(gamma0), a_jac(gamma0)
         closed = cces_lowrank_fim(a0, da0, xi0, lam0, gen_c)
-        param, theta0_fn = embedded_lowrank_parameterization(a_fn, a_jac, p, q, m)
+        param, theta0_fn = embedded_lowrank_parameterization(a_fn, a_jac, p, q)
         oracle = efficient_fim_interest(
             fim_theta(param, theta0_fn(gamma0, xi0, lam0), gen_c.real()), q
         )
@@ -524,9 +524,7 @@ def test_criterion_8_complex_consistency():
         xi_r = xr @ xr.T + p2 * np.eye(p2)
         lam0 = 0.4 + rng.uniform(0, 1)
         closed = rectilinear_fim(ar_fn(gamma0), ar_jac(gamma0), xi_r, lam0, gen_c)
-        param, theta0_fn = embedded_rectilinear_parameterization(
-            ar_fn, ar_jac, p2, q2, m2
-        )
+        param, theta0_fn = embedded_rectilinear_parameterization(ar_fn, ar_jac, p2, q2)
         oracle = efficient_fim_interest(
             fim_theta(param, theta0_fn(gamma0, xi_r, lam0), gen_c.real()), q2
         )

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dense_oracles import hermitian_basis_loops, lowrank_kron
+from ellipfim import complexces
 from ellipfim.complexces import (
     cces_fim_location,
     cces_lowrank_fim,
@@ -149,9 +152,14 @@ def test_complex_generator_functionals():
 def test_hermitian_basis_spans():
     p = 3
     basis = hermitian_basis(p)
-    assert len(basis) == p * p
+    assert basis.shape == (p * p, p, p)
     flat = np.stack([e.ravel() for e in basis])
     assert np.linalg.matrix_rank(np.vstack([flat.real, flat.imag]).T) == p * p
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_hermitian_basis_matches_the_loop_built_basis(p):
+    np.testing.assert_array_equal(hermitian_basis(p), hermitian_basis_loops(p))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +228,7 @@ def test_cces_lowrank_matches_real_embedding(seed):
     xi0 = random_hermitian_pd(rng, p)
     lam0 = 0.5 + rng.uniform(0, 1)
     closed = cces_lowrank_fim(a_fn(gamma0), a_jac(gamma0), xi0, lam0, gen_c)
-    param, theta0_fn = embedded_lowrank_parameterization(a_fn, a_jac, p, q, m)
+    param, theta0_fn = embedded_lowrank_parameterization(a_fn, a_jac, p, q)
     oracle = efficient_fim_interest(
         fim_theta(param, theta0_fn(gamma0, xi0, lam0), gen_c.real()), q
     )
@@ -281,7 +289,7 @@ def test_rectilinear_matches_real_embedding(seed):
     xi_r = xr @ xr.T + p * np.eye(p)
     lam0 = 0.5 + rng.uniform(0, 1)
     closed = rectilinear_fim(a_fn(gamma0), a_jac(gamma0), xi_r, lam0, gen_c)
-    param, theta0_fn = embedded_rectilinear_parameterization(a_fn, a_jac, p, q, m)
+    param, theta0_fn = embedded_rectilinear_parameterization(a_fn, a_jac, p, q)
     oracle = efficient_fim_interest(
         fim_theta(param, theta0_fn(gamma0, xi_r, lam0), gen_c.real()), q
     )
@@ -298,7 +306,7 @@ def test_rectilinear_single_source_positive():
     assert out.shape == (1, 1)
     assert out[0, 0] > 0
     # cross-check against the embedded pipeline
-    param, theta0_fn = embedded_rectilinear_parameterization(a_fn, a_jac, p, q, m)
+    param, theta0_fn = embedded_rectilinear_parameterization(a_fn, a_jac, p, q)
     oracle = efficient_fim_interest(
         fim_theta(param, theta0_fn(gamma0, xi_r, 0.9), gen_c.real()), q
     )
@@ -314,7 +322,7 @@ def test_rectilinear_gaussian_matches_sfim_path():
     xi_r = np.diag([2.0, 1.0])
     lam0 = 0.8
     closed = rectilinear_fim(a_fn(gamma0), a_jac(gamma0), xi_r, lam0, gen_c)
-    param, theta0_fn = embedded_rectilinear_parameterization(a_fn, a_jac, p, q, m)
+    param, theta0_fn = embedded_rectilinear_parameterization(a_fn, a_jac, p, q)
     oracle = efficient_fim_interest(
         sfim_theta(param, theta0_fn(gamma0, xi_r, lam0), gen_c.real()), q
     )
@@ -341,3 +349,89 @@ def test_rectilinear_rejects_too_many_sources():
     da = np.zeros((m, 4, 1), dtype=complex)
     with pytest.raises(ValueError):
         rectilinear_fim(a, da, np.eye(4), 1.0, gen_c)
+
+
+# ---------------------------------------------------------------------------
+# property tests: closed forms against the real-embedded pipeline
+# ---------------------------------------------------------------------------
+
+
+def mixed_steering(m, mix, phase):
+    """p = mix.shape[0] sources at angles base + mix @ gamma, q = mix.shape[1]."""
+    j = np.arange(m)[:, None]
+    base = np.linspace(-0.9, 0.9, mix.shape[0])
+
+    def a_fn(gamma):
+        return np.exp(1j * (np.pi * j * np.sin(base + mix @ gamma) + phase))
+
+    def a_jac(gamma):
+        rate = 1j * np.pi * j * np.cos(base + mix @ gamma) * a_fn(gamma)
+        return rate[:, :, None] * mix[None]
+
+    return a_fn, a_jac
+
+
+def _rel(closed, oracle):
+    return np.linalg.norm(closed - oracle) / np.linalg.norm(oracle)
+
+
+@st.composite
+def lowrank_instances(draw):
+    m = draw(st.integers(2, 6))
+    p = draw(st.integers(1, min(3, m - 1)))
+    q = draw(st.integers(1, p))
+    phase = draw(st.floats(-np.pi, np.pi))
+    lam = draw(st.floats(0.1, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    xi = w @ w.conj().T + draw(st.floats(0.1, 2.0)) * np.eye(p)  # Hermitian PD
+    mix = rng.standard_normal((p, q))
+    gamma = 0.1 * rng.standard_normal(q)
+    return m, p, q, phase, xi, lam, mix, gamma
+
+
+def _embedded_interest(build, a_fn, a_jac, p, q, gamma, xi, lam, gen_c):
+    param, theta0_fn = build(a_fn, a_jac, p, q)
+    theta0 = theta0_fn(gamma, xi, lam)
+    return efficient_fim_interest(fim_theta(param, theta0, gen_c.real()), q)
+
+
+@given(lowrank_instances(), st.sampled_from([3.5, 6.0, 40.0]))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_cces_lowrank_and_doa_match_the_embedding(instance, nu):
+    m, p, q, phase, xi, lam, mix, gamma = instance
+    gen_c = complex_student_t(nu)
+    a_fn, a_jac = mixed_steering(m, mix, phase)
+    a0, da0 = a_fn(gamma), a_jac(gamma)
+    closed = cces_lowrank_fim(a0, da0, xi, lam, gen_c)
+    oracle = _embedded_interest(
+        embedded_lowrank_parameterization, a_fn, a_jac, p, q, gamma, xi, lam, gen_c
+    )
+    assert _rel(closed, oracle) < 1e-8
+    # the contraction is the Kronecker form vec(A_k)^H (H^T (x) P) vec(A_l)
+    h, perp = complexces._lowrank_geometry(a0, xi, lam)
+    kron = lowrank_kron(da0, h, perp)
+    assert _rel(complexces._lowrank_contraction(da0, h, perp), kron) < 1e-12
+    # one parameter per source: the Hadamard form
+    a_fn, a_jac = mixed_steering(m, np.eye(p), phase)
+    gamma_p = 0.1 * np.arange(1, p + 1)
+    d0 = np.einsum("ikk->ik", a_jac(gamma_p))
+    closed = doa_fim(a_fn(gamma_p), d0, xi, lam, gen_c)
+    oracle = _embedded_interest(
+        embedded_lowrank_parameterization, a_fn, a_jac, p, p, gamma_p, xi, lam, gen_c
+    )
+    assert _rel(closed, oracle) < 1e-8
+
+
+@given(lowrank_instances(), st.sampled_from([3.5, 6.0, 40.0]))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_rectilinear_matches_the_embedding(instance, nu):
+    m, p, q, phase, xi, lam, mix, gamma = instance
+    xi_r = xi.real  # the real part of a Hermitian PD matrix is SPD
+    gen_c = complex_student_t(nu)
+    a_fn, a_jac = mixed_steering(m, mix, phase)
+    closed = rectilinear_fim(a_fn(gamma), a_jac(gamma), xi_r, lam, gen_c)
+    oracle = _embedded_interest(
+        embedded_rectilinear_parameterization, a_fn, a_jac, p, q, gamma, xi_r, lam, gen_c
+    )
+    assert _rel(closed, oracle) < 1e-8

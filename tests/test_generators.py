@@ -88,6 +88,16 @@ def test_student_t6_m4_paper_values():
     assert c.sigma_q2 == pytest.approx(32.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 4, 32])
+def test_student_t_beta_tends_to_one_as_nu_grows(m):
+    # nu (m + nu) alone overflows past nu ~ 1e154
+    nus = (1e3, 1e8, 1e15, 1e100, 1e200, 1e300)
+    gaps = np.abs(np.array([student_t(nu).beta(m) for nu in nus]) - 1.0)
+    assert np.isfinite(gaps).all()
+    assert (np.diff(gaps) <= 0).all()
+    assert gaps[-1] <= 1e-15
+
+
 @pytest.mark.parametrize("gen", GENS, ids=str)
 @pytest.mark.parametrize("m", [2, 4, 8])
 def test_alpha_beta_against_mp_quadrature(gen, m):

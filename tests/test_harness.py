@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from functools import partial
 
 import numpy as np
@@ -586,6 +587,62 @@ def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, case):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def _non_finite_configs():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        for family, key in (("t", "nu"), ("gg", "shape")):
+            gen = {"family": family, key: value}
+            yield f"bounds_{family}_{value}", "bounds", {"m": 4, "generator": gen}, f"generator.{key}"
+            adapt = {"parameterization": {"name": "breaking"}, "generator": gen}
+            yield f"adaptivity_{family}_{value}", "adaptivity", adapt, f"generator.{key}"
+        yield f"bounds_rho_{value}", "bounds", {"m": 4, "sigma": {"rho": value}}, "sigma.rho"
+    # a JSON integer literal beyond the float range
+    yield "bounds_rho_huge_int", "bounds", {"m": 4, "sigma": {"rho": 10**400}}, "sigma.rho"
+
+
+NON_FINITE_CONFIGS = {case: rest for case, *rest in _non_finite_configs()}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CONFIGS))
+def test_cli_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, case):
+    command, data, named = NON_FINITE_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, **data}))  # NaN and Infinity literals
+    argv = [command, "--config", str(cfg)]
+    if command == "bounds":
+        argv += ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"config error: {named} must be finite")
+    assert captured.out == "" and not caught
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_bounds_at_huge_nu_writes_no_nan(tmp_path, capsys):
+    cfg = tmp_path / "bounds.json"
+    cfg.write_text(json.dumps({"schema": 1, "m": 4, "generator": {"family": "t", "nu": 1e300}}))
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    [csv_path] = (tmp_path / "out").glob("*.csv")
+    assert "nan" not in csv_path.read_text().lower()
+
+
+def test_cli_adaptivity_overflowing_geometry_is_one_error_line(tmp_path, capsys):
+    # Sigma = s V with s = 1e-200 against Sigma_s = V: the whitened Gram
+    # entry of the scale is m / s^2, beyond the float range
+    cfg = tmp_path / "adapt.json"
+    spec = {"name": "shape_scale", "s": 1e-200}
+    cfg.write_text(json.dumps({"schema": 1, "parameterization": spec}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["adaptivity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ValueError:") and "not finite" in line
+    assert captured.out == "" and not caught
 
 
 @pytest.mark.parametrize(

@@ -229,10 +229,10 @@ def _builder_models():
     ), rng.standard_normal(q)
     gamma0 = np.array([0.3, 1.1])
     xi_r = np.array([[2.0, 0.3], [0.3, 1.0]])
-    param, theta0_fn = embedded_lowrank_parameterization(a_c, a_c_jac, p, q, m)
+    param, theta0_fn = embedded_lowrank_parameterization(a_c, a_c_jac, p, q)
     xi_c = xi_r + 0.3j * np.array([[0, 1], [-1, 0]])
     yield "embedded_lowrank", param, theta0_fn(gamma0, xi_c, 0.7)
-    param, theta0_fn = embedded_rectilinear_parameterization(a_c, a_c_jac, p, q, m)
+    param, theta0_fn = embedded_rectilinear_parameterization(a_c, a_c_jac, p, q)
     yield "embedded_rectilinear", param, theta0_fn(gamma0, xi_r, 0.7)
 
 
