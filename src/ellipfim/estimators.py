@@ -21,7 +21,8 @@ The rank-based update is
 with V* a sqrt(n)-consistent preliminary (Tyler by default), Delta the
 rank statistic built from the score function K applied to the ranks of
 the whitened quadratic forms, and Xi the tangent-space weighting
-2 U [U^T Upsilon Upsilon^T U]^{-1} U^T.  The Gram Upsilon Upsilon^T =
+2 U [U^T Upsilon Upsilon^T U]^{-1} U^T, applied as one solve per trial
+without U or Xi being formed.  The Gram Upsilon Upsilon^T =
 D_m^T (V^-1 (x) V^-1 - vec(V^-1) vec(V^-1)^T / m) D_m is built entry by
 entry, by the vecs-space core that also serves the bounds and the FIMs,
 so no m^2 x m^2 array is formed.  alpha_hat is a local-slope estimate of
@@ -38,11 +39,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 from .fim import _vecs_information
 from .matcalc import _dup_t_vec, ovecs, unvecs, vecs, vecs_len
-from .scale import ScaleFunctional, renormalize, u_basis
+from .scale import ScaleFunctional, constraint_gradient_vecs, renormalize
 
 __all__ = [
     "ScoreFunction",
@@ -95,7 +96,8 @@ class VanDerWaerden(ScoreFunction):
     name = "vdw"
 
     def __call__(self, u, m):
-        return stats.chi2.ppf(np.asarray(u, dtype=float), df=m)
+        # the chi2_m quantile, as scipy.stats computes it
+        return 2.0 * special.gammaincinv(0.5 * m, np.asarray(u, dtype=float))
 
 
 class TScore(ScoreFunction):
@@ -111,7 +113,8 @@ class TScore(ScoreFunction):
         return (type(self), self.nu)
 
     def __call__(self, u, m):
-        f_inv = stats.f.ppf(np.asarray(u, dtype=float), m, self.nu)
+        # the F(m, nu) quantile, as scipy.stats computes it
+        f_inv = special.fdtri(m, self.nu, np.asarray(u, dtype=float))
         return m * (m + self.nu) * f_inv / (self.nu + m * f_inv)
 
 
@@ -303,13 +306,33 @@ def _rank_delta(xt, v_root_inv, tables):
     return np.ascontiguousarray(_dup_t_vec(s)) / (2.0 * np.sqrt(n))
 
 
-def _xi_matrix(gram, u):
-    """2 U [U^T Upsilon Upsilon^T U]^{-1} U^T over a stack, from the Gram
-    Upsilon Upsilon^T; NaN where the bracket is not positive definite."""
-    g = np.swapaxes(u, -1, -2) @ gram @ u
-    l_inv = _stacked(np.linalg.inv, _stacked(np.linalg.cholesky, g))
-    b = u @ np.swapaxes(l_inv, -1, -2)
-    return 2.0 * b @ np.swapaxes(b, -1, -2)
+def _tangent_step(gram, g, delta):
+    """Xi Delta = 2 U [U^T G U]^{-1} U^T Delta for every score, from the Gram
+    G = Upsilon Upsilon^T (T, d, d), the constraint gradient g (T, d) and
+    the rank statistics ``delta`` (S, T, d), with no tangent basis U.
+
+    With e = g / |g| and P = I - e e^T, [U e] is orthogonal and
+    P G P + e e^T = [U e] diag(U^T G U, 1) [U e]^T, so it is positive
+    definite exactly when U^T G U is, and its solution z of
+    (P G P + e e^T) z = P Delta is U [U^T G U]^{-1} U^T Delta.  The
+    matrix is built by rank-one updates, checked by Cholesky and solved
+    once per trial for all S right-hand sides.  A trial is NaN where it
+    is not finite or not positive definite.
+    """
+    g = np.ascontiguousarray(g)  # a sum over a strided last axis depends on T
+    e = g / np.sqrt(np.sum(g * g, axis=-1))[..., None]
+    a = (gram @ e[..., None])[..., 0]
+    c = np.sum(e * a, axis=-1)
+    ea = e[..., :, None] * a[..., None, :]
+    ee = e[..., :, None] * e[..., None, :]
+    h = gram - (ea + np.swapaxes(ea, -1, -2)) + (c + 1.0)[..., None, None] * ee
+    pd = np.isfinite(_stacked(np.linalg.cholesky, h)).all(axis=(-2, -1))
+    h[~pd] = np.eye(h.shape[-1])
+    p_delta = delta - np.sum(delta * e, axis=-1)[..., None] * e
+    z = np.linalg.solve(h, np.moveaxis(p_delta, 0, -1))
+    step = 2.0 * np.moveaxis(z, -1, 0)
+    step[:, ~pd] = np.nan
+    return step
 
 
 def r_step_batch(data, v, scale: ScaleFunctional, tables):
@@ -317,8 +340,10 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
     to S(V) = 1 first, for a (T, n, m) stack of datasets and every score
     table of ``tables``: (S, n), or (S, T, n) for a table per dataset.
 
-    The Upsilon Gram, U and Xi depend only on the starting point V*, so
-    they are built once per trial and shared by all scores.  Returns ``(v_new,
+    The Upsilon Gram and the constraint gradient depend only on the
+    starting point V*, so each trial makes one positive-definite solve in
+    the tangent space, shared by all scores, and forms neither the tangent
+    basis U nor Xi (:func:`_tangent_step`).  Returns ``(v_new,
     alpha_hat, rejected)`` with leading axes (S, T).  A rejected step keeps
     V*; ``v_new`` is NaN where a non-finite or non-PD intermediate made the
     step fail.
@@ -330,13 +355,10 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
         v_star = renormalize(scale, v)
         v_root_inv = _stacked(_inv_sqrt, v_star)
         delta0 = _rank_delta(xt, v_root_inv, tables)
-        good = np.isfinite(v_root_inv).all(axis=(-2, -1))
-        u = np.full((len(v_star), vecs_len(m), vecs_len(m) - 1), np.nan)
-        if good.any():
-            u[good] = u_basis(scale, v_star[good])
+        finite = np.isfinite(v_star).all(axis=(-2, -1))
+        g = constraint_gradient_vecs(scale, np.where(finite[:, None, None], v_star, np.eye(m)))
         gram = _vecs_information(v_root_inv @ v_root_inv, 1.0, -1.0 / m)[0]
-        xi = _xi_matrix(gram, u)
-        step = (xi @ delta0[..., None])[..., 0]
+        step = _tangent_step(gram, g, delta0)
         base = vecs(v_star)
         # local slope of the rank statistic along the update direction
         v_probe = renormalize(scale, unvecs(base + step / root_n, m))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 from scipy.special import gammaln
 
 __all__ = [
@@ -116,8 +116,8 @@ class _Gaussian(DensityGenerator):
 
 class _StudentT(DensityGenerator):
     def __init__(self, nu):
-        if nu <= 2.0:
-            raise ValueError("Student-t requires nu > 2 for E{Q} = m")
+        if not 2.0 < nu < math.inf:  # False for NaN
+            raise ValueError(f"Student-t requires a finite nu > 2 for E{{Q}} = m (nu={nu})")
         self.nu = float(nu)
         self.name = f"t({nu:g})"
 
@@ -159,8 +159,8 @@ class _StudentT(DensityGenerator):
 
 class _GeneralizedGaussian(DensityGenerator):
     def __init__(self, shape):
-        if shape <= 0.0:
-            raise ValueError("Generalized Gaussian requires shape > 0")
+        if not 0.0 < shape < math.inf:  # False for NaN
+            raise ValueError(f"Generalized Gaussian requires a finite shape > 0 (shape={shape})")
         self.shape = float(shape)
         self.name = f"gg({shape:g})"
 
@@ -241,6 +241,8 @@ def expect(gen: DensityGenerator, m: int, f: Callable, tol: float = 1e-12) -> fl
     below tol relative to the accumulated value.  Handles the slowly
     decaying tails of low-dof t generators without a fixed cutoff.
     """
+
+    from scipy import integrate  # here, so that importing the package does not load it
 
     def integrand(q):
         return f(q) * gen.q_pdf(q, m)

@@ -5,7 +5,9 @@ These are the m^2 x m^2 expressions the structured vecs-space forms in
 products, the commutation matrix, the duplication matrix and its
 pseudo-inverse built by loops.  They cost O(m^6) time and O(m^4) memory,
 so tests call them at small m only.  The Kronecker form of the complex
-low-rank contraction and the loop-built Hermitian basis are here too.
+low-rank contraction, the loop-built Hermitian basis and the R-step's
+tangent-space weighting Xi, built from an explicit tangent basis, are
+here too.
 
 The row-major Tyler iteration and rank statistic at the end are the
 Monte-Carlo kernels as they were before they went coordinate-major: each
@@ -191,6 +193,16 @@ def _fim_theta(param, theta0, gen, rank1):
 def fim_theta(param, theta0, gen):
     m = np.asarray(param.sigma_fn(theta0)).shape[0]
     return _fim_theta(param, theta0, gen, 0.5 * (1.0 - 1.0 / gen.alpha(m)))
+
+
+def xi_matrix(gram, u):
+    """Xi = 2 U [U^T G U]^{-1} U^T over a stack, from the Gram
+    G = Upsilon Upsilon^T and the tangent basis U of ``scale.u_basis``;
+    NaN where the bracket is not positive definite."""
+    g = np.swapaxes(u, -1, -2) @ gram @ u
+    l_inv = _stacked(np.linalg.inv, _stacked(np.linalg.cholesky, g))
+    b = u @ np.swapaxes(l_inv, -1, -2)
+    return 2.0 * b @ np.swapaxes(b, -1, -2)
 
 
 def sfim_theta(param, theta0, gen):

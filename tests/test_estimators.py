@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.linalg import toeplitz
 from scipy.optimize import bisect
 from scipy.special import betainc, gammainc
@@ -390,6 +391,18 @@ def test_mse_index_rejects_mixed_scales():
     b = ShapeEstimate(v_hat=np.eye(2), scale_kind="det", method="scm")
     with pytest.raises(ValueError):
         mse_index([a, b], np.eye(2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 10, 32])
+def test_score_tables_equal_the_scipy_stats_quantiles(m):
+    # the scores call the scipy.special functions behind chi2.ppf and f.ppf
+    for n in (5, 100, 101, 300, 2000):
+        u = np.arange(1, n + 1) / (n + 1.0)
+        np.testing.assert_array_equal(VanDerWaerden().table(n, m), stats.chi2.ppf(u, df=m))
+        for nu in (0.5, 1, 2.1, 3, 10, 1e3):
+            f_inv = stats.f.ppf(u, m, nu)
+            want = m * (m + nu) * f_inv / (nu + m * f_inv)
+            np.testing.assert_array_equal(TScore(nu).table(n, m), want)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,14 @@ def test_student_t_requires_nu_above_2():
         student_t(2.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", [student_t, generalized_gaussian])
+def test_non_finite_generator_parameters_are_rejected(family, value):
+    # NaN compares False with every bound, so it needs its own rejection
+    with pytest.raises(ValueError, match="finite"):
+        family(value)
+
+
 # ---------------------------------------------------------------------------
 # moment identities and Q density normalization (library quadrature path)
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
+import ellipfim
 from ellipfim import simulate
 from ellipfim.cli import main
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
@@ -218,6 +222,23 @@ def test_invariant_suite_rejects_unknown_level():
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: the test session itself has loaded scipy.stats
+    src = os.path.dirname(os.path.dirname(ellipfim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, ellipfim.cli; print(' '.join(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "scipy.special" in loaded
+    for module in ("scipy.stats", "scipy.integrate", "scipy.optimize"):
+        assert module not in loaded
 
 
 def test_cli_simulate_and_outputs(tmp_path, capsys):

@@ -17,6 +17,7 @@ from ellipfim.complexces import (
     embedded_rectilinear_parameterization,
 )
 from ellipfim.estimators import VanDerWaerden, _inv_sqrt, r_step_batch, scm_batch
+from ellipfim.fim import _vecs_information
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
 from ellipfim.matcalc import (
     _dup_t_vec,
@@ -45,9 +46,11 @@ from ellipfim.scale import (
     DET_ROOT,
     FIRST_ELEMENT,
     NORMALIZED_TRACE,
+    constraint_gradient_vecs,
     decompose,
     jacobian_w_inv,
     m_matrix,
+    renormalize,
     u_basis,
 )
 from ellipfim.simulate import SimConfig, run_simulation
@@ -141,21 +144,52 @@ def test_stacked_core_matches_per_item_calls(shape):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 9])
 def test_r_step_gram_matches_dense_upsilon(m, monkeypatch):
-    # the Gram that r_step_batch hands to _xi_matrix, for a stack of 3 trials
+    # the Gram that r_step_batch hands to _tangent_step, for a stack of 3 trials
     n = vecs_len(m) + 20
     data = np.random.default_rng(m).standard_normal((3, n, m))
     v = scm_batch(data, NORMALIZED_TRACE)
     grams = []
-    xi_matrix = estimators._xi_matrix
+    tangent_step = estimators._tangent_step
 
-    def capture(gram, u):
+    def capture(gram, g, delta):
         grams.append(gram)
-        return xi_matrix(gram, u)
+        return tangent_step(gram, g, delta)
 
-    monkeypatch.setattr(estimators, "_xi_matrix", capture)
+    monkeypatch.setattr(estimators, "_tangent_step", capture)
     r_step_batch(data, v, NORMALIZED_TRACE, VanDerWaerden().table(n, m)[None])
     want = [u @ u.T for u in map(dense.upsilon, _inv_sqrt(v))]
     assert_close(grams[0], want)
+
+
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 10])
+def test_tangent_step_matches_xi_oracle(m, scale):
+    # the projected solve against Xi Delta, Xi built from the tangent basis
+    rng = np.random.default_rng(m)
+    v = renormalize(scale, np.stack([random_sigma(rng, m) for _ in range(6)]))
+    gram = _vecs_information(np.linalg.inv(v), 1.0, -1.0 / m)[0]
+    g = constraint_gradient_vecs(scale, v)
+    delta = rng.standard_normal((3, 6, vecs_len(m)))
+    step = estimators._tangent_step(gram, g, delta)
+    xi = dense.xi_matrix(gram, u_basis(scale, v))
+    assert_close(step, (xi @ delta[..., None])[..., 0])
+    # trial 1 is NaN, trial 2's bracket U^T G U is negative definite and
+    # trial 5's is singular: their steps are NaN.  Trial 3's Gram is not
+    # PD along the constraint gradient only, which leaves the bracket and
+    # the step as they were.
+    bad = gram.copy()
+    bad[1, 0, 0] = np.nan
+    bad[2] *= -1.0
+    bad[5] = 0.0
+    e = g[3] / np.linalg.norm(g[3])
+    bad[3] -= 2.0 * (e @ gram[3] @ e) * np.outer(e, e)
+    assert np.linalg.eigvalsh(bad[3])[0] < 0.0
+    got = estimators._tangent_step(bad, g, delta)
+    assert np.isnan(got[:, [1, 2, 5]]).all()
+    xi = dense.xi_matrix(bad, u_basis(scale, v))
+    assert np.isnan(xi[[1, 2, 5]]).all()
+    assert_close(got[:, 3], (xi[3] @ delta[:, 3, :, None])[..., 0])
+    np.testing.assert_array_equal(got[:, [0, 4]], step[:, [0, 4]])
 
 
 def _models(m, rng):
