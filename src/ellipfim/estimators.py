@@ -115,7 +115,10 @@ class TScore(ScoreFunction):
     def __call__(self, u, m):
         # the F(m, nu) quantile, as scipy.stats computes it
         f_inv = special.fdtri(m, self.nu, np.asarray(u, dtype=float))
-        return m * (m + self.nu) * f_inv / (self.nu + m * f_inv)
+        with np.errstate(invalid="ignore"):  # inf / inf at u = 1
+            k = m * (m + self.nu) * f_inv / (self.nu + m * f_inv)
+        # its limit m + nu there; [()] keeps a scalar input scalar
+        return np.where(f_inv == np.inf, m + self.nu, k)[()]
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 Covers the (mu, shape, scale) parameterization, the general scatter
 parameterization vecs(Sigma), and finite-dimensional parameterizations
-theta -> (mu(theta), Sigma(theta)) with an interest/nuisance split.  The
-semiparametric quantities (efficient scores and FIMs after projecting out
-the density generator) are the closed forms; their Monte-Carlo and
-Schur-complement counterparts live in the test suite and the invariant
-runner.
+theta -> (mu(theta), Sigma(theta)) with an interest/nuisance split; for
+those, one private solve projects the nuisance out of either FIM of theta
+(the Schur complement, and the adaptivity residual).  The semiparametric
+quantities (efficient scores and FIMs after projecting out the density
+generator) are the closed forms; their Monte-Carlo and Schur-complement
+counterparts live in the test suite and the invariant runner.
 
 All score functions accept a single observation (m,) or a batch (n, m)
 and return the matching shape.  The x = mu event maps to the continuous
@@ -281,36 +282,31 @@ def model_geometry(param, theta0) -> ModelGeometry:
     )
 
 
-def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, rank1: float):
+def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: bool):
+    """The FIM of theta; the two kinds differ in the coefficient of t t^T only."""
     if not geometry.identifiable:
         raise IdentifiabilityError(_NOT_IDENTIFIABLE)
+    m = geometry.m
+    alpha = gen.alpha(m)
+    if semiparametric:
+        rank1 = 2.0 / (alpha * gen.sigma_q2(m)) - 1.0 / m
+    else:
+        rank1 = 0.5 * (1.0 - 1.0 / alpha)
     t = geometry.sigma_trace
-    out = gen.beta(geometry.m) * geometry.mu_gram + 0.5 * gen.alpha(geometry.m) * (
+    out = gen.beta(m) * geometry.mu_gram + 0.5 * alpha * (
         geometry.sigma_gram + rank1 * np.outer(t, t)
     )
     return 0.5 * (out + out.T)
 
 
-def fim_theta(param, theta0, gen: DensityGenerator, *, geometry=None):
-    """Parametric FIM for theta with the generator fully known.
-
-    ``geometry`` is ``model_geometry(param, theta0)`` when the caller has it.
-    """
-    if geometry is None:
-        geometry = model_geometry(param, theta0)
-    alpha = gen.alpha(geometry.m)
-    return _theta_fim(geometry, gen, 0.5 * (1.0 - 1.0 / alpha))
+def fim_theta(param, theta0, gen: DensityGenerator):
+    """Parametric FIM for theta with the generator fully known."""
+    return _theta_fim(model_geometry(param, theta0), gen, semiparametric=False)
 
 
-def sfim_theta(param, theta0, gen: DensityGenerator, *, geometry=None):
-    """Semiparametric efficient FIM for theta (generator a nuisance function).
-
-    ``geometry`` is ``model_geometry(param, theta0)`` when the caller has it.
-    """
-    if geometry is None:
-        geometry = model_geometry(param, theta0)
-    m = geometry.m
-    return _theta_fim(geometry, gen, 2.0 / (gen.alpha(m) * gen.sigma_q2(m)) - 1.0 / m)
+def sfim_theta(param, theta0, gen: DensityGenerator):
+    """Semiparametric efficient FIM for theta (generator a nuisance function)."""
+    return _theta_fim(model_geometry(param, theta0), gen, semiparametric=True)
 
 
 def _per_sample_parts(x, param, theta0, gen):
@@ -348,20 +344,30 @@ def efficient_score_theta(x, param, theta0, gen: DensityGenerator):
     return out[0] if single else out
 
 
-def efficient_fim_interest(fim, q: int):
-    """Schur complement I_gamma - I_ge I_e^-1 I_ge^T for the leading q block."""
-    fim = np.asarray(fim, dtype=float)
+def _project_nuisance(fim, q: int, t=None):
+    """Project the nuisance (the trailing block) out of the leading q block.
+
+    Returns the Schur complement I_g - I_ge I_e^-1 I_eg and, when t is
+    given, the residual t_g - I_ge I_e^-1 t_e (else None).  One Cholesky
+    factor of I_e solves [I_eg | t_e] in one call.
+    """
     d = fim.shape[0]
     if q > d:
         raise ValueError("interest block larger than the matrix")
     if q == d:
-        return fim.copy()
-    i_g = fim[:q, :q]
+        return fim.copy(), None if t is None else t.copy()
     i_ge = fim[:q, q:]
-    i_e = fim[q:, q:]
+    rhs = i_ge.T if t is None else np.column_stack([i_ge.T, t[q:]])
     try:
-        cho = linalg.cho_factor(i_e, lower=True)
+        cho = linalg.cho_factor(fim[q:, q:], lower=True)
     except linalg.LinAlgError as exc:
         raise IdentifiabilityError("singular nuisance information block") from exc
-    out = i_g - i_ge @ linalg.cho_solve(cho, i_ge.T)
-    return 0.5 * (out + out.T)
+    sol = linalg.cho_solve(cho, rhs)
+    out = fim[:q, :q] - i_ge @ sol[:, :q]
+    residual = None if t is None else t[:q] - i_ge @ sol[:, q]
+    return 0.5 * (out + out.T), residual
+
+
+def efficient_fim_interest(fim, q: int):
+    """Schur complement I_gamma - I_ge I_e^-1 I_ge^T for the leading q block."""
+    return _project_nuisance(np.asarray(fim, dtype=float), q)[0]

@@ -16,6 +16,7 @@ invariant suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,7 +117,7 @@ class _Gaussian(DensityGenerator):
 
 class _StudentT(DensityGenerator):
     def __init__(self, nu):
-        if not 2.0 < nu < math.inf:  # False for NaN
+        if not 2.0 < nu <= sys.float_info.max:  # False for NaN and huge ints
             raise ValueError(f"Student-t requires a finite nu > 2 for E{{Q}} = m (nu={nu})")
         self.nu = float(nu)
         self.name = f"t({nu:g})"
@@ -159,7 +160,7 @@ class _StudentT(DensityGenerator):
 
 class _GeneralizedGaussian(DensityGenerator):
     def __init__(self, shape):
-        if not 0.0 < shape < math.inf:  # False for NaN
+        if not 0.0 < shape <= sys.float_info.max:  # False for NaN and huge ints
             raise ValueError(f"Generalized Gaussian requires a finite shape > 0 (shape={shape})")
         self.shape = float(shape)
         self.name = f"gg({shape:g})"

@@ -7,7 +7,9 @@ derivative matrices Sigma_i = d Sigma / d theta_i.  A central-difference
 fallback covers the rest.  The adaptivity condition decides, for a given
 generator, whether ignorance of the density generator costs efficiency on
 the interest block beyond what the finite-dimensional nuisance already
-costs.
+costs.  ``verify_adaptivity_by_fim`` gives two verdicts on it from one
+model geometry: the condition residual and the gap between the efficient
+interest FIMs, both judged against ``ADAPTIVITY_TOL``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import linalg
 
 from . import fim as fim_mod
 from .generators import DensityGenerator
@@ -36,6 +37,7 @@ __all__ = [
     "low_rank_parameterization",
     "breaking_parameterization",
     "sinusoid_steering",
+    "ADAPTIVITY_TOL",
     "condition_check",
     "verify_adaptivity_by_fim",
 ]
@@ -308,6 +310,10 @@ def sinusoid_steering(m: int, phase: float = 0.3):
 # ---------------------------------------------------------------------------
 
 
+# the bound on each scaled condition residual and on the relative FIM gap
+ADAPTIVITY_TOL = 1e-8
+
+
 @dataclass
 class ConditionReport:
     residual: np.ndarray  # r_i, in the units of 1 / theta_i
@@ -324,67 +330,55 @@ class AdaptivityReport:
     gap: float
     gap_rel: float
     adaptive: bool
-    condition: ConditionReport = field(repr=False, default=None)
+    condition: ConditionReport = field(repr=False)
 
 
-def condition_check(
-    param: Parameterization,
-    theta0,
-    gen: DensityGenerator,
-    rel_tol: float = 1e-8,
-    *,
-    geometry=None,
-) -> ConditionReport:
-    """Evaluate the adaptivity condition residual at theta0.
-
-    The residual (J_gamma^T[vec Sigma] - I_ge I_e^-1 J_xi^T[vec Sigma])
-    vec(Sigma^-1) vanishes exactly when the semiparametric efficient FIM
-    for gamma equals the parametric one (for every non-Gaussian
-    generator; for the Gaussian the FIMs agree regardless).  Component
-    r_i has the units of 1 / theta_i, as has sqrt(I_theta[i, i]) of the
-    parametric FIM, so the condition holds when |r_i| <= rel_tol
-    sqrt(I_theta[i, i]) for every i, whatever the units of theta.
-    ``geometry`` is ``fim.model_geometry(param, theta0)`` when the caller
-    has it.
-    """
-    if geometry is None:
-        geometry = fim_mod.model_geometry(param, theta0)
-    q = param.q
-    full_fim = fim_mod.fim_theta(param, theta0, gen, geometry=geometry)
-    # tr(Sigma^-1 Sigma_i), split into the interest and the nuisance rows
-    interest_term = geometry.sigma_trace[:q]
-    residual = interest_term.copy()
-    if param.r > 0:
-        try:
-            cho = linalg.cho_factor(full_fim[q:, q:], lower=True)
-        except linalg.LinAlgError as exc:
-            raise fim_mod.IdentifiabilityError(
-                "singular nuisance information block in condition check"
-            ) from exc
-        residual -= full_fim[:q, q:] @ linalg.cho_solve(cho, geometry.sigma_trace[q:])
+def _condition_report(full_fim, trace, residual) -> ConditionReport:
+    q = residual.shape[0]
     scaled = np.abs(residual) / np.sqrt(np.diag(full_fim)[:q])
     return ConditionReport(
         residual=residual,
-        interest_term=interest_term,
+        interest_term=trace[:q],
         scaled_residual=scaled,
-        tol=rel_tol,
-        satisfied=bool(np.all(scaled <= rel_tol)),
+        tol=ADAPTIVITY_TOL,
+        satisfied=bool(np.all(scaled <= ADAPTIVITY_TOL)),
     )
 
 
+def condition_check(param: Parameterization, theta0, gen: DensityGenerator) -> ConditionReport:
+    """Evaluate the adaptivity condition residual at theta0.
+
+    The residual r = t_gamma - I_ge I_e^-1 t_e, with t_i = tr(Sigma^-1
+    Sigma_i) = J_i^T[vec Sigma] vec(Sigma^-1), vanishes exactly when the
+    semiparametric efficient FIM for gamma equals the parametric one (for
+    every non-Gaussian generator; for the Gaussian the FIMs agree
+    regardless).  Component r_i has the units of 1 / theta_i, as has
+    sqrt(I_theta[i, i]) of the parametric FIM, so the condition holds when
+    |r_i| <= ADAPTIVITY_TOL sqrt(I_theta[i, i]) for every i, whatever the
+    units of theta.
+    """
+    geometry = fim_mod.model_geometry(param, theta0)
+    full = fim_mod._theta_fim(geometry, gen, semiparametric=False)
+    _, residual = fim_mod._project_nuisance(full, param.q, geometry.sigma_trace)
+    return _condition_report(full, geometry.sigma_trace, residual)
+
+
 def verify_adaptivity_by_fim(
-    param: Parameterization, theta0, gen: DensityGenerator, rel_tol: float = 1e-8
+    param: Parameterization, theta0, gen: DensityGenerator
 ) -> AdaptivityReport:
     """Compare the efficient interest FIMs of the parametric and semiparametric models.
 
-    The Jacobians, the identifiability check and the whitened Gram matrices
-    are computed once and shared by both FIMs and the condition check.
+    The model is adaptive when the relative gap is below ADAPTIVITY_TOL.
+    The geometry and the parametric FIM are built once, and each FIM's
+    nuisance block is factored once; the parametric factor also gives the
+    condition residual.
     """
+    q = param.q
     geometry = fim_mod.model_geometry(param, theta0)
-    full = fim_mod.fim_theta(param, theta0, gen, geometry=geometry)
-    sfull = fim_mod.sfim_theta(param, theta0, gen, geometry=geometry)
-    eff_par = fim_mod.efficient_fim_interest(full, param.q)
-    eff_semi = fim_mod.efficient_fim_interest(sfull, param.q)
+    full = fim_mod._theta_fim(geometry, gen, semiparametric=False)
+    sfull = fim_mod._theta_fim(geometry, gen, semiparametric=True)
+    eff_par, residual = fim_mod._project_nuisance(full, q, geometry.sigma_trace)
+    eff_semi, _ = fim_mod._project_nuisance(sfull, q)
     gap = float(np.linalg.norm(eff_par - eff_semi))
     ref = max(float(np.linalg.norm(eff_semi)), np.finfo(float).tiny)
     gap_rel = gap / ref
@@ -393,6 +387,6 @@ def verify_adaptivity_by_fim(
         sfim_interest=eff_semi,
         gap=gap,
         gap_rel=gap_rel,
-        adaptive=bool(gap_rel < rel_tol),
-        condition=condition_check(param, theta0, gen, rel_tol, geometry=geometry),
+        adaptive=bool(gap_rel < ADAPTIVITY_TOL),
+        condition=_condition_report(full, geometry.sigma_trace, residual),
     )

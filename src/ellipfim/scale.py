@@ -265,8 +265,8 @@ def reconstruct_shape(scale: ScaleFunctional, ovecs_v, m):
 
     [V]_11 is recovered from the constraint S(V) = 1: trivially 1 for the
     first-element scale, m minus the remaining diagonal for the trace
-    scale, and by solving the (linear in [V]_11) Laplace expansion of the
-    determinant along the first row for the determinant-root scale.
+    scale, and for the determinant-root scale from |V| = |V_0| + [V]_11
+    det V[1:, 1:], linear in [V]_11, with V_0 the matrix at [V]_11 = 0.
     """
     ovecs_v = np.asarray(ovecs_v, dtype=float)
     full = np.concatenate([[0.0], ovecs_v])
@@ -277,15 +277,9 @@ def reconstruct_shape(scale: ScaleFunctional, ovecs_v, m):
     if scale.kind == "trace":
         v[0, 0] = m - np.trace(v)
         return v
-    # det root: |V| = sum_j v_1j cof_1j = 1, cofactors free of row 1
-    idx = np.arange(1, m)
-    minors = np.empty(m)
-    for j in range(m):
-        sub = v[np.ix_(idx, np.delete(np.arange(m), j))]
-        minors[j] = np.linalg.det(sub)
-    signs = (-1.0) ** np.arange(m)
-    rest = float(np.sum(v[0, 1:] * signs[1:] * minors[1:]))
-    if abs(minors[0]) < 1e-14:
+    # det root: v holds V_0 here, and |V| = 1 fixes [V]_11
+    cofactor = np.linalg.det(v[1:, 1:])
+    if abs(cofactor) < 1e-14:
         raise linalg.LinAlgError("degenerate leading cofactor in shape rebuild")
-    v[0, 0] = (1.0 - rest) / minors[0]
+    v[0, 0] = (1.0 - np.linalg.det(v)) / cofactor
     return v

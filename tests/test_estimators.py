@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -64,6 +66,17 @@ def test_tscore_against_fisher_oracle():
         f_inv = fisher_quantile_oracle(u, m, nu)
         expected = m * (m + nu) * f_inv / (nu + m * f_inv)
         assert k(u, m) == pytest.approx(expected, rel=1e-8)
+
+
+def test_tscore_at_u_one_is_its_limit():
+    # the F quantile is +inf at u = 1, where m (m + nu) f / (nu + m f) -> m + nu
+    m, k = 4, TScore(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_one = k(1.0, m)
+        grid = k(np.array([0.5, 1.0]), m)
+    assert np.ndim(at_one) == 0 and at_one == m + 3.0
+    assert grid[1] == m + 3.0 and grid[0] == k(0.5, m)
 
 
 def test_tscore_limits_to_vdw():

@@ -130,7 +130,9 @@ def test_student_t_requires_nu_above_2():
         student_t(2.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="huge_int")]
+)
 @pytest.mark.parametrize("family", [student_t, generalized_gaussian])
 def test_non_finite_generator_parameters_are_rejected(family, value):
     # NaN compares False with every bound, so it needs its own rejection

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -239,6 +240,44 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert "scipy.special" in loaded
     for module in ("scipy.stats", "scipy.integrate", "scipy.optimize"):
         assert module not in loaded
+
+
+def _unused_imports(source):
+    """Names a module imports but never reads; ``__all__`` entries count as read."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_finder_sees_names_and_all():
+    source = "import os, sys\nfrom math import pi, tau\n__all__ = ['tau']\nsys.exit(pi)\n"
+    assert _unused_imports(source) == [(1, "os")]
+
+
+def test_src_modules_have_no_unused_imports():
+    src = os.path.dirname(ellipfim.__file__)
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                unused = _unused_imports(fh.read())
+            if unused:
+                found[name] = unused
+    assert found == {}
 
 
 def test_cli_simulate_and_outputs(tmp_path, capsys):

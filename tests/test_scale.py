@@ -344,8 +344,9 @@ def test_jacobian_w_matches_finite_differences(scale):
 @pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
 def test_reconstruct_shape_roundtrip(scale):
     rng = np.random.default_rng(37)
-    v = shape_on_manifold(scale, rng, 4)
-    np.testing.assert_allclose(reconstruct_shape(scale, ovecs(v), 4), v, atol=1e-12)
+    for m in (2, 4, 10):
+        v = shape_on_manifold(scale, rng, m)
+        np.testing.assert_allclose(reconstruct_shape(scale, ovecs(v), m), v, atol=1e-12)
 
 
 def test_renormalize_lands_on_manifold():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import linalg as scipy_linalg
 from scipy.linalg import toeplitz
 
 import dense_oracles as dense
@@ -31,8 +32,10 @@ from ellipfim.matcalc import (
     vecs_len,
 )
 from ellipfim.parameterize import (
+    ADAPTIVITY_TOL,
     LowRankModel,
     breaking_parameterization,
+    condition_check,
     fd_jacobian,
     identity_parameterization,
     linear_split_parameterization,
@@ -352,6 +355,35 @@ def test_adaptivity_check_builds_the_geometry_once(monkeypatch):
     report = verify_adaptivity_by_fim(param, theta0, student_t(6))
     assert report.adaptive and report.condition.satisfied
     assert calls == {"jacobian": 1, "rank": 1}
+
+
+@pytest.mark.parametrize("label", ["split", "low_rank"])
+def test_adaptivity_check_factors_each_nuisance_block_once(monkeypatch, label):
+    m = 4
+    if label == "split":
+        param, theta0 = next(_models(m, np.random.default_rng(2)))
+    else:
+        a_fn, a_jac = sinusoid_steering(m)
+        model = LowRankModel(a_fn=a_fn, a_jac=a_jac, signal_cov=np.eye(1), noise_level=0.8, q=1)
+        param, theta0 = low_rank_parameterization(model), model.theta0([0.3])
+    gen = student_t(6)
+    calls = []
+    cho_factor = scipy_linalg.cho_factor
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy_linalg, "cho_factor", counted)
+    report = verify_adaptivity_by_fim(param, theta0, gen)
+    assert calls == [(param.r, param.r)] * 2  # the parametric FIM's, then the SFIM's
+    monkeypatch.undo()
+    # the shared factor gives what the public functions give one by one
+    full = fim.fim_theta(param, theta0, gen)
+    np.testing.assert_array_equal(report.fim_interest, fim.efficient_fim_interest(full, param.q))
+    cond = condition_check(param, theta0, gen)
+    np.testing.assert_array_equal(report.condition.residual, cond.residual)
+    assert report.condition.tol == cond.tol == ADAPTIVITY_TOL
 
 
 # ---------------------------------------------------------------------------
