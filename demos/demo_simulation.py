@@ -7,7 +7,7 @@
 
 from pathlib import Path
 
-from ellipfim.simulate import SimConfig, run_simulation, write_svg_chart
+from ellipfim.simulate import COLUMNS, SimConfig, run_simulation, write_svg_chart
 
 config = SimConfig(
     m=4,
@@ -25,7 +25,7 @@ print(f"scale '{config.scale_kind}', {config.trials} trials per cell\n")
 print(f"{'nu':>5} {'estimator':>9} {'n*mse':>9} {'bound':>9}")
 for nu in config.nu_grid:
     scrb, par = result.bounds[nu]
-    for name in config.columns():
+    for name in COLUMNS:
         cell = result.cell(nu, name)
         print(f"{nu:>5.1f} {name:>9} {config.n * cell.mse:>9.3f} "
               f"{config.n * scrb:>9.3f}")

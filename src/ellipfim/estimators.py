@@ -46,6 +46,8 @@ from .matcalc import _dup_t_vec, ovecs, unvecs, vecs, vecs_len
 from .scale import ScaleFunctional, constraint_gradient_vecs, renormalize
 
 __all__ = [
+    "TYLER_TOL",
+    "TYLER_MAX_ITER",
     "ScoreFunction",
     "VanDerWaerden",
     "TScore",
@@ -60,6 +62,10 @@ __all__ = [
     "r_step_batch",
     "mse_index",
 ]
+
+
+TYLER_TOL = 1e-10  # relative change of an iterate that stops Tyler's iteration
+TYLER_MAX_ITER = 200
 
 
 class TylerNonConvergenceError(RuntimeError):
@@ -198,26 +204,24 @@ def scm_shape(data, scale: ScaleFunctional) -> ShapeEstimate:
     return ShapeEstimate(v_hat=v, scale_kind=scale.kind, method="scm")
 
 
-def tyler_batch(
-    data, scale: ScaleFunctional, tol: float = 1e-10, max_iter: int = 200
-):
+def tyler_batch(data, scale: ScaleFunctional):
     """Tyler's fixed point, renormalized to S(V) = 1, for a (T, n, m) stack.
 
     Returns ``(v, iterations, residual)``.  A trial leaves the active set
-    once it converges (residual < tol) or fails.  ``v`` is NaN for a failed
-    trial: its residual is NaN when an iterate went non-finite or not
-    positive definite, and the last residual (>= tol) when it did not
-    converge in ``max_iter`` iterations.
+    once it converges (residual < TYLER_TOL) or fails.  ``v`` is NaN for a
+    failed trial: its residual is NaN when an iterate went non-finite or
+    not positive definite, and the last residual (>= TYLER_TOL) when it did
+    not converge in TYLER_MAX_ITER iterations.
     """
     xt = _coordinate_major(data)
     trials, m, n = xt.shape
     v = np.full((trials, m, m), np.nan)
-    iterations = np.full(trials, max_iter)
+    iterations = np.full(trials, TYLER_MAX_ITER)
     residual = np.full(trials, np.nan)
     active = np.arange(trials)
     v_act = np.broadcast_to(np.eye(m), (trials, m, m))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, TYLER_MAX_ITER + 1):
             # x_i^T V^-1 x_i with V^-1 read transposed, as x V^-1 reads it:
             # the stacked inverse is not exactly symmetric
             v_inv_t = np.swapaxes(_stacked(np.linalg.inv, v_act), -1, -2)
@@ -231,7 +235,7 @@ def tyler_batch(
             )
             res[~(q > 0.0).all(axis=-1) | ~np.isfinite(res)] = np.nan
             residual[active] = res
-            converged = res < tol
+            converged = res < TYLER_TOL
             done = converged | np.isnan(res)
             v_act = v_new
             if done.any():
@@ -243,9 +247,7 @@ def tyler_batch(
     return v, iterations, residual
 
 
-def tyler_shape(
-    data, scale: ScaleFunctional, tol: float = 1e-10, max_iter: int = 200
-) -> ShapeEstimate:
+def tyler_shape(data, scale: ScaleFunctional) -> ShapeEstimate:
     """Tyler's distribution-free fixed point, renormalized to S(V) = 1."""
     data = np.asarray(data, dtype=float)
     n, m = data.shape
@@ -254,13 +256,13 @@ def tyler_shape(
     norms = np.einsum("ij,ij->i", data, data)
     if np.any(norms == 0.0):
         raise ValueError("zero observation rows are not allowed")
-    v, iterations, residual = tyler_batch(data[None], scale, tol, max_iter)
+    v, iterations, residual = tyler_batch(data[None], scale)
     if np.isnan(residual[0]):
         raise linalg.LinAlgError(
             "Tyler iterate is not finite and positive definite"
         )
-    if not residual[0] < tol:
-        raise TylerNonConvergenceError(float(residual[0]), max_iter)
+    if not residual[0] < TYLER_TOL:
+        raise TylerNonConvergenceError(float(residual[0]), TYLER_MAX_ITER)
     return ShapeEstimate(
         v_hat=v[0],
         scale_kind=scale.kind,

@@ -55,7 +55,6 @@ class DensityGenerator:
     """Base class; subclasses implement one constrained generator family."""
 
     name = "generator"
-    constrained = True
 
     def log_gbar(self, t, m):
         raise NotImplementedError
@@ -234,12 +233,12 @@ def coefficients(gen: DensityGenerator, m: int) -> Coefficients:
     return Coefficients(gen.alpha(m), gen.beta(m), gen.sigma_q2(m))
 
 
-def expect(gen: DensityGenerator, m: int, f: Callable, tol: float = 1e-12) -> float:
+def expect(gen: DensityGenerator, m: int, f: Callable) -> float:
     """E{f(Q)} by adaptive quadrature against the Q density.
 
     Integrates dyadic pieces [0, T0], [T0, 2 T0], ... (Gauss-Kronrod on
     each), doubling the endpoint until two consecutive pieces contribute
-    below tol relative to the accumulated value.  Handles the slowly
+    below 1e-12 relative to the accumulated value.  Handles the slowly
     decaying tails of low-dof t generators without a fixed cutoff.
     """
 
@@ -255,7 +254,7 @@ def expect(gen: DensityGenerator, m: int, f: Callable, tol: float = 1e-12) -> fl
     while small_pieces < 2 and hi < 1e30:
         piece, _ = integrate.quad(integrand, lo, hi, limit=200)
         acc += piece
-        if abs(piece) < tol * max(1.0, abs(acc)):
+        if abs(piece) < 1e-12 * max(1.0, abs(acc)):
             small_pieces += 1
         else:
             small_pieces = 0

@@ -4,17 +4,12 @@ The fast level runs the algebraic identities (seconds); the full level
 adds the Monte-Carlo statistical checks (zero-mean scores, empirical
 FIMs, sampling moments).  Failures are report entries, never exceptions,
 so a broken build still produces a complete table.
-
-`corruptions` maps an intermediate name to a mutation applied before the
-checks run; it exists so the suite's own failure reporting can be
-exercised (a corrupted duplication matrix must be caught and reported).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -115,14 +110,11 @@ def _rel(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _check_duplication(corruptions):
+def _check_duplication():
     rng = np.random.default_rng(1)
     worst = 0.0
     for m in (2, 3, 4):
         d = duplication_matrix(m)
-        mutate = (corruptions or {}).get("duplication_matrix")
-        if mutate is not None:
-            d = mutate(d)
         for _ in range(20):
             a = rng.standard_normal((m, m))
             a = a + a.T
@@ -139,7 +131,7 @@ def _check_duplication(corruptions):
     return worst < 1e-12, f"max identity violation {worst:.2e}"
 
 
-def _check_duplication_rank(_):
+def _check_duplication_rank():
     for m in range(1, 7):
         sv = np.linalg.svd(duplication_matrix(m), compute_uv=False)
         if sv.min() <= 1e-10 or sv.size != vecs_len(m):
@@ -147,7 +139,7 @@ def _check_duplication_rank(_):
     return True, "full column rank for m in 1..6"
 
 
-def _check_moment_identities(_):
+def _check_moment_identities():
     worst = 0.0
     for gen in GEN_GRID:
         for m in (2, 4, 8):
@@ -165,7 +157,7 @@ def _check_moment_identities(_):
     return worst < 1e-6, f"max relative deviation {worst:.2e}"
 
 
-def _check_coefficient_closed_forms(_):
+def _check_coefficient_closed_forms():
     worst = 0.0
     for gen in GEN_GRID:
         for m in (2, 4, 8):
@@ -178,7 +170,7 @@ def _check_coefficient_closed_forms(_):
     return worst < 1e-8, f"max closed-form vs quadrature deviation {worst:.2e}"
 
 
-def _check_scale_geometry(_):
+def _check_scale_geometry():
     rng = np.random.default_rng(3)
     worst = 0.0
     for scale in ALL_SCALES:
@@ -219,7 +211,7 @@ def _check_scale_geometry(_):
     return worst < 1e-9, f"max geometric identity violation {worst:.2e}"
 
 
-def _check_restricted_adaptivity(_):
+def _check_restricted_adaptivity():
     rng = np.random.default_rng(4)
     worst = 0.0
     for scale in ALL_SCALES:
@@ -234,7 +226,7 @@ def _check_restricted_adaptivity(_):
     return worst < 1e-10, f"max Schur-vs-closed-form deviation {worst:.2e}"
 
 
-def _check_projection_identity(_):
+def _check_projection_identity():
     rng = np.random.default_rng(5)
     worst = 0.0
     for scale in ALL_SCALES:
@@ -247,7 +239,7 @@ def _check_projection_identity(_):
     return worst < 1e-12, f"max coefficient deviation {worst:.2e}"
 
 
-def _check_fim_chain_rule(_):
+def _check_fim_chain_rule():
     rng = np.random.default_rng(6)
     worst = 0.0
     for scale in ALL_SCALES:
@@ -260,7 +252,7 @@ def _check_fim_chain_rule(_):
     return worst < 1e-10, f"max congruence deviation {worst:.2e}"
 
 
-def _check_bound_inversions(_):
+def _check_bound_inversions():
     rng = np.random.default_rng(7)
     worst = 0.0
     for scale in ALL_SCALES:
@@ -285,7 +277,7 @@ def _check_bound_inversions(_):
     return worst < 1e-8, f"max inversion residual {worst:.2e}"
 
 
-def _check_det_specializations(_):
+def _check_det_specializations():
     rng = np.random.default_rng(8)
     worst = 0.0
     psi_first = 0.0
@@ -316,7 +308,7 @@ def _check_det_specializations(_):
     return ok, f"det deviations {worst:.2e}; non-det psi magnitude {psi_first:.2e}"
 
 
-def _check_chain_reports(_):
+def _check_chain_reports():
     rng = np.random.default_rng(9)
     for scale in ALL_SCALES:
         v = decompose(scale, _random_spd(rng, 3)).v
@@ -326,7 +318,7 @@ def _check_chain_reports(_):
     return True, "chain equalities hold for all scales and generators"
 
 
-def _check_adaptivity_condition(_):
+def _check_adaptivity_condition():
     rng = np.random.default_rng(10)
     h = rng.standard_normal((4, 2))
     split = linear_split_parameterization(h, 4)
@@ -360,7 +352,7 @@ def _check_adaptivity_condition(_):
     return True, "sufficiency, necessity and gaussian exceptionality all hold"
 
 
-def _check_loewner_ordering(_):
+def _check_loewner_ordering():
     rng = np.random.default_rng(11)
     a_fn, a_jac = sinusoid_steering(4)
     b = rng.standard_normal((2, 2))
@@ -385,7 +377,21 @@ def _check_loewner_ordering(_):
     return True, "fim - sfim is PSD (zero at the Gaussian, strict for t)"
 
 
-def _check_complex_consistency(_):
+def _ula_steering(m, phase):
+    """Complex ULA steering a(gamma)_jk = exp(i (pi j sin gamma_k + phase))
+    with its (m, p, p) Jacobian, diagonal in (k, l)."""
+
+    def a_fn(gamma):
+        return np.exp(1j * (np.pi * np.arange(m)[:, None] * np.sin(gamma) + phase))
+
+    def a_jac(gamma):
+        d = 1j * np.pi * np.arange(m)[:, None] * np.cos(gamma) * a_fn(gamma)
+        return d[:, :, None] * np.eye(len(gamma))
+
+    return a_fn, a_jac
+
+
+def _check_complex_consistency():
     rng = np.random.default_rng(12)
     gen_c = complex_student_t(7)
     worst = 0.0
@@ -404,18 +410,7 @@ def _check_complex_consistency(_):
 
     # low rank
     m, p, q = 6, 2, 2
-    j_idx = np.arange(m)[:, None]
-
-    def a_fn(gamma):
-        return np.exp(1j * np.pi * j_idx * np.sin(gamma)[None, :])
-
-    def a_jac(gamma):
-        a = a_fn(gamma)
-        out = np.zeros((m, p, q), dtype=complex)
-        for k in range(q):
-            out[:, k, k] = 1j * np.pi * j_idx[:, 0] * np.cos(gamma[k]) * a[:, k]
-        return out
-
+    a_fn, a_jac = _ula_steering(m, 0.0)
     gamma0 = np.array([0.3, 1.1])
     w = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
     xi0 = w @ w.conj().T + p * np.eye(p)
@@ -428,18 +423,7 @@ def _check_complex_consistency(_):
 
     # rectilinear
     m2, p2, q2 = 4, 2, 2
-    j2 = np.arange(m2)[:, None]
-
-    def ar_fn(gamma):
-        return np.exp(1j * (np.pi * j2 * np.sin(gamma)[None, :] + 0.2))
-
-    def ar_jac(gamma):
-        a = ar_fn(gamma)
-        out = np.zeros((m2, p2, q2), dtype=complex)
-        for k in range(q2):
-            out[:, k, k] = 1j * np.pi * j2[:, 0] * np.cos(gamma[k]) * a[:, k]
-        return out
-
+    ar_fn, ar_jac = _ula_steering(m2, 0.2)
     gamma0 = np.array([0.4, 1.0])
     xr = rng.standard_normal((p2, p2))
     xi_r = xr @ xr.T + p2 * np.eye(p2)
@@ -452,7 +436,7 @@ def _check_complex_consistency(_):
     return worst < 1e-8, f"max closed-form vs embedding deviation {worst:.2e}"
 
 
-def _check_gram_annihilation(_):
+def _check_gram_annihilation():
     # Upsilon^T vecs(V) = 0, so the R-step's Gram Upsilon Upsilon^T has
     # the scale direction in its kernel
     rng = np.random.default_rng(13)
@@ -466,7 +450,7 @@ def _check_gram_annihilation(_):
 # -- full-level Monte-Carlo checks ------------------------------------------
 
 
-def _check_score_zero_mean_mc(_):
+def _check_score_zero_mean_mc():
     m, n = 4, 100_000
     sigma = toeplitz(0.8 ** np.arange(m))
     gen = student_t(6)
@@ -478,7 +462,7 @@ def _check_score_zero_mean_mc(_):
     return bool(np.all(z < 3)), f"max |z| = {z.max():.2f} over {len(z)} components"
 
 
-def _check_empirical_fims_mc(_):
+def _check_empirical_fims_mc():
     worst_z = 0.0
     for gen, seed in ((gaussian(), 11), (student_t(8), 12)):
         m, n = 4, 20_000
@@ -505,7 +489,7 @@ def _check_empirical_fims_mc(_):
     return worst_z < 3, f"max |z| = {worst_z:.2f}"
 
 
-def _check_sampling_moments_mc(_):
+def _check_sampling_moments_mc():
     m, n = 4, 100_000
     sigma = toeplitz(0.8 ** np.arange(m))
     x = sample(n, np.zeros(m), sigma, gaussian(), seed=99)
@@ -521,7 +505,7 @@ def _check_sampling_moments_mc(_):
     return worst < 3, f"max |z| = {worst:.2f}"
 
 
-def _check_complex_sampling_mc(_):
+def _check_complex_sampling_mc():
     rng = np.random.default_rng(14)
     m, n = 3, 100_000
     w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -561,9 +545,7 @@ FULL_CHECKS = [
 ]
 
 
-def run_invariant_suite(
-    level: str = "fast", corruptions: Optional[dict] = None
-) -> InvariantReport:
+def run_invariant_suite(level: str = "fast") -> InvariantReport:
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     checks = list(FAST_CHECKS)
@@ -573,7 +555,7 @@ def run_invariant_suite(
     for name, fn in checks:
         start = time.perf_counter()
         try:
-            passed, detail = fn(corruptions)
+            passed, detail = fn()
         except Exception as exc:  # a crash is a failure entry, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         entries.append(

@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 
-def fd_jacobian(f: Callable, theta, h_base: float = 1e-6):
-    """Central-difference Jacobian with step h = max(h_base, h_base |theta_i|).
+def fd_jacobian(f: Callable, theta):
+    """Central-difference Jacobian with step h = 1e-6 max(1, |theta_i|).
 
     The derivative along theta_i is ``out[..., i]``, so ``out`` has the
     shape of f(theta) followed by d.
@@ -53,7 +53,7 @@ def fd_jacobian(f: Callable, theta, h_base: float = 1e-6):
     f0 = np.asarray(f(theta), dtype=float)
     out = np.empty(f0.shape + (theta.size,))
     for i in range(theta.size):
-        h = max(h_base, h_base * abs(theta[i]))
+        h = 1e-6 * max(1.0, abs(theta[i]))
         up = theta.copy()
         dn = theta.copy()
         up[i] += h
@@ -285,13 +285,13 @@ def breaking_parameterization(sigma0) -> Parameterization:
     )
 
 
-def sinusoid_steering(m: int, phase: float = 0.3):
-    """Real steering columns a(gamma)_j = cos(j gamma + phase), with Jacobian."""
+def sinusoid_steering(m: int):
+    """Real steering columns a(gamma)_j = cos(j gamma + 0.3), with Jacobian."""
 
     def a_fn(gamma):
         gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
         j = np.arange(m)[:, None]
-        return np.cos(j * gamma[None, :] + phase)
+        return np.cos(j * gamma[None, :] + 0.3)
 
     def a_jac(gamma):
         gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
@@ -299,7 +299,7 @@ def sinusoid_steering(m: int, phase: float = 0.3):
         j = np.arange(m)[:, None]
         out = np.zeros((m, p, p))
         for k in range(p):
-            out[:, k, k] = -j[:, 0] * np.sin(j[:, 0] * gamma[k] + phase)
+            out[:, k, k] = -j[:, 0] * np.sin(j[:, 0] * gamma[k] + 0.3)
         return out
 
     return a_fn, a_jac

@@ -2,7 +2,9 @@
 
 Replicates the t-distributed Toeplitz-scatter study at desk scale: for
 each degrees-of-freedom value, draw `trials` datasets of n observations,
-run the configured estimators, and report the MSE index next to the
+run the five shape estimators of ``COLUMNS`` (the SCM, Tyler, and the
+one-step R-estimators from Tyler with the van der Waerden, t(3) and
+matched t(nu) scores), and report the MSE index next to the
 semiparametric bound trace and the scale-and-generator-known parametric
 bound trace (both divided by n, the per-dataset scale).
 
@@ -49,10 +51,20 @@ from .generators import sample_stack, student_t
 from .matcalc import ovecs, vecs_len
 from .scale import decompose, scale_by_name
 
-__all__ = ["SimConfig", "CellResult", "SimResult", "run_simulation", "write_svg_chart"]
+__all__ = [
+    "SCORES",
+    "COLUMNS",
+    "SimConfig",
+    "CellResult",
+    "SimResult",
+    "run_simulation",
+    "write_svg_chart",
+]
 
 FAILURE_RATE_LIMIT = 0.01
 BLOCK_DOUBLES = 2**16  # budget of a block's (T, n, m) data stack
+SCORES = ("vdw", "t3", "tnu")  # the R-step's scores, in _scores order
+COLUMNS = ("scm", "tyler") + tuple(f"r_{s}" for s in SCORES)
 
 
 @dataclass(frozen=True)
@@ -63,8 +75,6 @@ class SimConfig:
     nu_grid: tuple = (2.1, 3.0, 5.0, 10.0, 20.0)
     trials: int = 2000
     scale_kind: str = "trace"
-    estimators: tuple = ("scm", "tyler")
-    scores: tuple = ("vdw", "t3", "tnu")
     root_seed: int = 20240813
     parallelism: int = 1
 
@@ -76,9 +86,7 @@ class SimConfig:
             check_number(nu, "nu_grid")
         if self.m < 2:
             raise ValueError("m must be >= 2")
-        if self.n <= self.m:
-            raise ValueError(f"n must exceed m = {self.m}")
-        if self.scores and self.n <= vecs_len(self.m):
+        if self.n <= vecs_len(self.m):
             raise ValueError(
                 f"n must exceed m(m+1)/2 = {vecs_len(self.m)} for the R-estimators"
             )
@@ -96,44 +104,25 @@ class SimConfig:
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
         scale_by_name(self.scale_kind)
-        for name in self.estimators:
-            if name not in ("scm", "tyler"):
-                raise ValueError(f"unknown estimator {name!r}; valid: scm, tyler")
-        for name in self.scores:
-            _score_from_name(name, nu=3.0)
-        if not self.columns():
-            raise ValueError("configure at least one estimator or score")
 
     @property
     def sigma0(self):
         return toeplitz(self.rho ** np.arange(self.m))
 
-    def columns(self):
-        return list(self.estimators) + [f"r_{s}" for s in self.scores]
-
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         reject_unknown(data, cls.__dataclass_fields__, "simulation config")
         data = dict(data)
-        for key in ("nu_grid", "estimators", "scores"):
-            if key in data:
-                if not isinstance(data[key], (list, tuple)):
-                    raise ValueError(f"{key} must be a list, got {data[key]!r}")
-                data[key] = tuple(data[key])
+        if "nu_grid" in data:
+            if not isinstance(data["nu_grid"], (list, tuple)):
+                raise ValueError(f"nu_grid must be a list, got {data['nu_grid']!r}")
+            data["nu_grid"] = tuple(data["nu_grid"])
         return cls(**data)
 
 
-def _score_from_name(name: str, nu: float):
-    if name == "vdw":
-        return VanDerWaerden()
-    if name == "tnu":
-        return TScore(nu)
-    if name.startswith("t"):
-        try:
-            return TScore(float(name[1:]))
-        except ValueError:
-            pass
-    raise ValueError(f"unknown score {name!r}; valid: vdw, tnu, t<nu>")
+def _scores(nu: float):
+    """The R-step's scores at nu, one per entry of SCORES."""
+    return VanDerWaerden(), TScore(3.0), TScore(nu)
 
 
 def _block_size(m: int, n: int) -> int:
@@ -145,10 +134,10 @@ def _block_size(m: int, n: int) -> int:
 
 
 def _score_tables(config: SimConfig):
-    """(S, len(nu_grid), n) score tables: entry [s, i] is the table of score
-    s at nu_grid[i].  Each distinct score (class and parameters) is
-    evaluated once."""
-    scores = [[_score_from_name(s, nu) for nu in config.nu_grid] for s in config.scores]
+    """(len(SCORES), len(nu_grid), n) score tables: entry [s, i] is the
+    table of score s at nu_grid[i].  Each distinct score (class and
+    parameters) is evaluated once."""
+    scores = list(zip(*(_scores(nu) for nu in config.nu_grid)))
     tables = {}
     for score in (score for row in scores for score in row):
         if score.key() not in tables:
@@ -175,33 +164,22 @@ def _trial_block(config: SimConfig, tables, start: int, stop: int):
     """Per-trial results for trials [start, stop) of the run's sequence:
     ``(errors, iterations, tyler_failed, rejected)``.
 
-    ``errors`` holds the squared ovecs errors, one column per estimator,
-    with NaN marking a failure.  ``iterations`` and ``tyler_failed`` are
-    Tyler's iteration count and failure flag per trial (0 and False when
-    no Tyler runs), and ``rejected`` (T, S) flags the R-steps that kept the
-    preliminary without failing.  ``tables`` is ``_score_tables(config)``.
+    ``errors`` holds the squared ovecs errors, one column per entry of
+    COLUMNS, with NaN marking a failure.  ``iterations`` and
+    ``tyler_failed`` are Tyler's iteration count and failure flag per
+    trial, and ``rejected`` (T, len(SCORES)) flags the R-steps that kept
+    the preliminary without failing.  ``tables`` is
+    ``_score_tables(config)``.
     """
     scale = scale_by_name(config.scale_kind)
     v0 = decompose(scale, config.sigma0).v
     data, nu_idx = _block_data(config, start, stop)
-    trials = len(data)
-    tyler = None
-    iterations = np.zeros(trials, dtype=np.int64)
-    tyler_failed = np.zeros(trials, dtype=bool)
-    rejected = np.zeros((trials, len(config.scores)), dtype=bool)
-    if "tyler" in config.estimators or config.scores:
-        tyler, iterations, _ = tyler_batch(data, scale)
-        tyler_failed = np.isnan(tyler).any(axis=(-2, -1))
-    shapes = [
-        scm_batch(data, scale) if name == "scm" else tyler
-        for name in config.estimators
-    ]
-    if config.scores:
-        # a failed preliminary is NaN, so its R-estimates fail with it
-        r_v, _, r_rejected = r_step_batch(data, tyler, scale, tables[:, nu_idx])
-        shapes.extend(r_v)
-        rejected = (r_rejected & np.isfinite(r_v).all(axis=(-2, -1))).T
-    diff = ovecs(np.stack(shapes) - v0)
+    tyler, iterations, _ = tyler_batch(data, scale)
+    tyler_failed = np.isnan(tyler).any(axis=(-2, -1))
+    # a failed preliminary is NaN, so its R-estimates fail with it
+    r_v, _, r_rejected = r_step_batch(data, tyler, scale, tables[:, nu_idx])
+    rejected = (r_rejected & np.isfinite(r_v).all(axis=(-2, -1))).T
+    diff = ovecs(np.stack([scm_batch(data, scale), tyler, *r_v]) - v0)
     return np.sum(diff * diff, axis=-1).T, iterations, tyler_failed, rejected
 
 
@@ -274,7 +252,6 @@ def _bounds_for(config: SimConfig, nu: float):
 
 def run_simulation(config: SimConfig) -> SimResult:
     """Run the full sweep; deterministic given config and root_seed."""
-    cols = config.columns()
     total = len(config.nu_grid) * config.trials
     size = _block_size(config.m, config.n)
     blocks = [(start, min(start + size, total)) for start in range(0, total, size)]
@@ -299,7 +276,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     )
     cells = []
     for nu_idx, nu in enumerate(config.nu_grid):
-        for j, name in enumerate(cols):
+        for j, name in enumerate(COLUMNS):
             col = errors[nu_idx, :, j]
             ok = np.isfinite(col)
             n_failed = int((~ok).sum())
@@ -337,18 +314,17 @@ def _diagnostics(config: SimConfig, iterations, tyler_failed, rejected):
     score; integer counts, so the figures do not depend on the blocks."""
     out = []
     for nu_idx, nu in enumerate(config.nu_grid):
-        entry = {"nu": nu}
-        if "tyler" in config.estimators or config.scores:
-            its = iterations[nu_idx][~tyler_failed[nu_idx]]
-            entry["tyler_iterations_mean"] = float(its.mean()) if its.size else None
-            entry["tyler_iterations_max"] = int(its.max()) if its.size else None
-            entry["tyler_failures"] = int(tyler_failed[nu_idx].sum())
-        if config.scores:
-            entry["r_rejections"] = {
-                name: int(count)
-                for name, count in zip(config.scores, rejected[nu_idx].sum(axis=0))
+        its = iterations[nu_idx][~tyler_failed[nu_idx]]
+        counts = rejected[nu_idx].sum(axis=0)
+        out.append(
+            {
+                "nu": nu,
+                "tyler_iterations_mean": float(its.mean()) if its.size else None,
+                "tyler_iterations_max": int(its.max()) if its.size else None,
+                "tyler_failures": int(tyler_failed[nu_idx].sum()),
+                "r_rejections": {s: int(c) for s, c in zip(SCORES, counts)},
             }
-        out.append(entry)
+        )
     return out
 
 
@@ -361,13 +337,12 @@ _PALETTE = [
 ]
 
 
-def write_svg_chart(result: SimResult, path, width: int = 640, height: int = 440):
+def write_svg_chart(result: SimResult, path):
     """Log-scale MSE-vs-nu line chart with the two bound traces."""
     config = result.config
     nus = list(config.nu_grid)
-    series = {}
-    for name in config.columns():
-        series[name] = [result.cell(nu, name).mse for nu in nus]
+    width, height = 640, 440
+    series = {name: [result.cell(nu, name).mse for nu in nus] for name in COLUMNS}
     series["scrb"] = [result.bounds[nu][0] for nu in nus]
     series["crb_param"] = [result.bounds[nu][1] for nu in nus]
 

@@ -8,6 +8,7 @@ from scipy.optimize import bisect
 from scipy.special import betainc, gammainc
 
 import dense_oracles as dense
+from ellipfim import estimators
 from ellipfim.bounds import crb_shape
 from ellipfim.estimators import (
     ShapeEstimate,
@@ -205,10 +206,12 @@ def test_tyler_rejects_zero_rows():
         tyler_shape(np.vstack([x, np.eye(3)]), NORMALIZED_TRACE)
 
 
-def test_tyler_nonconvergence_reports_residual():
+def test_tyler_nonconvergence_reports_residual(monkeypatch):
+    monkeypatch.setattr(estimators, "TYLER_TOL", 1e-16)
+    monkeypatch.setattr(estimators, "TYLER_MAX_ITER", 3)
     x = sample(100, np.zeros(3), np.eye(3), gaussian(), seed=9)
     with pytest.raises(TylerNonConvergenceError) as exc_info:
-        tyler_shape(x, NORMALIZED_TRACE, tol=1e-16, max_iter=3)
+        tyler_shape(x, NORMALIZED_TRACE)
     assert exc_info.value.residual > 0
 
 
@@ -529,12 +532,13 @@ def test_batched_failures_stay_in_their_trial():
     assert np.isfinite(r_v[0, [0, 2, 3]]).all()
 
 
-def test_batched_tyler_nonconvergence_is_per_trial():
+def test_batched_tyler_nonconvergence_is_per_trial(monkeypatch):
     data = _datasets(6)
     _, iterations, _ = tyler_batch(data, NORMALIZED_TRACE)
     cap = int(iterations.min())
     assert iterations.max() > cap
-    v, _, residual = tyler_batch(data, NORMALIZED_TRACE, max_iter=cap)
+    monkeypatch.setattr(estimators, "TYLER_MAX_ITER", cap)
+    v, _, residual = tyler_batch(data, NORMALIZED_TRACE)
     slow = iterations > cap
     assert np.isnan(v[slow]).all() and np.all(residual[slow] >= 1e-10)
     assert np.isfinite(v[~slow]).all() and np.all(residual[~slow] < 1e-10)
@@ -604,14 +608,15 @@ class _RecordingScale:
 
 
 @pytest.mark.parametrize("m", [2, 4])
-def test_tyler_weights_are_the_row_major_quadratic_forms(m):
+def test_tyler_weights_are_the_row_major_quadratic_forms(m, monkeypatch):
     # The stacked inverse is not exactly symmetric.  The kernel reads it
     # transposed, so each weight x_i^T V^-1 x_i is the same k-ordered sum
     # as in the row-major (x V^-1) * x, bit for bit; reading V^-1 as it is
     # gives the transposed sums, equal only up to rounding.
     data = _datasets(5, m=m, n=_SIZES[m])
     rec = _RecordingScale(NORMALIZED_TRACE)
-    tyler_batch(data, rec, max_iter=2)
+    monkeypatch.setattr(estimators, "TYLER_MAX_ITER", 2)
+    tyler_batch(data, rec)
     v1 = rec.seen[0].copy()
     v1 /= NORMALIZED_TRACE.values(v1)[..., None, None]
     v1_inv = np.linalg.inv(v1)

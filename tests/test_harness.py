@@ -5,17 +5,17 @@ import os
 import subprocess
 import sys
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
 
 import ellipfim
-from ellipfim import simulate
+from ellipfim import estimators, invariants, simulate
 from ellipfim.cli import main
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
 from ellipfim.invariants import run_invariant_suite
 from ellipfim.generators import sample, student_t
+from ellipfim.matcalc import duplication_matrix
 from ellipfim.scale import scale_by_name
 from ellipfim.simulate import SimConfig, run_simulation, write_svg_chart
 
@@ -59,7 +59,7 @@ def test_config_rejects_unknown_keys():
 
 def test_config_rejects_unknown_score():
     with pytest.raises(ValueError):
-        SimConfig(scores=("huber",))
+        SimConfig.from_dict({"scores": ["huber"]})
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_svg_chart_is_well_formed(tmp_path, small_result):
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
-    assert text.count("<polyline") == len(small_result.config.columns()) + 2
+    assert text.count("<polyline") == len(simulate.COLUMNS) + 2
 
 
 def test_metadata_records_config(tmp_path, small_result):
@@ -204,13 +204,14 @@ def test_invariant_suite_fast_all_pass():
     assert report.all_passed, report.format_table()
 
 
-def test_invariant_suite_negative_control():
-    def corrupt(d):
-        d = d.copy()
+def test_invariant_suite_negative_control(monkeypatch):
+    def corrupt(m):
+        d = duplication_matrix(m).copy()
         d[0, 0] = 0.0
         return d
 
-    report = run_invariant_suite("fast", corruptions={"duplication_matrix": corrupt})
+    monkeypatch.setattr(invariants, "duplication_matrix", corrupt)
+    report = run_invariant_suite("fast")
     failed = [e.name for e in report.entries if not e.passed]
     assert "matcalc.duplication_identities" in failed
 
@@ -278,6 +279,106 @@ def test_src_modules_have_no_unused_imports():
             if unused:
                 found[name] = unused
     assert found == {}
+
+
+def _defaulted(node):
+    """(parameter, position in a call or None) for each defaulted parameter
+    of a function node; ``self`` and ``cls`` take no position in a call."""
+    a = node.args
+    params = [p.arg for p in a.posonlyargs + a.args]
+    skip = 1 if params[:1] in (["self"], ["cls"]) else 0
+    for i in range(len(params) - len(a.defaults), len(params)):
+        yield params[i], i - skip
+    for p, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield p.arg, None
+
+
+def _unset_options(sources):
+    """``name(parameter)`` for each defaulted parameter of a function in
+    ``sources`` that no call in ``sources`` sets, by position or keyword.
+
+    Functions and calls are matched by name, and a call to a class is a
+    call to its ``__init__``.  A call that passes an enclosing function's
+    own option by name forwards it: the callee's parameter is set only
+    where that option is.
+    """
+    options = {}  # (function, parameter) -> position in a call
+    calls = []  # (call, the enclosing functions' options by parameter)
+
+    def visit(node, scope, cls=None):
+        if isinstance(node, ast.FunctionDef):
+            name = cls if cls and node.name == "__init__" else node.name
+            found = dict(_defaulted(node))
+            options.update({(name, param): pos for param, pos in found.items()})
+            scope = {**scope, **{param: (name, param) for param in found}}
+        elif isinstance(node, ast.Call):
+            calls.append((node, scope))
+        inner = node.name if isinstance(node, ast.ClassDef) else None
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, inner)
+
+    for source in sources:
+        visit(ast.parse(source), {})
+    done, forwards = set(), []
+    for call, scope in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        keywords = {kw.arg: kw.value for kw in call.keywords}
+        unpacked = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+        for (fn, param), pos in options.items():
+            if fn != name:
+                continue
+            if param in keywords:
+                value = keywords[param]
+            elif pos is not None and pos < len(call.args):
+                value = call.args[pos]
+            elif unpacked:
+                value = None
+            else:
+                continue
+            if isinstance(value, ast.Name) and value.id in scope:
+                forwards.append((scope[value.id], (fn, param)))
+            else:
+                done.add((fn, param))
+    while new := {dst for src, dst in forwards if src in done} - done:
+        done |= new
+    return sorted(f"{fn}({param})" for fn, param in set(options) - done)
+
+
+def test_unset_option_finder_sees_positions_keywords_and_forwarding():
+    source = """
+def f(a, b=1, *, c=2):
+    return g(a, c)
+def g(x, y=0):
+    return x
+def h(x, t=1):
+    return k(x, y=t)
+def k(x, y=0):
+    return x
+class K:
+    def __init__(self, x=0):
+        self.x = x
+    def m(self, y=1, z=2):
+        return y
+f(1, 2)
+h(1, t=3)
+K(x=3)
+K().m(5)
+"""
+    # f(c) is only forwarded to g(y); h(t) is set, so k(y) is set through it
+    assert _unset_options([source]) == ["f(c)", "g(y)", "m(z)"]
+
+
+def test_src_options_have_a_src_caller():
+    src = os.path.dirname(ellipfim.__file__)
+    sources = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                sources.append(fh.read())
+    # the console script calls main() bare; tests pass argv
+    assert _unset_options(sources) == ["main(argv)"]
 
 
 def test_cli_simulate_and_outputs(tmp_path, capsys):
@@ -424,9 +525,6 @@ def test_config_rejects_impossible_dimensions():
         SimConfig(m=4, n=3)
     with pytest.raises(ValueError):
         SimConfig(m=4, n=10)  # the R-step needs n > m(m+1)/2 = 10
-    SimConfig(m=4, n=10, scores=())
-    with pytest.raises(ValueError):
-        SimConfig(estimators=(), scores=())
 
 
 @pytest.mark.parametrize(
@@ -488,6 +586,21 @@ def test_cli_simulate_impossible_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (out / "simulation_trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("estimators", ["scm"]), ("scores", ["vdw"])], ids=["estimators", "scores"]
+)
+def test_cli_simulate_rejects_estimator_selection_keys(tmp_path, capsys, key, value):
+    # the study's five estimators are fixed, so a config cannot pick them
+    cfg = tmp_path / "sim.json"
+    write_config(cfg, trials=5, nu_grid=[5.0], **{key: value})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1 and key in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 DOMAIN_ERROR_CONFIGS = {
@@ -808,10 +921,9 @@ def test_score_tables_built_once_per_distinct_score(monkeypatch):
     assert len(calls) == len(set(calls)) == 6
     monkeypatch.undo()
     assert tables.shape == (3, 5, config.n)
-    for s, name in enumerate(config.scores):
-        for i, nu in enumerate(config.nu_grid):
-            want = simulate._score_from_name(name, nu).table(config.n, config.m)
-            assert np.array_equal(tables[s, i], want)
+    for i, nu in enumerate(config.nu_grid):
+        for s, score in enumerate(simulate._scores(nu)):
+            assert np.array_equal(tables[s, i], score.table(config.n, config.m))
     assert np.array_equal(tables[2, 1], tables[1, 1])  # tnu at nu = 3 is t3
 
 
@@ -848,7 +960,7 @@ def test_nonconverging_tyler_counts_as_trial_failure(monkeypatch):
         for nu_idx, nu in enumerate(config.nu_grid)
     }
     cap = int(np.median(np.concatenate(list(iterations.values()))))
-    monkeypatch.setattr(simulate, "tyler_batch", partial(tyler_batch, max_iter=cap))
+    monkeypatch.setattr(estimators, "TYLER_MAX_ITER", cap)
     result = run_simulation(config)
     for nu, diagnostics in zip(config.nu_grid, result.diagnostics):
         slow = int((iterations[nu] > cap).sum())
