@@ -258,6 +258,9 @@ class ChainReport:
         return "\n".join(lines)
 
 
+# the FIMs grow as V^-1 (x) V^-1: a non-finite one raises, and an overflowed
+# norm fails its link
+@np.errstate(over="ignore", invalid="ignore")
 def verify_chain(
     scale: ScaleFunctional, v, gens: Sequence[DensityGenerator], m: int
 ) -> ChainReport:
@@ -275,6 +278,11 @@ def verify_chain(
     for gen in gens:
         bound = crb_shape(scale, v, gen)
         eff = fim_mod.efficient_fim_shape(v, scale, gen)
+        i_v = fim_mod.fim_eta(v, 1.0, scale, gen).i_v
+        if not (np.isfinite(eff).all() and np.isfinite(i_v).all()):
+            raise ValueError(
+                f"the shape FIM under {gen.name} is not finite: V^-1 (x) V^-1 overflows"
+            )
         err = np.linalg.norm(bound @ eff - np.eye(bound.shape[0])) / np.sqrt(
             bound.shape[0]
         )
@@ -287,7 +295,7 @@ def verify_chain(
                 note="one formula realizes SCRB(.|g), SCRB(.|s,g), CRB(.|s,zeta), CRB(.|s)",
             )
         )
-        no_nuisance = pd_inverse(fim_mod.fim_eta(v, 1.0, scale, gen).i_v)
+        no_nuisance = pd_inverse(i_v)
         diff = bound - no_nuisance
         rel = np.linalg.norm(diff) / max(np.linalg.norm(bound), 1e-300)
         if scale is DET_ROOT:

@@ -24,15 +24,13 @@ from .fim import IdentifiabilityError
 from .generators import MomentUndefinedError, gaussian, generalized_gaussian, student_t
 from .invariants import run_invariant_suite
 from .parameterize import (
-    LowRankModel,
-    breaking_parameterization,
-    linear_split_parameterization,
-    low_rank_parameterization,
-    shape_scale_parameterization,
-    sinusoid_steering,
+    breaking_example,
+    low_rank_example,
+    shape_scale_example,
+    split_example,
     verify_adaptivity_by_fim,
 )
-from .matcalc import ovecs, vecs, vecs_len
+from .matcalc import vecs_len
 from .scale import ManifoldError, decompose, scale_by_name
 from .simulate import SimConfig, run_simulation, write_svg_chart
 
@@ -189,12 +187,13 @@ def cmd_bounds(args) -> int:
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}")
     bset = bounds_mod.bound_set(scale, sigma, gen)
+    # the chain can raise on an evaluable-looking scatter, so it runs before
+    # anything is written: exit 2 leaves no output
+    report = bounds_mod.verify_chain(scale, decompose(scale, sigma).v, [gen], m)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"bounds_{scale.kind}_{gen.name}.csv"
     bounds_mod.write_bounds_csv(bset, csv_path)
-    v = decompose(scale, sigma).v
-    report = bounds_mod.verify_chain(scale, v, [gen], m)
     print(report.format_table())
     print(f"trace(crb_shape) = {np.trace(bset.crb_shape):.12g}")
     print(f"crb_scale = {bset.crb_scale:.12g}")
@@ -218,15 +217,11 @@ def _parameterization_from_spec(spec):
     unit = (-1.0, 1.0)  # a Toeplitz rho^|i-j| is PD exactly for |rho| < 1
     positive = (0.0, np.inf)
 
-    rng = np.random.default_rng(get("seed", 0, int))
+    rng = np.random.default_rng(get("seed", 0, int, least=0))
     if name == "split":
         m = get("m", 4, int, least=1)
         q = get("q", 2, int, least=1)
-        h = rng.standard_normal((m, q))
-        param = linear_split_parameterization(h, m)
-        sigma0 = toeplitz(get("rho", 0.7, inside=unit) ** np.arange(m))
-        theta0 = np.concatenate([rng.standard_normal(q), vecs(sigma0)])
-        return param, theta0
+        return split_example(rng, m, q, get("rho", 0.7, inside=unit))
     if name == "low_rank":
         m = get("m", 6, int)
         p = get("p", 2, int, least=1)
@@ -236,29 +231,22 @@ def _parameterization_from_spec(spec):
                 f"parameterization.m must satisfy m(m+1)/2 >= p + p(p+1)/2 + 1 "
                 f"for p = {p}, got {m!r}"
             )
-        gamma0 = check_reals(spec.get("gamma", [0.6, 1.7]), "parameterization.gamma")
-        if gamma0.size != p:
-            raise ConfigError("low_rank needs one gamma per source")
-        a_fn, a_jac = sinusoid_steering(m)
-        b = rng.standard_normal((p, p))
-        model = LowRankModel(
-            a_fn=a_fn,
-            a_jac=a_jac,
-            signal_cov=b @ b.T + p * np.eye(p),
-            noise_level=get("noise", 0.8, inside=positive),
-            q=p,
-        )
-        return low_rank_parameterization(model), model.theta0(gamma0)
+        gamma = spec.get("gamma", [0.6, 1.7])
+        gamma0 = check_reals(gamma, "parameterization.gamma")
+        if gamma0.shape != (p,):
+            raise ConfigError(
+                f"parameterization.gamma must list one real number per source "
+                f"(p = {p}), got {gamma!r}"
+            )
+        return low_rank_example(rng, m, gamma0, get("noise", 0.8, inside=positive))
     if name == "shape_scale":
         m = get("m", 4, int, least=2)  # a shape needs a free coordinate
         scale = _scale_from_name(spec.get("scale", "trace"))
-        sigma0 = toeplitz(get("rho", 0.8, inside=unit) ** np.arange(m))
-        dec = decompose(scale, sigma0)
-        theta0 = np.concatenate([np.zeros(m), ovecs(dec.v), [get("s", 1.5, inside=positive)]])
-        return shape_scale_parameterization(scale, m), theta0
+        return shape_scale_example(
+            scale, m, get("rho", 0.8, inside=unit), get("s", 1.5, inside=positive)
+        )
     m = get("m", 3, int, least=1)  # breaking
-    sigma0 = toeplitz(get("rho", 0.5, inside=unit) ** np.arange(m))
-    return breaking_parameterization(sigma0), np.asarray([get("gamma0", 1.3, inside=positive)])
+    return breaking_example(m, get("rho", 0.5, inside=unit), get("gamma0", 1.3, inside=positive))
 
 
 def cmd_adaptivity(args) -> int:

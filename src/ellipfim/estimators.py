@@ -18,9 +18,9 @@ Tyler's iteration does not converge; the single-dataset functions raise
 
 The rank-based update is
     vecs(V_R) = vecs(V*) + (1 / (alpha_hat sqrt(n))) Xi_{V*} Delta_{V*},
-with V* a sqrt(n)-consistent preliminary (Tyler by default), Delta the
-rank statistic built from the score function K applied to the ranks of
-the whitened quadratic forms, and Xi the tangent-space weighting
+with V* a sqrt(n)-consistent preliminary, Delta the rank statistic
+built from the score function K applied to the ranks of the whitened
+quadratic forms, and Xi the tangent-space weighting
 2 U [U^T Upsilon Upsilon^T U]^{-1} U^T, applied as one solve per trial
 without U or Xi being formed.  The Gram Upsilon Upsilon^T =
 D_m^T (V^-1 (x) V^-1 - vec(V^-1) vec(V^-1)^T / m) D_m is built entry by
@@ -106,6 +106,11 @@ class VanDerWaerden(ScoreFunction):
         return 2.0 * special.gammaincinv(0.5 * m, np.asarray(u, dtype=float))
 
 
+# scipy's fdtri is NaN or wrong from nu of about 5.5e154 on; from about 1e16
+# on, the t_nu score equals its nu -> inf limit, the chi2_m score, to rounding
+_FDTRI_NU_MAX = 1e154
+
+
 class TScore(ScoreFunction):
     """t_nu-based score; nu tunes the robustness/efficiency trade-off."""
 
@@ -119,6 +124,8 @@ class TScore(ScoreFunction):
         return (type(self), self.nu)
 
     def __call__(self, u, m):
+        if self.nu > _FDTRI_NU_MAX:
+            return VanDerWaerden()(u, m)
         # the F(m, nu) quantile, as scipy.stats computes it
         f_inv = special.fdtri(m, self.nu, np.asarray(u, dtype=float))
         with np.errstate(invalid="ignore"):  # inf / inf at u = 1

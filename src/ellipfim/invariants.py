@@ -44,12 +44,10 @@ from .matcalc import (
     vecs_len,
 )
 from .parameterize import (
-    breaking_parameterization,
+    breaking_example,
     condition_check,
-    linear_split_parameterization,
-    LowRankModel,
-    low_rank_parameterization,
-    sinusoid_steering,
+    low_rank_example,
+    split_example,
     verify_adaptivity_by_fim,
 )
 from .scale import (
@@ -320,21 +318,9 @@ def _check_chain_reports():
 
 def _check_adaptivity_condition():
     rng = np.random.default_rng(10)
-    h = rng.standard_normal((4, 2))
-    split = linear_split_parameterization(h, 4)
-    theta_split = np.concatenate(
-        [rng.standard_normal(2), vecs(toeplitz(0.7 ** np.arange(4)))]
-    )
-    a_fn, a_jac = sinusoid_steering(6)
-    b = rng.standard_normal((2, 2))
-    model = LowRankModel(
-        a_fn=a_fn, a_jac=a_jac, signal_cov=b @ b.T + 2 * np.eye(2),
-        noise_level=0.8, q=2,
-    )
-    lowrank = low_rank_parameterization(model)
-    theta_lr = model.theta0(np.array([0.6, 1.7]))
-    breaking = breaking_parameterization(toeplitz(0.5 ** np.arange(3)))
-    theta_break = np.array([1.3])
+    split, theta_split = split_example(rng, 4, 2, 0.7)
+    lowrank, theta_lr = low_rank_example(rng, 6, [0.6, 1.7], 0.8)
+    breaking, theta_break = breaking_example(3, 0.5, 1.3)
 
     for gen in (student_t(6), student_t(8), generalized_gaussian(0.5)):
         for param, theta in ((split, theta_split), (lowrank, theta_lr)):
@@ -353,15 +339,7 @@ def _check_adaptivity_condition():
 
 
 def _check_loewner_ordering():
-    rng = np.random.default_rng(11)
-    a_fn, a_jac = sinusoid_steering(4)
-    b = rng.standard_normal((2, 2))
-    model = LowRankModel(
-        a_fn=a_fn, a_jac=a_jac, signal_cov=b @ b.T + 2 * np.eye(2),
-        noise_level=0.5, q=2,
-    )
-    param = low_rank_parameterization(model)
-    theta0 = model.theta0(np.array([0.7, 1.9]))
+    param, theta0 = low_rank_example(np.random.default_rng(11), 4, [0.7, 1.9], 0.5)
     g_diff = fim_mod.fim_theta(param, theta0, gaussian()) - fim_mod.sfim_theta(
         param, theta0, gaussian()
     )
@@ -466,15 +444,7 @@ def _check_empirical_fims_mc():
     worst_z = 0.0
     for gen, seed in ((gaussian(), 11), (student_t(8), 12)):
         m, n = 4, 20_000
-        a_fn, a_jac = sinusoid_steering(m)
-        rng = np.random.default_rng(seed)
-        b = rng.standard_normal((2, 2))
-        model = LowRankModel(
-            a_fn=a_fn, a_jac=a_jac, signal_cov=b @ b.T + 2 * np.eye(2),
-            noise_level=0.5, q=2,
-        )
-        param = low_rank_parameterization(model)
-        theta0 = model.theta0(np.array([0.7, 1.9]))
+        param, theta0 = low_rank_example(np.random.default_rng(seed), m, [0.7, 1.9], 0.5)
         sigma = param.sigma_fn(theta0)
         x = sample(n, np.zeros(m), sigma, gen, seed=(seed, 99))
         for score_fn, target in (

@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "vec",
-    "unvec",
     "vecs",
     "unvecs",
     "ovecs",
@@ -48,12 +47,6 @@ def vec(a):
     """
     a = np.asarray(a)
     return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (-1,))
-
-
-def unvec(v, m):
-    """Inverse of :func:`vec` for an ``m x m`` matrix."""
-    v = np.asarray(v)
-    return v.reshape((m, m), order="F")
 
 
 def vecs_len(m):

@@ -4,25 +4,29 @@ A parameterization carries the interest/nuisance split (interest first),
 the maps theta -> mu(theta) and theta -> Sigma(theta), and optionally
 analytic derivatives: the m x d Jacobian of mu and the (d, m, m) stack of
 derivative matrices Sigma_i = d Sigma / d theta_i.  A central-difference
-fallback covers the rest.  The adaptivity condition decides, for a given
-generator, whether ignorance of the density generator costs efficiency on
-the interest block beyond what the finite-dimensional nuisance already
-costs.  ``verify_adaptivity_by_fim`` gives two verdicts on it from one
-model geometry: the condition residual and the gap between the efficient
+fallback covers the rest.  The paper's example models are the
+``*_example`` builders, each returning (param, theta0); the CLI, the
+invariant suite and the demos build them only through these.  The
+adaptivity condition decides, for a given generator, whether ignorance of
+the density generator costs efficiency on the interest block beyond what
+the finite-dimensional nuisance already costs.
+``verify_adaptivity_by_fim`` gives two verdicts on it from one model
+geometry: the condition residual and the gap between the efficient
 interest FIMs, both judged against ``ADAPTIVITY_TOL``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from . import fim as fim_mod
 from .generators import DensityGenerator
-from .matcalc import unvecs, vecs, vecs_basis, vecs_len
-from .scale import ScaleFunctional, jacobian_w, reconstruct_shape
+from .matcalc import ovecs, unvecs, vecs, vecs_basis, vecs_len
+from .scale import ScaleFunctional, decompose, jacobian_w, reconstruct_shape
 
 __all__ = [
     "Parameterization",
@@ -37,6 +41,10 @@ __all__ = [
     "low_rank_parameterization",
     "breaking_parameterization",
     "sinusoid_steering",
+    "split_example",
+    "low_rank_example",
+    "shape_scale_example",
+    "breaking_example",
     "ADAPTIVITY_TOL",
     "condition_check",
     "verify_adaptivity_by_fim",
@@ -93,27 +101,6 @@ class Parameterization:
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
-
-
-def identity_parameterization(m: int) -> Parameterization:
-    """theta = (mu, vecs Sigma), everything interest."""
-    nh = vecs_len(m)
-
-    def jac_mu(theta):
-        return np.hstack([np.eye(m), np.zeros((m, nh))])
-
-    def jac_sig(theta):
-        return np.concatenate([np.zeros((m, m, m)), vecs_basis(m)])
-
-    return Parameterization(
-        q=m + nh,
-        r=0,
-        mu_fn=lambda th: th[:m],
-        sigma_fn=lambda th: unvecs(th[m:], m),
-        jac_mu=jac_mu,
-        jac_sigma=jac_sig,
-        name="identity",
-    )
 
 
 def shape_scale_parameterization(scale: ScaleFunctional, m: int) -> Parameterization:
@@ -197,6 +184,12 @@ def linear_split_parameterization(h, m: int) -> Parameterization:
         jac_mu_gamma=lambda g: h,
         jac_sigma_xi=lambda xi: vecs_basis(m),
     )
+
+
+def identity_parameterization(m: int) -> Parameterization:
+    """theta = (mu, vecs Sigma), everything interest: the split model at H = I."""
+    param = linear_split_parameterization(np.eye(m), m)
+    return replace(param, q=param.d, r=0, name="identity")
 
 
 @dataclass
@@ -303,6 +296,49 @@ def sinusoid_steering(m: int):
         return out
 
     return a_fn, a_jac
+
+
+# ---------------------------------------------------------------------------
+# the paper's example models, each as (param, theta0)
+# ---------------------------------------------------------------------------
+
+
+def split_example(rng, m, q, rho):
+    """mu = H gamma, Sigma = unvecs(xi) at theta0 = (gamma0, vecs Sigma0),
+    Sigma0 the Toeplitz rho^|i-j|.  Draws H (m x q), then gamma0 (q), from
+    ``rng``."""
+    param = linear_split_parameterization(rng.standard_normal((m, q)), m)
+    sigma0 = toeplitz(rho ** np.arange(m))
+    return param, np.concatenate([rng.standard_normal(q), vecs(sigma0)])
+
+
+def low_rank_example(rng, m, gamma0, noise):
+    """Sigma = A(gamma) Xi A(gamma)^T + noise I with ``sinusoid_steering(m)``.
+
+    p = gamma0.size sources.  Draws B (p x p) from ``rng`` and sets
+    Xi = B B^T + p I; theta0 = (gamma0, vecs Xi, noise).
+    """
+    gamma0 = np.asarray(gamma0, dtype=float)
+    p = gamma0.size
+    a_fn, a_jac = sinusoid_steering(m)
+    b = rng.standard_normal((p, p))
+    model = LowRankModel(
+        a_fn=a_fn, a_jac=a_jac, signal_cov=b @ b.T + p * np.eye(p), noise_level=noise, q=p
+    )
+    return low_rank_parameterization(model), model.theta0(gamma0)
+
+
+def shape_scale_example(scale: ScaleFunctional, m, rho, s):
+    """theta0 = (0, ovecs V, s), with V the shape of the Toeplitz rho^|i-j|."""
+    v = decompose(scale, toeplitz(rho ** np.arange(m))).v
+    theta0 = np.concatenate([np.zeros(m), ovecs(v), [s]])
+    return shape_scale_parameterization(scale, m), theta0
+
+
+def breaking_example(m, rho, gamma0):
+    """Sigma = gamma Sigma0 at Sigma0 = Toeplitz rho^|i-j|, theta0 = [gamma0]."""
+    sigma0 = toeplitz(rho ** np.arange(m))
+    return breaking_parameterization(sigma0), np.array([gamma0], dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from ellipfim.cli import _parameterization_from_spec
 from ellipfim.fim import IdentifiabilityError, fim_theta
 from ellipfim.generators import gaussian, generalized_gaussian, student_t
-from ellipfim.matcalc import vecs
+from ellipfim.matcalc import vecs, vecs_len
 from ellipfim.parameterize import (
     LowRankModel,
+    breaking_example,
     breaking_parameterization,
     condition_check,
+    identity_parameterization,
     linear_split_parameterization,
+    low_rank_example,
     low_rank_parameterization,
+    shape_scale_example,
     shape_scale_parameterization,
     sinusoid_steering,
+    split_example,
     verify_adaptivity_by_fim,
 )
 from ellipfim.matcalc import ovecs
@@ -162,3 +168,90 @@ def test_lowrank_rank_deficient_a_rejected():
     param = low_rank_parameterization(model)
     with pytest.raises(IdentifiabilityError):
         param.jacobian_sigma(model.theta0(np.array([0.4])))
+
+
+# ---------------------------------------------------------------------------
+# the example-model builders
+# ---------------------------------------------------------------------------
+
+
+def test_split_example_is_the_hand_built_split_model():
+    m, q, rho = 5, 3, -0.4
+    rng = np.random.default_rng(21)
+    h = rng.standard_normal((m, q))
+    theta0 = np.concatenate([rng.standard_normal(q), vecs(toeplitz(rho ** np.arange(m)))])
+    param, got = split_example(np.random.default_rng(21), m, q, rho)
+    np.testing.assert_array_equal(got, theta0)
+    np.testing.assert_array_equal(param.jacobian_mu(got)[:, :q], h)
+    assert (param.q, param.r, param.name) == (q, vecs_len(m), "split")
+
+
+def test_low_rank_example_is_the_hand_built_low_rank_model():
+    m, gamma0, noise = 7, np.array([0.2, 0.9, 1.4]), 1.1
+    rng = np.random.default_rng(22)
+    a_fn, a_jac = sinusoid_steering(m)
+    b = rng.standard_normal((3, 3))
+    model = LowRankModel(
+        a_fn=a_fn, a_jac=a_jac, signal_cov=b @ b.T + 3 * np.eye(3), noise_level=noise, q=3
+    )
+    param, theta0 = low_rank_example(np.random.default_rng(22), m, list(gamma0), noise)
+    np.testing.assert_array_equal(theta0, model.theta0(gamma0))
+    want = low_rank_parameterization(model)
+    np.testing.assert_array_equal(param.sigma_fn(theta0), want.sigma_fn(theta0))
+    np.testing.assert_array_equal(param.jacobian_sigma(theta0), want.jacobian_sigma(theta0))
+    assert (param.q, param.r, param.name) == (want.q, want.r, "low_rank")
+
+
+def test_identity_is_the_split_model_at_h_identity():
+    m = 4
+    sigma0 = toeplitz(0.6 ** np.arange(m))
+    theta0 = np.concatenate([np.arange(1.0, m + 1), vecs(sigma0)])
+    param = identity_parameterization(m)
+    assert (param.q, param.r, param.name) == (m + vecs_len(m), 0, "identity")
+    np.testing.assert_array_equal(param.mu_fn(theta0), theta0[:m])
+    np.testing.assert_array_equal(param.sigma_fn(theta0), sigma0)
+    np.testing.assert_array_equal(param.jacobian_mu(theta0), np.eye(m, param.d))
+
+
+SPEC_BUILDERS = {
+    "split": (
+        {"name": "split", "seed": 5, "m": 5, "q": 3, "rho": -0.3},
+        lambda: split_example(np.random.default_rng(5), 5, 3, -0.3),
+    ),
+    "low_rank": (
+        {"name": "low_rank", "seed": 4, "m": 6, "p": 1, "gamma": [0.3], "noise": 1.2},
+        lambda: low_rank_example(np.random.default_rng(4), 6, [0.3], 1.2),
+    ),
+    "shape_scale": (
+        {"name": "shape_scale", "m": 5, "scale": "det", "rho": 0.4, "s": 3.0},
+        lambda: shape_scale_example(DET_ROOT, 5, 0.4, 3.0),
+    ),
+    "breaking": (
+        {"name": "breaking", "m": 5, "rho": 0.2, "gamma0": 2.5},
+        lambda: breaking_example(5, 0.2, 2.5),
+    ),
+    # the CLI's defaults
+    "split_default": (
+        {"name": "split"},
+        lambda: split_example(np.random.default_rng(0), 4, 2, 0.7),
+    ),
+    "low_rank_default": (
+        {"name": "low_rank"},
+        lambda: low_rank_example(np.random.default_rng(0), 6, [0.6, 1.7], 0.8),
+    ),
+    "shape_scale_default": (
+        {"name": "shape_scale"},
+        lambda: shape_scale_example(NORMALIZED_TRACE, 4, 0.8, 1.5),
+    ),
+    "breaking_default": ({"name": "breaking"}, lambda: breaking_example(3, 0.5, 1.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_BUILDERS))
+def test_cli_spec_builds_the_example_model(name):
+    spec, build = SPEC_BUILDERS[name]
+    param, theta0 = _parameterization_from_spec(spec)
+    want, want_theta0 = build()
+    np.testing.assert_array_equal(theta0, want_theta0)
+    np.testing.assert_array_equal(param.sigma_fn(theta0), want.sigma_fn(want_theta0))
+    assert (param.q, param.r, param.name) == (want.q, want.r, want.name)

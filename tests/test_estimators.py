@@ -80,6 +80,15 @@ def test_tscore_at_u_one_is_its_limit():
     assert grid[1] == m + 3.0 and grid[0] == k(0.5, m)
 
 
+@pytest.mark.parametrize("m", [4, 10, 55])
+@pytest.mark.parametrize("nu", [1e160, 1e300])
+def test_tscore_beyond_the_f_quantile_range_is_its_vdw_limit(nu, m):
+    # scipy's F quantile is NaN or wrong there; the chi2_m score is the limit
+    got = TScore(nu).table(50, m)
+    assert np.isfinite(got).all()
+    np.testing.assert_array_equal(got, VanDerWaerden().table(50, m))
+
+
 def test_tscore_limits_to_vdw():
     m = 4
     k_t = TScore(1e6)

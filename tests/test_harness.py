@@ -110,6 +110,14 @@ def test_simulation_one_block_runs_without_a_pool(tmp_path, small_result, pools)
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par3.csv").read_bytes()
 
 
+def test_simulation_at_a_huge_nu_fails_no_trial():
+    # the matched t(nu) score of r_tnu is the van der Waerden score there
+    result = run_simulation(SimConfig(**{**SMALL, "nu_grid": (5.0, 1e160), "trials": 10}))
+    assert all(c.valid and c.n_failed == 0 for c in result.cells)
+    mse = {(c.nu, c.estimator): c.mse for c in result.cells}
+    assert mse[1e160, "r_tnu"] == mse[1e160, "r_vdw"]
+
+
 def test_simulation_bounds_pure_functions_of_model(small_result):
     tiny = run_simulation(SimConfig(**{**SMALL, "trials": 1}))
     assert tiny.bounds == small_result.bounds
@@ -381,6 +389,71 @@ def test_src_options_have_a_src_caller():
     assert _unset_options(sources) == ["main(argv)"]
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _unreferenced_definitions(defining, using):
+    """``module.name`` for each module-level function or class of the
+    ``defining`` sources (keyed by module) that no source of ``defining`` or
+    ``using`` reads as a name, an attribute or an import, outside the
+    definition itself; ``__all__`` strings are not reads."""
+    defined = []
+    readers = {}  # name -> {(module, enclosing definition)}; module None in ``using``
+    for module, source in [*defining.items(), *((None, s) for s in using)]:
+        for top in ast.parse(source).body:
+            owner = top.name if isinstance(top, _DEFINITIONS) else None
+            if owner and module is not None:
+                defined.append((module, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                readers.setdefault(name, set()).add((module, owner))
+    return sorted(
+        f"{module}.{name}"
+        for module, name in defined
+        if readers.get(name, set()) <= {(module, name)}
+    )
+
+
+def test_unreferenced_definition_finder_sees_names_attributes_and_imports():
+    defining = {
+        "a": "__all__ = ['listed']\n"
+        "def listed(): pass\n"
+        "def recursive(n): return recursive(n)\n"
+        "def by_name(): pass\n"
+        "def by_attribute(): pass\n"
+        "class ByImport: pass\n"
+        "def at_top(): pass\n"
+        "at_top()\n",
+        "b": "from a import ByImport\nimport a\ndef f(): return a.by_attribute()\n",
+    }
+    using = ["print(by_name, f)"]
+    # only __all__ lists `listed`, and `recursive` reads itself alone
+    assert _unreferenced_definitions(defining, using) == ["a.listed", "a.recursive"]
+
+
+def test_src_definitions_have_a_reference():
+    src = os.path.dirname(ellipfim.__file__)
+    root = os.path.dirname(os.path.dirname(src))
+    defining, using = {}, []
+    for folder in (src, *(os.path.join(root, d) for d in ("tests", "demos", "perfbench"))):
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    text = fh.read()
+                if folder == src:
+                    defining[name[:-3]] = text
+                else:
+                    using.append(text)
+    assert _unreferenced_definitions(defining, using) == []
+
+
 def test_cli_simulate_and_outputs(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     write_config(cfg, trials=10, nu_grid=[5.0])
@@ -614,6 +687,11 @@ DOMAIN_ERROR_CONFIGS = {
         {"parameterization": {"name": "low_rank", "m": 2, "p": 3, "gamma": [0.1, 0.2, 0.3]}},
     ),
     "unknown_verify_level": ("verify", {"level": "bogus"}),
+    # a PD scatter whose shape FIM, V^-1 (x) V^-1, overflows
+    "bounds_fim_overflow": (
+        "bounds",
+        {"m": 4, "sigma": {"kind": "matrix", "values": np.diag([1, 1, 1, 1e-300]).tolist()}},
+    ),
 }
 
 
@@ -626,11 +704,14 @@ def test_cli_domain_errors_exit_2_with_one_line(tmp_path, capsys, case):
     argv = [command, "--config", str(cfg)]
     if command == "bounds":
         argv += ["--out", str(out)]
-    assert main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
+    assert not caught and not out.exists()
 
 
 BAD_CONFIG_VALUES = {
@@ -739,6 +820,21 @@ BAD_CONFIG_VALUES = {
         "adaptivity",
         {"parameterization": {"name": "breaking", "gamma0": 0}},
         "parameterization.gamma0 must lie in (0, inf)",
+    ),
+    "seed_negative": (
+        "adaptivity",
+        {"parameterization": {"name": "split", "seed": -1}},
+        "parameterization.seed must be >= 0",
+    ),
+    "low_rank_gamma_nested": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank", "p": 1, "gamma": [[0.3]]}},
+        "parameterization.gamma",
+    ),
+    "low_rank_gamma_length": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank", "p": 2, "gamma": [0.3]}},
+        "parameterization.gamma",
     ),
     "verify_key": ("verify", {"level": "fast", "levle": "full"}, "levle"),
     "simulate_rho_null": ("simulate", {"rho": None}, "rho must be a real number"),
