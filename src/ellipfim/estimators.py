@@ -16,6 +16,15 @@ when an intermediate is not finite or not positive definite, or when
 Tyler's iteration does not converge; the single-dataset functions raise
 ``LinAlgError`` or ``TylerNonConvergenceError`` instead.
 
+Tyler's iteration is over-relaxed: V <- S-normalize(V + omega (F(V) - V))
+with F the plain Tyler map and omega = (m + 2) / m = 1 / (1 - c), c =
+2 / (m + 2) being the plain map's contraction factor on shape directions
+at the fixed point.  A trial takes the plain step F(V) where a cheap test on
+V^-1 F(V) cannot show the extrapolation positive definite
+(``tyler_batch``).  The stop rule and the returned F(V) are the plain
+iteration's; at m = 4, n = 100 it takes about 14.5 iterations instead of
+27.
+
 The rank-based update is
     vecs(V_R) = vecs(V*) + (1 / (alpha_hat sqrt(n))) Xi_{V*} Delta_{V*},
 with V* a sqrt(n)-consistent preliminary, Delta the rank statistic
@@ -214,14 +223,34 @@ def scm_shape(data, scale: ScaleFunctional) -> ShapeEstimate:
 def tyler_batch(data, scale: ScaleFunctional):
     """Tyler's fixed point, renormalized to S(V) = 1, for a (T, n, m) stack.
 
-    Returns ``(v, iterations, residual)``.  A trial leaves the active set
-    once it converges (residual < TYLER_TOL) or fails.  ``v`` is NaN for a
-    failed trial: its residual is NaN when an iterate went non-finite or
-    not positive definite, and the last residual (>= TYLER_TOL) when it did
-    not converge in TYLER_MAX_ITER iterations.
+    With F the plain Tyler map, V -> (m / n) sum_i x_i x_i^T / (x_i^T V^-1
+    x_i) renormalized to S = 1, each iteration takes the over-relaxed step
+    V <- S-normalize(V + omega (F(V) - V)), omega = (m + 2) / m.  For u
+    uniform on the sphere E[(u^T E u) u u^T] = (2 E + tr(E) I) / (m (m + 2)),
+    so at the fixed point F's linearization is c = 2 / (m + 2) times the
+    identity on shape directions; the linearized step multiplies the
+    error there by 1 - omega (1 - c), which omega = 1 / (1 - c) makes 0.  The
+    extrapolated matrix is positive definite iff the eigenvalues of
+    V^-1 F(V) exceed 2 / (m + 2); a trial takes it only where
+    ||V^-1 F(V) - I||_F < m / (2 (m + 2)), which keeps the extrapolation's
+    eigenvalues relative to V above 1/2, and takes the plain step F(V)
+    elsewhere.
+    At n = m + 1 a fixed point can be nearly singular (smallest
+    eigenvalue about 1e-9); the residual of such a trial can stall near
+    1e-9 where the plain iteration converges (6 of 40,500 trials measured
+    at m = 2, 4, 10); at n = m + 2 and n = 2m + 2 none of 16,200 was.
+
+    Returns ``(v, iterations, residual)``, ``v`` being F(V) at the
+    iterate whose residual ||F(V) - V|| / ||V|| is below TYLER_TOL.  A
+    trial leaves the active set once it converges or fails.  ``v`` is NaN
+    for a failed trial: its residual is NaN when an iterate went
+    non-finite or not positive definite, and the last residual
+    (>= TYLER_TOL) when it did not converge in TYLER_MAX_ITER iterations.
     """
     xt = _coordinate_major(data)
     trials, m, n = xt.shape
+    omega = (m + 2.0) / m
+    guard = (m / (2.0 * (m + 2.0))) ** 2
     v = np.full((trials, m, m), np.nan)
     iterations = np.full(trials, TYLER_MAX_ITER)
     residual = np.full(trials, np.nan)
@@ -229,13 +258,13 @@ def tyler_batch(data, scale: ScaleFunctional):
     v_act = np.broadcast_to(np.eye(m), (trials, m, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, TYLER_MAX_ITER + 1):
+            v_inv = _stacked(np.linalg.inv, v_act)
             # x_i^T V^-1 x_i with V^-1 read transposed, as x V^-1 reads it:
             # the stacked inverse is not exactly symmetric
-            v_inv_t = np.swapaxes(_stacked(np.linalg.inv, v_act), -1, -2)
-            q = np.sum((v_inv_t @ xt) * xt, axis=-2)
-            v_new = (m / n) * (xt / q[..., None, :]) @ np.swapaxes(xt, -1, -2)
-            v_new /= scale.values(v_new)[..., None, None]
-            diff = v_new - v_act
+            q = np.sum((np.swapaxes(v_inv, -1, -2) @ xt) * xt, axis=-2)
+            f = (m / n) * (xt / q[..., None, :]) @ np.swapaxes(xt, -1, -2)
+            f /= scale.values(f)[..., None, None]
+            diff = f - v_act
             res = np.sqrt(
                 np.sum(diff * diff, axis=(-2, -1))
                 / np.sum(v_act * v_act, axis=(-2, -1))
@@ -244,11 +273,14 @@ def tyler_batch(data, scale: ScaleFunctional):
             residual[active] = res
             converged = res < TYLER_TOL
             done = converged | np.isnan(res)
-            v_act = v_new
+            r = v_inv @ f - np.eye(m)
+            safe = np.sum(r * r, axis=(-2, -1)) < guard
+            v_act = np.where(safe[:, None, None], v_act + omega * diff, f)
+            v_act /= scale.values(v_act)[..., None, None]
             if done.any():
-                v[active[converged]] = v_new[converged]
+                v[active[converged]] = f[converged]
                 iterations[active[done]] = it
-                active, xt, v_act = active[~done], xt[~done], v_new[~done]
+                active, xt, v_act = active[~done], xt[~done], v_act[~done]
                 if not active.size:
                     break
     return v, iterations, residual
@@ -394,9 +426,8 @@ def r_estimator(
 ) -> ShapeEstimate:
     """One-step rank-based shape estimator.
 
-    Iterating the step refreshes the tangent basis at the current
-    estimate, which only matters when U depends on the shape (det-root
-    scale); measured at n = 100 even there the extra sweeps cost a few
+    Iterating the step would re-solve the tangent-space system at the
+    current estimate; measured at n = 100 the extra sweeps cost a few
     percent of MSE rather than helping, so the estimator takes one step
     for every scale.
     """

@@ -282,10 +282,11 @@ def run_simulation(config: SimConfig) -> SimResult:
             n_failed = int((~ok).sum())
             vals = col[ok]
             mse = float(vals.mean()) if vals.size else float("nan")
+            # one valid trial gives no spread: NaN, not an exact MSE
             stderr = (
                 float(vals.std(ddof=1) / math.sqrt(vals.size))
                 if vals.size > 1
-                else 0.0
+                else float("nan")
             )
             cells.append(
                 CellResult(

@@ -211,11 +211,15 @@ def sfim_theta(param, theta0, gen):
     return _fim_theta(param, theta0, gen, rank1)
 
 
-def tyler_row_major(data, scale, tol=1e-10, max_iter=200):
+def tyler_row_major(data, scale, tol=1e-10, max_iter=200, plain=False):
     """``estimators.tyler_batch`` on the (T, n, m) stack as it is laid out:
-    q_i = sum_j (x V^-1)_ij x_ij and V_new = (m / n) X^T (X / q)."""
+    q_i = sum_j (x V^-1)_ij x_ij and F(V) = (m / n) X^T (X / q), with the
+    guarded over-relaxed step V <- V + ((m + 2) / m)(F(V) - V).  With
+    ``plain`` it is Tyler's own iteration V <- F(V), which has the same
+    fixed point."""
     data = np.asarray(data, dtype=float)
     trials, n, m = data.shape
+    omega = (m + 2.0) / m
     v = np.full((trials, m, m), np.nan)
     iterations = np.full(trials, max_iter)
     residual = np.full(trials, np.nan)
@@ -224,10 +228,11 @@ def tyler_row_major(data, scale, tol=1e-10, max_iter=200):
     v_act = np.broadcast_to(np.eye(m), (trials, m, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            q = np.sum((x @ _stacked(np.linalg.inv, v_act)) * x, axis=-1)
-            v_new = (m / n) * np.swapaxes(x, -1, -2) @ (x / q[..., None])
-            v_new /= scale.values(v_new)[..., None, None]
-            diff = v_new - v_act
+            v_inv = _stacked(np.linalg.inv, v_act)
+            q = np.sum((x @ v_inv) * x, axis=-1)
+            f = (m / n) * np.swapaxes(x, -1, -2) @ (x / q[..., None])
+            f /= scale.values(f)[..., None, None]
+            diff = f - v_act
             res = np.sqrt(
                 np.sum(diff * diff, axis=(-2, -1)) / np.sum(v_act * v_act, axis=(-2, -1))
             )
@@ -235,11 +240,19 @@ def tyler_row_major(data, scale, tol=1e-10, max_iter=200):
             residual[active] = res
             converged = res < tol
             done = converged | np.isnan(res)
-            v_act = v_new
+            if plain:
+                v_act = f
+            else:
+                # the extrapolation is PD where V^-1 F's eigenvalues exceed
+                # 2 / (m + 2); the guard asks for distance m / (2 (m + 2)) to 1
+                r = v_inv @ f - np.eye(m)
+                safe = np.linalg.norm(r, axis=(-2, -1)) < m / (2.0 * (m + 2.0))
+                v_act = np.where(safe[:, None, None], v_act + omega * diff, f)
+                v_act /= scale.values(v_act)[..., None, None]
             if done.any():
-                v[active[converged]] = v_new[converged]
+                v[active[converged]] = f[converged]
                 iterations[active[done]] = it
-                active, x, v_act = active[~done], x[~done], v_new[~done]
+                active, x, v_act = active[~done], x[~done], v_act[~done]
                 if not active.size:
                     break
     return v, iterations, residual

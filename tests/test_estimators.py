@@ -605,6 +605,61 @@ def test_tyler_matches_the_row_major_oracle(scale, m):
     assert np.all(residual < 1e-10) and np.all(residual_o < 1e-10)
 
 
+@pytest.mark.parametrize("m", [2, 4, 10])
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_tyler_agrees_with_the_plain_iteration(scale, m):
+    # Each returns F(V) at an iterate V with |F(V) - V| < TYLER_TOL |V|.  The
+    # plain map contracts at a rate c near 2 / (m + 2) at these n, so F(V) is
+    # within c / (1 - c) TYLER_TOL <= 2 TYLER_TOL of the fixed point for
+    # c <= 2/3, and the two estimates are within 4 TYLER_TOL of each other.
+    data = _datasets(20, m=m, n=_SIZES[m])
+    v, iterations, residual = tyler_batch(data, scale)
+    v_p, iterations_p, residual_p = dense.tyler_row_major(data, scale, plain=True)
+    assert np.all(residual < estimators.TYLER_TOL)
+    assert np.all(residual_p < estimators.TYLER_TOL)
+    err = np.linalg.norm(v - v_p, axis=(-2, -1)) / np.linalg.norm(v_p, axis=(-2, -1))
+    assert err.max() < 4.0 * estimators.TYLER_TOL
+    # measured: 13.7 against 38 iterations at m = 2, 14.5 / 27 at 4, 12.9 / 18 at 10
+    assert iterations.mean() < 0.8 * iterations_p.mean()
+
+
+@pytest.mark.parametrize("m", [2, 4, 10])
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_tyler_loses_no_trial_of_the_plain_iteration(scale, m):
+    # A trial is lost when the plain iteration converges on it and the
+    # over-relaxed one does not.  From n = m + 2 on none is; at n = m + 1 a
+    # fixed point can be nearly singular and the over-relaxed residual
+    # stall near 1e-9 (2 and 4 of 13,500 trials at m = 4 and 10).
+    for n in (m + 2, _SIZES[m]):
+        data = np.concatenate(
+            [_datasets(100, m=m, n=n, nu=nu, seed=(53, n)) for nu in (2.1, 5.0, 50.0)]
+        )
+        residual = tyler_batch(data, scale)[2]
+        residual_p = dense.tyler_row_major(data, scale, plain=True)[2]
+        plain_converged = residual_p < estimators.TYLER_TOL
+        assert plain_converged.any()
+        assert np.all(residual[plain_converged] < estimators.TYLER_TOL)
+
+
+def test_tyler_guard_takes_the_plain_step_trial_by_trial():
+    # From V = I the step of a strongly anisotropic dataset fails the guard
+    # |V^-1 F(V) - I|_F < m / (2 (m + 2)), so that trial's first step is the
+    # plain F(I); the near-spherical datasets take the over-relaxed step.
+    m, n = 4, 400
+    rng = np.random.default_rng(61)
+    data = rng.standard_normal((6, n, m))
+    data[[1, 4]] *= np.array([10.0, 1.0, 1.0, 0.3])
+    rec = _RecordingScale(NORMALIZED_TRACE)
+    got = tyler_batch(data, rec)
+    f1 = rec.seen[0] / NORMALIZED_TRACE.values(rec.seen[0])[:, None, None]
+    plain = np.all(rec.seen[1] == f1, axis=(-2, -1))
+    assert plain.tolist() == [False, True, False, False, True, False]
+    assert np.all(got[2] < estimators.TYLER_TOL)
+    for t in range(len(data)):
+        for stacked, single in zip(got, tyler_batch(data[t : t + 1], NORMALIZED_TRACE)):
+            assert np.array_equal(stacked[t], single[0])
+
+
 class _RecordingScale:
     """A scale functional that keeps a copy of every stack it normalizes."""
 
@@ -622,18 +677,19 @@ def test_tyler_weights_are_the_row_major_quadratic_forms(m, monkeypatch):
     # transposed, so each weight x_i^T V^-1 x_i is the same k-ordered sum
     # as in the row-major (x V^-1) * x, bit for bit; reading V^-1 as it is
     # gives the transposed sums, equal only up to rounding.
+    # Each iteration normalizes F(V), then the step to the next iterate.
     data = _datasets(5, m=m, n=_SIZES[m])
     rec = _RecordingScale(NORMALIZED_TRACE)
     monkeypatch.setattr(estimators, "TYLER_MAX_ITER", 2)
     tyler_batch(data, rec)
-    v1 = rec.seen[0].copy()
+    v1 = rec.seen[1].copy()
     v1 /= NORMALIZED_TRACE.values(v1)[..., None, None]
     v1_inv = np.linalg.inv(v1)
     assert not np.array_equal(v1_inv, np.swapaxes(v1_inv, -1, -2))
     q = np.sum((data @ v1_inv) * data, axis=-1)
     xt = np.ascontiguousarray(np.swapaxes(data, -1, -2))
     want = (m / _SIZES[m]) * (xt / q[:, None, :]) @ np.swapaxes(xt, -1, -2)
-    assert np.array_equal(rec.seen[1], want)
+    assert np.array_equal(rec.seen[2], want)
 
 
 @pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)

@@ -123,6 +123,14 @@ def test_simulation_bounds_pure_functions_of_model(small_result):
     assert tiny.bounds == small_result.bounds
 
 
+def test_simulation_stderr_of_one_trial_is_nan(tmp_path):
+    result = run_simulation(SimConfig(**{**SMALL, "trials": 1}))
+    assert all(np.isfinite(c.mse) and np.isnan(c.stderr) for c in result.cells)
+    result.to_csv(tmp_path / "sim.csv")
+    with open(tmp_path / "sim.csv") as fh:
+        assert {r["stderr"] for r in csv.DictReader(fh)} == {"nan"}
+
+
 def test_simulation_bound_traces_decrease_in_nu(small_result):
     # alpha(nu) increases along the t family and the bound scales as 1/alpha
     nus = sorted(small_result.bounds)
