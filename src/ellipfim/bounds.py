@@ -102,7 +102,13 @@ def _symmetric_bound(x, alpha):
 
 
 def crb_shape(scale: ScaleFunctional, v, gen: DensityGenerator):
-    """Parametric-and-semiparametric bound on ovecs(V) with unknown scale.
+    """Parametric-and-semiparametric bound on ovecs(V) with unknown scale."""
+    v = np.asarray(v, dtype=float)
+    return _symmetric_bound(_crb_shape_core(scale, v), gen.alpha(v.shape[0]))
+
+
+def _crb_shape_core(scale: ScaleFunctional, v):
+    """``crb_shape`` before its generator's 1 / alpha and symmetrization.
 
     In vecs coordinates, with P_S = I - vec(V) vec(D_S)^T, G = D_S and
     N = (I + K_m)(V (x) V): D_m^+ P_S N P_S^T D_m^+T is the core of V minus
@@ -110,14 +116,13 @@ def crb_shape(scale: ScaleFunctional, v, gen: DensityGenerator):
     c = 2 vecs(V G V) - tr(G V G V) a.
     """
     v = np.asarray(v, dtype=float)
-    m = v.shape[0]
-    _require_ovecs(m)
+    _require_ovecs(v.shape[0])
     g = scale.gradient(v)
     g = 0.5 * (g + g.T)
     vgv = v @ g @ v
     a = vecs(decompose(scale, v).v)
     c = 2.0 * vecs(vgv) - np.sum(g * vgv) * a
-    return _symmetric_bound(_core_minus_rank2(v, a, c)[1:, 1:], gen.alpha(m))
+    return _core_minus_rank2(v, a, c)[1:, 1:]
 
 
 def crb_shape_det_root(v, gen: DensityGenerator):

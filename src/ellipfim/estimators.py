@@ -16,14 +16,16 @@ when an intermediate is not finite or not positive definite, or when
 Tyler's iteration does not converge; the single-dataset functions raise
 ``LinAlgError`` or ``TylerNonConvergenceError`` instead.
 
-Tyler's iteration is over-relaxed: V <- S-normalize(V + omega (F(V) - V))
-with F the plain Tyler map and omega = (m + 2) / m = 1 / (1 - c), c =
-2 / (m + 2) being the plain map's contraction factor on shape directions
-at the fixed point.  A trial takes the plain step F(V) where a cheap test on
-V^-1 F(V) cannot show the extrapolation positive definite
-(``tyler_batch``).  The stop rule and the returned F(V) are the plain
-iteration's; at m = 4, n = 100 it takes about 14.5 iterations instead of
-27.
+Tyler's iteration is over-relaxed: V <- V + omega (F(V) - V) with F the
+plain Tyler map and omega = (m + 2) / m = 1 / (1 - c), c = 2 / (m + 2)
+being the plain map's contraction factor on shape directions at the fixed
+point.  A trial takes the plain step F(V) where a cheap test on V^-1 F(V)
+cannot show the extrapolation positive definite (``tyler_batch``).  The
+stop rule and the returned F(V) are the plain iteration's; at m = 4,
+n = 100 it takes about 14.7 iterations instead of 27.  F(cV) = c F(V),
+and the step, the test and the stop rule are scale-free, so the iterates
+are not normalized: the scale functional is applied once, to the F(V)
+that a converged trial returns, and the iterations do not depend on it.
 
 The rank-based update is
     vecs(V_R) = vecs(V*) + (1 / (alpha_hat sqrt(n))) Xi_{V*} Delta_{V*},
@@ -38,8 +40,8 @@ so no m^2 x m^2 array is formed.  alpha_hat is a local-slope estimate of
 the cross-information scalar along the update direction.
 
 The R-estimate satisfies the manifold constraint S(V) = 1 only
-asymptotically; the deviation |S(V_hat) - 1| is surfaced as a diagnostic
-and renormalization is opt-in.
+asymptotically: the step starts from V* renormalized to S = 1, and the
+deviation |S(V_hat) - 1| of its result is surfaced as a diagnostic.
 """
 
 from __future__ import annotations
@@ -224,8 +226,8 @@ def tyler_batch(data, scale: ScaleFunctional):
     """Tyler's fixed point, renormalized to S(V) = 1, for a (T, n, m) stack.
 
     With F the plain Tyler map, V -> (m / n) sum_i x_i x_i^T / (x_i^T V^-1
-    x_i) renormalized to S = 1, each iteration takes the over-relaxed step
-    V <- S-normalize(V + omega (F(V) - V)), omega = (m + 2) / m.  For u
+    x_i), each iteration takes the over-relaxed step
+    V <- V + omega (F(V) - V), omega = (m + 2) / m, from V = I.  For u
     uniform on the sphere E[(u^T E u) u u^T] = (2 E + tr(E) I) / (m (m + 2)),
     so at the fixed point F's linearization is c = 2 / (m + 2) times the
     identity on shape directions; the linearized step multiplies the
@@ -240,12 +242,16 @@ def tyler_batch(data, scale: ScaleFunctional):
     1e-9 where the plain iteration converges (6 of 40,500 trials measured
     at m = 2, 4, 10); at n = m + 2 and n = 2m + 2 none of 16,200 was.
 
-    Returns ``(v, iterations, residual)``, ``v`` being F(V) at the
-    iterate whose residual ||F(V) - V|| / ||V|| is below TYLER_TOL.  A
-    trial leaves the active set once it converges or fails.  ``v`` is NaN
-    for a failed trial: its residual is NaN when an iterate went
-    non-finite or not positive definite, and the last residual
-    (>= TYLER_TOL) when it did not converge in TYLER_MAX_ITER iterations.
+    Returns ``(v, iterations, residual)``, ``v`` being F(V), renormalized
+    (the only use of ``scale``), at the iterate whose residual
+    ||F(V) - V|| / ||V|| is below TYLER_TOL; the residual is the
+    scale-free one of the unnormalized iterates, F(cV) = c F(V) making
+    every iterate's scale irrelevant.  A trial leaves the active set once
+    it converges or fails.
+    ``v`` is NaN for a failed trial: its residual is NaN when an iterate
+    or S(F(V)) went non-finite, or an iterate not positive definite, and
+    the last residual (>= TYLER_TOL) when it did not converge in
+    TYLER_MAX_ITER iterations.
     """
     xt = _coordinate_major(data)
     trials, m, n = xt.shape
@@ -263,7 +269,6 @@ def tyler_batch(data, scale: ScaleFunctional):
             # the stacked inverse is not exactly symmetric
             q = np.sum((np.swapaxes(v_inv, -1, -2) @ xt) * xt, axis=-2)
             f = (m / n) * (xt / q[..., None, :]) @ np.swapaxes(xt, -1, -2)
-            f /= scale.values(f)[..., None, None]
             diff = f - v_act
             res = np.sqrt(
                 np.sum(diff * diff, axis=(-2, -1))
@@ -276,13 +281,16 @@ def tyler_batch(data, scale: ScaleFunctional):
             r = v_inv @ f - np.eye(m)
             safe = np.sum(r * r, axis=(-2, -1)) < guard
             v_act = np.where(safe[:, None, None], v_act + omega * diff, f)
-            v_act /= scale.values(v_act)[..., None, None]
             if done.any():
                 v[active[converged]] = f[converged]
                 iterations[active[done]] = it
                 active, xt, v_act = active[~done], xt[~done], v_act[~done]
                 if not active.size:
                     break
+        ok = residual < TYLER_TOL
+        v[ok] = renormalize(scale, v[ok])
+        lost = ok & ~np.isfinite(v).all(axis=(-2, -1))  # S(F) not finite and > 0
+        v[lost], residual[lost] = np.nan, np.nan
     return v, iterations, residual
 
 
@@ -313,9 +321,19 @@ def tyler_shape(data, scale: ScaleFunctional) -> ShapeEstimate:
 
 def ranks(values):
     """Ranks 1..n in ascending order along the last axis; ties broken by
-    original position."""
+    original position.
+
+    A row whose sorted values increase strictly has one sorting
+    permutation, so numpy's default (unstable, faster) argsort finds it;
+    a row with a tie, a NaN or a repeated infinity is sorted again with
+    the stable sort.
+    """
     values = np.asarray(values)
-    order = np.argsort(values, axis=-1, kind="stable")
+    order = np.argsort(values, axis=-1)
+    ordered = np.take_along_axis(values, order, axis=-1)
+    tied = ~(ordered[..., 1:] > ordered[..., :-1]).all(axis=-1)
+    if tied.any():
+        order[tied] = np.argsort(values[tied], axis=-1, kind="stable")
     out = np.empty(values.shape, dtype=np.int64)
     np.put_along_axis(out, order, np.arange(1, values.shape[-1] + 1), axis=-1)
     return out

@@ -19,9 +19,9 @@ per run for every distinct (score, nu).  Each trial keeps its own RNG
 stream, derived from (root_seed, nu_index, trial_index), and a trial that
 fails (a non-finite or non-PD intermediate, or a Tyler iteration that
 does not converge) leaves NaN in its own row only.  A block also returns
-Tyler's iteration count and failure flag and the R-step rejection flags
-of each trial; the run reduces these counters per nu into the
-diagnostics of its metadata.  A process pool runs the blocks when there
+Tyler's iteration count and final residual and the R-step rejection
+flags of each trial; the run reduces these per nu into the diagnostics
+of its metadata.  A process pool runs the blocks when there
 are at least two per worker; serially or on any worker, the same blocks
 are computed, reduced in trial order and formatted with fixed precision,
 so the CSV is byte-identical across parallelism settings.
@@ -37,19 +37,20 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .bounds import crb_shape, pd_inverse
+from .bounds import _crb_shape_core, _symmetric_bound, pd_inverse
 from .config import check_number, reject_unknown
 from .estimators import (
+    TYLER_TOL,
     TScore,
     VanDerWaerden,
     r_step_batch,
     scm_batch,
     tyler_batch,
 )
-from .fim import fim_eta
+from .fim import _information_core, _shape_information
 from .generators import sample_stack, student_t
 from .matcalc import ovecs, vecs_len
-from .scale import decompose, scale_by_name
+from .scale import decompose, grad_v11, scale_by_name
 
 __all__ = [
     "SCORES",
@@ -162,25 +163,24 @@ def _block_data(config: SimConfig, start: int, stop: int):
 
 def _trial_block(config: SimConfig, tables, start: int, stop: int):
     """Per-trial results for trials [start, stop) of the run's sequence:
-    ``(errors, iterations, tyler_failed, rejected)``.
+    ``(errors, iterations, residual, rejected)``.
 
     ``errors`` holds the squared ovecs errors, one column per entry of
-    COLUMNS, with NaN marking a failure.  ``iterations`` and
-    ``tyler_failed`` are Tyler's iteration count and failure flag per
-    trial, and ``rejected`` (T, len(SCORES)) flags the R-steps that kept
-    the preliminary without failing.  ``tables`` is
-    ``_score_tables(config)``.
+    COLUMNS, with NaN marking a failure.  ``iterations`` and ``residual``
+    are Tyler's iteration count and final residual per trial, which
+    converged where the residual is below TYLER_TOL, and ``rejected``
+    (T, len(SCORES)) flags the R-steps that kept the preliminary without
+    failing.  ``tables`` is ``_score_tables(config)``.
     """
     scale = scale_by_name(config.scale_kind)
     v0 = decompose(scale, config.sigma0).v
     data, nu_idx = _block_data(config, start, stop)
-    tyler, iterations, _ = tyler_batch(data, scale)
-    tyler_failed = np.isnan(tyler).any(axis=(-2, -1))
+    tyler, iterations, residual = tyler_batch(data, scale)
     # a failed preliminary is NaN, so its R-estimates fail with it
     r_v, _, r_rejected = r_step_batch(data, tyler, scale, tables[:, nu_idx])
     rejected = (r_rejected & np.isfinite(r_v).all(axis=(-2, -1))).T
     diff = ovecs(np.stack([scm_batch(data, scale), tyler, *r_v]) - v0)
-    return np.sum(diff * diff, axis=-1).T, iterations, tyler_failed, rejected
+    return np.sum(diff * diff, axis=-1).T, iterations, residual, rejected
 
 
 @dataclass
@@ -201,7 +201,7 @@ class SimResult:
     block_size: int  # trials per block
     blocks: int
     workers_used: int
-    diagnostics: list  # per nu: Tyler iterations and failures, R-step rejections
+    diagnostics: list  # per nu: Tyler iterations, residual and failures, R-step rejections
 
     def cell(self, nu: float, estimator: str) -> CellResult:
         for c in self.cells:
@@ -241,13 +241,22 @@ class SimResult:
             fh.write("\n")
 
 
-def _bounds_for(config: SimConfig, nu: float):
+def _bounds(config: SimConfig):
+    """nu -> (trace of ``crb_shape``, trace of the inverse ``fim_eta`` shape
+    block), both over n.  The generator enters both only through alpha, so
+    the geometry of V0 is built once for the whole grid."""
     scale = scale_by_name(config.scale_kind)
     v0 = decompose(scale, config.sigma0).v
-    gen = student_t(nu)
-    scrb = float(np.trace(crb_shape(scale, v0, gen))) / config.n
-    par = float(np.trace(pd_inverse(fim_eta(v0, 1.0, scale, gen).i_v))) / config.n
-    return scrb, par
+    shape_core = _crb_shape_core(scale, v0)
+    info_core, y = _information_core(np.linalg.inv(v0))
+    k = grad_v11(scale, v0)
+    out = {}
+    for nu in config.nu_grid:
+        alpha = student_t(nu).alpha(config.m)
+        scrb = float(np.trace(_symmetric_bound(shape_core, alpha))) / config.n
+        par = float(np.trace(pd_inverse(_shape_information(info_core, y, k, alpha)))) / config.n
+        out[nu] = (scrb, par)
+    return out
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -262,15 +271,15 @@ def run_simulation(config: SimConfig) -> SimResult:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures = [pool.submit(_trial_block, config, tables, *b) for b in blocks]
-            bounds = {nu: _bounds_for(config, nu) for nu in config.nu_grid}
+            bounds = _bounds(config)
             results = [f.result() for f in futures]
         finally:
             pool.shutdown(cancel_futures=True)
     else:
         results = [_trial_block(config, tables, *b) for b in blocks]
-        bounds = {nu: _bounds_for(config, nu) for nu in config.nu_grid}
+        bounds = _bounds(config)
     per_nu = (len(config.nu_grid), config.trials)
-    errors, iterations, tyler_failed, rejected = (
+    errors, iterations, residual, rejected = (
         np.concatenate(part).reshape(per_nu + np.shape(part[0])[1:])
         for part in zip(*results)
     )
@@ -305,24 +314,27 @@ def run_simulation(config: SimConfig) -> SimResult:
         block_size=size,
         blocks=len(blocks),
         workers_used=workers,
-        diagnostics=_diagnostics(config, iterations, tyler_failed, rejected),
+        diagnostics=_diagnostics(config, iterations, residual, rejected),
     )
 
 
-def _diagnostics(config: SimConfig, iterations, tyler_failed, rejected):
-    """Per nu: Tyler's mean and maximum iterations over its converged
-    trials and its failure count, and the R-step rejection count per
-    score; integer counts, so the figures do not depend on the blocks."""
+def _diagnostics(config: SimConfig, iterations, residual, rejected):
+    """Per nu: Tyler's mean and maximum iterations and maximum final
+    residual over its converged trials and its failure count, and the
+    R-step rejection count per score; integer counts and a maximum, so the
+    figures do not depend on the blocks."""
     out = []
     for nu_idx, nu in enumerate(config.nu_grid):
-        its = iterations[nu_idx][~tyler_failed[nu_idx]]
+        converged = residual[nu_idx] < TYLER_TOL
+        its, res = iterations[nu_idx][converged], residual[nu_idx][converged]
         counts = rejected[nu_idx].sum(axis=0)
         out.append(
             {
                 "nu": nu,
                 "tyler_iterations_mean": float(its.mean()) if its.size else None,
                 "tyler_iterations_max": int(its.max()) if its.size else None,
-                "tyler_failures": int(tyler_failed[nu_idx].sum()),
+                "tyler_residual_max": float(res.max()) if res.size else None,
+                "tyler_failures": int((~converged).sum()),
                 "r_rejections": {s: int(c) for s, c in zip(SCORES, counts)},
             }
         )

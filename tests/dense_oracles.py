@@ -214,9 +214,10 @@ def sfim_theta(param, theta0, gen):
 def tyler_row_major(data, scale, tol=1e-10, max_iter=200, plain=False):
     """``estimators.tyler_batch`` on the (T, n, m) stack as it is laid out:
     q_i = sum_j (x V^-1)_ij x_ij and F(V) = (m / n) X^T (X / q), with the
-    guarded over-relaxed step V <- V + ((m + 2) / m)(F(V) - V).  With
-    ``plain`` it is Tyler's own iteration V <- F(V), which has the same
-    fixed point."""
+    guarded over-relaxed step V <- V + ((m + 2) / m)(F(V) - V) on
+    unnormalized iterates and the converged F(V) renormalized.  With
+    ``plain`` it is Tyler's own iteration V <- F(V) / S(F(V)), normalized
+    at every step, which has the same fixed point up to scale."""
     data = np.asarray(data, dtype=float)
     trials, n, m = data.shape
     omega = (m + 2.0) / m
@@ -231,7 +232,8 @@ def tyler_row_major(data, scale, tol=1e-10, max_iter=200, plain=False):
             v_inv = _stacked(np.linalg.inv, v_act)
             q = np.sum((x @ v_inv) * x, axis=-1)
             f = (m / n) * np.swapaxes(x, -1, -2) @ (x / q[..., None])
-            f /= scale.values(f)[..., None, None]
+            if plain:
+                f /= scale.values(f)[..., None, None]
             diff = f - v_act
             res = np.sqrt(
                 np.sum(diff * diff, axis=(-2, -1)) / np.sum(v_act * v_act, axis=(-2, -1))
@@ -248,13 +250,15 @@ def tyler_row_major(data, scale, tol=1e-10, max_iter=200, plain=False):
                 r = v_inv @ f - np.eye(m)
                 safe = np.linalg.norm(r, axis=(-2, -1)) < m / (2.0 * (m + 2.0))
                 v_act = np.where(safe[:, None, None], v_act + omega * diff, f)
-                v_act /= scale.values(v_act)[..., None, None]
             if done.any():
                 v[active[converged]] = f[converged]
                 iterations[active[done]] = it
                 active, x, v_act = active[~done], x[~done], v_act[~done]
                 if not active.size:
                     break
+    if not plain:
+        ok = residual < tol
+        v[ok] /= scale.values(v[ok])[..., None, None]
     return v, iterations, residual
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from ellipfim import bounds
 from ellipfim.bounds import (
     SingularCoefficientError,
     bound_set,
@@ -249,6 +250,48 @@ def test_verify_chain_gaussian_trivial():
     assert report.links[0].passed
     assert "one formula" in report.links[0].note
     assert isinstance(report.format_table(), str)
+
+
+def _chain_with_bound(monkeypatch, scale, v, corrupt):
+    """``verify_chain`` over GEN_GRID with ``crb_shape`` replaced by
+    ``corrupt(bound, gen)``; the links that failed, by name."""
+    real = bounds.crb_shape
+    monkeypatch.setattr(
+        bounds, "crb_shape", lambda scale, v, gen: corrupt(real(scale, v, gen), gen)
+    )
+    report = verify_chain(scale, v, GEN_GRID, v.shape[0])
+    monkeypatch.undo()
+    assert verify_chain(scale, v, GEN_GRID, v.shape[0]).passed
+    return [l.name for l in report.links if not l.passed]
+
+
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_verify_chain_fails_a_scaled_bound(scale, monkeypatch):
+    v = random_shape(np.random.default_rng(71), 3, scale)
+    failed = _chain_with_bound(monkeypatch, scale, v, lambda bound, gen: bound * (1.0 + 1e-6))
+    assert failed.count("shared_bound_inverts_efficient_fim") == len(GEN_GRID)
+
+
+@pytest.mark.parametrize("scale", [FIRST_ELEMENT, NORMALIZED_TRACE], ids=lambda s: s.kind)
+def test_verify_chain_fails_the_scale_known_bound_off_the_det_scale(scale, monkeypatch):
+    # CRB(.|s) in place of the shared bound closes the gap the chain requires
+    v = random_shape(np.random.default_rng(73), 3, scale)
+    failed = _chain_with_bound(
+        monkeypatch, scale, v, lambda bound, gen: pd_inverse(fim_eta(v, 1.0, scale, gen).i_v)
+    )
+    assert failed.count("no_nuisance_bound_strict_gap") == len(GEN_GRID)
+
+
+def test_verify_chain_fails_a_rank_one_gap_on_the_det_scale(monkeypatch):
+    v = random_shape(np.random.default_rng(79), 3, DET_ROOT)
+    w = np.random.default_rng(83).standard_normal(vecs_len(3) - 1)
+    w /= np.linalg.norm(w)
+
+    def lifted(bound, gen):
+        return bound + 1e-8 * np.linalg.norm(bound) * np.outer(w, w)
+
+    failed = _chain_with_bound(monkeypatch, DET_ROOT, v, lifted)
+    assert failed.count("no_nuisance_bound_equality") == len(GEN_GRID)
 
 
 # ---------------------------------------------------------------------------

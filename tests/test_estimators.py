@@ -28,7 +28,7 @@ from ellipfim.estimators import (
 from ellipfim.fim import _vecs_information
 from ellipfim.generators import gaussian, psd_sqrt, sample, student_t
 from ellipfim.matcalc import ovecs, vec, vecs
-from ellipfim.scale import DET_ROOT, FIRST_ELEMENT, NORMALIZED_TRACE, decompose
+from ellipfim.scale import DET_ROOT, FIRST_ELEMENT, NORMALIZED_TRACE, decompose, renormalize
 
 ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
 
@@ -132,6 +132,35 @@ def test_ranks_idempotent_on_permutations():
 
 def test_ranks_ties_stable():
     np.testing.assert_array_equal(ranks([1.0, 1.0, 0.5]), [2, 3, 1])
+
+
+def test_ranks_equal_the_stable_ranks():
+    # rows without ties take the default sort, the rest the stable one;
+    # -0.0 and 0.0 are a tie, and so is a repeated infinity
+    rng = np.random.default_rng(17)
+    shape = (3, 8, 12)
+    values = rng.standard_normal(shape)
+    rows = values.reshape(-1, shape[-1])
+    for row, kind in zip(rows, rng.permutation(np.arange(len(rows)) % 6)):
+        spots = rng.choice(shape[-1], 3, replace=False)
+        if kind == 1:
+            row[:] = rng.integers(0, 4, shape[-1])
+        elif kind == 2:
+            row[spots[:2]] = np.nan
+        elif kind == 3:
+            row[spots] = [np.inf, -np.inf, np.inf]
+        elif kind == 4:
+            row[spots[:2]] = [0.0, -0.0] if spots[0] < spots[1] else [-0.0, 0.0]
+        elif kind == 5:
+            row[spots[:2]] = [np.inf, -np.inf]
+    want = np.argsort(np.argsort(values, axis=-1, kind="stable"), axis=-1) + 1
+    for got, ref in (
+        (ranks(values), want),
+        (ranks(rows), want.reshape(rows.shape)),
+        (ranks(values[1, 2]), want[1, 2]),
+    ):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -641,34 +670,79 @@ def test_tyler_loses_no_trial_of_the_plain_iteration(scale, m):
         assert np.all(residual[plain_converged] < estimators.TYLER_TOL)
 
 
-def test_tyler_guard_takes_the_plain_step_trial_by_trial():
+@pytest.mark.parametrize(
+    "m, n",
+    [(m, n) for m in (2, 4, 10) for n in (m + 2, _SIZES[m])],
+    ids=lambda v: str(v),
+)
+def test_tyler_is_scale_equivariant(m, n):
+    # The iterates are not normalized, so the three scales run the same
+    # iteration and differ only in the scale of the returned F(V).  At
+    # n = m + 2 the fixed point is near singular, and many trials (17 of
+    # 30 at m = 10) use up TYLER_MAX_ITER, for every scale alike.
+    data = _datasets(30, m=m, n=n, seed=(71, n))
+    runs = [tyler_batch(data, scale) for scale in ALL_SCALES]
+    ok = np.isfinite(runs[0][0]).all(axis=(-2, -1))
+    assert ok.sum() >= 10
+    for _, iterations, residual in runs[1:]:
+        assert np.array_equal(iterations, runs[0][1])
+        assert np.array_equal(residual, runs[0][2], equal_nan=True)
+    # The det scale's slogdet of a matrix of condition number k is off by
+    # about k eps relative (measured below k eps / 4), so past k = 100 the
+    # bound on the gap grows with k: the n = m + 2 fixed points reach 2e4.
+    for scale, (v, _, _) in zip(ALL_SCALES, runs):
+        assert np.array_equal(np.isfinite(v).all(axis=(-2, -1)), ok)
+        bound = np.maximum(1e-14, 1e-16 * np.linalg.cond(v[ok]))
+        for other, _, _ in runs:
+            back = renormalize(scale, other[ok])
+            gap = np.linalg.norm(back - v[ok], axis=(-2, -1)) / np.linalg.norm(v[ok], axis=(-2, -1))
+            assert np.all(gap < bound)
+
+
+def test_tyler_guard_takes_the_plain_step_trial_by_trial(monkeypatch):
     # From V = I the step of a strongly anisotropic dataset fails the guard
     # |V^-1 F(V) - I|_F < m / (2 (m + 2)), so that trial's first step is the
     # plain F(I); the near-spherical datasets take the over-relaxed step.
+    # The iterates are observed as the stacks the kernel inverts.
     m, n = 4, 400
     rng = np.random.default_rng(61)
     data = rng.standard_normal((6, n, m))
     data[[1, 4]] *= np.array([10.0, 1.0, 1.0, 0.3])
-    rec = _RecordingScale(NORMALIZED_TRACE)
-    got = tyler_batch(data, rec)
-    f1 = rec.seen[0] / NORMALIZED_TRACE.values(rec.seen[0])[:, None, None]
+    rec = _RecordingInverse()
+    monkeypatch.setattr(np.linalg, "inv", rec)
+    got = tyler_batch(data, NORMALIZED_TRACE)
+    monkeypatch.undo()
+    f1 = _tyler_map(data, rec.seen[0])
     plain = np.all(rec.seen[1] == f1, axis=(-2, -1))
     assert plain.tolist() == [False, True, False, False, True, False]
+    omega = (m + 2.0) / m
+    step = np.eye(m) + omega * (f1 - np.eye(m))
+    assert np.array_equal(rec.seen[1][~plain], step[~plain])
     assert np.all(got[2] < estimators.TYLER_TOL)
     for t in range(len(data)):
         for stacked, single in zip(got, tyler_batch(data[t : t + 1], NORMALIZED_TRACE)):
             assert np.array_equal(stacked[t], single[0])
 
 
-class _RecordingScale:
-    """A scale functional that keeps a copy of every stack it normalizes."""
+class _RecordingInverse:
+    """``np.linalg.inv`` keeping a copy of every stack it inverts: in
+    ``tyler_batch``, the active iterates of each iteration."""
 
-    def __init__(self, scale):
-        self.scale, self.seen = scale, []
+    def __init__(self):
+        self.inv, self.seen = np.linalg.inv, []
 
-    def values(self, v):
-        self.seen.append(v.copy())
-        return self.scale.values(v)
+    def __call__(self, a):
+        self.seen.append(np.array(a))
+        return self.inv(a)
+
+
+def _tyler_map(data, v):
+    """F(V) of each dataset with the kernel's operations, bit for bit."""
+    n, m = data.shape[1:]
+    xt = np.ascontiguousarray(np.swapaxes(data, -1, -2))
+    v_inv = np.linalg.inv(v)
+    q = np.sum((np.swapaxes(v_inv, -1, -2) @ xt) * xt, axis=-2)
+    return (m / n) * (xt / q[:, None, :]) @ np.swapaxes(xt, -1, -2)
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -677,19 +751,24 @@ def test_tyler_weights_are_the_row_major_quadratic_forms(m, monkeypatch):
     # transposed, so each weight x_i^T V^-1 x_i is the same k-ordered sum
     # as in the row-major (x V^-1) * x, bit for bit; reading V^-1 as it is
     # gives the transposed sums, equal only up to rounding.
-    # Each iteration normalizes F(V), then the step to the next iterate.
+    # The iterate V_1 is inverted at the second iteration, and the next,
+    # F(V_1) or V_1 + omega (F(V_1) - V_1) as the guard decides, at the third.
     data = _datasets(5, m=m, n=_SIZES[m])
-    rec = _RecordingScale(NORMALIZED_TRACE)
-    monkeypatch.setattr(estimators, "TYLER_MAX_ITER", 2)
-    tyler_batch(data, rec)
-    v1 = rec.seen[1].copy()
-    v1 /= NORMALIZED_TRACE.values(v1)[..., None, None]
+    rec = _RecordingInverse()
+    monkeypatch.setattr(estimators, "TYLER_MAX_ITER", 3)
+    monkeypatch.setattr(np.linalg, "inv", rec)
+    tyler_batch(data, NORMALIZED_TRACE)
+    monkeypatch.undo()
+    v1, v2 = rec.seen[1], rec.seen[2]
     v1_inv = np.linalg.inv(v1)
     assert not np.array_equal(v1_inv, np.swapaxes(v1_inv, -1, -2))
     q = np.sum((data @ v1_inv) * data, axis=-1)
     xt = np.ascontiguousarray(np.swapaxes(data, -1, -2))
     want = (m / _SIZES[m]) * (xt / q[:, None, :]) @ np.swapaxes(xt, -1, -2)
-    assert np.array_equal(rec.seen[2], want)
+    r = v1_inv @ want - np.eye(m)
+    safe = np.sum(r * r, axis=(-2, -1)) < (m / (2.0 * (m + 2.0))) ** 2
+    omega = (m + 2.0) / m
+    assert np.array_equal(v2, np.where(safe[:, None, None], v1 + omega * (want - v1), want))
 
 
 @pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)

@@ -16,7 +16,9 @@ from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyle
 from ellipfim.invariants import run_invariant_suite
 from ellipfim.generators import sample, student_t
 from ellipfim.matcalc import duplication_matrix
-from ellipfim.scale import scale_by_name
+from ellipfim.bounds import crb_shape, pd_inverse
+from ellipfim.fim import fim_eta
+from ellipfim.scale import decompose, scale_by_name
 from ellipfim.simulate import SimConfig, run_simulation, write_svg_chart
 
 
@@ -201,10 +203,12 @@ def test_metadata_records_blocks_and_workers(tmp_path, small_result):
             "nu",
             "tyler_iterations_mean",
             "tyler_iterations_max",
+            "tyler_residual_max",
             "tyler_failures",
             "r_rejections",
         }
         assert 1 <= entry["tyler_iterations_mean"] <= entry["tyler_iterations_max"] < 200
+        assert 0.0 < entry["tyler_residual_max"] < estimators.TYLER_TOL
         assert entry["tyler_failures"] == 0
         assert set(entry["r_rejections"]) == {"vdw", "t3", "tnu"}
         assert all(0 <= k <= SMALL["trials"] for k in entry["r_rejections"].values())
@@ -1071,12 +1075,37 @@ def test_nonconverging_tyler_counts_as_trial_failure(monkeypatch):
         assert 0 < slow < config.trials
         assert diagnostics["tyler_failures"] == slow
         assert diagnostics["tyler_iterations_max"] <= cap
+        assert diagnostics["tyler_residual_max"] < estimators.TYLER_TOL
         # a step from a failed preliminary fails; it is not a rejection
         assert diagnostics["r_rejections"] == {"vdw": 0, "t3": 0, "tnu": 0}
         assert result.cell(nu, "scm").n_failed == 0
         for name in ("tyler", "r_vdw", "r_t3", "r_tnu"):
             assert result.cell(nu, name).n_failed == slow
             assert np.isfinite(result.cell(nu, name).mse)
+
+
+def test_diagnostics_report_no_residual_without_a_converged_trial(monkeypatch):
+    monkeypatch.setattr(estimators, "TYLER_MAX_ITER", 1)
+    result = run_simulation(SimConfig(**{**SMALL, "trials": 3}))
+    for diagnostics in result.diagnostics:
+        assert diagnostics["tyler_failures"] == 3
+        assert diagnostics["tyler_residual_max"] is None
+        assert diagnostics["tyler_iterations_mean"] is None
+
+
+@pytest.mark.parametrize("scale_kind", ["first", "trace", "det"])
+def test_run_bounds_equal_the_public_bounds_bit_for_bit(scale_kind):
+    # one geometry of V0 for the whole nu grid, the same operations per nu
+    config = SimConfig(**{**SMALL, "scale_kind": scale_kind, "nu_grid": (2.1, 3.0, 50.0)})
+    scale = scale_by_name(scale_kind)
+    v0 = decompose(scale, config.sigma0).v
+    got = simulate._bounds(config)
+    assert list(got) == list(config.nu_grid)
+    for nu in config.nu_grid:
+        gen = student_t(nu)
+        scrb = float(np.trace(crb_shape(scale, v0, gen))) / config.n
+        par = float(np.trace(pd_inverse(fim_eta(v0, 1.0, scale, gen).i_v))) / config.n
+        assert got[nu] == (scrb, par)
 
 
 def test_diagnostics_count_the_rejected_r_steps_per_score(monkeypatch):
