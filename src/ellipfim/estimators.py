@@ -30,13 +30,16 @@ that a converged trial returns, and the iterations do not depend on it.
 The rank-based update is
     vecs(V_R) = vecs(V*) + (1 / (alpha_hat sqrt(n))) Xi_{V*} Delta_{V*},
 with V* a sqrt(n)-consistent preliminary, Delta the rank statistic
-built from the score function K applied to the ranks of the whitened
-quadratic forms, and Xi the tangent-space weighting
+built from the score function K applied to the ranks of the quadratic
+forms q_i = x_i^T V^-1 x_i, and Xi the tangent-space weighting
 2 U [U^T Upsilon Upsilon^T U]^{-1} U^T, applied as one solve per trial
 without U or Xi being formed.  The Gram Upsilon Upsilon^T =
 D_m^T (V^-1 (x) V^-1 - vec(V^-1) vec(V^-1)^T / m) D_m is built entry by
 entry, by the vecs-space core that also serves the bounds and the FIMs,
-so no m^2 x m^2 array is formed.  alpha_hat is a local-slope estimate of
+so no m^2 x m^2 array is formed.  Delta needs V^-1 only, as
+D_m^T vec(V^-1 M V^-1 - (sum_i K_i / m) V^-1), M = sum_i K_i x_i x_i^T / q_i
+(:func:`_rank_delta`), so the step forms no square root V^(-1/2) and no
+unit direction.  alpha_hat is a local-slope estimate of
 the cross-information scalar along the update direction.
 
 The R-estimate satisfies the manifold constraint S(V) = 1 only
@@ -189,12 +192,11 @@ def _coordinate_major(data):
     return np.ascontiguousarray(np.swapaxes(np.asarray(data, dtype=float), -1, -2))
 
 
-def _inv_sqrt(v):
-    """V^(-1/2) of symmetric positive-definite matrices, by eigendecomposition."""
-    w, e = np.linalg.eigh(0.5 * (v + np.swapaxes(v, -1, -2)))
-    if np.any(w[..., 0] <= 0.0):
-        raise linalg.LinAlgError("matrix is not positive definite")
-    return (e / np.sqrt(w)[..., None, :]) @ np.swapaxes(e, -1, -2)
+def _pd_inv(v):
+    """V^-1 of positive-definite matrices; the Cholesky factorization raises
+    ``LinAlgError`` where one is not, which ``inv`` alone would not."""
+    np.linalg.cholesky(v)
+    return np.linalg.inv(v)
 
 
 def scm_batch(data, scale: ScaleFunctional):
@@ -319,52 +321,61 @@ def tyler_shape(data, scale: ScaleFunctional) -> ShapeEstimate:
     )
 
 
-def ranks(values):
-    """Ranks 1..n in ascending order along the last axis; ties broken by
-    original position.
+def _rank_order(values):
+    """The stable argsort along the last axis: entry j of a row is the
+    position of its value of rank j + 1, ties broken by position.
 
     A row whose sorted values increase strictly has one sorting
     permutation, so numpy's default (unstable, faster) argsort finds it;
     a row with a tie, a NaN or a repeated infinity is sorted again with
     the stable sort.
     """
-    values = np.asarray(values)
     order = np.argsort(values, axis=-1)
     ordered = np.take_along_axis(values, order, axis=-1)
     tied = ~(ordered[..., 1:] > ordered[..., :-1]).all(axis=-1)
     if tied.any():
         order[tied] = np.argsort(values[tied], axis=-1, kind="stable")
+    return order
+
+
+def ranks(values):
+    """Ranks 1..n in ascending order along the last axis; ties broken by
+    original position."""
+    values = np.asarray(values)
     out = np.empty(values.shape, dtype=np.int64)
-    np.put_along_axis(out, order, np.arange(1, values.shape[-1] + 1), axis=-1)
+    np.put_along_axis(out, _rank_order(values), np.arange(1, values.shape[-1] + 1), axis=-1)
     return out
 
 
-def _rank_delta(xt, v_root_inv, tables):
+def _rank_delta(xt, v_inv, tables):
     """Delta_V for every dataset of the coordinate-major stack ``xt``
     (T, m, n) and every score table.
 
-    ``v_root_inv`` holds V^(-1/2) per dataset, with leading axes (T,) or
-    (S, T); ``tables`` holds ``ScoreFunction.table`` rows, (S, n) for one
-    table per score or (S, T, n) for one per score and dataset.
-    Returns (S, T, m(m+1)/2), C-contiguous, so that a sum over its last
-    axis takes the same order whatever S and T are.  Upsilon_V vec(O) is
-    applied in its matrix form D_m^T vec(V^-1/2 (O - tr(O) I / m) V^-1/2),
-    which needs no Kronecker product.
+    ``v_inv`` holds V^-1 per dataset, with leading axes (T,) or (S, T);
+    ``tables`` holds ``ScoreFunction.table`` rows, (S, n) for one table
+    per score or (S, T, n) for one per score and dataset.  Returns
+    (S, T, m(m+1)/2), C-contiguous, so that a sum over its last axis
+    takes the same order whatever S and T are.
+
+    With R = V^(-1/2) and the unit directions u_i = R x_i / sqrt(q_i),
+    Upsilon_V vec(sum_i K_i u_i u_i^T) is D_m^T vec of
+        R (sum_i K_i u_i u_i^T - (sum_i K_i / m) I) R
+            = V^-1 M V^-1 - (sum_i K_i / m) V^-1,  M = sum_i K_i x_i x_i^T / q_i,
+    so the statistic needs V^-1 only: q_i = x_i^T V^-1 x_i is Tyler's
+    quadratic form, V^-1 read transposed as there, and no square root or
+    unit direction is formed.
     """
     m, n = xt.shape[-2:]
-    w = np.swapaxes(v_root_inv, -1, -2) @ xt
-    q = np.sum(w * w, axis=-2)
-    u_dirs = w / np.sqrt(q)[..., None, :]
+    q = np.sum((np.swapaxes(v_inv, -1, -2) @ xt) * xt, axis=-2)
     if tables.ndim == 2:
         tables = tables[:, None, :]
-    k_vals = tables[
-        np.arange(len(tables))[:, None, None],
-        np.arange(tables.shape[1])[:, None],
-        ranks(q) - 1,
-    ]
-    outer = (u_dirs * k_vals[..., None, :]) @ np.swapaxes(u_dirs, -1, -2)
-    trace = np.trace(outer, axis1=-2, axis2=-1)
-    s = v_root_inv @ (outer - (trace / m)[..., None, None] * np.eye(m)) @ v_root_inv
+    # the score of rank j + 1, table entry j, goes to the position of that rank
+    order = _rank_order(q)
+    shape = np.broadcast_shapes(order.shape, tables.shape)
+    k_vals = np.empty(shape)
+    np.put_along_axis(k_vals, np.broadcast_to(order, shape), tables, axis=-1)
+    weighted = (xt * (k_vals / q)[..., None, :]) @ np.swapaxes(xt, -1, -2)
+    s = v_inv @ weighted @ v_inv - (np.sum(k_vals, axis=-1) / m)[..., None, None] * v_inv
     return np.ascontiguousarray(_dup_t_vec(s)) / (2.0 * np.sqrt(n))
 
 
@@ -405,7 +416,10 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
     The Upsilon Gram and the constraint gradient depend only on the
     starting point V*, so each trial makes one positive-definite solve in
     the tangent space, shared by all scores, and forms neither the tangent
-    basis U nor Xi (:func:`_tangent_step`).  Returns ``(v_new,
+    basis U nor Xi (:func:`_tangent_step`).  The rank statistics at V* and
+    at the probe, and the Gram, need only V^-1 (:func:`_rank_delta`): one
+    Cholesky-checked inverse of V* per trial and one of the probe per
+    score and trial, and no eigendecomposition.  Returns ``(v_new,
     alpha_hat, rejected)`` with leading axes (S, T).  A rejected step keeps
     V*; ``v_new`` is NaN where a non-finite or non-PD intermediate made the
     step fail.
@@ -415,16 +429,19 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
     root_n = np.sqrt(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         v_star = renormalize(scale, v)
-        v_root_inv = _stacked(_inv_sqrt, v_star)
-        delta0 = _rank_delta(xt, v_root_inv, tables)
+        v_inv = _stacked(_pd_inv, v_star)
+        delta0 = _rank_delta(xt, v_inv, tables)
         finite = np.isfinite(v_star).all(axis=(-2, -1))
         g = constraint_gradient_vecs(scale, np.where(finite[:, None, None], v_star, np.eye(m)))
-        gram = _vecs_information(v_root_inv @ v_root_inv, 1.0, -1.0 / m)[0]
+        gram = _vecs_information(v_inv, 1.0, -1.0 / m)[0]
         step = _tangent_step(gram, g, delta0)
         base = vecs(v_star)
-        # local slope of the rank statistic along the update direction
+        # local slope of the rank statistic along the update direction, one
+        # score at a time: its temporaries are then (T, m, n); (S, T, m, n)
+        # ones took about 1100 fresh page faults per call at m = 4, T = 163
         v_probe = renormalize(scale, unvecs(base + step / root_n, m))
-        delta1 = _rank_delta(xt, _stacked(_inv_sqrt, v_probe), tables)
+        probe_inv = _stacked(_pd_inv, v_probe)
+        delta1 = np.concatenate([_rank_delta(xt, w, t[None]) for w, t in zip(probe_inv, tables)])
         denom = np.sum(delta0 * delta0, axis=-1)
         alpha_hat = np.sum((delta0 - delta1) * delta0, axis=-1) / denom
         alpha_hat[denom <= 0.0] = 0.0  # degenerate: keep preliminary

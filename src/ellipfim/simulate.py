@@ -20,9 +20,9 @@ stream, derived from (root_seed, nu_index, trial_index), and a trial that
 fails (a non-finite or non-PD intermediate, or a Tyler iteration that
 does not converge) leaves NaN in its own row only.  A block also returns
 Tyler's iteration count and final residual and the R-step rejection
-flags of each trial; the run reduces these per nu into the diagnostics
-of its metadata.  A process pool runs the blocks when there
-are at least two per worker; serially or on any worker, the same blocks
+flags and slope estimates alpha_hat of each trial; the run reduces these
+per nu into the diagnostics of its metadata.  A process pool runs the
+blocks when there are at least two per worker; serially or on any worker, the same blocks
 are computed, reduced in trial order and formatted with fixed precision,
 so the CSV is byte-identical across parallelism settings.
 """
@@ -163,24 +163,26 @@ def _block_data(config: SimConfig, start: int, stop: int):
 
 def _trial_block(config: SimConfig, tables, start: int, stop: int):
     """Per-trial results for trials [start, stop) of the run's sequence:
-    ``(errors, iterations, residual, rejected)``.
+    ``(errors, iterations, residual, rejected, alpha_hat)``.
 
     ``errors`` holds the squared ovecs errors, one column per entry of
     COLUMNS, with NaN marking a failure.  ``iterations`` and ``residual``
     are Tyler's iteration count and final residual per trial, which
     converged where the residual is below TYLER_TOL, and ``rejected``
     (T, len(SCORES)) flags the R-steps that kept the preliminary without
-    failing.  ``tables`` is ``_score_tables(config)``.
+    failing.  ``alpha_hat`` (T, len(SCORES)) is each R-step's slope
+    estimate; a step was taken where it is finite and positive.  ``tables``
+    is ``_score_tables(config)``.
     """
     scale = scale_by_name(config.scale_kind)
     v0 = decompose(scale, config.sigma0).v
     data, nu_idx = _block_data(config, start, stop)
     tyler, iterations, residual = tyler_batch(data, scale)
     # a failed preliminary is NaN, so its R-estimates fail with it
-    r_v, _, r_rejected = r_step_batch(data, tyler, scale, tables[:, nu_idx])
+    r_v, alpha_hat, r_rejected = r_step_batch(data, tyler, scale, tables[:, nu_idx])
     rejected = (r_rejected & np.isfinite(r_v).all(axis=(-2, -1))).T
     diff = ovecs(np.stack([scm_batch(data, scale), tyler, *r_v]) - v0)
-    return np.sum(diff * diff, axis=-1).T, iterations, residual, rejected
+    return np.sum(diff * diff, axis=-1).T, iterations, residual, rejected, alpha_hat.T
 
 
 @dataclass
@@ -201,7 +203,7 @@ class SimResult:
     block_size: int  # trials per block
     blocks: int
     workers_used: int
-    diagnostics: list  # per nu: Tyler iterations, residual and failures, R-step rejections
+    diagnostics: list  # per nu: the Tyler and R-step figures of _diagnostics
 
     def cell(self, nu: float, estimator: str) -> CellResult:
         for c in self.cells:
@@ -279,7 +281,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         results = [_trial_block(config, tables, *b) for b in blocks]
         bounds = _bounds(config)
     per_nu = (len(config.nu_grid), config.trials)
-    errors, iterations, residual, rejected = (
+    errors, iterations, residual, rejected, alpha_hat = (
         np.concatenate(part).reshape(per_nu + np.shape(part[0])[1:])
         for part in zip(*results)
     )
@@ -314,15 +316,22 @@ def run_simulation(config: SimConfig) -> SimResult:
         block_size=size,
         blocks=len(blocks),
         workers_used=workers,
-        diagnostics=_diagnostics(config, iterations, residual, rejected),
+        diagnostics=_diagnostics(config, iterations, residual, rejected, alpha_hat),
     )
 
 
-def _diagnostics(config: SimConfig, iterations, residual, rejected):
+def _diagnostics(config: SimConfig, iterations, residual, rejected, alpha_hat):
     """Per nu: Tyler's mean and maximum iterations and maximum final
-    residual over its converged trials and its failure count, and the
-    R-step rejection count per score; integer counts and a maximum, so the
-    figures do not depend on the blocks."""
+    residual over its converged trials and its failure count, the R-step
+    rejection count per score, the mean alpha_hat per score over the steps
+    taken (alpha_hat finite and positive), and the generator's alpha(m),
+    which the matched score's alpha_hat estimates.  The arrays are in trial
+    order, whatever the blocks, so each mean sums the same values in the
+    same order and the figures do not depend on the blocks."""
+    steps = np.isfinite(alpha_hat) & (alpha_hat > 0.0)
+    taken = steps.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where no step was taken
+        alpha_mean = np.where(steps, alpha_hat, 0.0).sum(axis=1) / taken
     out = []
     for nu_idx, nu in enumerate(config.nu_grid):
         converged = residual[nu_idx] < TYLER_TOL
@@ -336,6 +345,11 @@ def _diagnostics(config: SimConfig, iterations, residual, rejected):
                 "tyler_residual_max": float(res.max()) if res.size else None,
                 "tyler_failures": int((~converged).sum()),
                 "r_rejections": {s: int(c) for s, c in zip(SCORES, counts)},
+                "r_alpha_hat_mean": {
+                    s: float(a) if k else None
+                    for s, a, k in zip(SCORES, alpha_mean[nu_idx], taken[nu_idx])
+                },
+                "alpha": float(student_t(nu).alpha(config.m)),
             }
         )
     return out

@@ -11,15 +11,19 @@ here too.
 
 The row-major Tyler iteration and rank statistic at the end are the
 Monte-Carlo kernels as they were before they went coordinate-major: each
-reduces over the length-m last axis of a (T, n, m) stack.
+reduces over the length-m last axis of a (T, n, m) stack.  The rank
+statistic and the R-step there whiten by V^(-1/2), from an
+eigendecomposition, and form the unit directions, as the formulas read;
+the kernels use V^-1 only.
 """
 
 import numpy as np
 
 from ellipfim.bounds import _rank1_coeff
-from ellipfim.estimators import _stacked, ranks
-from ellipfim.matcalc import _dup_t_vec, vec, vecs_len
-from ellipfim.scale import decompose, k_matrix
+from ellipfim.estimators import _stacked, _tangent_step, ranks
+from ellipfim.fim import _vecs_information
+from ellipfim.matcalc import _dup_t_vec, unvecs, vec, vecs, vecs_len
+from ellipfim.scale import constraint_gradient_vecs, decompose, k_matrix, renormalize
 
 
 def duplication_loops(m):
@@ -280,3 +284,40 @@ def rank_delta_row_major(data, v_root_inv, tables):
     trace = np.trace(outer, axis1=-2, axis2=-1)
     s = v_root_inv @ (outer - (trace / m)[..., None, None] * np.eye(m)) @ v_root_inv
     return _dup_t_vec(s) / (2.0 * np.sqrt(n))
+
+
+def inv_sqrt(v):
+    """V^(-1/2) of symmetric positive-definite matrices, by eigendecomposition;
+    ``LinAlgError`` where one is not positive definite."""
+    w, e = np.linalg.eigh(0.5 * (v + np.swapaxes(v, -1, -2)))
+    if np.any(w[..., 0] <= 0.0):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return (e / np.sqrt(w)[..., None, :]) @ np.swapaxes(e, -1, -2)
+
+
+def r_step_square_root(data, v, scale, tables):
+    """``estimators.r_step_batch`` with every V^-1 use in its square-root
+    form: V^(-1/2) by ``inv_sqrt``, the rank statistics by
+    ``rank_delta_row_major`` and the Gram from V^(-1/2) V^(-1/2)."""
+    n, m = data.shape[-2:]
+    root_n = np.sqrt(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_star = renormalize(scale, v)
+        root_inv = _stacked(inv_sqrt, v_star)
+        delta0 = rank_delta_row_major(data, root_inv, tables)
+        finite = np.isfinite(v_star).all(axis=(-2, -1))
+        g = constraint_gradient_vecs(scale, np.where(finite[:, None, None], v_star, np.eye(m)))
+        gram = _vecs_information(root_inv @ root_inv, 1.0, -1.0 / m)[0]
+        step = _tangent_step(gram, g, delta0)
+        base = vecs(v_star)
+        v_probe = renormalize(scale, unvecs(base + step / root_n, m))
+        delta1 = rank_delta_row_major(data, _stacked(inv_sqrt, v_probe), tables)
+        denom = np.sum(delta0 * delta0, axis=-1)
+        alpha_hat = np.sum((delta0 - delta1) * delta0, axis=-1) / denom
+        alpha_hat[denom <= 0.0] = 0.0
+        rejected = ~(np.isfinite(alpha_hat) & (alpha_hat > 0.0))
+        moved = unvecs(base + step / (alpha_hat[..., None] * root_n), m)
+    v_new = np.where(rejected[..., None, None], v_star, moved)
+    failed = ~(np.isfinite(step).all(axis=-1) & np.isfinite(delta1).all(axis=-1))
+    v_new[failed] = np.nan
+    return v_new, alpha_hat, rejected

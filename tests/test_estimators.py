@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 from scipy.linalg import toeplitz
 from scipy.optimize import bisect
@@ -542,7 +544,7 @@ def test_rank_statistic_matches_dense_upsilon_oracle():
     q = np.einsum("ij,ij->i", w, w)
     u_dirs = w / np.sqrt(q)[:, None]
     outer = np.einsum("l,li,lj->ij", score(ranks(q) / (n + 1.0), m), u_dirs, u_dirs)
-    delta = _rank_delta(x.T[None], root_inv[None], score.table(n, m)[None])[0, 0]
+    delta = _rank_delta(x.T[None], (root_inv @ root_inv)[None], score.table(n, m)[None])[0, 0]
     ups = dense.upsilon(root_inv)
     np.testing.assert_allclose(delta, ups @ vec(outer) / (2.0 * np.sqrt(n)), rtol=1e-10)
 
@@ -773,7 +775,8 @@ def test_tyler_weights_are_the_row_major_quadratic_forms(m, monkeypatch):
 
 @pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
 def test_rank_statistic_matches_the_row_major_oracle(scale):
-    # one V^-1/2 per dataset (T,) and one per score and dataset (S, T)
+    # the V^-1 kernel against the V^-1/2 oracle, one V^-1/2 per dataset
+    # (T,) and one per score and dataset (S, T)
     data = _datasets(4)
     n, m = data.shape[1:]
     v = tyler_batch(data, scale)[0]
@@ -782,8 +785,82 @@ def test_rank_statistic_matches_the_row_major_oracle(scale):
     xt = np.swapaxes(data, -1, -2)
     for r in (root_inv, np.stack([root_inv, 1.1 * root_inv])):
         np.testing.assert_allclose(
-            _rank_delta(xt, r, tables),
+            _rank_delta(xt, r @ r, tables),
             dense.rank_delta_row_major(data, r, tables),
             rtol=1e-12,
             atol=1e-14,
         )
+
+
+_SPD_FACTOR = hnp.arrays(
+    float, (4, 4), elements=st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+)
+
+
+@given(_SPD_FACTOR)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_rank_statistic_from_v_inverse_matches_the_square_root_oracle(a):
+    # over random SPD V: Delta from V^-1 equals the unit-direction form
+    v = a @ a.T + 0.5 * np.eye(4)
+    data = _datasets(2, n=40)
+    n, m = data.shape[1:]
+    tables = np.stack([VanDerWaerden().table(n, m), TScore(3).table(n, m)])
+    want = dense.rank_delta_row_major(data, dense.inv_sqrt(v)[None], tables)
+    got = _rank_delta(np.swapaxes(data, -1, -2), np.linalg.inv(v)[None], tables)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("m", [2, 4, 10])
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_r_step_matches_the_square_root_oracle(scale, m):
+    # the V^-1 step against the step through V^-1/2 and the unit directions
+    data = _datasets(6, m=m, n=_SIZES[m])
+    n = _SIZES[m]
+    tables = np.stack([VanDerWaerden().table(n, m), TScore(3).table(n, m)])
+    tyler = tyler_batch(data, scale)[0]
+    v_new, alpha_hat, rejected = r_step_batch(data, tyler, scale, tables)
+    v_o, alpha_o, rejected_o = dense.r_step_square_root(data, tyler, scale, tables)
+    assert np.array_equal(rejected, rejected_o)
+    np.testing.assert_allclose(v_new, v_o, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(alpha_hat, alpha_o, rtol=1e-8)
+
+
+# invertible and indefinite, with a positive first element, trace and determinant
+_INDEFINITE = np.diag([2.0, 1.0, -1.0, -0.5])
+
+
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_indefinite_preliminary_fails_its_r_step_only(scale):
+    data = _datasets(4)
+    tables = VanDerWaerden().table(100, 4)[None]
+    tyler = tyler_batch(data, scale)[0]
+    v_bad = tyler.copy()
+    v_bad[2] = _INDEFINITE
+    assert np.isfinite(np.linalg.inv(_INDEFINITE)).all()
+    assert scale.value(_INDEFINITE) > 0.0
+    want = r_step_batch(data, tyler, scale, tables)[0]
+    got = r_step_batch(data, v_bad, scale, tables)[0]
+    assert np.isnan(got[0, 2]).all()
+    assert np.array_equal(got[0, [0, 1, 3]], want[0, [0, 1, 3]])
+
+
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_indefinite_probe_fails_its_r_step_only(scale, monkeypatch):
+    # the step of trial 1 is replaced by one whose probe is indefinite
+    data = _datasets(4)
+    tables = VanDerWaerden().table(100, 4)[None]
+    tyler = tyler_batch(data, scale)[0]
+    want = r_step_batch(data, tyler, scale, tables)
+    tangent_step = estimators._tangent_step
+    base = vecs(renormalize(scale, tyler[1]))
+
+    def indefinite_probe(gram, g, delta):
+        step = tangent_step(gram, g, delta)
+        step[:, 1] = np.sqrt(100) * (vecs(_INDEFINITE) - base)
+        return step
+
+    monkeypatch.setattr(estimators, "_tangent_step", indefinite_probe)
+    got = r_step_batch(data, tyler, scale, tables)
+    assert np.isnan(got[0][0, 1]).all() and got[2][0, 1]
+    for g, w in zip(got, want):
+        assert np.array_equal(g[:, [0, 2, 3]], w[:, [0, 2, 3]])

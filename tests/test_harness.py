@@ -206,12 +206,17 @@ def test_metadata_records_blocks_and_workers(tmp_path, small_result):
             "tyler_residual_max",
             "tyler_failures",
             "r_rejections",
+            "r_alpha_hat_mean",
+            "alpha",
         }
         assert 1 <= entry["tyler_iterations_mean"] <= entry["tyler_iterations_max"] < 200
         assert 0.0 < entry["tyler_residual_max"] < estimators.TYLER_TOL
         assert entry["tyler_failures"] == 0
         assert set(entry["r_rejections"]) == {"vdw", "t3", "tnu"}
         assert all(0 <= k <= SMALL["trials"] for k in entry["r_rejections"].values())
+        assert set(entry["r_alpha_hat_mean"]) == {"vdw", "t3", "tnu"}
+        assert all(a > 0.0 for a in entry["r_alpha_hat_mean"].values())
+        assert entry["alpha"] == student_t(entry["nu"]).alpha(SMALL["m"])
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +1006,7 @@ def test_trial_block_rows_independent_of_block_boundaries(scale_kind):
     tables = simulate._score_tables(config)
     total = len(SMALL["nu_grid"]) * SMALL["trials"]
     whole = simulate._trial_block(config, tables, 0, total)
-    assert [a.shape for a in whole] == [(total, 5), (total,), (total,), (total, 3)]
+    assert [a.shape for a in whole] == [(total, 5), (total,), (total,), (total, 3), (total, 3)]
     for size in (1, 7, 13):
         parts = [
             simulate._trial_block(config, tables, start, min(start + size, total))
@@ -1091,6 +1096,7 @@ def test_diagnostics_report_no_residual_without_a_converged_trial(monkeypatch):
         assert diagnostics["tyler_failures"] == 3
         assert diagnostics["tyler_residual_max"] is None
         assert diagnostics["tyler_iterations_mean"] is None
+        assert diagnostics["r_alpha_hat_mean"] == {"vdw": None, "t3": None, "tnu": None}
 
 
 @pytest.mark.parametrize("scale_kind", ["first", "trace", "det"])
@@ -1128,3 +1134,28 @@ def test_unexpected_error_propagates(monkeypatch):
     monkeypatch.setattr(VanDerWaerden, "__call__", broken)
     with pytest.raises(TypeError, match="score bug"):
         run_simulation(SimConfig(**{**SMALL, "trials": 3}))
+
+
+def test_diagnostics_average_alpha_hat_over_the_steps_taken(monkeypatch):
+    # the steps of a failed preliminary and the rejected steps are left out
+    def reject_some(data, v, scale, tables):
+        v_new, alpha_hat, rejected = r_step_batch(data, v, scale, tables)
+        alpha_hat[0, ::3] = -1.0
+        alpha_hat[1, ::4] = np.nan
+        return v_new, alpha_hat, rejected
+
+    monkeypatch.setattr(simulate, "r_step_batch", reject_some)
+    config = SimConfig(**SMALL)
+    total = len(SMALL["nu_grid"]) * SMALL["trials"]
+    alpha_hat = simulate._trial_block(config, simulate._score_tables(config), 0, total)[4]
+    result = run_simulation(config)
+    for nu_idx, diagnostics in enumerate(result.diagnostics):
+        rows = alpha_hat[nu_idx * SMALL["trials"] : (nu_idx + 1) * SMALL["trials"]]
+        for s, score in enumerate(simulate.SCORES):
+            taken = rows[:, s][np.isfinite(rows[:, s]) & (rows[:, s] > 0.0)]
+            if score != "tnu":
+                assert taken.size < SMALL["trials"]
+            assert diagnostics["r_alpha_hat_mean"][score] == float(taken.mean())
+        # the matched score's slope estimates the generator's alpha(m)
+        tnu = diagnostics["r_alpha_hat_mean"]["tnu"]
+        assert abs(tnu / diagnostics["alpha"] - 1.0) < 0.25

@@ -17,7 +17,7 @@ from ellipfim.complexces import (
     embedded_lowrank_parameterization,
     embedded_rectilinear_parameterization,
 )
-from ellipfim.estimators import VanDerWaerden, _inv_sqrt, r_step_batch, scm_batch
+from ellipfim.estimators import VanDerWaerden, r_step_batch, scm_batch
 from ellipfim.fim import _vecs_information
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
 from ellipfim.matcalc import (
@@ -160,7 +160,7 @@ def test_r_step_gram_matches_dense_upsilon(m, monkeypatch):
 
     monkeypatch.setattr(estimators, "_tangent_step", capture)
     r_step_batch(data, v, NORMALIZED_TRACE, VanDerWaerden().table(n, m)[None])
-    want = [u @ u.T for u in map(dense.upsilon, _inv_sqrt(v))]
+    want = [u @ u.T for u in map(dense.upsilon, dense.inv_sqrt(v))]
     assert_close(grams[0], want)
 
 
