@@ -14,14 +14,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from numpy.linalg import LinAlgError
 from scipy.linalg import toeplitz
 
 from . import bounds as bounds_mod
-from .bounds import SingularCoefficientError
 from .config import ConfigError, check_number, check_reals, reject_unknown
-from .fim import IdentifiabilityError
-from .generators import MomentUndefinedError, gaussian, generalized_gaussian, student_t
+from .generators import gaussian, generalized_gaussian, student_t
 from .invariants import run_invariant_suite
 from .parameterize import (
     breaking_example,
@@ -31,24 +28,10 @@ from .parameterize import (
     verify_adaptivity_by_fim,
 )
 from .matcalc import vecs_len
-from .scale import ManifoldError, decompose, scale_by_name
+from .scale import decompose, scale_by_name
 from .simulate import SimConfig, run_simulation, write_svg_chart
 
 SCHEMA_VERSION = 1
-
-# Raised while a model built from a config is evaluated: a generator
-# parameter out of range, a scatter that is not PD, an unidentifiable
-# parameterization, a shape off its manifold, an alpha at the singular
-# point of a bound, an undefined moment or an unknown verify level.  All
-# are ValueError subclasses; naming them records which ones exit 2.
-DOMAIN_ERRORS = (
-    ValueError,
-    LinAlgError,
-    IdentifiabilityError,
-    ManifoldError,
-    SingularCoefficientError,
-    MomentUndefinedError,
-)
 
 
 def _load_config(path):
@@ -322,7 +305,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as exc:
+    # a model the config describes that cannot be evaluated: a generator
+    # parameter or functional out of range, a scatter that is not PD
+    # (LinAlgError), an unidentifiable parameterization, a shape off its
+    # manifold, an alpha at the singular point of a bound, an undefined
+    # moment or an unknown verify level; all are ValueError subclasses
+    except ValueError as exc:
         msg = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 2

@@ -9,9 +9,11 @@ quantities (efficient scores and FIMs after projecting out the density
 generator) are the closed forms; their Monte-Carlo and Schur-complement
 counterparts live in the test suite and the invariant runner.
 
-All score functions accept a single observation (m,) or a batch (n, m)
-and return the matching shape.  The x = mu event maps to the continuous
-zero-score limit of the location block.
+All four scores are built from one per-sample core, W = Sigma^-1 (x - mu),
+Q = (x - mu)^T W and phibar(Q), with Sigma^-1 from the same Cholesky
+factor.  Each accepts a single observation (m,) or a batch (n, m) and
+returns the matching shape.  At x = mu (Q = 0) phibar is taken as 0: the
+location score is zero and every phibar term drops out.
 """
 
 from __future__ import annotations
@@ -47,53 +49,44 @@ class IdentifiabilityError(ValueError):
     """Parameterization Jacobians are rank deficient at the evaluation point."""
 
 
-def _as_batch(x):
+def _sample_parts(x, mu, sigma, gen: DensityGenerator):
+    """Per-sample W = Sigma^-1 (x - mu), Q and phibar(Q) (0 at Q = 0), and
+    Sigma^-1, all from one Cholesky factor of Sigma."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    return np.atleast_2d(x), single
-
-
-def _whitened_parts(x, mu, sigma, gen: DensityGenerator):
-    """Per-sample (d, W = Sigma^-1 d, Q, phibar(Q)) with the Q=0 branch."""
-    m = np.asarray(mu).shape[0]
-    xb, single = _as_batch(x)
-    d = xb - np.asarray(mu, dtype=float)
-    cho = linalg.cho_factor(np.asarray(sigma, dtype=float), lower=True)
+    sigma = np.asarray(sigma, dtype=float)
+    m = sigma.shape[0]
+    d = np.atleast_2d(x) - np.asarray(mu, dtype=float)
+    cho = linalg.cho_factor(sigma, lower=True)
     w = linalg.cho_solve(cho, d.T).T
     q = np.einsum("ij,ij->i", d, w)
     phi = np.zeros_like(q)
     pos = q > 0
     phi[pos] = gen.phi_bar(q[pos], m)
-    return d, w, q, phi, single
+    sigma_inv = linalg.cho_solve(cho, np.eye(m))
+    return w, q, phi, 0.5 * (sigma_inv + sigma_inv.T), x.ndim == 1
+
+
+def _vecs_score(w, phi, sigma_inv):
+    """1/2 D_m^T vec(E_l) with E_l = phibar(Q_l) W_l W_l^T - Sigma^-1."""
+    outer = phi[:, None, None] * np.einsum("li,lj->lij", w, w) - sigma_inv
+    return 0.5 * _dup_t_vec(outer)
 
 
 def score_eta(x, mu, v, s, scale: ScaleFunctional, gen: DensityGenerator):
     """Score of (mu, ovecs V, s), concatenated; length m + m(m+1)/2."""
-    mu = np.asarray(mu, dtype=float)
-    m = mu.shape[0]
-    sigma = s * np.asarray(v, dtype=float)
-    d, w, q, phi, single = _whitened_parts(x, mu, sigma, gen)
-    sigma_inv = np.linalg.inv(sigma)
-    sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
-
-    s_mu = phi[:, None] * w
-    # E_l = phibar(Q_l) Sigma^-1 d_l d_l^T Sigma^-1 - Sigma^-1
-    outer = phi[:, None, None] * np.einsum("li,lj->lij", w, w) - sigma_inv
-    # M_S vec(E_l) = K_V^T D_m^T vec(E_l)
-    s_shape = 0.5 * s * _tangent_vec(_dup_t_vec(outer), grad_v11(scale, v))
+    m = np.asarray(mu).shape[0]
+    w, q, phi, sigma_inv, single = _sample_parts(x, mu, s * np.asarray(v, dtype=float), gen)
+    # d vecs(Sigma) / d ovecs(V) = s K_V, and M_S vec(E_l) = K_V^T D_m^T vec(E_l)
+    s_shape = s * _tangent_vec(_vecs_score(w, phi, sigma_inv), grad_v11(scale, v))
     s_scale = (q * phi - m)[:, None] / (2.0 * s)
-    out = np.concatenate([s_mu, s_shape, s_scale], axis=1)
+    out = np.concatenate([phi[:, None] * w, s_shape, s_scale], axis=1)
     return out[0] if single else out
 
 
 def score_vecs_sigma(x, mu, sigma, gen: DensityGenerator):
     """Score of vecs(Sigma) in the scatter parameterization."""
-    mu = np.asarray(mu, dtype=float)
-    d, w, q, phi, single = _whitened_parts(x, mu, sigma, gen)
-    sigma_inv = np.linalg.inv(np.asarray(sigma, dtype=float))
-    sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
-    outer = phi[:, None, None] * np.einsum("li,lj->lij", w, w) - sigma_inv
-    out = 0.5 * _dup_t_vec(outer)
+    w, _, phi, sigma_inv, single = _sample_parts(x, mu, sigma, gen)
+    out = _vecs_score(w, phi, sigma_inv)
     return out[0] if single else out
 
 
@@ -326,39 +319,30 @@ def sfim_theta(param, theta0, gen: DensityGenerator):
     return _theta_fim(model_geometry(param, theta0), gen, semiparametric=True)
 
 
-def _per_sample_parts(x, param, theta0, gen):
+def _theta_score(x, param, theta0, gen: DensityGenerator, semiparametric: bool):
+    """The score of theta; the two kinds differ in the coefficient of
+    tr(Sigma^-1 Sigma_i) only."""
     theta0, sigma, j_mu, j_sig = _jacobians(param, theta0)
     if not _identifiable(j_mu, j_sig):
         raise IdentifiabilityError(_NOT_IDENTIFIABLE)
-    mu = np.asarray(param.mu_fn(theta0), dtype=float)
-    m = mu.shape[0]
-    d_, w, q, phi, single = _whitened_parts(x, mu, sigma, gen)
-    sigma_inv = np.linalg.inv(sigma)
-    # tr(P_i) = tr(Sigma^-1 Sigma_i) and d^T Sigma^-1 Sigma_i Sigma^-1 d
-    tr_p = np.einsum("ij,kji->k", sigma_inv, j_sig)
+    m = sigma.shape[0]
+    w, q, phi, sigma_inv, single = _sample_parts(x, param.mu_fn(theta0), sigma, gen)
+    coef = (q - m) / gen.sigma_q2(m) - q * phi / (2.0 * m) if semiparametric else -0.5
+    # W^T mu_i, W^T Sigma_i W and tr(Sigma^-1 Sigma_i)
     quad = np.einsum("li,kij,lj->lk", w, j_sig, w)
-    lin = w @ j_mu  # d^T Sigma^-1 mu_i
-    return q, phi, tr_p, quad, lin, single, m
+    trace = np.einsum("ij,kji->k", sigma_inv, j_sig)
+    out = phi[:, None] * (w @ j_mu + 0.5 * quad) + np.outer(coef, trace)
+    return out[0] if single else out
 
 
 def score_theta(x, param, theta0, gen: DensityGenerator):
     """Score of theta in the parametric model."""
-    q, phi, tr_p, quad, lin, single, m = _per_sample_parts(x, param, theta0, gen)
-    out = -0.5 * tr_p[None, :] + phi[:, None] * (lin + 0.5 * quad)
-    return out[0] if single else out
+    return _theta_score(x, param, theta0, gen, semiparametric=False)
 
 
 def efficient_score_theta(x, param, theta0, gen: DensityGenerator):
     """Efficient (generator-projected) score of theta."""
-    q, phi, tr_p, quad, lin, single, m = _per_sample_parts(x, param, theta0, gen)
-    sigma_q2 = gen.sigma_q2(m)
-    qphi = q * phi
-    out = (
-        phi[:, None] * lin
-        + 0.5 * (phi[:, None] * quad - (qphi / m)[:, None] * tr_p[None, :])
-        + np.outer((q - m) / sigma_q2, tr_p)
-    )
-    return out[0] if single else out
+    return _theta_score(x, param, theta0, gen, semiparametric=True)
 
 
 def _project_nuisance(fim, q: int, t=None):

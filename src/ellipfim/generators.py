@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 class MomentUndefinedError(ValueError):
     """A requested moment does not exist for the generator's parameters."""
 
@@ -198,22 +201,33 @@ class _GeneralizedGaussian(DensityGenerator):
 
     def beta(self, m):
         s = self.shape
+        # log(4 s^2) as log 4 + 2 log s: 4 s^2 overflows from s ~ 1e154
         log_val = (
-            math.log(4.0 * s * s) - 2.0 * math.log(m)
+            math.log(4.0) + 2.0 * math.log(s) - 2.0 * math.log(m)
             + gammaln(0.5 * (m + 2) / s)
             + gammaln(0.5 * (m - 2) / s + 2.0)
             - 2.0 * gammaln(0.5 * m / s)
         )
-        return math.exp(log_val)
+        return math.exp(self._below_float_max("beta", m, log_val))
 
     def sigma_q2(self, m):
         s = self.shape
-        ratio = math.exp(
+        log_ratio = (
             gammaln(0.5 * (m + 4) / s)
             + gammaln(0.5 * m / s)
             - 2.0 * gammaln(0.5 * (m + 2) / s)
         )
-        return m * m * (ratio - 1.0)
+        self._below_float_max("sigma_q2", m, 2.0 * math.log(m) + log_ratio)
+        return m * m * (math.exp(log_ratio) - 1.0)
+
+    def _below_float_max(self, functional, m, log_val):
+        """log_val, or a ValueError when exp(log_val) is beyond the float range."""
+        if not log_val < _LOG_FLOAT_MAX:  # also True for NaN
+            raise ValueError(
+                f"{functional} of {self.name} at m={m} exceeds the float range "
+                f"(log value {log_val:.6g})"
+            )
+        return log_val
 
 
 def gaussian() -> DensityGenerator:

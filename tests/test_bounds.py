@@ -331,6 +331,13 @@ def test_bound_set_det_psi_zero_and_psd():
         assert np.linalg.eigvalsh(0.5 * (mat + mat.T)).min() > 0
 
 
+def test_bound_set_gg_huge_shape_keeps_the_location_bound():
+    # beta(4) of gg(1e200) is about 3.3e199, so (s / beta) V is tiny but not 0
+    bs = bound_set(NORMALIZED_TRACE, toeplitz(0.8 ** np.arange(4)), generalized_gaussian(1e200))
+    assert np.isfinite(bs.crb_mu).all()
+    assert np.linalg.eigvalsh(bs.crb_mu).min() > 0
+
+
 def test_bound_set_rejects_a_scatter_that_is_not_pd():
     with pytest.raises(np.linalg.LinAlgError):
         bound_set(NORMALIZED_TRACE, np.array([[1.0, 2.0], [2.0, 1.0]]), gaussian())

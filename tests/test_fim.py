@@ -116,6 +116,64 @@ def test_score_eta_at_x_equal_mu():
     assert s[-1] == pytest.approx(-m / 2.0)
 
 
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_score_eta_equals_score_theta_at_shape_scale_map(scale):
+    # the structured K_V^T D_m^T contraction against the generic theta path
+    rng = np.random.default_rng(23)
+    m = 3
+    mu, v, s = random_model(rng, m, scale)
+    gen = student_t(7)
+    x = mu + rng.standard_normal((20, m))
+    theta0 = np.concatenate([mu, ovecs(v), [s]])
+    generic = score_theta(x, shape_scale_parameterization(scale, m), theta0, gen)
+    np.testing.assert_allclose(score_eta(x, mu, v, s, scale, gen), generic, rtol=1e-12)
+
+
+def test_score_vecs_sigma_equals_sigma_block_of_score_theta():
+    rng = np.random.default_rng(24)
+    m = 3
+    mu, v, s = random_model(rng, m, NORMALIZED_TRACE)
+    sigma = s * v
+    gen = student_t(7)
+    x = mu + rng.standard_normal((20, m))
+    theta0 = np.concatenate([mu, vecs(sigma)])
+    generic = score_theta(x, identity_parameterization(m), theta0, gen)
+    np.testing.assert_allclose(score_vecs_sigma(x, mu, sigma, gen), generic[:, m:], rtol=1e-12)
+
+
+def test_scores_factor_sigma_once_and_invert_nothing(monkeypatch):
+    import ellipfim.fim as fim_module
+
+    calls = []
+    cho_factor = fim_module.linalg.cho_factor
+
+    def counting_cho_factor(a, *args, **kwargs):
+        calls.append(a)
+        return cho_factor(a, *args, **kwargs)
+
+    def no_inverse(a):
+        raise AssertionError("a score inverted a matrix")
+
+    monkeypatch.setattr(fim_module.linalg, "cho_factor", counting_cho_factor)
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    rng = np.random.default_rng(25)
+    m = 3
+    mu, v, s = random_model(rng, m, NORMALIZED_TRACE)
+    x = mu + rng.standard_normal((5, m))
+    gen = student_t(7)
+    _, param, theta0 = make_lowrank()
+    x_theta = rng.standard_normal((5, param.sigma_fn(theta0).shape[0]))
+    for score in (
+        lambda: score_eta(x, mu, v, s, NORMALIZED_TRACE, gen),
+        lambda: score_vecs_sigma(x, mu, s * v, gen),
+        lambda: score_theta(x_theta, param, theta0, gen),
+        lambda: efficient_score_theta(x_theta, param, theta0, gen),
+    ):
+        calls.clear()
+        score()
+        assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # fim_eta and friends
 # ---------------------------------------------------------------------------
@@ -318,6 +376,24 @@ def test_efficient_score_equals_score_for_gaussian():
     s_full = score_theta(x, param, theta0, gaussian())
     s_eff = efficient_score_theta(x, param, theta0, gaussian())
     np.testing.assert_allclose(s_eff, s_full, atol=1e-12 * np.abs(s_full).max())
+
+
+@pytest.mark.parametrize("gen", [student_t(8), generalized_gaussian(0.5)], ids=str)
+@pytest.mark.parametrize("efficient", [False, True], ids=["score", "efficient"])
+def test_theta_scores_at_x_equal_mu(gen, efficient):
+    # at Q = 0 every phibar term drops out, leaving the tr(Sigma^-1 Sigma_i) term
+    _, param, theta0 = make_lowrank()
+    sigma = param.sigma_fn(theta0)
+    m = sigma.shape[0]
+    x = sample(4, np.zeros(m), sigma, gen, seed=11)
+    x[[0, 2]] = param.mu_fn(theta0)
+    fn = efficient_score_theta if efficient else score_theta
+    out = fn(x, param, theta0, gen)
+    trace = np.einsum("ij,kji->k", np.linalg.inv(sigma), param.jacobian_sigma(theta0))
+    coef = -m / gen.sigma_q2(m) if efficient else -0.5
+    np.testing.assert_allclose(out[[0, 2]], np.tile(coef * trace, (2, 1)), rtol=1e-12)
+    for i in (1, 3):
+        np.testing.assert_allclose(out[i], fn(x[i], param, theta0, gen), rtol=1e-12)
 
 
 def test_score_theta_matches_fd_log_pdf():

@@ -118,6 +118,31 @@ def test_sigma_q2_against_mp_quadrature(gen, m):
     assert gen.sigma_q2(m) == pytest.approx(second - m * m, rel=1e-9)
 
 
+def mp_gg_beta(shape, m, dps=50):
+    """The gg closed form 4 s^2 G((m+2)/2s) G((m-2)/2s + 2) / (m G(m/2s))^2
+    evaluated with mpmath gamma functions, no logarithms."""
+    with mpmath.workdps(dps):
+        s, m = mpmath.mpf(shape), mpmath.mpf(m)
+        num = 4 * s * s * mpmath.gamma((m + 2) / (2 * s)) * mpmath.gamma((m - 2) / (2 * s) + 2)
+        return float(num / (m * mpmath.gamma(m / (2 * s))) ** 2)
+
+
+@pytest.mark.parametrize("shape", [1e-2, 1.0, 1e100, 1e200])
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_gg_beta_across_the_float_range(shape, m):
+    # 4 s^2 overflows from s ~ 1e154; the log-space form does not
+    assert generalized_gaussian(shape).beta(m) == pytest.approx(mp_gg_beta(shape, m), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape, m, functional", [(1e-3, 2, "beta"), (1e-4, 8, "beta"), (1e-4, 6, "sigma_q2")]
+)
+def test_gg_functionals_beyond_the_float_range_raise(shape, m, functional):
+    gen = generalized_gaussian(shape)
+    with pytest.raises(ValueError, match=f"{functional} of gg\\({shape:g}\\) at m={m}"):
+        getattr(gen, functional)(m)
+
+
 def test_sigma_q2_rejected_below_nu4():
     with pytest.raises(MomentUndefinedError):
         student_t(3).sigma_q2(4)

@@ -704,6 +704,12 @@ DOMAIN_ERROR_CONFIGS = {
         {"parameterization": {"name": "low_rank", "m": 2, "p": 3, "gamma": [0.1, 0.2, 0.3]}},
     ),
     "unknown_verify_level": ("verify", {"level": "bogus"}),
+    # generalized-Gaussian functionals beyond the float range
+    "gg_beta_overflow": ("bounds", {"m": 2, "generator": {"family": "gg", "shape": 1e-3}}),
+    "gg_low_rank_overflow": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank"}, "generator": {"family": "gg", "shape": 1e-4}},
+    ),
     # a PD scatter whose shape FIM, V^-1 (x) V^-1, overflows
     "bounds_fim_overflow": (
         "bounds",
