@@ -42,6 +42,15 @@ __all__ = [
 ]
 
 
+# a closed-form bound inverts its FIM to within this many m cond_2(V)
+_CHAIN_TOL = 32.0 * np.finfo(float).eps
+_CHAIN_NOTES = {
+    "shared_bound_inverts_efficient_fim": "one formula realizes SCRB(.|g), SCRB(.|s,g), CRB(.|s,zeta), CRB(.|s)",
+    "no_nuisance_bound_equality": "canonical scale: chain extends to the scale-known bound",
+    "no_nuisance_bound_strict_gap": "non-canonical scale: scale-known bound sits strictly below (rank-one gap)",
+}
+
+
 class SingularCoefficientError(ValueError):
     """The rank-one correction coefficient is at its singular point."""
 
@@ -53,10 +62,11 @@ def _pd_cholesky(a):
     precision and ``LinAlgError`` for one that is not positive definite.
     """
     a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a)
-    if norm > 0 and np.linalg.norm(a - a.T) / norm > 1e-12:
+    # relative to the largest entry, so that no norm or sum overflows
+    unit = a / max(np.abs(a).max(initial=0.0), np.finfo(float).tiny)
+    if np.linalg.norm(unit - unit.T) > 1e-12 * np.linalg.norm(unit):
         raise ValueError("matrix is not symmetric to working precision")
-    return linalg.cho_factor(0.5 * (a + a.T), lower=True)
+    return linalg.cho_factor(0.5 * a + 0.5 * a.T, lower=True)
 
 
 def pd_inverse(a):
@@ -102,13 +112,7 @@ def _symmetric_bound(x, alpha):
 
 
 def crb_shape(scale: ScaleFunctional, v, gen: DensityGenerator):
-    """Parametric-and-semiparametric bound on ovecs(V) with unknown scale."""
-    v = np.asarray(v, dtype=float)
-    return _symmetric_bound(_crb_shape_core(scale, v), gen.alpha(v.shape[0]))
-
-
-def _crb_shape_core(scale: ScaleFunctional, v):
-    """``crb_shape`` before its generator's 1 / alpha and symmetrization.
+    """Parametric-and-semiparametric bound on ovecs(V) with unknown scale.
 
     In vecs coordinates, with P_S = I - vec(V) vec(D_S)^T, G = D_S and
     N = (I + K_m)(V (x) V): D_m^+ P_S N P_S^T D_m^+T is the core of V minus
@@ -116,13 +120,14 @@ def _crb_shape_core(scale: ScaleFunctional, v):
     c = 2 vecs(V G V) - tr(G V G V) a.
     """
     v = np.asarray(v, dtype=float)
-    _require_ovecs(v.shape[0])
+    m = v.shape[0]
+    _require_ovecs(m)
     g = scale.gradient(v)
     g = 0.5 * (g + g.T)
     vgv = v @ g @ v
     a = vecs(decompose(scale, v).v)
     c = 2.0 * vecs(vgv) - np.sum(g * vgv) * a
-    return _core_minus_rank2(v, a, c)[1:, 1:]
+    return _symmetric_bound(_core_minus_rank2(v, a, c)[1:, 1:], gen.alpha(m))
 
 
 def crb_shape_det_root(v, gen: DensityGenerator):
@@ -150,13 +155,33 @@ def crb_scale(scale: ScaleFunctional, v, s, gen: DensityGenerator) -> ScaleBound
     m = v.shape[0]
     _require_ovecs(m)
     alpha = gen.alpha(m)
+    quad, proj = _scale_terms(scale, v)
+    value = (2.0 * s * s / alpha) * (quad - _rank1_coeff(alpha, m))
+    psi = (2.0 * s / alpha) * proj[1:]
+    return ScaleBound(value=float(value), psi=psi)
+
+
+def _scale_terms(scale: ScaleFunctional, v):
+    """tr(G V G V) and p = vecs(V G V) - tr(G V G V) vecs(V), with G = D_S:
+    the parts of ``crb_scale`` free of s and of the generator."""
     g = scale.gradient(v)
     vgv = v @ g @ v
     quad = float(np.sum(g * vgv))
-    value = (2.0 * s * s / alpha) * (quad - _rank1_coeff(alpha, m))
-    proj = vecs(0.5 * (vgv + vgv.T)) - quad * vecs(decompose(scale, v).v)
-    psi = (2.0 * s / alpha) * proj[1:]
-    return ScaleBound(value=float(value), psi=psi)
+    return quad, vecs(0.5 * (vgv + vgv.T)) - quad * vecs(decompose(scale, v).v)
+
+
+def _scale_known_gap(scale: ScaleFunctional, v, gen: DensityGenerator):
+    """u with SCRB - CRB(.|s) = u u^T: by the block inverse of the (ovecs V, s)
+    FIM, u = psi / sqrt(c) with c and psi of ``crb_scale``, free of s.  It is
+    0 on the det-root scale (G = V^-1 / m, so p = 0) and wherever p vanishes
+    to rounding, as on the trace scale at V = I."""
+    m = v.shape[0]
+    alpha = gen.alpha(m)
+    quad, p = _scale_terms(scale, v)
+    eps = np.finfo(float).eps
+    if scale is DET_ROOT or np.abs(p).max() <= 4 * m * eps * quad * np.abs(v).max():
+        return np.zeros(p.size - 1)
+    return p[1:] * np.sqrt(2.0 / (alpha * (quad - _rank1_coeff(alpha, m))))
 
 
 def crb_scale_det_root(sigma, gen: DensityGenerator) -> float:
@@ -201,11 +226,14 @@ class BoundSet:
         }
 
 
+# the scale and the scatter bound grow as Sigma (x) Sigma: an overflow is
+# reported once, not as numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def bound_set(scale: ScaleFunctional, sigma, gen: DensityGenerator) -> BoundSet:
     """Every bound block for one model.
 
-    Raises ``ValueError`` when Sigma is not symmetric and ``LinAlgError``
-    when it is not positive definite.
+    Raises ``ValueError`` when Sigma is not symmetric or a bound is beyond
+    the float range, and ``LinAlgError`` when Sigma is not positive definite.
     """
     sigma = np.asarray(sigma, dtype=float)
     # the structured forms invert nothing, so a bad scatter is caught here
@@ -215,7 +243,7 @@ def bound_set(scale: ScaleFunctional, sigma, gen: DensityGenerator) -> BoundSet:
         raise linalg.LinAlgError(f"scatter is not positive definite: {exc}") from exc
     dec = decompose(scale, sigma)
     sb = crb_scale(scale, dec.v, dec.s, gen)
-    return BoundSet(
+    out = BoundSet(
         crb_mu=crb_location(dec.v, dec.s, gen),
         crb_shape=crb_shape(scale, dec.v, gen),
         crb_scale=sb.value,
@@ -226,6 +254,9 @@ def bound_set(scale: ScaleFunctional, sigma, gen: DensityGenerator) -> BoundSet:
         m=sigma.shape[0],
         s=dec.s,
     )
+    if not all(np.isfinite(b).all() for b in out.blocks().values()):
+        raise ValueError("a bound of this scatter is beyond the float range")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +294,7 @@ class ChainReport:
         return "\n".join(lines)
 
 
-# the FIMs grow as V^-1 (x) V^-1: a non-finite one raises, and an overflowed
-# norm fails its link
+# the FIMs grow as V^-1 (x) V^-1: a non-finite one raises
 @np.errstate(over="ignore", invalid="ignore")
 def verify_chain(
     scale: ScaleFunctional, v, gens: Sequence[DensityGenerator], m: int
@@ -274,11 +304,15 @@ def verify_chain(
     The bounds with scale unknown (generator fully unknown, functionally
     unknown, known up to parameters, or fully known) all equal the single
     closed form by construction, so their shared numeric content is that
-    this one formula inverts the one efficient FIM.  The final link, the
-    no-nuisance parametric bound, joins the chain exactly for the
-    determinant-root scale and sits strictly below it otherwise.
+    this one formula inverts the one efficient FIM.  The no-nuisance
+    parametric bound is that closed form minus u u^T (``_scale_known_gap``)
+    and must invert the scale-known FIM: it joins the chain where u = 0 (the
+    determinant-root scale) and sits strictly below it elsewhere.  A link
+    passes when its normwise backward error is below _CHAIN_TOL m cond_2(V),
+    since V^-1 enters every FIM.
     """
     v = np.asarray(v, dtype=float)
+    tol = _CHAIN_TOL * v.shape[0] * np.linalg.cond(v)
     links = []
     for gen in gens:
         bound = crb_shape(scale, v, gen)
@@ -288,45 +322,21 @@ def verify_chain(
             raise ValueError(
                 f"the shape FIM under {gen.name} is not finite: V^-1 (x) V^-1 overflows"
             )
-        err = np.linalg.norm(bound @ eff - np.eye(bound.shape[0])) / np.sqrt(
-            bound.shape[0]
-        )
-        links.append(
-            ChainLink(
-                name="shared_bound_inverts_efficient_fim",
-                generator=gen.name,
-                passed=bool(err < 1e-8),
-                value=float(err),
-                note="one formula realizes SCRB(.|g), SCRB(.|s,g), CRB(.|s,zeta), CRB(.|s)",
-            )
-        )
-        no_nuisance = pd_inverse(i_v)
-        diff = bound - no_nuisance
-        rel = np.linalg.norm(diff) / max(np.linalg.norm(bound), 1e-300)
-        if scale is DET_ROOT:
-            links.append(
-                ChainLink(
-                    name="no_nuisance_bound_equality",
-                    generator=gen.name,
-                    passed=bool(rel < 1e-10),
-                    value=float(rel),
-                    note="det-root scale: chain extends to the scale-known bound",
-                )
-            )
-        else:
-            # the gap is rank one: PSD with a single positive eigenvalue,
-            # so "strictly below in Loewner order" means PSD and nonzero
-            eigs = np.linalg.eigvalsh(0.5 * (diff + diff.T))
-            psd = bool(eigs[0] > -1e-10 * max(eigs[-1], 1.0))
-            links.append(
-                ChainLink(
-                    name="no_nuisance_bound_strict_gap",
-                    generator=gen.name,
-                    passed=bool(psd and eigs[-1] > 0.0 and rel > 1e-10),
-                    value=float(eigs[-1]),
-                    note="non-canonical scale: scale-known bound sits strictly below (rank-one gap)",
-                )
-            )
+        u = _scale_known_gap(scale, v, gen)
+        gap = "strict_gap" if u.any() else "equality"
+        for name, x, a in (
+            ("shared_bound_inverts_efficient_fim", bound, eff),
+            (f"no_nuisance_bound_{gap}", bound - np.outer(u, u), i_v),
+        ):
+            res = x @ a
+            res[np.diag_indices_from(res)] -= 1.0
+            # ||XA - I|| / (||X|| ||A||); BLAS nrm2 scales its sum of squares,
+            # so a bound of entries near 1e-200 has a nonzero norm
+            err, x_norm, a_norm = (linalg.norm(np.ravel(z)) for z in (res, x, a))
+            err = err / x_norm / a_norm
+            # a strict gap is valued by its one eigenvalue
+            value = float(u @ u) if name.endswith("strict_gap") else float(err)
+            links.append(ChainLink(name, gen.name, bool(err < tol), value, _CHAIN_NOTES[name]))
     return ChainReport(scale_kind=scale.kind, links=links)
 
 

@@ -119,22 +119,12 @@ def _vecs_information(a_inv, c_kron, c_rank1):
     axes) gives a stack of results.  With (c_kron, c_rank1) = (1, -1/m) and
     A = V this is the Gram Upsilon_V Upsilon_V^T of the R-estimator.
     """
-    return _weighted_information(*_information_core(a_inv), c_kron, c_rank1)
-
-
-def _information_core(a_inv):
-    """The parts of ``_vecs_information`` free of its coefficients:
-    2 D_m^T (A^-1 (x) A^-1) D_m = F core(A^-1) F and y = D_m^T vec(A^-1)."""
     f = _dup_gram(a_inv.shape[-1])
+    y = _dup_t_vec(a_inv)
     x = _sym_kron_core(a_inv)
     x *= f
     x *= f[:, None]
-    return x, _dup_t_vec(a_inv)
-
-
-def _weighted_information(core, y, c_kron, c_rank1):
-    """``_vecs_information`` from its ``_information_core``."""
-    x = core * (0.5 * c_kron)
+    x *= 0.5 * c_kron
     x += (c_rank1 * y)[..., :, None] * y[..., None, :]
     return x, y
 
@@ -158,20 +148,13 @@ def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta
     beta = gen.beta(m)
     v_inv = np.linalg.inv(v)
     k = grad_v11(scale, v)
-    core, y = _information_core(v_inv)
+    # M_S = K_V^T D_m^T turns D_m^T-weighted vecs quantities into ovecs ones
+    x, y = _vecs_information(v_inv, 2.0 * alpha, alpha - 1.0)
     i_mu = beta * v_inv / s
-    i_v = _shape_information(core, y, k, alpha)
+    i_v = 0.25 * _tangent_sandwich(x, k)
     i_s = (m * (m + 2) * alpha - m * m) / (4.0 * s * s)
     i_vs = ((m + 2) * alpha - m) / (4.0 * s) * _tangent_vec(y, k)
     return FimBlocksEta(i_mu=i_mu, i_v=i_v, i_s=i_s, i_vs=i_vs)
-
-
-def _shape_information(core, y, k, alpha):
-    """The ovecs(V) block of ``fim_eta`` from the ``_information_core`` of
-    V^-1 and k = ``grad_v11``; only alpha depends on the generator."""
-    # M_S = K_V^T D_m^T turns D_m^T-weighted vecs quantities into ovecs ones
-    x, _ = _weighted_information(core, y, 2.0 * alpha, alpha - 1.0)
-    return 0.25 * _tangent_sandwich(x, k)
 
 
 def efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator):

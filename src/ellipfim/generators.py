@@ -142,7 +142,12 @@ class _StudentT(DensityGenerator):
         # Q = (nu-2) chi2_m / chi2_nu, a scaled F variate with E{Q} = m.
         num = rng.chisquare(m, size=n)
         den = rng.chisquare(self.nu, size=n)
-        return (self.nu - 2.0) * num / den
+        if self.nu < 1e290:  # (nu - 2) num would need a chi2_m draw above 1e18 to overflow
+            return (self.nu - 2.0) * num / den
+        # near the float max, where (nu - 2) / den ~ 1, reorder the products that overflow
+        with np.errstate(over="ignore"):
+            q = (self.nu - 2.0) * num / den
+        return np.where(np.isinf(q), num * ((self.nu - 2.0) / den), q)
 
     def alpha(self, m):
         return (m + self.nu) / (m + self.nu + 2.0)
@@ -167,34 +172,35 @@ class _GeneralizedGaussian(DensityGenerator):
         self.shape = float(shape)
         self.name = f"gg({shape:g})"
 
-    def _b(self, m):
-        # Scale fixing E{Q} = m:  b = (m Gamma(m/2s) / Gamma((m+2)/2s))^s.
+    def _log_c(self, m):
+        # Scale fixing E{Q} = m: t^s / b = (t / c)^s with c = b^(1/s) =
+        # m Gamma(m/2s) / Gamma((m+2)/2s); b itself overflows from s ~ 400.
         s = self.shape
-        return math.exp(
-            s * (math.log(m) + gammaln(0.5 * m / s) - gammaln(0.5 * (m + 2) / s))
-        )
+        return math.log(m) + gammaln(0.5 * m / s) - gammaln(0.5 * (m + 2) / s)
 
     def log_gbar(self, t, m):
         t = np.asarray(t, dtype=float)
         s = self.shape
-        b = self._b(m)
+        log_c = self._log_c(m)
         log_a = (
             math.log(s)
             + gammaln(0.5 * m)
             - 0.5 * m * math.log(math.pi)
-            - (0.5 * m / s) * math.log(b)
+            - 0.5 * m * log_c
             - gammaln(0.5 * m / s)
         )
-        return log_a - np.power(t, s) / b
+        return log_a - np.power(t / math.exp(log_c), s)
 
     def phi_bar(self, t, m):
+        # 2 s t^(s-1) / b
         t = np.asarray(t, dtype=float)
         s = self.shape
-        return 2.0 * s * np.power(t, s - 1.0) / self._b(m)
+        c = math.exp(self._log_c(m))
+        return (2.0 * s / c) * np.power(t / c, s - 1.0)
 
     def sample_q(self, n, m, rng):
         g = rng.gamma(0.5 * m / self.shape, size=n)
-        return np.power(self._b(m) * g, 1.0 / self.shape)
+        return math.exp(self._log_c(m)) * np.power(g, 1.0 / self.shape)
 
     def alpha(self, m):
         return (m + 2.0 * self.shape) / (m + 2.0)

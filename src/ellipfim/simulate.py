@@ -37,7 +37,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .bounds import _crb_shape_core, _symmetric_bound, pd_inverse
+from .bounds import _scale_known_gap, crb_shape
 from .config import check_number, reject_unknown
 from .estimators import (
     TYLER_TOL,
@@ -47,10 +47,9 @@ from .estimators import (
     scm_batch,
     tyler_batch,
 )
-from .fim import _information_core, _shape_information
 from .generators import sample_stack, student_t
 from .matcalc import ovecs, vecs_len
-from .scale import decompose, grad_v11, scale_by_name
+from .scale import decompose, scale_by_name
 
 __all__ = [
     "SCORES",
@@ -244,20 +243,16 @@ class SimResult:
 
 
 def _bounds(config: SimConfig):
-    """nu -> (trace of ``crb_shape``, trace of the inverse ``fim_eta`` shape
-    block), both over n.  The generator enters both only through alpha, so
-    the geometry of V0 is built once for the whole grid."""
+    """nu -> (trace of ``crb_shape``, trace of the scale-known CRB(.|s)),
+    both over n; CRB(.|s) = SCRB - u u^T in closed form."""
     scale = scale_by_name(config.scale_kind)
     v0 = decompose(scale, config.sigma0).v
-    shape_core = _crb_shape_core(scale, v0)
-    info_core, y = _information_core(np.linalg.inv(v0))
-    k = grad_v11(scale, v0)
     out = {}
     for nu in config.nu_grid:
-        alpha = student_t(nu).alpha(config.m)
-        scrb = float(np.trace(_symmetric_bound(shape_core, alpha))) / config.n
-        par = float(np.trace(pd_inverse(_shape_information(info_core, y, k, alpha)))) / config.n
-        out[nu] = (scrb, par)
+        gen = student_t(nu)
+        trace = float(np.trace(crb_shape(scale, v0, gen)))
+        u = _scale_known_gap(scale, v0, gen)
+        out[nu] = (trace / config.n, (trace - float(u @ u)) / config.n)
     return out
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import toeplitz
 
 from ellipfim import bounds
@@ -250,6 +251,28 @@ def test_verify_chain_gaussian_trivial():
     assert report.links[0].passed
     assert "one formula" in report.links[0].note
     assert isinstance(report.format_table(), str)
+
+
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=0.0, max_value=8.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_verify_chain_passes_on_random_scatters(m, decades, seed):
+    # eigenvalues 1 and 10^decades and others between them, in a random basis
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = 10.0 ** (decades * np.r_[0.0, 1.0, rng.uniform(0.0, 1.0, m - 2)])
+    sigma = (q * lam) @ q.T
+    sigma = 0.5 * (sigma + sigma.T)
+    gens = [gaussian(), student_t(6), generalized_gaussian(0.5)]
+    for scale in ALL_SCALES:
+        report = verify_chain(scale, decompose(scale, sigma).v, gens, m)
+        assert report.passed, report.format_table()
+        if scale is not NORMALIZED_TRACE:  # the trace scale's gap is 0 at V = I
+            gap = "equality" if scale is DET_ROOT else "strict_gap"
+            assert {l.name for l in report.links[1::2]} == {f"no_nuisance_bound_{gap}"}
 
 
 def _chain_with_bound(monkeypatch, scale, v, corrupt):

@@ -6,11 +6,14 @@ path or with the closed forms under test.
 """
 
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
+from scipy.special import gammaln
 
 from ellipfim.generators import (
     MomentUndefinedError,
@@ -141,6 +144,61 @@ def test_gg_functionals_beyond_the_float_range_raise(shape, m, functional):
     gen = generalized_gaussian(shape)
     with pytest.raises(ValueError, match=f"{functional} of gg\\({shape:g}\\) at m={m}"):
         getattr(gen, functional)(m)
+
+
+def gg_from_b(shape, m, t, rng, n):
+    """log gbar, phibar and n draws of Q of gg(shape) from b = c^shape, the
+    scale that overflows from shape ~ 400: log gbar = log a - t^s / b,
+    phibar = 2 s t^(s-1) / b and Q = (b g)^(1/s) with g ~ Gamma(m/2s)."""
+    s = shape
+    b = math.exp(s * (math.log(m) + gammaln(0.5 * m / s) - gammaln(0.5 * (m + 2) / s)))
+    log_a = (
+        math.log(s) + gammaln(0.5 * m) - 0.5 * m * math.log(math.pi)
+        - (0.5 * m / s) * math.log(b) - gammaln(0.5 * m / s)
+    )
+    q = np.power(b * rng.gamma(0.5 * m / s, size=n), 1.0 / s)
+    return log_a - np.power(t, s) / b, 2.0 * s * np.power(t, s - 1.0) / b, q
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 1.7, 5.0, 10.0, 25.0, 50.0])
+@pytest.mark.parametrize("m", [1, 4, 16])
+def test_gg_from_c_matches_the_b_form(shape, m):
+    # b = exp(s log c) carries s times the rounding of log c
+    gen = generalized_gaussian(shape)
+    t = np.array([1e-3, 0.7, 2.0, 7.5, 60.0])
+    log_gbar, phi, q = gg_from_b(shape, m, t, np.random.default_rng(3), 200)
+    rtol = 4.0 * max(shape, 1.0) * np.finfo(float).eps
+    np.testing.assert_allclose(gen.log_gbar(t, m), log_gbar, rtol=rtol, atol=0)
+    np.testing.assert_allclose(gen.phi_bar(t, m), phi, rtol=rtol, atol=0)
+    np.testing.assert_allclose(gen.sample_q(200, m, np.random.default_rng(3)), q, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("shape", [400.0, 1e4])
+def test_gg_at_huge_shape_is_finite(shape):
+    # b = c^s overflowed here; t below c ~ m + 2 keeps (t / c)^s in range
+    gen, m, t = generalized_gaussian(shape), 4, np.array([0.5, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [gen.log_gbar(t, m), gen.phi_bar(t, m), gen.sample_q(100, m, np.random.default_rng(5))]
+    assert all(np.isfinite(v).all() for v in values)
+
+
+@pytest.mark.parametrize("nu", [1e306, 1e308, sys.float_info.max])
+def test_t_draw_at_huge_nu_is_finite(nu):
+    # (nu - 2) chi2_m overflows there; chi2_nu is about nu, so Q ~ chi2_m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = student_t(nu).sample_q(1000, 4, np.random.default_rng(1))
+    assert np.isfinite(q).all()
+    assert 3.5 < q.mean() < 4.5
+
+
+@pytest.mark.parametrize("nu", [2.5, 6.0, 1e300])
+def test_t_draw_keeps_its_bits_where_finite(nu):
+    rng = np.random.default_rng(4)
+    num, den = rng.chisquare(4, size=500), rng.chisquare(nu, size=500)
+    q = student_t(nu).sample_q(500, 4, np.random.default_rng(4))
+    np.testing.assert_array_equal(q, (nu - 2.0) * num / den)
 
 
 def test_sigma_q2_rejected_below_nu4():

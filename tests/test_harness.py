@@ -6,18 +6,18 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import ellipfim
-from ellipfim import estimators, invariants, simulate
+from ellipfim import bounds, estimators, invariants, simulate
 from ellipfim.cli import main
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
 from ellipfim.invariants import run_invariant_suite
 from ellipfim.generators import sample, student_t
 from ellipfim.matcalc import duplication_matrix
-from ellipfim.bounds import crb_shape, pd_inverse
-from ellipfim.fim import fim_eta
+from ellipfim.bounds import crb_shape
 from ellipfim.scale import decompose, scale_by_name
 from ellipfim.simulate import SimConfig, run_simulation, write_svg_chart
 
@@ -710,6 +710,11 @@ DOMAIN_ERROR_CONFIGS = {
         "adaptivity",
         {"parameterization": {"name": "low_rank"}, "generator": {"family": "gg", "shape": 1e-4}},
     ),
+    # a PD scatter whose scale bound, about s^2, overflows
+    "bounds_huge_scatter": (
+        "bounds",
+        {"m": 2, "sigma": {"kind": "matrix", "values": [[1e308, 0], [0, 1e308]]}},
+    ),
     # a PD scatter whose shape FIM, V^-1 (x) V^-1, overflows
     "bounds_fim_overflow": (
         "bounds",
@@ -989,9 +994,55 @@ def test_cli_adaptivity_verdicts_do_not_depend_on_units(tmp_path, capsys, name, 
     assert verdicts == {name != "breaking"}
 
 
-def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):
-    from ellipfim import bounds
+# the dense Sigma with cond ~ 1.0e4 on which the chain failed on all three scales
+DENSE_COND_1E4 = [
+    [0.612475, -0.220086, 0.324851, -0.288695],
+    [-0.220086, 0.875007, 0.184492, -0.163958],
+    [0.324851, 0.184492, 0.727688, 0.242004],
+    [-0.288695, -0.163958, 0.242004, 0.784931],
+]
+_CHAIN_GENERATORS = {
+    "gaussian": {"family": "gaussian"},
+    "t6": {"family": "t", "nu": 6},
+    "gg0.5": {"family": "gg", "shape": 0.5},
+}
+_CHAIN_SCATTERS = {
+    **{
+        f"diag_1e-{k}": {"kind": "matrix", "values": np.diag([1, 1, 1, 10.0**-k]).tolist()}
+        for k in range(1, 13)
+    },
+    "identity": {"kind": "identity"},
+}
+CHAIN_SWEEP = {
+    **{
+        f"{name}-{gen}": (4, sigma, spec)
+        for name, sigma in _CHAIN_SCATTERS.items()
+        for gen, spec in _CHAIN_GENERATORS.items()
+    },
+    "dense_cond_1e4-t6": (4, {"kind": "matrix", "values": DENSE_COND_1E4}, {"family": "t", "nu": 6}),
+    # the rank-one gap scales like 1 / alpha, about 1e-200 here
+    "toeplitz-gg1e200": (4, {"kind": "toeplitz", "rho": 0.8}, {"family": "gg", "shape": 1e200}),
+    "toeplitz_m32-gaussian": (32, {"kind": "toeplitz", "rho": 0.8}, {"family": "gaussian"}),
+}
 
+
+@pytest.mark.parametrize("scale", ["first", "trace", "det"])
+@pytest.mark.parametrize("case", sorted(CHAIN_SWEEP))
+def test_cli_bounds_chain_holds_on_well_posed_scatters(tmp_path, capsys, case, scale):
+    # a true chain is not a check failure, however small the gap or
+    # ill-conditioned V: each link is a backward error against m eps cond(V)
+    m, sigma, generator = CHAIN_SWEEP[case]
+    cfg = tmp_path / "bounds.json"
+    cfg.write_text(json.dumps({"schema": 1, "m": m, "scale": scale, "generator": generator, "sigma": sigma}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert not caught and "FAIL" not in out
+
+
+def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):
     real = bounds.verify_chain
 
     def failing_chain(*args, **kwargs):
@@ -1107,7 +1158,8 @@ def test_diagnostics_report_no_residual_without_a_converged_trial(monkeypatch):
 
 @pytest.mark.parametrize("scale_kind", ["first", "trace", "det"])
 def test_run_bounds_equal_the_public_bounds_bit_for_bit(scale_kind):
-    # one geometry of V0 for the whole nu grid, the same operations per nu
+    # the same operations per nu; the scale-known bound is the closed form
+    # SCRB - u u^T
     config = SimConfig(**{**SMALL, "scale_kind": scale_kind, "nu_grid": (2.1, 3.0, 50.0)})
     scale = scale_by_name(scale_kind)
     v0 = decompose(scale, config.sigma0).v
@@ -1115,9 +1167,68 @@ def test_run_bounds_equal_the_public_bounds_bit_for_bit(scale_kind):
     assert list(got) == list(config.nu_grid)
     for nu in config.nu_grid:
         gen = student_t(nu)
-        scrb = float(np.trace(crb_shape(scale, v0, gen))) / config.n
-        par = float(np.trace(pd_inverse(fim_eta(v0, 1.0, scale, gen).i_v))) / config.n
-        assert got[nu] == (scrb, par)
+        trace = float(np.trace(crb_shape(scale, v0, gen)))
+        u = bounds._scale_known_gap(scale, v0, gen)
+        assert got[nu] == (trace / config.n, (trace - float(u @ u)) / config.n)
+
+
+def mp_scale_known_trace(v, scale_kind, alpha, dps=50):
+    """trace(I_V^-1) at dps digits, I_V the FIM of ovecs(V) with s = 1 known.
+
+    I_V = K^T F K: F = D_m^T [(alpha / 2)(W (x) W) + ((alpha - 1) / 4)
+    vec(W) vec(W)^T] D_m with W = V^-1 is the FIM of vecs(Sigma) at
+    Sigma = V, and K = [k^T; I] with k = -d_S / d_S[0] the implicit
+    gradient of [V]_11 on S(V) = 1, d_S = D_m^T vec(D_S)."""
+    with mpmath.workdps(dps):
+        m = v.shape[0]
+        w = mpmath.matrix(v.tolist()) ** -1
+        if scale_kind == "first":
+            grad = mpmath.zeros(m)
+            grad[0, 0] = 1
+        else:
+            grad = mpmath.eye(m) if scale_kind == "trace" else w
+        pairs = [(i, j) for j in range(m) for i in range(j, m)]  # vecs order
+        sym = [{(i, j), (j, i)} for i, j in pairs]
+        y = [sum(w[a, b] for a, b in p) for p in sym]
+        d_s = [sum(grad[a, b] for a, b in p) for p in sym]
+        alpha = mpmath.mpf(alpha)
+        f = mpmath.matrix(len(pairs))
+        for r, p in enumerate(sym):
+            for c, q in enumerate(sym):
+                kron = sum(w[a, cc] * w[b, dd] for a, b in p for cc, dd in q)
+                f[r, c] = alpha / 2 * kron + (alpha - 1) / 4 * y[r] * y[c]
+        d = len(pairs) - 1
+        k = mpmath.matrix(d + 1, d)
+        for c in range(d):
+            k[0, c] = -d_s[c + 1] / d_s[0]
+            k[c + 1, c] = 1
+        inv = (k.T * f * k) ** -1
+        return sum(inv[i, i] for i in range(d))
+
+
+@pytest.mark.parametrize(
+    "scale_kind, m", [("first", 4), ("trace", 4), ("det", 4), ("det", 10)]
+)
+def test_run_scale_known_bound_against_mpmath(scale_kind, m):
+    # the closed form SCRB - u u^T, not a float inverse of I_V
+    nu_grid = (2.1, 6.0, 50.0) if m == 4 else (6.0,)
+    config = SimConfig(**{**SMALL, "m": m, "scale_kind": scale_kind, "nu_grid": nu_grid})
+    v0 = decompose(scale_by_name(scale_kind), config.sigma0).v
+    got = simulate._bounds(config)
+    for nu in nu_grid:
+        # alpha of t(nu) in exact arithmetic, (m + nu) / (m + nu + 2)
+        alpha = mpmath.mpf(m + nu) / (m + nu + 2)
+        exact = mp_scale_known_trace(v0, scale_kind, alpha) / config.n
+        assert abs(got[nu][1] / exact - 1) <= 1e-15, nu
+
+
+def test_run_at_huge_nu_fails_no_trial():
+    # (nu - 2) chi2_m overflowed at nu = 1e308 and failed every trial
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_simulation(SimConfig(**{**SMALL, "nu_grid": (1e308,), "trials": 10}))
+    assert not caught
+    assert [c.n_failed for c in result.cells] == [0] * len(simulate.COLUMNS)
 
 
 def test_diagnostics_count_the_rejected_r_steps_per_score(monkeypatch):
