@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,12 +269,52 @@ def test_verify_chain_passes_on_random_scatters(m, decades, seed):
     sigma = (q * lam) @ q.T
     sigma = 0.5 * (sigma + sigma.T)
     gens = [gaussian(), student_t(6), generalized_gaussian(0.5)]
+    real = bounds.crb_shape
     for scale in ALL_SCALES:
-        report = verify_chain(scale, decompose(scale, sigma).v, gens, m)
+        v = decompose(scale, sigma).v
+        report = verify_chain(scale, v, gens, m)
         assert report.passed, report.format_table()
-        if scale is not NORMALIZED_TRACE:  # the trace scale's gap is 0 at V = I
-            gap = "equality" if scale is DET_ROOT else "strict_gap"
-            assert {l.name for l in report.links[1::2]} == {f"no_nuisance_bound_{gap}"}
+        status = [l.passed for l in report.links]
+        if decades <= 1.0:  # a spread of at most 10 resolves every link
+            assert all(status), report.format_table()
+        gap = {l.name for l in report.links[1::2]}
+        if scale is DET_ROOT:
+            assert gap == {"no_nuisance_bound_equality"}
+        elif scale is FIRST_ELEMENT or decades >= 1e-3:
+            assert gap == {"no_nuisance_bound_strict_gap"}
+        # a bound off by a relative 1e-6 fails every resolved link
+        with mock.patch.object(bounds, "crb_shape", lambda *a: real(*a) * (1.0 + 1e-6)):
+            scaled = verify_chain(scale, v, gens, m)
+        assert [l.passed for l in scaled.links] == [None if p is None else False for p in status]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8])
+def test_verify_chain_trace_scale_at_identity_is_an_equality(m):
+    # D_S = I / m is proportional to V^-1 at V = I: the gap vector u is
+    # rounding, far below the tolerance, so no strict gap is claimed
+    report = verify_chain(NORMALIZED_TRACE, np.eye(m), GEN_GRID, m)
+    assert all(l.passed is True for l in report.links), report.format_table()
+    assert {l.name for l in report.links[1::2]} == {"no_nuisance_bound_equality"}
+
+
+def test_verify_chain_reports_unresolved_links_instead_of_passing(monkeypatch):
+    # cond(V) = 1e8 in a random basis, and [V]_11 = 1e-12 [V]_22 on the trace
+    # scale (the ovecs chart solves the tiny [V]_11 from the trace): the
+    # tolerance is above sqrt(eps), so no link passes, not even a wrong one
+    q, _ = np.linalg.qr(np.random.default_rng(89).standard_normal((4, 4)))
+    dense = (q * np.logspace(0, 8, 4)) @ q.T
+    cases = [(scale, 0.5 * (dense + dense.T)) for scale in ALL_SCALES]
+    cases.append((NORMALIZED_TRACE, np.diag([1e-12, 1.0, 1.0, 1.0])))
+    for scale, sigma in cases:
+        v = decompose(scale, sigma).v
+        report = verify_chain(scale, v, GEN_GRID, 4)
+        assert report.passed and all(l.passed is None for l in report.links)
+        table = report.format_table()
+        assert "[unresolved]" in table and "[pass]" not in table
+        real = bounds.crb_shape
+        monkeypatch.setattr(bounds, "crb_shape", lambda *a: 2.0 * real(*a))
+        assert all(l.passed is None for l in verify_chain(scale, v, GEN_GRID, 4).links)
+        monkeypatch.undo()
 
 
 def _chain_with_bound(monkeypatch, scale, v, corrupt):
@@ -315,6 +357,31 @@ def test_verify_chain_fails_a_rank_one_gap_on_the_det_scale(monkeypatch):
 
     failed = _chain_with_bound(monkeypatch, DET_ROOT, v, lifted)
     assert failed.count("no_nuisance_bound_equality") == len(GEN_GRID)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+def test_verify_chain_controls_fail_at_small_eigenvalues(scale, k, monkeypatch):
+    # diag(1, 1, 1, 1e-k): cond(V) up to 1e12, yet every link resolves and
+    # each negative control above fails its link for every generator
+    v = decompose(scale, np.diag([1.0, 1.0, 1.0, 10.0**-k])).v
+    assert all(l.passed is True for l in verify_chain(scale, v, GEN_GRID, 4).links)
+    # at a scaled eigenvalue spread of 1 the check resolves far finer than 1e-6
+    for delta in (1e-6, 1e-12):
+        failed = _chain_with_bound(monkeypatch, scale, v, lambda bound, gen: bound * (1.0 + delta))
+        assert failed.count("shared_bound_inverts_efficient_fim") == len(GEN_GRID)
+    if scale is DET_ROOT:
+        w = np.random.default_rng(83).standard_normal(vecs_len(4) - 1)
+        w /= np.linalg.norm(w)
+        failed = _chain_with_bound(
+            monkeypatch, scale, v, lambda bound, gen: bound + 1e-8 * np.linalg.norm(bound) * np.outer(w, w)
+        )
+        assert failed.count("no_nuisance_bound_equality") == len(GEN_GRID)
+    else:
+        failed = _chain_with_bound(
+            monkeypatch, scale, v, lambda bound, gen: pd_inverse(fim_eta(v, 1.0, scale, gen).i_v)
+        )
+        assert failed.count("no_nuisance_bound_strict_gap") == len(GEN_GRID)
 
 
 # ---------------------------------------------------------------------------
