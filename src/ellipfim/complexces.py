@@ -19,14 +19,14 @@ alpha_c(m) = alpha_r(2m), beta_c(m) = beta_r(2m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
 from .generators import DensityGenerator, gaussian, student_t
-from .matcalc import vecs_basis
-from .parameterize import LowRankModel, Parameterization, low_rank_parameterization
+from .matcalc import vecs, vecs_basis
+from .parameterize import Parameterization, _low_rank_model
 
 __all__ = [
     "ComplexGenerator",
@@ -129,14 +129,25 @@ def sigma_tilde(sigma_c, omega_c=None):
     return np.block([[sigma_c, omega_c], [omega_c.conj(), sigma_c.conj()]])
 
 
+def _check_scatter_pair(sigma_c, omega_c=None):
+    """Raise ValueError unless Sigma = Sigma^H and Omega = Omega^T, each to
+    1e-10 relative to its largest entry."""
+    sigma_c = np.asarray(sigma_c, dtype=complex)
+    if np.abs(sigma_c - sigma_c.conj().T).max() > 1e-10 * np.abs(sigma_c).max():
+        raise ValueError("scatter must be Hermitian")
+    if omega_c is not None:
+        omega_c = np.asarray(omega_c, dtype=complex)
+        if np.abs(omega_c - omega_c.T).max() > 1e-10 * np.abs(omega_c).max():
+            raise ValueError("pseudo-scatter must be symmetric")
+
+
 def sigma_bar_from_complex(sigma_c, omega_c=None):
     """Real scatter of (Re x, Im x) from the augmented complex scatter."""
+    _check_scatter_pair(sigma_c, omega_c)
     st = sigma_tilde(sigma_c, omega_c)
     m = np.asarray(sigma_c).shape[0]
     mm = unitary_map(m)
     bar = 0.5 * mm.conj().T @ st @ mm
-    if np.abs(bar.imag).max() > 1e-10 * max(np.abs(bar.real).max(), 1.0):
-        raise ValueError("augmented scatter is not a valid complex covariance pair")
     return 0.5 * (bar.real + bar.real.T)
 
 
@@ -177,9 +188,8 @@ def _real_sym(mat, label):
 def cces_fim_location(jac_mu_c, sigma_c, gen_c: ComplexGenerator):
     """Circular-case location FIM: 2 beta_c Re{J^H Sigma^-1 J}."""
     j = np.asarray(jac_mu_c, dtype=complex)
+    _check_scatter_pair(sigma_c)
     sigma_c = np.asarray(sigma_c, dtype=complex)
-    if np.abs(sigma_c - sigma_c.conj().T).max() > 1e-10 * np.abs(sigma_c).max():
-        raise ValueError("scatter must be Hermitian")
     m = sigma_c.shape[0]
     sol = np.linalg.solve(sigma_c, j)
     return 2.0 * gen_c.beta(m) * _real_sym((j.conj().T @ sol).real, "location FIM")
@@ -189,6 +199,7 @@ def ncces_fim_location(jac_mu_c, sigma_c, omega_c, gen_c: ComplexGenerator):
     """Noncircular location FIM via the augmented representation."""
     j = np.asarray(jac_mu_c, dtype=complex)
     j_tilde = np.vstack([j, j.conj()])
+    _check_scatter_pair(sigma_c, omega_c)
     st = sigma_tilde(sigma_c, omega_c)
     m = np.asarray(sigma_c).shape[0]
     sol = np.linalg.solve(st, j_tilde)
@@ -300,45 +311,19 @@ def embedded_lowrank_parameterization(a_fn_c, a_jac_c, p, q):
     """Real 2m-model of the circular low-rank scatter parameterization.
 
     theta = (gamma, hermitian params of Xi, lambda); Sigma_bar =
-    (1/2) R(A Xi A^H) + (lambda/2) I, using the homomorphism R.  m is
-    read from A.
+    (1/2) R(A Xi A^H + lambda I), using the homomorphism R.  m is read
+    from A.
     """
     herm = hermitian_basis(p)
     # the basis is orthogonal under Re tr(E^H X), with squared norms 1 or 2
     norms = np.einsum("kij,kij->k", herm.conj(), herm).real
-    r = len(herm) + 1
-
-    def unpack(theta):
-        a = np.asarray(a_fn_c(theta[:q]), dtype=complex)
-        xi = np.tensordot(theta[q : q + len(herm)], herm, axes=1)
-        return a, xi, theta[-1]
-
-    def sigma_fn(theta):
-        a, xi, lam = unpack(theta)
-        return 0.5 * real_mat(a @ xi @ a.conj().T) + 0.5 * lam * np.eye(2 * len(a))
-
-    def jac_sig(theta):
-        a, xi, _ = unpack(theta)
-        da = np.asarray(a_jac_c(theta[:q]), dtype=complex)
-        # A_k Xi A^H + (A_k Xi A^H)^H with A_k = dA / d gamma_k
-        half = np.einsum("ipk,pr,jr->kij", da, xi, a.conj())
-        slices = np.concatenate(
-            [half + np.swapaxes(half, -1, -2).conj(), a @ herm @ a.conj().T, np.eye(len(a))[None]]
-        )
-        return 0.5 * real_mat(slices)
 
     def theta0(gamma0, xi0, lam0):
         coords = np.einsum("kij,ij->k", herm.conj(), np.asarray(xi0, dtype=complex)).real / norms
         return np.concatenate([np.asarray(gamma0, dtype=float), coords, [lam0]])
 
-    param = Parameterization(
-        q=q,
-        r=r,
-        mu_fn=lambda th: np.zeros(2 * len(a_fn_c(th[:q]))),
-        sigma_fn=sigma_fn,
-        jac_mu=lambda th: np.zeros((2 * len(a_fn_c(th[:q])), q + r)),
-        jac_sigma=jac_sig,
-        name="embedded_lowrank",
+    param = _low_rank_model(
+        q, a_fn_c, a_jac_c, herm, lambda c: 0.5 * real_mat(c), "embedded_lowrank"
     )
     return param, theta0
 
@@ -351,17 +336,13 @@ def embedded_rectilinear_parameterization(a_fn_c, a_jac_c, p, q):
     so theta = (gamma, vecs Xi_r, lambda/2).  The efficient interest FIM
     does not depend on how the nuisance is coordinatized.
     """
-    model = LowRankModel(
-        a_fn=lambda gamma: _re_over_im(a_fn_c(gamma)),
-        a_jac=lambda gamma: _re_over_im(a_jac_c(gamma)),
-        signal_cov=np.eye(p),  # only its size is read; theta0 sets the values
-        noise_level=1.0,
-        q=q,
-    )
 
     def theta0(gamma0, xi0, lam0):
-        at = replace(model, signal_cov=np.asarray(xi0, dtype=float), noise_level=0.5 * lam0)
-        return at.theta0(gamma0)
+        xi_coords = vecs(np.asarray(xi0, dtype=float))
+        return np.concatenate([np.asarray(gamma0, dtype=float), xi_coords, [0.5 * lam0]])
 
-    param = replace(low_rank_parameterization(model), name="embedded_rectilinear")
+    param = _low_rank_model(
+        q, lambda g: _re_over_im(a_fn_c(g)), lambda g: _re_over_im(a_jac_c(g)),
+        vecs_basis(p), lambda c: c, "embedded_rectilinear",
+    )
     return param, theta0

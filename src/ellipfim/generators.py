@@ -199,8 +199,12 @@ class _GeneralizedGaussian(DensityGenerator):
         return (2.0 * s / c) * np.power(t / c, s - 1.0)
 
     def sample_q(self, n, m, rng):
-        g = rng.gamma(0.5 * m / self.shape, size=n)
-        return math.exp(self._log_c(m)) * np.power(g, 1.0 / self.shape)
+        # Q = c G^(1/s) with G ~ Gamma(a), a = m/2s.  G is drawn as
+        # Gamma(a + 1) U^(1/a), equal in law, so Q = c Gamma(a + 1)^(1/s)
+        # U^(2/m): a direct Gamma(a) draw underflows to 0 at large s
+        a = 0.5 * m / self.shape
+        g = np.power(rng.gamma(a + 1.0, size=n), 1.0 / self.shape)
+        return math.exp(self._log_c(m)) * g * np.power(rng.random(n), 2.0 / m)
 
     def alpha(self, m):
         return (m + 2.0 * self.shape) / (m + 2.0)

@@ -209,53 +209,43 @@ class LowRankModel:
         )
 
 
-def low_rank_parameterization(model: LowRankModel) -> Parameterization:
-    """theta = (gamma, vecs Xi, lambda) with analytic Jacobians."""
-    q = model.q
-    p = np.asarray(model.signal_cov).shape[0]
-    npp = vecs_len(p)
+def _low_rank_model(q, a_fn, a_jac, basis, embed, name) -> Parameterization:
+    """Sigma(theta) = E(A Xi A^H + lambda I), Xi = sum_k xi_k B_k, theta = (gamma, xi, lambda).
 
-    def unpack(theta):
-        gamma = theta[:q]
-        xi = unvecs(theta[q : q + npp], p)
-        lam = theta[-1]
-        return gamma, xi, lam
+    A = a_fn(gamma) is m x p with the (m, p, q) Jacobian a_jac(gamma); basis
+    is the (K, p, p) stack of B_k, ``vecs_basis(p)`` for a real Xi and
+    ``hermitian_basis(p)`` for a Hermitian one; embed is the linear map E,
+    applied to a matrix or a stack of them.  The location is zero.
+    """
+    d = q + len(basis) + 1
 
-    def mu_fn(theta):
-        a = np.asarray(model.a_fn(theta[:q]), dtype=float)
-        return np.zeros(a.shape[0])
+    def factor_and_xi(theta):
+        return np.asarray(a_fn(theta[:q])), np.tensordot(theta[q:-1], basis, axes=1)
 
     def sigma_fn(theta):
-        gamma, xi, lam = unpack(theta)
-        a = np.asarray(model.a_fn(gamma), dtype=float)
-        return a @ xi @ a.T + lam * np.eye(a.shape[0])
-
-    def jac_mu(theta):
-        a = np.asarray(model.a_fn(theta[:q]), dtype=float)
-        return np.zeros((a.shape[0], q + npp + 1))
+        a, xi = factor_and_xi(theta)
+        return embed(a @ xi @ a.conj().T + theta[-1] * np.eye(len(a)))
 
     def jac_sig(theta):
-        gamma, xi, lam = unpack(theta)
-        a = np.asarray(model.a_fn(gamma), dtype=float)
-        m = a.shape[0]
+        a, xi = factor_and_xi(theta)
         if np.linalg.matrix_rank(a, tol=1e-12 * max(1.0, np.linalg.norm(a))) < a.shape[1]:
             raise fim_mod.IdentifiabilityError("factor matrix A is rank deficient")
-        da = np.asarray(model.a_jac(gamma), dtype=float)
-        # Sigma_k = A_k Xi A^T + (A_k Xi A^T)^T with A_k = dA / d gamma_k
-        half = np.einsum("ipk,pr,jr->kij", da, xi, a)
-        return np.concatenate(
-            [half + np.swapaxes(half, -1, -2), a @ vecs_basis(p) @ a.T, np.eye(m)[None]]
-        )
+        # Sigma_k = E(A_k Xi A^H + (A_k Xi A^H)^H) with A_k = dA / d gamma_k
+        half = np.einsum("ipk,pr,jr->kij", np.asarray(a_jac(theta[:q])), xi, a.conj())
+        return embed(np.concatenate(
+            [half + np.swapaxes(half, -1, -2).conj(), a @ basis @ a.conj().T, np.eye(len(a))[None]]
+        ))
 
     return Parameterization(
-        q=q,
-        r=npp + 1,
-        mu_fn=mu_fn,
-        sigma_fn=sigma_fn,
-        jac_mu=jac_mu,
-        jac_sigma=jac_sig,
-        name="low_rank",
+        q=q, r=d - q, mu_fn=lambda th: np.zeros(len(sigma_fn(th))), sigma_fn=sigma_fn,
+        jac_mu=lambda th: np.zeros((len(sigma_fn(th)), d)), jac_sigma=jac_sig, name=name,
     )
+
+
+def low_rank_parameterization(model: LowRankModel) -> Parameterization:
+    """theta = (gamma, vecs Xi, lambda) with analytic Jacobians."""
+    basis = vecs_basis(len(model.signal_cov))
+    return _low_rank_model(model.q, model.a_fn, model.a_jac, basis, lambda c: c, "low_rank")
 
 
 def breaking_parameterization(sigma0) -> Parameterization:

@@ -3,8 +3,8 @@
 A scale functional S is 1-homogeneous, differentiable and has S(I) = 1;
 the three concrete choices are the (1,1) entry, the normalized trace and
 the m-th root of the determinant.  The shape matrix V = Sigma / S(Sigma)
-lives on the manifold S(V) = 1, and the matrices built here (K_V, M_S, U and
-the diffeomorphism Jacobians) encode that manifold's geometry in
+lives on the manifold S(V) = 1, and the matrices built here (M_S, U and the
+Jacobian of (ovecs V, s) -> vecs(Sigma)) encode that manifold's geometry in
 half-vectorized coordinates.
 
 Inputs claimed to sit on the manifold are checked against |S(V) - 1| <=
@@ -31,11 +31,9 @@ __all__ = [
     "decompose",
     "renormalize",
     "grad_v11",
-    "k_matrix",
     "m_matrix",
     "u_basis",
     "jacobian_w",
-    "jacobian_w_inv",
     "reconstruct_shape",
 ]
 
@@ -181,16 +179,6 @@ def grad_v11(scale: ScaleFunctional, v):
     return -row[1:] / row[0]
 
 
-def k_matrix(scale: ScaleFunctional, v):
-    """Tangent-coordinate block: grad of [V]_11 stacked over the identity."""
-    m = np.asarray(v).shape[0]
-    nh = vecs_len(m)
-    k = np.zeros((nh, nh - 1))
-    k[0, :] = grad_v11(scale, v)
-    k[1:, :] = np.eye(nh - 1)
-    return k
-
-
 def m_matrix(scale: ScaleFunctional, v):
     """M_S = K_V^T D_m^T, full row rank m(m+1)/2 - 1.
 
@@ -239,25 +227,15 @@ def u_basis(scale: ScaleFunctional, v):
 
 
 def jacobian_w(scale: ScaleFunctional, v, s):
-    """Jacobian of (ovecs V, s) -> vecs(Sigma):  [s K_V , vecs(V)]."""
+    """Jacobian of (ovecs V, s) -> vecs(Sigma):  [s K_V , vecs(V)].
+
+    K_V = [grad_v11^T; I] is d vecs(V) / d ovecs(V) on the manifold.
+    """
     v = np.asarray(v, dtype=float)
     if s <= 0:
         raise ValueError("scale s must be positive")
-    kv = k_matrix(scale, v)
+    kv = np.vstack([grad_v11(scale, v), np.eye(vecs_len(v.shape[0]) - 1)])
     return np.hstack([s * kv, vecs(v).reshape(-1, 1)])
-
-
-def jacobian_w_inv(scale: ScaleFunctional, sigma):
-    """Jacobian of vecs(Sigma) -> (ovecs V, s); composes with jacobian_w to I.
-
-    With g = D_m^T vec(D_S), the rows of ovecs V are those of
-    D_m^+ P_S D_m / s = (I - vecs(V) g^T) / s without the first, where
-    P_S = I - vec(V) vec(D_S)^T, and the row of s is g^T.
-    """
-    dec = decompose(scale, sigma)
-    g = constraint_gradient_vecs(scale, sigma)
-    top = (np.eye(g.size) - np.outer(vecs(dec.v), g))[1:] / dec.s
-    return np.vstack([top, g])
 
 
 def reconstruct_shape(scale: ScaleFunctional, ovecs_v, m):

@@ -23,7 +23,7 @@ from ellipfim.bounds import _rank1_coeff
 from ellipfim.estimators import _stacked, _tangent_step, ranks
 from ellipfim.fim import _vecs_information
 from ellipfim.matcalc import _dup_t_vec, unvecs, vec, vecs, vecs_len
-from ellipfim.scale import constraint_gradient_vecs, decompose, k_matrix, renormalize
+from ellipfim.scale import constraint_gradient_vecs, decompose, grad_v11, renormalize
 
 
 def duplication_loops(m):
@@ -79,6 +79,12 @@ def row_selector(m):
 
 def symmetrizer(m):
     return 0.5 * (np.eye(m * m) + commutation_loops(m))
+
+
+def k_matrix(scale, v):
+    """K_V: the gradient of [V]_11 over the identity, d vecs(V) / d ovecs(V)."""
+    nh = vecs_len(np.asarray(v).shape[0])
+    return np.vstack([grad_v11(scale, v), np.eye(nh - 1)])
 
 
 def m_matrix(scale, v):

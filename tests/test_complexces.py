@@ -435,3 +435,65 @@ def test_rectilinear_matches_the_embedding(instance, nu):
         embedded_rectilinear_parameterization, a_fn, a_jac, p, q, gamma, xi_r, lam, gen_c
     )
     assert _rel(closed, oracle) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the gamma closed forms are the semiparametric bound
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nu", [4.5, 6.0, 20.0])
+def test_complex_gamma_closed_forms_equal_the_embedded_scrb(nu):
+    # the efficient gamma information of the SFIM path, with the generator
+    # unknown, equals the parametric closed forms: gamma is adaptive here
+    rng = np.random.default_rng(400)
+    m, p, q = 5, 2, 2
+    gen_c = complex_student_t(nu)
+    a_fn, a_jac = steering(m, p, q, phase=0.3)
+    gamma0 = np.array([0.35, 1.05])
+    xi_c = random_hermitian_pd(rng, p)
+    xr = rng.standard_normal((p, p))
+    xi_r = xr @ xr.T + p * np.eye(p)
+    cases = [
+        (cces_lowrank_fim, embedded_lowrank_parameterization, xi_c, 0.6),
+        (rectilinear_fim, embedded_rectilinear_parameterization, xi_r, 0.8),
+    ]
+    for closed_form, build, xi, lam in cases:
+        closed = closed_form(a_fn(gamma0), a_jac(gamma0), xi, lam, gen_c)
+        param, theta0_fn = build(a_fn, a_jac, p, q)
+        sfim = sfim_theta(param, theta0_fn(gamma0, xi, lam), gen_c.real())
+        assert _rel(closed, efficient_fim_interest(sfim, q)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the scatter pair (Sigma, Omega) is checked once, by every entry point
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("defect", ["sigma", "omega"])
+def test_scatter_pair_defects_are_rejected(defect):
+    # Sigma_bar is real for any pair, and the location FIMs symmetrize, so
+    # neither defect shows in an output: each entry point checks the pair
+    rng = np.random.default_rng(500)
+    m = 3
+    sigma_c = random_hermitian_pd(rng, m)
+    w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    omega_c = 0.1 * (w + w.T)
+    j = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    if defect == "sigma":
+        sigma_c[0, 1] += 0.5  # no longer Hermitian
+        message = "scatter must be Hermitian"
+    else:
+        omega_c[0, 1] += 0.5
+        message = "pseudo-scatter must be symmetric"
+    gen_c = complex_student_t(6)
+    calls = [
+        lambda: sigma_bar_from_complex(sigma_c, omega_c),
+        lambda: ncces_fim_location(j, sigma_c, omega_c, gen_c),
+        lambda: embed(np.zeros(m), sigma_c, omega_c, gen_c),
+    ]
+    if defect == "sigma":  # the circular location FIM takes no Omega
+        calls.append(lambda: cces_fim_location(j, sigma_c, gen_c))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -149,14 +149,16 @@ def test_gg_functionals_beyond_the_float_range_raise(shape, m, functional):
 def gg_from_b(shape, m, t, rng, n):
     """log gbar, phibar and n draws of Q of gg(shape) from b = c^shape, the
     scale that overflows from shape ~ 400: log gbar = log a - t^s / b,
-    phibar = 2 s t^(s-1) / b and Q = (b g)^(1/s) with g ~ Gamma(m/2s)."""
+    phibar = 2 s t^(s-1) / b and Q = (b g)^(1/s) U^(2/m) with
+    g ~ Gamma(m/2s + 1), then U ~ Uniform(0, 1)."""
     s = shape
     b = math.exp(s * (math.log(m) + gammaln(0.5 * m / s) - gammaln(0.5 * (m + 2) / s)))
     log_a = (
         math.log(s) + gammaln(0.5 * m) - 0.5 * m * math.log(math.pi)
         - (0.5 * m / s) * math.log(b) - gammaln(0.5 * m / s)
     )
-    q = np.power(b * rng.gamma(0.5 * m / s, size=n), 1.0 / s)
+    g = rng.gamma(0.5 * m / s + 1.0, size=n)
+    q = np.power(b * g, 1.0 / s) * np.power(rng.random(n), 2.0 / m)
     return log_a - np.power(t, s) / b, 2.0 * s * np.power(t, s - 1.0) / b, q
 
 
@@ -181,6 +183,15 @@ def test_gg_at_huge_shape_is_finite(shape):
         warnings.simplefilter("error")
         values = [gen.log_gbar(t, m), gen.phi_bar(t, m), gen.sample_q(100, m, np.random.default_rng(5))]
     assert all(np.isfinite(v).all() for v in values)
+
+
+@pytest.mark.parametrize("shape", [400.0, 1e4])
+def test_gg_draws_do_not_underflow_at_huge_shape(shape):
+    # a direct Gamma(m/2s) draw is 0 for 2.4% (400) and 86% (1e4) of these
+    gen, m, n = generalized_gaussian(shape), 4, 100_000
+    q = gen.sample_q(n, m, np.random.default_rng(0))
+    assert (q > 0).all()
+    assert abs(q.mean() - m) < 4.0 * q.std(ddof=1) / np.sqrt(n)
 
 
 @pytest.mark.parametrize("nu", [1e306, 1e308, sys.float_info.max])

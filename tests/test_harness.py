@@ -18,7 +18,7 @@ from ellipfim.invariants import run_invariant_suite
 from ellipfim.generators import sample, student_t
 from ellipfim.matcalc import duplication_matrix
 from ellipfim.bounds import crb_shape
-from ellipfim.scale import decompose, scale_by_name
+from ellipfim.scale import decompose, jacobian_w, scale_by_name
 from ellipfim.simulate import SimConfig, run_simulation, write_svg_chart
 
 
@@ -239,6 +239,18 @@ def test_invariant_suite_negative_control(monkeypatch):
     report = run_invariant_suite("fast")
     failed = [e.name for e in report.entries if not e.passed]
     assert "matcalc.duplication_identities" in failed
+
+
+def test_invariant_suite_catches_a_singular_jacobian_w(monkeypatch):
+    def corrupt(scale, v, s):
+        jw = jacobian_w(scale, v, s)
+        jw[:, -1] = jw[:, 0]
+        return jw
+
+    monkeypatch.setattr(invariants, "jacobian_w", corrupt)
+    report = run_invariant_suite("fast")
+    failed = {e.name: e.detail for e in report.entries if not e.passed}
+    assert "jacobian_w is singular" in failed["scale_shape.geometry"]
 
 
 def test_invariant_suite_rejects_unknown_level():
@@ -464,7 +476,8 @@ def test_src_definitions_have_a_reference():
             if name.endswith(".py"):
                 with open(os.path.join(folder, name), encoding="utf-8") as fh:
                     text = fh.read()
-                if folder == src:
+                # the dense oracles are definitions too: one that no test reads is dead
+                if folder == src or name == "dense_oracles.py":
                     defining[name[:-3]] = text
                 else:
                     using.append(text)

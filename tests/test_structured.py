@@ -51,7 +51,7 @@ from ellipfim.scale import (
     NORMALIZED_TRACE,
     constraint_gradient_vecs,
     decompose,
-    jacobian_w_inv,
+    jacobian_w,
     m_matrix,
     renormalize,
     u_basis,
@@ -118,7 +118,7 @@ def test_structured_forms_match_dense_oracles(m, scale, gen):
     assert_close(fim.efficient_fim_shape(v, scale, gen), dense.efficient_fim_shape(v, scale, gen))
     assert_close(fim.fim_vecs_sigma(sigma, gen), dense.fim_vecs_sigma(sigma, gen))
     np.testing.assert_array_equal(m_matrix(scale, v), dense.m_matrix(scale, v))
-    assert_close(jacobian_w_inv(scale, sigma), dense.jacobian_w_inv(scale, sigma))
+    assert_close(dense.jacobian_w_inv(scale, sigma) @ jacobian_w(scale, v, s), np.eye(vecs_len(m)))
 
     # per-sample scores through vec(E_l), E_l = phibar(Q_l) w_l w_l^T - Sigma^-1
     x = rng.standard_normal((5, m))
@@ -582,7 +582,7 @@ def test_compute_paths_never_build_the_duplication_matrix():
         fim.score_eta(x, np.zeros(m), dec.v, dec.s, scale, gen)
         fim.score_vecs_sigma(x, np.zeros(m), sigma, gen)
         u_basis(scale, dec.v)
-        jacobian_w_inv(scale, sigma)
+        jacobian_w(scale, dec.v, dec.s)
     assert duplication_matrix.cache_info().currsize == 0
 
 
