@@ -130,13 +130,17 @@ def sigma_tilde(sigma_c, omega_c=None):
 
 
 def _check_scatter_pair(sigma_c, omega_c=None):
-    """Raise ValueError unless Sigma = Sigma^H and Omega = Omega^T, each to
-    1e-10 relative to its largest entry."""
+    """Raise ValueError unless Sigma and Omega are finite, and Sigma = Sigma^H
+    and Omega = Omega^T, each to 1e-10 relative to its largest entry."""
     sigma_c = np.asarray(sigma_c, dtype=complex)
+    if not np.isfinite(sigma_c).all():  # a NaN passes every comparison below
+        raise ValueError("scatter has a non-finite entry")
     if np.abs(sigma_c - sigma_c.conj().T).max() > 1e-10 * np.abs(sigma_c).max():
         raise ValueError("scatter must be Hermitian")
     if omega_c is not None:
         omega_c = np.asarray(omega_c, dtype=complex)
+        if not np.isfinite(omega_c).all():
+            raise ValueError("pseudo-scatter has a non-finite entry")
         if np.abs(omega_c - omega_c.T).max() > 1e-10 * np.abs(omega_c).max():
             raise ValueError("pseudo-scatter must be symmetric")
 

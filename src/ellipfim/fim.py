@@ -203,12 +203,21 @@ def _identifiability_stack(j_mu, j_sig):
     return np.vstack([j_mu, rows.T])
 
 
+_RANK_CERTIFICATE_MARGIN = 1e3
+
+
 def _identifiable(j_mu, j_sig) -> bool:
     """Full column rank of the stack, each column scaled to unit norm.
 
     The rank of a matrix does not change when a column is scaled, so the
     verdict does not depend on the units of theta_i; a zero column is a
-    coordinate that moves neither mu nor Sigma.
+    coordinate that moves neither mu nor Sigma.  Full rank of this U means
+    no singular value at or below tol = 1e-10 sqrt(d).  With U = QR,
+    sigma_min(U) = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F, so 1 / ||R^-1||_F >
+    c tol certifies it without an SVD; c = ``_RANK_CERTIFICATE_MARGIN``
+    covers the QR backward error (about d eps sqrt(d)) and the rounding of
+    trtri.  Wherever that bound cannot decide, the SVD of ``matrix_rank``
+    does, and a U with fewer rows than d has rank below d.
     """
     stacked = _identifiability_stack(j_mu, j_sig)
     if not np.isfinite(stacked).all():  # LAPACK would print its error to stdout
@@ -218,8 +227,15 @@ def _identifiable(j_mu, j_sig) -> bool:
         return False
     unit = stacked / peak  # no column norm over- or underflows
     unit /= np.linalg.norm(unit, axis=0)
-    d = unit.shape[1]
-    return bool(np.linalg.matrix_rank(unit, tol=1e-10 * np.sqrt(d)) == d)
+    rows, d = unit.shape
+    if rows < d:
+        return False
+    tol = 1e-10 * np.sqrt(d)
+    if d:  # LAPACK would print an error for the empty triangle
+        r_inv, info = linalg.lapack.dtrtri(np.linalg.qr(unit, mode="r"))
+        if info == 0 and 1.0 / np.linalg.norm(r_inv) > _RANK_CERTIFICATE_MARGIN * tol:
+            return True
+    return bool(np.linalg.matrix_rank(unit, tol=tol) == d)
 
 
 _NOT_IDENTIFIABLE = "stacked Jacobian of (mu, vec Sigma) is rank deficient at theta0"

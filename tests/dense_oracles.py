@@ -73,6 +73,13 @@ def dup_pinv_solve(m):
     return np.linalg.solve(d.T @ d, d.T)
 
 
+def sym_kron_core(a):
+    """D_m^+ (I + K_m)(A (x) A) D_m^+T for a symmetric A."""
+    m = a.shape[0]
+    d_pinv = dup_pinv_solve(m)
+    return d_pinv @ (np.eye(m * m) + commutation_loops(m)) @ np.kron(a, a) @ d_pinv.T
+
+
 def row_selector(m):
     return np.eye(vecs_len(m))[1:]
 

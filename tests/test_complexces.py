@@ -497,3 +497,28 @@ def test_scatter_pair_defects_are_rejected(defect):
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("target", ["sigma", "omega"])
+def test_non_finite_scatter_pairs_are_rejected(target, value):
+    # placed symmetrically, the entry passes the Hermitian and symmetric
+    # checks (NaN and inf - inf compare false), so finiteness is its own check
+    rng = np.random.default_rng(501)
+    m = 3
+    sigma_c = random_hermitian_pd(rng, m)
+    omega_c = 0.1 * random_hermitian_pd(rng, m).real
+    j = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    bad = sigma_c if target == "sigma" else omega_c
+    bad[0, 1] = bad[1, 0] = value
+    message = "^scatter" if target == "sigma" else "^pseudo-scatter"
+    gen_c = complex_student_t(6)
+    calls = [
+        lambda: sigma_bar_from_complex(sigma_c, omega_c),
+        lambda: ncces_fim_location(j, sigma_c, omega_c, gen_c),
+    ]
+    if target == "sigma":  # the circular location FIM takes no Omega
+        calls.append(lambda: cces_fim_location(j, sigma_c, gen_c))
+    for call in calls:
+        with pytest.raises(ValueError, match=message + " has a non-finite entry"):
+            call()

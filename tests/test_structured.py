@@ -136,13 +136,28 @@ def test_structured_forms_match_dense_oracles(m, scale, gen):
 
 @pytest.mark.parametrize("shape", [(3, 2), (3, 5), (2, 3, 4), (4, 32)])
 def test_stacked_core_matches_per_item_calls(shape):
-    # (4, 32) fills the rows in two blocks, as 4 x 528 rows exceed the budget
+    # (4, 32) fills the rows in 36 blocks of at most 15, the last one partial
     *stack, m = shape
     rng = np.random.default_rng(m)
     a = rng.standard_normal((*stack, m, m))
     out = _sym_kron_core(a)
     for idx in np.ndindex(*stack):
         np.testing.assert_array_equal(out[idx], _sym_kron_core(a[idx]))
+
+
+@pytest.mark.parametrize("shape", [(31,), (32,), (33,), (3, 32)])
+def test_core_row_blocks_keep_the_bits_and_match_the_dense_oracle(shape, monkeypatch):
+    *stack, m = shape
+    nh, items = vecs_len(m), int(np.prod(stack))
+    step = matcalc._CORE_BLOCK_DOUBLES // (nh * items)
+    assert 1 <= step < nh and nh % step  # several row blocks, the last one partial
+    b = np.random.default_rng(m).standard_normal((*stack, m, m))
+    a = b @ np.swapaxes(b, -1, -2) / m + np.eye(m)
+    out = _sym_kron_core(a)
+    monkeypatch.setattr(matcalc, "_CORE_BLOCK_DOUBLES", nh * nh * items + 1)
+    np.testing.assert_array_equal(out, _sym_kron_core(a))  # one block, the same bits
+    for idx in np.ndindex(*stack):
+        assert_close(out[idx], dense.sym_kron_core(a[idx]))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 9])
@@ -218,6 +233,29 @@ def test_theta_fims_match_dense_oracles(m, gen):
         assert_close(fim.sfim_theta(param, theta0, gen), dense.sfim_theta(param, theta0, gen))
 
 
+def _builder_models_at(m, rng):
+    """(label, param, theta0) for each builder that takes any m, and the
+    finite-difference fallback."""
+    sigma0 = random_sigma(rng, m)
+    h = rng.standard_normal((m, 2))
+    yield f"linear_split-m{m}", linear_split_parameterization(h, m), np.concatenate(
+        [rng.standard_normal(2), vecs(sigma0)]
+    )
+    # finite-difference Jacobians
+    yield f"split_fd-m{m}", split_parameterization(
+        2, vecs_len(m), lambda g: h @ g, lambda xi: matcalc.unvecs(xi, m)
+    ), np.concatenate([rng.standard_normal(2), vecs(sigma0)])
+    for scale in ALL_SCALES:
+        dec = decompose(scale, sigma0)
+        yield f"shape_scale_{scale.kind}-m{m}", shape_scale_parameterization(
+            scale, m
+        ), np.concatenate([rng.standard_normal(m), ovecs(dec.v), [dec.s]])
+    yield f"identity-m{m}", identity_parameterization(m), np.concatenate(
+        [np.zeros(m), vecs(sigma0)]
+    )
+    yield f"breaking-m{m}", breaking_parameterization(sigma0), np.array([1.3])
+
+
 def _builder_models():
     """(label, param, theta0) for every parameterization builder of
     ``parameterize`` and ``complexces``, and the finite-difference
@@ -225,24 +263,7 @@ def _builder_models():
     and is rank deficient."""
     rng = np.random.default_rng(7)
     for m in (2, 4):
-        sigma0 = random_sigma(rng, m)
-        h = rng.standard_normal((m, 2))
-        yield f"linear_split-m{m}", linear_split_parameterization(h, m), np.concatenate(
-            [rng.standard_normal(2), vecs(sigma0)]
-        )
-        # finite-difference Jacobians
-        yield f"split_fd-m{m}", split_parameterization(
-            2, vecs_len(m), lambda g, h=h: h @ g, lambda xi, m=m: matcalc.unvecs(xi, m)
-        ), np.concatenate([rng.standard_normal(2), vecs(sigma0)])
-        for scale in ALL_SCALES:
-            dec = decompose(scale, sigma0)
-            yield f"shape_scale_{scale.kind}-m{m}", shape_scale_parameterization(
-                scale, m
-            ), np.concatenate([rng.standard_normal(m), ovecs(dec.v), [dec.s]])
-        yield f"identity-m{m}", identity_parameterization(m), np.concatenate(
-            [np.zeros(m), vecs(sigma0)]
-        )
-        yield f"breaking-m{m}", breaking_parameterization(sigma0), np.array([1.3])
+        yield from _builder_models_at(m, rng)
     for m, p in ((2, 2), (6, 2)):
         a_fn, a_jac = sinusoid_steering(m)
         model = LowRankModel(a_fn, a_jac, np.array([[2.0, 0.3], [0.3, 1.0]]), 0.8, p)
@@ -337,24 +358,93 @@ def test_adaptivity_check_builds_the_geometry_once(monkeypatch):
     m = 4
     rng = np.random.default_rng(2)
     param, theta0 = next(_models(m, rng))
-    calls = {"jacobian": 0, "rank": 0}
+    calls = {"jacobian": 0, "identifiable": 0}
     jac = param.jac_sigma
 
     def counted_jac(theta):
         calls["jacobian"] += 1
         return jac(theta)
 
-    rank = np.linalg.matrix_rank
+    identifiable = fim._identifiable
 
-    def counted_rank(*args, **kwargs):
-        calls["rank"] += 1
-        return rank(*args, **kwargs)
+    def counted_identifiable(*args):
+        calls["identifiable"] += 1
+        return identifiable(*args)
 
     param.jac_sigma = counted_jac
-    monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
+    monkeypatch.setattr(fim, "_identifiable", counted_identifiable)
+    # the QR rank certificate decides this well-conditioned model
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: pytest.fail("SVD called"))
     report = verify_adaptivity_by_fim(param, theta0, student_t(6))
     assert report.adaptive and report.condition.satisfied
-    assert calls == {"jacobian": 1, "rank": 1}
+    assert calls == {"jacobian": 1, "identifiable": 1}
+
+
+def _unit_stack(d, sigma_min, rng):
+    """A (d + 10) x d matrix of unit columns with smallest singular value
+    sigma_min: orthonormal columns, but column d // 2 turned towards column
+    0 to the angle t with sqrt(2) sin(t / 2) = sigma_min (the Gram block of
+    the pair has eigenvalues 1 -+ cos t)."""
+    q, _ = np.linalg.qr(rng.standard_normal((d + 10, d)))
+    t = 2.0 * np.arcsin(sigma_min / np.sqrt(2.0))
+    q[:, d // 2] = np.cos(t) * q[:, 0] + np.sin(t) * q[:, d // 2]
+    return q
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    rank = np.linalg.matrix_rank
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [5, 60, 300])
+def test_rank_certificate_agrees_with_the_svd(d, monkeypatch):
+    tol = 1e-10 * np.sqrt(d)
+    c_tol = fim._RANK_CERTIFICATE_MARGIN * tol
+    rng = np.random.default_rng(d)
+    for sigma_min in [0.0, 1e-12, tol / 2, 2 * tol, c_tol / 2, 2 * c_tol, 1e-3, 1.0]:
+        u = _unit_stack(d, sigma_min, rng)
+        full_rank = np.linalg.matrix_rank(u, tol=tol) == d
+        assert full_rank == (sigma_min > tol)
+        monkeypatch.setattr(fim, "_identifiability_stack", lambda j_mu, j_sig: u)
+        svds = _count_svds(monkeypatch)
+        assert fim._identifiable(None, None) == full_rank, sigma_min
+        assert (not svds) == (sigma_min > c_tol), sigma_min
+        monkeypatch.undo()
+
+
+def test_a_model_without_coordinates_is_identifiable_silently(capfd):
+    assert fim._identifiable(np.zeros((2, 0)), np.zeros((0, 2, 2)))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_a_wide_stack_is_not_identifiable_without_an_svd(monkeypatch):
+    u = np.random.default_rng(0).standard_normal((3, 5))
+    monkeypatch.setattr(fim, "_identifiability_stack", lambda j_mu, j_sig: u)
+    svds = _count_svds(monkeypatch)
+    assert not fim._identifiable(None, None)
+    assert not svds
+
+
+_CERTIFIED_MODELS = _BUILDER_MODELS + list(_builder_models_at(32, np.random.default_rng(32)))
+
+
+@pytest.mark.parametrize(
+    "label, param, theta0", _CERTIFIED_MODELS, ids=[c[0] for c in _CERTIFIED_MODELS]
+)
+def test_the_builder_models_need_no_svd(label, param, theta0, monkeypatch):
+    # every identifiable model passes the rank certificate, and the rank
+    # deficient low_rank-m2-p2 has fewer stack rows than coordinates
+    _, _, j_mu, j_sig = fim._jacobians(param, theta0)
+    svds = _count_svds(monkeypatch)
+    assert fim._identifiable(j_mu, j_sig) == (label != "low_rank-m2-p2")
+    assert not svds
 
 
 @pytest.mark.parametrize("label", ["split", "low_rank"])
