@@ -26,16 +26,9 @@ from ellipfim.generators import (
     generalized_gaussian,
     student_t,
 )
+from ellipfim.invariants import ALL_SCALES, GEN_GRID, random_shape
 from ellipfim.matcalc import vecs_len
 from ellipfim.scale import DET_ROOT, FIRST_ELEMENT, NORMALIZED_TRACE, decompose
-
-ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
-GEN_GRID = [gaussian(), student_t(6), student_t(8), generalized_gaussian(0.5)]
-
-
-def random_shape(rng, m, scale):
-    a = rng.standard_normal((m, m))
-    return decompose(scale, a @ a.T + m * np.eye(m)).v
 
 
 # ---------------------------------------------------------------------------

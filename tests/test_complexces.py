@@ -27,6 +27,7 @@ from ellipfim.complexces import (
 )
 from ellipfim.fim import efficient_fim_interest, fim_theta, sfim_theta
 from ellipfim.generators import modular_variate, sample
+from ellipfim.invariants import _rel
 
 
 def steering(m, p, q, phase=0.0):
@@ -369,10 +370,6 @@ def mixed_steering(m, mix, phase):
         return rate[:, :, None] * mix[None]
 
     return a_fn, a_jac
-
-
-def _rel(closed, oracle):
-    return np.linalg.norm(closed - oracle) / np.linalg.norm(oracle)
 
 
 @st.composite

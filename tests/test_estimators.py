@@ -29,10 +29,9 @@ from ellipfim.estimators import (
 )
 from ellipfim.fim import _vecs_information
 from ellipfim.generators import gaussian, psd_sqrt, sample, student_t
+from ellipfim.invariants import ALL_SCALES
 from ellipfim.matcalc import ovecs, vec, vecs
 from ellipfim.scale import DET_ROOT, FIRST_ELEMENT, NORMALIZED_TRACE, decompose, renormalize
-
-ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from ellipfim.fim import (
     sfim_theta,
 )
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
+from ellipfim.invariants import ALL_SCALES
 from ellipfim.matcalc import ovecs, vecs, vecs_len
 from ellipfim.parameterize import (
     identity_parameterization,
@@ -26,7 +27,6 @@ from ellipfim.parameterize import (
 )
 from ellipfim.scale import (
     DET_ROOT,
-    FIRST_ELEMENT,
     NORMALIZED_TRACE,
     decompose,
     jacobian_w,
@@ -34,8 +34,6 @@ from ellipfim.scale import (
     reconstruct_shape,
 )
 from ellipfim.matcalc import vec
-
-ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
 
 
 def random_model(rng, m, scale):

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import ellipfim
-from ellipfim import bounds, estimators, invariants, simulate
+import test_acceptance as acceptance
+from ellipfim import bounds, estimators, fim, invariants, simulate
 from ellipfim.cli import main
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
 from ellipfim.invariants import run_invariant_suite
@@ -239,6 +241,41 @@ def test_invariant_suite_negative_control(monkeypatch):
     report = run_invariant_suite("fast")
     failed = [e.name for e in report.entries if not e.passed]
     assert "matcalc.duplication_identities" in failed
+
+
+def _scaled(fn):
+    return lambda *args: fn(*args) * (1 + 1e-6)
+
+
+def _forced_adaptive(fn):
+    return lambda *args: dataclasses.replace(fn(*args), adaptive=True)
+
+
+@pytest.mark.parametrize(
+    "module, name, corrupt, criterion, entry",
+    [
+        (fim, "efficient_fim_shape", _scaled, "test_criterion_1_restricted_adaptivity",
+         "scores_fim.restricted_adaptivity"),
+        (bounds, "crb_shape_det_root", _scaled, "test_criterion_2_crb_closed_forms",
+         "bounds.det_specializations"),
+        (invariants, "cces_lowrank_fim", _scaled, "test_criterion_8_complex_consistency",
+         "complex_ces.recipe_consistency"),
+        (invariants, "verify_adaptivity_by_fim", _forced_adaptive,
+         "test_criterion_4_parameterized_adaptivity", "adaptivity.condition"),
+    ],
+    ids=["efficient_fim_shape", "crb_shape_det_root", "cces_lowrank_fim", "verify_adaptivity_by_fim"],
+)
+def test_shared_invariant_bodies_negative_control(
+    monkeypatch, module, name, corrupt, criterion, entry
+):
+    """One formula perturbed in the module its shared ``invariants`` body
+    reads it from: the acceptance criterion and the ``verify`` entry that
+    call that body both fail."""
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    with pytest.raises(AssertionError, match="criterion"):
+        getattr(acceptance, criterion)()
+    failed = [e.name for e in run_invariant_suite("fast").entries if not e.passed]
+    assert entry in failed
 
 
 def test_invariant_suite_catches_a_singular_jacobian_w(monkeypatch):

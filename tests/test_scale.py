@@ -4,6 +4,7 @@ from scipy.linalg import toeplitz
 from scipy.optimize import brentq
 
 import dense_oracles as dense
+from ellipfim.invariants import ALL_SCALES
 from ellipfim.matcalc import (
     duplication_matrix,
     ovecs,
@@ -28,8 +29,6 @@ from ellipfim.scale import (
     scale_by_name,
     u_basis,
 )
-
-ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
 
 
 def random_spd(rng, m):

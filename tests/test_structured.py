@@ -20,6 +20,7 @@ from ellipfim.complexces import (
 from ellipfim.estimators import VanDerWaerden, r_step_batch, scm_batch
 from ellipfim.fim import _vecs_information
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
+from ellipfim.invariants import ALL_SCALES
 from ellipfim.matcalc import (
     _dup_t_vec,
     _sym_kron_core,
@@ -46,8 +47,6 @@ from ellipfim.parameterize import (
     verify_adaptivity_by_fim,
 )
 from ellipfim.scale import (
-    DET_ROOT,
-    FIRST_ELEMENT,
     NORMALIZED_TRACE,
     constraint_gradient_vecs,
     decompose,
@@ -58,7 +57,6 @@ from ellipfim.scale import (
 )
 from ellipfim.simulate import SimConfig, run_simulation
 
-ALL_SCALES = [FIRST_ELEMENT, NORMALIZED_TRACE, DET_ROOT]
 GENS = [gaussian(), student_t(6), generalized_gaussian(0.5)]
 RTOL = 1e-12
 
