@@ -177,6 +177,13 @@ def cmd_bounds(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"bounds_{scale.kind}_{gen.name}.csv"
     bounds_mod.write_bounds_csv(bset, csv_path)
+    unresolved = sum(link.passed is None for link in report.links)
+    if unresolved:
+        print(
+            f"warning: {unresolved} chain link(s) [unresolved] in float precision; "
+            f"{csv_path} holds bounds the chain could not check",
+            file=sys.stderr,
+        )
     print(report.format_table())
     print(f"trace(crb_shape) = {np.trace(bset.crb_shape):.12g}")
     print(f"crb_scale = {bset.crb_scale:.12g}")
@@ -256,7 +263,12 @@ def cmd_verify(args) -> int:
         reject_unknown(data, ("level",), "verify config")
         level = data.get("level", level)
     report = run_invariant_suite(level=level)
-    print(report.format_table())
+    if args.json:
+        entries = [vars(e) for e in report.entries]
+        print(json.dumps({"level": report.level, "all_passed": report.all_passed,
+                          "entries": entries}))
+    else:
+        print(report.format_table())
     return 0 if report.all_passed else 1
 
 
@@ -289,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run the invariant suite")
     p_v.add_argument("--config", help="optional config carrying the level")
     p_v.add_argument("--level", choices=("fast", "full"), default="fast")
+    p_v.add_argument("--json", action="store_true", help="print the table as one JSON object")
     p_v.set_defaults(fn=cmd_verify)
     return parser
 

@@ -5,24 +5,42 @@ adds the Monte-Carlo statistical checks (zero-mean scores, empirical
 FIMs, sampling moments).  Failures are report entries, never exceptions,
 so a broken build still produces a complete table.
 
-Seven identities have one body each, shared by ``ellipfim verify`` and
-the acceptance suite (``tests/test_acceptance.py``).  A body takes its
-draws (an rng or seeds), its grid and its instance count and returns its
-worst deviations; the caller sets the seeds, the grid and the tolerance
-and passes the verdict:
+Fifteen identities have one body each, shared by ``ellipfim verify`` and
+the tests.  A body takes its draws (an rng or seeds), its grid and its
+instance count and returns its worst deviations; the caller sets the
+seeds, the grid and the tolerance and passes the verdict.  Each body,
+with the tests (criterion n: ``tests/test_acceptance.py``) and the
+``verify`` entry that call it:
 
-    acceptance    shared body               verify entry
-    criterion 1   restricted_adaptivity     scores_fim.restricted_adaptivity
-    criterion 2   bound_closed_forms        bounds.inversions and
-                                            bounds.det_specializations
-    criterion 3   equality_chains           bounds.equality_chain
-    criterion 4   adaptivity_condition      adaptivity.condition
-    criterion 5   moment_identities         elliptical.moment_identities
-    criterion 6   empirical_fims_mc         mc.empirical_fims
-    criterion 8   complex_consistency       complex_ces.recipe_consistency
+    restricted_adaptivity  criterion 1, test_efficient_fim_shape_is_schur_complement;
+                           scores_fim.restricted_adaptivity
+    bound_closed_forms     criterion 2, test_crb_shape_inverts_efficient_fim;
+                           bounds.inversions, bounds.det_specializations
+    equality_chains        criterion 3; bounds.equality_chain
+    adaptivity_condition   criterion 4; adaptivity.condition
+    moment_identities      criterion 5; elliptical.moment_identities
+    empirical_fims_mc      criterion 6; mc.empirical_fims
+    complex_consistency    criterion 8; complex_ces.recipe_consistency
+    duplication_rank       test_duplication_full_column_rank; matcalc.duplication_rank
+    projection_identity    test_projection_identity_coefficients; scores_fim.projection_identity
+    fim_chain_rule         test_fim_vecs_sigma_chain_rule; scores_fim.chain_rule
+    loewner_ordering       test_fim_theta_equals_sfim_for_gaussian,
+                           test_fim_minus_sfim_psd_for_t; scores_fim.loewner_ordering
+    upsilon_annihilation   test_upsilon_annihilates_identity_direction;
+                           estimators.upsilon_annihilation
+    score_zero_mean        test_score_eta_zero_mean_monte_carlo; mc.score_zero_mean
+    sampling_moments       test_sample_mean_q_is_m,
+                           test_sample_covariance_matches_toeplitz_scatter; mc.sampling_moments
+    complex_sampling       test_embedded_samples_reproduce_hermitian_covariance;
+                           mc.complex_sampling
+
+Every Monte-Carlo band, here and in the tests (criterion 6 and the bands
+of ``test_fim.py``, ``test_generators.py`` and ``test_complexces.py``),
+reads its z from ``max_z``; each caller keeps its own seed, n and band.
 
 The independent oracles stay in the tests: criterion 5's mpmath
-quadrature and the dense Kronecker forms.
+quadrature, the dense Kronecker forms and the granular scale and matcalc
+cases.
 """
 
 from __future__ import annotations
@@ -38,6 +56,7 @@ from . import fim as fim_mod
 from .complexces import (
     cces_fim_location,
     cces_lowrank_fim,
+    complex_from_real,
     complex_student_t,
     doa_fim,
     embedded_location_parameterization,
@@ -281,11 +300,82 @@ def moment_identities(gens, dims):
     return worst
 
 
-def max_z(scores, target):
-    """Largest |z| of the mean score outer product against ``target``."""
-    prods = np.einsum("ni,nj->nij", scores, scores)
-    se = prods.std(axis=0, ddof=1) / np.sqrt(scores.shape[0])
-    return float((np.abs(prods.mean(axis=0) - target) / (se + 1e-12)).max())
+def duplication_rank(dims):
+    """The smallest singular value of D_m over m in ``dims`` and the m it
+    is reached at; 0 where D_m has not m(m+1)/2 columns."""
+    worst = (np.inf, None)
+    for m in dims:
+        sv = np.linalg.svd(duplication_matrix(m), compute_uv=False)
+        worst = min(worst, (float(sv.min()) if sv.size == vecs_len(m) else 0.0, m))
+    return worst
+
+
+def projection_identity(rng, scales, m, s, gen):
+    """Largest |I_Vs I_s^-1 / (2s) - M_S vec(V^-1) / (2m)|, the coefficient
+    of the projection onto the scale direction, at one random m x m shape
+    per scale."""
+    worst = 0.0
+    for scale in scales:
+        v = random_shape(rng, m, scale)
+        blocks = fim_mod.fim_eta(v, s, scale, gen)
+        lhs = blocks.i_vs / blocks.i_s / (2 * s)
+        rhs = m_matrix(scale, v) @ vec(np.linalg.inv(v)) / (2 * m)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def fim_chain_rule(rng, scales, m, s, gen):
+    """Largest relative gap of J_W^T I(vecs Sigma) J_W, at Sigma = s V, to
+    the (shape, scale) block of ``fim_eta``, one random m x m shape per
+    scale."""
+    worst = 0.0
+    for scale in scales:
+        v = random_shape(rng, m, scale)
+        jw = jacobian_w(scale, v, s)
+        conj = jw.T @ fim_mod.fim_vecs_sigma(s * v, gen) @ jw
+        worst = max(worst, _rel(conj, fim_mod.fim_eta(v, s, scale, gen).full()[m:, m:]))
+    return worst
+
+
+@dataclass
+class LoewnerDeviations:
+    gaussian_gap: float  # largest |FIM - SFIM| under the Gaussian
+    gaussian_norm: float  # ||FIM||_F under the Gaussian
+    min_eig: float = np.inf  # smallest eigenvalue of FIM - SFIM under gens
+    min_trace: float = np.inf  # smallest trace of FIM - SFIM under gens
+
+
+def loewner_ordering(param, theta0, gens):
+    """FIM - SFIM of ``param`` at ``theta0``: zero under the Gaussian, PSD
+    with a positive trace under each of the non-Gaussian ``gens``."""
+    fim_g = fim_mod.fim_theta(param, theta0, gaussian())
+    dev = LoewnerDeviations(
+        float(np.abs(fim_g - fim_mod.sfim_theta(param, theta0, gaussian())).max()),
+        float(np.linalg.norm(fim_g)),
+    )
+    for gen in gens:
+        diff = fim_mod.fim_theta(param, theta0, gen) - fim_mod.sfim_theta(param, theta0, gen)
+        dev.min_eig = min(dev.min_eig, float(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min()))
+        dev.min_trace = min(dev.min_trace, float(np.trace(diff)))
+    return dev
+
+
+def upsilon_annihilation(rng, m):
+    """Largest |G vecs(V)| for the R-step's Gram G = Upsilon Upsilon^T at
+    one random trace-scale shape V: Upsilon^T vecs(V) = 0, so the scale
+    direction is in the Gram's kernel."""
+    v = random_shape(rng, m, NORMALIZED_TRACE)
+    gram = fim_mod._vecs_information(np.linalg.inv(v), 1.0, -1.0 / m)[0]
+    return float(np.abs(gram @ vecs(v)).max())
+
+
+def max_z(samples, target=0.0):
+    """Largest |z| = |mean - target| / se of the n draws ``samples``
+    (n, ...), real or complex, entry by entry; se is the standard error of
+    the mean.  An entry with no spread gives inf or nan, which fails any
+    band."""
+    se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
+    return float((np.abs(samples.mean(axis=0) - target) / se).max())
 
 
 def empirical_fims_mc(cases, m, n):
@@ -306,10 +396,41 @@ def empirical_fims_mc(cases, m, n):
             (fim_mod.score_theta, fim_mod.fim_theta),
             (fim_mod.efficient_score_theta, fim_mod.sfim_theta),
         ):
+            scores = score_fn(x, param, theta0, gen)
             worst = max(
-                worst, max_z(score_fn(x, param, theta0, gen), info(param, theta0, gen))
+                worst,
+                max_z(np.einsum("ni,nj->nij", scores, scores), info(param, theta0, gen)),
             )
     return worst
+
+
+def score_zero_mean(gen, scale, sigma, n, seed):
+    """Largest |z| of the mean (mu, shape, scale) score of n draws from
+    ``gen`` at scatter ``sigma`` (seed ``seed``) against zero."""
+    m = sigma.shape[0]
+    dec = decompose(scale, sigma)
+    x = sample(n, np.zeros(m), sigma, gen, seed=seed)
+    return max_z(fim_mod.score_eta(x, np.zeros(m), dec.v, dec.s, scale, gen))
+
+
+def sampling_moments(gen, sigma, n, seed):
+    """|z| of the second moment of n draws from ``gen`` at scatter
+    ``sigma`` (seed ``seed``) against sigma, and of their mean Q against m."""
+    m = sigma.shape[0]
+    x = sample(n, np.zeros(m), sigma, gen, seed=seed)
+    q = modular_variate(x, np.zeros(m), sigma)
+    return max_z(np.einsum("ni,nj->nij", x, x), sigma), max_z(q, m)
+
+
+def complex_sampling(rng, m, n, gen, seed):
+    """|z| of the Hermitian second moment E{x x^H} of n complex draws
+    against their scatter W W^H + m I, W drawn from ``rng``; the draws are
+    real-embedded draws of the real generator ``gen`` (seed ``seed``)."""
+    w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    sigma_c = w @ w.conj().T + m * np.eye(m)
+    bar = sigma_bar_from_complex(sigma_c, None)
+    x = complex_from_real(sample(n, np.zeros(2 * m), bar, gen, seed=seed))
+    return max_z(np.einsum("ni,nj->nij", x, x.conj()), sigma_c)
 
 
 def _ula_steering(m, phase):
@@ -419,10 +540,9 @@ def _check_duplication():
 
 
 def _check_duplication_rank():
-    for m in range(1, 7):
-        sv = np.linalg.svd(duplication_matrix(m), compute_uv=False)
-        if sv.min() <= 1e-10 or sv.size != vecs_len(m):
-            return False, f"rank deficiency at m={m}"
+    sv, m = duplication_rank(range(1, 7))
+    if sv <= 1e-10:
+        return False, f"rank deficiency at m={m}"
     return True, "full column rank for m in 1..6"
 
 
@@ -488,28 +608,12 @@ def _check_restricted_adaptivity():
 
 
 def _check_projection_identity():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for scale in ALL_SCALES:
-        m, s = 3, 2.2
-        v = random_shape(rng, m, scale)
-        blocks = fim_mod.fim_eta(v, s, scale, student_t(7))
-        lhs = blocks.i_vs / blocks.i_s / (2 * s)
-        rhs = m_matrix(scale, v) @ vec(np.linalg.inv(v)) / (2 * m)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    worst = projection_identity(np.random.default_rng(5), ALL_SCALES, 3, 2.2, student_t(7))
     return worst < 1e-12, f"max coefficient deviation {worst:.2e}"
 
 
 def _check_fim_chain_rule():
-    rng = np.random.default_rng(6)
-    worst = 0.0
-    for scale in ALL_SCALES:
-        m, s = 3, 1.4
-        v = random_shape(rng, m, scale)
-        jw = jacobian_w(scale, v, s)
-        conj = jw.T @ fim_mod.fim_vecs_sigma(s * v, student_t(9)) @ jw
-        expected = fim_mod.fim_eta(v, s, scale, student_t(9)).full()[m:, m:]
-        worst = max(worst, _rel(conj, expected))
+    worst = fim_chain_rule(np.random.default_rng(6), ALL_SCALES, 3, 1.4, student_t(9))
     return worst < 1e-10, f"max congruence deviation {worst:.2e}"
 
 
@@ -545,18 +649,11 @@ def _check_adaptivity_condition():
 
 def _check_loewner_ordering():
     param, theta0 = low_rank_example(np.random.default_rng(11), 4, [0.7, 1.9], 0.5)
-    g_diff = fim_mod.fim_theta(param, theta0, gaussian()) - fim_mod.sfim_theta(
-        param, theta0, gaussian()
-    )
-    if np.abs(g_diff).max() > 1e-10:
+    dev = loewner_ordering(param, theta0, (student_t(6), student_t(8)))
+    if dev.gaussian_gap > 1e-10:
         return False, "gaussian equality violated"
-    for nu in (6, 8):
-        diff = fim_mod.fim_theta(param, theta0, student_t(nu)) - fim_mod.sfim_theta(
-            param, theta0, student_t(nu)
-        )
-        eigs = np.linalg.eigvalsh(0.5 * (diff + diff.T))
-        if eigs.min() < -1e-10 or np.trace(diff) <= 0:
-            return False, f"t({nu}) ordering violated: min eig {eigs.min():.2e}"
+    if dev.min_eig < -1e-10 or dev.min_trace <= 0:
+        return False, f"t ordering violated: min eig {dev.min_eig:.2e}, trace {dev.min_trace:.2e}"
     return True, "fim - sfim is PSD (zero at the Gaussian, strict for t)"
 
 
@@ -566,13 +663,7 @@ def _check_complex_consistency():
 
 
 def _check_gram_annihilation():
-    # Upsilon^T vecs(V) = 0, so the R-step's Gram Upsilon Upsilon^T has
-    # the scale direction in its kernel
-    rng = np.random.default_rng(13)
-    m = 4
-    v = random_shape(rng, m, NORMALIZED_TRACE)
-    gram = fim_mod._vecs_information(np.linalg.inv(v), 1.0, -1.0 / m)[0]
-    worst = float(np.abs(gram @ vecs(v)).max())
+    worst = upsilon_annihilation(np.random.default_rng(13), 4)
     return worst < 1e-12, f"scale-direction residual {worst:.2e}"
 
 
@@ -580,15 +671,11 @@ def _check_gram_annihilation():
 
 
 def _check_score_zero_mean_mc():
-    m, n = 4, 100_000
-    sigma = toeplitz(0.8 ** np.arange(m))
-    gen = student_t(6)
-    dec = decompose(NORMALIZED_TRACE, sigma)
-    x = sample(n, np.zeros(m), sigma, gen, seed=7531)
-    scores = fim_mod.score_eta(x, np.zeros(m), dec.v, dec.s, NORMALIZED_TRACE, gen)
-    se = scores.std(axis=0, ddof=1) / np.sqrt(n)
-    z = np.abs(scores.mean(axis=0)) / se
-    return _z_verdict(float(z.max()), 3, f" over {len(z)} components")
+    m = 4
+    z = score_zero_mean(
+        student_t(6), NORMALIZED_TRACE, toeplitz(0.8 ** np.arange(m)), 100_000, 7531
+    )
+    return _z_verdict(z, 3, f" over {m + vecs_len(m)} components")
 
 
 def _check_empirical_fims_mc():
@@ -599,31 +686,13 @@ def _check_empirical_fims_mc():
 
 def _check_sampling_moments_mc():
     m, n = 4, 100_000
-    sigma = toeplitz(0.8 ** np.arange(m))
-    x = sample(n, np.zeros(m), sigma, gaussian(), seed=99)
-    prods = np.einsum("ni,nj->nij", x, x)
-    se = prods.std(axis=0, ddof=1) / np.sqrt(n)
-    z_cov = float((np.abs(prods.mean(axis=0) - sigma) / se).max())
-    zs = [z_cov]
-    for gen in (gaussian(), student_t(6)):
-        y = sample(n, np.zeros(m), np.eye(m), gen, seed=2024)
-        q = modular_variate(y, np.zeros(m), np.eye(m))
-        zs.append(abs(q.mean() - m) / (q.std(ddof=1) / np.sqrt(n)))
-    return _z_verdict(float(max(zs)), 3)
+    z_cov, _ = sampling_moments(gaussian(), toeplitz(0.8 ** np.arange(m)), n, 99)
+    z_q = [sampling_moments(gen, np.eye(m), n, 2024)[1] for gen in (gaussian(), student_t(6))]
+    return _z_verdict(max(z_cov, *z_q), 3)
 
 
 def _check_complex_sampling_mc():
-    rng = np.random.default_rng(14)
-    m, n = 3, 100_000
-    w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    sigma_c = w @ w.conj().T + m * np.eye(m)
-    bar = sigma_bar_from_complex(sigma_c, None)
-    x_bar = sample(n, np.zeros(2 * m), bar, gaussian(), seed=4321)
-    x = x_bar[:, :m] + 1j * x_bar[:, m:]
-    prods = np.einsum("ni,nj->nij", x, x.conj())
-    se = np.abs(prods.std(axis=0, ddof=1)) / np.sqrt(n)
-    z = float((np.abs(prods.mean(axis=0) - sigma_c) / (se + 1e-12)).max())
-    return _z_verdict(z, 3)
+    return _z_verdict(complex_sampling(np.random.default_rng(14), 3, 100_000, gaussian(), 4321), 3)
 
 
 FAST_CHECKS = [

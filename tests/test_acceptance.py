@@ -168,13 +168,12 @@ def test_criterion_6_empirical_fims():
         # the (mu, shape, scale) block FIM and the scatter-parameterization
         # FIM against score outer products
         x = sample(n, np.zeros(m), sigma0, gen, seed=seed)
-        scores = score_eta(x, np.zeros(m), dec.v, dec.s, NORMALIZED_TRACE, gen)
-        scores_s = score_vecs_sigma(x, np.zeros(m), sigma0, gen)
-        worst_z = max(
-            worst_z,
-            max_z(scores, fim_eta(dec.v, dec.s, NORMALIZED_TRACE, gen).full()),
-            max_z(scores_s, fim_vecs_sigma(sigma0, gen)),
-        )
+        for scores, info in (
+            (score_eta(x, np.zeros(m), dec.v, dec.s, NORMALIZED_TRACE, gen),
+             fim_eta(dec.v, dec.s, NORMALIZED_TRACE, gen).full()),
+            (score_vecs_sigma(x, np.zeros(m), sigma0, gen), fim_vecs_sigma(sigma0, gen)),
+        ):
+            worst_z = max(worst_z, max_z(np.einsum("ni,nj->nij", scores, scores), info))
     # parameterized model: full and efficient scores, the model drawn at the
     # same seed and the sample at seed + 10
     cases = ((gaussian(), 601, 611), (student_t(8), 602, 612))

@@ -19,14 +19,13 @@ from ellipfim.bounds import (
     verify_chain,
     write_bounds_csv,
 )
-from ellipfim.fim import efficient_fim_shape, fim_eta, fim_vecs_sigma
+from ellipfim.fim import fim_eta, fim_vecs_sigma
 from ellipfim.generators import (
-    coefficients,
     gaussian,
     generalized_gaussian,
     student_t,
 )
-from ellipfim.invariants import ALL_SCALES, GEN_GRID, random_shape
+from ellipfim.invariants import ALL_SCALES, GEN_GRID, bound_closed_forms, random_shape
 from ellipfim.matcalc import vecs_len
 from ellipfim.scale import DET_ROOT, FIRST_ELEMENT, NORMALIZED_TRACE, decompose
 
@@ -66,13 +65,9 @@ def test_crb_location_t6_beta_scaling():
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("gen", GEN_GRID, ids=str)
 def test_crb_shape_inverts_efficient_fim(scale, m, gen):
+    # and the scatter bound at Sigma = 1.5 V its FIM
     rng = np.random.default_rng(10 * m + 1)
-    v = random_shape(rng, m, scale)
-    bound = crb_shape(scale, v, gen)
-    eff = efficient_fim_shape(v, scale, gen)
-    k = bound.shape[0]
-    err = np.linalg.norm(bound @ eff - np.eye(k)) / np.sqrt(k)
-    assert err < 1e-8
+    assert bound_closed_forms(rng, (scale,), (gen,), (m,), 1.5).inversion < 1e-8
 
 
 def test_crb_shape_det_specialization_matches_general():
@@ -154,13 +149,8 @@ def test_assembled_bounds_invert_assembled_fim(scale, gen):
     m = 3
     v = random_shape(rng, m, scale)
     s = 1.45
-    blocks = fim_eta(v, s, scale, gen)
+    fim_vs = fim_eta(v, s, scale, gen).full()[m:, m:]
     nh = vecs_len(m)
-    fim_vs = np.zeros((nh, nh))
-    fim_vs[: nh - 1, : nh - 1] = blocks.i_v
-    fim_vs[: nh - 1, -1] = blocks.i_vs
-    fim_vs[-1, : nh - 1] = blocks.i_vs
-    fim_vs[-1, -1] = blocks.i_s
     sb = crb_scale(scale, v, s, gen)
     crb_vs = np.zeros((nh, nh))
     crb_vs[: nh - 1, : nh - 1] = crb_shape(scale, v, gen)
@@ -248,6 +238,30 @@ def test_verify_chain_gaussian_trivial():
     assert isinstance(report.format_table(), str)
 
 
+def random_scatter(m, decades, seed):
+    """Eigenvalues 1 and 10^decades and others between them, in a random basis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = 10.0 ** (decades * np.r_[0.0, 1.0, rng.uniform(0.0, 1.0, m - 2)])
+    sigma = (q * lam) @ q.T
+    return 0.5 * (sigma + sigma.T)
+
+
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.floats(min_value=0.0, max_value=8.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(ALL_SCALES),
+    st.sampled_from(GEN_GRID),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bound_set_is_pd_on_random_scatters(m, decades, seed, scale, gen):
+    bs = bound_set(scale, random_scatter(m, decades, seed), gen)
+    np.linalg.cholesky(bs.crb_shape)
+    np.linalg.cholesky(bs.crb_vecs_sigma)
+    assert bs.crb_scale > 0
+
+
 @given(
     st.integers(min_value=2, max_value=6),
     st.floats(min_value=0.0, max_value=8.0),
@@ -255,12 +269,7 @@ def test_verify_chain_gaussian_trivial():
 )
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_verify_chain_passes_on_random_scatters(m, decades, seed):
-    # eigenvalues 1 and 10^decades and others between them, in a random basis
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    lam = 10.0 ** (decades * np.r_[0.0, 1.0, rng.uniform(0.0, 1.0, m - 2)])
-    sigma = (q * lam) @ q.T
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = random_scatter(m, decades, seed)
     gens = [gaussian(), student_t(6), generalized_gaussian(0.5)]
     real = bounds.crb_shape
     for scale in ALL_SCALES:

@@ -26,24 +26,8 @@ from ellipfim.complexces import (
     unitary_map,
 )
 from ellipfim.fim import efficient_fim_interest, fim_theta, sfim_theta
-from ellipfim.generators import modular_variate, sample
-from ellipfim.invariants import _rel
-
-
-def steering(m, p, q, phase=0.0):
-    def a_fn(gamma):
-        j = np.arange(m)[:, None]
-        return np.exp(1j * (np.pi * j * np.sin(gamma)[None, :] + phase))
-
-    def a_jac(gamma):
-        j = np.arange(m)[:, None]
-        a = a_fn(gamma)
-        out = np.zeros((m, p, q), dtype=complex)
-        for k in range(q):
-            out[:, k, k] = 1j * np.pi * j[:, 0] * np.cos(gamma[k]) * a[:, k]
-        return out
-
-    return a_fn, a_jac
+from ellipfim.generators import modular_variate
+from ellipfim.invariants import _rel, _ula_steering, complex_sampling
 
 
 def random_hermitian_pd(rng, p):
@@ -121,16 +105,7 @@ def test_quadratic_form_isometry():
 
 def test_embedded_samples_reproduce_hermitian_covariance():
     rng = np.random.default_rng(8)
-    m, n = 3, 100_000
-    sigma_c = random_hermitian_pd(rng, m)
-    bar = sigma_bar_from_complex(sigma_c, None)
-    x_bar = sample(n, np.zeros(2 * m), bar, complex_gaussian().real(), seed=1234)
-    x = complex_from_real(x_bar)
-    emp = x.T.conj() @ x / n  # conj on first factor: E{x x^H} entry (i,j)
-    emp = emp.T
-    prods = np.einsum("ni,nj->nij", x, x.conj())
-    se = prods.std(axis=0, ddof=1) / np.sqrt(n)
-    assert np.all(np.abs(emp - sigma_c) < 3 * np.abs(se) + 1e-12)
+    assert complex_sampling(rng, 3, 100_000, complex_gaussian().real(), 1234) < 3
 
 
 def test_real_mat_homomorphism():
@@ -224,7 +199,7 @@ def test_cces_lowrank_matches_real_embedding(seed):
     rng = np.random.default_rng(200 + seed)
     m, p, q = 6, 2, 2
     gen_c = complex_student_t(6)
-    a_fn, a_jac = steering(m, p, q)
+    a_fn, a_jac = _ula_steering(m, 0.0)
     gamma0 = np.array([0.3, 1.1]) + 0.05 * rng.standard_normal(2)
     xi0 = random_hermitian_pd(rng, p)
     lam0 = 0.5 + rng.uniform(0, 1)
@@ -241,7 +216,7 @@ def test_doa_hadamard_form_agrees_with_general():
     rng = np.random.default_rng(33)
     m, p = 6, 2
     gen_c = complex_student_t(6)
-    a_fn, a_jac = steering(m, p, p)
+    a_fn, a_jac = _ula_steering(m, 0.0)
     gamma0 = np.array([0.3, 1.1])
     xi0 = random_hermitian_pd(rng, p)
     lam0 = 0.7
@@ -284,7 +259,7 @@ def test_rectilinear_matches_real_embedding(seed):
     rng = np.random.default_rng(300 + seed)
     m, p, q = 4, 2, 2
     gen_c = complex_student_t(7)
-    a_fn, a_jac = steering(m, p, q, phase=0.2)
+    a_fn, a_jac = _ula_steering(m, 0.2)
     gamma0 = np.array([0.4, 1.0]) + 0.05 * rng.standard_normal(2)
     xr = rng.standard_normal((p, p))
     xi_r = xr @ xr.T + p * np.eye(p)
@@ -300,7 +275,7 @@ def test_rectilinear_matches_real_embedding(seed):
 def test_rectilinear_single_source_positive():
     gen_c = complex_student_t(6)
     m, p, q = 4, 1, 1
-    a_fn, a_jac = steering(m, p, q)
+    a_fn, a_jac = _ula_steering(m, 0.0)
     gamma0 = np.array([0.6])
     xi_r = np.array([[1.8]])
     out = rectilinear_fim(a_fn(gamma0), a_jac(gamma0), xi_r, 0.9, gen_c)
@@ -318,7 +293,7 @@ def test_rectilinear_gaussian_matches_sfim_path():
     # at the Gaussian the parametric and semiparametric pipelines coincide
     gen_c = complex_gaussian()
     m, p, q = 4, 2, 2
-    a_fn, a_jac = steering(m, p, q, phase=0.1)
+    a_fn, a_jac = _ula_steering(m, 0.1)
     gamma0 = np.array([0.5, 1.2])
     xi_r = np.diag([2.0, 1.0])
     lam0 = 0.8
@@ -333,7 +308,7 @@ def test_rectilinear_gaussian_matches_sfim_path():
 def test_rectilinear_fim_decreases_in_noise():
     gen_c = complex_student_t(6)
     m, p, q = 4, 1, 1
-    a_fn, a_jac = steering(m, p, q)
+    a_fn, a_jac = _ula_steering(m, 0.0)
     gamma0 = np.array([0.6])
     xi_r = np.array([[1.8]])
     vals = [
@@ -446,7 +421,7 @@ def test_complex_gamma_closed_forms_equal_the_embedded_scrb(nu):
     rng = np.random.default_rng(400)
     m, p, q = 5, 2, 2
     gen_c = complex_student_t(nu)
-    a_fn, a_jac = steering(m, p, q, phase=0.3)
+    a_fn, a_jac = _ula_steering(m, 0.3)
     gamma0 = np.array([0.35, 1.05])
     xi_c = random_hermitian_pd(rng, p)
     xr = rng.standard_normal((p, p))

@@ -13,6 +13,11 @@ import pytest
 
 import ellipfim
 import test_acceptance as acceptance
+import test_complexces as complex_tests
+import test_estimators as estimator_tests
+import test_fim as fim_tests
+import test_generators as generator_tests
+import test_matcalc as matcalc_tests
 from ellipfim import bounds, estimators, fim, invariants, simulate
 from ellipfim.cli import main
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
@@ -35,10 +40,13 @@ SMALL = dict(
 )
 
 
-def write_config(path, **extra):
-    data = {"schema": 1, **SMALL, **extra}
-    data["nu_grid"] = list(data["nu_grid"])
-    path.write_text(json.dumps(data))
+def run_cli(tmp_path, command, data, *flags):
+    """``ellipfim <command>`` on the config {"schema": 1, **data}, written to
+    tmp_path/cfg.json; bounds and simulate write to tmp_path/out."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, **data}))
+    out = ["--out", str(tmp_path / "out")] if command in ("bounds", "simulate") else []
+    return main([command, "--config", str(cfg), *out, *flags])
 
 
 # ---------------------------------------------------------------------------
@@ -232,50 +240,88 @@ def test_invariant_suite_fast_all_pass():
 
 
 def test_invariant_suite_negative_control(monkeypatch):
-    def corrupt(m):
-        d = duplication_matrix(m).copy()
-        d[0, 0] = 0.0
-        return d
-
-    monkeypatch.setattr(invariants, "duplication_matrix", corrupt)
+    monkeypatch.setattr(invariants, "duplication_matrix", _first_column_zeroed(duplication_matrix))
     report = run_invariant_suite("fast")
     failed = [e.name for e in report.entries if not e.passed]
     assert "matcalc.duplication_identities" in failed
 
 
-def _scaled(fn):
-    return lambda *args: fn(*args) * (1 + 1e-6)
+def _scaled(fn, by=1e-6):
+    return lambda *args, **kwargs: fn(*args, **kwargs) * (1 + by)
+
+
+def _inflated(fn):
+    # a Monte-Carlo band needs a perturbation many standard errors wide
+    return _scaled(fn, 0.1)
 
 
 def _forced_adaptive(fn):
     return lambda *args: dataclasses.replace(fn(*args), adaptive=True)
 
 
-@pytest.mark.parametrize(
-    "module, name, corrupt, criterion, entry",
-    [
-        (fim, "efficient_fim_shape", _scaled, "test_criterion_1_restricted_adaptivity",
-         "scores_fim.restricted_adaptivity"),
-        (bounds, "crb_shape_det_root", _scaled, "test_criterion_2_crb_closed_forms",
-         "bounds.det_specializations"),
-        (invariants, "cces_lowrank_fim", _scaled, "test_criterion_8_complex_consistency",
-         "complex_ces.recipe_consistency"),
-        (invariants, "verify_adaptivity_by_fim", _forced_adaptive,
-         "test_criterion_4_parameterized_adaptivity", "adaptivity.condition"),
-    ],
-    ids=["efficient_fim_shape", "crb_shape_det_root", "cces_lowrank_fim", "verify_adaptivity_by_fim"],
-)
-def test_shared_invariant_bodies_negative_control(
-    monkeypatch, module, name, corrupt, criterion, entry
-):
-    """One formula perturbed in the module its shared ``invariants`` body
-    reads it from: the acceptance criterion and the ``verify`` entry that
-    call that body both fail."""
+def _first_column_zeroed(fn):
+    def corrupt(m):
+        d = fn(m).copy()
+        d[:, 0] = 0.0
+        return d
+
+    return corrupt
+
+
+# per perturbed formula: its module, the perturbation, the tests and the
+# ``verify`` entry whose shared ``invariants`` body reads it from there
+NEGATIVE_CONTROLS = {
+    "efficient_fim_shape": (fim, _scaled, [acceptance.test_criterion_1_restricted_adaptivity],
+                            "scores_fim.restricted_adaptivity"),
+    "crb_shape_det_root": (bounds, _scaled, [acceptance.test_criterion_2_crb_closed_forms],
+                           "bounds.det_specializations"),
+    "cces_lowrank_fim": (invariants, _scaled, [acceptance.test_criterion_8_complex_consistency],
+                         "complex_ces.recipe_consistency"),
+    "verify_adaptivity_by_fim": (invariants, _forced_adaptive,
+                                 [acceptance.test_criterion_4_parameterized_adaptivity],
+                                 "adaptivity.condition"),
+    "duplication_matrix": (invariants, _first_column_zeroed,
+                           [lambda: matcalc_tests.test_duplication_full_column_rank(3)],
+                           "matcalc.duplication_rank"),
+    "m_matrix": (invariants, _scaled, [fim_tests.test_projection_identity_coefficients],
+                 "scores_fim.projection_identity"),
+    "jacobian_w": (invariants, _scaled,
+                   [lambda: fim_tests.test_fim_vecs_sigma_chain_rule(invariants.DET_ROOT)],
+                   "scores_fim.chain_rule"),
+    # SFIM doubled: a gap at the Gaussian, and FIM - SFIM is not PSD for t
+    "sfim_theta": (fim, lambda fn: _scaled(fn, 1.0),
+                   [fim_tests.test_fim_theta_equals_sfim_for_gaussian,
+                    fim_tests.test_fim_minus_sfim_psd_for_t], "scores_fim.loewner_ordering"),
+    # the Gram's rank-one coefficient -1/m off by a relative 1e-6
+    "_vecs_information": (fim, lambda fn: lambda a, b, c: fn(a, b, c * (1 + 1e-6)),
+                          [estimator_tests.test_upsilon_annihilates_identity_direction],
+                          "estimators.upsilon_annihilation"),
+    # the score at data 10% too wide: its mean is no longer zero
+    "score_eta": (fim, lambda fn: lambda x, *rest: fn(1.1 * x, *rest),
+                  [fim_tests.test_score_eta_zero_mean_monte_carlo], "mc.score_zero_mean"),
+    "sample": (invariants, _inflated,
+               [lambda: generator_tests.test_sample_mean_q_is_m(student_t(6)),
+                generator_tests.test_sample_covariance_matches_toeplitz_scatter],
+               "mc.sampling_moments"),
+    "sigma_bar_from_complex": (invariants, _inflated,
+                               [complex_tests.test_embedded_samples_reproduce_hermitian_covariance],
+                               "mc.complex_sampling"),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
+def test_shared_invariant_bodies_negative_control(monkeypatch, name):
+    """One formula perturbed: every test and the ``verify`` entry that call
+    the shared body reading it fail."""
+    module, corrupt, tests, entry = NEGATIVE_CONTROLS[name]
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
-    with pytest.raises(AssertionError, match="criterion"):
-        getattr(acceptance, criterion)()
-    failed = [e.name for e in run_invariant_suite("fast").entries if not e.passed]
-    assert entry in failed
+    for test in tests:
+        with pytest.raises(AssertionError):
+            test()
+    checks = [c for c in invariants.FAST_CHECKS + invariants.FULL_CHECKS if c[0] == entry]
+    monkeypatch.setattr(invariants, "FAST_CHECKS", checks)
+    [result] = run_invariant_suite("fast").entries
+    assert not result.passed, result.detail
 
 
 def test_invariant_suite_catches_a_singular_jacobian_w(monkeypatch):
@@ -522,57 +568,23 @@ def test_src_definitions_have_a_reference():
 
 
 def test_cli_simulate_and_outputs(tmp_path, capsys):
-    cfg = tmp_path / "sim.json"
-    write_config(cfg, trials=10, nu_grid=[5.0])
-    code = main(
-        [
-            "simulate",
-            "--config",
-            str(cfg),
-            "--out",
-            str(tmp_path / "out"),
-            "--svg",
-        ]
-    )
-    assert code == 0
+    assert run_cli(tmp_path, "simulate", {**SMALL, "trials": 10, "nu_grid": [5.0]}, "--svg") == 0
     assert (tmp_path / "out" / "simulation_trace.csv").exists()
     assert (tmp_path / "out" / "simulation_trace.meta.json").exists()
     assert (tmp_path / "out" / "simulation_trace.svg").exists()
 
 
 def test_cli_simulate_overrides(tmp_path):
-    cfg = tmp_path / "sim.json"
-    write_config(cfg, trials=10, nu_grid=[5.0])
-    code = main(
-        [
-            "simulate",
-            "--config",
-            str(cfg),
-            "--nu",
-            "6,9",
-            "--trials",
-            "5",
-            "--scale",
-            "first",
-            "--seed",
-            "3",
-            "--out",
-            str(tmp_path / "out"),
-        ]
-    )
-    assert code == 0
+    flags = ("--nu", "6,9", "--trials", "5", "--scale", "first", "--seed", "3")
+    assert run_cli(tmp_path, "simulate", {**SMALL, "trials": 10, "nu_grid": [5.0]}, *flags) == 0
     with open(tmp_path / "out" / "simulation_first.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["nu"] for r in rows} == {"6", "9"}
 
 
 def test_cli_unknown_scale_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "sim.json"
-    write_config(cfg, trials=5, nu_grid=[5.0])
-    code = main(
-        ["simulate", "--config", str(cfg), "--scale", "frobenius", "--out", str(tmp_path)]
-    )
-    assert code == 2
+    data = {**SMALL, "trials": 5, "nu_grid": [5.0]}
+    assert run_cli(tmp_path, "simulate", data, "--scale", "frobenius") == 2
     err = capsys.readouterr().err
     for valid in ("det", "first", "trace"):
         assert valid in err
@@ -583,66 +595,32 @@ def test_cli_missing_config_exits_2(tmp_path):
 
 
 def test_cli_wrong_schema_exits_2(tmp_path):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({"schema": 99, "trials": 5}))
-    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert run_cli(tmp_path, "simulate", {"schema": 99, "trials": 5}) == 2
 
 
 def test_cli_bounds_chain_table(tmp_path, capsys):
-    cfg = tmp_path / "bounds.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "m": 4,
-                "scale": "det",
-                "generator": {"family": "gaussian"},
-                "sigma": {"kind": "identity"},
-            }
-        )
-    )
-    code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 0
+    data = {"m": 4, "scale": "det", "generator": {"family": "gaussian"},
+            "sigma": {"kind": "identity"}}
+    assert run_cli(tmp_path, "bounds", data) == 0
     out = capsys.readouterr().out
     assert "equality chain" in out
     assert (tmp_path / "out" / "bounds_det_gaussian.csv").exists()
 
 
 def test_cli_bounds_deterministic_trace(tmp_path, capsys):
-    cfg = tmp_path / "bounds.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "m": 4,
-                "scale": "first",
-                "generator": {"family": "t", "nu": 6},
-                "sigma": {"kind": "toeplitz", "rho": 0.8},
-            }
-        )
-    )
+    data = {"m": 4, "scale": "first", "generator": {"family": "t", "nu": 6},
+            "sigma": {"kind": "toeplitz", "rho": 0.8}}
     outputs = []
     for _ in range(2):
-        code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 0
+        assert run_cli(tmp_path, "bounds", data) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert "trace(crb_shape)" in outputs[0]
 
 
 def test_cli_adaptivity_reports(tmp_path, capsys):
-    cfg = tmp_path / "adapt.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "parameterization": {"name": "breaking", "m": 3},
-                "generator": {"family": "t", "nu": 8},
-            }
-        )
-    )
-    code = main(["adaptivity", "--config", str(cfg)])
-    assert code == 0
+    data = {"parameterization": {"name": "breaking", "m": 3}, "generator": {"family": "t", "nu": 8}}
+    assert run_cli(tmp_path, "adaptivity", data) == 0
     out = capsys.readouterr().out
     assert "violated" in out
     assert "not adaptive" in out
@@ -651,6 +629,24 @@ def test_cli_adaptivity_reports(tmp_path, capsys):
 def test_cli_verify_fast(capsys):
     assert main(["verify", "--level", "fast"]) == 0
     assert "invariant suite" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_cli_verify_json_lists_every_entry(capsys, level):
+    assert main(["verify", "--level", level, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    checks = invariants.FAST_CHECKS + (invariants.FULL_CHECKS if level == "full" else [])
+    assert (report["level"], report["all_passed"]) == (level, True)
+    assert [e["name"] for e in report["entries"]] == [name for name, _ in checks]
+    for e in report["entries"]:
+        assert set(e) == {"name", "passed", "detail", "seconds"} and e["passed"] is True
+
+
+def test_cli_verify_json_keeps_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "FAST_CHECKS", [("broken", lambda: (False, "no"))])
+    assert main(["verify", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] is False and report["entries"][0]["passed"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -693,13 +689,10 @@ def test_config_rejects_impossible_dimensions():
     ],
 )
 def test_cli_simulate_rejects_bad_config_values(tmp_path, capsys, extra):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({"schema": 1, **SMALL, "trials": 5, "nu_grid": [5.0], **extra}))
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli(tmp_path, "simulate", {**SMALL, "trials": 5, "nu_grid": [5.0], **extra}) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -720,12 +713,9 @@ def test_config_integer_fields_reject_bool():
 
 
 def test_cli_simulate_impossible_config_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "sim.json"
-    write_config(cfg, n=3, trials=5, nu_grid=[5.0])
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli(tmp_path, "simulate", {**SMALL, "n": 3, "trials": 5, "nu_grid": [5.0]}) == 2
     assert "config error" in capsys.readouterr().err
-    assert not (out / "simulation_trace.csv").exists()
+    assert not (tmp_path / "out" / "simulation_trace.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -733,14 +723,11 @@ def test_cli_simulate_impossible_config_exits_2(tmp_path, capsys):
 )
 def test_cli_simulate_rejects_estimator_selection_keys(tmp_path, capsys, key, value):
     # the study's five estimators are fixed, so a config cannot pick them
-    cfg = tmp_path / "sim.json"
-    write_config(cfg, trials=5, nu_grid=[5.0], **{key: value})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli(tmp_path, "simulate", {**SMALL, "trials": 5, "nu_grid": [5.0], key: value}) == 2
     captured = capsys.readouterr()
     assert len(captured.err.strip().splitlines()) == 1 and key in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 DOMAIN_ERROR_CONFIGS = {
@@ -775,21 +762,14 @@ DOMAIN_ERROR_CONFIGS = {
 
 @pytest.mark.parametrize("case", sorted(DOMAIN_ERROR_CONFIGS))
 def test_cli_domain_errors_exit_2_with_one_line(tmp_path, capsys, case):
-    command, data = DOMAIN_ERROR_CONFIGS[case]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, **data}))
-    out = tmp_path / "out"
-    argv = [command, "--config", str(cfg)]
-    if command == "bounds":
-        argv += ["--out", str(out)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(argv) == 2
+        assert run_cli(tmp_path, *DOMAIN_ERROR_CONFIGS[case]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
-    assert not caught and not out.exists()
+    assert not caught and not (tmp_path / "out").exists()
 
 
 BAD_CONFIG_VALUES = {
@@ -922,18 +902,12 @@ BAD_CONFIG_VALUES = {
 @pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
 def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, case):
     command, data, named = BAD_CONFIG_VALUES[case]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, **data}))
-    out = tmp_path / "out"
-    argv = [command, "--config", str(cfg)]
-    if command in ("bounds", "simulate"):
-        argv += ["--out", str(out)]
-    assert main(argv) == 2
+    assert run_cli(tmp_path, command, data) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:") and named in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def _non_finite_configs():
@@ -954,14 +928,9 @@ NON_FINITE_CONFIGS = {case: rest for case, *rest in _non_finite_configs()}
 @pytest.mark.parametrize("case", sorted(NON_FINITE_CONFIGS))
 def test_cli_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, case):
     command, data, named = NON_FINITE_CONFIGS[case]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema": 1, **data}))  # NaN and Infinity literals
-    argv = [command, "--config", str(cfg)]
-    if command == "bounds":
-        argv += ["--out", str(tmp_path / "out")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(argv) == 2
+        assert run_cli(tmp_path, command, data) == 2  # NaN and Infinity literals
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
     assert line.startswith(f"config error: {named} must be finite")
@@ -970,9 +939,7 @@ def test_cli_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, ca
 
 
 def test_cli_bounds_at_huge_nu_writes_no_nan(tmp_path, capsys):
-    cfg = tmp_path / "bounds.json"
-    cfg.write_text(json.dumps({"schema": 1, "m": 4, "generator": {"family": "t", "nu": 1e300}}))
-    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert run_cli(tmp_path, "bounds", {"m": 4, "generator": {"family": "t", "nu": 1e300}}) == 0
     [csv_path] = (tmp_path / "out").glob("*.csv")
     assert "nan" not in csv_path.read_text().lower()
 
@@ -980,12 +947,10 @@ def test_cli_bounds_at_huge_nu_writes_no_nan(tmp_path, capsys):
 def test_cli_adaptivity_overflowing_geometry_is_one_error_line(tmp_path, capsys):
     # Sigma = s V with s = 1e-200 against Sigma_s = V: the whitened Gram
     # entry of the scale is m / s^2, beyond the float range
-    cfg = tmp_path / "adapt.json"
     spec = {"name": "shape_scale", "s": 1e-200}
-    cfg.write_text(json.dumps({"schema": 1, "parameterization": spec}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["adaptivity", "--config", str(cfg)]) == 2
+        assert run_cli(tmp_path, "adaptivity", {"parameterization": spec}) == 2
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
     assert line.startswith("error: ValueError:") and "not finite" in line
@@ -1003,9 +968,7 @@ def test_cli_adaptivity_overflowing_geometry_is_one_error_line(tmp_path, capsys)
     ids=lambda spec: spec["name"],
 )
 def test_cli_adaptivity_smallest_valid_models_exit_0(tmp_path, capsys, spec):
-    cfg = tmp_path / "adapt.json"
-    cfg.write_text(json.dumps({"schema": 1, "parameterization": spec}))
-    assert main(["adaptivity", "--config", str(cfg)]) == 0
+    assert run_cli(tmp_path, "adaptivity", {"parameterization": spec}) == 0
     assert "efficient-FIM gap" in capsys.readouterr().out
 
 
@@ -1020,9 +983,7 @@ def test_cli_adaptivity_smallest_valid_models_exit_0(tmp_path, capsys, spec):
     ids=lambda spec: spec["name"],
 )
 def test_cli_adaptivity_reals_inside_their_range_exit_0(tmp_path, capsys, spec):
-    cfg = tmp_path / "adapt.json"
-    cfg.write_text(json.dumps({"schema": 1, "parameterization": spec}))
-    assert main(["adaptivity", "--config", str(cfg)]) == 0
+    assert run_cli(tmp_path, "adaptivity", {"parameterization": spec}) == 0
     assert "efficient-FIM gap" in capsys.readouterr().out
 
 
@@ -1033,10 +994,8 @@ def test_cli_adaptivity_verdicts_do_not_depend_on_units(tmp_path, capsys, name, 
     # r_i and sqrt(I_theta[i, i]) both have the units of 1 / theta_i
     verdicts = set()
     for value in (1e-9, 1e-3, 1.0, 1e3, 1e9):
-        cfg = tmp_path / "adapt.json"
         spec = {"name": name, "seed": 5, key: value}
-        cfg.write_text(json.dumps({"schema": 1, "parameterization": spec}))
-        assert main(["adaptivity", "--config", str(cfg)]) == 0, value
+        assert run_cli(tmp_path, "adaptivity", {"parameterization": spec}) == 0, value
         out = capsys.readouterr().out
         satisfied, adaptive = "-> satisfied" in out, "-> adaptive" in out
         assert satisfied == adaptive, (value, out)
@@ -1083,15 +1042,35 @@ def test_cli_bounds_chain_holds_on_well_posed_scatters(tmp_path, capsys, case, s
     # ill-conditioned V; only the dense cond-1e4 scatter is beyond what float
     # can resolve, and it is reported so
     m, sigma, generator = CHAIN_SWEEP[case]
-    cfg = tmp_path / "bounds.json"
-    cfg.write_text(json.dumps({"schema": 1, "m": m, "scale": scale, "generator": generator, "sigma": sigma}))
+    data = {"m": m, "scale": scale, "generator": generator, "sigma": sigma}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        code = run_cli(tmp_path, "bounds", data)
     out = capsys.readouterr().out
     assert code == 0, out
     assert not caught and "FAIL" not in out
     assert ("[unresolved]" in out) == case.startswith("dense_cond_1e4"), out
+
+
+@pytest.mark.parametrize(
+    "sigma, warned",
+    [({"kind": "matrix", "values": np.diag([1e-9, 1, 1, 1]).tolist()}, True),
+     ({"kind": "identity"}, False)],
+    ids=["diag_1e-9", "identity"],
+)
+def test_cli_bounds_warns_once_of_unresolved_links(tmp_path, capsys, sigma, warned):
+    assert run_cli(tmp_path, "bounds", {"m": 4, "scale": "trace", "sigma": sigma}) == 0
+    csv_path = tmp_path / "out" / "bounds_trace_gaussian.csv"
+    assert csv_path.stat().st_size > 0
+    captured = capsys.readouterr()
+    count = captured.out.count("[unresolved]")
+    assert (count > 0) == warned
+    if warned:
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"warning: {count} chain link(s) [unresolved]")
+        assert str(csv_path) in line
+    else:
+        assert captured.err == ""
 
 
 def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):
@@ -1103,9 +1082,7 @@ def test_cli_failing_chain_keeps_exit_1(tmp_path, capsys, monkeypatch):
         return report
 
     monkeypatch.setattr(bounds, "verify_chain", failing_chain)
-    cfg = tmp_path / "bounds.json"
-    cfg.write_text(json.dumps({"schema": 1, "m": 3, "scale": "det"}))
-    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert run_cli(tmp_path, "bounds", {"m": 3, "scale": "det"}) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

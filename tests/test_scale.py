@@ -6,7 +6,6 @@ from scipy.optimize import brentq
 import dense_oracles as dense
 from ellipfim.invariants import ALL_SCALES
 from ellipfim.matcalc import (
-    duplication_matrix,
     ovecs,
     unvecs,
     vec,
@@ -17,7 +16,6 @@ from ellipfim.scale import (
     DET_ROOT,
     FIRST_ELEMENT,
     NORMALIZED_TRACE,
-    SCALES,
     ManifoldError,
     constraint_gradient_vecs,
     decompose,
