@@ -8,6 +8,14 @@ so the general and specialized expressions can be compared directly.
 Positive-definite inversions go through Cholesky after a strict symmetry
 check: all bound matrices are PD by theory, so a factorization failure is
 an upstream bug and should fail loudly.
+
+Memory.  With d = m(m+1)/2, each bound is one d x d array (or one less),
+filled a cache-sized row block of the entrywise core at a time and
+symmetrized in place.  The ``ellipfim bounds`` command keeps two of them,
+``crb_shape`` and ``crb_vecs_sigma``, and ``verify_chain`` adds at most
+three (its bound, one FIM and one work array), so five d x d arrays are
+alive at its peak; ``write_bounds_csv`` needs, per block, a 32-bit index
+and the texts of the distinct entries, about two d x d arrays' worth.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from scipy import linalg
 from scipy.linalg import blas
 
 from .generators import DensityGenerator
-from .matcalc import _sym_kron_core, vecs, vecs_len
+from .matcalc import _CORE_BLOCK_DOUBLES, _core_row_blocks, _symmetrize, vecs, vecs_len
 from .scale import DET_ROOT, ScaleFunctional, decompose, grad_v11
 from . import fim as fim_mod
 
@@ -99,19 +107,24 @@ def _require_ovecs(m):
         raise ValueError("ovecs requires m >= 2")
 
 
-def _core_minus_rank2(a, x, y):
-    """D_m^+ (I + K_m)(A (x) A) D_m^+T - x y^T - y x^T."""
-    out = _sym_kron_core(a)
-    rank1 = np.outer(x, y)
-    out -= rank1
-    out -= rank1.T
-    return out
+def _bound_from_core(a, x, y, start, alpha):
+    """(B + B^T) / (2 alpha) for B the core of A less x y^T + y x^T, rows
+    and columns ``start:``.
 
-
-def _symmetric_bound(x, alpha):
-    out = x + x.T
-    out *= 0.5 / alpha
-    return out
+    The core is D_m^+ (I + K_m)(A (x) A) D_m^+T.  Each row block of B is a
+    fresh row block of the core (:func:`~ellipfim.matcalc._core_row_blocks`)
+    less its part of the two rank-one terms, written into the one result,
+    which is then symmetrized in place; entry (p, q) is the whole-array
+    form's to the bit.
+    """
+    out = np.empty((len(x) - start, len(x) - start))
+    xs, ys = x[start:], y[start:]
+    for lo, blk in _core_row_blocks(a, start):
+        rows = slice(lo, lo + blk.shape[0])
+        blk -= x[rows, None] * ys
+        blk -= y[rows, None] * xs
+        out[lo - start : lo - start + blk.shape[0]] = blk
+    return _symmetrize(out, 0.5 / alpha)
 
 
 def crb_shape(scale: ScaleFunctional, v, gen: DensityGenerator):
@@ -130,7 +143,7 @@ def crb_shape(scale: ScaleFunctional, v, gen: DensityGenerator):
     vgv = v @ g @ v
     a = vecs(decompose(scale, v).v)
     c = 2.0 * vecs(vgv) - np.sum(g * vgv) * a
-    return _symmetric_bound(_core_minus_rank2(v, a, c)[1:, 1:], gen.alpha(m))
+    return _bound_from_core(v, a, c, 1, gen.alpha(m))
 
 
 def crb_shape_det_root(v, gen: DensityGenerator):
@@ -139,7 +152,7 @@ def crb_shape_det_root(v, gen: DensityGenerator):
     m = v.shape[0]
     _require_ovecs(m)
     a = vecs(v)
-    return _symmetric_bound(_core_minus_rank2(v, a, a / m)[1:, 1:], gen.alpha(m))
+    return _bound_from_core(v, a, a / m, 1, gen.alpha(m))
 
 
 @dataclass(frozen=True)
@@ -200,7 +213,7 @@ def crb_vecs_sigma(sigma, gen: DensityGenerator):
     m = sigma.shape[0]
     alpha = gen.alpha(m)
     a = vecs(sigma)
-    return _symmetric_bound(_core_minus_rank2(sigma, a, _rank1_coeff(alpha, m) * a), alpha)
+    return _bound_from_core(sigma, a, _rank1_coeff(alpha, m) * a, 0, alpha)
 
 
 @dataclass
@@ -272,6 +285,7 @@ class ChainLink:
     passed: bool | None  # None: float precision cannot resolve the link
     value: float
     note: str
+    tol: float  # the bound on the link's residual (``_chain_tolerance``)
 
 
 @dataclass
@@ -311,14 +325,31 @@ def _chain_tolerance(scale: ScaleFunctional, v):
     return _CHAIN_TOL * v.shape[0] * (kappa * f) ** 2
 
 
-def _whitened_residual(x, a):
-    """||R X R^T - I||_F with A = R^T R: the eigenvalues of X A less one, so
-    the value does not depend on the chart, and a bound off by a relative
-    delta reads delta sqrt(d) however ill-conditioned A is."""
-    r = linalg.cholesky(a)
-    res = blas.dtrmm(1.0, r, blas.dtrmm(1.0, r, x), side=1, trans_a=1)
+def _whitened_residual(x, a, overwrite_x=False):
+    """||R X R^T - I||_F with A = R^T R, for a symmetric X: the eigenvalues
+    of X A less one, so the value does not depend on the chart, and a bound
+    off by a relative delta reads delta sqrt(d) however ill-conditioned A is.
+
+    It is inf when A is not PD to working precision.  A is factored in
+    place when it is Fortran-ordered (else LAPACK factors a copy), and
+    R X R^T is formed in one work array: X^T = X itself, Fortran-ordered,
+    when ``overwrite_x``.
+    """
+    try:
+        r = linalg.cholesky(a, overwrite_a=True)
+    except linalg.LinAlgError:
+        return np.inf
+    res = blas.dtrmm(1.0, r, x.T, overwrite_b=overwrite_x)
+    res = blas.dtrmm(1.0, r, res, side=1, trans_a=1, overwrite_b=True)
     res[np.diag_indices_from(res)] -= 1.0
     return float(np.linalg.norm(res))
+
+
+def _require_finite(fim, gen: DensityGenerator):
+    if not np.isfinite(fim).all():
+        raise ValueError(
+            f"the shape FIM under {gen.name} is not finite: V^-1 (x) V^-1 overflows"
+        )
 
 
 # the FIMs grow as V^-1 (x) V^-1: a non-finite one raises
@@ -341,41 +372,51 @@ def verify_chain(
     Where the tolerance exceeds sqrt(eps) every link is reported
     unresolved: float precision cannot tell a right bound from one wrong
     in half its digits.
+
+    Per generator at most three (m(m+1)/2 - 1)-square arrays are alive:
+    the bound, one FIM and one work array.  The efficient FIM is built
+    Fortran-ordered and factored in place, and its link whitens a copy of
+    the bound; then the scale-known FIM is built, the no-nuisance bound is
+    formed in place from the shared one, and its link whitens it in place.
     """
     v = np.asarray(v, dtype=float)
     tol = _chain_tolerance(scale, v)
     resolved = tol < _CHAIN_RESOLUTION
     links = []
+
+    def link(name, gen, err, value):
+        note = _CHAIN_NOTES[name] if resolved else "float precision cannot resolve this link"
+        passed = bool(err < tol) if resolved else None
+        return ChainLink(name, gen.name, passed, value, f"{note} (tol {tol:.1e})", tol)
+
     for gen in gens:
         bound = crb_shape(scale, v, gen)
-        eff = fim_mod.efficient_fim_shape(v, scale, gen)
+        eff = fim_mod._efficient_fim_shape(v, scale, gen, "F")
+        _require_finite(eff, gen)
+        err = _whitened_residual(bound, eff)
+        links.append(link("shared_bound_inverts_efficient_fim", gen, err, err))
+        del eff
         i_v = fim_mod.fim_eta(v, 1.0, scale, gen).i_v
-        if not (np.isfinite(eff).all() and np.isfinite(i_v).all()):
-            raise ValueError(
-                f"the shape FIM under {gen.name} is not finite: V^-1 (x) V^-1 overflows"
-            )
+        _require_finite(i_v, gen)
         u = _scale_known_gap(scale, v, gen)
         gap = float(u @ i_v @ u)
-        gap_link = "strict_gap" if gap > min(tol, _CHAIN_RESOLUTION) else "equality"
-        for name, x, a in (
-            ("shared_bound_inverts_efficient_fim", bound, eff),
-            (f"no_nuisance_bound_{gap_link}", bound - np.outer(u, u), i_v),
-        ):
-            try:
-                err = _whitened_residual(x, a)
-            except linalg.LinAlgError:  # the FIM is not PD to working precision
-                err = np.inf
-            note = _CHAIN_NOTES[name] if resolved else "float precision cannot resolve this link"
-            passed = bool(err < tol) if resolved else None
-            value = gap if name.endswith("strict_gap") else err
-            links.append(ChainLink(name, gen.name, passed, value, f"{note} (tol {tol:.1e})"))
+        # the no-nuisance bound, bound - u u^T, in place
+        step = max(1, _CORE_BLOCK_DOUBLES // len(u))
+        for lo in range(0, len(u), step):
+            bound[lo : lo + step] -= u[lo : lo + step, None] * u
+        err = _whitened_residual(bound, i_v, overwrite_x=True)
+        del bound, i_v
+        if gap > min(tol, _CHAIN_RESOLUTION):
+            links.append(link("no_nuisance_bound_strict_gap", gen, err, gap))
+        else:
+            links.append(link("no_nuisance_bound_equality", gen, err, err))
     return ChainReport(scale_kind=scale.kind, links=links)
 
 
 # the longest %.17g text of a double, as in "-1.2345678901234567e-308"
 _VALUE_WIDTH = 24
-_CHUNK_BYTES = 1 << 20
-_FORMAT_SLICE = 1 << 14  # distinct values formatted per %-string
+_CHUNK_BYTES = 1 << 18
+_FORMAT_SLICE = 1 << 12  # distinct values formatted per %-string
 
 
 def _distinct_bits(mat):
@@ -383,15 +424,30 @@ def _distinct_bits(mat):
 
     Bit patterns, not values, keep 0.0 and -0.0 apart.  A bitwise-symmetric
     block, such as ``crb_shape`` or ``crb_vecs_sigma`` (formed as x + x^T),
-    sorts only its upper triangle.
+    sorts only its upper triangle.  The indices are 32-bit wherever they
+    fit, and each temporary is dropped as soon as the next is formed.
     """
     bits = mat.view(np.uint64)
-    if mat.shape[0] != mat.shape[1] or not np.array_equal(bits, bits.T):
-        distinct, where = np.unique(bits, return_inverse=True)
-        return distinct, where.reshape(mat.shape)
-    upper = np.triu_indices(mat.shape[0])
-    distinct, inverse = np.unique(bits[upper], return_inverse=True)
-    where = np.empty(mat.shape, dtype=np.intp)
+    upper = None
+    if mat.shape[0] == mat.shape[1] and np.array_equal(bits, bits.T):
+        upper = np.triu(np.ones(mat.shape, dtype=bool))
+    vals = bits.reshape(-1) if upper is None else bits[upper]
+    order = vals.argsort()
+    vals = vals[order]
+    first = np.empty(vals.size, dtype=bool)
+    first[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    distinct = vals[first]
+    del vals
+    index = np.int32 if first.size < 2**31 else np.intp
+    rank = np.cumsum(first, dtype=index)
+    rank -= 1
+    inverse = np.empty(rank.size, dtype=index)
+    inverse[order] = rank
+    del order, rank
+    if upper is None:
+        return distinct, inverse.reshape(mat.shape)
+    where = np.empty(mat.shape, dtype=index)
     where[upper] = inverse
     where.T[upper] = inverse
     return distinct, where
@@ -404,10 +460,12 @@ def write_bounds_csv(bounds: BoundSet, path):
     platform.  Each block formats every distinct bit pattern once, into a
     space-padded field of the widest %.17g text; a format string covers a
     fixed slice of the distinct values, so no text holds a whole block.
-    The file is then streamed in chunks of about a mebibyte: each line is
-    laid out in fixed-width fields (row prefix, column, value, newline),
-    and since no field's text holds a space, dropping every space byte
-    leaves the lines.
+    The file is then streamed in chunks of about a quarter mebibyte: each
+    line is laid out in fixed-width fields (row prefix, column, value,
+    newline), and since no field's text holds a space, dropping every
+    space byte leaves the lines.  Besides the block, the largest arrays
+    alive are the 32-bit index of each entry's text and the texts (about
+    4 and 12 bytes per entry of a symmetric block).
     """
     with open(path, "wb") as fh:
         fh.write(b"block,row,col,value\n")
@@ -423,6 +481,7 @@ def write_bounds_csv(bounds: BoundSet, path):
                 text[k * _VALUE_WIDTH : (k + len(part)) * _VALUE_WIDTH] = (
                     (f"%-{_VALUE_WIDTH}.17g" * len(part)) % tuple(part)
                 ).encode("ascii")
+            del distinct
             values = np.frombuffer(text, dtype=f"V{_VALUE_WIDTH}")
             wr, wc = len(f"{name},{nrow - 1},"), len(f"{ncol - 1},")
             rows = np.array([f"{name},{i},".ljust(wr) for i in range(nrow)], dtype=f"S{wr}")

@@ -184,10 +184,17 @@ def cmd_bounds(args) -> int:
             f"{csv_path} holds bounds the chain could not check",
             file=sys.stderr,
         )
-    print(report.format_table())
-    print(f"trace(crb_shape) = {np.trace(bset.crb_shape):.12g}")
-    print(f"crb_scale = {bset.crb_scale:.12g}")
-    print(f"wrote {csv_path}")
+    if args.json:
+        links = [{"name": l.name, "generator": l.generator, "passed": l.passed,
+                  "value": l.value, "tol": l.tol} for l in report.links]
+        print(json.dumps({"scale": scale.kind, "generator": gen.name, "m": m,
+                          "trace_crb_shape": float(np.trace(bset.crb_shape)),
+                          "crb_scale": bset.crb_scale, "csv": str(csv_path), "links": links}))
+    else:
+        print(report.format_table())
+        print(f"trace(crb_shape) = {np.trace(bset.crb_shape):.12g}")
+        print(f"crb_scale = {bset.crb_scale:.12g}")
+        print(f"wrote {csv_path}")
     return 0 if report.passed else 1
 
 
@@ -247,6 +254,12 @@ def cmd_adaptivity(args) -> int:
     report = verify_adaptivity_by_fim(param, theta0, gen)
     cond = report.condition
     residual = cond.scaled_residual.max()  # before any output: exit 2 prints nothing
+    if args.json:
+        print(json.dumps({"name": param.name, "q": param.q, "r": param.r, "generator": gen.name,
+                          "condition_residual": float(residual), "tol": cond.tol,
+                          "satisfied": cond.satisfied, "gap": report.gap,
+                          "gap_rel": report.gap_rel, "adaptive": report.adaptive}))
+        return 0
     print(f"parameterization: {param.name} (q={param.q}, r={param.r})")
     print(f"generator:        {gen.name}")
     print(f"condition residual (max |r_i| / sqrt(I_ii)): {residual:.3e} "
@@ -292,10 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_b = sub.add_parser("bounds", help="bound matrices and the equality chain")
     p_b.add_argument("--config", required=True)
     p_b.add_argument("--out", default=".")
+    p_b.add_argument("--json", action="store_true", help="print the results as one JSON object")
     p_b.set_defaults(fn=cmd_bounds)
 
     p_a = sub.add_parser("adaptivity", help="adaptivity condition checker")
     p_a.add_argument("--config", required=True)
+    p_a.add_argument("--json", action="store_true", help="print the verdicts as one JSON object")
     p_a.set_defaults(fn=cmd_adaptivity)
 
     p_v = sub.add_parser("verify", help="run the invariant suite")

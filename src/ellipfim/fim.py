@@ -14,6 +14,19 @@ Q = (x - mu)^T W and phibar(Q), with Sigma^-1 from the same Cholesky
 factor.  Each accepts a single observation (m,) or a batch (n, m) and
 returns the matching shape.  At x = mu (Q = 0) phibar is taken as 0: the
 location score is zero and every phibar term drops out.
+
+Memory.  Each FIM of the shape or of vecs(Sigma) is one d x d array
+(d = m(m+1)/2 or one less), filled a cache-sized row block at a time:
+the block of the entrywise core gets its scaling, its rank-one term and
+the K_V sandwich in place before it is written, so each builder holds
+one d x d array at its peak.  The stacked (T, d, d) R-step Gram is the
+same fill over a stack.  A parameterized model's FIMs (d the number of
+coordinates) need the (d, m, m) Jacobian stack, about two d x d arrays
+at the paper's sizes (d is about m^2 / 2): ``model_geometry`` holds it
+beside either the identifiability stack and its one LAPACK copy or the
+whitened stack, and drops it before forming its two Grams, so at most
+four d x d arrays' worth are alive; ``verify_adaptivity_by_fim`` then
+holds at most three (see there).
 """
 
 from __future__ import annotations
@@ -24,7 +37,15 @@ import numpy as np
 from scipy import linalg
 
 from .generators import DensityGenerator
-from .matcalc import _dup_gram, _dup_t_vec, _sym_kron_core, vecs
+from .matcalc import (
+    _CORE_BLOCK_DOUBLES,
+    _core_row_blocks,
+    _dup_gram,
+    _dup_t_vec,
+    _symmetrize,
+    _tril_indices_colmajor,
+    vecs_len,
+)
 from .scale import ScaleFunctional, grad_v11
 
 __all__ = [
@@ -111,22 +132,42 @@ class FimBlocksEta:
         return out
 
 
+def _information_rows(a_inv, y, c_kron, c_rank1, start=0):
+    """Rows of D_m^T [c_kron (A^-1 (x) A^-1) + c_rank1 y y^T] D_m from
+    ``start`` on, columns ``start:``, as ``(lo, block)`` pairs, where
+    y = D_m^T vec(A^-1).
+
+    Each block is a fresh cache-sized row block of the entrywise core
+    (:func:`~ellipfim.matcalc._core_row_blocks`), scaled by F = diag(D_m^T
+    D_m) on both sides and given its part of the rank-one term in place,
+    so nothing of size m(m+1)/2 x m(m+1)/2 besides the caller's result is
+    formed.
+    """
+    f = _dup_gram(a_inv.shape[-1])
+    ry = c_rank1 * y
+    for lo, x in _core_row_blocks(a_inv, start):
+        hi = lo + x.shape[-2]
+        x *= f[start:]
+        x *= f[lo:hi, None]
+        x *= 0.5 * c_kron
+        x += ry[..., lo:hi, None] * y[..., None, start:]
+        yield lo, x
+
+
 def _vecs_information(a_inv, c_kron, c_rank1):
     """D_m^T [c_kron (A^-1 (x) A^-1) + c_rank1 vec(A^-1) vec(A^-1)^T] D_m.
 
-    Also returns y = D_m^T vec(A^-1).  Built from the entrywise core, so
-    nothing of size m^2 x m^2 is formed; a stack of matrices (leading
-    axes) gives a stack of results.  With (c_kron, c_rank1) = (1, -1/m) and
-    A = V this is the Gram Upsilon_V Upsilon_V^T of the R-estimator.
+    Also returns y = D_m^T vec(A^-1).  Filled from :func:`_information_rows`
+    into one array; a stack of matrices (leading axes) gives a stack of
+    results.  With (c_kron, c_rank1) = (1, -1/m) and A = V this is the Gram
+    Upsilon_V Upsilon_V^T of the R-estimator.
     """
-    f = _dup_gram(a_inv.shape[-1])
+    nh = vecs_len(a_inv.shape[-1])
     y = _dup_t_vec(a_inv)
-    x = _sym_kron_core(a_inv)
-    x *= f
-    x *= f[:, None]
-    x *= 0.5 * c_kron
-    x += (c_rank1 * y)[..., :, None] * y[..., None, :]
-    return x, y
+    out = np.empty(a_inv.shape[:-2] + (nh, nh))
+    for lo, x in _information_rows(a_inv, y, c_kron, c_rank1):
+        out[..., lo : lo + x.shape[-2], :] = x
+    return out, y
 
 
 def _tangent_vec(y, k):
@@ -134,14 +175,39 @@ def _tangent_vec(y, k):
     return y[..., 1:] + y[..., :1] * k
 
 
-def _tangent_sandwich(x, k):
-    """K_V^T X K_V for a symmetric X, with K_V = [k^T; I]."""
-    z = x[1:, 0] + 0.5 * x[0, 0] * k
-    return x[1:, 1:] + (np.outer(k, z) + np.outer(z, k))
+def _shape_information(v_inv, k, c_kron, c_rank1, coef, order="C"):
+    """coef K_V^T X K_V, with K_V = [k^T; I] and X the information of
+    :func:`_vecs_information` at A = V.
+
+    With z = x_{1:,0} + x_00 k / 2, K_V^T X K_V = X_{1:,1:} + k z^T + z k^T
+    for a symmetric X.  Column 0 of X comes from row 0 of the core (which
+    is exactly symmetric), and each later row block of X gets its part of
+    the two rank-one terms and the factor ``coef`` in place before it is
+    written into the one result, C- or Fortran-ordered by ``order``.
+    """
+    f = _dup_gram(v_inv.shape[-1])
+    y = _dup_t_vec(v_inv)
+    _, core0 = next(_core_row_blocks(v_inv, 0, 1))
+    col0 = core0[0] * f[0]
+    col0 *= f
+    col0 *= 0.5 * c_kron
+    col0 += (c_rank1 * y) * y[0]
+    z = col0[1:] + 0.5 * col0[0] * k
+    out = np.empty((len(k), len(k)), order=order)
+    for lo, x in _information_rows(v_inv, y, c_kron, c_rank1, start=1):
+        rows = slice(lo - 1, lo - 1 + x.shape[0])
+        x += k[rows, None] * z + z[rows, None] * k
+        x *= coef
+        out[rows] = x
+    return out
 
 
 def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta:
-    """Analytic FIM blocks for (mu, ovecs V, s)."""
+    """Analytic FIM blocks for (mu, ovecs V, s).
+
+    The shape block is the one m(m+1)/2 - 1 square array built, filled
+    row block by row block (:func:`_shape_information`).
+    """
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
     alpha = gen.alpha(m)
@@ -149,25 +215,32 @@ def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta
     v_inv = np.linalg.inv(v)
     k = grad_v11(scale, v)
     # M_S = K_V^T D_m^T turns D_m^T-weighted vecs quantities into ovecs ones
-    x, y = _vecs_information(v_inv, 2.0 * alpha, alpha - 1.0)
     i_mu = beta * v_inv / s
-    i_v = 0.25 * _tangent_sandwich(x, k)
+    i_v = _shape_information(v_inv, k, 2.0 * alpha, alpha - 1.0, 0.25)
     i_s = (m * (m + 2) * alpha - m * m) / (4.0 * s * s)
-    i_vs = ((m + 2) * alpha - m) / (4.0 * s) * _tangent_vec(y, k)
+    i_vs = ((m + 2) * alpha - m) / (4.0 * s) * _tangent_vec(_dup_t_vec(v_inv), k)
     return FimBlocksEta(i_mu=i_mu, i_v=i_v, i_s=i_s, i_vs=i_vs)
 
 
-def efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator):
-    """Semiparametric efficient FIM for the shape: the scale-projected block."""
+def _efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator, order):
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
     alpha = gen.alpha(m)
-    x, _ = _vecs_information(np.linalg.inv(v), 1.0, -1.0 / m)
-    return 0.5 * alpha * _tangent_sandwich(x, grad_v11(scale, v))
+    v_inv = np.linalg.inv(v)
+    return _shape_information(v_inv, grad_v11(scale, v), 1.0, -1.0 / m, 0.5 * alpha, order)
+
+
+def efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator):
+    """Semiparametric efficient FIM for the shape: the scale-projected block.
+
+    One m(m+1)/2 - 1 square array is built (:func:`_shape_information`).
+    """
+    return _efficient_fim_shape(v, scale, gen, "C")
 
 
 def fim_vecs_sigma(sigma, gen: DensityGenerator):
-    """FIM of vecs(Sigma) in the scatter parameterization."""
+    """FIM of vecs(Sigma) in the scatter parameterization, built as one
+    m(m+1)/2 square array (:func:`_vecs_information`)."""
     sigma = np.asarray(sigma, dtype=float)
     alpha = gen.alpha(sigma.shape[0])
     x, _ = _vecs_information(np.linalg.inv(sigma), 0.5 * alpha, 0.25 * (alpha - 1.0))
@@ -196,11 +269,24 @@ def _identifiability_stack(j_mu, j_sig):
     rotating each such row pair by 45 degrees is orthogonal, so this
     (m + m(m+1)/2) x d stack has the singular values and the Frobenius
     norm of [J_mu; J_vecSigma].  Each Sigma_i is symmetrized first, which
-    keeps the (a + b) / sqrt(2) row of each rotated pair.
+    keeps the (a + b) / sqrt(2) row of each rotated pair.  The rows are
+    gathered straight into the one fresh stack, a cache-sized group of
+    the Sigma_i at a time.
     """
     m = j_mu.shape[0]
-    rows = np.sqrt(_dup_gram(m)) * vecs(0.5 * (j_sig + np.swapaxes(j_sig, -1, -2)))
-    return np.vstack([j_mu, rows.T])
+    d = j_sig.shape[0]
+    r, c = _tril_indices_colmajor(m)
+    root_f = np.sqrt(_dup_gram(m))
+    stacked = np.empty((m + r.size, d))
+    stacked[:m] = j_mu
+    step = max(1, _CORE_BLOCK_DOUBLES // (m * m))
+    for lo in range(0, d, step):
+        part = j_sig[lo : lo + step]
+        rows = part[:, r, c] + part[:, c, r]
+        rows *= 0.5
+        rows *= root_f
+        stacked[m:, lo : lo + step] = rows.T
+    return stacked
 
 
 _RANK_CERTIFICATE_MARGIN = 1e3
@@ -216,25 +302,35 @@ def _identifiable(j_mu, j_sig) -> bool:
     sigma_min(U) = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F, so 1 / ||R^-1||_F >
     c tol certifies it without an SVD; c = ``_RANK_CERTIFICATE_MARGIN``
     covers the QR backward error (about d eps sqrt(d)) and the rounding of
-    trtri.  Wherever that bound cannot decide, the SVD of ``matrix_rank``
-    does, and a U with fewer rows than d has rank below d.
+    trtri.  The R of U^T = R Q has the singular values of U; LAPACK writes
+    it over one copy of the stack, and trtri inverts it in place.
+    Wherever that bound cannot decide, the SVD of ``matrix_rank`` does,
+    and a U with fewer rows than d has rank below d.
     """
-    stacked = _identifiability_stack(j_mu, j_sig)
-    if not np.isfinite(stacked).all():  # LAPACK would print its error to stdout
+    unit = _identifiability_stack(j_mu, j_sig)
+    if not np.isfinite(unit).all():  # LAPACK would print its error to stdout
         return False
-    peak = np.abs(stacked).max(axis=0)
+    # no column norm over- or underflows in units of the largest entry
+    peak = np.maximum(unit.max(axis=0), -unit.min(axis=0))
     if not peak.all():
         return False
-    unit = stacked / peak  # no column norm over- or underflows
-    unit /= np.linalg.norm(unit, axis=0)
+    unit /= peak
+    unit /= np.sqrt(np.einsum("ij,ij->j", unit, unit))
     rows, d = unit.shape
     if rows < d:
         return False
     tol = 1e-10 * np.sqrt(d)
     if d:  # LAPACK would print an error for the empty triangle
-        r_inv, info = linalg.lapack.dtrtri(np.linalg.qr(unit, mode="r"))
+        # U^T = R Q, R (d x d) upper triangular in the last d columns; the
+        # workspace of 32 d is what LAPACK's query asks for (the default
+        # d x 3 runs it about 1.5x slower)
+        tri = linalg.lapack.dgerqf(unit.T, lwork=32 * d)[0][:, rows - d :]
+        for j in range(d - 1):  # the Householder vectors below R
+            tri[j + 1 :, j] = 0.0
+        r_inv, info = linalg.lapack.dtrtri(tri, overwrite_c=1)
         if info == 0 and 1.0 / np.linalg.norm(r_inv) > _RANK_CERTIFICATE_MARGIN * tol:
             return True
+        del tri, r_inv
     return bool(np.linalg.matrix_rank(unit, tol=tol) == d)
 
 
@@ -272,12 +368,18 @@ def model_geometry(param, theta0) -> ModelGeometry:
     # a Sigma_i far larger than Sigma (theta in extreme units) overflows the
     # products; that is reported once below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        slices = l_inv @ j_sig @ l_inv.T
+        slices = np.empty(j_sig.shape)
+        step = max(1, _CORE_BLOCK_DOUBLES // (m * m))
+        for lo in range(0, len(j_sig), step):
+            np.matmul(l_inv @ j_sig[lo : lo + step], l_inv.T, out=slices[lo : lo + step])
+        del j_sig  # the Grams need only the whitened slices
         # G_i is symmetric, so tr(G_i G_j) is the inner product of the entries
         flat = slices.reshape(slices.shape[0], m * m)
-        w_mu = l_inv @ j_mu
-        mu_gram, sigma_gram = w_mu.T @ w_mu, flat @ flat.T
+        sigma_gram = flat @ flat.T
         trace = np.trace(slices, axis1=1, axis2=2)
+        del slices, flat
+        w_mu = l_inv @ j_mu
+        mu_gram = w_mu.T @ w_mu
         # sum_i t_i^2 bounds every entry of the rank-one term t t^T
         finite = all(np.isfinite(x).all() for x in (mu_gram, sigma_gram, trace @ trace))
     if not finite:
@@ -291,8 +393,14 @@ def model_geometry(param, theta0) -> ModelGeometry:
     )
 
 
-def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: bool):
-    """The FIM of theta; the two kinds differ in the coefficient of t t^T only."""
+def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: bool, out=None):
+    """The FIM of theta; the two kinds differ in the coefficient of t t^T only.
+
+    Built as one d x d array, a cache-sized row block of beta J_mu^T
+    Sigma^-1 J_mu + alpha / 2 (Sigma Gram + c t t^T) at a time, and then
+    symmetrized in place.  Each block reads only its own rows of the
+    Grams, so ``out`` may be ``geometry.sigma_gram`` itself.
+    """
     if not geometry.identifiable:
         raise IdentifiabilityError(_NOT_IDENTIFIABLE)
     m = geometry.m
@@ -301,11 +409,19 @@ def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: b
         rank1 = 2.0 / (alpha * gen.sigma_q2(m)) - 1.0 / m
     else:
         rank1 = 0.5 * (1.0 - 1.0 / alpha)
+    beta = gen.beta(m)
     t = geometry.sigma_trace
-    out = gen.beta(m) * geometry.mu_gram + 0.5 * alpha * (
-        geometry.sigma_gram + rank1 * np.outer(t, t)
-    )
-    return 0.5 * (out + out.T)
+    out = np.empty(geometry.sigma_gram.shape) if out is None else out
+    step = max(1, _CORE_BLOCK_DOUBLES // max(1, len(t)))
+    for lo in range(0, len(t), step):
+        rows = slice(lo, lo + step)
+        blk = t[rows, None] * t
+        blk *= rank1
+        blk += geometry.sigma_gram[rows]
+        blk *= 0.5 * alpha
+        blk += beta * geometry.mu_gram[rows]
+        out[rows] = blk
+    return _symmetrize(out, 0.5)
 
 
 def fim_theta(param, theta0, gen: DensityGenerator):
@@ -363,9 +479,13 @@ def _project_nuisance(fim, q: int, t=None):
     except linalg.LinAlgError as exc:
         raise IdentifiabilityError("singular nuisance information block") from exc
     sol = linalg.cho_solve(cho, rhs)
-    out = fim[:q, :q] - i_ge @ sol[:, :q]
+    # the complement is formed in place, a cache-sized row block at a time
+    out = np.array(fim[:q, :q])
+    step = max(1, _CORE_BLOCK_DOUBLES // max(1, q))
+    for lo in range(0, q, step):
+        out[lo : lo + step] -= i_ge[lo : lo + step] @ sol[:, :q]
     residual = None if t is None else t[:q] - i_ge @ sol[:, q]
-    return 0.5 * (out + out.T), residual
+    return _symmetrize(out, 0.5), residual
 
 
 def efficient_fim_interest(fim, q: int):

@@ -19,7 +19,8 @@ with the tests (criterion n: ``tests/test_acceptance.py``) and the
     equality_chains        criterion 3; bounds.equality_chain
     adaptivity_condition   criterion 4; adaptivity.condition
     moment_identities      criterion 5; elliptical.moment_identities
-    empirical_fims_mc      criterion 6; mc.empirical_fims
+    empirical_fims_mc      criterion 6, test_fim_theta_monte_carlo,
+                           test_sfim_theta_monte_carlo; mc.empirical_fims
     complex_consistency    criterion 8; complex_ces.recipe_consistency
     duplication_rank       test_duplication_full_column_rank; matcalc.duplication_rank
     projection_identity    test_projection_identity_coefficients; scores_fim.projection_identity
@@ -38,9 +39,9 @@ Every Monte-Carlo band, here and in the tests (criterion 6 and the bands
 of ``test_fim.py``, ``test_generators.py`` and ``test_complexces.py``),
 reads its z from ``max_z``; each caller keeps its own seed, n and band.
 
-The independent oracles stay in the tests: criterion 5's mpmath
-quadrature, the dense Kronecker forms and the granular scale and matcalc
-cases.
+The independent oracles stay in the tests: the mpmath quadrature that
+criterion 5 and the generator tests share, the dense Kronecker forms and
+the granular scale and matcalc cases.
 """
 
 from __future__ import annotations
@@ -378,30 +379,25 @@ def max_z(samples, target=0.0):
     return float((np.abs(samples.mean(axis=0) - target) / se).max())
 
 
-def empirical_fims_mc(cases, m, n):
-    """Largest |z| of the parametric FIM and the SFIM against the outer
-    products of the score and of the efficient score.
+def empirical_fims_mc(cases, n):
+    """Largest |z| of the parametric FIM against the score outer products,
+    and of the SFIM against those of the efficient score, as a pair.
 
-    Each case is (generator, model seed, sample seed): the model is
-    ``low_rank_example`` (m, gamma0 = (0.7, 1.9), noise 0.5) drawn from
-    the model seed, and the n observations come from the sample seed.
+    Each case is (generator, parameterization, theta0, sample seed): the
+    n observations are drawn at Sigma(theta0) from the sample seed.
     """
-    worst = 0.0
-    for gen, model_seed, sample_seed in cases:
-        param, theta0 = low_rank_example(
-            np.random.default_rng(model_seed), m, [0.7, 1.9], 0.5
-        )
-        x = sample(n, np.zeros(m), param.sigma_fn(theta0), gen, seed=sample_seed)
-        for score_fn, info in (
+    worst = [0.0, 0.0]
+    for gen, param, theta0, sample_seed in cases:
+        sigma = param.sigma_fn(theta0)
+        x = sample(n, np.zeros(len(sigma)), sigma, gen, seed=sample_seed)
+        for i, (score_fn, info) in enumerate((
             (fim_mod.score_theta, fim_mod.fim_theta),
             (fim_mod.efficient_score_theta, fim_mod.sfim_theta),
-        ):
+        )):
             scores = score_fn(x, param, theta0, gen)
-            worst = max(
-                worst,
-                max_z(np.einsum("ni,nj->nij", scores, scores), info(param, theta0, gen)),
-            )
-    return worst
+            z = max_z(np.einsum("ni,nj->nij", scores, scores), info(param, theta0, gen))
+            worst[i] = max(worst[i], z)
+    return tuple(worst)
 
 
 def score_zero_mean(gen, scale, sigma, n, seed):
@@ -679,9 +675,9 @@ def _check_score_zero_mean_mc():
 
 
 def _check_empirical_fims_mc():
-    cases = ((gaussian(), 11, (11, 99)), (student_t(8), 12, (12, 99)))
-    worst_z = empirical_fims_mc(cases, 4, 20_000)
-    return _z_verdict(worst_z, 3)
+    cases = [(gen, *low_rank_example(np.random.default_rng(seed), 4, [0.7, 1.9], 0.5), (seed, 99))
+             for gen, seed in ((gaussian(), 11), (student_t(8), 12))]
+    return _z_verdict(max(empirical_fims_mc(cases, 20_000)), 3)
 
 
 def _check_sampling_moments_mc():

@@ -18,8 +18,16 @@ m(m+1)/2 x m(m+1)/2 matrices whose entries are a_ik a_jl + a_il a_jk
 (Magnus & Neudecker 1980), built by :func:`_sym_kron_core` from the
 cached ``vecs`` index pairs.  The same core, over a stack of matrices,
 gives the one-step R-estimator its Upsilon Upsilon^T Gram, one per trial.
-It fills its rows in blocks of 2**15 doubles (256 KB), so that a block's
-temporaries stay in cache: at m = 32 each whole-core temporary is 2.2 MB.
+
+Memory.  With d = m(m+1)/2, an m = 32 core is 2.2 MB and an m = 64 one
+35 MB, so no caller forms a second d x d array beside its result.
+:func:`_core_row_blocks` yields the core in fresh row blocks of at most
+2**15 doubles (256 KB), whose few temporaries stay in cache; the bounds
+and Fisher informations finish each block (rank-one terms, scaling, the
+tangent sandwich) before writing it into their one result, and
+:func:`_symmetrize` forms c (X + X^T) in place, one pair of cache-sized
+blocks at a time.  Each function here thus holds one d x d array, its
+result, at its peak.
 """
 
 from __future__ import annotations
@@ -90,32 +98,68 @@ def _dup_t_vec(a):
 _CORE_BLOCK_DOUBLES = 2**15
 
 
-def _sym_kron_core(a):
-    """D_m^+ (I + K_m)(A (x) A) D_m^+T for a symmetric A, entry by entry.
+def _core_row_blocks(a, start=0, stop=None):
+    """Rows ``start:stop`` of D_m^+ (I + K_m)(A (x) A) D_m^+T, columns
+    ``start:``, as ``(lo, block)`` pairs in cache-sized row blocks.
 
     Entry [p, q] with p = (i, j) and q = (k, l) the ``vecs`` index pairs is
-    a_ik a_jl + a_il a_jk.  Since D_m^+ = diag(1 / D_m^T D_m) D_m^T, the
-    same core gives D_m^T (A (x) A) D_m = F core F / 2 and
-    D_m^+ (A (x) A) D_m^+T = core / 2, with F = diag(D_m^T D_m).  The
-    result is exactly symmetric.  A stack of matrices (leading axes) gives
-    a stack of cores, each bit-identical to its own 2-D call.  Rows are
-    filled in blocks of at most ``_CORE_BLOCK_DOUBLES`` entries over the
-    whole stack, so that a block's few temporaries stay in cache (at
-    m = 32, 62 of 528 rows); no entry's bits depend on the block size.
+    a_ik a_jl + a_il a_jk, for a symmetric A.  A stack of matrices
+    (leading axes) gives a stack of blocks.  A block holds at most
+    ``_CORE_BLOCK_DOUBLES`` entries over the whole stack (at m = 32, 62 of
+    528 rows), so that its few temporaries stay in cache; no entry's bits
+    depend on the block size, and each block is a fresh array that the
+    caller may overwrite.
     """
     a = np.asarray(a, dtype=float)
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     r, c = _tril_indices_colmajor(a.shape[-1])
     ar, ac = a[..., r, :], a[..., c, :]
     nh = r.size
-    out = np.empty(a.shape[:-2] + (nh, nh))
+    stop = nh if stop is None else stop
+    rs, cs = r[start:], c[start:]
     step = max(1, _CORE_BLOCK_DOUBLES // (nh * math.prod(a.shape[:-2])))
-    for lo in range(0, nh, step):
-        ar_rows, ac_rows = ar[..., lo : lo + step, :], ac[..., lo : lo + step, :]
-        blk = ar_rows[..., r] * ac_rows[..., c]
-        blk += ar_rows[..., c] * ac_rows[..., r]
-        out[..., lo : lo + step, :] = blk
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        ar_rows, ac_rows = ar[..., lo:hi, :], ac[..., lo:hi, :]
+        blk = ar_rows[..., rs] * ac_rows[..., cs]
+        blk += ar_rows[..., cs] * ac_rows[..., rs]
+        yield lo, blk
+
+
+def _sym_kron_core(a):
+    """D_m^+ (I + K_m)(A (x) A) D_m^+T for a symmetric A, entry by entry.
+
+    Since D_m^+ = diag(1 / D_m^T D_m) D_m^T, the same core gives
+    D_m^T (A (x) A) D_m = F core F / 2 and D_m^+ (A (x) A) D_m^+T =
+    core / 2, with F = diag(D_m^T D_m).  The result is exactly symmetric.
+    A stack of matrices (leading axes) gives a stack of cores, each
+    bit-identical to its own 2-D call; the rows are filled from
+    :func:`_core_row_blocks`.  No library path forms the whole core any
+    more; the tests hold the row blocks to it and it to the dense form.
+    """
+    a = np.asarray(a, dtype=float)
+    nh = vecs_len(a.shape[-1])
+    out = np.empty(a.shape[:-2] + (nh, nh))
+    for lo, blk in _core_row_blocks(a):
+        out[..., lo : lo + blk.shape[-2], :] = blk
     return out
+
+
+def _symmetrize(x, c):
+    """X <- c (X + X^T) in place, for a square X, one pair of cache-sized
+    blocks at a time: entry (i, j) is c (x_ij + x_ji), as the whole-array
+    form gives it, and no transposed copy of X is made."""
+    n = x.shape[0]
+    step = max(1, math.isqrt(_CORE_BLOCK_DOUBLES // 2))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        for lo2 in range(lo, n, step):
+            cols = slice(lo2, lo2 + step)
+            blk = x[rows, cols] + x[cols, rows].T
+            blk *= c
+            x[rows, cols] = blk
+            x[cols, rows] = blk.T
+    return x
 
 
 def vecs(a):

@@ -26,7 +26,7 @@ from scipy.linalg import toeplitz
 from . import fim as fim_mod
 from .generators import DensityGenerator
 from .matcalc import ovecs, unvecs, vecs, vecs_basis, vecs_len
-from .scale import ScaleFunctional, decompose, jacobian_w, reconstruct_shape
+from .scale import ScaleFunctional, _shape_scale_derivatives, decompose, reconstruct_shape
 
 __all__ = [
     "Parameterization",
@@ -121,9 +121,10 @@ def shape_scale_parameterization(scale: ScaleFunctional, m: int) -> Parameteriza
 
     def jac_sig(theta):
         v = reconstruct_shape(scale, theta[m : m + nh - 1], m)
-        # column i of the vecs Jacobian is vecs(Sigma_i)
-        dsig = unvecs(jacobian_w(scale, v, theta[-1]).T, m)
-        return np.concatenate([np.zeros((m, m, m)), dsig])
+        out = np.empty((m + nh, m, m))
+        out[:m] = 0.0
+        _shape_scale_derivatives(scale, v, theta[-1], out[m:])
+        return out
 
     return Parameterization(
         q=m + nh - 1,
@@ -164,7 +165,9 @@ def split_parameterization(
 
         def jac_sig(theta):
             block = np.asarray(jac_sigma_xi(theta[q:]), dtype=float)
-            return np.concatenate([np.zeros((q,) + block.shape[1:]), block])
+            out = np.zeros((q + len(block),) + block.shape[1:])
+            out[q:] = block
+            return out
 
     return Parameterization(
         q=q, r=r, mu_fn=mu_fn, sigma_fn=sigma_fn, jac_mu=jac_mu,
@@ -232,9 +235,11 @@ def _low_rank_model(q, a_fn, a_jac, basis, embed, name) -> Parameterization:
             raise fim_mod.IdentifiabilityError("factor matrix A is rank deficient")
         # Sigma_k = E(A_k Xi A^H + (A_k Xi A^H)^H) with A_k = dA / d gamma_k
         half = np.einsum("ipk,pr,jr->kij", np.asarray(a_jac(theta[:q])), xi, a.conj())
-        return embed(np.concatenate(
-            [half + np.swapaxes(half, -1, -2).conj(), a @ basis @ a.conj().T, np.eye(len(a))[None]]
-        ))
+        out = np.empty((d, len(a), len(a)), dtype=np.result_type(half, a, basis))
+        np.add(half, np.swapaxes(half, -1, -2).conj(), out=out[:q])
+        np.matmul(a @ basis, a.conj().T, out=out[q:-1])
+        out[-1] = np.eye(len(a))
+        return embed(out)
 
     return Parameterization(
         q=q, r=d - q, mu_fn=lambda th: np.zeros(len(sigma_fn(th))), sigma_fn=sigma_fn,
@@ -397,13 +402,21 @@ def verify_adaptivity_by_fim(
     The model is adaptive when the relative gap is below ADAPTIVITY_TOL.
     The geometry and the parametric FIM are built once, and each FIM's
     nuisance block is factored once; the parametric factor also gives the
-    condition residual.
+    condition residual.  After the geometry, at most three d x d arrays
+    are alive: the semiparametric FIM takes the place of the Sigma Gram,
+    and each FIM is dropped once its interest block is projected.
     """
     q = param.q
     geometry = fim_mod.model_geometry(param, theta0)
+    trace = geometry.sigma_trace
     full = fim_mod._theta_fim(geometry, gen, semiparametric=False)
-    sfull = fim_mod._theta_fim(geometry, gen, semiparametric=True)
-    eff_par, residual = fim_mod._project_nuisance(full, q, geometry.sigma_trace)
+    # the last reader of the Sigma Gram overwrites it: at most three d x d
+    # arrays are alive, where the geometry and two FIMs would be four
+    sfull = fim_mod._theta_fim(geometry, gen, True, out=geometry.sigma_gram)
+    del geometry
+    eff_par, residual = fim_mod._project_nuisance(full, q, trace)
+    condition = _condition_report(full, trace, residual)
+    del full
     eff_semi, _ = fim_mod._project_nuisance(sfull, q)
     gap = float(np.linalg.norm(eff_par - eff_semi))
     ref = max(float(np.linalg.norm(eff_semi)), np.finfo(float).tiny)
@@ -414,5 +427,5 @@ def verify_adaptivity_by_fim(
         gap=gap,
         gap_rel=gap_rel,
         adaptive=bool(gap_rel < ADAPTIVITY_TOL),
-        condition=_condition_report(full, geometry.sigma_trace, residual),
+        condition=condition,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .matcalc import _dup_t_vec, duplication_matrix, vecs, unvecs, vecs_len
+from .matcalc import _dup_t_vec, _tril_indices_colmajor, duplication_matrix, vecs, unvecs, vecs_len
 
 __all__ = [
     "ScaleFunctional",
@@ -226,16 +226,36 @@ def u_basis(scale: ScaleFunctional, v):
     return np.where(lead < 0.0, -u, u)
 
 
+def _shape_scale_derivatives(scale: ScaleFunctional, v, s, out):
+    """d Sigma / d(ovecs V, s) at Sigma = s V, written into ``out``.
+
+    ``out`` is an (m(m+1)/2, m, m) array.  Slice k < m(m+1)/2 - 1 is
+    s (E + g_k E_11) for E = unvecs(e_{k+1}) and g = grad_v11; the last is
+    V.  Their vecs are the columns of :func:`jacobian_w`.
+    """
+    if s <= 0:
+        raise ValueError("scale s must be positive")
+    g = grad_v11(scale, v)
+    r, c = _tril_indices_colmajor(v.shape[0])
+    k = np.arange(len(g))
+    # s times the 0 and 1 entries of K_V, as the product s K_V gives them
+    out[:-1] = s * 0.0
+    out[k, 0, 0] = s * g
+    out[k, r[1:], c[1:]] = s * 1.0
+    out[k, c[1:], r[1:]] = s * 1.0
+    out[-1, r, c] = out[-1, c, r] = vecs(v)
+    return out
+
+
 def jacobian_w(scale: ScaleFunctional, v, s):
     """Jacobian of (ovecs V, s) -> vecs(Sigma):  [s K_V , vecs(V)].
 
     K_V = [grad_v11^T; I] is d vecs(V) / d ovecs(V) on the manifold.
     """
     v = np.asarray(v, dtype=float)
-    if s <= 0:
-        raise ValueError("scale s must be positive")
-    kv = np.vstack([grad_v11(scale, v), np.eye(vecs_len(v.shape[0]) - 1)])
-    return np.hstack([s * kv, vecs(v).reshape(-1, 1)])
+    m = v.shape[0]
+    stack = _shape_scale_derivatives(scale, v, s, np.empty((vecs_len(m), m, m)))
+    return np.ascontiguousarray(vecs(stack).T)
 
 
 def reconstruct_shape(scale: ScaleFunctional, ovecs_v, m):

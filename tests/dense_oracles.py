@@ -7,7 +7,8 @@ pseudo-inverse built by loops.  They cost O(m^6) time and O(m^4) memory,
 so tests call them at small m only.  The Kronecker form of the complex
 low-rank contraction, the loop-built Hermitian basis and the R-step's
 tangent-space weighting Xi, built from an explicit tangent basis, are
-here too.
+here too, and the mpmath quadrature of E{f(Q)} that the generator
+tests and criterion 5 share.
 
 The row-major Tyler iteration and rank statistic at the end are the
 Monte-Carlo kernels as they were before they went coordinate-major: each
@@ -17,6 +18,7 @@ eigendecomposition, and form the unit directions, as the formulas read;
 the kernels use V^-1 only.
 """
 
+import mpmath
 import numpy as np
 
 from ellipfim.bounds import _rank1_coeff
@@ -24,6 +26,23 @@ from ellipfim.estimators import _stacked, _tangent_step, ranks
 from ellipfim.fim import _vecs_information
 from ellipfim.matcalc import _dup_t_vec, unvecs, vec, vecs, vecs_len
 from ellipfim.scale import constraint_gradient_vecs, decompose, grad_v11, renormalize
+
+
+def mp_expect(gen, m, f, dps=40):
+    """E{f(Q)} for Q of ``gen`` in dimension m, by tanh-sinh quadrature of
+    f(q) q^(m/2-1) gbar(q) on [0, inf) at ``dps`` significant digits, with
+    breakpoints at 1, m and 10 m; it shares nothing with the library's
+    scipy-based path or with the closed forms under test."""
+    with mpmath.workdps(dps):
+        norm = mpmath.pi ** (mpmath.mpf(m) / 2) / mpmath.gamma(mpmath.mpf(m) / 2)
+
+        def integrand(q):
+            if q <= 0:
+                return mpmath.mpf(0)
+            logg = float(gen.log_gbar(np.array([float(q)]), m)[0])
+            return norm * f(q) * q ** (mpmath.mpf(m) / 2 - 1) * mpmath.e ** mpmath.mpf(logg)
+
+        return float(mpmath.quad(integrand, [0, 1, m, 10 * m, mpmath.inf]))
 
 
 def duplication_loops(m):

@@ -4,18 +4,18 @@ Run with `pytest tests/test_acceptance.py -s` to see one line per
 criterion.  Criteria 1-6 and 8 compute their identities with the
 `ellipfim.invariants` bodies that `ellipfim verify` also runs (the module
 docstring there lists which), each at this file's own seeds, grids and
-tolerances.  The independent oracles stay here: criterion 5's mpmath
-quadrature of the coefficients.  Every Monte-Carlo band is stated in its
-assertion.
+tolerances.  The independent oracles stay in the tests: criterion 5's
+mpmath quadrature of the coefficients (``dense_oracles.mp_expect``).
+Every Monte-Carlo band is stated in its assertion.
 """
 
 import os
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from dense_oracles import mp_expect
 from ellipfim.complexces import complex_student_t
 from ellipfim.fim import fim_eta, fim_vecs_sigma, score_eta, score_vecs_sigma
 from ellipfim.generators import gaussian, sample, student_t
@@ -31,6 +31,7 @@ from ellipfim.invariants import (
     moment_identities,
     restricted_adaptivity,
 )
+from ellipfim.parameterize import low_rank_example
 from ellipfim.scale import NORMALIZED_TRACE, decompose
 from ellipfim.simulate import SimConfig, run_simulation
 
@@ -106,24 +107,6 @@ def test_criterion_4_parameterized_adaptivity():
     )
 
 
-def _mp_expect(gen, m, f, dps=40):
-    with mpmath.workdps(dps):
-        norm = mpmath.pi ** (mpmath.mpf(m) / 2) / mpmath.gamma(mpmath.mpf(m) / 2)
-
-        def integrand(q):
-            if q <= 0:
-                return mpmath.mpf(0)
-            logg = float(gen.log_gbar(np.array([float(q)]), m)[0])
-            return (
-                norm
-                * f(q)
-                * q ** (mpmath.mpf(m) / 2 - 1)
-                * mpmath.e ** mpmath.mpf(logg)
-            )
-
-        return float(mpmath.quad(integrand, [0, 1, m, 10 * m, mpmath.inf]))
-
-
 def test_criterion_5_moment_identities():
     worst_moment = moment_identities(GEN_GRID, (2, 4, 8))
     worst_coeff = 0.0
@@ -131,13 +114,13 @@ def test_criterion_5_moment_identities():
         g = gaussian()
         # Gaussian: phi == 1, so alpha reduces to E{Q^2}/(m(m+2)) and
         # sigma_q^2 to E{Q^2} - m^2
-        q2 = _mp_expect(g, m, lambda q: q * q)
+        q2 = mp_expect(g, m, lambda q: q * q)
         worst_coeff = max(worst_coeff, abs(g.alpha(m) - q2 / (m * (m + 2))))
         worst_coeff = max(worst_coeff, abs(g.sigma_q2(m) - (q2 - m * m)) / (2 * m))
         worst_coeff = max(worst_coeff, abs(g.sigma_q2(m) - 2 * m) / (2 * m))
         for nu in (6, 8):
             t = student_t(nu)
-            alpha_q = _mp_expect(
+            alpha_q = mp_expect(
                 t, m, lambda q: (q * (nu + m) / (nu - 2.0 + q)) ** 2
             ) / (m * (m + 2))
             worst_coeff = max(
@@ -147,7 +130,7 @@ def test_criterion_5_moment_identities():
                 worst_coeff,
                 abs(t.alpha(m) - (m + nu) / (m + nu + 2)) / t.alpha(m),
             )
-            sigma_q = _mp_expect(t, m, lambda q: q * q) - m * m
+            sigma_q = mp_expect(t, m, lambda q: q * q) - m * m
             closed = (2.0 * m / (nu - 4.0)) * (m + nu - 2.0)
             worst_coeff = max(worst_coeff, abs(t.sigma_q2(m) - sigma_q) / closed)
             worst_coeff = max(worst_coeff, abs(t.sigma_q2(m) - closed) / closed)
@@ -176,8 +159,9 @@ def test_criterion_6_empirical_fims():
             worst_z = max(worst_z, max_z(np.einsum("ni,nj->nij", scores, scores), info))
     # parameterized model: full and efficient scores, the model drawn at the
     # same seed and the sample at seed + 10
-    cases = ((gaussian(), 601, 611), (student_t(8), 602, 612))
-    worst_z = max(worst_z, empirical_fims_mc(cases, m, n))
+    cases = [(gen, *low_rank_example(np.random.default_rng(seed), m, [0.7, 1.9], 0.5), seed + 10)
+             for gen, seed in ((gaussian(), 601), (student_t(8), 602))]
+    worst_z = max(worst_z, *empirical_fims_mc(cases, n))
     report(
         6,
         "analytic FIMs match Monte-Carlo score outer products",

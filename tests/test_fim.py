@@ -13,11 +13,11 @@ from ellipfim.fim import (
     score_eta,
     score_theta,
     score_vecs_sigma,
-    sfim_theta,
 )
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
 from ellipfim.invariants import (
     ALL_SCALES,
+    empirical_fims_mc,
     fim_chain_rule,
     loewner_ordering,
     max_z,
@@ -430,23 +430,21 @@ def test_efficient_score_orthogonal_to_q_squared(gen):
     assert max_z(s_eff * h[:, None]) < 3
 
 
-def _theta_fim_z(score_fn, info, gen, seed, n=20_000):
-    """max |z| of the score outer products of n draws against the FIM."""
-    model, param, theta0 = make_lowrank()
-    sigma = param.sigma_fn(theta0)
-    x = sample(n, np.zeros(sigma.shape[0]), sigma, gen, seed=seed)
-    scores = score_fn(x, param, theta0, gen)
-    return max_z(np.einsum("ni,nj->nij", scores, scores), info(param, theta0, gen))
+def _theta_fim_z(gen, seed, n=20_000):
+    """max |z| of the score and of the efficient score outer products of n
+    draws against the FIM and the SFIM (criterion 6's body)."""
+    _, param, theta0 = make_lowrank()
+    return empirical_fims_mc([(gen, param, theta0, seed)], n)
 
 
 @pytest.mark.parametrize("gen", [gaussian(), student_t(8)], ids=str)
 def test_fim_theta_monte_carlo(gen):
-    assert _theta_fim_z(score_theta, fim_theta, gen, 999) < 3
+    assert _theta_fim_z(gen, 999)[0] < 3
 
 
 @pytest.mark.parametrize("gen", [gaussian(), student_t(8)], ids=str)
 def test_sfim_theta_monte_carlo(gen):
-    assert _theta_fim_z(efficient_score_theta, sfim_theta, gen, 2718) < 3
+    assert _theta_fim_z(gen, 2718)[1] < 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Generator functionals checked against independent mpmath quadrature.
 
-The oracle integrates f(q) q^(m/2-1) gbar(q) with tanh-sinh quadrature at
-30 significant digits, sharing nothing with the library's scipy-based
-path or with the closed forms under test.
+The oracle is ``dense_oracles.mp_expect``: f(q) q^(m/2-1) gbar(q)
+integrated by tanh-sinh quadrature at 40 significant digits, sharing
+nothing with the library's scipy-based path or with the closed forms
+under test.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
+from dense_oracles import mp_expect
 from ellipfim.generators import (
     MomentUndefinedError,
     coefficients,
@@ -28,21 +30,6 @@ from ellipfim.generators import (
 from ellipfim.invariants import max_z, sampling_moments
 
 GENS = [gaussian(), student_t(6), student_t(8), generalized_gaussian(0.5)]
-
-
-def mp_expect(gen, m, f, dps=30):
-    """E{f(Q)} via tanh-sinh quadrature on [0, inf) at high precision."""
-    with mpmath.workdps(dps):
-        norm = mpmath.pi ** (m / 2) / mpmath.gamma(m / 2)
-
-        def integrand(q):
-            qf = float(q)
-            if qf <= 0.0:
-                return mpmath.mpf(0)
-            g = math.exp(float(gen.log_gbar(np.array([qf]), m)[0]))
-            return norm * f(q) * q ** (m / 2 - 1) * g
-
-        return float(mpmath.quad(integrand, [0, 1, mpmath.inf]))
 
 
 # ---------------------------------------------------------------------------

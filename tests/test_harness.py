@@ -10,6 +10,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 import ellipfim
 import test_acceptance as acceptance
@@ -18,7 +19,7 @@ import test_estimators as estimator_tests
 import test_fim as fim_tests
 import test_generators as generator_tests
 import test_matcalc as matcalc_tests
-from ellipfim import bounds, estimators, fim, invariants, simulate
+from ellipfim import bounds, estimators, fim, invariants, parameterize, simulate
 from ellipfim.cli import main
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
 from ellipfim.invariants import run_invariant_suite
@@ -624,6 +625,64 @@ def test_cli_adaptivity_reports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "violated" in out
     assert "not adaptive" in out
+
+
+_LINK_KEYS = {"name", "generator", "passed", "value", "tol"}
+
+
+@pytest.mark.parametrize(
+    "sigma, passed",
+    [(toeplitz(0.8 ** np.arange(4)), True), (np.diag([1e-9, 1, 1, 1]), None)],
+    ids=["toeplitz", "diag_1e-9"],
+)
+def test_cli_bounds_json_prints_the_table_numbers(tmp_path, capsys, sigma, passed):
+    data = {"m": 4, "scale": "trace", "generator": {"family": "t", "nu": 6},
+            "sigma": {"kind": "matrix", "values": sigma.tolist()}}
+    assert run_cli(tmp_path, "bounds", data, "--json") == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    bset = bounds.bound_set(scale_by_name("trace"), sigma, student_t(6))
+    assert (report["scale"], report["generator"], report["m"]) == ("trace", "t(6)", 4)
+    assert report["trace_crb_shape"] == float(np.trace(bset.crb_shape))
+    assert report["crb_scale"] == bset.crb_scale
+    assert os.path.getsize(report["csv"]) > 0
+    assert [set(link) for link in report["links"]] == [_LINK_KEYS, _LINK_KEYS]
+    assert all(link["passed"] is passed and link["generator"] == "t(6)" for link in report["links"])
+    # the unresolved run keeps its one warning line, on stderr only
+    assert (captured.err != "") == (passed is None)
+    assert run_cli(tmp_path, "bounds", data) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for link, line in zip(report["links"], lines[1:3], strict=True):
+        assert link["name"] in line and f"value={link['value']:.3e}" in line
+        assert line.endswith(f"(tol {link['tol']:.1e})")
+
+
+def test_cli_adaptivity_json_prints_the_verdicts(tmp_path, capsys):
+    data = {"parameterization": {"name": "breaking", "m": 3}, "generator": {"family": "t", "nu": 8}}
+    assert run_cli(tmp_path, "adaptivity", data, "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    want = parameterize.verify_adaptivity_by_fim(
+        *parameterize.breaking_example(3, 0.5, 1.3), student_t(8)
+    )
+    assert report == {
+        "name": "breaking", "q": 1, "r": 0, "generator": "t(8)",
+        "condition_residual": float(want.condition.scaled_residual.max()),
+        "tol": want.condition.tol, "satisfied": False, "gap": want.gap,
+        "gap_rel": want.gap_rel, "adaptive": False,
+    }
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [("bounds", {"m": 2, "sigma": {"kind": "matrix", "values": [[1, 2], [2, 1]]}}),
+     ("adaptivity", {"parameterization": {"name": "split", "q": 0}})],
+    ids=["bounds_not_pd", "adaptivity_q0"],
+)
+def test_cli_json_config_error_prints_nothing(tmp_path, capsys, command, data):
+    assert run_cli(tmp_path, command, data, "--json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_fast(capsys):

@@ -41,8 +41,10 @@ from ellipfim.parameterize import (
     identity_parameterization,
     linear_split_parameterization,
     low_rank_parameterization,
+    shape_scale_example,
     shape_scale_parameterization,
     sinusoid_steering,
+    split_example,
     split_parameterization,
     verify_adaptivity_by_fim,
 )
@@ -721,3 +723,63 @@ def test_cold_r_step_at_m32_never_holds_two_m2_by_m2_arrays():
 def test_ovecs_bounds_reject_m1(bound):
     with pytest.raises(ValueError, match="m >= 2"):
         bound(student_t(6))
+
+
+# ---------------------------------------------------------------------------
+# peak memory of the bounds and adaptivity commands, in d x d arrays
+# ---------------------------------------------------------------------------
+
+# Python objects and numpy headers, whatever m: the whole peak at m = 4
+_FIXED_BYTES = 64 * 2**10
+
+
+def _peak_bytes(fn):
+    """tracemalloc peak of ``fn()`` above what was allocated before it,
+    after two warm-up calls fill the per-m caches."""
+    fn()
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _within_arrays(peak, count, d):
+    """``peak`` below ``count`` d x d float arrays, one more for the
+    cache-sized row blocks, plus the fixed Python overhead."""
+    return peak < (count + 1) * d * d * 8 + _FIXED_BYTES
+
+
+@pytest.mark.parametrize("m", [4, 32])
+def test_verify_chain_holds_three_d_by_d_arrays(m):
+    # the bound, one FIM and one work array (seven at m = 32 before the
+    # links were checked one at a time)
+    v = decompose(NORMALIZED_TRACE, toeplitz(0.8 ** np.arange(m))).v
+    peak = _peak_bytes(lambda: verify_chain(NORMALIZED_TRACE, v, [student_t(6)], m))
+    assert _within_arrays(peak, 3, vecs_len(m)), peak
+
+
+@pytest.mark.parametrize("m", [4, 32])
+def test_write_bounds_csv_holds_two_d_by_d_arrays(m, tmp_path):
+    # the 32-bit text index and the distinct texts of the largest block
+    # (4.4 at m = 32 with a 64-bit index and its sort temporaries alive)
+    bset = bound_set(NORMALIZED_TRACE, toeplitz(0.8 ** np.arange(m)), student_t(6))
+    peak = _peak_bytes(lambda: write_bounds_csv(bset, tmp_path / "bounds.csv"))
+    assert _within_arrays(peak, 2, vecs_len(m)), peak
+
+
+@pytest.mark.parametrize("m", [4, 32])
+@pytest.mark.parametrize("name", ["split", "shape_scale"])
+def test_adaptivity_check_holds_four_d_by_d_arrays(m, name):
+    # d = param.d: the (d, m, m) Jacobian (about two) beside the
+    # identifiability stack and its LAPACK copy, or beside the whitened
+    # stack; then at most three (about seven at m = 32 before)
+    if name == "split":
+        param, theta0 = split_example(np.random.default_rng(0), m, 2, 0.7)
+    else:
+        param, theta0 = shape_scale_example(NORMALIZED_TRACE, m, 0.8, 1.5)
+    peak = _peak_bytes(lambda: verify_adaptivity_by_fim(param, theta0, student_t(8)))
+    assert _within_arrays(peak, 4, param.d), peak
