@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -159,6 +160,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _print_json(obj):
+    """Print ``obj`` as strict JSON: a non-finite float, which jq and
+    JavaScript's JSON.parse reject as NaN or Infinity, is written null."""
+    print(json.dumps(_finite_or_null(obj), allow_nan=False))
+
+
 def cmd_bounds(args) -> int:
     data = _load_config(args.config)
     reject_unknown(data, ("m", "scale", "generator", "sigma"), "bounds config")
@@ -187,9 +205,9 @@ def cmd_bounds(args) -> int:
     if args.json:
         links = [{"name": l.name, "generator": l.generator, "passed": l.passed,
                   "value": l.value, "tol": l.tol} for l in report.links]
-        print(json.dumps({"scale": scale.kind, "generator": gen.name, "m": m,
-                          "trace_crb_shape": float(np.trace(bset.crb_shape)),
-                          "crb_scale": bset.crb_scale, "csv": str(csv_path), "links": links}))
+        _print_json({"scale": scale.kind, "generator": gen.name, "m": m,
+                     "trace_crb_shape": float(np.trace(bset.crb_shape)),
+                     "crb_scale": bset.crb_scale, "csv": str(csv_path), "links": links})
     else:
         print(report.format_table())
         print(f"trace(crb_shape) = {np.trace(bset.crb_shape):.12g}")
@@ -255,10 +273,10 @@ def cmd_adaptivity(args) -> int:
     cond = report.condition
     residual = cond.scaled_residual.max()  # before any output: exit 2 prints nothing
     if args.json:
-        print(json.dumps({"name": param.name, "q": param.q, "r": param.r, "generator": gen.name,
-                          "condition_residual": float(residual), "tol": cond.tol,
-                          "satisfied": cond.satisfied, "gap": report.gap,
-                          "gap_rel": report.gap_rel, "adaptive": report.adaptive}))
+        _print_json({"name": param.name, "q": param.q, "r": param.r, "generator": gen.name,
+                     "condition_residual": float(residual), "tol": cond.tol,
+                     "satisfied": cond.satisfied, "gap": report.gap,
+                     "gap_rel": report.gap_rel, "adaptive": report.adaptive})
         return 0
     print(f"parameterization: {param.name} (q={param.q}, r={param.r})")
     print(f"generator:        {gen.name}")
@@ -278,8 +296,8 @@ def cmd_verify(args) -> int:
     report = run_invariant_suite(level=level)
     if args.json:
         entries = [vars(e) for e in report.entries]
-        print(json.dumps({"level": report.level, "all_passed": report.all_passed,
-                          "entries": entries}))
+        _print_json({"level": report.level, "all_passed": report.all_passed,
+                     "entries": entries})
     else:
         print(report.format_table())
     return 0 if report.all_passed else 1

@@ -24,9 +24,12 @@ same fill over a stack.  A parameterized model's FIMs (d the number of
 coordinates) need the (d, m, m) Jacobian stack, about two d x d arrays
 at the paper's sizes (d is about m^2 / 2): ``model_geometry`` holds it
 beside either the identifiability stack and its one LAPACK copy or the
-whitened stack, and drops it before forming its two Grams, so at most
-four d x d arrays' worth are alive; ``verify_adaptivity_by_fim`` then
-holds at most three (see there).
+d x m(m+1)/2 rows of the whitened G_i (one d x d array's worth), and
+drops it before forming its two Grams, so at most four d x d arrays'
+worth are alive; ``verify_adaptivity_by_fim`` then holds at most three
+(see there).  Only the derivative stack of the current parameterization
+is built: no structural matrix of size m^2 x m(m+1)/2 is built or cached
+on this path.
 """
 
 from __future__ import annotations
@@ -261,6 +264,21 @@ def _jacobians(param, theta0):
     return theta0, sigma, j_mu, j_sig
 
 
+def _sym_vecs_rows(part):
+    """sqrt(F) vecs((S + S^T) / 2) of each S in a stack, one row per S,
+    with F = diag(D_m^T D_m).
+
+    For symmetric S and T, tr(S T) is the inner product of these rows,
+    since each off-diagonal pair (i, j), (j, i) of S is one vecs entry,
+    weighted sqrt(2).
+    """
+    r, c = _tril_indices_colmajor(part.shape[-1])
+    rows = part[:, r, c] + part[:, c, r]
+    rows *= 0.5
+    rows *= np.sqrt(_dup_gram(part.shape[-1]))
+    return rows
+
+
 def _identifiability_stack(j_mu, j_sig):
     """[J_mu; sqrt(F) vecs rows of J_vecSigma] with F = diag(D_m^T D_m).
 
@@ -269,23 +287,17 @@ def _identifiability_stack(j_mu, j_sig):
     rotating each such row pair by 45 degrees is orthogonal, so this
     (m + m(m+1)/2) x d stack has the singular values and the Frobenius
     norm of [J_mu; J_vecSigma].  Each Sigma_i is symmetrized first, which
-    keeps the (a + b) / sqrt(2) row of each rotated pair.  The rows are
-    gathered straight into the one fresh stack, a cache-sized group of
-    the Sigma_i at a time.
+    keeps the (a + b) / sqrt(2) row of each rotated pair
+    (:func:`_sym_vecs_rows`).  The rows are gathered straight into the one
+    fresh stack, a cache-sized group of the Sigma_i at a time.
     """
     m = j_mu.shape[0]
     d = j_sig.shape[0]
-    r, c = _tril_indices_colmajor(m)
-    root_f = np.sqrt(_dup_gram(m))
-    stacked = np.empty((m + r.size, d))
+    stacked = np.empty((m + vecs_len(m), d))
     stacked[:m] = j_mu
     step = max(1, _CORE_BLOCK_DOUBLES // (m * m))
     for lo in range(0, d, step):
-        part = j_sig[lo : lo + step]
-        rows = part[:, r, c] + part[:, c, r]
-        rows *= 0.5
-        rows *= root_f
-        stacked[m:, lo : lo + step] = rows.T
+        stacked[m:, lo : lo + step] = _sym_vecs_rows(j_sig[lo : lo + step]).T
     return stacked
 
 
@@ -358,6 +370,14 @@ class ModelGeometry:
 def model_geometry(param, theta0) -> ModelGeometry:
     """Jacobians, identifiability and whitened Gram matrices at theta0.
 
+    The Sigma_i are whitened a cache-sized group at a time, and of each
+    G_i only its trace and its row of :func:`_sym_vecs_rows` are kept: a
+    d x m(m+1)/2 matrix whose Gram is tr(G_i G_j), half the size and half
+    the flops of the d x m^2 entries of the G_i.  At the peak the (d, m, m)
+    Jacobian stack is alive beside either the identifiability stack and
+    its one LAPACK copy or the d x m(m+1)/2 rows; it is dropped before the
+    Sigma Gram is formed.
+
     Raises ``LinAlgError`` when Sigma(theta0) is not positive definite and
     ``ValueError`` when the Gram matrices are not finite.
     """
@@ -368,16 +388,16 @@ def model_geometry(param, theta0) -> ModelGeometry:
     # a Sigma_i far larger than Sigma (theta in extreme units) overflows the
     # products; that is reported once below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        slices = np.empty(j_sig.shape)
+        rows = np.empty((len(j_sig), vecs_len(m)))
+        trace = np.empty(len(j_sig))
         step = max(1, _CORE_BLOCK_DOUBLES // (m * m))
         for lo in range(0, len(j_sig), step):
-            np.matmul(l_inv @ j_sig[lo : lo + step], l_inv.T, out=slices[lo : lo + step])
-        del j_sig  # the Grams need only the whitened slices
-        # G_i is symmetric, so tr(G_i G_j) is the inner product of the entries
-        flat = slices.reshape(slices.shape[0], m * m)
-        sigma_gram = flat @ flat.T
-        trace = np.trace(slices, axis1=1, axis2=2)
-        del slices, flat
+            whitened = l_inv @ j_sig[lo : lo + step] @ l_inv.T
+            trace[lo : lo + step] = np.trace(whitened, axis1=1, axis2=2)
+            rows[lo : lo + step] = _sym_vecs_rows(whitened)
+        del j_sig  # the Grams need only the rows and traces
+        sigma_gram = rows @ rows.T
+        del rows
         w_mu = l_inv @ j_mu
         mu_gram = w_mu.T @ w_mu
         # sum_i t_i^2 bounds every entry of the rank-one term t t^T

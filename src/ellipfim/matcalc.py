@@ -7,17 +7,19 @@ the (1,1) entry of the matrix; ``ovecs`` drops that first element.
 The duplication matrix D_m, the commutation matrix K_m and the
 Moore-Penrose inverse D_m^+ are built by index arithmetic and cached per m
 as read-only arrays; they are m^2 x m(m+1)/2 and m^2 x m^2, so only the
-invariant suite and :func:`vecs_basis`, the derivative matrices of the
-vecs coordinates that the parameterizations hand to the Fisher
-informations, build them.  No score, Fisher information, bound or
-estimator does:
-the map D_m^T vec(A), which every score and projected FIM contains, is
+invariant suite, the dense reference ``scale.m_matrix`` and the tests
+build them.  No score, Fisher information, bound, estimator or
+parameterization does: :func:`vecs_basis`, the derivative matrices of the
+vecs coordinates, is filled from the cached ``vecs`` index pairs, so a
+cache entry of 4.3 MB at m = 32 is never pinned by a compute path.
+The map D_m^T vec(A), which every score and projected FIM contains, is
 :func:`_dup_t_vec`, entry by entry, and the products
 D_m^+ (I + K_m)(A (x) A) D_m^+T and D_m^T (A (x) A) D_m are
 m(m+1)/2 x m(m+1)/2 matrices whose entries are a_ik a_jl + a_il a_jk
-(Magnus & Neudecker 1980), built by :func:`_sym_kron_core` from the
-cached ``vecs`` index pairs.  The same core, over a stack of matrices,
-gives the one-step R-estimator its Upsilon Upsilon^T Gram, one per trial.
+(Magnus & Neudecker 1980), yielded row block by row block by
+:func:`_core_row_blocks` from the same index pairs.  The same core, over
+a stack of matrices, gives the one-step R-estimator its
+Upsilon Upsilon^T Gram, one per trial.
 
 Memory.  With d = m(m+1)/2, an m = 32 core is 2.2 MB and an m = 64 one
 35 MB, so no caller forms a second d x d array beside its result.
@@ -126,25 +128,6 @@ def _core_row_blocks(a, start=0, stop=None):
         yield lo, blk
 
 
-def _sym_kron_core(a):
-    """D_m^+ (I + K_m)(A (x) A) D_m^+T for a symmetric A, entry by entry.
-
-    Since D_m^+ = diag(1 / D_m^T D_m) D_m^T, the same core gives
-    D_m^T (A (x) A) D_m = F core F / 2 and D_m^+ (A (x) A) D_m^+T =
-    core / 2, with F = diag(D_m^T D_m).  The result is exactly symmetric.
-    A stack of matrices (leading axes) gives a stack of cores, each
-    bit-identical to its own 2-D call; the rows are filled from
-    :func:`_core_row_blocks`.  No library path forms the whole core any
-    more; the tests hold the row blocks to it and it to the dense form.
-    """
-    a = np.asarray(a, dtype=float)
-    nh = vecs_len(a.shape[-1])
-    out = np.empty(a.shape[:-2] + (nh, nh))
-    for lo, blk in _core_row_blocks(a):
-        out[..., lo : lo + blk.shape[-2], :] = blk
-    return out
-
-
 def _symmetrize(x, c):
     """X <- c (X + X^T) in place, for a square X, one pair of cache-sized
     blocks at a time: entry (i, j) is c (x_ij + x_ji), as the whole-array
@@ -208,13 +191,28 @@ def duplication_matrix(m):
     return _frozen(d)
 
 
+def _fill_vecs_basis(out):
+    """Write the E_k of :func:`vecs_basis` into a zeroed (m(m+1)/2, m, m)
+    ``out``, whose first axis may be a slice of a larger stack."""
+    m = out.shape[-1]
+    r, c = _tril_indices_colmajor(m)
+    k = np.arange(r.size)
+    out[k, r, c] = 1.0
+    out[k, c, r] = 1.0
+    return out
+
+
 def vecs_basis(m):
     """The symmetric E_k with unvecs(e_k) = E_k, as an (m(m+1)/2, m, m) stack.
 
-    Column k of D_m is vec(E_k), and E_k is symmetric, so this is a
-    read-only view of the cached D_m; nothing is built per call.
+    Column k of D_m is vec(E_k), so this equals the rows of D_m^T, each
+    read as an m x m matrix, to the bit.  It is a fresh stack filled from
+    the cached ``vecs`` index pairs: D_m is not built, and nothing of size
+    m^2 x m(m+1)/2 stays cached once the caller drops the stack.
     """
-    return duplication_matrix(m).T.reshape(-1, m, m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return _fill_vecs_basis(np.zeros((vecs_len(m), m, m)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -25,7 +25,7 @@ from scipy.linalg import toeplitz
 
 from . import fim as fim_mod
 from .generators import DensityGenerator
-from .matcalc import ovecs, unvecs, vecs, vecs_basis, vecs_len
+from .matcalc import _fill_vecs_basis, ovecs, unvecs, vecs, vecs_basis, vecs_len
 from .scale import ScaleFunctional, _shape_scale_derivatives, decompose, reconstruct_shape
 
 __all__ = [
@@ -137,15 +137,12 @@ def shape_scale_parameterization(scale: ScaleFunctional, m: int) -> Parameteriza
     )
 
 
-def split_parameterization(
-    q,
-    r,
-    mu_of_gamma,
-    sigma_of_xi,
-    jac_mu_gamma=None,
-    jac_sigma_xi=None,
-) -> Parameterization:
-    """mu depends only on gamma, Sigma only on xi (no parameters in common)."""
+def split_parameterization(q, r, mu_of_gamma, sigma_of_xi, jac_mu_gamma=None) -> Parameterization:
+    """mu depends only on gamma, Sigma only on xi (no parameters in common).
+
+    The Sigma_i come from central differences; a builder with analytic
+    ones sets ``jac_sigma`` on the result, as the linear split model does.
+    """
 
     def mu_fn(theta):
         return mu_of_gamma(theta[:q])
@@ -154,39 +151,40 @@ def split_parameterization(
         return sigma_of_xi(theta[q:])
 
     jac_mu = None
-    jac_sig = None
     if jac_mu_gamma is not None:
 
         def jac_mu(theta):
             block = np.asarray(jac_mu_gamma(theta[:q]), dtype=float)
             return np.hstack([block, np.zeros((block.shape[0], r))])
 
-    if jac_sigma_xi is not None:
-
-        def jac_sig(theta):
-            block = np.asarray(jac_sigma_xi(theta[q:]), dtype=float)
-            out = np.zeros((q + len(block),) + block.shape[1:])
-            out[q:] = block
-            return out
-
     return Parameterization(
-        q=q, r=r, mu_fn=mu_fn, sigma_fn=sigma_fn, jac_mu=jac_mu,
-        jac_sigma=jac_sig, name="split",
+        q=q, r=r, mu_fn=mu_fn, sigma_fn=sigma_fn, jac_mu=jac_mu, name="split"
     )
 
 
 def linear_split_parameterization(h, m: int) -> Parameterization:
-    """Concrete split model: mu = H gamma, Sigma = unvecs(xi)."""
+    """Concrete split model: mu = H gamma, Sigma = unvecs(xi).
+
+    The Sigma_i are zero for gamma and the ``vecs_basis(m)`` for xi,
+    written straight into the one (q + m(m+1)/2, m, m) stack.
+    """
     h = np.asarray(h, dtype=float)
     q = h.shape[1]
-    return split_parameterization(
+    r = vecs_len(m)
+
+    def jac_sig(theta):
+        out = np.zeros((q + r, m, m))
+        _fill_vecs_basis(out[q:])
+        return out
+
+    param = split_parameterization(
         q=q,
-        r=vecs_len(m),
+        r=r,
         mu_of_gamma=lambda g: h @ g,
         sigma_of_xi=lambda xi: unvecs(xi, m),
         jac_mu_gamma=lambda g: h,
-        jac_sigma_xi=lambda xi: vecs_basis(m),
     )
+    return replace(param, jac_sigma=jac_sig)
 
 
 def identity_parameterization(m: int) -> Parameterization:

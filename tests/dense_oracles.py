@@ -7,8 +7,10 @@ pseudo-inverse built by loops.  They cost O(m^6) time and O(m^4) memory,
 so tests call them at small m only.  The Kronecker form of the complex
 low-rank contraction, the loop-built Hermitian basis and the R-step's
 tangent-space weighting Xi, built from an explicit tangent basis, are
-here too, and the mpmath quadrature of E{f(Q)} that the generator
-tests and criterion 5 share.
+here too, as are the whole entrywise core filled from the library's
+row blocks, the Slepian-Bangs Gram from the whole whitened derivative
+stack, and the mpmath quadrature of E{f(Q)} that the generator tests
+and criterion 5 share.
 
 The row-major Tyler iteration and rank statistic at the end are the
 Monte-Carlo kernels as they were before they went coordinate-major: each
@@ -20,11 +22,12 @@ the kernels use V^-1 only.
 
 import mpmath
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from ellipfim.bounds import _rank1_coeff
 from ellipfim.estimators import _stacked, _tangent_step, ranks
 from ellipfim.fim import _vecs_information
-from ellipfim.matcalc import _dup_t_vec, unvecs, vec, vecs, vecs_len
+from ellipfim.matcalc import _core_row_blocks, _dup_t_vec, unvecs, vec, vecs, vecs_len
 from ellipfim.scale import constraint_gradient_vecs, decompose, grad_v11, renormalize
 
 
@@ -97,6 +100,23 @@ def sym_kron_core(a):
     m = a.shape[0]
     d_pinv = dup_pinv_solve(m)
     return d_pinv @ (np.eye(m * m) + commutation_loops(m)) @ np.kron(a, a) @ d_pinv.T
+
+
+def core_by_row_blocks(a):
+    """The whole core of :func:`sym_kron_core`, filled from the library's
+    row blocks (``matcalc._core_row_blocks``).
+
+    A stack of matrices (leading axes) gives a stack of cores, each
+    bit-identical to its own 2-D call.  The library finishes each block
+    in place and never forms the whole core; the tests hold the blocks,
+    through this fill, to the Kronecker form.
+    """
+    a = np.asarray(a, dtype=float)
+    nh = vecs_len(a.shape[-1])
+    out = np.empty(a.shape[:-2] + (nh, nh))
+    for lo, blk in _core_row_blocks(a):
+        out[..., lo : lo + blk.shape[-2], :] = blk
+    return out
 
 
 def row_selector(m):
@@ -229,6 +249,18 @@ def _fim_theta(param, theta0, gen, rank1):
 def fim_theta(param, theta0, gen):
     m = np.asarray(param.sigma_fn(theta0)).shape[0]
     return _fim_theta(param, theta0, gen, 0.5 * (1.0 - 1.0 / gen.alpha(m)))
+
+
+def whitened_slices_geometry(param, theta0):
+    """The Sigma Gram [tr(G_i G_j)] and the traces [tr(G_i)] from the whole
+    (d, m, m) stack of whitened G_i = L^-1 Sigma_i L^-T, the Gram as the
+    inner products of all m^2 entries of the G_i (``fim.model_geometry``
+    keeps only their symmetrized vecs rows)."""
+    sigma = np.asarray(param.sigma_fn(theta0), dtype=float)
+    l_inv = solve_triangular(np.linalg.cholesky(sigma), np.eye(len(sigma)), lower=True)
+    slices = l_inv @ param.jacobian_sigma(theta0) @ l_inv.T
+    flat = slices.reshape(len(slices), -1)
+    return flat @ flat.T, np.trace(slices, axis1=1, axis2=2)
 
 
 def xi_matrix(gram, u):

@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -653,8 +654,31 @@ def test_cli_bounds_json_prints_the_table_numbers(tmp_path, capsys, sigma, passe
     assert run_cli(tmp_path, "bounds", data) == 0
     lines = capsys.readouterr().out.splitlines()
     for link, line in zip(report["links"], lines[1:3], strict=True):
-        assert link["name"] in line and f"value={link['value']:.3e}" in line
+        # a value that is not finite is JSON null; the table prints it as inf
+        value = math.inf if link["value"] is None else link["value"]
+        assert link["name"] in line and f"value={value:.3e}" in line
         assert line.endswith(f"(tol {link['tol']:.1e})")
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "command, data, key",
+    [("bounds", {"m": 4, "scale": "trace", "generator": {"family": "t", "nu": 6},
+                 "sigma": {"kind": "matrix", "values": np.diag([1e-9, 1, 1, 1]).tolist()}},
+      "value"),
+     ("adaptivity", {"parameterization": {"name": "breaking", "gamma0": 1e300}},
+      "condition_residual")],
+    ids=["bounds_diag_1e-9", "adaptivity_gamma0_1e300"],
+)
+def test_cli_json_writes_a_non_finite_number_as_null(tmp_path, capsys, command, data, key):
+    # the table and the exit code keep the infinite value; the JSON is strict
+    assert run_cli(tmp_path, command, data, "--json") == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    entry = report["links"][0] if command == "bounds" else report
+    assert key in entry and entry[key] is None
 
 
 def test_cli_adaptivity_json_prints_the_verdicts(tmp_path, capsys):

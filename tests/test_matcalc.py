@@ -11,6 +11,7 @@ from ellipfim.matcalc import (
     unvecs,
     vec,
     vecs,
+    vecs_basis,
 )
 
 
@@ -155,3 +156,11 @@ def test_symmetrizer_projects_to_symmetric_part():
     np.testing.assert_allclose(
         dense.symmetrizer(m) @ vec(a), vec(0.5 * (a + a.T)), atol=1e-14
     )
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_vecs_basis_is_the_duplication_matrix_read_as_matrices(m):
+    # filled from the index pairs, to the bit what the rows of D_m^T give
+    basis = vecs_basis(m)
+    want = duplication_matrix(m).T.reshape(-1, m, m)
+    assert basis.shape == want.shape and basis.tobytes() == want.tobytes()

@@ -23,7 +23,6 @@ from ellipfim.generators import gaussian, generalized_gaussian, sample, student_
 from ellipfim.invariants import ALL_SCALES
 from ellipfim.matcalc import (
     _dup_t_vec,
-    _sym_kron_core,
     commutation_matrix,
     dup_pinv,
     duplication_matrix,
@@ -35,11 +34,13 @@ from ellipfim.matcalc import (
 from ellipfim.parameterize import (
     ADAPTIVITY_TOL,
     LowRankModel,
+    breaking_example,
     breaking_parameterization,
     condition_check,
     fd_jacobian,
     identity_parameterization,
     linear_split_parameterization,
+    low_rank_example,
     low_rank_parameterization,
     shape_scale_example,
     shape_scale_parameterization,
@@ -140,9 +141,9 @@ def test_stacked_core_matches_per_item_calls(shape):
     *stack, m = shape
     rng = np.random.default_rng(m)
     a = rng.standard_normal((*stack, m, m))
-    out = _sym_kron_core(a)
+    out = dense.core_by_row_blocks(a)
     for idx in np.ndindex(*stack):
-        np.testing.assert_array_equal(out[idx], _sym_kron_core(a[idx]))
+        np.testing.assert_array_equal(out[idx], dense.core_by_row_blocks(a[idx]))
 
 
 @pytest.mark.parametrize("shape", [(31,), (32,), (33,), (3, 32)])
@@ -153,9 +154,9 @@ def test_core_row_blocks_keep_the_bits_and_match_the_dense_oracle(shape, monkeyp
     assert 1 <= step < nh and nh % step  # several row blocks, the last one partial
     b = np.random.default_rng(m).standard_normal((*stack, m, m))
     a = b @ np.swapaxes(b, -1, -2) / m + np.eye(m)
-    out = _sym_kron_core(a)
+    out = dense.core_by_row_blocks(a)
     monkeypatch.setattr(matcalc, "_CORE_BLOCK_DOUBLES", nh * nh * items + 1)
-    np.testing.assert_array_equal(out, _sym_kron_core(a))  # one block, the same bits
+    np.testing.assert_array_equal(out, dense.core_by_row_blocks(a))  # one block, the same bits
     for idx in np.ndindex(*stack):
         assert_close(out[idx], dense.sym_kron_core(a[idx]))
 
@@ -676,6 +677,41 @@ def test_compute_paths_never_build_the_duplication_matrix():
     assert duplication_matrix.cache_info().currsize == 0
 
 
+def test_adaptivity_check_never_builds_the_duplication_matrix():
+    # the split Jacobian's unit basis comes from the vecs index pairs, so
+    # no D_m is built and left in the cache (4.3 MB at m = 32)
+    duplication_matrix.cache_clear()
+    param, theta0 = split_example(np.random.default_rng(0), 16, 2, 0.7)
+    verify_adaptivity_by_fim(param, theta0, student_t(8))
+    assert duplication_matrix.cache_info().currsize == 0
+
+
+def _drawn_example(name, m, seed, rho):
+    rng = np.random.default_rng(seed)
+    if name == "split":
+        return split_example(rng, m, 2, rho)
+    if name == "low_rank":  # m(m+1)/2 >= p + p(p+1)/2 + 1
+        return low_rank_example(rng, m, rng.uniform(0.2, 1.5, 1 if m == 2 else 2), 0.8)
+    if name == "shape_scale":
+        return shape_scale_example(ALL_SCALES[seed % 3], m, rho, 1.5)
+    return breaking_example(m, rho, 1.3)
+
+
+@given(
+    st.sampled_from(["split", "low_rank", "shape_scale", "breaking"]),
+    st.integers(2, 8),
+    st.integers(0, 2**16),
+    st.floats(-0.9, 0.9),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_geometry_from_vecs_rows_matches_the_whitened_slices(name, m, seed, rho):
+    param, theta0 = _drawn_example(name, m, seed, rho)
+    geometry = fim.model_geometry(param, theta0)
+    gram, trace = dense.whitened_slices_geometry(param, theta0)
+    for got, want in ((geometry.sigma_gram, gram), (geometry.sigma_trace, trace)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def _r_step_peak_m32(warm):
     """tracemalloc peak of one m=32, n=600 R-step, after the matcalc caches
     are emptied; ``warm`` refills them with an untraced call first."""
@@ -776,7 +812,8 @@ def test_write_bounds_csv_holds_two_d_by_d_arrays(m, tmp_path):
 def test_adaptivity_check_holds_four_d_by_d_arrays(m, name):
     # d = param.d: the (d, m, m) Jacobian (about two) beside the
     # identifiability stack and its LAPACK copy, or beside the whitened
-    # stack; then at most three (about seven at m = 32 before)
+    # vecs rows (about one); then at most three (about seven at m = 32
+    # before)
     if name == "split":
         param, theta0 = split_example(np.random.default_rng(0), m, 2, 0.7)
     else:
