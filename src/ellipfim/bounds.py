@@ -20,6 +20,7 @@ and the texts of the distinct entries, about two d x d arrays' worth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -416,7 +417,167 @@ def verify_chain(
 # the longest %.17g text of a double, as in "-1.2345678901234567e-308"
 _VALUE_WIDTH = 24
 _CHUNK_BYTES = 1 << 18
-_FORMAT_SLICE = 1 << 12  # distinct values formatted per %-string
+_FORMAT_SLICE = 1 << 12  # distinct values formatted per _format_g17 call
+
+# _format_g17 lays out |v| in [1e-16, 1e16) itself; there the leading digit
+# is at 10**x, x in _G17_EXPONENTS (the double 1e-16 is 9.99...98e-17), and
+# v 10**j, j = 16 - x, needs 10**j for j in [0, 33]
+_G17_RANGE = (1e-16, 1e16)
+_G17_EXPONENTS = range(-17, 16)
+# 10**j is a double up to here, so the product is exact; beyond it, a value
+# this close to half a unit of the 17th digit is left to %
+_G17_EXACT_J = 22
+_G17_HALF_MARGIN = 1e-12
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+# below this many values the kernel's fixed cost, about sixty numpy calls,
+# is more than % takes
+_G17_MIN_VALUES = 256
+# each value's source row: its 17 digits, then these bytes
+_G17_SOURCE = b"-.e 0123456789"
+_G17_ROW = 17 + len(_G17_SOURCE)
+
+
+def _g17_layout(negative, x, s):
+    """Source-row positions of the %-24.17g text of a value with sign
+    ``negative``, leading digit at 10**x and ``s`` significant digits.
+
+    %g writes x in [-4, 17) positionally and every other x as d.ddde-XX;
+    trailing zeros go, and so does a point with nothing after it.
+    """
+    minus, point, e, space, zero = range(17, 22)
+    out = [minus] if negative else []
+    if x >= 0:
+        out += range(x + 1)
+        if s > x + 1:
+            out += [point, *range(x + 1, s)]
+    elif x >= -4:
+        out += [zero, point, *[zero] * (-x - 1), *range(s)]
+    else:
+        out += [0, *([point, *range(1, s)] if s > 1 else []), e, minus]
+        out += [zero + (-x) // 10, zero + (-x) % 10]
+    return out + [space] * (_VALUE_WIDTH - len(out))
+
+
+@functools.lru_cache(maxsize=1)
+def _g17_tables():
+    """10**j, j = 0..33, as a double ``hi`` plus the double nearest the
+    rest, and ``hi`` split in halves of 26 bits; the ASCII digits of each
+    number below 10**4, four bytes in one uint32; and the source positions
+    of every (sign, exponent, significant digits) layout."""
+    exact = [10**j for j in range(17 - _G17_EXPONENTS.start)]
+    hi = np.array([float(p) for p in exact])
+    lo = np.array([float(p - int(h)) for p, h in zip(exact, hi)])
+    hi_hi = hi * _SPLIT
+    hi_hi -= hi_hi - hi
+    quads = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    layouts = [
+        _g17_layout(negative, x, s)
+        for negative in (False, True)
+        for x in _G17_EXPONENTS
+        for s in range(1, 18)
+    ]
+    return (
+        hi, lo, hi_hi, hi - hi_hi,
+        quads.astype(np.uint8).view(np.uint32).ravel(),
+        np.array(layouts, dtype=np.intp),
+    )
+
+
+def _scaled(a, j):
+    """a 10**j as p + e, p = fl(a hi): Dekker's exact product of a and hi
+    plus a times the rest of 10**j."""
+    hi, lo, hi_hi, hi_lo = _g17_tables()[:4]
+    p = a * hi[j]
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    e = a_hi * hi_hi[j]
+    e -= p
+    e += a_hi * hi_lo[j]
+    e += a_lo * hi_hi[j]
+    e += a_lo * hi_lo[j]
+    e += a * lo[j]
+    return p, e
+
+
+def _decade_step(p, e):
+    """+1 where p + e < 10**16, -1 where p + e >= 10**17, else 0, exactly."""
+    below = (p < 1e16) | ((p == 1e16) & (e < 0))
+    above = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    return below.astype(np.intp) - above
+
+
+def _percent_g17(values):
+    """The (N, 24) bytes of ``"%-24.17g" % v``, by CPython's %."""
+    text = (f"%-{_VALUE_WIDTH}.17g" * len(values)) % tuple(values.tolist())
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _VALUE_WIDTH)
+
+
+def _format_g17(values):
+    """The (N, 24) bytes of ``"%-24.17g" % v`` for each v of a float64 vector.
+
+    For |v| in [1e-16, 1e16) the 17 digits are round-half-even(|v| 10**j),
+    j = 16 - x for the leading digit's 10**x, and are laid out by the
+    template of (sign, x, significant digits); every other value, one too
+    near a half to round, and a vector of fewer than _G17_MIN_VALUES take %.
+    """
+    v = np.asarray(values, dtype=float)
+    size = len(v)
+    if size < _G17_MIN_VALUES:
+        return _percent_g17(v)
+    *_, quads, layouts = _g17_tables()
+    a = np.abs(v)
+    with np.errstate(invalid="ignore"):
+        fast = (a >= _G17_RANGE[0]) & (a < _G17_RANGE[1])
+    a[~fast] = 1.0
+    j = 16 - np.floor(np.log10(a)).astype(np.intp)
+    p, e = _scaled(a, j)
+    # log10 can miss the decade next to a power of ten: move j until
+    # 10**16 <= a 10**j < 10**17
+    step = _decade_step(p, e)
+    redo = np.flatnonzero(step)
+    while redo.size:
+        j[redo] += step[redo]
+        p[redo], e[redo] = _scaled(a[redo], j[redo])
+        step = _decade_step(p[redo], e[redo])
+        redo, step = redo[step != 0], step[step != 0]
+    # p >= 10**16 > 2**53 is an integer: round p + e half to even
+    whole = np.floor(e)
+    e -= whole
+    n = p.astype(np.int64)
+    n += whole.astype(np.int64)
+    n += (e > 0.5) | ((e == 0.5) & (n & 1).astype(bool))
+    fast &= (j <= _G17_EXACT_J) | (np.abs(e - 0.5) >= _G17_HALF_MARGIN)
+    carry = n == 10**17
+    n[carry] = 10**16
+    x = 16 - j + carry
+    # the digits: the leading one, then four groups of four
+    lead = n // 10**16
+    n -= lead * 10**16
+    high = n // 10**8
+    low = n - high * 10**8
+    groups = np.stack([high // 10**4, high, low // 10**4, low], axis=1)
+    groups[:, 1] -= groups[:, 0] * 10**4
+    groups[:, 3] -= groups[:, 2] * 10**4
+    source = np.empty((size, _G17_ROW), dtype=np.uint8)
+    source[:, 0] = lead + ord("0")
+    source[:, 1:17].view(np.uint32)[:] = quads[groups]
+    source[:, 17:] = np.frombuffer(_G17_SOURCE, dtype=np.uint8)
+    # significant digits: 17, or up to the last nonzero one
+    digits = np.full(size, 17, dtype=np.intp)
+    tail = np.flatnonzero(source[:, 16] == ord("0"))
+    nonzero = source[tail, 1:17] != ord("0")
+    digits[tail] = 1 + (16 - nonzero[:, ::-1].argmax(axis=1)) * nonzero.any(axis=1)
+    key = np.signbit(v) * len(_G17_EXPONENTS) + (x - _G17_EXPONENTS.start)
+    key *= 17
+    key += digits - 1
+    index = np.take(layouts, key, axis=0)
+    index += np.arange(0, size * _G17_ROW, _G17_ROW)[:, None]
+    out = np.take(source.reshape(-1), index)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = _percent_g17(v[slow])
+    return out
 
 
 def _distinct_bits(mat):
@@ -457,12 +618,22 @@ def write_bounds_csv(bounds: BoundSet, path):
     """Serialize all bound blocks row-major at 17 significant digits.
 
     Lines read ``block,row,col,value`` and end in a newline on every
-    platform.  Each block formats every distinct bit pattern once, into a
-    space-padded field of the widest %.17g text; a format string covers a
-    fixed slice of the distinct values, so no text holds a whole block.
-    The file is then streamed in chunks of about a quarter mebibyte: each
-    line is laid out in fixed-width fields (row prefix, column, value,
-    newline), and since no field's text holds a space, dropping every
+    platform.  Each block formats every distinct bit pattern once, a fixed
+    slice at a time, into a space-padded field of the widest %.17g text.
+    ``_format_g17`` writes the text of a finite |v| in [1e-16, 1e16)
+    itself, byte for byte that of %.17g: |v| 10**j lies in [10**16, 10**17)
+    as p + e, Dekker's exact product of |v| and the double nearest 10**j
+    plus |v| times the rest, and its 17 digits are p + e rounded half to even.
+    For j <= 22, 10**j is a double, so p + e is |v| 10**j exactly and the
+    rounding is exact.  Beyond it p + e is off by less than 1e-14, so only
+    a value within 1e-12 of a half can round the wrong way, and that value,
+    like zero, a subnormal, a non-finite value or one outside the range,
+    takes CPython's %; so does every value of a slice too short to repay
+    the kernel's fixed cost.
+    The file is then streamed in chunks of about a quarter mebibyte, built
+    in one buffer per block: each line is laid out in fixed-width fields
+    (row prefix, column, value, newline), the column and newline fields
+    written once, and since no field's text holds a space, dropping every
     space byte leaves the lines.  Besides the block, the largest arrays
     alive are the 32-bit index of each entry's text and the texts (about
     4 and 12 bytes per entry of a symmetric block).
@@ -475,24 +646,23 @@ def write_bounds_csv(bounds: BoundSet, path):
                 continue
             nrow, ncol = mat.shape
             distinct, where = _distinct_bits(mat)
-            text = bytearray(distinct.size * _VALUE_WIDTH)
+            text = np.empty((distinct.size, _VALUE_WIDTH), dtype=np.uint8)
             for k in range(0, distinct.size, _FORMAT_SLICE):
-                part = distinct[k : k + _FORMAT_SLICE].view(float).tolist()
-                text[k * _VALUE_WIDTH : (k + len(part)) * _VALUE_WIDTH] = (
-                    (f"%-{_VALUE_WIDTH}.17g" * len(part)) % tuple(part)
-                ).encode("ascii")
+                text[k : k + _FORMAT_SLICE] = _format_g17(distinct[k : k + _FORMAT_SLICE].view(float))
             del distinct
-            values = np.frombuffer(text, dtype=f"V{_VALUE_WIDTH}")
+            values = text.view(f"V{_VALUE_WIDTH}").reshape(-1)
             wr, wc = len(f"{name},{nrow - 1},"), len(f"{ncol - 1},")
             rows = np.array([f"{name},{i},".ljust(wr) for i in range(nrow)], dtype=f"S{wr}")
             cols = np.array([f"{j},".ljust(wc) for j in range(ncol)], dtype=f"S{wc}")
             line = np.dtype([("row", rows.dtype), ("col", cols.dtype), ("value", values.dtype), ("end", "S1")])
-            step = max(1, _CHUNK_BYTES // (ncol * line.itemsize))
+            step = min(nrow, max(1, _CHUNK_BYTES // (ncol * line.itemsize)))
+            buffer = bytearray(step * ncol * line.itemsize)
+            lines = np.frombuffer(buffer, dtype=line).reshape(step, ncol)
+            lines["col"] = cols
+            lines["end"] = b"\n"
             for i in range(0, nrow, step):
-                lines = np.empty((min(step, nrow - i), ncol), dtype=line)
-                lines["row"] = rows[i : i + step, None]
-                lines["col"] = cols
-                lines["value"] = values.take(where[i : i + step])
-                lines["end"] = b"\n"
-                flat = lines.view(np.uint8).reshape(-1)
-                fh.write(flat[flat != ord(" ")])
+                k = min(step, nrow - i)
+                lines["row"][:k] = rows[i : i + k, None]
+                lines["value"][:k] = values[where[i : i + k]]
+                chunk = buffer if k == step else buffer[: k * ncol * line.itemsize]
+                fh.write(chunk.translate(None, b" "))

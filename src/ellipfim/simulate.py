@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
+import scipy
 from scipy.linalg import toeplitz
 
 from .bounds import _scale_known_gap, crb_shape
@@ -236,6 +238,9 @@ class SimResult:
                 if c.n_failed
             ],
             "diagnostics": self.diagnostics,
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "cpu_count": os.cpu_count(),
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)

@@ -11,6 +11,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import toeplitz
 
 import ellipfim
@@ -21,7 +22,7 @@ import test_fim as fim_tests
 import test_generators as generator_tests
 import test_matcalc as matcalc_tests
 from ellipfim import bounds, estimators, fim, invariants, parameterize, simulate
-from ellipfim.cli import main
+from ellipfim.cli import _print_json, main
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
 from ellipfim.invariants import run_invariant_suite
 from ellipfim.generators import sample, student_t
@@ -200,6 +201,15 @@ def test_metadata_records_config(tmp_path, small_result):
     meta = json.loads(path.read_text())
     assert meta["schema"] == 1
     assert meta["config"]["trials"] == SMALL["trials"]
+
+
+def test_metadata_records_the_library_versions_and_cpu_count(tmp_path, small_result):
+    path = tmp_path / "m.json"
+    small_result.write_metadata(path)
+    meta = json.loads(path.read_text())
+    assert meta["numpy_version"] == np.__version__
+    assert meta["scipy_version"] == scipy.__version__
+    assert meta["cpu_count"] == os.cpu_count()
 
 
 def test_metadata_records_blocks_and_workers(tmp_path, small_result):
@@ -664,21 +674,20 @@ def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
 
-@pytest.mark.parametrize(
-    "command, data, key",
-    [("bounds", {"m": 4, "scale": "trace", "generator": {"family": "t", "nu": 6},
-                 "sigma": {"kind": "matrix", "values": np.diag([1e-9, 1, 1, 1]).tolist()}},
-      "value"),
-     ("adaptivity", {"parameterization": {"name": "breaking", "gamma0": 1e300}},
-      "condition_residual")],
-    ids=["bounds_diag_1e-9", "adaptivity_gamma0_1e300"],
-)
-def test_cli_json_writes_a_non_finite_number_as_null(tmp_path, capsys, command, data, key):
-    # the table and the exit code keep the infinite value; the JSON is strict
-    assert run_cli(tmp_path, command, data, "--json") == 0
+def test_cli_json_writes_a_non_finite_number_as_null(capsys):
+    # the --json reports are strict JSON: NaN and the infinities, at any
+    # depth of dicts and lists, print as null
+    _print_json({
+        "nan": math.nan,
+        "links": [{"value": math.inf, "passed": None}, {"value": 1.5, "passed": True}],
+        "nested": {"list": [-math.inf, np.float64(np.nan), 2], "finite": -0.25},
+    })
     report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
-    entry = report["links"][0] if command == "bounds" else report
-    assert key in entry and entry[key] is None
+    assert report == {
+        "nan": None,
+        "links": [{"value": None, "passed": None}, {"value": 1.5, "passed": True}],
+        "nested": {"list": [None, None, 2], "finite": -0.25},
+    }
 
 
 def test_cli_adaptivity_json_prints_the_verdicts(tmp_path, capsys):

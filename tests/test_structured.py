@@ -1,6 +1,8 @@
 """The structured vecs-space forms against their dense Kronecker oracles."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -628,6 +630,75 @@ def test_write_bounds_csv_formats_an_all_distinct_block_in_slices(tmp_path):
         lines = fh.read().splitlines()
     assert len(lines) == 1 + 4 + x.size
     assert lines[-1] == f"crb_vecs_sigma,527,527,{x[-1, -1]:.17g}".encode()
+
+
+def percent_g17(values):
+    """The oracle: CPython's ``"%-24.17g" % v`` of each value, as (N, 24) bytes."""
+    text = ("%-24.17g" * len(values)) % tuple(np.asarray(values, dtype=float).tolist())
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 24)
+
+
+def assert_formats_as_percent(values):
+    values = np.asarray(values, dtype=float)
+    for k in range(0, values.size, bounds._FORMAT_SLICE):
+        part = values[k : k + bounds._FORMAT_SLICE]
+        assert part.size >= bounds._G17_MIN_VALUES  # the kernel, not its % fallback
+        got, want = bounds._format_g17(part), percent_g17(part)
+        assert got.shape == want.shape
+        bad = np.flatnonzero((got != want).any(axis=1))
+        assert not bad.size, [(repr(part[i]), got[i].tobytes(), want[i].tobytes()) for i in bad[:5]]
+
+
+@given(hnp.arrays(float, st.integers(0, 40), elements=st.floats()))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_format_g17_matches_percent_on_drawn_floats(values):
+    # st.floats() draws NaN, +-inf, +-0 and subnormals besides normal values;
+    # the kernel takes vectors this short too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_G17_MIN_VALUES", 0)
+        assert_formats_as_percent(values)
+
+
+def test_format_g17_matches_percent_in_every_decade_from_1e_minus_20_to_1e20():
+    rng = np.random.default_rng(17)
+    size = 1 << 20
+    decade = rng.integers(-20, 20, size)
+    sign = rng.choice([-1.0, 1.0], size)
+    values = sign * rng.uniform(1.0, 10.0, size) * 10.0**decade
+    assert len(np.unique(2 * decade + (sign > 0))) == 80
+    assert_formats_as_percent(values)
+
+
+def test_format_g17_matches_percent_next_to_powers_of_ten():
+    values = []
+    for k in range(-20, 21):
+        # the largest double below 10**k: at k = -14 it rounds up to 1e-14
+        below = float(f"1e{k}")
+        if Fraction(below) >= Fraction(10) ** k:
+            below = math.nextafter(below, 0.0)
+        values += [below, math.nextafter(below, 0.0), math.nextafter(below, math.inf)]
+        if -17 <= k <= 16:
+            power = float(f"1e{k}")
+            values += [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+    # the ends of the range the kernel lays out itself
+    for end in (1e-16, 1e16):
+        values += [end, math.nextafter(end, 0.0), math.nextafter(end, math.inf)]
+    values = np.array(values)
+    assert "%.17g" % 1e-14 == "1e-14" and 1e-14 in values
+    assert_formats_as_percent(np.concatenate([values, -values]))
+
+
+def test_format_g17_rounds_exact_halves_to_even():
+    # odd / 4 in [2**50, 2**51) and odd / 8 in [2**49, 2**50): 10 v, or
+    # 100 v, ends in exactly .5 at the 17th digit
+    rng = np.random.default_rng(50)
+    odd = rng.integers(2**51, 2**52, 4096) * 2 + 1
+    values = np.concatenate([odd / 4, odd / 8])
+    half = Fraction(1, 2)
+    assert all(Fraction(v) * 10 % 1 == half for v in values[:4096])
+    # below 1e15 the 17th digit of odd / 8 is its second after the point
+    assert all(Fraction(v) * 100 % 1 == half for v in values[4096:] if v < 1e15)
+    assert_formats_as_percent(np.concatenate([values, -values]))
 
 
 # ---------------------------------------------------------------------------
