@@ -21,7 +21,7 @@ import test_estimators as estimator_tests
 import test_fim as fim_tests
 import test_generators as generator_tests
 import test_matcalc as matcalc_tests
-from ellipfim import bounds, estimators, fim, invariants, parameterize, simulate
+from ellipfim import bounds, cli, estimators, fim, invariants, parameterize, simulate
 from ellipfim.cli import _print_json, main
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
 from ellipfim.invariants import run_invariant_suite
@@ -674,7 +674,42 @@ def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
 
-def test_cli_json_writes_a_non_finite_number_as_null(capsys):
+def _first_link_unresolved(report):
+    report.links[0].value, report.links[0].passed = math.inf, None
+    return report
+
+
+def _residual_infinite(report):
+    report.condition.scaled_residual = np.full_like(report.condition.scaled_residual, np.inf)
+    return report
+
+
+@pytest.mark.parametrize(
+    "command, data, patch, key",
+    [("bounds", {"m": 4, "scale": "trace", "generator": {"family": "t", "nu": 6},
+                 "sigma": {"kind": "matrix", "values": np.diag([1e-9, 1, 1, 1]).tolist()}},
+      (bounds, "verify_chain", _first_link_unresolved), "value"),
+     ("adaptivity", {"parameterization": {"name": "breaking", "gamma0": 1e300}},
+      (cli, "verify_adaptivity_by_fim", _residual_infinite), "condition_residual")],
+    ids=["bounds_diag_1e-9", "adaptivity_gamma0_1e300"],
+)
+def test_cli_json_writes_a_non_finite_number_as_null(
+    tmp_path, capsys, monkeypatch, command, data, patch, key
+):
+    # each config prints an infinite number today (a link value, a condition
+    # residual); the wrapper puts one in the command's report whether or not
+    # that fault is mended, so the case checks only the JSON: the exit code
+    # is kept and the number prints as null
+    module, name, make_non_finite = patch
+    computed = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: make_non_finite(computed(*args)))
+    assert run_cli(tmp_path, command, data, "--json") == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    entry = report["links"][0] if command == "bounds" else report
+    assert key in entry and entry[key] is None
+
+
+def test_print_json_writes_a_nested_non_finite_number_as_null(capsys):
     # the --json reports are strict JSON: NaN and the infinities, at any
     # depth of dicts and lists, print as null
     _print_json({
