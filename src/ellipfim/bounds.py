@@ -10,12 +10,14 @@ check: all bound matrices are PD by theory, so a factorization failure is
 an upstream bug and should fail loudly.
 
 Memory.  With d = m(m+1)/2, each bound is one d x d array (or one less),
-filled a cache-sized row block of the entrywise core at a time and
-symmetrized in place.  The ``ellipfim bounds`` command keeps two of them,
-``crb_shape`` and ``crb_vecs_sigma``, and ``verify_chain`` adds at most
-three (its bound, one FIM and one work array), so five d x d arrays are
-alive at its peak; ``write_bounds_csv`` needs, per block, a 32-bit index
-and the texts of the distinct entries, about two d x d arrays' worth.
+filled a cache-sized row block of the entrywise core at a time by the
+fill that also builds the FIMs (:func:`~ellipfim.matcalc._vecs_fill`),
+and symmetric to the bit as written.  The ``ellipfim bounds`` command
+keeps two of them, ``crb_shape`` and ``crb_vecs_sigma``, and
+``verify_chain`` adds at most three (its bound, one FIM and one work
+array), so five d x d arrays are alive at its peak; ``write_bounds_csv``
+needs, per block, a 32-bit index and the texts of the distinct entries,
+about two d x d arrays' worth.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from scipy import linalg
 from scipy.linalg import blas
 
 from .generators import DensityGenerator
-from .matcalc import _CORE_BLOCK_DOUBLES, _core_row_blocks, _symmetrize, vecs, vecs_len
+from .matcalc import _CORE_BLOCK_DOUBLES, _vecs_fill, vecs, vecs_len
 from .scale import DET_ROOT, ScaleFunctional, decompose, grad_v11
 from . import fim as fim_mod
 
@@ -108,26 +110,6 @@ def _require_ovecs(m):
         raise ValueError("ovecs requires m >= 2")
 
 
-def _bound_from_core(a, x, y, start, alpha):
-    """(B + B^T) / (2 alpha) for B the core of A less x y^T + y x^T, rows
-    and columns ``start:``.
-
-    The core is D_m^+ (I + K_m)(A (x) A) D_m^+T.  Each row block of B is a
-    fresh row block of the core (:func:`~ellipfim.matcalc._core_row_blocks`)
-    less its part of the two rank-one terms, written into the one result,
-    which is then symmetrized in place; entry (p, q) is the whole-array
-    form's to the bit.
-    """
-    out = np.empty((len(x) - start, len(x) - start))
-    xs, ys = x[start:], y[start:]
-    for lo, blk in _core_row_blocks(a, start):
-        rows = slice(lo, lo + blk.shape[0])
-        blk -= x[rows, None] * ys
-        blk -= y[rows, None] * xs
-        out[lo - start : lo - start + blk.shape[0]] = blk
-    return _symmetrize(out, 0.5 / alpha)
-
-
 def crb_shape(scale: ScaleFunctional, v, gen: DensityGenerator):
     """Parametric-and-semiparametric bound on ovecs(V) with unknown scale.
 
@@ -144,7 +126,7 @@ def crb_shape(scale: ScaleFunctional, v, gen: DensityGenerator):
     vgv = v @ g @ v
     a = vecs(decompose(scale, v).v)
     c = 2.0 * vecs(vgv) - np.sum(g * vgv) * a
-    return _bound_from_core(v, a, c, 1, gen.alpha(m))
+    return _vecs_fill(v, x=-a, y=c, start=1, coef=1.0 / gen.alpha(m))
 
 
 def crb_shape_det_root(v, gen: DensityGenerator):
@@ -153,7 +135,7 @@ def crb_shape_det_root(v, gen: DensityGenerator):
     m = v.shape[0]
     _require_ovecs(m)
     a = vecs(v)
-    return _bound_from_core(v, a, a / m, 1, gen.alpha(m))
+    return _vecs_fill(v, x=-a, y=a / m, start=1, coef=1.0 / gen.alpha(m))
 
 
 @dataclass(frozen=True)
@@ -214,7 +196,7 @@ def crb_vecs_sigma(sigma, gen: DensityGenerator):
     m = sigma.shape[0]
     alpha = gen.alpha(m)
     a = vecs(sigma)
-    return _bound_from_core(sigma, a, _rank1_coeff(alpha, m) * a, 0, alpha)
+    return _vecs_fill(sigma, x=-a, y=_rank1_coeff(alpha, m) * a, coef=1.0 / alpha)
 
 
 @dataclass

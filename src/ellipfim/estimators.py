@@ -55,8 +55,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg, special
 
-from .fim import _vecs_information
-from .matcalc import _dup_t_vec, ovecs, unvecs, vecs, vecs_len
+from .matcalc import _dup_t_vec, _vecs_fill, ovecs, unvecs, vecs, vecs_len
 from .scale import ScaleFunctional, constraint_gradient_vecs, renormalize
 
 __all__ = [
@@ -379,6 +378,13 @@ def _rank_delta(xt, v_inv, tables):
     return np.ascontiguousarray(_dup_t_vec(s)) / (2.0 * np.sqrt(n))
 
 
+def _upsilon_gram(v_inv):
+    """The R-step's Gram Upsilon Upsilon^T = D_m^T (V^-1 (x) V^-1 -
+    vec(V^-1) vec(V^-1)^T / m) D_m from V^-1, or a stack of them, entry by
+    entry (:func:`~ellipfim.matcalc._vecs_fill`)."""
+    return _vecs_fill(v_inv, 1.0, -1.0 / v_inv.shape[-1])
+
+
 def _tangent_step(gram, g, delta):
     """Xi Delta = 2 U [U^T G U]^{-1} U^T Delta for every score, from the Gram
     G = Upsilon Upsilon^T (T, d, d), the constraint gradient g (T, d) and
@@ -433,7 +439,7 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
         delta0 = _rank_delta(xt, v_inv, tables)
         finite = np.isfinite(v_star).all(axis=(-2, -1))
         g = constraint_gradient_vecs(scale, np.where(finite[:, None, None], v_star, np.eye(m)))
-        gram = _vecs_information(v_inv, 1.0, -1.0 / m)[0]
+        gram = _upsilon_gram(v_inv)
         step = _tangent_step(gram, g, delta0)
         base = vecs(v_star)
         # local slope of the rank statistic along the update direction, one

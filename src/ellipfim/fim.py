@@ -16,11 +16,10 @@ returns the matching shape.  At x = mu (Q = 0) phibar is taken as 0: the
 location score is zero and every phibar term drops out.
 
 Memory.  Each FIM of the shape or of vecs(Sigma) is one d x d array
-(d = m(m+1)/2 or one less), filled a cache-sized row block at a time:
-the block of the entrywise core gets its scaling, its rank-one term and
-the K_V sandwich in place before it is written, so each builder holds
-one d x d array at its peak.  The stacked (T, d, d) R-step Gram is the
-same fill over a stack.  A parameterized model's FIMs (d the number of
+(d = m(m+1)/2 or one less), filled a cache-sized row block at a time by
+:func:`~ellipfim.matcalc._vecs_fill`, as are the bounds and the stacked
+(T, d, d) R-step Gram, so each builder holds one d x d array, symmetric
+to the bit, at its peak.  A parameterized model's FIMs (d the number of
 coordinates) need the (d, m, m) Jacobian stack, about two d x d arrays
 at the paper's sizes (d is about m^2 / 2): ``model_geometry`` holds it
 beside either the identifiability stack and its one LAPACK copy or the
@@ -42,11 +41,11 @@ from scipy import linalg
 from .generators import DensityGenerator
 from .matcalc import (
     _CORE_BLOCK_DOUBLES,
-    _core_row_blocks,
     _dup_gram,
     _dup_t_vec,
     _symmetrize,
     _tril_indices_colmajor,
+    _vecs_fill,
     vecs_len,
 )
 from .scale import ScaleFunctional, grad_v11
@@ -135,81 +134,16 @@ class FimBlocksEta:
         return out
 
 
-def _information_rows(a_inv, y, c_kron, c_rank1, start=0):
-    """Rows of D_m^T [c_kron (A^-1 (x) A^-1) + c_rank1 y y^T] D_m from
-    ``start`` on, columns ``start:``, as ``(lo, block)`` pairs, where
-    y = D_m^T vec(A^-1).
-
-    Each block is a fresh cache-sized row block of the entrywise core
-    (:func:`~ellipfim.matcalc._core_row_blocks`), scaled by F = diag(D_m^T
-    D_m) on both sides and given its part of the rank-one term in place,
-    so nothing of size m(m+1)/2 x m(m+1)/2 besides the caller's result is
-    formed.
-    """
-    f = _dup_gram(a_inv.shape[-1])
-    ry = c_rank1 * y
-    for lo, x in _core_row_blocks(a_inv, start):
-        hi = lo + x.shape[-2]
-        x *= f[start:]
-        x *= f[lo:hi, None]
-        x *= 0.5 * c_kron
-        x += ry[..., lo:hi, None] * y[..., None, start:]
-        yield lo, x
-
-
-def _vecs_information(a_inv, c_kron, c_rank1):
-    """D_m^T [c_kron (A^-1 (x) A^-1) + c_rank1 vec(A^-1) vec(A^-1)^T] D_m.
-
-    Also returns y = D_m^T vec(A^-1).  Filled from :func:`_information_rows`
-    into one array; a stack of matrices (leading axes) gives a stack of
-    results.  With (c_kron, c_rank1) = (1, -1/m) and A = V this is the Gram
-    Upsilon_V Upsilon_V^T of the R-estimator.
-    """
-    nh = vecs_len(a_inv.shape[-1])
-    y = _dup_t_vec(a_inv)
-    out = np.empty(a_inv.shape[:-2] + (nh, nh))
-    for lo, x in _information_rows(a_inv, y, c_kron, c_rank1):
-        out[..., lo : lo + x.shape[-2], :] = x
-    return out, y
-
-
 def _tangent_vec(y, k):
     """K_V^T y over the last axis, with K_V = [k^T; I]."""
     return y[..., 1:] + y[..., :1] * k
-
-
-def _shape_information(v_inv, k, c_kron, c_rank1, coef, order="C"):
-    """coef K_V^T X K_V, with K_V = [k^T; I] and X the information of
-    :func:`_vecs_information` at A = V.
-
-    With z = x_{1:,0} + x_00 k / 2, K_V^T X K_V = X_{1:,1:} + k z^T + z k^T
-    for a symmetric X.  Column 0 of X comes from row 0 of the core (which
-    is exactly symmetric), and each later row block of X gets its part of
-    the two rank-one terms and the factor ``coef`` in place before it is
-    written into the one result, C- or Fortran-ordered by ``order``.
-    """
-    f = _dup_gram(v_inv.shape[-1])
-    y = _dup_t_vec(v_inv)
-    _, core0 = next(_core_row_blocks(v_inv, 0, 1))
-    col0 = core0[0] * f[0]
-    col0 *= f
-    col0 *= 0.5 * c_kron
-    col0 += (c_rank1 * y) * y[0]
-    z = col0[1:] + 0.5 * col0[0] * k
-    out = np.empty((len(k), len(k)), order=order)
-    for lo, x in _information_rows(v_inv, y, c_kron, c_rank1, start=1):
-        rows = slice(lo - 1, lo - 1 + x.shape[0])
-        x += k[rows, None] * z + z[rows, None] * k
-        x *= coef
-        out[rows] = x
-    return out
 
 
 def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta:
     """Analytic FIM blocks for (mu, ovecs V, s).
 
     The shape block is the one m(m+1)/2 - 1 square array built, filled
-    row block by row block (:func:`_shape_information`).
+    row block by row block (:func:`~ellipfim.matcalc._vecs_fill`).
     """
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
@@ -219,7 +153,7 @@ def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta
     k = grad_v11(scale, v)
     # M_S = K_V^T D_m^T turns D_m^T-weighted vecs quantities into ovecs ones
     i_mu = beta * v_inv / s
-    i_v = _shape_information(v_inv, k, 2.0 * alpha, alpha - 1.0, 0.25)
+    i_v = _vecs_fill(v_inv, 2.0 * alpha, alpha - 1.0, start=1, k=k, coef=0.25)
     i_s = (m * (m + 2) * alpha - m * m) / (4.0 * s * s)
     i_vs = ((m + 2) * alpha - m) / (4.0 * s) * _tangent_vec(_dup_t_vec(v_inv), k)
     return FimBlocksEta(i_mu=i_mu, i_v=i_v, i_s=i_s, i_vs=i_vs)
@@ -229,25 +163,24 @@ def _efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator, order
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
     alpha = gen.alpha(m)
-    v_inv = np.linalg.inv(v)
-    return _shape_information(v_inv, grad_v11(scale, v), 1.0, -1.0 / m, 0.5 * alpha, order)
+    k = grad_v11(scale, v)
+    return _vecs_fill(np.linalg.inv(v), 1.0, -1.0 / m, start=1, k=k, coef=0.5 * alpha, order=order)
 
 
 def efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator):
     """Semiparametric efficient FIM for the shape: the scale-projected block.
 
-    One m(m+1)/2 - 1 square array is built (:func:`_shape_information`).
+    One m(m+1)/2 - 1 square array is built (:func:`~ellipfim.matcalc._vecs_fill`).
     """
     return _efficient_fim_shape(v, scale, gen, "C")
 
 
 def fim_vecs_sigma(sigma, gen: DensityGenerator):
     """FIM of vecs(Sigma) in the scatter parameterization, built as one
-    m(m+1)/2 square array (:func:`_vecs_information`)."""
+    m(m+1)/2 square array (:func:`~ellipfim.matcalc._vecs_fill`)."""
     sigma = np.asarray(sigma, dtype=float)
     alpha = gen.alpha(sigma.shape[0])
-    x, _ = _vecs_information(np.linalg.inv(sigma), 0.5 * alpha, 0.25 * (alpha - 1.0))
-    return x
+    return _vecs_fill(np.linalg.inv(sigma), 0.5 * alpha, 0.25 * (alpha - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +350,12 @@ def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: b
     """The FIM of theta; the two kinds differ in the coefficient of t t^T only.
 
     Built as one d x d array, a cache-sized row block of beta J_mu^T
-    Sigma^-1 J_mu + alpha / 2 (Sigma Gram + c t t^T) at a time, and then
-    symmetrized in place.  Each block reads only its own rows of the
-    Grams, so ``out`` may be ``geometry.sigma_gram`` itself.
+    Sigma^-1 J_mu + alpha / 2 (Sigma Gram + c t t^T) at a time.  The two
+    Grams are exactly symmetric (``model_geometry`` forms each as X^T X)
+    and t_i t_j is formed before it is scaled, so the result is symmetric
+    to the bit.  Each block reads only its own rows of the Grams, so
+    ``out`` may be ``geometry.sigma_gram`` itself.  Raises ``ValueError``
+    when the FIM is not finite.
     """
     if not geometry.identifiable:
         raise IdentifiabilityError(_NOT_IDENTIFIABLE)
@@ -433,15 +369,19 @@ def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: b
     t = geometry.sigma_trace
     out = np.empty(geometry.sigma_gram.shape) if out is None else out
     step = max(1, _CORE_BLOCK_DOUBLES // max(1, len(t)))
-    for lo in range(0, len(t), step):
-        rows = slice(lo, lo + step)
-        blk = t[rows, None] * t
-        blk *= rank1
-        blk += geometry.sigma_gram[rows]
-        blk *= 0.5 * alpha
-        blk += beta * geometry.mu_gram[rows]
-        out[rows] = blk
-    return _symmetrize(out, 0.5)
+    # an overflow is reported once below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(t), step):
+            rows = slice(lo, lo + step)
+            blk = t[rows, None] * t
+            blk *= rank1
+            blk += geometry.sigma_gram[rows]
+            blk *= 0.5 * alpha
+            blk += beta * geometry.mu_gram[rows]
+            out[rows] = blk
+    if not np.isfinite(out).all():
+        raise ValueError(f"the FIM of theta under {gen.name} is not finite")
+    return out
 
 
 def fim_theta(param, theta0, gen: DensityGenerator):

@@ -207,7 +207,9 @@ class _GeneralizedGaussian(DensityGenerator):
         return math.exp(self._log_c(m)) * g * np.power(rng.random(n), 2.0 / m)
 
     def alpha(self, m):
-        return (m + 2.0 * self.shape) / (m + 2.0)
+        # (m + 2 s) / (m + 2) halved above and below: the same double, but
+        # no intermediate 2 s to overflow for a shape near the float maximum
+        return (0.5 * m + self.shape) / (0.5 * m + 1.0)
 
     def beta(self, m):
         s = self.shape

@@ -53,6 +53,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import bounds as bounds_mod
+from . import estimators as estimators_mod
 from . import fim as fim_mod
 from .complexces import (
     cces_fim_location,
@@ -366,7 +367,7 @@ def upsilon_annihilation(rng, m):
     one random trace-scale shape V: Upsilon^T vecs(V) = 0, so the scale
     direction is in the Gram's kernel."""
     v = random_shape(rng, m, NORMALIZED_TRACE)
-    gram = fim_mod._vecs_information(np.linalg.inv(v), 1.0, -1.0 / m)[0]
+    gram = estimators_mod._upsilon_gram(np.linalg.inv(v))
     return float(np.abs(gram @ vecs(v)).max())
 
 

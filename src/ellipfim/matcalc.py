@@ -17,19 +17,19 @@ The map D_m^T vec(A), which every score and projected FIM contains, is
 D_m^+ (I + K_m)(A (x) A) D_m^+T and D_m^T (A (x) A) D_m are
 m(m+1)/2 x m(m+1)/2 matrices whose entries are a_ik a_jl + a_il a_jk
 (Magnus & Neudecker 1980), yielded row block by row block by
-:func:`_core_row_blocks` from the same index pairs.  The same core, over
-a stack of matrices, gives the one-step R-estimator its
-Upsilon Upsilon^T Gram, one per trial.
+:func:`_core_row_blocks` from the same index pairs.  :func:`_vecs_fill`
+turns that core into every vecs-space bound and Fisher information, and,
+over a stack, into the R-estimator's Upsilon Upsilon^T Gram per trial.
 
 Memory.  With d = m(m+1)/2, an m = 32 core is 2.2 MB and an m = 64 one
 35 MB, so no caller forms a second d x d array beside its result.
 :func:`_core_row_blocks` yields the core in fresh row blocks of at most
-2**15 doubles (256 KB), whose few temporaries stay in cache; the bounds
-and Fisher informations finish each block (rank-one terms, scaling, the
-tangent sandwich) before writing it into their one result, and
-:func:`_symmetrize` forms c (X + X^T) in place, one pair of cache-sized
-blocks at a time.  Each function here thus holds one d x d array, its
-result, at its peak.
+2**15 doubles (256 KB), whose few temporaries stay in cache;
+:func:`_vecs_fill` finishes each block (scaling, rank terms, the tangent
+sandwich) before writing it into its one result, symmetric to the bit as
+written.  :func:`_symmetrize` forms c (X + X^T) in place, a pair of
+cache-sized blocks at a time, for the gemm-built Schur complement of
+``fim``.  Each function here thus holds one d x d array at its peak.
 """
 
 from __future__ import annotations
@@ -126,6 +126,56 @@ def _core_row_blocks(a, start=0, stop=None):
         blk = ar_rows[..., rs] * ac_rows[..., cs]
         blk += ar_rows[..., cs] * ac_rows[..., rs]
         yield lo, blk
+
+
+def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef=1.0,
+               order="C"):
+    """coef K^T [c W C(A) W + R] K, rows and columns ``start:``, as one
+    fresh array ordered by ``order``; a stack of A gives a stack.
+
+    C(A) is the core of :func:`_core_row_blocks`.  Given ``x`` and ``y``,
+    the bound form: W = I, c = 1, R = x y^T + y x^T.  Else the information
+    form D_m^T [c_kron (A (x) A) + c_rank1 vec(A) vec(A)^T] D_m: W = F =
+    diag(D_m^T D_m), c = c_kron / 2, R = c_rank1 y y^T, y = D_m^T vec(A).
+    K = K_V = [k^T; I] given ``k`` (start = 1), else I; with X the bracket
+    and z = X_{1:,0} + X_00 k / 2, K_V^T X K_V = X_{1:,1:} + k z^T + z k^T.
+
+    Each row block of the core is finished in place before it is written.
+    Entries (p, q) and (q, p) take the same operations in the same order
+    (the core's two products are the same pair, F holds powers of two,
+    y_p y_q is formed before it is scaled, and each rank-two term is
+    summed before it is added), so the result is symmetric to the bit.
+    """
+    if x is None:
+        f, y = _dup_gram(a.shape[-1]), _dup_t_vec(a)
+
+    def rows(first, stop=None):
+        for lo, blk in _core_row_blocks(a, first, stop):
+            p, q = slice(lo, lo + blk.shape[-2]), slice(first, None)
+            if x is None:
+                blk *= f[q]
+                blk *= f[p, None]
+                blk *= 0.5 * c_kron
+                rank = y[..., p, None] * y[..., None, q]
+                rank *= c_rank1
+            else:
+                rank = x[p, None] * y[q] + y[p, None] * x[q]
+            blk += rank
+            yield lo, blk
+
+    if k is not None:
+        _, row0 = next(rows(0, 1))
+        z = row0[0, 1:] + 0.5 * row0[0, 0] * k
+    d = y.shape[-1] - start
+    out = np.empty(a.shape[:-2] + (d, d), order=order)
+    for lo, blk in rows(start):
+        p = slice(lo - start, lo - start + blk.shape[-2])
+        if k is not None:
+            blk += k[p, None] * z + z[p, None] * k
+        if coef != 1.0:
+            blk *= coef
+        out[..., p, :] = blk
+    return out
 
 
 def _symmetrize(x, c):

@@ -263,8 +263,10 @@ def reconstruct_shape(scale: ScaleFunctional, ovecs_v, m):
 
     [V]_11 is recovered from the constraint S(V) = 1: trivially 1 for the
     first-element scale, m minus the remaining diagonal for the trace
-    scale, and for the determinant-root scale from |V| = |V_0| + [V]_11
-    det V[1:, 1:], linear in [V]_11, with V_0 the matrix at [V]_11 = 0.
+    scale, and for the determinant-root scale from the Schur complement:
+    [V]_11 = v_1^T V_22^-1 v_1 + 1 / |V_22| with v_1 = V[1:, 0] and
+    V_22 = V[1:, 1:], two positive terms that cancel nothing near a
+    singular V.  Raises ``LinAlgError`` when V_22 is not positive definite.
     """
     ovecs_v = np.asarray(ovecs_v, dtype=float)
     full = np.concatenate([[0.0], ovecs_v])
@@ -275,9 +277,7 @@ def reconstruct_shape(scale: ScaleFunctional, ovecs_v, m):
     if scale.kind == "trace":
         v[0, 0] = m - np.trace(v)
         return v
-    # det root: v holds V_0 here, and |V| = 1 fixes [V]_11
-    cofactor = np.linalg.det(v[1:, 1:])
-    if abs(cofactor) < 1e-14:
-        raise linalg.LinAlgError("degenerate leading cofactor in shape rebuild")
-    v[0, 0] = (1.0 - np.linalg.det(v)) / cofactor
+    chol = np.linalg.cholesky(v[1:, 1:])
+    w = linalg.solve_triangular(chol, v[1:, 0], lower=True)
+    v[0, 0] = w @ w + np.exp(-2.0 * np.sum(np.log(np.diag(chol))))
     return v

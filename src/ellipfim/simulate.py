@@ -81,8 +81,9 @@ class SimConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        for name in ("m", "n", "trials", "root_seed", "parallelism"):
+        for name in ("m", "n", "trials", "parallelism"):
             check_number(getattr(self, name), name, int)
+        check_number(self.root_seed, "root_seed", int, least=0)
         check_number(self.rho, "rho")
         for nu in self.nu_grid:
             check_number(nu, "nu_grid")

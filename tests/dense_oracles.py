@@ -25,8 +25,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ellipfim.bounds import _rank1_coeff
-from ellipfim.estimators import _stacked, _tangent_step, ranks
-from ellipfim.fim import _vecs_information
+from ellipfim.estimators import _stacked, _tangent_step, _upsilon_gram, ranks
 from ellipfim.matcalc import _core_row_blocks, _dup_t_vec, unvecs, vec, vecs, vecs_len
 from ellipfim.scale import constraint_gradient_vecs, decompose, grad_v11, renormalize
 
@@ -371,7 +370,7 @@ def r_step_square_root(data, v, scale, tables):
         delta0 = rank_delta_row_major(data, root_inv, tables)
         finite = np.isfinite(v_star).all(axis=(-2, -1))
         g = constraint_gradient_vecs(scale, np.where(finite[:, None, None], v_star, np.eye(m)))
-        gram = _vecs_information(root_inv @ root_inv, 1.0, -1.0 / m)[0]
+        gram = _upsilon_gram(root_inv @ root_inv)
         step = _tangent_step(gram, g, delta0)
         base = vecs(v_star)
         v_probe = renormalize(scale, unvecs(base + step / root_n, m))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -13,6 +15,7 @@ from ellipfim.fim import (
     score_eta,
     score_theta,
     score_vecs_sigma,
+    sfim_theta,
 )
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
 from ellipfim.invariants import (
@@ -30,6 +33,7 @@ from ellipfim.parameterize import (
     identity_parameterization,
     low_rank_parameterization,
     LowRankModel,
+    shape_scale_example,
     shape_scale_parameterization,
     sinusoid_steering,
 )
@@ -305,6 +309,16 @@ def test_fim_minus_sfim_psd_for_t():
     dev = loewner_ordering(param, theta0, (student_t(8),))
     assert dev.min_eig > -1e-10
     assert dev.min_trace > 1e-6
+
+
+@pytest.mark.parametrize("fim_fn", [fim_theta, sfim_theta], ids=lambda f: f.__name__)
+def test_theta_fim_beyond_the_float_range_raises(fim_fn):
+    # alpha and beta of gg(1e308) are about 1e307: the FIM overflows
+    param, theta0 = shape_scale_example(NORMALIZED_TRACE, 4, 0.8, 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="FIM of theta under gg\\(1e\\+308\\) is not finite"):
+            fim_fn(param, theta0, generalized_gaussian(1e308))
 
 
 def test_fim_theta_rejects_rank_deficient_jacobian():

@@ -134,6 +134,18 @@ def test_gg_functionals_beyond_the_float_range_raise(shape, m, functional):
         getattr(gen, functional)(m)
 
 
+@pytest.mark.parametrize("shape", [1e-3, 0.5, 1.0, 7.3, 1e100, 1e300, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("m", [1, 2, 6, 32])
+def test_gg_alpha_has_no_overflowing_intermediate(shape, m):
+    # the intermediate m + 2 s overflowed from s ~ 9e307; where it does
+    # not, alpha is (m + 2 s) / (m + 2) to the bit
+    alpha = generalized_gaussian(shape).alpha(m)
+    want = mpmath.mpf(m + 2 * mpmath.mpf(shape)) / (m + 2)
+    assert math.isfinite(alpha) and alpha == pytest.approx(float(want), rel=1e-15)
+    if math.isfinite(2.0 * shape):
+        assert alpha == (m + 2.0 * shape) / (m + 2.0)
+
+
 def gg_from_b(shape, m, t, rng, n):
     """log gbar, phibar and n draws of Q of gg(shape) from b = c^shape, the
     scale that overflows from shape ~ 400: log gbar = log a - t^s / b,

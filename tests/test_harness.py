@@ -305,9 +305,9 @@ NEGATIVE_CONTROLS = {
                    [fim_tests.test_fim_theta_equals_sfim_for_gaussian,
                     fim_tests.test_fim_minus_sfim_psd_for_t], "scores_fim.loewner_ordering"),
     # the Gram's rank-one coefficient -1/m off by a relative 1e-6
-    "_vecs_information": (fim, lambda fn: lambda a, b, c: fn(a, b, c * (1 + 1e-6)),
-                          [estimator_tests.test_upsilon_annihilates_identity_direction],
-                          "estimators.upsilon_annihilation"),
+    "_vecs_fill": (estimators, lambda fn: lambda a, b, c: fn(a, b, c * (1 + 1e-6)),
+                   [estimator_tests.test_upsilon_annihilates_identity_direction],
+                   "estimators.upsilon_annihilation"),
     # the score at data 10% too wide: its mean is no longer zero
     "score_eta": (fim, lambda fn: lambda x, *rest: fn(1.1 * x, *rest),
                   [fim_tests.test_score_eta_zero_mean_monte_carlo], "mc.score_zero_mean"),
@@ -874,6 +874,11 @@ DOMAIN_ERROR_CONFIGS = {
         "adaptivity",
         {"parameterization": {"name": "low_rank"}, "generator": {"family": "gg", "shape": 1e-4}},
     ),
+    # alpha and beta of gg(1e308) are about 1e307, and the FIM of theta overflows
+    "gg_theta_fim_overflow": (
+        "adaptivity",
+        {"parameterization": {"name": "split"}, "generator": {"family": "gg", "shape": 1e308}},
+    ),
     # a PD scatter whose scale bound, about s^2, overflows
     "bounds_huge_scatter": (
         "bounds",
@@ -1069,6 +1074,38 @@ def test_cli_bounds_at_huge_nu_writes_no_nan(tmp_path, capsys):
     assert run_cli(tmp_path, "bounds", {"m": 4, "generator": {"family": "t", "nu": 1e300}}) == 0
     [csv_path] = (tmp_path / "out").glob("*.csv")
     assert "nan" not in csv_path.read_text().lower()
+
+
+def test_cli_adaptivity_overflowing_theta_fim_names_it(tmp_path, capsys):
+    # the overflow is named, where cho_factor's "array must not contain
+    # infs or NaNs" was printed
+    data = {"parameterization": {"name": "split"}, "generator": {"family": "gg", "shape": 1e308}}
+    assert run_cli(tmp_path, "adaptivity", data) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: ValueError: the FIM of theta under gg(1e+308) is not finite"
+
+
+@pytest.mark.parametrize("flags", [(), ("--seed", "-1")], ids=["config", "flag"])
+def test_cli_simulate_rejects_a_negative_root_seed(tmp_path, capsys, flags):
+    data = {**SMALL, "trials": 5, "nu_grid": [5.0]}
+    if not flags:
+        data["root_seed"] = -1
+    assert run_cli(tmp_path, "simulate", data, *flags) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line == "config error: root_seed must be >= 0, got -1"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("rho", [0.9999999, 0.99999999])
+@pytest.mark.parametrize("m", [4, 8])
+def test_cli_adaptivity_det_shape_near_singular_is_adaptive(tmp_path, capsys, m, rho):
+    # [V]_11 rebuilt from the Schur complement keeps S(V) = 1; the cofactor
+    # form missed it by 8.6e-4 at m = 4, rho = 0.9999999
+    spec = {"name": "shape_scale", "m": m, "scale": "det", "rho": rho}
+    assert run_cli(tmp_path, "adaptivity", {"parameterization": spec}) == 0
+    assert "-> adaptive" in capsys.readouterr().out
 
 
 def test_cli_adaptivity_overflowing_geometry_is_one_error_line(tmp_path, capsys):

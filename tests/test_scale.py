@@ -345,6 +345,23 @@ def test_reconstruct_shape_roundtrip(scale):
         np.testing.assert_allclose(reconstruct_shape(scale, ovecs(v), m), v, atol=1e-12)
 
 
+@pytest.mark.parametrize("rho", [0.9999999, 0.99999999, 0.999999999])
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_reconstruct_shape_det_root_near_singular_roundtrip(m, rho):
+    # [V]_11 = v_1^T V_22^-1 v_1 + 1 / |V_22| cancels nothing as V nears
+    # singular; (1 - |V_0|) / |V_22| lost up to 7e-8 of it here
+    v = decompose(DET_ROOT, toeplitz(rho ** np.arange(m))).v
+    rebuilt = reconstruct_shape(DET_ROOT, ovecs(v), m)
+    np.testing.assert_array_equal(ovecs(rebuilt), ovecs(v))
+    assert abs(rebuilt[0, 0] - v[0, 0]) <= 2e-15 * v[0, 0]
+
+
+def test_reconstruct_shape_det_root_rejects_a_trailing_block_not_pd():
+    v = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        reconstruct_shape(DET_ROOT, ovecs(v), 3)
+
+
 def test_renormalize_lands_on_manifold():
     rng = np.random.default_rng(41)
     sigma = random_spd(rng, 3)

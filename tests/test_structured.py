@@ -19,8 +19,7 @@ from ellipfim.complexces import (
     embedded_lowrank_parameterization,
     embedded_rectilinear_parameterization,
 )
-from ellipfim.estimators import VanDerWaerden, r_step_batch, scm_batch
-from ellipfim.fim import _vecs_information
+from ellipfim.estimators import VanDerWaerden, _upsilon_gram, r_step_batch, scm_batch
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
 from ellipfim.invariants import ALL_SCALES
 from ellipfim.matcalc import (
@@ -182,13 +181,61 @@ def test_r_step_gram_matches_dense_upsilon(m, monkeypatch):
     assert_close(grams[0], want)
 
 
+def _fill_scatter(case):
+    if case == "spd32":  # values that repeat only through symmetry
+        return random_sigma(np.random.default_rng(32), 32)
+    return toeplitz(0.8 ** np.arange(int(case[1:])))
+
+
+@pytest.mark.parametrize("gen", GENS, ids=str)
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("case", ["m2", "m3", "m4", "m8", "m32", "spd32"])
+def test_vecs_fill_outputs_are_bitwise_symmetric(case, scale, gen):
+    # every bound and FIM of the one row-block fill is exactly symmetric,
+    # with no symmetrizing pass; at m = 32 it spans several row blocks
+    sigma = _fill_scatter(case)
+    v = decompose(scale, sigma).v
+    outs = {
+        "crb_shape": bounds.crb_shape(scale, v, gen),
+        "crb_shape_det_root": bounds.crb_shape_det_root(v, gen),
+        "crb_vecs_sigma": bounds.crb_vecs_sigma(sigma, gen),
+        "fim_eta.i_v": fim.fim_eta(v, 1.3, scale, gen).i_v,
+        "efficient_fim_shape": fim.efficient_fim_shape(v, scale, gen),
+        "efficient_fim_shape, Fortran order": fim._efficient_fim_shape(v, scale, gen, "F"),
+        "fim_vecs_sigma": fim.fim_vecs_sigma(sigma, gen),
+    }
+    for name, x in outs.items():
+        np.testing.assert_array_equal(x, x.T, err_msg=name)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 32])
+def test_upsilon_gram_stack_is_bitwise_symmetric(m):
+    rng = np.random.default_rng(m)
+    v = np.stack([random_sigma(rng, m) for _ in range(5)])
+    gram = _upsilon_gram(np.linalg.inv(v))
+    np.testing.assert_array_equal(gram, np.swapaxes(gram, -1, -2))
+
+
+@pytest.mark.parametrize("gen", GENS, ids=str)
+@pytest.mark.parametrize("name", ["split", "low_rank", "shape_scale"])
+def test_theta_fims_are_bitwise_symmetric(name, gen):
+    rng = np.random.default_rng(8)
+    param, theta0 = {
+        "split": lambda: split_example(rng, 8, 2, 0.7),
+        "low_rank": lambda: low_rank_example(rng, 8, np.array([0.6, 1.7]), 0.8),
+        "shape_scale": lambda: shape_scale_example(NORMALIZED_TRACE, 8, 0.7, 1.3),
+    }[name]()
+    for x in (fim.fim_theta(param, theta0, gen), fim.sfim_theta(param, theta0, gen)):
+        np.testing.assert_array_equal(x, x.T)
+
+
 @pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 10])
 def test_tangent_step_matches_xi_oracle(m, scale):
     # the projected solve against Xi Delta, Xi built from the tangent basis
     rng = np.random.default_rng(m)
     v = renormalize(scale, np.stack([random_sigma(rng, m) for _ in range(6)]))
-    gram = _vecs_information(np.linalg.inv(v), 1.0, -1.0 / m)[0]
+    gram = _upsilon_gram(np.linalg.inv(v))
     g = constraint_gradient_vecs(scale, v)
     delta = rng.standard_normal((3, 6, vecs_len(m)))
     step = estimators._tangent_step(gram, g, delta)
