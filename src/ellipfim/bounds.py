@@ -31,7 +31,7 @@ from scipy import linalg
 from scipy.linalg import blas
 
 from .generators import DensityGenerator
-from .matcalc import _CORE_BLOCK_DOUBLES, _vecs_fill, vecs, vecs_len
+from .matcalc import _row_slices, _vecs_fill, vecs, vecs_len
 from .scale import DET_ROOT, ScaleFunctional, decompose, grad_v11
 from . import fim as fim_mod
 
@@ -384,9 +384,8 @@ def verify_chain(
         u = _scale_known_gap(scale, v, gen)
         gap = float(u @ i_v @ u)
         # the no-nuisance bound, bound - u u^T, in place
-        step = max(1, _CORE_BLOCK_DOUBLES // len(u))
-        for lo in range(0, len(u), step):
-            bound[lo : lo + step] -= u[lo : lo + step, None] * u
+        for p in _row_slices(len(u), len(u)):
+            bound[p] -= u[p, None] * u
         err = _whitened_residual(bound, i_v, overwrite_x=True)
         del bound, i_v
         if gap > min(tol, _CHAIN_RESOLUTION):

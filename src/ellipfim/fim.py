@@ -3,11 +3,12 @@
 Covers the (mu, shape, scale) parameterization, the general scatter
 parameterization vecs(Sigma), and finite-dimensional parameterizations
 theta -> (mu(theta), Sigma(theta)) with an interest/nuisance split; for
-those, one private solve projects the nuisance out of either FIM of theta
-(the Schur complement, and the adaptivity residual).  The semiparametric
-quantities (efficient scores and FIMs after projecting out the density
-generator) are the closed forms; their Monte-Carlo and Schur-complement
-counterparts live in the test suite and the invariant runner.
+those, one private whitened solve projects the nuisance out of either
+FIM of theta (the Schur complement, and the adaptivity residual).  The
+semiparametric quantities (efficient scores and FIMs after projecting
+out the density generator) are the closed forms; their Monte-Carlo and
+Schur-complement counterparts live in the test suite and the invariant
+runner.
 
 All four scores are built from one per-sample core, W = Sigma^-1 (x - mu),
 Q = (x - mu)^T W and phibar(Q), with Sigma^-1 from the same Cholesky
@@ -28,7 +29,8 @@ drops it before forming its two Grams, so at most four d x d arrays'
 worth are alive; ``verify_adaptivity_by_fim`` then holds at most three
 (see there).  Only the derivative stack of the current parameterization
 is built: no structural matrix of size m^2 x m(m+1)/2 is built or cached
-on this path.
+on this path.  Each FIM of theta and each Schur complement of one is
+symmetric to the bit as built (the Grams and W^T W are syrk products).
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ from scipy import linalg
 
 from .generators import DensityGenerator
 from .matcalc import (
-    _CORE_BLOCK_DOUBLES,
     _dup_gram,
     _dup_t_vec,
-    _symmetrize,
+    _row_slices,
     _tril_indices_colmajor,
     _vecs_fill,
     vecs_len,
@@ -228,9 +229,8 @@ def _identifiability_stack(j_mu, j_sig):
     d = j_sig.shape[0]
     stacked = np.empty((m + vecs_len(m), d))
     stacked[:m] = j_mu
-    step = max(1, _CORE_BLOCK_DOUBLES // (m * m))
-    for lo in range(0, d, step):
-        stacked[m:, lo : lo + step] = _sym_vecs_rows(j_sig[lo : lo + step]).T
+    for p in _row_slices(d, m * m):
+        stacked[m:, p] = _sym_vecs_rows(j_sig[p]).T
     return stacked
 
 
@@ -323,11 +323,10 @@ def model_geometry(param, theta0) -> ModelGeometry:
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.empty((len(j_sig), vecs_len(m)))
         trace = np.empty(len(j_sig))
-        step = max(1, _CORE_BLOCK_DOUBLES // (m * m))
-        for lo in range(0, len(j_sig), step):
-            whitened = l_inv @ j_sig[lo : lo + step] @ l_inv.T
-            trace[lo : lo + step] = np.trace(whitened, axis1=1, axis2=2)
-            rows[lo : lo + step] = _sym_vecs_rows(whitened)
+        for p in _row_slices(len(j_sig), m * m):
+            whitened = l_inv @ j_sig[p] @ l_inv.T
+            trace[p] = np.trace(whitened, axis1=1, axis2=2)
+            rows[p] = _sym_vecs_rows(whitened)
         del j_sig  # the Grams need only the rows and traces
         sigma_gram = rows @ rows.T
         del rows
@@ -368,11 +367,9 @@ def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: b
     beta = gen.beta(m)
     t = geometry.sigma_trace
     out = np.empty(geometry.sigma_gram.shape) if out is None else out
-    step = max(1, _CORE_BLOCK_DOUBLES // max(1, len(t)))
     # an overflow is reported once below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(t), step):
-            rows = slice(lo, lo + step)
+        for rows in _row_slices(len(t), len(t)):
             blk = t[rows, None] * t
             blk *= rank1
             blk += geometry.sigma_gram[rows]
@@ -424,8 +421,10 @@ def _project_nuisance(fim, q: int, t=None):
     """Project the nuisance (the trailing block) out of the leading q block.
 
     Returns the Schur complement I_g - I_ge I_e^-1 I_eg and, when t is
-    given, the residual t_g - I_ge I_e^-1 t_e (else None).  One Cholesky
-    factor of I_e solves [I_eg | t_e] in one call.
+    given, the residual t_g - I_ge I_e^-1 t_e (else None), as I_g - W^T W
+    and t_g - W^T w_t with [W | w_t] = L^-1 [I_eg | t_e], I_e = L L^T: one
+    Cholesky factor, one triangular solve and one syrk, so the complement
+    of an exactly symmetric FIM is symmetric to the bit as built.
     """
     d = fim.shape[0]
     if q > d:
@@ -435,17 +434,15 @@ def _project_nuisance(fim, q: int, t=None):
     i_ge = fim[:q, q:]
     rhs = i_ge.T if t is None else np.column_stack([i_ge.T, t[q:]])
     try:
-        cho = linalg.cho_factor(fim[q:, q:], lower=True)
+        chol, _ = linalg.cho_factor(fim[q:, q:], lower=True)
     except linalg.LinAlgError as exc:
         raise IdentifiabilityError("singular nuisance information block") from exc
-    sol = linalg.cho_solve(cho, rhs)
-    # the complement is formed in place, a cache-sized row block at a time
-    out = np.array(fim[:q, :q])
-    step = max(1, _CORE_BLOCK_DOUBLES // max(1, q))
-    for lo in range(0, q, step):
-        out[lo : lo + step] -= i_ge[lo : lo + step] @ sol[:, :q]
-    residual = None if t is None else t[:q] - i_ge @ sol[:, q]
-    return _symmetrize(out, 0.5), residual
+    white = linalg.solve_triangular(chol, rhs, lower=True)
+    w = white[:, :q]
+    out = w.T @ w
+    np.subtract(fim[:q, :q], out, out=out)
+    residual = None if t is None else t[:q] - w.T @ white[:, q]
+    return out, residual
 
 
 def efficient_fim_interest(fim, q: int):

@@ -27,9 +27,11 @@ Memory.  With d = m(m+1)/2, an m = 32 core is 2.2 MB and an m = 64 one
 2**15 doubles (256 KB), whose few temporaries stay in cache;
 :func:`_vecs_fill` finishes each block (scaling, rank terms, the tangent
 sandwich) before writing it into its one result, symmetric to the bit as
-written.  :func:`_symmetrize` forms c (X + X^T) in place, a pair of
-cache-sized blocks at a time, for the gemm-built Schur complement of
-``fim``.  Each function here thus holds one d x d array at its peak.
+written.  Each function here thus holds one d x d array at its peak.
+:func:`_row_slices` turns that budget into the row slices of every
+cache-blocked loop in the package.  No d x d result is symmetrized after
+it is formed: each is symmetric to the bit as built, by this fill or as
+a Gram X^T X.
 """
 
 from __future__ import annotations
@@ -100,6 +102,16 @@ def _dup_t_vec(a):
 _CORE_BLOCK_DOUBLES = 2**15
 
 
+def _row_slices(stop, width, start=0):
+    """Rows ``start:stop`` as consecutive slices of at most
+    ``_CORE_BLOCK_DOUBLES // width`` rows (at least one), so that a block
+    ``width`` doubles wide stays in cache.  Every cache-blocked loop of the
+    package slices here; none lets an entry's bits depend on the slicing."""
+    step = max(1, _CORE_BLOCK_DOUBLES // max(1, width))
+    for lo in range(start, stop, step):
+        yield slice(lo, min(lo + step, stop))
+
+
 def _core_row_blocks(a, start=0, stop=None):
     """Rows ``start:stop`` of D_m^+ (I + K_m)(A (x) A) D_m^+T, columns
     ``start:``, as ``(lo, block)`` pairs in cache-sized row blocks.
@@ -117,15 +129,12 @@ def _core_row_blocks(a, start=0, stop=None):
     r, c = _tril_indices_colmajor(a.shape[-1])
     ar, ac = a[..., r, :], a[..., c, :]
     nh = r.size
-    stop = nh if stop is None else stop
     rs, cs = r[start:], c[start:]
-    step = max(1, _CORE_BLOCK_DOUBLES // (nh * math.prod(a.shape[:-2])))
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        ar_rows, ac_rows = ar[..., lo:hi, :], ac[..., lo:hi, :]
+    for p in _row_slices(nh if stop is None else stop, nh * math.prod(a.shape[:-2]), start):
+        ar_rows, ac_rows = ar[..., p, :], ac[..., p, :]
         blk = ar_rows[..., rs] * ac_rows[..., cs]
         blk += ar_rows[..., cs] * ac_rows[..., rs]
-        yield lo, blk
+        yield p.start, blk
 
 
 def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef=1.0,
@@ -176,23 +185,6 @@ def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef
             blk *= coef
         out[..., p, :] = blk
     return out
-
-
-def _symmetrize(x, c):
-    """X <- c (X + X^T) in place, for a square X, one pair of cache-sized
-    blocks at a time: entry (i, j) is c (x_ij + x_ji), as the whole-array
-    form gives it, and no transposed copy of X is made."""
-    n = x.shape[0]
-    step = max(1, math.isqrt(_CORE_BLOCK_DOUBLES // 2))
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        for lo2 in range(lo, n, step):
-            cols = slice(lo2, lo2 + step)
-            blk = x[rows, cols] + x[cols, rows].T
-            blk *= c
-            x[rows, cols] = blk
-            x[cols, rows] = blk.T
-    return x
 
 
 def vecs(a):

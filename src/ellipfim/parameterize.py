@@ -416,9 +416,15 @@ def verify_adaptivity_by_fim(
     condition = _condition_report(full, trace, residual)
     del full
     eff_semi, _ = fim_mod._project_nuisance(sfull, q)
-    gap = float(np.linalg.norm(eff_par - eff_semi))
-    ref = max(float(np.linalg.norm(eff_semi)), np.finfo(float).tiny)
+    # both norms in units of 2**e, the largest entry of the two FIMs rounded
+    # up to a power of two, so no square overflows and no in-range norm moves;
+    # eff_par - eff_semi is PSD, so no entry of it exceeds that largest entry
+    _, e = np.frexp(max(np.abs(eff_par).max(), np.abs(eff_semi).max()))
+    ref = max(float(np.linalg.norm(np.ldexp(eff_semi, -e))), np.finfo(float).tiny)
+    diff = eff_par - eff_semi
+    gap = float(np.linalg.norm(np.ldexp(diff, -e, out=diff)))
     gap_rel = gap / ref
+    gap = float(np.ldexp(gap, e))
     return AdaptivityReport(
         fim_interest=eff_par,
         sfim_interest=eff_semi,

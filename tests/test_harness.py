@@ -1085,6 +1085,29 @@ def test_cli_adaptivity_overflowing_theta_fim_names_it(tmp_path, capsys):
     assert line == "error: ValueError: the FIM of theta under gg(1e+308) is not finite"
 
 
+@pytest.mark.parametrize(
+    "name, shape, verdict",
+    [("breaking", 1e308, "-> not adaptive"), ("split", 1e-3, "-> adaptive")],
+)
+def test_cli_adaptivity_fim_gap_squares_no_entry_beyond_the_float_range(
+    tmp_path, capsys, name, shape, verdict
+):
+    # efficient interest FIMs with entries near 1e308 (breaking) and above
+    # 1e154 (split), whose squares overflow: the gap is taken in units of
+    # the largest entry, so it and its ratio stay finite, with no warning
+    data = {"parameterization": {"name": name}, "generator": {"family": "gg", "shape": shape}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(tmp_path, "adaptivity", data) == 0
+        text = capsys.readouterr()
+        assert run_cli(tmp_path, "adaptivity", data, "--json") == 0
+        report = json.loads(capsys.readouterr().out)
+    assert text.err == ""
+    [gap_line] = [line for line in text.out.splitlines() if line.startswith("efficient-FIM gap")]
+    assert gap_line.endswith(verdict)
+    assert math.isfinite(report["gap_rel"]) and report["adaptive"] is (name == "split")
+
+
 @pytest.mark.parametrize("flags", [(), ("--seed", "-1")], ids=["config", "flag"])
 def test_cli_simulate_rejects_a_negative_root_seed(tmp_path, capsys, flags):
     data = {**SMALL, "trials": 5, "nu_grid": [5.0]}

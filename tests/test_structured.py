@@ -217,16 +217,61 @@ def test_upsilon_gram_stack_is_bitwise_symmetric(m):
 
 
 @pytest.mark.parametrize("gen", GENS, ids=str)
-@pytest.mark.parametrize("name", ["split", "low_rank", "shape_scale"])
+@pytest.mark.parametrize("name", ["split", "low_rank", "shape_scale", "shape_scale_m32"])
 def test_theta_fims_are_bitwise_symmetric(name, gen):
+    # both FIMs of theta and their Schur complements I_g - W^T W are exactly
+    # symmetric as built; at m = 32 shape_scale has q = 559, a large syrk
     rng = np.random.default_rng(8)
     param, theta0 = {
         "split": lambda: split_example(rng, 8, 2, 0.7),
         "low_rank": lambda: low_rank_example(rng, 8, np.array([0.6, 1.7]), 0.8),
         "shape_scale": lambda: shape_scale_example(NORMALIZED_TRACE, 8, 0.7, 1.3),
+        "shape_scale_m32": lambda: shape_scale_example(NORMALIZED_TRACE, 32, 0.7, 1.3),
     }[name]()
-    for x in (fim.fim_theta(param, theta0, gen), fim.sfim_theta(param, theta0, gen)):
+    fims = [fim.fim_theta(param, theta0, gen), fim.sfim_theta(param, theta0, gen)]
+    report = verify_adaptivity_by_fim(param, theta0, gen)
+    outs = [*fims, *(fim.efficient_fim_interest(x, param.q) for x in fims),
+            report.fim_interest, report.sfim_interest]
+    for x in outs:
         np.testing.assert_array_equal(x, x.T)
+
+
+def test_every_blocked_loop_keeps_its_bits_at_any_block_size(monkeypatch):
+    # fim and bounds hold no block size of their own: matcalc._row_slices
+    # slices every blocked loop, so a block of 7 doubles moves every block
+    # boundary (at m = 8 each loop is one block at the default size)
+    assert not hasattr(fim, "_CORE_BLOCK_DOUBLES") and not hasattr(bounds, "_CORE_BLOCK_DOUBLES")
+    m = 8
+    rng = np.random.default_rng(8)
+    models = [
+        split_example(rng, m, 2, 0.7),
+        shape_scale_example(NORMALIZED_TRACE, m, 0.7, 1.3),
+        low_rank_example(rng, m, np.array([0.6, 1.7]), 0.8),
+    ]
+    sigma = toeplitz(0.8 ** np.arange(m))
+    v = decompose(NORMALIZED_TRACE, sigma).v
+    v_inv = np.linalg.inv(np.stack([random_sigma(rng, m) for _ in range(3)]))
+    gen = student_t(6)
+
+    def outputs():
+        out = []
+        for param, theta0 in models:
+            report = verify_adaptivity_by_fim(param, theta0, gen)
+            out += [report.fim_interest, report.sfim_interest, report.condition.residual,
+                    report.gap, report.gap_rel]
+            _, _, j_mu, j_sig = fim._jacobians(param, theta0)
+            out.append(fim._identifiability_stack(j_mu, j_sig))
+        out += [link.value for link in verify_chain(NORMALIZED_TRACE, v, [gen, gaussian()], m).links]
+        out += bound_set(NORMALIZED_TRACE, sigma, gen).blocks().values()
+        out.append(_upsilon_gram(v_inv))
+        return [np.asarray(x) for x in out]
+
+    want = outputs()
+    monkeypatch.setattr(matcalc, "_CORE_BLOCK_DOUBLES", 7)
+    got = outputs()
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
