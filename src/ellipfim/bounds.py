@@ -14,10 +14,10 @@ filled a cache-sized row block of the entrywise core at a time by the
 fill that also builds the FIMs (:func:`~ellipfim.matcalc._vecs_fill`),
 and symmetric to the bit as written.  The ``ellipfim bounds`` command
 keeps two of them, ``crb_shape`` and ``crb_vecs_sigma``, and
-``verify_chain`` adds at most three (its bound, one FIM and one work
-array), so five d x d arrays are alive at its peak; ``write_bounds_csv``
-needs, per block, a 32-bit index and the texts of the distinct entries,
-about two d x d arrays' worth.
+``verify_chain`` adds at most two (its bound and one FIM, each
+overwritten in place), so four d x d arrays are alive at its peak;
+``write_bounds_csv`` needs, per block, a 32-bit index and the texts of
+the distinct entries, about two d x d arrays' worth.
 """
 
 from __future__ import annotations
@@ -300,7 +300,9 @@ def _chain_tolerance(scale: ScaleFunctional, v):
     largest entry of grad_v11, the ovecs chart's gradient of [V]_11, in
     those units.  The form is fitted: over about 13,000 scatters (m 2 to
     32, scaled eigenvalue spreads up to 1e8, the three scales, five
-    generators) the largest residual was 2.75 m eps (kappa f)^2.
+    generators) the largest resolved residual was 4.3 m eps (kappa f)^2,
+    with both links read from one factor of I_V as with the efficient
+    FIM factored on its own.
     """
     d = np.sqrt(np.diag(v))
     kappa = np.linalg.cond(v / np.outer(d, d))
@@ -308,24 +310,58 @@ def _chain_tolerance(scale: ScaleFunctional, v):
     return _CHAIN_TOL * v.shape[0] * (kappa * f) ** 2
 
 
-def _whitened_residual(x, a, overwrite_x=False):
-    """||R X R^T - I||_F with A = R^T R, for a symmetric X: the eigenvalues
-    of X A less one, so the value does not depend on the chart, and a bound
-    off by a relative delta reads delta sqrt(d) however ill-conditioned A is.
+def _chain_residuals(x, a, u, g):
+    """The residuals of the efficient and the no-nuisance link, in that
+    order, from one Cholesky factor.
 
-    It is inf when A is not PD to working precision.  A is factored in
-    place when it is Fortran-ordered (else LAPACK factors a copy), and
-    R X R^T is formed in one work array: X^T = X itself, Fortran-ordered,
-    when ``overwrite_x``.
+    X is the no-nuisance bound (the shared bound less u u^T), A = I_V =
+    R^T R the scale-known FIM and g = I_Vs / sqrt(I_s).  A is factored in
+    place and N = R X R^T - I is formed in X's memory (A^T = A and X^T = X
+    are Fortran-ordered); ||N||_F is the no-nuisance residual.
+
+    The efficient FIM I_V - g g^T is R^T (I - h h^T) R with h = R^-T g.
+    Its root in R's frame is S = I - b h h^T, b = 1 / (1 + sqrt(1 - |h|^2)),
+    which stays accurate as |h| -> 0 (the det-root scale), and with
+    R (X + u u^T) R^T = N + I + w w^T, w = R u, the efficient residual is
+    ||S N S + z z^T - h h^T||_F, z = S w.  For a true chain z = +-h, so
+    z z^T - h h^T is formed as sym((z - h)(z + h)^T), z's sign matched to
+    h's, and S N S - N as sym(h c^T): N is updated by small rank-two
+    terms, a row block at a time, and no large term cancels.
+
+    Each residual depends only on the eigenvalues of X times its FIM, not
+    on the chart.  A FIM that is not PD to working precision (A's
+    Cholesky fails, |h| >= 1, or a term is not finite) reads inf.
     """
     try:
-        r = linalg.cholesky(a, overwrite_a=True)
+        r = linalg.cholesky(a.T, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError:
-        return np.inf
-    res = blas.dtrmm(1.0, r, x.T, overwrite_b=overwrite_x)
-    res = blas.dtrmm(1.0, r, res, side=1, trans_a=1, overwrite_b=True)
-    res[np.diag_indices_from(res)] -= 1.0
-    return float(np.linalg.norm(res))
+        return np.inf, np.inf
+    y = blas.dtrmm(1.0, r, x.T, overwrite_b=True)
+    y = blas.dtrmm(1.0, r, y, side=1, trans_a=1, overwrite_b=True)
+    y[np.diag_indices_from(y)] -= 1.0
+    no_nuisance = float(np.linalg.norm(y))
+    h = linalg.solve_triangular(r, g, trans="T", check_finite=False)
+    t = float(h @ h)
+    if not t < 1.0:
+        return np.inf, no_nuisance
+    b = 1.0 / (1.0 + np.sqrt(1.0 - t))
+    z = r @ u
+    z -= b * (h @ z) * h
+    if h @ z < 0.0:
+        z = -z
+    # S N S - N = h c^T + c h^T, N h computed over the rows of N^T = X
+    n = y.T
+    q = n @ h
+    c = 0.5 * b * b * (h @ q) * h - b * q
+    z_minus, z_plus = z - h, 0.5 * (z + h)
+    for p in _row_slices(len(h), len(h)):
+        blk = h[p, None] * c
+        blk += c[p, None] * h
+        blk += z_minus[p, None] * z_plus
+        blk += z_plus[p, None] * z_minus
+        n[p] += blk
+    efficient = float(np.linalg.norm(n))
+    return (efficient if np.isfinite(efficient) else np.inf), no_nuisance
 
 
 def _require_finite(fim, gen: DensityGenerator):
@@ -335,7 +371,7 @@ def _require_finite(fim, gen: DensityGenerator):
         )
 
 
-# the FIMs grow as V^-1 (x) V^-1: a non-finite one raises
+# the FIMs grow as V^-1 (x) V^-1: a non-finite I_V raises
 @np.errstate(over="ignore", invalid="ignore")
 def verify_chain(
     scale: ScaleFunctional, v, gens: Sequence[DensityGenerator], m: int
@@ -356,11 +392,13 @@ def verify_chain(
     unresolved: float precision cannot tell a right bound from one wrong
     in half its digits.
 
-    Per generator at most three (m(m+1)/2 - 1)-square arrays are alive:
-    the bound, one FIM and one work array.  The efficient FIM is built
-    Fortran-ordered and factored in place, and its link whitens a copy of
-    the bound; then the scale-known FIM is built, the no-nuisance bound is
-    formed in place from the shared one, and its link whitens it in place.
+    The efficient FIM is the Schur complement of the (shape, scale) block
+    of ``fim_eta``, I_V - I_Vs I_Vs^T / I_s, so one ``fim_eta`` per
+    generator serves both links: I_V is factored once, the no-nuisance
+    bound is whitened against it in place, and the efficient link is read
+    from that whitened bound through the rank-one projection of the scale
+    (``_chain_residuals``).  At most two (m(m+1)/2 - 1)-square arrays are
+    alive: the bound and I_V, each overwritten in place.
     """
     v = np.asarray(v, dtype=float)
     tol = _chain_tolerance(scale, v)
@@ -374,20 +412,16 @@ def verify_chain(
 
     for gen in gens:
         bound = crb_shape(scale, v, gen)
-        eff = fim_mod._efficient_fim_shape(v, scale, gen, "F")
-        _require_finite(eff, gen)
-        err = _whitened_residual(bound, eff)
-        links.append(link("shared_bound_inverts_efficient_fim", gen, err, err))
-        del eff
-        i_v = fim_mod.fim_eta(v, 1.0, scale, gen).i_v
-        _require_finite(i_v, gen)
+        eta = fim_mod.fim_eta(v, 1.0, scale, gen)
+        _require_finite(eta.i_v, gen)
         u = _scale_known_gap(scale, v, gen)
-        gap = float(u @ i_v @ u)
+        gap = float(u @ eta.i_v @ u)
         # the no-nuisance bound, bound - u u^T, in place
         for p in _row_slices(len(u), len(u)):
             bound[p] -= u[p, None] * u
-        err = _whitened_residual(bound, i_v, overwrite_x=True)
-        del bound, i_v
+        efficient, err = _chain_residuals(bound, eta.i_v, u, eta.i_vs / np.sqrt(eta.i_s))
+        del bound, eta
+        links.append(link("shared_bound_inverts_efficient_fim", gen, efficient, efficient))
         if gap > min(tol, _CHAIN_RESOLUTION):
             links.append(link("no_nuisance_bound_strict_gap", gen, err, gap))
         else:

@@ -152,20 +152,15 @@ def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta
     beta = gen.beta(m)
     v_inv = np.linalg.inv(v)
     k = grad_v11(scale, v)
+    # (m + 2) alpha - m, which cancels to a few digits as alpha nears
+    # m / (m + 2) (t at small nu, gg at small shape); m (alpha - 1) does not
+    scale_coef = m * (alpha - 1.0) + 2.0 * alpha
     # M_S = K_V^T D_m^T turns D_m^T-weighted vecs quantities into ovecs ones
     i_mu = beta * v_inv / s
     i_v = _vecs_fill(v_inv, 2.0 * alpha, alpha - 1.0, start=1, k=k, coef=0.25)
-    i_s = (m * (m + 2) * alpha - m * m) / (4.0 * s * s)
-    i_vs = ((m + 2) * alpha - m) / (4.0 * s) * _tangent_vec(_dup_t_vec(v_inv), k)
+    i_s = scale_coef / (4.0 * s * s) * m
+    i_vs = scale_coef / (4.0 * s) * _tangent_vec(_dup_t_vec(v_inv), k)
     return FimBlocksEta(i_mu=i_mu, i_v=i_v, i_s=i_s, i_vs=i_vs)
-
-
-def _efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator, order):
-    v = np.asarray(v, dtype=float)
-    m = v.shape[0]
-    alpha = gen.alpha(m)
-    k = grad_v11(scale, v)
-    return _vecs_fill(np.linalg.inv(v), 1.0, -1.0 / m, start=1, k=k, coef=0.5 * alpha, order=order)
 
 
 def efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator):
@@ -173,7 +168,11 @@ def efficient_fim_shape(v, scale: ScaleFunctional, gen: DensityGenerator):
 
     One m(m+1)/2 - 1 square array is built (:func:`~ellipfim.matcalc._vecs_fill`).
     """
-    return _efficient_fim_shape(v, scale, gen, "C")
+    v = np.asarray(v, dtype=float)
+    m = v.shape[0]
+    alpha = gen.alpha(m)
+    k = grad_v11(scale, v)
+    return _vecs_fill(np.linalg.inv(v), 1.0, -1.0 / m, start=1, k=k, coef=0.5 * alpha)
 
 
 def fim_vecs_sigma(sigma, gen: DensityGenerator):

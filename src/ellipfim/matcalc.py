@@ -137,10 +137,9 @@ def _core_row_blocks(a, start=0, stop=None):
         yield p.start, blk
 
 
-def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef=1.0,
-               order="C"):
+def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef=1.0):
     """coef K^T [c W C(A) W + R] K, rows and columns ``start:``, as one
-    fresh array ordered by ``order``; a stack of A gives a stack.
+    fresh array; a stack of A gives a stack.
 
     C(A) is the core of :func:`_core_row_blocks`.  Given ``x`` and ``y``,
     the bound form: W = I, c = 1, R = x y^T + y x^T.  Else the information
@@ -176,7 +175,7 @@ def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef
         _, row0 = next(rows(0, 1))
         z = row0[0, 1:] + 0.5 * row0[0, 0] * k
     d = y.shape[-1] - start
-    out = np.empty(a.shape[:-2] + (d, d), order=order)
+    out = np.empty(a.shape[:-2] + (d, d))
     for lo, blk in rows(start):
         p = slice(lo - start, lo - start + blk.shape[-2])
         if k is not None:

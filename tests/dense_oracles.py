@@ -10,7 +10,9 @@ tangent-space weighting Xi, built from an explicit tangent basis, are
 here too, as are the whole entrywise core filled from the library's
 row blocks, the Slepian-Bangs Gram from the whole whitened derivative
 stack, and the mpmath quadrature of E{f(Q)} that the generator tests
-and criterion 5 share.
+and criterion 5 share.  So is the equality chain by two factorizations
+per generator, the efficient FIM filled and factored on its own, which
+``bounds.verify_chain`` replaces by one factor of the scale-known FIM.
 
 The row-major Tyler iteration and rank statistic at the end are the
 Monte-Carlo kernels as they were before they went coordinate-major: each
@@ -22,8 +24,10 @@ the kernels use V^-1 only.
 
 import mpmath
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy import linalg
+from scipy.linalg import blas, solve_triangular
 
+from ellipfim import bounds, fim
 from ellipfim.bounds import _rank1_coeff
 from ellipfim.estimators import _stacked, _tangent_step, _upsilon_gram, ranks
 from ellipfim.matcalc import _core_row_blocks, _dup_t_vec, unvecs, vec, vecs, vecs_len
@@ -216,6 +220,43 @@ def efficient_fim_shape(v, scale, gen):
     ms = m_matrix(scale, v)
     middle = np.kron(v_inv, v_inv) - np.outer(vec(v_inv), vec(v_inv)) / m
     return 0.5 * gen.alpha(m) * ms @ middle @ ms.T
+
+
+def _whitened_residual(x, a):
+    """||R X R^T - I||_F with A = R^T R, or inf when A is not PD."""
+    try:
+        r = linalg.cholesky(a)
+    except linalg.LinAlgError:
+        return np.inf
+    res = blas.dtrmm(1.0, r, x)
+    res = blas.dtrmm(1.0, r, res, side=1, trans_a=1, overwrite_b=True)
+    res[np.diag_indices_from(res)] -= 1.0
+    return float(np.linalg.norm(res))
+
+
+def chain_two_factorizations(scale, v, gens):
+    """``bounds.verify_chain`` by two factorizations per generator: the
+    efficient FIM is filled by ``efficient_fim_shape`` and the scale-known
+    FIM by ``fim_eta``, each is factored, and each link whitens its own
+    bound against its own factor.  The (name, passed, value) of each link,
+    with the library's tolerance, resolution and gap rule."""
+    tol = bounds._chain_tolerance(scale, v)
+    resolved = tol < bounds._CHAIN_RESOLUTION
+    links = []
+    for gen in gens:
+        bound = bounds.crb_shape(scale, v, gen)
+        i_v = fim.fim_eta(v, 1.0, scale, gen).i_v
+        u = bounds._scale_known_gap(scale, v, gen)
+        gap = float(u @ i_v @ u)
+        efficient = _whitened_residual(bound, fim.efficient_fim_shape(v, scale, gen))
+        err = _whitened_residual(bound - np.outer(u, u), i_v)
+        if gap > min(tol, bounds._CHAIN_RESOLUTION):
+            second = ("no_nuisance_bound_strict_gap", gap, err)
+        else:
+            second = ("no_nuisance_bound_equality", err, err)
+        for name, value, residual in [("shared_bound_inverts_efficient_fim", efficient, efficient), second]:
+            links.append((name, bool(residual < tol) if resolved else None, value))
+    return links
 
 
 def fim_vecs_sigma(sigma, gen):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -5,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import toeplitz
 
-from ellipfim import bounds
+import dense_oracles as dense
+from ellipfim import bounds, fim
 from ellipfim.bounds import (
     SingularCoefficientError,
     bound_set,
@@ -288,6 +292,46 @@ def test_verify_chain_passes_on_random_scatters(m, decades, seed):
         with mock.patch.object(bounds, "crb_shape", lambda *a: real(*a) * (1.0 + 1e-6)):
             scaled = verify_chain(scale, v, gens, m)
         assert [l.passed for l in scaled.links] == [None if p is None else False for p in status]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
+def test_verify_chain_matches_the_two_factorization_oracle(m):
+    # the one-factorization chain against the route it replaced: the
+    # efficient FIM filled on its own, factored, and the bound whitened
+    # against it; spreads up to 1e8 take in resolved and unresolved links
+    for decades in (0.0, 1.0, 2.0, 4.0, 6.0, 8.0):
+        sigma = random_scatter(m, decades, 1000 * m + int(decades))
+        for scale in ALL_SCALES:
+            v = decompose(scale, sigma).v
+            report = verify_chain(scale, v, GEN_GRID, m)
+            want = dense.chain_two_factorizations(scale, v, GEN_GRID)
+            got = [(l.name, l.passed, l.value) for l in report.links]
+            assert [x[:2] for x in got] == [x[:2] for x in want], (decades, scale.kind)
+            for (_, _, value), (_, _, oracle), l in zip(got, want, report.links):
+                assert math.isfinite(value) == math.isfinite(oracle), (decades, scale.kind)
+                if math.isfinite(oracle):
+                    assert abs(value - oracle) < l.tol, (decades, scale.kind, value, oracle)
+
+
+@pytest.mark.parametrize("scale", [FIRST_ELEMENT, NORMALIZED_TRACE], ids=lambda s: s.kind)
+def test_verify_chain_reads_inf_where_the_efficient_fim_is_not_pd(scale, monkeypatch):
+    # I_Vs scaled up until |R^-T I_Vs| / sqrt(I_s) >= 1: I_V - I_Vs I_Vs^T / I_s
+    # is not PD, and the efficient link reads inf, with no NaN, exception or
+    # numpy warning; the no-nuisance link does not read I_Vs
+    v = random_shape(np.random.default_rng(97), 4, scale)
+    real = fim.fim_eta
+    want = verify_chain(scale, v, GEN_GRID, 4)
+    monkeypatch.setattr(
+        fim, "fim_eta", lambda *a: dataclasses.replace(real(*a), i_vs=1e3 * real(*a).i_vs)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_chain(scale, v, GEN_GRID, 4)
+    for got, before in zip(report.links, want.links):
+        if got.name == "shared_bound_inverts_efficient_fim":
+            assert got.value == math.inf and got.passed in (False, None)
+        else:
+            assert (got.name, got.passed, got.value) == (before.name, before.passed, before.value)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8])

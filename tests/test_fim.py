@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +183,20 @@ def test_fim_eta_gaussian_identity_blocks():
     blocks = fim_eta(np.eye(m), 1.0, NORMALIZED_TRACE, gaussian())
     np.testing.assert_allclose(blocks.i_mu, np.eye(m), atol=1e-12)
     assert blocks.i_s == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("m", [4, 16, 32])
+@pytest.mark.parametrize(
+    "gen", [student_t(2.001), student_t(3.0), generalized_gaussian(0.1)], ids=str
+)
+def test_fim_eta_scale_information_keeps_its_digits_at_heavy_tails(m, gen):
+    # I_s = m ((m + 2) alpha - m) / 4 at s = 1, for the double alpha, exactly
+    # as a fraction: (m + 2) alpha - m nears 0 as alpha nears m / (m + 2),
+    # and formed as written it loses up to about 100 eps at m = 32
+    alpha = gen.alpha(m)
+    want = m * ((m + 2) * Fraction(alpha) - m) / 4
+    got = fim_eta(np.eye(m), 1.0, NORMALIZED_TRACE, gen).i_s
+    assert abs(Fraction(got) - want) <= 2 * np.finfo(float).eps * want
 
 
 def test_fim_eta_detroot_cross_block_vanishes():

@@ -201,7 +201,6 @@ def test_vecs_fill_outputs_are_bitwise_symmetric(case, scale, gen):
         "crb_vecs_sigma": bounds.crb_vecs_sigma(sigma, gen),
         "fim_eta.i_v": fim.fim_eta(v, 1.3, scale, gen).i_v,
         "efficient_fim_shape": fim.efficient_fim_shape(v, scale, gen),
-        "efficient_fim_shape, Fortran order": fim._efficient_fim_shape(v, scale, gen, "F"),
         "fim_vecs_sigma": fim.fim_vecs_sigma(sigma, gen),
     }
     for name, x in outs.items():
@@ -953,12 +952,13 @@ def _within_arrays(peak, count, d):
 
 
 @pytest.mark.parametrize("m", [4, 32])
-def test_verify_chain_holds_three_d_by_d_arrays(m):
-    # the bound, one FIM and one work array (seven at m = 32 before the
-    # links were checked one at a time)
+def test_verify_chain_holds_two_d_by_d_arrays(m):
+    # the bound and I_V, each overwritten in place (three while the
+    # efficient FIM was filled and factored on its own, seven at m = 32
+    # before the links were checked one at a time)
     v = decompose(NORMALIZED_TRACE, toeplitz(0.8 ** np.arange(m))).v
     peak = _peak_bytes(lambda: verify_chain(NORMALIZED_TRACE, v, [student_t(6)], m))
-    assert _within_arrays(peak, 3, vecs_len(m)), peak
+    assert _within_arrays(peak, 2, vecs_len(m)), peak
 
 
 @pytest.mark.parametrize("m", [4, 32])
