@@ -91,7 +91,7 @@ def pd_inverse(a):
 
 
 def _rank1_coeff(alpha: float, m: int) -> float:
-    den = (m + 2) * alpha - m
+    den = fim_mod._scale_coef(alpha, m)
     if abs(den) < 1e-12 * m:
         raise SingularCoefficientError(
             "alpha at the singular value m/(m+2); bound undefined"
@@ -187,7 +187,7 @@ def crb_scale_det_root(sigma, gen: DensityGenerator) -> float:
     m = sigma.shape[0]
     alpha = gen.alpha(m)
     det_pow = float(np.exp(2.0 * np.linalg.slogdet(sigma)[1] / m))
-    return 4.0 * det_pow / (m * (m * (alpha - 1.0) + 2.0 * alpha))
+    return 4.0 * det_pow / (m * fim_mod._scale_coef(alpha, m))
 
 
 def crb_vecs_sigma(sigma, gen: DensityGenerator):

@@ -22,15 +22,15 @@ Memory.  Each FIM of the shape or of vecs(Sigma) is one d x d array
 (T, d, d) R-step Gram, so each builder holds one d x d array, symmetric
 to the bit, at its peak.  A parameterized model's FIMs (d the number of
 coordinates) need the (d, m, m) Jacobian stack, about two d x d arrays
-at the paper's sizes (d is about m^2 / 2): ``model_geometry`` holds it
-beside either the identifiability stack and its one LAPACK copy or the
-d x m(m+1)/2 rows of the whitened G_i (one d x d array's worth), and
-drops it before forming its two Grams, so at most four d x d arrays'
-worth are alive; ``verify_adaptivity_by_fim`` then holds at most three
-(see there).  Only the derivative stack of the current parameterization
-is built: no structural matrix of size m^2 x m(m+1)/2 is built or cached
-on this path.  Each FIM of theta and each Schur complement of one is
-symmetric to the bit as built (the Grams and W^T W are syrk products).
+at the paper's sizes (d is about m^2 / 2): ``model_geometry`` whitens it
+once, into d x (m + m(m+1)/2) rows (one d x d array's worth), and drops
+it; identifiability is decided on those rows, with one scaled copy and
+its one LAPACK copy, so at most three d x d arrays' worth are alive, as
+in ``verify_adaptivity_by_fim`` after it.  Only the derivative stack of
+the current parameterization is built: no structural matrix of size
+m^2 x m(m+1)/2 is built or cached on this path.  Each FIM of theta and
+each Schur complement of one is symmetric to the bit as built (the Grams
+and W^T W are syrk products).
 """
 
 from __future__ import annotations
@@ -140,6 +140,11 @@ def _tangent_vec(y, k):
     return y[..., 1:] + y[..., :1] * k
 
 
+def _scale_coef(alpha: float, m: int) -> float:
+    """(m + 2) alpha - m, formed so as not to cancel as alpha nears m / (m + 2)."""
+    return m * (alpha - 1.0) + 2.0 * alpha
+
+
 def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta:
     """Analytic FIM blocks for (mu, ovecs V, s).
 
@@ -152,9 +157,7 @@ def fim_eta(v, s, scale: ScaleFunctional, gen: DensityGenerator) -> FimBlocksEta
     beta = gen.beta(m)
     v_inv = np.linalg.inv(v)
     k = grad_v11(scale, v)
-    # (m + 2) alpha - m, which cancels to a few digits as alpha nears
-    # m / (m + 2) (t at small nu, gg at small shape); m (alpha - 1) does not
-    scale_coef = m * (alpha - 1.0) + 2.0 * alpha
+    scale_coef = _scale_coef(alpha, m)
     # M_S = K_V^T D_m^T turns D_m^T-weighted vecs quantities into ovecs ones
     i_mu = beta * v_inv / s
     i_v = _vecs_fill(v_inv, 2.0 * alpha, alpha - 1.0, start=1, k=k, coef=0.25)
@@ -212,63 +215,62 @@ def _sym_vecs_rows(part):
     return rows
 
 
-def _identifiability_stack(j_mu, j_sig):
-    """[J_mu; sqrt(F) vecs rows of J_vecSigma] with F = diag(D_m^T D_m).
+def _whitened_rows(sigma, j_mu, j_sig):
+    """The whitened Jacobian, one row [(L^-1 J_mu)_i^T | sqrt(F) vecs(G_i)]
+    per theta_i (:func:`_sym_vecs_rows`), and the traces tr(G_i).
 
-    Column i of J_vecSigma = d vec(Sigma) / d theta is vec(Sigma_i), whose
-    entries (i, j) and (j, i) are equal for a symmetric Sigma(theta), and
-    rotating each such row pair by 45 degrees is orthogonal, so this
-    (m + m(m+1)/2) x d stack has the singular values and the Frobenius
-    norm of [J_mu; J_vecSigma].  Each Sigma_i is symmetrized first, which
-    keeps the (a + b) / sqrt(2) row of each rotated pair
-    (:func:`_sym_vecs_rows`).  The rows are gathered straight into the one
-    fresh stack, a cache-sized group of the Sigma_i at a time.
-    """
-    m = j_mu.shape[0]
-    d = j_sig.shape[0]
-    stacked = np.empty((m + vecs_len(m), d))
-    stacked[:m] = j_mu
-    for p in _row_slices(d, m * m):
-        stacked[m:, p] = _sym_vecs_rows(j_sig[p]).T
-    return stacked
+    The parts' Grams are J_mu^T Sigma^-1 J_mu and tr(G_i G_j).  An overflow
+    (theta in extreme units) is left in the rows for the caller to report."""
+    m = sigma.shape[0]
+    l_inv = linalg.solve_triangular(np.linalg.cholesky(sigma), np.eye(m), lower=True)
+    rows = np.empty((len(j_sig), m + vecs_len(m)))
+    trace = np.empty(len(j_sig))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[:, :m] = (l_inv @ j_mu).T
+        for p in _row_slices(len(j_sig), m * m):
+            whitened = l_inv @ j_sig[p] @ l_inv.T
+            trace[p] = np.trace(whitened, axis1=1, axis2=2)
+            rows[p, m:] = _sym_vecs_rows(whitened)
+    return rows, trace
 
 
 _RANK_CERTIFICATE_MARGIN = 1e3
 
 
-def _identifiable(j_mu, j_sig) -> bool:
-    """Full column rank of the stack, each column scaled to unit norm.
+def _identifiable(rows) -> bool:
+    """Full column rank of U = ``rows``^T, each column scaled to unit norm.
 
-    The rank of a matrix does not change when a column is scaled, so the
-    verdict does not depend on the units of theta_i; a zero column is a
-    coordinate that moves neither mu nor Sigma.  Full rank of this U means
-    no singular value at or below tol = 1e-10 sqrt(d).  With U = QR,
-    sigma_min(U) = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F, so 1 / ||R^-1||_F >
-    c tol certifies it without an SVD; c = ``_RANK_CERTIFICATE_MARGIN``
-    covers the QR backward error (about d eps sqrt(d)) and the rounding of
-    trtri.  The R of U^T = R Q has the singular values of U; LAPACK writes
-    it over one copy of the stack, and trtri inverts it in place.
-    Wherever that bound cannot decide, the SVD of ``matrix_rank`` does,
-    and a U with fewer rows than d has rank below d.
+    Column i of U, the whitened (mu_i, Sigma_i), is one invertible map, the
+    same for every i, of column i of the stacked Jacobian of (mu, vec Sigma),
+    so U has that Jacobian's rank.  The rank of a matrix does not change when a
+    column is scaled, so the verdict does not depend on the units of theta_i; a
+    zero column is a coordinate that moves neither mu nor Sigma.  Full rank of
+    this U means no singular value at or below tol = 1e-10 sqrt(d).  With U =
+    QR, sigma_min(U) = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F, so 1 / ||R^-1||_F > c
+    tol certifies it without an SVD; c = ``_RANK_CERTIFICATE_MARGIN`` covers
+    the QR backward error (about d eps sqrt(d)) and the rounding of trtri.  The
+    R of U^T = R Q has the singular values of U; LAPACK writes it over one copy
+    of the scaled rows, and trtri inverts it in place.  Wherever that bound
+    cannot decide, the SVD of ``matrix_rank`` does, and a U with fewer rows
+    than d has rank below d.
     """
-    unit = _identifiability_stack(j_mu, j_sig)
-    if not np.isfinite(unit).all():  # LAPACK would print its error to stdout
+    if not np.isfinite(rows).all():  # LAPACK would print its error to stdout
         return False
     # no column norm over- or underflows in units of the largest entry
-    peak = np.maximum(unit.max(axis=0), -unit.min(axis=0))
+    peak = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     if not peak.all():
         return False
-    unit /= peak
-    unit /= np.sqrt(np.einsum("ij,ij->j", unit, unit))
-    rows, d = unit.shape
-    if rows < d:
+    unit = rows / peak[:, None]
+    unit /= np.sqrt(np.einsum("ij,ij->i", unit, unit))[:, None]
+    d, n = unit.shape
+    if n < d:
         return False
     tol = 1e-10 * np.sqrt(d)
     if d:  # LAPACK would print an error for the empty triangle
         # U^T = R Q, R (d x d) upper triangular in the last d columns; the
         # workspace of 32 d is what LAPACK's query asks for (the default
         # d x 3 runs it about 1.5x slower)
-        tri = linalg.lapack.dgerqf(unit.T, lwork=32 * d)[0][:, rows - d :]
+        tri = linalg.lapack.dgerqf(unit, lwork=32 * d)[0][:, n - d :]
         for j in range(d - 1):  # the Householder vectors below R
             tri[j + 1 :, j] = 0.0
         r_inv, info = linalg.lapack.dtrtri(tri, overwrite_c=1)
@@ -302,34 +304,24 @@ class ModelGeometry:
 def model_geometry(param, theta0) -> ModelGeometry:
     """Jacobians, identifiability and whitened Gram matrices at theta0.
 
-    The Sigma_i are whitened a cache-sized group at a time, and of each
-    G_i only its trace and its row of :func:`_sym_vecs_rows` are kept: a
-    d x m(m+1)/2 matrix whose Gram is tr(G_i G_j), half the size and half
-    the flops of the d x m^2 entries of the G_i.  At the peak the (d, m, m)
-    Jacobian stack is alive beside either the identifiability stack and
-    its one LAPACK copy or the d x m(m+1)/2 rows; it is dropped before the
-    Sigma Gram is formed.
+    The Jacobian is whitened once, into the rows of :func:`_whitened_rows`,
+    and dropped; identifiability is decided on those rows, and the Grams
+    are formed from them.  At the peak the (d, m, m) Jacobian is alive
+    beside the rows, or the rows beside their scaled and LAPACK copies.
 
     Raises ``LinAlgError`` when Sigma(theta0) is not positive definite and
     ``ValueError`` when the Gram matrices are not finite.
     """
     _, sigma, j_mu, j_sig = _jacobians(param, theta0)
     m = sigma.shape[0]
-    identifiable = _identifiable(j_mu, j_sig)
-    l_inv = linalg.solve_triangular(np.linalg.cholesky(sigma), np.eye(m), lower=True)
-    # a Sigma_i far larger than Sigma (theta in extreme units) overflows the
-    # products; that is reported once below, not as numpy warnings
+    rows, trace = _whitened_rows(sigma, j_mu, j_sig)
+    del j_sig  # the rest needs only the rows and traces
+    identifiable = _identifiable(rows)
+    # an overflow is reported once below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.empty((len(j_sig), vecs_len(m)))
-        trace = np.empty(len(j_sig))
-        for p in _row_slices(len(j_sig), m * m):
-            whitened = l_inv @ j_sig[p] @ l_inv.T
-            trace[p] = np.trace(whitened, axis1=1, axis2=2)
-            rows[p] = _sym_vecs_rows(whitened)
-        del j_sig  # the Grams need only the rows and traces
-        sigma_gram = rows @ rows.T
+        w_mu = np.ascontiguousarray(rows[:, :m].T)  # L^-1 J_mu
+        sigma_gram = rows[:, m:] @ rows[:, m:].T
         del rows
-        w_mu = l_inv @ j_mu
         mu_gram = w_mu.T @ w_mu
         # sum_i t_i^2 bounds every entry of the rank-one term t t^T
         finite = all(np.isfinite(x).all() for x in (mu_gram, sigma_gram, trace @ trace))
@@ -344,28 +336,31 @@ def model_geometry(param, theta0) -> ModelGeometry:
     )
 
 
-def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: bool, out=None):
+def _trace_coef(gen: DensityGenerator, m: int, semiparametric: bool) -> float:
+    """The coefficient c of t t^T in the FIM of theta (:func:`_theta_fim`)."""
+    if semiparametric:
+        return 2.0 / (gen.alpha(m) * gen.sigma_q2(m)) - 1.0 / m
+    return 0.5 * (1.0 - 1.0 / gen.alpha(m))
+
+
+def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: bool):
     """The FIM of theta; the two kinds differ in the coefficient of t t^T only.
 
     Built as one d x d array, a cache-sized row block of beta J_mu^T
-    Sigma^-1 J_mu + alpha / 2 (Sigma Gram + c t t^T) at a time.  The two
-    Grams are exactly symmetric (``model_geometry`` forms each as X^T X)
-    and t_i t_j is formed before it is scaled, so the result is symmetric
-    to the bit.  Each block reads only its own rows of the Grams, so
-    ``out`` may be ``geometry.sigma_gram`` itself.  Raises ``ValueError``
-    when the FIM is not finite.
+    Sigma^-1 J_mu + alpha / 2 (Sigma Gram + c t t^T) at a time, with c of
+    :func:`_trace_coef`.  The two Grams are exactly symmetric
+    (``model_geometry`` forms each as X^T X) and t_i t_j is formed before
+    it is scaled, so the result is symmetric to the bit.  Raises
+    ``ValueError`` when the FIM is not finite.
     """
     if not geometry.identifiable:
         raise IdentifiabilityError(_NOT_IDENTIFIABLE)
     m = geometry.m
     alpha = gen.alpha(m)
-    if semiparametric:
-        rank1 = 2.0 / (alpha * gen.sigma_q2(m)) - 1.0 / m
-    else:
-        rank1 = 0.5 * (1.0 - 1.0 / alpha)
+    rank1 = _trace_coef(gen, m, semiparametric)
     beta = gen.beta(m)
     t = geometry.sigma_trace
-    out = np.empty(geometry.sigma_gram.shape) if out is None else out
+    out = np.empty(geometry.sigma_gram.shape)
     # an overflow is reported once below, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_slices(len(t), len(t)):
@@ -394,7 +389,7 @@ def _theta_score(x, param, theta0, gen: DensityGenerator, semiparametric: bool):
     """The score of theta; the two kinds differ in the coefficient of
     tr(Sigma^-1 Sigma_i) only."""
     theta0, sigma, j_mu, j_sig = _jacobians(param, theta0)
-    if not _identifiable(j_mu, j_sig):
+    if not _identifiable(_whitened_rows(sigma, j_mu, j_sig)[0]):
         raise IdentifiabilityError(_NOT_IDENTIFIABLE)
     m = sigma.shape[0]
     w, q, phi, sigma_inv, single = _sample_parts(x, param.mu_fn(theta0), sigma, gen)
@@ -416,34 +411,31 @@ def efficient_score_theta(x, param, theta0, gen: DensityGenerator):
     return _theta_score(x, param, theta0, gen, semiparametric=True)
 
 
-def _project_nuisance(fim, q: int, t=None):
+def _project_nuisance(fim, q: int, t):
     """Project the nuisance (the trailing block) out of the leading q block.
 
-    Returns the Schur complement I_g - I_ge I_e^-1 I_eg and, when t is
-    given, the residual t_g - I_ge I_e^-1 t_e (else None), as I_g - W^T W
-    and t_g - W^T w_t with [W | w_t] = L^-1 [I_eg | t_e], I_e = L L^T: one
-    Cholesky factor, one triangular solve and one syrk, so the complement
-    of an exactly symmetric FIM is symmetric to the bit as built.
+    Returns the Schur complement I_g - I_ge I_e^-1 I_eg, the residual
+    t_g - I_ge I_e^-1 t_e and s_e = t_e^T I_e^-1 t_e, as I_g - W^T W,
+    t_g - W^T w_t and |w_t|^2 with [W | w_t] = L^-1 [I_eg | t_e], I_e =
+    L L^T: one Cholesky factor, one triangular solve and one syrk, so the
+    complement of an exactly symmetric FIM is symmetric to the bit as built.
     """
     d = fim.shape[0]
     if q > d:
         raise ValueError("interest block larger than the matrix")
     if q == d:
-        return fim.copy(), None if t is None else t.copy()
-    i_ge = fim[:q, q:]
-    rhs = i_ge.T if t is None else np.column_stack([i_ge.T, t[q:]])
+        return fim.copy(), t.copy(), 0.0
     try:
         chol, _ = linalg.cho_factor(fim[q:, q:], lower=True)
     except linalg.LinAlgError as exc:
         raise IdentifiabilityError("singular nuisance information block") from exc
-    white = linalg.solve_triangular(chol, rhs, lower=True)
-    w = white[:, :q]
+    white = linalg.solve_triangular(chol, np.column_stack([fim[:q, q:].T, t[q:]]), lower=True)
+    w, w_t = white[:, :q], white[:, q]
     out = w.T @ w
     np.subtract(fim[:q, :q], out, out=out)
-    residual = None if t is None else t[:q] - w.T @ white[:, q]
-    return out, residual
+    return out, t[:q] - w.T @ w_t, float(w_t @ w_t)
 
 
 def efficient_fim_interest(fim, q: int):
     """Schur complement I_gamma - I_ge I_e^-1 I_ge^T for the leading q block."""
-    return _project_nuisance(np.asarray(fim, dtype=float), q)[0]
+    return _project_nuisance(np.asarray(fim, dtype=float), q, np.zeros(len(fim)))[0]

@@ -10,9 +10,9 @@ invariant suite and the demos build them only through these.  The
 adaptivity condition decides, for a given generator, whether ignorance of
 the density generator costs efficiency on the interest block beyond what
 the finite-dimensional nuisance already costs.
-``verify_adaptivity_by_fim`` gives two verdicts on it from one model
-geometry: the condition residual and the gap between the efficient
-interest FIMs, both judged against ``ADAPTIVITY_TOL``.
+``verify_adaptivity_by_fim`` gives two verdicts on it from one geometry,
+FIM and factorization: the condition residual r and the gap kappa r r^T
+between the efficient interest FIMs, both judged against ADAPTIVITY_TOL.
 """
 
 from __future__ import annotations
@@ -374,6 +374,22 @@ def _condition_report(full_fim, trace, residual) -> ConditionReport:
     )
 
 
+def _parametric_projection(param, theta0, gen, semiparametric: bool):
+    """The parametric efficient interest FIM, s_e = t_e^T I_e^-1 t_e, delta
+    (if ``semiparametric``, read before the nuisance block is factored) and
+    the condition report, from one geometry, FIM of theta and projection."""
+    geometry = fim_mod.model_geometry(param, theta0)
+    m, trace = geometry.m, geometry.sigma_trace
+    full = fim_mod._theta_fim(geometry, gen, semiparametric=False)
+    del geometry
+    delta = None
+    if semiparametric:
+        c_semi, c_par = (fim_mod._trace_coef(gen, m, kind) for kind in (True, False))
+        delta = 0.5 * gen.alpha(m) * (c_semi - c_par)
+    eff, residual, s_e = fim_mod._project_nuisance(full, param.q, trace)
+    return eff, s_e, delta, _condition_report(full, trace, residual)
+
+
 def condition_check(param: Parameterization, theta0, gen: DensityGenerator) -> ConditionReport:
     """Evaluate the adaptivity condition residual at theta0.
 
@@ -386,10 +402,7 @@ def condition_check(param: Parameterization, theta0, gen: DensityGenerator) -> C
     |r_i| <= ADAPTIVITY_TOL sqrt(I_theta[i, i]) for every i, whatever the
     units of theta.
     """
-    geometry = fim_mod.model_geometry(param, theta0)
-    full = fim_mod._theta_fim(geometry, gen, semiparametric=False)
-    _, residual = fim_mod._project_nuisance(full, param.q, geometry.sigma_trace)
-    return _condition_report(full, geometry.sigma_trace, residual)
+    return _parametric_projection(param, theta0, gen, semiparametric=False)[3]
 
 
 def verify_adaptivity_by_fim(
@@ -398,38 +411,33 @@ def verify_adaptivity_by_fim(
     """Compare the efficient interest FIMs of the parametric and semiparametric models.
 
     The model is adaptive when the relative gap is below ADAPTIVITY_TOL.
-    The geometry and the parametric FIM are built once, and each FIM's
-    nuisance block is factored once; the parametric factor also gives the
-    condition residual.  After the geometry, at most three d x d arrays
-    are alive: the semiparametric FIM takes the place of the Sigma Gram,
-    and each FIM is dropped once its interest block is projected.
+    The SFIM is F + delta t t^T, F the FIM and delta = alpha / 2 (c_semi -
+    c_par) = 1 / sigma_q^2 - alpha / (2m) - (alpha - 1) / 4.  With S the
+    Schur complement of F and s_e = t_e^T I_e^-1 t_e, the SFIM's is
+    S + kappa r r^T, kappa = delta / (1 + delta s_e): at y = -I_e^-1 I_eg x
+    + z the form of F + delta t t^T is x^T S x + z^T I_e z + delta (r^T x
+    + t_e^T z)^2, with minimum x^T S x + kappa (r^T x)^2 over z.  Where
+    1 + delta s_e <= 0 the SFIM's nuisance block is not positive definite.
     """
-    q = param.q
-    geometry = fim_mod.model_geometry(param, theta0)
-    trace = geometry.sigma_trace
-    full = fim_mod._theta_fim(geometry, gen, semiparametric=False)
-    # the last reader of the Sigma Gram overwrites it: at most three d x d
-    # arrays are alive, where the geometry and two FIMs would be four
-    sfull = fim_mod._theta_fim(geometry, gen, True, out=geometry.sigma_gram)
-    del geometry
-    eff_par, residual = fim_mod._project_nuisance(full, q, trace)
-    condition = _condition_report(full, trace, residual)
-    del full
-    eff_semi, _ = fim_mod._project_nuisance(sfull, q)
-    # both norms in units of 2**e, the largest entry of the two FIMs rounded
-    # up to a power of two, so no square overflows and no in-range norm moves;
-    # eff_par - eff_semi is PSD, so no entry of it exceeds that largest entry
-    _, e = np.frexp(max(np.abs(eff_par).max(), np.abs(eff_semi).max()))
+    eff_par, s_e, delta, condition = _parametric_projection(param, theta0, gen, True)
+    if not 1.0 + delta * s_e > 0.0:
+        raise fim_mod.IdentifiabilityError("singular nuisance information block")
+    # kappa r r^T as root root^T: symmetric to the bit, with no r_i r_j to overflow
+    root = np.sqrt(abs(delta / (1.0 + delta * s_e))) * condition.residual
+    eff_semi = np.outer(root, root)
+    (np.add if delta > 0.0 else np.subtract)(eff_par, eff_semi, out=eff_semi)
+    if not np.isfinite(eff_semi).all():
+        raise ValueError(f"the FIM of theta under {gen.name} is not finite")
+    # both norms in units of 2**e, the largest entry rounded up to a power of
+    # two (root_i^2 is a difference of two diagonal entries): nothing overflows
+    _, e = np.frexp(max(eff_par.max(), -eff_par.min(), eff_semi.max(), -eff_semi.min()))
     ref = max(float(np.linalg.norm(np.ldexp(eff_semi, -e))), np.finfo(float).tiny)
-    diff = eff_par - eff_semi
-    gap = float(np.linalg.norm(np.ldexp(diff, -e, out=diff)))
-    gap_rel = gap / ref
-    gap = float(np.ldexp(gap, e))
+    gap = float(np.sum((root * 2.0 ** (-e / 2)) ** 2))
     return AdaptivityReport(
         fim_interest=eff_par,
         sfim_interest=eff_semi,
-        gap=gap,
-        gap_rel=gap_rel,
-        adaptive=bool(gap_rel < ADAPTIVITY_TOL),
+        gap=float(np.ldexp(gap, e)),
+        gap_rel=gap / ref,
+        adaptive=bool(gap / ref < ADAPTIVITY_TOL),
         condition=condition,
     )

@@ -12,7 +12,10 @@ row blocks, the Slepian-Bangs Gram from the whole whitened derivative
 stack, and the mpmath quadrature of E{f(Q)} that the generator tests
 and criterion 5 share.  So is the equality chain by two factorizations
 per generator, the efficient FIM filled and factored on its own, which
-``bounds.verify_chain`` replaces by one factor of the scale-known FIM.
+``bounds.verify_chain`` replaces by one factor of the scale-known FIM,
+and the adaptivity FIM gap by two FIMs of theta, each projected on its
+own, which ``parameterize.verify_adaptivity_by_fim`` replaces by one
+projection and its rank-one update.
 
 The row-major Tyler iteration and rank statistic at the end are the
 Monte-Carlo kernels as they were before they went coordinate-major: each
@@ -317,6 +320,18 @@ def sfim_theta(param, theta0, gen):
     m = np.asarray(param.sigma_fn(theta0)).shape[0]
     rank1 = 2.0 / (gen.alpha(m) * gen.sigma_q2(m)) - 1.0 / m
     return _fim_theta(param, theta0, gen, rank1)
+
+
+def adaptivity_two_fims(param, theta0, gen):
+    """The efficient interest FIMs of the parametric and the semiparametric
+    model, each the Schur complement of its own FIM of theta, and the
+    relative gap ||eff_par - eff_semi||_F / ||eff_semi||_F between them,
+    both norms in units of the largest entry rounded up to a power of two."""
+    eff_par = fim.efficient_fim_interest(fim.fim_theta(param, theta0, gen), param.q)
+    eff_semi = fim.efficient_fim_interest(fim.sfim_theta(param, theta0, gen), param.q)
+    _, e = np.frexp(max(np.abs(eff_par).max(), np.abs(eff_semi).max()))
+    ref = max(np.linalg.norm(np.ldexp(eff_semi, -e)), np.finfo(float).tiny)
+    return eff_par, eff_semi, np.linalg.norm(np.ldexp(eff_par - eff_semi, -e)) / ref
 
 
 def tyler_row_major(data, scale, tol=1e-10, max_iter=200, plain=False):

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from ellipfim.cli import _parameterization_from_spec
+import dense_oracles as dense
+from ellipfim.cli import _parameterization_from_spec, main
 from ellipfim.fim import IdentifiabilityError, fim_theta
 from ellipfim.generators import gaussian, generalized_gaussian, student_t
 from ellipfim.matcalc import vecs, vecs_len
 from ellipfim.parameterize import (
+    ADAPTIVITY_TOL,
     LowRankModel,
     breaking_example,
     breaking_parameterization,
@@ -132,6 +136,62 @@ def test_split_fim_gap_zero(gen):
     param, theta0 = split_setup()
     report = verify_adaptivity_by_fim(param, theta0, gen)
     assert report.adaptive
+
+
+ORACLE_GENS = [gaussian(), student_t(5), student_t(8), generalized_gaussian(0.5),
+               generalized_gaussian(2.0)]
+ORACLE_SPECS = [
+    {"name": name, "m": m, **extra}
+    for m in (4, 16, 32)
+    for name, extra in [("split", {}), ("low_rank", {}), ("breaking", {}),
+                        *(("shape_scale", {"scale": s}) for s in ("first", "trace", "det"))]
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: "-".join(map(str, s.values())))
+def test_rank_one_route_matches_the_two_fim_oracle(spec):
+    # the semiparametric efficient FIM as the parametric one plus kappa r r^T,
+    # against the complement of sfim_theta factored on its own
+    param, theta0 = _parameterization_from_spec(spec)
+    m = spec["m"]
+    for gen in ORACLE_GENS:
+        report = verify_adaptivity_by_fim(param, theta0, gen)
+        eff_par, eff_semi, gap_rel = dense.adaptivity_two_fims(param, theta0, gen)
+        np.testing.assert_array_equal(report.fim_interest, eff_par)
+        scale = np.abs(eff_semi).max()
+        assert np.abs(report.sfim_interest - eff_semi).max() <= 1e-14 * scale, gen
+        assert report.adaptive == (gap_rel < ADAPTIVITY_TOL), (gen, gap_rel, report.gap_rel)
+        if gen.name == "gaussian":
+            assert report.gap == report.gap_rel == 0.0
+        if spec["name"] == "breaking":
+            # I_theta = alpha m (1 + m c) / (2 gamma0^2), c the t t^T coefficient
+            alpha = gen.alpha(m)
+            c_par = 0.5 * (1.0 - 1.0 / alpha)
+            c_semi = 2.0 / (alpha * gen.sigma_q2(m)) - 1.0 / m
+            want = m * abs(c_par - c_semi) / (1.0 + m * c_semi)
+            assert report.gap_rel == pytest.approx(want, rel=1e-12, abs=0.0), gen
+
+
+def test_semiparametric_nuisance_block_not_positive_definite_is_named(
+    monkeypatch, tmp_path, capsys
+):
+    # a sigma_q^2 that makes delta = 1 / sigma_q^2 - alpha / (2m) - (alpha - 1) / 4
+    # so negative that 1 + delta s_e < 0
+    param, theta0 = lowrank_setup()
+    monkeypatch.setattr(type(student_t(8)), "sigma_q2", lambda self, m: -1e-3)
+    with pytest.raises(IdentifiabilityError, match="singular nuisance information block"):
+        verify_adaptivity_by_fim(param, theta0, student_t(8))
+    # the oracle's own factor of I_e + delta t_e t_e^T fails there too
+    with pytest.raises(IdentifiabilityError, match="singular nuisance information block"):
+        dense.adaptivity_two_fims(param, theta0, student_t(8))
+    # the parametric prefix does not read sigma_q^2
+    assert condition_check(param, theta0, student_t(8)).satisfied
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "parameterization": {"name": "low_rank"}}))
+    assert main(["adaptivity", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: IdentifiabilityError: singular nuisance information block"]
 
 
 def test_lowrank_fim_positive_definite_at_generic_point():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -209,6 +210,20 @@ def test_singular_alpha_rejected():
 
     with pytest.raises(SingularCoefficientError):
         crb_vecs_sigma(np.eye(3), FakeGen())
+
+
+@pytest.mark.parametrize("m", [4, 16, 32])
+@pytest.mark.parametrize(
+    "gen", [student_t(2.001), student_t(3.0), student_t(6.0), generalized_gaussian(0.1)], ids=str
+)
+def test_rank_one_coefficient_keeps_its_digits_at_heavy_tails(m, gen):
+    # (alpha - 1) / ((m + 2) alpha - m) for the double alpha, exactly as a
+    # fraction: the denominator nears 0 as alpha nears m / (m + 2), and
+    # formed as written it loses 20 eps at t(6), m = 32
+    alpha = Fraction(gen.alpha(m))
+    want = (alpha - 1) / ((m + 2) * alpha - m)
+    got = bounds._rank1_coeff(gen.alpha(m), m)
+    assert abs(Fraction(got) - want) <= 2 * np.finfo(float).eps * abs(want)
 
 
 # ---------------------------------------------------------------------------

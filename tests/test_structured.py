@@ -258,8 +258,8 @@ def test_every_blocked_loop_keeps_its_bits_at_any_block_size(monkeypatch):
             report = verify_adaptivity_by_fim(param, theta0, gen)
             out += [report.fim_interest, report.sfim_interest, report.condition.residual,
                     report.gap, report.gap_rel]
-            _, _, j_mu, j_sig = fim._jacobians(param, theta0)
-            out.append(fim._identifiability_stack(j_mu, j_sig))
+            _, sigma, j_mu, j_sig = fim._jacobians(param, theta0)
+            out += fim._whitened_rows(sigma, j_mu, j_sig)
         out += [link.value for link in verify_chain(NORMALIZED_TRACE, v, [gen, gaussian()], m).links]
         out += bound_set(NORMALIZED_TRACE, sigma, gen).blocks().values()
         out.append(_upsilon_gram(v_inv))
@@ -404,13 +404,21 @@ def test_analytic_jacobians_match_finite_differences(label, param, theta0):
         np.testing.assert_allclose(slice_got, slice_fd, rtol=0, atol=atol, err_msg=f"Sigma_{i}")
 
 
+def _rows(param, theta0):
+    """The whitened rows on which ``model_geometry`` decides identifiability."""
+    _, sigma, j_mu, j_sig = fim._jacobians(param, theta0)
+    return fim._whitened_rows(sigma, j_mu, j_sig)[0]
+
+
 @pytest.mark.parametrize(
     "label, param, theta0", _BUILDER_MODELS, ids=[c[0] for c in _BUILDER_MODELS]
 )
 def test_identifiability_rank_on_vecs_rows_matches_the_full_stack(label, param, theta0):
-    _, _, j_mu, j_sig = fim._jacobians(param, theta0)
-    full = np.vstack([j_mu, vec(j_sig).T])  # the (m + m^2) x d oracle
-    stack = fim._identifiability_stack(j_mu, j_sig)
+    _, sigma, j_mu, j_sig = fim._jacobians(param, theta0)
+    l_inv = np.linalg.inv(np.linalg.cholesky(sigma))
+    # the whitened (m + m^2) x d oracle [L^-1 J_mu; vec(G_i)]
+    full = np.vstack([l_inv @ j_mu, vec(l_inv @ j_sig @ l_inv.T).T])
+    stack = _rows(param, theta0).T
     m = j_mu.shape[0]
     assert stack.shape == (m + vecs_len(m), full.shape[1])
     assert np.linalg.norm(stack) == pytest.approx(np.linalg.norm(full), rel=1e-14)
@@ -422,7 +430,7 @@ def test_identifiability_rank_on_vecs_rows_matches_the_full_stack(label, param, 
     # the rank with every column scaled to unit norm
     unit = full / np.linalg.norm(full, axis=0)
     rank_full = np.linalg.matrix_rank(unit, tol=1e-10 * np.sqrt(full.shape[1]))
-    assert fim._identifiable(j_mu, j_sig) == (rank_full == full.shape[1])
+    assert fim._identifiable(stack.T) == (rank_full == full.shape[1])
     assert (rank_full == full.shape[1]) == (label != "low_rank-m2-p2")
 
 
@@ -432,20 +440,19 @@ def test_identifiability_does_not_depend_on_the_scale_of_a_coordinate(s):
     m = 4
     dec = decompose(NORMALIZED_TRACE, toeplitz(0.8 ** np.arange(m)))
     theta0 = np.concatenate([np.zeros(m), ovecs(dec.v), [s]])
-    _, _, j_mu, j_sig = fim._jacobians(shape_scale_parameterization(NORMALIZED_TRACE, m), theta0)
-    assert fim._identifiable(j_mu, j_sig)
+    assert fim._identifiable(_rows(shape_scale_parameterization(NORMALIZED_TRACE, m), theta0))
 
 
 def test_a_coordinate_that_moves_nothing_is_not_identifiable():
     j_sig = np.stack([np.eye(2), np.zeros((2, 2))])
-    assert not fim._identifiable(np.zeros((2, 2)), j_sig)
+    assert not fim._identifiable(fim._whitened_rows(np.eye(2), np.zeros((2, 2)), j_sig)[0])
 
 
 def test_identifiability_of_a_non_finite_stack_is_false_without_an_svd(monkeypatch):
-    # an overflowed Jacobian (shape_scale with "s": 1e308) has no rank to test
+    # a derivative beyond the float range has no rank to test
     monkeypatch.setattr(np.linalg, "matrix_rank", lambda *a, **k: pytest.fail("SVD called"))
     j_sig = np.array([[[1.0, np.inf], [np.inf, 1.0]]])
-    assert not fim._identifiable(np.zeros((2, 1)), j_sig)
+    assert not fim._identifiable(fim._whitened_rows(np.eye(2), np.zeros((2, 1)), j_sig)[0])
 
 
 def test_adaptivity_check_builds_the_geometry_once(monkeypatch):
@@ -506,23 +513,22 @@ def test_rank_certificate_agrees_with_the_svd(d, monkeypatch):
         u = _unit_stack(d, sigma_min, rng)
         full_rank = np.linalg.matrix_rank(u, tol=tol) == d
         assert full_rank == (sigma_min > tol)
-        monkeypatch.setattr(fim, "_identifiability_stack", lambda j_mu, j_sig: u)
         svds = _count_svds(monkeypatch)
-        assert fim._identifiable(None, None) == full_rank, sigma_min
+        assert fim._identifiable(u.T) == full_rank, sigma_min
         assert (not svds) == (sigma_min > c_tol), sigma_min
         monkeypatch.undo()
 
 
 def test_a_model_without_coordinates_is_identifiable_silently(capfd):
-    assert fim._identifiable(np.zeros((2, 0)), np.zeros((0, 2, 2)))
+    rows, _ = fim._whitened_rows(np.eye(2), np.zeros((2, 0)), np.zeros((0, 2, 2)))
+    assert fim._identifiable(rows)
     assert capfd.readouterr() == ("", "")
 
 
 def test_a_wide_stack_is_not_identifiable_without_an_svd(monkeypatch):
     u = np.random.default_rng(0).standard_normal((3, 5))
-    monkeypatch.setattr(fim, "_identifiability_stack", lambda j_mu, j_sig: u)
     svds = _count_svds(monkeypatch)
-    assert not fim._identifiable(None, None)
+    assert not fim._identifiable(u.T)
     assert not svds
 
 
@@ -535,9 +541,9 @@ _CERTIFIED_MODELS = _BUILDER_MODELS + list(_builder_models_at(32, np.random.defa
 def test_the_builder_models_need_no_svd(label, param, theta0, monkeypatch):
     # every identifiable model passes the rank certificate, and the rank
     # deficient low_rank-m2-p2 has fewer stack rows than coordinates
-    _, _, j_mu, j_sig = fim._jacobians(param, theta0)
+    rows = _rows(param, theta0)
     svds = _count_svds(monkeypatch)
-    assert fim._identifiable(j_mu, j_sig) == (label != "low_rank-m2-p2")
+    assert fim._identifiable(rows) == (label != "low_rank-m2-p2")
     assert not svds
 
 
@@ -552,21 +558,31 @@ def test_adaptivity_check_factors_each_nuisance_block_once(monkeypatch, label):
         param, theta0 = low_rank_parameterization(model), model.theta0([0.3])
     gen = student_t(6)
     calls = []
-    cho_factor = scipy_linalg.cho_factor
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return cho_factor(a, *args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, np.shape(args[0]) if name == "cho_factor" else None))
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy_linalg, "cho_factor", counted)
+        return call
+
+    monkeypatch.setattr(scipy_linalg, "cho_factor", counted("cho_factor", scipy_linalg.cho_factor))
+    for name in ("_theta_fim", "_whitened_rows"):
+        monkeypatch.setattr(fim, name, counted(name, getattr(fim, name)))
     report = verify_adaptivity_by_fim(param, theta0, gen)
-    assert calls == [(param.r, param.r)] * 2  # the parametric FIM's, then the SFIM's
+    # one whitening of the Jacobian, one FIM of theta (the parametric one)
+    # and one factor of its nuisance block: the SFIM's complement is the
+    # rank-one update of the parametric one
+    want = [("_whitened_rows", None), ("_theta_fim", None), ("cho_factor", (param.r, param.r))]
+    assert sorted(calls, key=str) == sorted(want, key=str)
     monkeypatch.undo()
     # the shared factor gives what the public functions give one by one
     full = fim.fim_theta(param, theta0, gen)
     np.testing.assert_array_equal(report.fim_interest, fim.efficient_fim_interest(full, param.q))
     cond = condition_check(param, theta0, gen)
-    np.testing.assert_array_equal(report.condition.residual, cond.residual)
+    for field in ("residual", "interest_term", "scaled_residual"):
+        np.testing.assert_array_equal(getattr(report.condition, field), getattr(cond, field))
+    assert report.condition.satisfied == cond.satisfied
     assert report.condition.tol == cond.tol == ADAPTIVITY_TOL
 
 
@@ -972,14 +988,15 @@ def test_write_bounds_csv_holds_two_d_by_d_arrays(m, tmp_path):
 
 @pytest.mark.parametrize("m", [4, 32])
 @pytest.mark.parametrize("name", ["split", "shape_scale"])
-def test_adaptivity_check_holds_four_d_by_d_arrays(m, name):
-    # d = param.d: the (d, m, m) Jacobian (about two) beside the
-    # identifiability stack and its LAPACK copy, or beside the whitened
-    # vecs rows (about one); then at most three (about seven at m = 32
-    # before)
+def test_adaptivity_check_holds_three_d_by_d_arrays(m, name):
+    # d = param.d: the (d, m, m) Jacobian (about two) beside the whitened
+    # rows (about one), or the rows beside their scaled copy and its LAPACK
+    # copy; then at most three (four while the raw Jacobian was gathered a
+    # second time for the identifiability stack, about seven at m = 32
+    # before that)
     if name == "split":
         param, theta0 = split_example(np.random.default_rng(0), m, 2, 0.7)
     else:
         param, theta0 = shape_scale_example(NORMALIZED_TRACE, m, 0.8, 1.5)
     peak = _peak_bytes(lambda: verify_adaptivity_by_fim(param, theta0, student_t(8)))
-    assert _within_arrays(peak, 4, param.d), peak
+    assert _within_arrays(peak, 3, param.d), peak
