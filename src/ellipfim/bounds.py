@@ -431,7 +431,6 @@ def verify_chain(
 
 # the longest %.17g text of a double, as in "-1.2345678901234567e-308"
 _VALUE_WIDTH = 24
-_CHUNK_BYTES = 1 << 18
 _FORMAT_SLICE = 1 << 12  # distinct values formatted per _format_g17 call
 
 # _format_g17 lays out |v| in [1e-16, 1e16) itself; there the leading digit
@@ -645,7 +644,8 @@ def write_bounds_csv(bounds: BoundSet, path):
     like zero, a subnormal, a non-finite value or one outside the range,
     takes CPython's %; so does every value of a slice too short to repay
     the kernel's fixed cost.
-    The file is then streamed in chunks of about a quarter mebibyte, built
+    The file is then streamed in row chunks of ``matcalc._row_slices``,
+    each at most its block of doubles in bytes (a quarter mebibyte), built
     in one buffer per block: each line is laid out in fixed-width fields
     (row prefix, column, value, newline), the column and newline fields
     written once, and since no field's text holds a space, dropping every
@@ -670,14 +670,16 @@ def write_bounds_csv(bounds: BoundSet, path):
             rows = np.array([f"{name},{i},".ljust(wr) for i in range(nrow)], dtype=f"S{wr}")
             cols = np.array([f"{j},".ljust(wc) for j in range(ncol)], dtype=f"S{wc}")
             line = np.dtype([("row", rows.dtype), ("col", cols.dtype), ("value", values.dtype), ("end", "S1")])
-            step = min(nrow, max(1, _CHUNK_BYTES // (ncol * line.itemsize)))
+            # a row of lines is ncol * line.itemsize bytes, in doubles rounded up
+            chunks = list(_row_slices(nrow, -(-ncol * line.itemsize // 8)))
+            step = chunks[0].stop
             buffer = bytearray(step * ncol * line.itemsize)
             lines = np.frombuffer(buffer, dtype=line).reshape(step, ncol)
             lines["col"] = cols
             lines["end"] = b"\n"
-            for i in range(0, nrow, step):
-                k = min(step, nrow - i)
-                lines["row"][:k] = rows[i : i + k, None]
-                lines["value"][:k] = values[where[i : i + k]]
+            for p in chunks:
+                k = p.stop - p.start
+                lines["row"][:k] = rows[p, None]
+                lines["value"][:k] = values[where[p]]
                 chunk = buffer if k == step else buffer[: k * ncol * line.itemsize]
                 fh.write(chunk.translate(None, b" "))

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import bounds as bounds_mod
-from .config import ConfigError, check_number, check_reals, reject_unknown
+from .config import POSITIVE, UNIT, ConfigError, check_number, check_reals, reject_unknown
 from .generators import gaussian, generalized_gaussian, student_t
 from .invariants import run_invariant_suite
 from .parameterize import (
@@ -102,7 +102,7 @@ def _sigma_from_spec(spec, m):
         spec = {"kind": "toeplitz", **spec}
     kind = _spec_kind(spec, "kind", SIGMA_KEYS, "scatter")
     if kind == "toeplitz":
-        rho = check_number(spec.get("rho", 0.8), "sigma.rho")
+        rho = check_number(spec.get("rho", 0.8), "sigma.rho", inside=UNIT)
         return toeplitz(rho ** np.arange(m))
     if kind == "identity":
         return np.eye(m)
@@ -113,8 +113,6 @@ def _sigma_from_spec(spec, m):
 
 
 def _scale_from_name(name):
-    if not isinstance(name, str):
-        raise ConfigError(f"scale must be a name, got {name!r}")
     try:
         return scale_by_name(name)
     except KeyError as exc:
@@ -219,26 +217,16 @@ def cmd_bounds(args) -> int:
 def _parameterization_from_spec(spec):
     name = _spec_kind(spec, "name", PARAMETERIZATION_KEYS, "parameterization")
 
-    def get(key, default, kind=float, least=None, inside=None):
-        """The spec value of ``key``; ``inside`` is an open interval (lo, hi)."""
-        value = check_number(spec.get(key, default), f"parameterization.{key}", kind, least)
-        if inside is not None and not inside[0] < value < inside[1]:
-            raise ConfigError(
-                f"parameterization.{key} must lie in ({inside[0]:g}, {inside[1]:g}), "
-                f"got {value!r}"
-            )
-        return value
-
-    unit = (-1.0, 1.0)  # a Toeplitz rho^|i-j| is PD exactly for |rho| < 1
-    positive = (0.0, np.inf)
+    def get(key, default, kind=float, **bounds):
+        return check_number(spec.get(key, default), f"parameterization.{key}", kind, **bounds)
 
     rng = np.random.default_rng(get("seed", 0, int, least=0))
     if name == "split":
         m = get("m", 4, int, least=1)
         q = get("q", 2, int, least=1)
-        return split_example(rng, m, q, get("rho", 0.7, inside=unit))
+        return split_example(rng, m, q, get("rho", 0.7, inside=UNIT))
     if name == "low_rank":
-        m = get("m", 6, int)
+        m = get("m", 6, int, least=1)
         p = get("p", 2, int, least=1)
         # (gamma, vecs Xi, lambda) needs no more coordinates than vecs Sigma
         if vecs_len(m) < p + vecs_len(p) + 1:
@@ -253,15 +241,15 @@ def _parameterization_from_spec(spec):
                 f"parameterization.gamma must list one real number per source "
                 f"(p = {p}), got {gamma!r}"
             )
-        return low_rank_example(rng, m, gamma0, get("noise", 0.8, inside=positive))
+        return low_rank_example(rng, m, gamma0, get("noise", 0.8, inside=POSITIVE))
     if name == "shape_scale":
         m = get("m", 4, int, least=2)  # a shape needs a free coordinate
         scale = _scale_from_name(spec.get("scale", "trace"))
         return shape_scale_example(
-            scale, m, get("rho", 0.8, inside=unit), get("s", 1.5, inside=positive)
+            scale, m, get("rho", 0.8, inside=UNIT), get("s", 1.5, inside=POSITIVE)
         )
     m = get("m", 3, int, least=1)  # breaking
-    return breaking_example(m, get("rho", 0.5, inside=unit), get("gamma0", 1.3, inside=positive))
+    return breaking_example(m, get("rho", 0.5, inside=UNIT), get("gamma0", 1.3, inside=POSITIVE))
 
 
 def cmd_adaptivity(args) -> int:

@@ -2,7 +2,8 @@
 
 JSON hands a reader ``bool``, strings, lists and ``null`` wherever a
 number is expected, and Python's ``int(...)`` would truncate ``4.7`` to 4
-or accept ``"4"``.  Each reader here rejects such a value with a
+or accept ``"4"``.  Each reader here rejects such a value, and
+:func:`check_number` a number outside its range, with a
 :class:`ConfigError` that names the key, which the CLI turns into exit
 code 2 before anything is written.
 """
@@ -13,16 +14,21 @@ import math
 
 import numpy as np
 
-__all__ = ["ConfigError", "check_number", "check_reals", "reject_unknown"]
+__all__ = ["POSITIVE", "UNIT", "ConfigError", "check_number", "check_reals", "reject_unknown"]
+
+# open intervals for check_number's ``inside``
+UNIT = (-1.0, 1.0)  # a Toeplitz rho^|i-j| is PD exactly for |rho| < 1
+POSITIVE = (0.0, math.inf)
 
 
 class ConfigError(ValueError):
     """A config key or value that the command cannot use."""
 
 
-def check_number(value, key, kind=float, least=None):
+def check_number(value, key, kind=float, least=None, inside=None):
     """``value`` as an ``int`` (``kind=int``) or a finite real number
-    (``kind=float``), no smaller than ``least`` when that is given.
+    (``kind=float``), no smaller than ``least`` and inside the open
+    interval ``inside = (lo, hi)`` when those are given.
 
     ``bool`` is rejected although it is an ``int`` subclass, and so is an
     integral float such as ``4.0`` where an ``int`` is required.
@@ -40,6 +46,8 @@ def check_number(value, key, kind=float, least=None):
             raise ConfigError(f"{key} must be finite, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(f"{key} must be >= {least}, got {value!r}")
+    if inside is not None and not inside[0] < value < inside[1]:
+        raise ConfigError(f"{key} must lie in ({inside[0]:g}, {inside[1]:g}), got {value!r}")
     return kind(value)
 
 

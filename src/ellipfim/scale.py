@@ -128,7 +128,7 @@ SCALES = {
 def scale_by_name(name: str) -> ScaleFunctional:
     try:
         return SCALES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON list or object
         raise KeyError(
             f"unknown scale {name!r}; valid options: {', '.join(sorted(SCALES))}"
         ) from None

@@ -40,7 +40,7 @@ import scipy
 from scipy.linalg import toeplitz
 
 from .bounds import _scale_known_gap, crb_shape
-from .config import check_number, reject_unknown
+from .config import UNIT, check_number, reject_unknown
 from .estimators import (
     TYLER_TOL,
     TScore,
@@ -81,31 +81,20 @@ class SimConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        for name in ("m", "n", "trials", "parallelism"):
-            check_number(getattr(self, name), name, int)
+        check_number(self.m, "m", int, least=2)
+        # the R-estimators' tangent solve needs n > m(m+1)/2
+        check_number(self.n, "n", int, least=vecs_len(self.m) + 1)
+        check_number(self.trials, "trials", int, least=1)
+        check_number(self.parallelism, "parallelism", int, least=1)
         check_number(self.root_seed, "root_seed", int, least=0)
-        check_number(self.rho, "rho")
+        check_number(self.rho, "rho", inside=UNIT)
         for nu in self.nu_grid:
-            check_number(nu, "nu_grid")
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
-        if self.n <= vecs_len(self.m):
-            raise ValueError(
-                f"n must exceed m(m+1)/2 = {vecs_len(self.m)} for the R-estimators"
-            )
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+            check_number(nu, "nu_grid", inside=(2.0, math.inf))
         if not self.nu_grid:
             raise ValueError("nu_grid must hold at least one nu")
         grid = list(self.nu_grid)
         if len(set(grid)) < len(grid):
             raise ValueError(f"nu_grid must not repeat a nu, got {grid}")
-        if not all(nu > 2.0 for nu in self.nu_grid):
-            raise ValueError("every nu in the grid must exceed 2")
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (-1, 1)")
         scale_by_name(self.scale_kind)
 
     @property

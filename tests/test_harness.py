@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import toeplitz
 
 import ellipfim
@@ -991,6 +994,11 @@ BAD_CONFIG_VALUES = {
         {"parameterization": {"name": "low_rank", "noise": -1}},
         "parameterization.noise must lie in (0, inf)",
     ),
+    "low_rank_m_negative": (
+        "adaptivity",
+        {"parameterization": {"name": "low_rank", "m": -3, "p": 1, "gamma": [0.6]}},
+        "parameterization.m must be >= 1",
+    ),
     "low_rank_m1": (
         "adaptivity",
         {"parameterization": {"name": "low_rank", "m": 1, "p": 1, "gamma": [0.6]}},
@@ -1028,6 +1036,12 @@ BAD_CONFIG_VALUES = {
     ),
     "verify_key": ("verify", {"level": "fast", "levle": "full"}, "levle"),
     "simulate_rho_null": ("simulate", {"rho": None}, "rho must be a real number"),
+    "bounds_rho_above_1": ("bounds", {"m": 4, "sigma": {"rho": 1.5}}, "sigma.rho must lie in (-1, 1)"),
+    "bounds_rho_minus_1": ("bounds", {"m": 4, "sigma": {"rho": -1}}, "sigma.rho must lie in (-1, 1)"),
+    "simulate_rho_above_1": ("simulate", {"rho": 1.5}, "rho must lie in (-1, 1)"),
+    "simulate_trials0": ("simulate", {"trials": 0}, "trials must be >= 1"),
+    "simulate_parallelism0": ("simulate", {"parallelism": 0}, "parallelism must be >= 1"),
+    "simulate_nu_below_2": ("simulate", {"nu_grid": [1.5]}, "nu_grid must lie in (2, inf)"),
 }
 
 
@@ -1068,6 +1082,80 @@ def test_cli_non_finite_config_numbers_exit_2_with_one_line(tmp_path, capsys, ca
     assert line.startswith(f"config error: {named} must be finite")
     assert captured.out == "" and not caught
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+# one small valid config per subcommand and spec kind, whose every field the
+# fuzzer below replaces: at m <= 3, n = 8 and two trials each run is cheap
+FUZZ_BASES = [
+    ("simulate", {"m": 2, "n": 8, "rho": 0.5, "nu_grid": [5.0], "trials": 2,
+                  "scale_kind": "det", "root_seed": 3, "parallelism": 1}),
+    ("bounds", {"m": 3, "scale": "trace", "generator": {"family": "t", "nu": 6},
+                "sigma": {"kind": "toeplitz", "rho": 0.5}}),
+    ("bounds", {"m": 2, "scale": "first", "generator": {"family": "gg", "shape": 0.7},
+                "sigma": {"kind": "matrix", "values": [[2.0, 0.5], [0.5, 1.0]]}}),
+    ("bounds", {"m": 2, "scale": "det", "generator": {"family": "gaussian"},
+                "sigma": {"kind": "identity"}}),
+    ("adaptivity", {"parameterization": {"name": "split", "seed": 1, "m": 3, "q": 1, "rho": 0.5},
+                    "generator": {"family": "t", "nu": 8}}),
+    ("adaptivity", {"parameterization": {"name": "low_rank", "seed": 1, "m": 3, "p": 1,
+                                         "gamma": [0.6], "noise": 0.8}}),
+    ("adaptivity", {"parameterization": {"name": "shape_scale", "m": 3, "scale": "det",
+                                         "rho": 0.5, "s": 1.5}}),
+    ("adaptivity", {"parameterization": {"name": "breaking", "m": 2, "rho": 0.5, "gamma0": 1.3},
+                    "generator": {"family": "gg", "shape": 2.0}}),
+    ("verify", {"level": "fast"}),
+]
+# sizes are drawn no larger than this: a drawn 10**30 trials or m would
+# allocate without bound, and a drawn parallelism would start a pool
+FUZZ_SIZES, FUZZ_MAX_SIZE = ("m", "n", "trials", "parallelism", "p", "q"), 6
+
+
+def _fields(data, path=()):
+    """The path of every dict value and list item of ``data``, at any depth."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+FUZZ_FIELDS = [(command, base, path) for command, base in FUZZ_BASES for path in _fields(base)]
+_JSON_LEAVES = st.sampled_from(
+    [None, True, False, "", "x", "4", 0, 1, 3, 0.0, -0.0, 4.7, -4.7, 1e308, -1e308,
+     float("nan"), float("inf"), -float("inf"), 10**30, -(10**30)]
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda items: st.lists(items, max_size=2) | st.dictionaries(st.sampled_from(["m", "nu", "x"]), items, max_size=2),
+    max_leaves=4,
+)
+
+
+def _small(value):
+    return not isinstance(value, int) or isinstance(value, bool) or value <= FUZZ_MAX_SIZE
+
+
+@given(st.sampled_from(FUZZ_FIELDS), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cli_config_fuzzer_exits_0_1_or_2_and_writes_nothing_on_2(tmp_path_factory, field, data):
+    # a drawn JSON value in one field of a valid config: the command ends with
+    # its documented exit code and no traceback, and on exit 2 prints nothing
+    # on stdout and writes nothing
+    command, base, path = field
+    values = _JSON_VALUES.filter(_small) if path[-1] in FUZZ_SIZES else _JSON_VALUES
+    config = json.loads(json.dumps(base))
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(values, label=".".join(map(str, path)))
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run_cli(tmp, command, config)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and [p.name for p in tmp.iterdir()] == ["cfg.json"]
 
 
 def test_cli_bounds_at_huge_nu_writes_no_nan(tmp_path, capsys):

@@ -235,10 +235,11 @@ def test_theta_fims_are_bitwise_symmetric(name, gen):
         np.testing.assert_array_equal(x, x.T)
 
 
-def test_every_blocked_loop_keeps_its_bits_at_any_block_size(monkeypatch):
-    # fim and bounds hold no block size of their own: matcalc._row_slices
-    # slices every blocked loop, so a block of 7 doubles moves every block
-    # boundary (at m = 8 each loop is one block at the default size)
+def test_every_blocked_loop_keeps_its_bits_at_any_block_size(monkeypatch, tmp_path):
+    # fim and bounds hold no block size of their own, the CSV writer's line
+    # chunks included: matcalc._row_slices slices every blocked loop, so a
+    # block of 7 doubles moves every block boundary (at m = 8 each loop is
+    # one block at the default size)
     assert not hasattr(fim, "_CORE_BLOCK_DOUBLES") and not hasattr(bounds, "_CORE_BLOCK_DOUBLES")
     m = 8
     rng = np.random.default_rng(8)
@@ -261,7 +262,10 @@ def test_every_blocked_loop_keeps_its_bits_at_any_block_size(monkeypatch):
             _, sigma, j_mu, j_sig = fim._jacobians(param, theta0)
             out += fim._whitened_rows(sigma, j_mu, j_sig)
         out += [link.value for link in verify_chain(NORMALIZED_TRACE, v, [gen, gaussian()], m).links]
-        out += bound_set(NORMALIZED_TRACE, sigma, gen).blocks().values()
+        bset = bound_set(NORMALIZED_TRACE, sigma, gen)
+        out += bset.blocks().values()
+        write_bounds_csv(bset, tmp_path / "bounds.csv")
+        out.append(np.frombuffer((tmp_path / "bounds.csv").read_bytes(), dtype=np.uint8))
         out.append(_upsilon_gram(v_inv))
         return [np.asarray(x) for x in out]
 
@@ -647,7 +651,7 @@ def test_write_bounds_csv_bytes_match_per_entry_writer(tmp_path, monkeypatch, bs
     assert (tmp_path / "rows.csv").read_bytes() == want
     # a few rows per chunk and three values per format string: every block
     # spans chunks and format slices, and most end on a short one
-    monkeypatch.setattr(bounds, "_CHUNK_BYTES", 200)
+    monkeypatch.setattr(matcalc, "_CORE_BLOCK_DOUBLES", 25)  # 200 bytes
     monkeypatch.setattr(bounds, "_FORMAT_SLICE", 3)
     write_bounds_csv(bset, tmp_path / "rows.csv")
     assert (tmp_path / "rows.csv").read_bytes() == want
