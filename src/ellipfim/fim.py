@@ -298,19 +298,20 @@ class ModelGeometry:
     mu_gram: np.ndarray  # J_mu^T Sigma^-1 J_mu
     sigma_gram: np.ndarray  # [tr(Sigma^-1 Sigma_i Sigma^-1 Sigma_j)]_ij
     sigma_trace: np.ndarray  # [tr(Sigma^-1 Sigma_i)]_i
-    identifiable: bool  # the stacked Jacobian of (mu, vec Sigma) has full column rank
 
 
 def model_geometry(param, theta0) -> ModelGeometry:
-    """Jacobians, identifiability and whitened Gram matrices at theta0.
+    """Jacobians and whitened Gram matrices at theta0.
 
     The Jacobian is whitened once, into the rows of :func:`_whitened_rows`,
     and dropped; identifiability is decided on those rows, and the Grams
     are formed from them.  At the peak the (d, m, m) Jacobian is alive
     beside the rows, or the rows beside their scaled and LAPACK copies.
 
-    Raises ``LinAlgError`` when Sigma(theta0) is not positive definite and
-    ``ValueError`` when the Gram matrices are not finite.
+    Raises ``LinAlgError`` when Sigma(theta0) is not positive definite,
+    ``ValueError`` when the Gram matrices are not finite and
+    ``IdentifiabilityError`` when the stacked Jacobian of (mu, vec Sigma)
+    is rank deficient.
     """
     _, sigma, j_mu, j_sig = _jacobians(param, theta0)
     m = sigma.shape[0]
@@ -327,13 +328,9 @@ def model_geometry(param, theta0) -> ModelGeometry:
         finite = all(np.isfinite(x).all() for x in (mu_gram, sigma_gram, trace @ trace))
     if not finite:
         raise ValueError("whitened Gram matrices are not finite at theta0")
-    return ModelGeometry(
-        m=m,
-        mu_gram=mu_gram,
-        sigma_gram=sigma_gram,
-        sigma_trace=trace,
-        identifiable=identifiable,
-    )
+    if not identifiable:
+        raise IdentifiabilityError(_NOT_IDENTIFIABLE)
+    return ModelGeometry(m=m, mu_gram=mu_gram, sigma_gram=sigma_gram, sigma_trace=trace)
 
 
 def _trace_coef(gen: DensityGenerator, m: int, semiparametric: bool) -> float:
@@ -353,8 +350,6 @@ def _theta_fim(geometry: ModelGeometry, gen: DensityGenerator, semiparametric: b
     it is scaled, so the result is symmetric to the bit.  Raises
     ``ValueError`` when the FIM is not finite.
     """
-    if not geometry.identifiable:
-        raise IdentifiabilityError(_NOT_IDENTIFIABLE)
     m = geometry.m
     alpha = gen.alpha(m)
     rank1 = _trace_coef(gen, m, semiparametric)
@@ -389,14 +384,14 @@ def _theta_score(x, param, theta0, gen: DensityGenerator, semiparametric: bool):
     """The score of theta; the two kinds differ in the coefficient of
     tr(Sigma^-1 Sigma_i) only."""
     theta0, sigma, j_mu, j_sig = _jacobians(param, theta0)
-    if not _identifiable(_whitened_rows(sigma, j_mu, j_sig)[0]):
+    rows, trace = _whitened_rows(sigma, j_mu, j_sig)  # trace: tr(Sigma^-1 Sigma_i)
+    if not _identifiable(rows):
         raise IdentifiabilityError(_NOT_IDENTIFIABLE)
     m = sigma.shape[0]
-    w, q, phi, sigma_inv, single = _sample_parts(x, param.mu_fn(theta0), sigma, gen)
+    w, q, phi, _, single = _sample_parts(x, param.mu_fn(theta0), sigma, gen)
     coef = (q - m) / gen.sigma_q2(m) - q * phi / (2.0 * m) if semiparametric else -0.5
-    # W^T mu_i, W^T Sigma_i W and tr(Sigma^-1 Sigma_i)
+    # W^T mu_i and W^T Sigma_i W
     quad = np.einsum("li,kij,lj->lk", w, j_sig, w)
-    trace = np.einsum("ij,kji->k", sigma_inv, j_sig)
     out = phi[:, None] * (w @ j_mu + 0.5 * quad) + np.outer(coef, trace)
     return out[0] if single else out
 

@@ -97,7 +97,6 @@ from .scale import (
     constraint_gradient_vecs,
     decompose,
     jacobian_w,
-    m_matrix,
     u_basis,
 )
 
@@ -312,6 +311,13 @@ def duplication_rank(dims):
     return worst
 
 
+def _m_s_vec(scale, v, a):
+    """M_S vec(A) = K_V^T D_m^T vec(A) from the dense K_V of ``jacobian_w``
+    and the dense D_m, apart from the compute paths' entrywise forms."""
+    k_v = jacobian_w(scale, v, 1.0)[:, :-1]
+    return k_v.T @ (duplication_matrix(v.shape[0]).T @ vec(a))
+
+
 def projection_identity(rng, scales, m, s, gen):
     """Largest |I_Vs I_s^-1 / (2s) - M_S vec(V^-1) / (2m)|, the coefficient
     of the projection onto the scale direction, at one random m x m shape
@@ -321,7 +327,7 @@ def projection_identity(rng, scales, m, s, gen):
         v = random_shape(rng, m, scale)
         blocks = fim_mod.fim_eta(v, s, scale, gen)
         lhs = blocks.i_vs / blocks.i_s / (2 * s)
-        rhs = m_matrix(scale, v) @ vec(np.linalg.inv(v)) / (2 * m)
+        rhs = _m_s_vec(scale, v, np.linalg.inv(v)) / (2 * m)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -591,7 +597,7 @@ def _check_scale_geometry():
                 worst,
                 float(np.abs(constraint_gradient_vecs(scale, dec.v) @ u).max()),
             )
-            ker = m_matrix(scale, dec.v) @ vec(np.linalg.inv(dec.v))
+            ker = _m_s_vec(scale, dec.v, np.linalg.inv(dec.v))
             if scale is DET_ROOT:
                 worst = max(worst, float(np.abs(ker).max()))
             elif float(np.abs(ker).max()) < 1e-3:

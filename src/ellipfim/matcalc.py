@@ -7,8 +7,7 @@ the (1,1) entry of the matrix; ``ovecs`` drops that first element.
 The duplication matrix D_m, the commutation matrix K_m and the
 Moore-Penrose inverse D_m^+ are built by index arithmetic and cached per m
 as read-only arrays; they are m^2 x m(m+1)/2 and m^2 x m^2, so only the
-invariant suite, the dense reference ``scale.m_matrix`` and the tests
-build them.  No score, Fisher information, bound, estimator or
+invariant suite, a demo and the tests build them.  No score, Fisher information, bound, estimator or
 parameterization does: :func:`vecs_basis`, the derivative matrices of the
 vecs coordinates, is filled from the cached ``vecs`` index pairs, so a
 cache entry of 4.3 MB at m = 32 is never pinned by a compute path.

@@ -229,8 +229,6 @@ def _low_rank_model(q, a_fn, a_jac, basis, embed, name) -> Parameterization:
 
     def jac_sig(theta):
         a, xi = factor_and_xi(theta)
-        if np.linalg.matrix_rank(a, tol=1e-12 * max(1.0, np.linalg.norm(a))) < a.shape[1]:
-            raise fim_mod.IdentifiabilityError("factor matrix A is rank deficient")
         # Sigma_k = E(A_k Xi A^H + (A_k Xi A^H)^H) with A_k = dA / d gamma_k
         half = np.einsum("ipk,pr,jr->kij", np.asarray(a_jac(theta[:q])), xi, a.conj())
         out = np.empty((d, len(a), len(a)), dtype=np.result_type(half, a, basis))

@@ -3,9 +3,9 @@
 A scale functional S is 1-homogeneous, differentiable and has S(I) = 1;
 the three concrete choices are the (1,1) entry, the normalized trace and
 the m-th root of the determinant.  The shape matrix V = Sigma / S(Sigma)
-lives on the manifold S(V) = 1, and the matrices built here (M_S, U and the
-Jacobian of (ovecs V, s) -> vecs(Sigma)) encode that manifold's geometry in
-half-vectorized coordinates.
+lives on the manifold S(V) = 1, and the arrays built here (the gradient of
+[V]_11, U and the Jacobian of (ovecs V, s) -> vecs(Sigma)) encode that
+manifold's geometry in half-vectorized coordinates.
 
 Inputs claimed to sit on the manifold are checked against |S(V) - 1| <=
 1e-8 and rejected otherwise; renormalization is only ever explicit via
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .matcalc import _dup_t_vec, _tril_indices_colmajor, duplication_matrix, vecs, unvecs, vecs_len
+from .matcalc import _dup_t_vec, _tril_indices_colmajor, vecs, unvecs, vecs_len
 
 __all__ = [
     "ScaleFunctional",
@@ -31,7 +31,6 @@ __all__ = [
     "decompose",
     "renormalize",
     "grad_v11",
-    "m_matrix",
     "u_basis",
     "jacobian_w",
     "reconstruct_shape",
@@ -168,30 +167,16 @@ def renormalize(scale: ScaleFunctional, v):
 
 
 def grad_v11(scale: ScaleFunctional, v):
-    """Gradient of the implicit map ovecs(V) -> [V]_11 on the manifold."""
+    """Gradient of the implicit map ovecs(V) -> [V]_11 on the manifold.
+
+    On S(V) = 1 the implicit function theorem gives -g[1:] / g[0] for the
+    constraint gradient g of :func:`constraint_gradient_vecs`.
+    """
     v = np.asarray(v, dtype=float)
     _check_manifold(scale, v)
-    m = v.shape[0]
-    if scale.kind == "first":
-        return np.zeros(vecs_len(m) - 1)
-    w = np.eye(m) if scale.kind == "trace" else np.linalg.inv(v)
-    row = _dup_t_vec(w)
-    return -row[1:] / row[0]
-
-
-def m_matrix(scale: ScaleFunctional, v):
-    """M_S = K_V^T D_m^T, full row rank m(m+1)/2 - 1.
-
-    K_V^T is [grad_v11, I], and the first row of D_m^T is the unit vector
-    of vec position (1,1), so M_S is D_m^T without its first row plus
-    grad_v11 in column 0.  The scores and FIMs apply it as K_V^T D_m^T vec
-    without forming it; this dense matrix is the reference the invariant
-    suite checks them against.
-    """
-    m = np.asarray(v).shape[0]
-    out = duplication_matrix(m).T[1:].copy()
-    out[:, 0] += grad_v11(scale, v)
-    return out
+    g = constraint_gradient_vecs(scale, v)
+    # 0 - x, not -x: the first scale's zeros stay +0.0
+    return 0.0 - g[1:] / g[0]
 
 
 def constraint_gradient_vecs(scale: ScaleFunctional, v):

@@ -226,8 +226,24 @@ def test_lowrank_rank_deficient_a_rejected():
         q=1,
     )
     param = low_rank_parameterization(model)
-    with pytest.raises(IdentifiabilityError):
-        param.jacobian_sigma(model.theta0(np.array([0.4])))
+    theta0 = model.theta0(np.array([0.4]))
+    # A = 0 gives A_k Xi A^T = 0 and A B_k A^T = 0: the stacked Jacobian is rank deficient
+    with pytest.raises(IdentifiabilityError, match="rank deficient"):
+        fim_theta(param, theta0, student_t(8))
+    with pytest.raises(IdentifiabilityError, match="rank deficient"):
+        verify_adaptivity_by_fim(param, theta0, student_t(8))
+
+
+def test_cli_low_rank_with_repeated_angles_is_one_error_line(tmp_path, capsys):
+    # gamma = (0.6, 0.6) repeats a steering column, so A has rank 1
+    cfg = tmp_path / "cfg.json"
+    spec = {"name": "low_rank", "m": 6, "p": 2, "gamma": [0.6, 0.6]}
+    cfg.write_text(json.dumps({"schema": 1, "parameterization": spec}))
+    assert main(["adaptivity", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: IdentifiabilityError: ")
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,6 @@ def test_crb_shape_lifted_trace_invariant_under_rotation():
     # The invariant functional is the trace of the bound lifted to vec
     # coordinates, tr(M_S^T CRB M_S): the raw ovecs trace counts each
     # off-diagonal once and drops v11, so it is not basis-covariant.
-    from ellipfim.scale import m_matrix
-
     rng = np.random.default_rng(31)
     for scale in (NORMALIZED_TRACE, DET_ROOT):
         v = random_shape(rng, 3, scale)
@@ -108,7 +106,7 @@ def test_crb_shape_lifted_trace_invariant_under_rotation():
         v_rot = decompose(scale, q @ v @ q.T).v
 
         def lifted_trace(vv):
-            ms = m_matrix(scale, vv)
+            ms = dense.m_matrix(scale, vv)
             return np.trace(ms.T @ crb_shape(scale, vv, student_t(6)) @ ms)
 
         assert lifted_trace(v) == pytest.approx(lifted_trace(v_rot), rel=1e-10)

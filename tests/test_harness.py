@@ -298,8 +298,9 @@ NEGATIVE_CONTROLS = {
     "duplication_matrix": (invariants, _first_column_zeroed,
                            [lambda: matcalc_tests.test_duplication_full_column_rank(3)],
                            "matcalc.duplication_rank"),
-    "m_matrix": (invariants, _scaled, [fim_tests.test_projection_identity_coefficients],
-                 "scores_fim.projection_identity"),
+    # vec(V^-1) of M_S vec(V^-1), off by a relative 1e-6
+    "vec": (invariants, _scaled, [fim_tests.test_projection_identity_coefficients],
+            "scores_fim.projection_identity"),
     "jacobian_w": (invariants, _scaled,
                    [lambda: fim_tests.test_fim_vecs_sigma_chain_rule(invariants.DET_ROOT)],
                    "scores_fim.chain_rule"),
@@ -689,12 +690,18 @@ def _residual_infinite(report):
 
 @pytest.mark.parametrize(
     "command, data, patch, key",
-    [("bounds", {"m": 4, "scale": "trace", "generator": {"family": "t", "nu": 6},
-                 "sigma": {"kind": "matrix", "values": np.diag([1e-9, 1, 1, 1]).tolist()}},
-      (bounds, "verify_chain", _first_link_unresolved), "value"),
-     ("adaptivity", {"parameterization": {"name": "breaking", "gamma0": 1e300}},
-      (cli, "verify_adaptivity_by_fim", _residual_infinite), "condition_residual")],
-    ids=["bounds_diag_1e-9", "adaptivity_gamma0_1e300"],
+    [pytest.param("bounds", {"m": 4, "scale": "trace", "generator": {"family": "t", "nu": 6},
+                             "sigma": {"kind": "matrix",
+                                       "values": np.diag([1e-9, 1, 1, 1]).tolist()}},
+                  (bounds, "verify_chain", _first_link_unresolved), "value",
+                  id="bounds_diag_1e-9"),
+     # the condition report divides by a diagonal entry of the FIM that
+     # underflows to 0 at gamma0 = 1e300: a known fault, kept a visible warning
+     pytest.param("adaptivity", {"parameterization": {"name": "breaking", "gamma0": 1e300}},
+                  (cli, "verify_adaptivity_by_fim", _residual_infinite), "condition_residual",
+                  id="adaptivity_gamma0_1e300",
+                  marks=pytest.mark.filterwarnings(
+                      "default:divide by zero encountered in divide:RuntimeWarning"))],
 )
 def test_cli_json_writes_a_non_finite_number_as_null(
     tmp_path, capsys, monkeypatch, command, data, patch, key

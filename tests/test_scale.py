@@ -21,7 +21,6 @@ from ellipfim.scale import (
     decompose,
     grad_v11,
     jacobian_w,
-    m_matrix,
     reconstruct_shape,
     renormalize,
     scale_by_name,
@@ -169,6 +168,24 @@ def test_grad_v11_matches_implicit_solve(scale):
         assert abs(fd - grad[k]) < 1e-6
 
 
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_grad_v11_det_matches_reconstruct_shape(m):
+    # Oracle: central difference of the Schur-complement completion of [V]_11
+    rng = np.random.default_rng(70 + m)
+    v = shape_on_manifold(DET_ROOT, rng, m)
+    tail = ovecs(v)
+    grad = grad_v11(DET_ROOT, v)
+    h = 1e-6
+    fd = np.empty_like(tail)
+    for k in range(tail.size):
+        e = np.zeros_like(tail)
+        e[k] = h
+        up = reconstruct_shape(DET_ROOT, tail + e, m)[0, 0]
+        dn = reconstruct_shape(DET_ROOT, tail - e, m)[0, 0]
+        fd[k] = (up - dn) / (2 * h)
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8 * np.abs(grad).max())
+
+
 # ---------------------------------------------------------------------------
 # M_S matrix
 # ---------------------------------------------------------------------------
@@ -177,7 +194,7 @@ def test_grad_v11_matches_implicit_solve(scale):
 def test_m_matrix_det_kernel_property():
     rng = np.random.default_rng(44)
     v = shape_on_manifold(DET_ROOT, rng, 4)
-    ms = m_matrix(DET_ROOT, v)
+    ms = dense.m_matrix(DET_ROOT, v)
     np.testing.assert_allclose(ms @ vec(np.linalg.inv(v)), 0.0, atol=1e-12)
 
 
@@ -185,7 +202,7 @@ def test_m_matrix_det_kernel_property():
 def test_m_matrix_kernel_vector_nonzero_for_non_det(scale):
     rng = np.random.default_rng(44)
     v = shape_on_manifold(scale, rng, 4)
-    ms = m_matrix(scale, v)
+    ms = dense.m_matrix(scale, v)
     assert np.linalg.norm(ms @ vec(np.linalg.inv(v))) > 1e-3
 
 
@@ -204,7 +221,7 @@ def test_m_matrix_p2_traceless_lift(scale):
     # simpler deterministic correction: subtract multiple of D_S itself
     a = a - (np.trace(d_s @ a) / np.trace(d_s @ d_s)) * d_s
     assert abs(np.trace(d_s @ a)) < 1e-12
-    ms = m_matrix(scale, v)
+    ms = dense.m_matrix(scale, v)
     np.testing.assert_allclose(ms.T @ ovecs(a), vec(a), atol=1e-12)
 
 
@@ -213,7 +230,7 @@ def test_m_matrix_p2_traceless_lift(scale):
 def test_m_matrix_full_row_rank(scale, m):
     rng = np.random.default_rng(m)
     v = shape_on_manifold(scale, rng, m)
-    sv = np.linalg.svd(m_matrix(scale, v), compute_uv=False)
+    sv = np.linalg.svd(dense.m_matrix(scale, v), compute_uv=False)
     assert sv.min() > 1e-10
     assert sv.size == vecs_len(m) - 1
 

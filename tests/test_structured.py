@@ -55,7 +55,6 @@ from ellipfim.scale import (
     constraint_gradient_vecs,
     decompose,
     jacobian_w,
-    m_matrix,
     renormalize,
     u_basis,
 )
@@ -119,7 +118,6 @@ def test_structured_forms_match_dense_oracles(m, scale, gen):
     assert_close(blocks.i_vs, i_vs)
     assert_close(fim.efficient_fim_shape(v, scale, gen), dense.efficient_fim_shape(v, scale, gen))
     assert_close(fim.fim_vecs_sigma(sigma, gen), dense.fim_vecs_sigma(sigma, gen))
-    np.testing.assert_array_equal(m_matrix(scale, v), dense.m_matrix(scale, v))
     assert_close(dense.jacobian_w_inv(scale, sigma) @ jacobian_w(scale, v, s), np.eye(vecs_len(m)))
 
     # per-sample scores through vec(E_l), E_l = phibar(Q_l) w_l w_l^T - Sigma^-1
