@@ -20,12 +20,13 @@ Tyler's iteration is over-relaxed: V <- V + omega (F(V) - V) with F the
 plain Tyler map and omega = (m + 2) / m = 1 / (1 - c), c = 2 / (m + 2)
 being the plain map's contraction factor on shape directions at the fixed
 point.  A trial takes the plain step F(V) where a cheap test on V^-1 F(V)
-cannot show the extrapolation positive definite (``tyler_batch``).  The
+cannot show the extrapolation positive definite (``tyler_fixed_point``).  The
 stop rule and the returned F(V) are the plain iteration's; at m = 4,
 n = 100 it takes about 14.7 iterations instead of 27.  F(cV) = c F(V),
 and the step, the test and the stop rule are scale-free, so the iterates
-are not normalized: the scale functional is applied once, to the F(V)
-that a converged trial returns, and the iterations do not depend on it.
+are not normalized: the iteration (``tyler_fixed_point``) takes no scale
+functional, and ``tyler_batch`` applies one once, to the F(V) that a
+converged trial returns (``tyler_renormalize``).
 
 The rank-based update is
     vecs(V_R) = vecs(V*) + (1 / (alpha_hat sqrt(n))) Xi_{V*} Delta_{V*},
@@ -70,6 +71,8 @@ __all__ = [
     "scm_batch",
     "tyler_shape",
     "tyler_batch",
+    "tyler_fixed_point",
+    "tyler_renormalize",
     "ranks",
     "r_estimator",
     "r_step_batch",
@@ -223,8 +226,8 @@ def scm_shape(data, scale: ScaleFunctional) -> ShapeEstimate:
     return ShapeEstimate(v_hat=v, scale_kind=scale.kind, method="scm")
 
 
-def tyler_batch(data, scale: ScaleFunctional):
-    """Tyler's fixed point, renormalized to S(V) = 1, for a (T, n, m) stack.
+def tyler_fixed_point(data):
+    """Tyler's unnormalized fixed point F(V) for a (T, n, m) stack.
 
     With F the plain Tyler map, V -> (m / n) sum_i x_i x_i^T / (x_i^T V^-1
     x_i), each iteration takes the over-relaxed step
@@ -243,16 +246,13 @@ def tyler_batch(data, scale: ScaleFunctional):
     1e-9 where the plain iteration converges (6 of 40,500 trials measured
     at m = 2, 4, 10); at n = m + 2 and n = 2m + 2 none of 16,200 was.
 
-    Returns ``(v, iterations, residual)``, ``v`` being F(V), renormalized
-    (the only use of ``scale``), at the iterate whose residual
-    ||F(V) - V|| / ||V|| is below TYLER_TOL; the residual is the
-    scale-free one of the unnormalized iterates, F(cV) = c F(V) making
-    every iterate's scale irrelevant.  A trial leaves the active set once
-    it converges or fails.
-    ``v`` is NaN for a failed trial: its residual is NaN when an iterate
-    or S(F(V)) went non-finite, or an iterate not positive definite, and
-    the last residual (>= TYLER_TOL) when it did not converge in
-    TYLER_MAX_ITER iterations.
+    Returns ``(f, iterations, residual)``, ``f`` being F(V) at the iterate
+    whose residual ||F(V) - V|| / ||V|| is below TYLER_TOL; F(cV) = c F(V)
+    makes every iterate's scale irrelevant, so no scale functional enters.
+    A trial leaves the active set once it converges or fails.  ``f`` is
+    NaN for a failed trial: its residual is NaN when an iterate went
+    non-finite or not positive definite, and the last residual
+    (>= TYLER_TOL) when it did not converge in TYLER_MAX_ITER iterations.
     """
     xt = _coordinate_major(data)
     trials, m, n = xt.shape
@@ -288,10 +288,31 @@ def tyler_batch(data, scale: ScaleFunctional):
                 active, xt, v_act = active[~done], xt[~done], v_act[~done]
                 if not active.size:
                     break
-        ok = residual < TYLER_TOL
-        v[ok] = renormalize(scale, v[ok])
-        lost = ok & ~np.isfinite(v).all(axis=(-2, -1))  # S(F) not finite and > 0
-        v[lost], residual[lost] = np.nan, np.nan
+    return v, iterations, residual
+
+
+def tyler_renormalize(scale: ScaleFunctional, f, residual):
+    """``(v, residual)``: the F(V) and residuals of ``tyler_fixed_point``,
+    each converged F(V) renormalized to S(V) = 1, as new arrays.  A trial
+    whose S(F(V)) is not finite and positive is lost: its shape and
+    residual become NaN."""
+    ok = residual < TYLER_TOL
+    v = np.full_like(f, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v[ok] = renormalize(scale, f[ok])
+    lost = ok & ~np.isfinite(v).all(axis=(-2, -1))
+    v[lost] = np.nan
+    return v, np.where(lost, np.nan, residual)
+
+
+def tyler_batch(data, scale: ScaleFunctional):
+    """Tyler's fixed point, renormalized to S(V) = 1, for a (T, n, m) stack:
+    ``tyler_renormalize`` of ``tyler_fixed_point``, the only use of
+    ``scale``.  Returns ``(v, iterations, residual)``; ``v`` and the
+    residual are NaN for a failed trial, including one whose S(F(V)) went
+    non-finite."""
+    f, iterations, residual = tyler_fixed_point(data)
+    v, residual = tyler_renormalize(scale, f, residual)
     return v, iterations, residual
 
 

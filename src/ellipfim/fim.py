@@ -75,7 +75,7 @@ class IdentifiabilityError(ValueError):
 
 def _sample_parts(x, mu, sigma, gen: DensityGenerator):
     """Per-sample W = Sigma^-1 (x - mu), Q and phibar(Q) (0 at Q = 0), and
-    Sigma^-1, all from one Cholesky factor of Sigma."""
+    the Cholesky factor of Sigma they come from."""
     x = np.asarray(x, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     m = sigma.shape[0]
@@ -86,12 +86,14 @@ def _sample_parts(x, mu, sigma, gen: DensityGenerator):
     phi = np.zeros_like(q)
     pos = q > 0
     phi[pos] = gen.phi_bar(q[pos], m)
-    sigma_inv = linalg.cho_solve(cho, np.eye(m))
-    return w, q, phi, 0.5 * (sigma_inv + sigma_inv.T), x.ndim == 1
+    return w, q, phi, cho, x.ndim == 1
 
 
-def _vecs_score(w, phi, sigma_inv):
-    """1/2 D_m^T vec(E_l) with E_l = phibar(Q_l) W_l W_l^T - Sigma^-1."""
+def _vecs_score(w, phi, cho):
+    """1/2 D_m^T vec(E_l) with E_l = phibar(Q_l) W_l W_l^T - Sigma^-1;
+    Sigma^-1 from ``cho``, the Cholesky factor of Sigma."""
+    sigma_inv = linalg.cho_solve(cho, np.eye(w.shape[1]))
+    sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
     outer = phi[:, None, None] * np.einsum("li,lj->lij", w, w) - sigma_inv
     return 0.5 * _dup_t_vec(outer)
 
@@ -99,9 +101,9 @@ def _vecs_score(w, phi, sigma_inv):
 def score_eta(x, mu, v, s, scale: ScaleFunctional, gen: DensityGenerator):
     """Score of (mu, ovecs V, s), concatenated; length m + m(m+1)/2."""
     m = np.asarray(mu).shape[0]
-    w, q, phi, sigma_inv, single = _sample_parts(x, mu, s * np.asarray(v, dtype=float), gen)
+    w, q, phi, cho, single = _sample_parts(x, mu, s * np.asarray(v, dtype=float), gen)
     # d vecs(Sigma) / d ovecs(V) = s K_V, and M_S vec(E_l) = K_V^T D_m^T vec(E_l)
-    s_shape = s * _tangent_vec(_vecs_score(w, phi, sigma_inv), grad_v11(scale, v))
+    s_shape = s * _tangent_vec(_vecs_score(w, phi, cho), grad_v11(scale, v))
     s_scale = (q * phi - m)[:, None] / (2.0 * s)
     out = np.concatenate([phi[:, None] * w, s_shape, s_scale], axis=1)
     return out[0] if single else out
@@ -109,8 +111,8 @@ def score_eta(x, mu, v, s, scale: ScaleFunctional, gen: DensityGenerator):
 
 def score_vecs_sigma(x, mu, sigma, gen: DensityGenerator):
     """Score of vecs(Sigma) in the scatter parameterization."""
-    w, _, phi, sigma_inv, single = _sample_parts(x, mu, sigma, gen)
-    out = _vecs_score(w, phi, sigma_inv)
+    w, _, phi, cho, single = _sample_parts(x, mu, sigma, gen)
+    out = _vecs_score(w, phi, cho)
     return out[0] if single else out
 
 

@@ -25,6 +25,26 @@ per nu into the diagnostics of its metadata.  A process pool runs the
 blocks when there are at least two per worker; serially or on any worker, the same blocks
 are computed, reduced in trial order and formatted with fixed precision,
 so the CSV is byte-identical across parallelism settings.
+
+A block's work has two halves.  The scale-free half
+(``_scale_free_half``) is its datasets with their nu indices and Tyler's
+unnormalized fixed point F(V) with its iteration counts and residuals:
+Tyler's map is 1-homogeneous, so no scale functional enters its
+iteration.  The scaled half is Tyler's renormalization and the rule
+that loses a trial whose S(F(V)) is not finite and positive, the SCM,
+the R-step and the squared errors.  The module keeps the score tables
+and every block's scale-free half of the last run in one slot
+(``_MEMO``), keyed by every config field but ``scale_kind`` and
+``parallelism``, the block size, and TYLER_TOL and TYLER_MAX_ITER as
+they read at call time.  A run with the same key, such as the same
+study on another scale, skips the score tables, the sampling and the
+Tyler iteration and computes only the scaled half; its outputs are the
+bytes of a run that computed both.  Any other run empties the slot
+before it draws its own datasets, and is kept only when they total at
+most MEMO_DOUBLES doubles (32 MiB), so a larger run holds no more than
+it would without the slot.  Kept arrays are read-only.  Pool workers
+return the halves they compute with their results when the run is to be
+kept, and on a hit the parent sends each block its half.
 """
 
 from __future__ import annotations
@@ -33,21 +53,22 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy
 from scipy.linalg import toeplitz
 
 from .bounds import _scale_known_gap, crb_shape
+from . import estimators
 from .config import UNIT, check_number, reject_unknown
 from .estimators import (
-    TYLER_TOL,
     TScore,
     VanDerWaerden,
     r_step_batch,
     scm_batch,
-    tyler_batch,
+    tyler_fixed_point,
+    tyler_renormalize,
 )
 from .generators import sample_stack, student_t
 from .matcalc import ovecs, vecs_len
@@ -65,8 +86,11 @@ __all__ = [
 
 FAILURE_RATE_LIMIT = 0.01
 BLOCK_DOUBLES = 2**16  # budget of a block's (T, n, m) data stack
+MEMO_DOUBLES = 2**22  # budget of the datasets of a run kept in _MEMO (32 MiB)
 SCORES = ("vdw", "t3", "tnu")  # the R-step's scores, in _scores order
 COLUMNS = ("scm", "tyler") + tuple(f"r_{s}" for s in SCORES)
+# at most one entry, _memo_key(run) -> (score tables, scale-free half of each block)
+_MEMO = {}
 
 
 @dataclass(frozen=True)
@@ -152,9 +176,19 @@ def _block_data(config: SimConfig, start: int, stop: int):
     return data, nu_idx
 
 
-def _trial_block(config: SimConfig, tables, start: int, stop: int):
-    """Per-trial results for trials [start, stop) of the run's sequence:
-    ``(errors, iterations, residual, rejected, alpha_hat)``.
+def _scale_free_half(config: SimConfig, start: int, stop: int):
+    """The half of trials [start, stop) that no scale functional enters:
+    ``(data, nu_idx, f, iterations, residual)``, the datasets and nu indices
+    of ``_block_data`` and Tyler's unnormalized fixed point with its
+    iteration counts and residuals (``tyler_fixed_point``)."""
+    data, nu_idx = _block_data(config, start, stop)
+    return (data, nu_idx, *tyler_fixed_point(data))
+
+
+def _trial_block(config: SimConfig, tables, start: int, stop: int, half=None, keep=False):
+    """Per-trial results for trials [start, stop) of the run's sequence,
+    ``(errors, iterations, residual, rejected, alpha_hat)``, and the block's
+    scale-free half where ``keep`` is set (None otherwise).
 
     ``errors`` holds the squared ovecs errors, one column per entry of
     COLUMNS, with NaN marking a failure.  ``iterations`` and ``residual``
@@ -163,17 +197,38 @@ def _trial_block(config: SimConfig, tables, start: int, stop: int):
     (T, len(SCORES)) flags the R-steps that kept the preliminary without
     failing.  ``alpha_hat`` (T, len(SCORES)) is each R-step's slope
     estimate; a step was taken where it is finite and positive.  ``tables``
-    is ``_score_tables(config)``.
+    is ``_score_tables(config)``, and ``half`` is ``_scale_free_half`` of
+    the block, computed here when not given.
     """
+    if half is None:
+        half = _scale_free_half(config, start, stop)
+    data, nu_idx, f, iterations, residual = half
     scale = scale_by_name(config.scale_kind)
     v0 = decompose(scale, config.sigma0).v
-    data, nu_idx = _block_data(config, start, stop)
-    tyler, iterations, residual = tyler_batch(data, scale)
+    tyler, residual = tyler_renormalize(scale, f, residual)
     # a failed preliminary is NaN, so its R-estimates fail with it
     r_v, alpha_hat, r_rejected = r_step_batch(data, tyler, scale, tables[:, nu_idx])
     rejected = (r_rejected & np.isfinite(r_v).all(axis=(-2, -1))).T
     diff = ovecs(np.stack([scm_batch(data, scale), tyler, *r_v]) - v0)
-    return np.sum(diff * diff, axis=-1).T, iterations, residual, rejected, alpha_hat.T
+    errors = np.sum(diff * diff, axis=-1).T
+    return (errors, iterations, residual, rejected, alpha_hat.T), (half if keep else None)
+
+
+def _frozen(a):
+    """``a``, made read-only: a write into a kept array raises."""
+    a.flags.writeable = False
+    return a
+
+
+def _memo_key(config: SimConfig, size: int):
+    """What the scale-free half of a run depends on: every config field but
+    the scale and the parallelism, the block size and Tyler's stop rule."""
+    shared = tuple(
+        getattr(config, f.name)
+        for f in fields(config)
+        if f.name not in ("scale_kind", "parallelism")
+    )
+    return shared + (size, estimators.TYLER_TOL, estimators.TYLER_MAX_ITER)
 
 
 @dataclass
@@ -256,20 +311,32 @@ def run_simulation(config: SimConfig) -> SimResult:
     total = len(config.nu_grid) * config.trials
     size = _block_size(config.m, config.n)
     blocks = [(start, min(start + size, total)) for start in range(0, total, size)]
-    tables = _score_tables(config)
+    key = _memo_key(config, size)
+    hit = _MEMO.get(key)
+    if hit is not None:
+        tables, halves = hit
+        keep = False
+    else:
+        _MEMO.clear()  # before this run draws its own datasets
+        tables, halves = _score_tables(config), [None] * len(blocks)
+        keep = total * config.n * config.m <= MEMO_DOUBLES
+    jobs = [(config, tables, *b, half, keep) for b, half in zip(blocks, halves)]
     # below two blocks per worker, pool start-up costs more than it saves
     workers = config.parallelism if len(blocks) >= 2 * config.parallelism else 1
     if workers > 1:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(_trial_block, config, tables, *b) for b in blocks]
+            futures = [pool.submit(_trial_block, *job) for job in jobs]
             bounds = _bounds(config)
-            results = [f.result() for f in futures]
+            done = [f.result() for f in futures]
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        results = [_trial_block(config, tables, *b) for b in blocks]
+        done = [_trial_block(*job) for job in jobs]
         bounds = _bounds(config)
+    results, kept = zip(*done)
+    if keep:
+        _MEMO[key] = (_frozen(tables), [tuple(map(_frozen, half)) for half in kept])
     per_nu = (len(config.nu_grid), config.trials)
     errors, iterations, residual, rejected, alpha_hat = (
         np.concatenate(part).reshape(per_nu + np.shape(part[0])[1:])
@@ -324,7 +391,7 @@ def _diagnostics(config: SimConfig, iterations, residual, rejected, alpha_hat):
         alpha_mean = np.where(steps, alpha_hat, 0.0).sum(axis=1) / taken
     out = []
     for nu_idx, nu in enumerate(config.nu_grid):
-        converged = residual[nu_idx] < TYLER_TOL
+        converged = residual[nu_idx] < estimators.TYLER_TOL
         its, res = iterations[nu_idx][converged], residual[nu_idx][converged]
         counts = rejected[nu_idx].sum(axis=0)
         out.append(

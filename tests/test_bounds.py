@@ -472,6 +472,36 @@ def test_bound_set_csv_roundtrip(tmp_path):
     assert val == pytest.approx(bs.crb_shape[0, 0], rel=1e-15)
 
 
+def test_bound_set_csv_failed_rewrite_keeps_the_old_file(tmp_path, monkeypatch):
+    # the lines go to a temporary file that replaces the old one only once
+    # it is whole; a failed write removes it
+    sigma = toeplitz(0.8 ** np.arange(4))
+    path = tmp_path / "bounds.csv"
+    write_bounds_csv(bound_set(NORMALIZED_TRACE, sigma, student_t(6)), path)
+    old = path.read_bytes()
+    other = bound_set(DET_ROOT, sigma, student_t(3))
+    real = bounds._format_g17
+    calls = []
+
+    def failing(values):
+        calls.append(values.size)
+        if len(calls) == 2:  # after the header and the first block
+            raise OSError("disk full")
+        return real(values)
+
+    monkeypatch.setattr(bounds, "_format_g17", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_bounds_csv(other, path)
+    assert path.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == ["bounds.csv"]
+    monkeypatch.undo()
+    write_bounds_csv(other, path)
+    fresh = tmp_path / "fresh.csv"
+    write_bounds_csv(other, fresh)
+    assert path.read_bytes() == fresh.read_bytes() != old
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bounds.csv", "fresh.csv"]
+
+
 def test_bound_set_det_psi_zero_and_psd():
     sigma = toeplitz(0.8 ** np.arange(3)) * 2.0
     bs = bound_set(DET_ROOT, sigma, student_t(8))

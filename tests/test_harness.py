@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -126,6 +127,110 @@ def test_simulation_one_block_runs_without_a_pool(tmp_path, small_result, pools)
     small_result.to_csv(tmp_path / "serial.csv")
     result.to_csv(tmp_path / "par3.csv")
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par3.csv").read_bytes()
+
+
+SCALE_ORDERS = list(itertools.permutations(("first", "trace", "det")))
+
+
+def _run_bytes(tmp_path, config):
+    """The CSV and metadata bytes of ``run_simulation(config)``."""
+    result = run_simulation(config)
+    result.to_csv(tmp_path / "run.csv")
+    result.write_metadata(tmp_path / "run.meta.json")
+    return (tmp_path / "run.csv").read_bytes(), (tmp_path / "run.meta.json").read_bytes()
+
+
+@pytest.mark.parametrize("base", [SMALL, {**POOLED, "parallelism": 2}], ids=["small", "pooled_par2"])
+def test_simulation_memo_hit_writes_the_cold_bytes(tmp_path, base):
+    # the scale-free half of the last run serves a run on another scale:
+    # the same bytes as a run that computed it, in any order of the scales
+    cold = {}
+    for scale_kind in ("first", "trace", "det"):
+        simulate._MEMO.clear()
+        cold[scale_kind] = _run_bytes(tmp_path, SimConfig(**{**base, "scale_kind": scale_kind}))
+    for order in SCALE_ORDERS:
+        simulate._MEMO.clear()
+        kept = None
+        for scale_kind in order:
+            assert _run_bytes(tmp_path, SimConfig(**{**base, "scale_kind": scale_kind})) == cold[scale_kind]
+            (entry,) = simulate._MEMO.values()
+            assert kept is None or entry is kept  # a hit keeps the slot as it was
+            kept = entry
+
+
+def _counting_tyler(monkeypatch):
+    """The number of calls into the Tyler kernel, one per block computed."""
+    calls = []
+    real = simulate.tyler_fixed_point
+
+    def counting(data):
+        calls.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(simulate, "tyler_fixed_point", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"root_seed": 12},
+        {"trials": 31},
+        {"nu_grid": (3.0, 9.0)},
+        {"rho": 0.7},
+        {"n": 101},
+        "block_size",
+        "tyler_max_iter",
+        "tyler_tol",
+    ],
+    ids=str,
+)
+def test_simulation_memo_misses_when_the_scale_free_half_changes(monkeypatch, change):
+    calls = _counting_tyler(monkeypatch)
+    run_simulation(SimConfig(**SMALL))
+    assert calls == [60]
+    # neither the scale nor the parallelism enters the half
+    run_simulation(SimConfig(**{**SMALL, "scale_kind": "det", "parallelism": 2}))
+    assert calls == [60]
+    config = SMALL
+    if change == "block_size":
+        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 2**14)  # 40 trials per block
+    elif change == "tyler_max_iter":
+        monkeypatch.setattr(estimators, "TYLER_MAX_ITER", estimators.TYLER_MAX_ITER - 1)
+    elif change == "tyler_tol":
+        monkeypatch.setattr(estimators, "TYLER_TOL", 2 * estimators.TYLER_TOL)
+    else:
+        config = {**SMALL, **change}
+        # the block size of SMALL, so that only the field differs
+        size = simulate._block_size(SMALL["m"], SMALL["n"])
+        monkeypatch.setattr(simulate, "BLOCK_DOUBLES", size * config["n"] * config["m"])
+        assert simulate._block_size(config["m"], config["n"]) == size
+    run_simulation(SimConfig(**{**config, "scale_kind": "first"}))
+    assert len(calls) > 1
+    computed = len(calls)
+    run_simulation(SimConfig(**config))
+    assert len(calls) == computed
+
+
+def test_simulation_memo_keeps_no_run_over_its_budget(monkeypatch):
+    calls = _counting_tyler(monkeypatch)
+    doubles = len(SMALL["nu_grid"]) * SMALL["trials"] * SMALL["n"] * SMALL["m"]
+    monkeypatch.setattr(simulate, "MEMO_DOUBLES", doubles)
+    run_simulation(SimConfig(**SMALL))
+    assert len(simulate._MEMO) == 1  # at the budget
+    monkeypatch.setattr(simulate, "MEMO_DOUBLES", doubles - 1)
+    run_simulation(SimConfig(**{**SMALL, "root_seed": 12}))
+    assert simulate._MEMO == {}  # a run over the budget empties the slot
+    run_simulation(SimConfig(**{**SMALL, "root_seed": 12, "scale_kind": "det"}))
+    assert simulate._MEMO == {} and calls == [60, 60, 60]
+
+
+def test_simulation_memo_arrays_are_read_only():
+    run_simulation(SimConfig(**SMALL))
+    ((tables, halves),) = simulate._MEMO.values()
+    for array in (tables, *halves[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
 
 
 def test_simulation_at_a_huge_nu_fails_no_trial():
@@ -1373,17 +1478,18 @@ def test_trial_block_rows_independent_of_block_boundaries(scale_kind):
     config = SimConfig(**{**SMALL, "scale_kind": scale_kind})
     tables = simulate._score_tables(config)
     total = len(SMALL["nu_grid"]) * SMALL["trials"]
-    whole = simulate._trial_block(config, tables, 0, total)
+    whole, half = simulate._trial_block(config, tables, 0, total)
     assert [a.shape for a in whole] == [(total, 5), (total,), (total,), (total, 3), (total, 3)]
+    assert half is None  # kept only when asked
     for size in (1, 7, 13):
         parts = [
-            simulate._trial_block(config, tables, start, min(start + size, total))
+            simulate._trial_block(config, tables, start, min(start + size, total))[0]
             for start in range(0, total, size)
         ]
         for got, want in zip(zip(*parts), whole):
             assert np.array_equal(np.concatenate(got), want)
     # trials 25..34 hold the last five of nu = 3 and the first five of nu = 8
-    for got, want in zip(simulate._trial_block(config, tables, 25, 35), whole):
+    for got, want in zip(simulate._trial_block(config, tables, 25, 35)[0], whole):
         assert np.array_equal(got, want[25:35])
 
 
@@ -1465,6 +1571,15 @@ def test_diagnostics_report_no_residual_without_a_converged_trial(monkeypatch):
         assert diagnostics["tyler_residual_max"] is None
         assert diagnostics["tyler_iterations_mean"] is None
         assert diagnostics["r_alpha_hat_mean"] == {"vdw": None, "t3": None, "tnu": None}
+
+
+def test_diagnostics_read_the_tyler_tolerance_at_call_time(monkeypatch):
+    # the diagnostics count as converged what the kernel stopped on
+    monkeypatch.setattr(estimators, "TYLER_TOL", 1e-6)
+    result = run_simulation(SimConfig(**SMALL))
+    for nu, diagnostics in zip(SMALL["nu_grid"], result.diagnostics):
+        assert diagnostics["tyler_failures"] == result.cell(nu, "tyler").n_failed == 0
+        assert 1e-10 < diagnostics["tyler_residual_max"] < 1e-6
 
 
 @pytest.mark.parametrize("scale_kind", ["first", "trace", "det"])
@@ -1575,7 +1690,7 @@ def test_diagnostics_average_alpha_hat_over_the_steps_taken(monkeypatch):
     monkeypatch.setattr(simulate, "r_step_batch", reject_some)
     config = SimConfig(**SMALL)
     total = len(SMALL["nu_grid"]) * SMALL["trials"]
-    alpha_hat = simulate._trial_block(config, simulate._score_tables(config), 0, total)[4]
+    alpha_hat = simulate._trial_block(config, simulate._score_tables(config), 0, total)[0][4]
     result = run_simulation(config)
     for nu_idx, diagnostics in enumerate(result.diagnostics):
         rows = alpha_hat[nu_idx * SMALL["trials"] : (nu_idx + 1) * SMALL["trials"]]
