@@ -657,9 +657,15 @@ def write_bounds_csv(bounds: BoundSet, path):
     The lines go to a temporary file beside ``path``, which takes the
     name once the old file is unlinked: rewriting a large file in place
     costs its truncation, and a failed write leaves the old file as it
-    was and no temporary file.
+    was and no temporary file.  Between the unlink and the rename no file
+    is at ``path`` (an in-place rewrite shows a partial one instead); if
+    the rename fails there, the temporary file, whole, is kept and named
+    in the error.  A symbolic link at ``path`` is followed, so the link
+    stays and its target is replaced.  The new file takes the default
+    mode, and a hard link to the old file keeps the old bytes.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "wb")
     try:
         with fh:
@@ -669,10 +675,10 @@ def write_bounds_csv(bounds: BoundSet, path):
         # for a rename onto a free name after an unlink
         with contextlib.suppress(FileNotFoundError):
             os.unlink(path)
-        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    os.replace(tmp, path)
 
 
 def _write_lines(bounds: BoundSet, fh):

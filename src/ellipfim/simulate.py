@@ -36,15 +36,23 @@ the R-step and the squared errors.  The module keeps the score tables
 and every block's scale-free half of the last run in one slot
 (``_MEMO``), keyed by every config field but ``scale_kind`` and
 ``parallelism``, the block size, and TYLER_TOL and TYLER_MAX_ITER as
-they read at call time.  A run with the same key, such as the same
+they read at call time, with the scales the slot has served.  A run
+with the same key on a scale the slot has not served, such as the same
 study on another scale, skips the score tables, the sampling and the
 Tyler iteration and computes only the scaled half; its outputs are the
-bytes of a run that computed both.  Any other run empties the slot
-before it draws its own datasets, and is kept only when they total at
-most MEMO_DOUBLES doubles (32 MiB), so a larger run holds no more than
-it would without the slot.  Kept arrays are read-only.  Pool workers
-return the halves they compute with their results when the run is to be
-kept, and on a hit the parent sends each block its half.
+bytes of a run that computed both.  A run on a served scale repeats a
+run already made and computes both halves again, so a repeated run (a
+timing loop, a replay) costs what a run costs.  Such a run, like a run
+with another key, empties the slot before it draws its own datasets,
+and is kept only when they total at most MEMO_DOUBLES doubles (32 MiB),
+so a larger run holds no more than it would without the slot.  Once
+every scale of SCALES is served, no run can read the slot and it is
+emptied.  Kept arrays are read-only.  Pool workers return the halves
+they compute with their results when the run is to be kept, and on a
+hit the parent sends each block its half.  A process that runs a single
+scale never reads the slot, yet holds its run's datasets until it ends:
+at criterion-7 size, 4.0e6 doubles, its peak memory is about 31 MB
+higher, a cost accepted for being bounded by MEMO_DOUBLES.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from .estimators import (
 )
 from .generators import sample_stack, student_t
 from .matcalc import ovecs, vecs_len
-from .scale import decompose, scale_by_name
+from .scale import SCALES, decompose, scale_by_name
 
 __all__ = [
     "SCORES",
@@ -89,7 +97,8 @@ BLOCK_DOUBLES = 2**16  # budget of a block's (T, n, m) data stack
 MEMO_DOUBLES = 2**22  # budget of the datasets of a run kept in _MEMO (32 MiB)
 SCORES = ("vdw", "t3", "tnu")  # the R-step's scores, in _scores order
 COLUMNS = ("scm", "tyler") + tuple(f"r_{s}" for s in SCORES)
-# at most one entry, _memo_key(run) -> (score tables, scale-free half of each block)
+# at most one entry, _memo_key(run) ->
+# (score tables, scale-free half of each block, scales served)
 _MEMO = {}
 
 
@@ -105,6 +114,7 @@ class SimConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "nu_grid", tuple(self.nu_grid))
         check_number(self.m, "m", int, least=2)
         # the R-estimators' tangent solve needs n > m(m+1)/2
         check_number(self.n, "n", int, least=vecs_len(self.m) + 1)
@@ -116,9 +126,8 @@ class SimConfig:
             check_number(nu, "nu_grid", inside=(2.0, math.inf))
         if not self.nu_grid:
             raise ValueError("nu_grid must hold at least one nu")
-        grid = list(self.nu_grid)
-        if len(set(grid)) < len(grid):
-            raise ValueError(f"nu_grid must not repeat a nu, got {grid}")
+        if len(set(self.nu_grid)) < len(self.nu_grid):
+            raise ValueError(f"nu_grid must not repeat a nu, got {list(self.nu_grid)}")
         scale_by_name(self.scale_kind)
 
     @property
@@ -132,7 +141,6 @@ class SimConfig:
         if "nu_grid" in data:
             if not isinstance(data["nu_grid"], (list, tuple)):
                 raise ValueError(f"nu_grid must be a list, got {data['nu_grid']!r}")
-            data["nu_grid"] = tuple(data["nu_grid"])
         return cls(**data)
 
 
@@ -312,14 +320,12 @@ def run_simulation(config: SimConfig) -> SimResult:
     size = _block_size(config.m, config.n)
     blocks = [(start, min(start + size, total)) for start in range(0, total, size)]
     key = _memo_key(config, size)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        tables, halves = hit
-        keep = False
-    else:
-        _MEMO.clear()  # before this run draws its own datasets
-        tables, halves = _score_tables(config), [None] * len(blocks)
-        keep = total * config.n * config.m <= MEMO_DOUBLES
+    tables, halves, served = _MEMO.pop(key, (None, None, frozenset()))
+    _MEMO.clear()  # before this run draws its own datasets
+    hit = halves is not None and config.scale_kind not in served
+    if not hit:
+        tables, halves, served = _score_tables(config), [None] * len(blocks), frozenset()
+    keep = not hit and total * config.n * config.m <= MEMO_DOUBLES
     jobs = [(config, tables, *b, half, keep) for b, half in zip(blocks, halves)]
     # below two blocks per worker, pool start-up costs more than it saves
     workers = config.parallelism if len(blocks) >= 2 * config.parallelism else 1
@@ -334,9 +340,12 @@ def run_simulation(config: SimConfig) -> SimResult:
     else:
         done = [_trial_block(*job) for job in jobs]
         bounds = _bounds(config)
-    results, kept = zip(*done)
+    results, computed = zip(*done)
     if keep:
-        _MEMO[key] = (_frozen(tables), [tuple(map(_frozen, half)) for half in kept])
+        tables, halves = _frozen(tables), [tuple(map(_frozen, half)) for half in computed]
+    served |= {config.scale_kind}
+    if (hit or keep) and not SCALES.keys() <= served:
+        _MEMO[key] = (tables, halves, served)
     per_nu = (len(config.nu_grid), config.trials)
     errors, iterations, residual, rejected, alpha_hat = (
         np.concatenate(part).reshape(per_nu + np.shape(part[0])[1:])

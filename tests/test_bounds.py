@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -500,6 +502,41 @@ def test_bound_set_csv_failed_rewrite_keeps_the_old_file(tmp_path, monkeypatch):
     write_bounds_csv(other, fresh)
     assert path.read_bytes() == fresh.read_bytes() != old
     assert sorted(f.name for f in tmp_path.iterdir()) == ["bounds.csv", "fresh.csv"]
+
+
+def test_bound_set_csv_failed_rename_keeps_the_new_file(tmp_path, monkeypatch):
+    # once the old file is unlinked, a failed rename leaves the whole new
+    # file under the temporary name the error gives
+    sigma = toeplitz(0.8 ** np.arange(4))
+    bset = bound_set(NORMALIZED_TRACE, sigma, student_t(6))
+    fresh = tmp_path / "fresh.csv"
+    write_bounds_csv(bset, fresh)
+    path = tmp_path / "bounds.csv"
+    write_bounds_csv(bound_set(DET_ROOT, sigma, student_t(3)), path)
+
+    def failing(src, dst):
+        raise OSError(errno.EXDEV, "cross-device link", src, dst)
+
+    monkeypatch.setattr(bounds.os, "replace", failing)
+    with pytest.raises(OSError) as info:
+        write_bounds_csv(bset, path)
+    tmp = Path(info.value.filename)
+    assert not path.exists() and tmp.parent == tmp_path
+    assert tmp.read_bytes() == fresh.read_bytes()
+
+
+def test_bound_set_csv_follows_a_symbolic_link(tmp_path):
+    sigma = toeplitz(0.8 ** np.arange(4))
+    bset = bound_set(NORMALIZED_TRACE, sigma, student_t(6))
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"old")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_bounds_csv(bset, link)
+    fresh = tmp_path / "fresh.csv"
+    write_bounds_csv(bset, fresh)
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["fresh.csv", "link.csv", "target.csv"]
 
 
 def test_bound_set_det_psi_zero_and_psd():

@@ -151,11 +151,15 @@ def test_simulation_memo_hit_writes_the_cold_bytes(tmp_path, base):
     for order in SCALE_ORDERS:
         simulate._MEMO.clear()
         kept = None
-        for scale_kind in order:
+        for scale_kind in order[:2]:
             assert _run_bytes(tmp_path, SimConfig(**{**base, "scale_kind": scale_kind})) == cold[scale_kind]
-            (entry,) = simulate._MEMO.values()
-            assert kept is None or entry is kept  # a hit keeps the slot as it was
-            kept = entry
+            ((tables, halves, served),) = simulate._MEMO.values()
+            # a hit keeps the arrays it read
+            assert kept is None or (tables, halves) == (kept[0], kept[1])
+            kept = tables, halves
+        assert served == set(order[:2])
+        assert _run_bytes(tmp_path, SimConfig(**{**base, "scale_kind": order[2]})) == cold[order[2]]
+        assert simulate._MEMO == {}  # every scale served: no run can read the slot
 
 
 def _counting_tyler(monkeypatch):
@@ -212,6 +216,32 @@ def test_simulation_memo_misses_when_the_scale_free_half_changes(monkeypatch, ch
     assert len(calls) == computed
 
 
+def test_simulation_memo_repeated_scale_is_a_whole_run(tmp_path, monkeypatch):
+    # the slot serves each scale of a run once: a repeated run, as in a
+    # timing loop, samples and iterates Tyler again, and writes the same bytes
+    calls = _counting_tyler(monkeypatch)
+    first = _run_bytes(tmp_path, SimConfig(**SMALL))
+    assert _run_bytes(tmp_path, SimConfig(**SMALL)) == first
+    assert calls == [60, 60]
+    run_simulation(SimConfig(**{**SMALL, "scale_kind": "det"}))
+    assert _run_bytes(tmp_path, SimConfig(**SMALL)) == first
+    assert calls == [60, 60, 60]
+    run_simulation(SimConfig(**{**SMALL, "scale_kind": "first"}))
+    assert calls == [60, 60, 60] and len(simulate._MEMO) == 1
+
+
+def test_simulation_memo_reads_a_list_nu_grid(tmp_path, monkeypatch):
+    # a directly built config may hold a list; it runs, and shares the slot
+    # with the same grid as a tuple
+    calls = _counting_tyler(monkeypatch)
+    grid = list(SMALL["nu_grid"])
+    listed = _run_bytes(tmp_path, SimConfig(**{**SMALL, "nu_grid": grid}))
+    run_simulation(SimConfig(**{**SMALL, "scale_kind": "det"}))
+    assert calls == [60]
+    simulate._MEMO.clear()
+    assert _run_bytes(tmp_path, SimConfig(**SMALL)) == listed
+
+
 def test_simulation_memo_keeps_no_run_over_its_budget(monkeypatch):
     calls = _counting_tyler(monkeypatch)
     doubles = len(SMALL["nu_grid"]) * SMALL["trials"] * SMALL["n"] * SMALL["m"]
@@ -227,7 +257,7 @@ def test_simulation_memo_keeps_no_run_over_its_budget(monkeypatch):
 
 def test_simulation_memo_arrays_are_read_only():
     run_simulation(SimConfig(**SMALL))
-    ((tables, halves),) = simulate._MEMO.values()
+    ((tables, halves, _),) = simulate._MEMO.values()
     for array in (tables, *halves[0]):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
