@@ -33,15 +33,17 @@ The rank-based update is
 with V* a sqrt(n)-consistent preliminary, Delta the rank statistic
 built from the score function K applied to the ranks of the quadratic
 forms q_i = x_i^T V^-1 x_i, and Xi the tangent-space weighting
-2 U [U^T Upsilon Upsilon^T U]^{-1} U^T, applied as one solve per trial
-without U or Xi being formed.  The Gram Upsilon Upsilon^T =
-D_m^T (V^-1 (x) V^-1 - vec(V^-1) vec(V^-1)^T / m) D_m is built entry by
-entry, by the vecs-space core that also serves the bounds and the FIMs,
-so no m^2 x m^2 array is formed.  Delta needs V^-1 only, as
-D_m^T vec(V^-1 M V^-1 - (sum_i K_i / m) V^-1), M = sum_i K_i x_i x_i^T / q_i
-(:func:`_rank_delta`), so the step forms no square root V^(-1/2) and no
-unit direction.  alpha_hat is a local-slope estimate of
-the cross-information scalar along the update direction.
+2 U [U^T G U]^{-1} U^T, G = Upsilon Upsilon^T, applied in closed form from
+V* with m x m products and no U, Xi, Gram or d x d factorization
+(:func:`_tangent_step`), by G = K - w w^T / m for K = D_m^T (V^-1 (x)
+V^-1) D_m, w = D_m^T vec(V^-1); K^-1 y = vecs(V unvecs(y / diag(D_m^T
+D_m)) V) (Magnus & Neudecker); and G vecs(V) = 0.  A step is NaN where V*
+is not positive definite (``_pd_inv``) or is not finite.  Delta needs
+V^-1 only, as D_m^T vec(V^-1 M V^-1 - (sum_i K_i / m) V^-1),
+M = sum_i K_i x_i x_i^T / q_i (:func:`_rank_delta`), so the step forms
+no square root V^(-1/2) and no unit direction.  alpha_hat is a
+local-slope estimate of the cross-information scalar along the update
+direction.
 
 The R-estimate satisfies the manifold constraint S(V) = 1 only
 asymptotically: the step starts from V* renormalized to S = 1, and the
@@ -56,7 +58,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg, special
 
-from .matcalc import _dup_t_vec, _vecs_fill, ovecs, unvecs, vecs, vecs_len
+from .matcalc import _dup_gram, _dup_t_vec, ovecs, unvecs, vecs, vecs_len
 from .scale import ScaleFunctional, constraint_gradient_vecs, renormalize
 
 __all__ = [
@@ -399,39 +401,30 @@ def _rank_delta(xt, v_inv, tables):
     return np.ascontiguousarray(_dup_t_vec(s)) / (2.0 * np.sqrt(n))
 
 
-def _upsilon_gram(v_inv):
-    """The R-step's Gram Upsilon Upsilon^T = D_m^T (V^-1 (x) V^-1 -
-    vec(V^-1) vec(V^-1)^T / m) D_m from V^-1, or a stack of them, entry by
-    entry (:func:`~ellipfim.matcalc._vecs_fill`)."""
-    return _vecs_fill(v_inv, 1.0, -1.0 / v_inv.shape[-1])
+def _tangent_step(v, g, delta):
+    """Xi Delta = 2 U [U^T G U]^{-1} U^T Delta for every score, from the
+    shapes V* (T, m, m), the constraint gradients g (T, d) and the rank
+    statistics ``delta`` (S, T, d), forming neither U nor G.
 
-
-def _tangent_step(gram, g, delta):
-    """Xi Delta = 2 U [U^T G U]^{-1} U^T Delta for every score, from the Gram
-    G = Upsilon Upsilon^T (T, d, d), the constraint gradient g (T, d) and
-    the rank statistics ``delta`` (S, T, d), with no tangent basis U.
-
-    With e = g / |g| and P = I - e e^T, [U e] is orthogonal and
-    P G P + e e^T = [U e] diag(U^T G U, 1) [U e]^T, so it is positive
-    definite exactly when U^T G U is, and its solution z of
-    (P G P + e e^T) z = P Delta is U [U^T G U]^{-1} U^T Delta.  The
-    matrix is built by rank-one updates, checked by Cholesky and solved
-    once per trial for all S right-hand sides.  A trial is NaN where it
-    is not finite or not positive definite.
+    With n0 = vecs(V): G = K - w w^T / m, K^-1 w = n0 and G n0 = 0 (module
+    docstring).  So z0 = K^-1 (Delta + lambda g), lambda = -n0^T Delta /
+    n0^T g, solves G z0 = Delta + lambda g, and z = z0 - (g^T z0 / g^T n0) n0
+    is its solution with g^T z = 0, the step being 2 z.  A trial is NaN
+    where V* is not positive definite or its step is not finite (g^T n0 =
+    0).  The reduced operands are C-contiguous, so that a sum over their
+    last axis takes the same order whatever S and T are.
     """
-    g = np.ascontiguousarray(g)  # a sum over a strided last axis depends on T
-    e = g / np.sqrt(np.sum(g * g, axis=-1))[..., None]
-    a = (gram @ e[..., None])[..., 0]
-    c = np.sum(e * a, axis=-1)
-    ea = e[..., :, None] * a[..., None, :]
-    ee = e[..., :, None] * e[..., None, :]
-    h = gram - (ea + np.swapaxes(ea, -1, -2)) + (c + 1.0)[..., None, None] * ee
-    pd = np.isfinite(_stacked(np.linalg.cholesky, h)).all(axis=(-2, -1))
-    h[~pd] = np.eye(h.shape[-1])
-    p_delta = delta - np.sum(delta * e, axis=-1)[..., None] * e
-    z = np.linalg.solve(h, np.moveaxis(p_delta, 0, -1))
-    step = 2.0 * np.moveaxis(z, -1, 0)
-    step[:, ~pd] = np.nan
+    m = v.shape[-1]
+    pd = np.isfinite(_stacked(np.linalg.cholesky, v)).all(axis=(-2, -1))
+    n0 = np.ascontiguousarray(vecs(v))
+    g = np.ascontiguousarray(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gn = np.sum(g * n0, axis=-1)
+        lam = -np.sum(delta * n0, axis=-1) / gn
+        y = unvecs((delta + lam[..., None] * g) / _dup_gram(m), m)
+        z0 = np.ascontiguousarray(vecs(v @ y @ v))
+        step = 2.0 * (z0 - (np.sum(z0 * g, axis=-1) / gn)[..., None] * n0)
+    step[~(pd & np.isfinite(step).all(axis=-1))] = np.nan
     return step
 
 
@@ -440,16 +433,13 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
     to S(V) = 1 first, for a (T, n, m) stack of datasets and every score
     table of ``tables``: (S, n), or (S, T, n) for a table per dataset.
 
-    The Upsilon Gram and the constraint gradient depend only on the
-    starting point V*, so each trial makes one positive-definite solve in
-    the tangent space, shared by all scores, and forms neither the tangent
-    basis U nor Xi (:func:`_tangent_step`).  The rank statistics at V* and
-    at the probe, and the Gram, need only V^-1 (:func:`_rank_delta`): one
-    Cholesky-checked inverse of V* per trial and one of the probe per
-    score and trial, and no eigendecomposition.  Returns ``(v_new,
-    alpha_hat, rejected)`` with leading axes (S, T).  A rejected step keeps
-    V*; ``v_new`` is NaN where a non-finite or non-PD intermediate made the
-    step fail.
+    The step is closed-form in V* (:func:`_tangent_step`: G = K - w w^T / m,
+    K^-1 y = vecs(V unvecs(y / diag(D_m^T D_m)) V), G vecs(V) = 0), and the
+    rank statistics need only V^-1 (:func:`_rank_delta`): one Cholesky-checked
+    inverse (``_pd_inv``) of V* per trial and of the probe per score and
+    trial.  Returns ``(v_new, alpha_hat, rejected)`` with leading axes
+    (S, T).  A rejected step keeps V*; ``v_new`` is NaN where V* or the
+    probe is not positive definite or the step is not finite.
     """
     xt = _coordinate_major(data)
     m, n = xt.shape[-2:]
@@ -460,8 +450,7 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
         delta0 = _rank_delta(xt, v_inv, tables)
         finite = np.isfinite(v_star).all(axis=(-2, -1))
         g = constraint_gradient_vecs(scale, np.where(finite[:, None, None], v_star, np.eye(m)))
-        gram = _upsilon_gram(v_inv)
-        step = _tangent_step(gram, g, delta0)
+        step = _tangent_step(v_star, g, delta0)
         base = vecs(v_star)
         # local slope of the rank statistic along the update direction, one
         # score at a time: its temporaries are then (T, m, n); (S, T, m, n)

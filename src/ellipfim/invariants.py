@@ -72,11 +72,13 @@ from .generators import (
     gaussian,
     generalized_gaussian,
     modular_variate,
+    psd_sqrt,
     sample,
     student_t,
 )
 from .matcalc import (
     _dup_t_vec,
+    _vecs_fill,
     commutation_matrix,
     duplication_matrix,
     dup_pinv,
@@ -369,12 +371,23 @@ def loewner_ordering(param, theta0, gens):
 
 
 def upsilon_annihilation(rng, m):
-    """Largest |G vecs(V)| for the R-step's Gram G = Upsilon Upsilon^T at
-    one random trace-scale shape V: Upsilon^T vecs(V) = 0, so the scale
-    direction is in the Gram's kernel."""
+    """``(|G vecs(V)|, gap)`` at random shapes: the largest entry for the
+    Gram G = Upsilon Upsilon^T (``_vecs_fill``) of one trace-scale V, and
+    the largest relative gap of ``estimators._tangent_step`` to Xi Delta,
+    Xi = 2 U [U^T G U]^{-1} U^T from the dense Upsilon =
+    D_m^T (V^-1/2 (x) V^-1/2)(I - vec(I) vec(I)^T / m), one V per scale."""
     v = random_shape(rng, m, NORMALIZED_TRACE)
-    gram = estimators_mod._upsilon_gram(np.linalg.inv(v))
-    return float(np.abs(gram @ vecs(v)).max())
+    annihilation = float(np.abs(_vecs_fill(np.linalg.inv(v), 1.0, -1.0 / m) @ vecs(v)).max())
+    gap = 0.0
+    for scale in ALL_SCALES:
+        v = random_shape(rng, m, scale)[None]
+        r = np.linalg.inv(psd_sqrt(v[0]))
+        ups = duplication_matrix(m).T @ (np.kron(r, r) - np.outer(vec(r @ r), vec(np.eye(m))) / m)
+        u, delta = u_basis(scale, v[0]), rng.standard_normal((3, 1, vecs_len(m)))
+        xi_delta = 2.0 * u @ np.linalg.solve(u.T @ ups @ ups.T @ u, u.T @ delta[:, 0].T)
+        step = estimators_mod._tangent_step(v, constraint_gradient_vecs(scale, v), delta)
+        gap = max(gap, _rel(step[:, 0].T, xi_delta))
+    return annihilation, gap
 
 
 def max_z(samples, target=0.0):
@@ -666,8 +679,8 @@ def _check_complex_consistency():
 
 
 def _check_gram_annihilation():
-    worst = upsilon_annihilation(np.random.default_rng(13), 4)
-    return worst < 1e-12, f"scale-direction residual {worst:.2e}"
+    res, gap = upsilon_annihilation(np.random.default_rng(13), 4)
+    return res < 1e-12 and gap < 1e-10, f"scale-direction residual {res:.2e}, step gap {gap:.2e}"
 
 
 # -- full-level Monte-Carlo checks ------------------------------------------

@@ -17,8 +17,7 @@ D_m^+ (I + K_m)(A (x) A) D_m^+T and D_m^T (A (x) A) D_m are
 m(m+1)/2 x m(m+1)/2 matrices whose entries are a_ik a_jl + a_il a_jk
 (Magnus & Neudecker 1980), yielded row block by row block by
 :func:`_core_row_blocks` from the same index pairs.  :func:`_vecs_fill`
-turns that core into every vecs-space bound and Fisher information, and,
-over a stack, into the R-estimator's Upsilon Upsilon^T Gram per trial.
+turns that core into every vecs-space bound and Fisher information.
 
 Memory.  With d = m(m+1)/2, an m = 32 core is 2.2 MB and an m = 64 one
 35 MB, so no caller forms a second d x d array beside its result.

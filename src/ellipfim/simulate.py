@@ -392,17 +392,15 @@ def _diagnostics(config: SimConfig, iterations, residual, rejected, alpha_hat):
     rejection count per score, the mean alpha_hat per score over the steps
     taken (alpha_hat finite and positive), and the generator's alpha(m),
     which the matched score's alpha_hat estimates.  The arrays are in trial
-    order, whatever the blocks, so each mean sums the same values in the
-    same order and the figures do not depend on the blocks."""
+    order, whatever the blocks, and each mean is numpy's mean of the
+    compacted values it averages, so the figures do not depend on the blocks."""
     steps = np.isfinite(alpha_hat) & (alpha_hat > 0.0)
-    taken = steps.sum(axis=1)
-    with np.errstate(invalid="ignore"):  # 0 / 0 where no step was taken
-        alpha_mean = np.where(steps, alpha_hat, 0.0).sum(axis=1) / taken
     out = []
     for nu_idx, nu in enumerate(config.nu_grid):
         converged = residual[nu_idx] < estimators.TYLER_TOL
         its, res = iterations[nu_idx][converged], residual[nu_idx][converged]
         counts = rejected[nu_idx].sum(axis=0)
+        taken = [alpha_hat[nu_idx, steps[nu_idx, :, k], k] for k in range(len(SCORES))]
         out.append(
             {
                 "nu": nu,
@@ -412,8 +410,7 @@ def _diagnostics(config: SimConfig, iterations, residual, rejected, alpha_hat):
                 "tyler_failures": int((~converged).sum()),
                 "r_rejections": {s: int(c) for s, c in zip(SCORES, counts)},
                 "r_alpha_hat_mean": {
-                    s: float(a) if k else None
-                    for s, a, k in zip(SCORES, alpha_mean[nu_idx], taken[nu_idx])
+                    s: float(a.mean()) if a.size else None for s, a in zip(SCORES, taken)
                 },
                 "alpha": float(student_t(nu).alpha(config.m)),
             }

@@ -8,10 +8,12 @@ so tests call them at small m only.  The Kronecker form of the complex
 low-rank contraction, the loop-built Hermitian basis and the R-step's
 tangent-space weighting Xi, built from an explicit tangent basis, are
 here too, as are the whole entrywise core filled from the library's
-row blocks, the Slepian-Bangs Gram from the whole whitened derivative
-stack, and the mpmath quadrature of E{f(Q)} that the generator tests
-and criterion 5 share.  So is the equality chain by two factorizations
-per generator, the efficient FIM filled and factored on its own, which
+row blocks, the R-step's Gram Upsilon Upsilon^T filled from that core
+(which the R-step's closed-form solve replaces), the Slepian-Bangs Gram
+from the whole whitened derivative stack, and the mpmath quadrature of
+E{f(Q)} that the generator tests and criterion 5 share.  So is the
+equality chain by two factorizations per generator, the efficient FIM
+filled and factored on its own, which
 ``bounds.verify_chain`` replaces by one factor of the scale-known FIM,
 and the adaptivity FIM gap by two FIMs of theta, each projected on its
 own, which ``parameterize.verify_adaptivity_by_fim`` replaces by one
@@ -32,9 +34,9 @@ from scipy.linalg import blas, solve_triangular
 
 from ellipfim import bounds, fim
 from ellipfim.bounds import _rank1_coeff
-from ellipfim.estimators import _stacked, _tangent_step, _upsilon_gram, ranks
-from ellipfim.matcalc import _core_row_blocks, _dup_t_vec, unvecs, vec, vecs, vecs_len
-from ellipfim.scale import constraint_gradient_vecs, decompose, grad_v11, renormalize
+from ellipfim.estimators import _stacked, ranks
+from ellipfim.matcalc import _core_row_blocks, _dup_t_vec, _vecs_fill, unvecs, vec, vecs, vecs_len
+from ellipfim.scale import decompose, grad_v11, renormalize, u_basis
 
 
 def mp_expect(gen, m, f, dps=40):
@@ -162,6 +164,13 @@ def upsilon(v_root_inv):
     vi = vec(np.eye(m))
     proj = np.eye(m * m) - np.outer(vi, vi) / m
     return duplication_loops(m).T @ np.kron(v_root_inv, v_root_inv) @ proj
+
+
+def upsilon_gram(v_inv):
+    """The Gram Upsilon Upsilon^T = D_m^T (V^-1 (x) V^-1 - vec(V^-1)
+    vec(V^-1)^T / m) D_m from V^-1, or a stack of them, entry by entry
+    from the library's core (``matcalc._vecs_fill``)."""
+    return _vecs_fill(v_inv, 1.0, -1.0 / v_inv.shape[-1])
 
 
 def crb_shape(scale, v, gen):
@@ -316,6 +325,13 @@ def xi_matrix(gram, u):
     return 2.0 * b @ np.swapaxes(b, -1, -2)
 
 
+def dense_xi(scale, v):
+    """``xi_matrix`` at a stack of shapes V on the manifold of ``scale``, its
+    Gram from the dense Upsilon of V^(-1/2) (``inv_sqrt``)."""
+    gram = np.stack([u @ u.T for u in map(upsilon, _stacked(inv_sqrt, v))])
+    return xi_matrix(gram, u_basis(scale, v))
+
+
 def sfim_theta(param, theta0, gen):
     m = np.asarray(param.sigma_fn(theta0)).shape[0]
     rank1 = 2.0 / (gen.alpha(m) * gen.sigma_q2(m)) - 1.0 / m
@@ -417,17 +433,15 @@ def inv_sqrt(v):
 def r_step_square_root(data, v, scale, tables):
     """``estimators.r_step_batch`` with every V^-1 use in its square-root
     form: V^(-1/2) by ``inv_sqrt``, the rank statistics by
-    ``rank_delta_row_major`` and the Gram from V^(-1/2) V^(-1/2)."""
+    ``rank_delta_row_major``, and the step Xi Delta with Xi from the dense
+    Upsilon of V^(-1/2) and the tangent basis U (``dense_xi``)."""
     n, m = data.shape[-2:]
     root_n = np.sqrt(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         v_star = renormalize(scale, v)
         root_inv = _stacked(inv_sqrt, v_star)
         delta0 = rank_delta_row_major(data, root_inv, tables)
-        finite = np.isfinite(v_star).all(axis=(-2, -1))
-        g = constraint_gradient_vecs(scale, np.where(finite[:, None, None], v_star, np.eye(m)))
-        gram = _upsilon_gram(root_inv @ root_inv)
-        step = _tangent_step(gram, g, delta0)
+        step = (dense_xi(scale, v_star) @ delta0[..., None])[..., 0]
         base = vecs(v_star)
         v_probe = renormalize(scale, unvecs(base + step / root_n, m))
         delta1 = rank_delta_row_major(data, _stacked(inv_sqrt, v_probe), tables)

@@ -333,8 +333,11 @@ def test_r_estimator_scale_kind_mismatch():
 
 def test_upsilon_annihilates_identity_direction():
     # Upsilon^T vecs(V) is the projection of the whitened vec(I), which is
-    # zero, so vecs(V) is in the kernel of the R-step's Gram
-    assert upsilon_annihilation(np.random.default_rng(12), 4) <= 1e-12
+    # zero, so vecs(V) is in the kernel of the R-step's Gram; the R-step's
+    # closed-form solve rests on it and equals Xi Delta on every scale
+    annihilation, gap = upsilon_annihilation(np.random.default_rng(12), 4)
+    assert annihilation <= 1e-12
+    assert gap <= 1e-10
 
 
 def test_rank_statistic_zero_for_degenerate_configuration():
@@ -846,8 +849,8 @@ def test_indefinite_probe_fails_its_r_step_only(scale, monkeypatch):
     tangent_step = estimators._tangent_step
     base = vecs(renormalize(scale, tyler[1]))
 
-    def indefinite_probe(gram, g, delta):
-        step = tangent_step(gram, g, delta)
+    def indefinite_probe(v, g, delta):
+        step = tangent_step(v, g, delta)
         step[:, 1] = np.sqrt(100) * (vecs(_INDEFINITE) - base)
         return step
 

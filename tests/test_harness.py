@@ -444,9 +444,13 @@ NEGATIVE_CONTROLS = {
                    [fim_tests.test_fim_theta_equals_sfim_for_gaussian,
                     fim_tests.test_fim_minus_sfim_psd_for_t], "scores_fim.loewner_ordering"),
     # the Gram's rank-one coefficient -1/m off by a relative 1e-6
-    "_vecs_fill": (estimators, lambda fn: lambda a, b, c: fn(a, b, c * (1 + 1e-6)),
+    "_vecs_fill": (invariants, lambda fn: lambda a, b, c: fn(a, b, c * (1 + 1e-6)),
                    [estimator_tests.test_upsilon_annihilates_identity_direction],
                    "estimators.upsilon_annihilation"),
+    # the R-step's closed-form step off by a relative 1e-6
+    "_tangent_step": (estimators, _scaled,
+                      [estimator_tests.test_upsilon_annihilates_identity_direction],
+                      "estimators.upsilon_annihilation"),
     # the score at data 10% too wide: its mean is no longer zero
     "score_eta": (fim, lambda fn: lambda x, *rest: fn(1.1 * x, *rest),
                   [fim_tests.test_score_eta_zero_mean_monte_carlo], "mc.score_zero_mean"),

@@ -19,7 +19,7 @@ from ellipfim.complexces import (
     embedded_lowrank_parameterization,
     embedded_rectilinear_parameterization,
 )
-from ellipfim.estimators import VanDerWaerden, _upsilon_gram, r_step_batch, scm_batch
+from ellipfim.estimators import VanDerWaerden, r_step_batch, scm_batch
 from ellipfim.generators import gaussian, generalized_gaussian, sample, student_t
 from ellipfim.invariants import ALL_SCALES
 from ellipfim.matcalc import (
@@ -162,21 +162,24 @@ def test_core_row_blocks_keep_the_bits_and_match_the_dense_oracle(shape, monkeyp
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 9])
 def test_r_step_gram_matches_dense_upsilon(m, monkeypatch):
-    # the Gram that r_step_batch hands to _tangent_step, for a stack of 3 trials
+    # the step r_step_batch takes from its rank statistics, for a stack of 3
+    # trials on every scale, is Xi Delta with Xi from the dense Upsilon and U
     n = vecs_len(m) + 20
     data = np.random.default_rng(m).standard_normal((3, n, m))
-    v = scm_batch(data, NORMALIZED_TRACE)
-    grams = []
+    calls = []
     tangent_step = estimators._tangent_step
 
-    def capture(gram, g, delta):
-        grams.append(gram)
-        return tangent_step(gram, g, delta)
+    def capture(v_star, g, delta):
+        calls.append((v_star, delta, tangent_step(v_star, g, delta)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(estimators, "_tangent_step", capture)
-    r_step_batch(data, v, NORMALIZED_TRACE, VanDerWaerden().table(n, m)[None])
-    want = [u @ u.T for u in map(dense.upsilon, dense.inv_sqrt(v))]
-    assert_close(grams[0], want)
+    for scale in ALL_SCALES:
+        v = scm_batch(data, scale)
+        r_step_batch(data, v, scale, VanDerWaerden().table(n, m)[None])
+        v_star, delta, step = calls.pop()
+        np.testing.assert_array_equal(v_star, renormalize(scale, v))
+        assert_close(step, (dense.dense_xi(scale, v_star) @ delta[..., None])[..., 0])
 
 
 def _fill_scatter(case):
@@ -209,7 +212,7 @@ def test_vecs_fill_outputs_are_bitwise_symmetric(case, scale, gen):
 def test_upsilon_gram_stack_is_bitwise_symmetric(m):
     rng = np.random.default_rng(m)
     v = np.stack([random_sigma(rng, m) for _ in range(5)])
-    gram = _upsilon_gram(np.linalg.inv(v))
+    gram = dense.upsilon_gram(np.linalg.inv(v))
     np.testing.assert_array_equal(gram, np.swapaxes(gram, -1, -2))
 
 
@@ -264,7 +267,7 @@ def test_every_blocked_loop_keeps_its_bits_at_any_block_size(monkeypatch, tmp_pa
         out += bset.blocks().values()
         write_bounds_csv(bset, tmp_path / "bounds.csv")
         out.append(np.frombuffer((tmp_path / "bounds.csv").read_bytes(), dtype=np.uint8))
-        out.append(_upsilon_gram(v_inv))
+        out.append(dense.upsilon_gram(v_inv))
         return [np.asarray(x) for x in out]
 
     want = outputs()
@@ -278,32 +281,44 @@ def test_every_blocked_loop_keeps_its_bits_at_any_block_size(monkeypatch, tmp_pa
 @pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 10])
 def test_tangent_step_matches_xi_oracle(m, scale):
-    # the projected solve against Xi Delta, Xi built from the tangent basis
+    # the closed-form solve from V* against Xi Delta, Xi built from the
+    # dense Upsilon and the tangent basis
     rng = np.random.default_rng(m)
     v = renormalize(scale, np.stack([random_sigma(rng, m) for _ in range(6)]))
-    gram = _upsilon_gram(np.linalg.inv(v))
     g = constraint_gradient_vecs(scale, v)
     delta = rng.standard_normal((3, 6, vecs_len(m)))
-    step = estimators._tangent_step(gram, g, delta)
-    xi = dense.xi_matrix(gram, u_basis(scale, v))
-    assert_close(step, (xi @ delta[..., None])[..., 0])
-    # trial 1 is NaN, trial 2's bracket U^T G U is negative definite and
-    # trial 5's is singular: their steps are NaN.  Trial 3's Gram is not
-    # PD along the constraint gradient only, which leaves the bracket and
-    # the step as they were.
-    bad = gram.copy()
-    bad[1, 0, 0] = np.nan
-    bad[2] *= -1.0
-    bad[5] = 0.0
-    e = g[3] / np.linalg.norm(g[3])
-    bad[3] -= 2.0 * (e @ gram[3] @ e) * np.outer(e, e)
-    assert np.linalg.eigvalsh(bad[3])[0] < 0.0
-    got = estimators._tangent_step(bad, g, delta)
+    step = estimators._tangent_step(v, g, delta)
+    assert_close(step, (dense.dense_xi(scale, v) @ delta[..., None])[..., 0])
+    # trial 1's V* is NaN, trial 2's is not positive definite and trial 5's
+    # gradient is orthogonal to vecs(V*): their steps are NaN, and the
+    # other trials keep their bits
+    bad_v, bad_g = v.copy(), g.copy()
+    bad_v[1, 0, 0] = np.nan
+    bad_v[2] *= -1.0
+    n0 = vecs(v[5])
+    bad_g[5] = 0.0
+    bad_g[5, :2] = n0[1], -n0[0]
+    assert np.sum(bad_g[5] * n0) == 0.0
+    got = estimators._tangent_step(bad_v, bad_g, delta)
     assert np.isnan(got[:, [1, 2, 5]]).all()
-    xi = dense.xi_matrix(bad, u_basis(scale, v))
-    assert np.isnan(xi[[1, 2, 5]]).all()
-    assert_close(got[:, 3], (xi[3] @ delta[:, 3, :, None])[..., 0])
-    np.testing.assert_array_equal(got[:, [0, 4]], step[:, [0, 4]])
+    np.testing.assert_array_equal(got[:, [0, 3, 4]], step[:, [0, 3, 4]])
+
+
+@given(
+    st.integers(2, 10),
+    st.sampled_from(ALL_SCALES),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_tangent_step_is_xi_delta_at_random_spd_shapes(m, scale, seed):
+    # over random SPD V* with a spread of eigenvalues, on every scale
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v = renormalize(scale, (q * np.exp(rng.uniform(-2.0, 2.0, m))) @ q.T)[None]
+    delta = rng.standard_normal((2, 1, vecs_len(m)))
+    step = estimators._tangent_step(v, constraint_gradient_vecs(scale, v), delta)
+    want = (dense.dense_xi(scale, v) @ delta[..., None])[..., 0]
+    np.testing.assert_allclose(step, want, rtol=1e-9, atol=1e-11 * np.abs(want).max())
 
 
 def _models(m, rng):
