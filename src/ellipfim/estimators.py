@@ -196,6 +196,13 @@ def _coordinate_major(data):
     return np.ascontiguousarray(np.swapaxes(np.asarray(data, dtype=float), -1, -2))
 
 
+def _quad_forms(xt, v_inv):
+    """q_i = x_i^T V^-1 x_i over the coordinate-major stack ``xt`` (..., m,
+    n), V^-1 read transposed, as x V^-1 reads it: a stacked inverse is not
+    exactly symmetric."""
+    return np.sum((np.swapaxes(v_inv, -1, -2) @ xt) * xt, axis=-2)
+
+
 def _pd_inv(v):
     """V^-1 of positive-definite matrices; the Cholesky factorization raises
     ``LinAlgError`` where one is not, which ``inv`` alone would not."""
@@ -205,15 +212,9 @@ def _pd_inv(v):
 
 def scm_batch(data, scale: ScaleFunctional):
     """Scale-normalized sample covariances of a (T, n, m) stack of zero-mean
-    datasets; NaN where the scale of a covariance is not finite and positive.
-    """
+    datasets, by ``renormalize``."""
     data = np.asarray(data, dtype=float)
-    sigma_hat = np.swapaxes(data, -1, -2) @ data / data.shape[-2]
-    s = scale.values(sigma_hat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = sigma_hat / s[..., None, None]
-    v[~(np.isfinite(s) & (s > 0))] = np.nan
-    return v
+    return renormalize(scale, np.swapaxes(data, -1, -2) @ data / data.shape[-2])
 
 
 def scm_shape(data, scale: ScaleFunctional) -> ShapeEstimate:
@@ -268,9 +269,7 @@ def tyler_fixed_point(data):
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, TYLER_MAX_ITER + 1):
             v_inv = _stacked(np.linalg.inv, v_act)
-            # x_i^T V^-1 x_i with V^-1 read transposed, as x V^-1 reads it:
-            # the stacked inverse is not exactly symmetric
-            q = np.sum((np.swapaxes(v_inv, -1, -2) @ xt) * xt, axis=-2)
+            q = _quad_forms(xt, v_inv)
             f = (m / n) * (xt / q[..., None, :]) @ np.swapaxes(xt, -1, -2)
             diff = f - v_act
             res = np.sqrt(
@@ -295,13 +294,12 @@ def tyler_fixed_point(data):
 
 def tyler_renormalize(scale: ScaleFunctional, f, residual):
     """``(v, residual)``: the F(V) and residuals of ``tyler_fixed_point``,
-    each converged F(V) renormalized to S(V) = 1, as new arrays.  A trial
-    whose S(F(V)) is not finite and positive is lost: its shape and
+    each converged F(V) renormalized (``renormalize``), as new arrays.  A
+    converged trial whose shape is then not finite is lost: its shape and
     residual become NaN."""
     ok = residual < TYLER_TOL
     v = np.full_like(f, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v[ok] = renormalize(scale, f[ok])
+    v[ok] = renormalize(scale, f[ok])
     lost = ok & ~np.isfinite(v).all(axis=(-2, -1))
     v[lost] = np.nan
     return v, np.where(lost, np.nan, residual)
@@ -383,12 +381,11 @@ def _rank_delta(xt, v_inv, tables):
     Upsilon_V vec(sum_i K_i u_i u_i^T) is D_m^T vec of
         R (sum_i K_i u_i u_i^T - (sum_i K_i / m) I) R
             = V^-1 M V^-1 - (sum_i K_i / m) V^-1,  M = sum_i K_i x_i x_i^T / q_i,
-    so the statistic needs V^-1 only: q_i = x_i^T V^-1 x_i is Tyler's
-    quadratic form, V^-1 read transposed as there, and no square root or
-    unit direction is formed.
+    so the statistic needs V^-1 only: q_i is Tyler's quadratic form
+    (``_quad_forms``), and no square root or unit direction is formed.
     """
     m, n = xt.shape[-2:]
-    q = np.sum((np.swapaxes(v_inv, -1, -2) @ xt) * xt, axis=-2)
+    q = _quad_forms(xt, v_inv)
     if tables.ndim == 2:
         tables = tables[:, None, :]
     # the score of rank j + 1, table entry j, goes to the position of that rank
@@ -401,21 +398,21 @@ def _rank_delta(xt, v_inv, tables):
     return np.ascontiguousarray(_dup_t_vec(s)) / (2.0 * np.sqrt(n))
 
 
-def _tangent_step(v, g, delta):
+def _tangent_step(v, g, delta, pd):
     """Xi Delta = 2 U [U^T G U]^{-1} U^T Delta for every score, from the
     shapes V* (T, m, m), the constraint gradients g (T, d) and the rank
-    statistics ``delta`` (S, T, d), forming neither U nor G.
+    statistics ``delta`` (S, T, d), forming neither U nor G; ``pd`` (T,)
+    marks the V* that are positive definite.
 
     With n0 = vecs(V): G = K - w w^T / m, K^-1 w = n0 and G n0 = 0 (module
     docstring).  So z0 = K^-1 (Delta + lambda g), lambda = -n0^T Delta /
     n0^T g, solves G z0 = Delta + lambda g, and z = z0 - (g^T z0 / g^T n0) n0
     is its solution with g^T z = 0, the step being 2 z.  A trial is NaN
-    where V* is not positive definite or its step is not finite (g^T n0 =
-    0).  The reduced operands are C-contiguous, so that a sum over their
-    last axis takes the same order whatever S and T are.
+    where ``pd`` is false or its step is not finite (g^T n0 = 0).  The
+    reduced operands are C-contiguous, so that a sum over their last axis
+    takes the same order whatever S and T are.
     """
     m = v.shape[-1]
-    pd = np.isfinite(_stacked(np.linalg.cholesky, v)).all(axis=(-2, -1))
     n0 = np.ascontiguousarray(vecs(v))
     g = np.ascontiguousarray(g)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -436,10 +433,11 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
     The step is closed-form in V* (:func:`_tangent_step`: G = K - w w^T / m,
     K^-1 y = vecs(V unvecs(y / diag(D_m^T D_m)) V), G vecs(V) = 0), and the
     rank statistics need only V^-1 (:func:`_rank_delta`): one Cholesky-checked
-    inverse (``_pd_inv``) of V* per trial and of the probe per score and
-    trial.  Returns ``(v_new, alpha_hat, rejected)`` with leading axes
-    (S, T).  A rejected step keeps V*; ``v_new`` is NaN where V* or the
-    probe is not positive definite or the step is not finite.
+    inverse (``_pd_inv``) of V* per trial, whose NaN pattern marks the V*
+    that are positive definite, and of the probe per score and trial.
+    Returns ``(v_new, alpha_hat, rejected)`` with leading axes (S, T).  A
+    rejected step keeps V*; a failed one, where V* or the probe is not
+    positive definite or the step is not finite, is NaN and not rejected.
     """
     xt = _coordinate_major(data)
     m, n = xt.shape[-2:]
@@ -447,10 +445,10 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
     with np.errstate(divide="ignore", invalid="ignore"):
         v_star = renormalize(scale, v)
         v_inv = _stacked(_pd_inv, v_star)
+        pd = np.isfinite(v_inv).all(axis=(-2, -1))
         delta0 = _rank_delta(xt, v_inv, tables)
-        finite = np.isfinite(v_star).all(axis=(-2, -1))
-        g = constraint_gradient_vecs(scale, np.where(finite[:, None, None], v_star, np.eye(m)))
-        step = _tangent_step(v_star, g, delta0)
+        g = constraint_gradient_vecs(scale, np.where(pd[:, None, None], v_star, np.eye(m)))
+        step = _tangent_step(v_star, g, delta0, pd)
         base = vecs(v_star)
         # local slope of the rank statistic along the update direction, one
         # score at a time: its temporaries are then (T, m, n); (S, T, m, n)
@@ -466,7 +464,7 @@ def r_step_batch(data, v, scale: ScaleFunctional, tables):
     v_new = np.where(rejected[..., None, None], v_star, moved)
     failed = ~(np.isfinite(step).all(axis=-1) & np.isfinite(delta1).all(axis=-1))
     v_new[failed] = np.nan
-    return v_new, alpha_hat, rejected
+    return v_new, alpha_hat, rejected & ~failed
 
 
 def r_estimator(

@@ -18,9 +18,8 @@ location score is zero and every phibar term drops out.
 
 Memory.  Each FIM of the shape or of vecs(Sigma) is one d x d array
 (d = m(m+1)/2 or one less), filled a cache-sized row block at a time by
-:func:`~ellipfim.matcalc._vecs_fill`, as are the bounds and the stacked
-(T, d, d) R-step Gram, so each builder holds one d x d array, symmetric
-to the bit, at its peak.  A parameterized model's FIMs (d the number of
+:func:`~ellipfim.matcalc._vecs_fill`, as are the bounds, so each
+builder holds one d x d array, symmetric to the bit, at its peak.  A parameterized model's FIMs (d the number of
 coordinates) need the (d, m, m) Jacobian stack, about two d x d arrays
 at the paper's sizes (d is about m^2 / 2): ``model_geometry`` whitens it
 once, into d x (m + m(m+1)/2) rows (one d x d array's worth), and drops

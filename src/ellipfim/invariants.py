@@ -385,7 +385,7 @@ def upsilon_annihilation(rng, m):
         ups = duplication_matrix(m).T @ (np.kron(r, r) - np.outer(vec(r @ r), vec(np.eye(m))) / m)
         u, delta = u_basis(scale, v[0]), rng.standard_normal((3, 1, vecs_len(m)))
         xi_delta = 2.0 * u @ np.linalg.solve(u.T @ ups @ ups.T @ u, u.T @ delta[:, 0].T)
-        step = estimators_mod._tangent_step(v, constraint_gradient_vecs(scale, v), delta)
+        step = estimators_mod._tangent_step(v, constraint_gradient_vecs(scale, v), delta, [True])
         gap = max(gap, _rel(step[:, 0].T, xi_delta))
     return annihilation, gap
 

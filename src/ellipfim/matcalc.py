@@ -35,7 +35,6 @@ a Gram X^T X.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -66,6 +65,7 @@ def vecs_len(m):
 
 
 def _frozen(a):
+    """``a``, made read-only: a write into a kept array raises."""
     a.flags.writeable = False
     return a
 
@@ -115,29 +115,27 @@ def _core_row_blocks(a, start=0, stop=None):
     ``start:``, as ``(lo, block)`` pairs in cache-sized row blocks.
 
     Entry [p, q] with p = (i, j) and q = (k, l) the ``vecs`` index pairs is
-    a_ik a_jl + a_il a_jk, for a symmetric A.  A stack of matrices
-    (leading axes) gives a stack of blocks.  A block holds at most
-    ``_CORE_BLOCK_DOUBLES`` entries over the whole stack (at m = 32, 62 of
-    528 rows), so that its few temporaries stay in cache; no entry's bits
-    depend on the block size, and each block is a fresh array that the
-    caller may overwrite.
+    a_ik a_jl + a_il a_jk, for a symmetric A.  A block holds at most
+    ``_CORE_BLOCK_DOUBLES`` entries (at m = 32, 62 of 528 rows), so that
+    its few temporaries stay in cache; no entry's bits depend on the block
+    size, and each block is a fresh array that the caller may overwrite.
     """
     a = np.asarray(a, dtype=float)
-    a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    r, c = _tril_indices_colmajor(a.shape[-1])
-    ar, ac = a[..., r, :], a[..., c, :]
+    a = 0.5 * (a + a.T)
+    r, c = _tril_indices_colmajor(a.shape[0])
+    ar, ac = a[r], a[c]
     nh = r.size
     rs, cs = r[start:], c[start:]
-    for p in _row_slices(nh if stop is None else stop, nh * math.prod(a.shape[:-2]), start):
-        ar_rows, ac_rows = ar[..., p, :], ac[..., p, :]
-        blk = ar_rows[..., rs] * ac_rows[..., cs]
-        blk += ar_rows[..., cs] * ac_rows[..., rs]
+    for p in _row_slices(nh if stop is None else stop, nh, start):
+        ar_rows, ac_rows = ar[p], ac[p]
+        blk = ar_rows[:, rs] * ac_rows[:, cs]
+        blk += ar_rows[:, cs] * ac_rows[:, rs]
         yield p.start, blk
 
 
 def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef=1.0):
     """coef K^T [c W C(A) W + R] K, rows and columns ``start:``, as one
-    fresh array; a stack of A gives a stack.
+    fresh array.
 
     C(A) is the core of :func:`_core_row_blocks`.  Given ``x`` and ``y``,
     the bound form: W = I, c = 1, R = x y^T + y x^T.  Else the information
@@ -153,7 +151,7 @@ def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef
     summed before it is added), so the result is symmetric to the bit.
     """
     if x is None:
-        f, y = _dup_gram(a.shape[-1]), _dup_t_vec(a)
+        f, y = _dup_gram(a.shape[0]), _dup_t_vec(a)
 
     def rows(first, stop=None):
         for lo, blk in _core_row_blocks(a, first, stop):
@@ -162,7 +160,7 @@ def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef
                 blk *= f[q]
                 blk *= f[p, None]
                 blk *= 0.5 * c_kron
-                rank = y[..., p, None] * y[..., None, q]
+                rank = y[p, None] * y[q]
                 rank *= c_rank1
             else:
                 rank = x[p, None] * y[q] + y[p, None] * x[q]
@@ -172,15 +170,15 @@ def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef
     if k is not None:
         _, row0 = next(rows(0, 1))
         z = row0[0, 1:] + 0.5 * row0[0, 0] * k
-    d = y.shape[-1] - start
-    out = np.empty(a.shape[:-2] + (d, d))
+    d = y.size - start
+    out = np.empty((d, d))
     for lo, blk in rows(start):
         p = slice(lo - start, lo - start + blk.shape[-2])
         if k is not None:
             blk += k[p, None] * z + z[p, None] * k
         if coef != 1.0:
             blk *= coef
-        out[..., p, :] = blk
+        out[p] = blk
     return out
 
 

@@ -161,9 +161,14 @@ def decompose(scale: ScaleFunctional, sigma) -> ShapeDecomposition:
 
 
 def renormalize(scale: ScaleFunctional, v):
-    """Project a near-manifold matrix back onto S(V) = 1 by rescaling."""
+    """V / S(V), matrix by matrix over a stack: onto S(V) = 1 by rescaling;
+    NaN where S(V) is not finite and positive."""
     v = np.asarray(v, dtype=float)
-    return v / scale.values(v)[..., None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = scale.values(v)
+        out = v / s[..., None, None]
+    out[~(np.isfinite(s) & (s > 0.0))] = np.nan
+    return out
 
 
 def grad_v11(scale: ScaleFunctional, v):

@@ -79,7 +79,7 @@ from .estimators import (
     tyler_renormalize,
 )
 from .generators import sample_stack, student_t
-from .matcalc import ovecs, vecs_len
+from .matcalc import _frozen, ovecs, vecs_len
 from .scale import SCALES, decompose, scale_by_name
 
 __all__ = [
@@ -151,9 +151,9 @@ def _scores(nu: float):
 
 def _block_size(m: int, n: int) -> int:
     """Trials per block: as many (n, m) datasets as fit in BLOCK_DOUBLES
-    doubles.  The largest per-trial arrays, the R-step's m(m+1)/2 x
-    m(m+1)/2 Gram and weighting, hold fewer than (m+1)/2 datasets' worth of
-    doubles, because the R-step needs n > m(m+1)/2."""
+    doubles.  No per-trial array of the estimators is larger than a
+    dataset: Tyler and the R-step work on (m, n) copies of it and on m x m
+    matrices, and the R-step's m(m+1)/2 vectors are shorter than n."""
     return max(1, BLOCK_DOUBLES // (n * m))
 
 
@@ -215,17 +215,10 @@ def _trial_block(config: SimConfig, tables, start: int, stop: int, half=None, ke
     v0 = decompose(scale, config.sigma0).v
     tyler, residual = tyler_renormalize(scale, f, residual)
     # a failed preliminary is NaN, so its R-estimates fail with it
-    r_v, alpha_hat, r_rejected = r_step_batch(data, tyler, scale, tables[:, nu_idx])
-    rejected = (r_rejected & np.isfinite(r_v).all(axis=(-2, -1))).T
+    r_v, alpha_hat, rejected = r_step_batch(data, tyler, scale, tables[:, nu_idx])
     diff = ovecs(np.stack([scm_batch(data, scale), tyler, *r_v]) - v0)
     errors = np.sum(diff * diff, axis=-1).T
-    return (errors, iterations, residual, rejected, alpha_hat.T), (half if keep else None)
-
-
-def _frozen(a):
-    """``a``, made read-only: a write into a kept array raises."""
-    a.flags.writeable = False
-    return a
+    return (errors, iterations, residual, rejected.T, alpha_hat.T), (half if keep else None)
 
 
 def _memo_key(config: SimConfig, size: int):

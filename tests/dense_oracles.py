@@ -114,16 +114,14 @@ def core_by_row_blocks(a):
     """The whole core of :func:`sym_kron_core`, filled from the library's
     row blocks (``matcalc._core_row_blocks``).
 
-    A stack of matrices (leading axes) gives a stack of cores, each
-    bit-identical to its own 2-D call.  The library finishes each block
-    in place and never forms the whole core; the tests hold the blocks,
-    through this fill, to the Kronecker form.
+    The library finishes each block in place and never forms the whole
+    core; the tests hold the blocks, through this fill, to the Kronecker
+    form.
     """
-    a = np.asarray(a, dtype=float)
-    nh = vecs_len(a.shape[-1])
-    out = np.empty(a.shape[:-2] + (nh, nh))
+    nh = vecs_len(np.shape(a)[0])
+    out = np.empty((nh, nh))
     for lo, blk in _core_row_blocks(a):
-        out[..., lo : lo + blk.shape[-2], :] = blk
+        out[lo : lo + blk.shape[0]] = blk
     return out
 
 
@@ -168,9 +166,14 @@ def upsilon(v_root_inv):
 
 def upsilon_gram(v_inv):
     """The Gram Upsilon Upsilon^T = D_m^T (V^-1 (x) V^-1 - vec(V^-1)
-    vec(V^-1)^T / m) D_m from V^-1, or a stack of them, entry by entry
-    from the library's core (``matcalc._vecs_fill``)."""
-    return _vecs_fill(v_inv, 1.0, -1.0 / v_inv.shape[-1])
+    vec(V^-1)^T / m) D_m from V^-1, or a stack of them, one matrix at a
+    time, entry by entry from the library's core (``matcalc._vecs_fill``)."""
+    v_inv = np.asarray(v_inv, dtype=float)
+    m = v_inv.shape[-1]
+    out = np.empty(v_inv.shape[:-2] + (vecs_len(m), vecs_len(m)))
+    for idx in np.ndindex(v_inv.shape[:-2]):
+        out[idx] = _vecs_fill(v_inv[idx], 1.0, -1.0 / m)
+    return out
 
 
 def crb_shape(scale, v, gen):
@@ -453,4 +456,4 @@ def r_step_square_root(data, v, scale, tables):
     v_new = np.where(rejected[..., None, None], v_star, moved)
     failed = ~(np.isfinite(step).all(axis=-1) & np.isfinite(delta1).all(axis=-1))
     v_new[failed] = np.nan
-    return v_new, alpha_hat, rejected
+    return v_new, alpha_hat, rejected & ~failed

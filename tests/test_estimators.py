@@ -849,13 +849,14 @@ def test_indefinite_probe_fails_its_r_step_only(scale, monkeypatch):
     tangent_step = estimators._tangent_step
     base = vecs(renormalize(scale, tyler[1]))
 
-    def indefinite_probe(v, g, delta):
-        step = tangent_step(v, g, delta)
+    def indefinite_probe(v, g, delta, pd):
+        step = tangent_step(v, g, delta, pd)
         step[:, 1] = np.sqrt(100) * (vecs(_INDEFINITE) - base)
         return step
 
     monkeypatch.setattr(estimators, "_tangent_step", indefinite_probe)
     got = r_step_batch(data, tyler, scale, tables)
-    assert np.isnan(got[0][0, 1]).all() and got[2][0, 1]
+    # a failed step is not a rejected one
+    assert np.isnan(got[0][0, 1]).all() and not got[2][0, 1]
     for g, w in zip(got, want):
         assert np.array_equal(g[:, [0, 2, 3]], w[:, [0, 2, 3]])

@@ -109,6 +109,17 @@ def pools(monkeypatch):
 POOLED = dict(m=10, n=300, nu_grid=(3.0, 10.0), trials=42, scale_kind="det", root_seed=5)
 
 
+def _full_precision(result):
+    """Each cell's mse, stderr and n_failed, and the diagnostics, to the
+    bit: the CSV holds mse and stderr to 6 digits only."""
+    cells = [
+        (c.nu, c.estimator, np.float64(c.mse).tobytes(), np.float64(c.stderr).tobytes(), c.n_failed)
+        for c in result.cells
+    ]
+    # a float's repr reads back to the same bits
+    return cells, json.dumps(result.diagnostics, sort_keys=True)
+
+
 def test_simulation_determinism_across_parallelism(tmp_path, pools):
     serial = run_simulation(SimConfig(**POOLED))
     assert serial.blocks == 4 and pools == []
@@ -117,7 +128,7 @@ def test_simulation_determinism_across_parallelism(tmp_path, pools):
     serial.to_csv(tmp_path / "serial.csv")
     pooled.to_csv(tmp_path / "pooled.csv")
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
-    assert pooled.diagnostics == serial.diagnostics
+    assert _full_precision(pooled) == _full_precision(serial)
 
 
 def test_simulation_one_block_runs_without_a_pool(tmp_path, small_result, pools):
@@ -127,17 +138,23 @@ def test_simulation_one_block_runs_without_a_pool(tmp_path, small_result, pools)
     small_result.to_csv(tmp_path / "serial.csv")
     result.to_csv(tmp_path / "par3.csv")
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par3.csv").read_bytes()
+    assert _full_precision(result) == _full_precision(small_result)
 
 
 SCALE_ORDERS = list(itertools.permutations(("first", "trace", "det")))
 
 
 def _run_bytes(tmp_path, config):
-    """The CSV and metadata bytes of ``run_simulation(config)``."""
+    """The CSV and metadata bytes of ``run_simulation(config)``, and its
+    ``_full_precision`` figures."""
     result = run_simulation(config)
     result.to_csv(tmp_path / "run.csv")
     result.write_metadata(tmp_path / "run.meta.json")
-    return (tmp_path / "run.csv").read_bytes(), (tmp_path / "run.meta.json").read_bytes()
+    return (
+        (tmp_path / "run.csv").read_bytes(),
+        (tmp_path / "run.meta.json").read_bytes(),
+        _full_precision(result),
+    )
 
 
 @pytest.mark.parametrize("base", [SMALL, {**POOLED, "parallelism": 2}], ids=["small", "pooled_par2"])
@@ -173,6 +190,36 @@ def _counting_tyler(monkeypatch):
 
     monkeypatch.setattr(simulate, "tyler_fixed_point", counting)
     return calls
+
+
+# trials that fail on their own, as a pool worker sees them: on the first
+# scale two R-steps of r_vdw at nu = 2.5 fail
+FAILING = dict(m=3, n=7, nu_grid=(2.05, 2.5), trials=400, scale_kind="first", root_seed=11)
+
+
+def test_simulation_with_failed_trials_writes_the_same_bytes(tmp_path, monkeypatch, pools):
+    # cold against a memo hit, and serial against pooled
+    calls = _counting_tyler(monkeypatch)
+    simulate._MEMO.clear()
+    cold_csv, cold_meta, cold_full = _run_bytes(tmp_path, SimConfig(**FAILING))
+    assert json.loads(cold_meta)["failed_cells"] == [{"nu": 2.5, "estimator": "r_vdw", "n_failed": 2}]
+    simulate._MEMO.clear()
+    run_simulation(SimConfig(**{**FAILING, "scale_kind": "trace"}))
+    assert _run_bytes(tmp_path, SimConfig(**FAILING)) == (cold_csv, cold_meta, cold_full)
+    assert calls == [800, 800]  # the second run on the first scale was a hit
+    # 4 blocks of 200 trials: two per worker at parallelism 2
+    monkeypatch.setattr(simulate, "BLOCK_DOUBLES", 200 * 3 * 7)
+    metas = []
+    for parallelism in (1, 2):
+        csv_bytes, meta, full = _run_bytes(tmp_path, SimConfig(**FAILING, parallelism=parallelism))
+        assert (csv_bytes, full) == (cold_csv, cold_full)
+        metas.append(json.loads(meta))
+    assert pools == [2]
+    assert [(m["blocks"], m["workers_used"]) for m in metas] == [(4, 1), (4, 2)]
+    for meta in metas:
+        del meta["config"]["parallelism"], meta["workers_used"]
+    assert metas[0] == metas[1]
+    assert metas[0]["failed_cells"] == json.loads(cold_meta)["failed_cells"]
 
 
 @pytest.mark.parametrize(

@@ -385,3 +385,41 @@ def test_renormalize_lands_on_manifold():
     for scale in ALL_SCALES:
         v = renormalize(scale, sigma)
         assert scale.value(v) == pytest.approx(1.0, abs=1e-14)
+
+
+def _renormalize_cases():
+    """A good SPD matrix, then matrices whose scale is not finite and
+    positive on some scale, as a (2, 4, 3, 3) stack."""
+    good = random_spd(np.random.default_rng(42), 3)
+    nan_first, inf_first = good.copy(), good.copy()
+    nan_first[0, 0], inf_first[0, 0] = np.nan, np.inf
+    cases = [
+        good,
+        np.diag([-1.0, 1.0, 1.0]),  # first element < 0, det < 0
+        np.diag([0.0, 1.0, 1.0]),  # first element 0, det 0
+        np.diag([1.0, -2.0, -2.0]),  # trace < 0, det > 0
+        np.diag([1.0, -1.0, 0.0]),  # trace 0, det 0
+        np.diag([2.0, 1.0, -1.0]),  # indefinite, det < 0: no det root
+        nan_first,
+        inf_first,
+    ]
+    return np.stack(cases).reshape(2, 4, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "scale, bad",
+    [(FIRST_ELEMENT, [1, 2, 6, 7]), (NORMALIZED_TRACE, [3, 4, 6, 7]), (DET_ROOT, [1, 2, 4, 5, 6, 7])],
+    ids=["first", "trace", "det"],
+)
+def test_renormalize_is_nan_exactly_where_the_scale_is_not_finite_and_positive(scale, bad):
+    stack = _renormalize_cases()
+    out = renormalize(scale, stack)
+    with np.errstate(invalid="ignore"):
+        s = scale.values(stack)
+    want_bad = np.isin(np.arange(8), bad).reshape(2, 4)
+    np.testing.assert_array_equal(~(np.isfinite(s) & (s > 0.0)), want_bad)
+    assert np.isnan(out[want_bad]).all()
+    np.testing.assert_array_equal(out[~want_bad], stack[~want_bad] / s[~want_bad][:, None, None])
+    # matrix by matrix: the same bits as the stack
+    for idx in np.ndindex(2, 4):
+        np.testing.assert_array_equal(renormalize(scale, stack[idx]), out[idx])

@@ -134,30 +134,18 @@ def test_structured_forms_match_dense_oracles(m, scale, gen):
     )
 
 
-@pytest.mark.parametrize("shape", [(3, 2), (3, 5), (2, 3, 4), (4, 32)])
-def test_stacked_core_matches_per_item_calls(shape):
-    # (4, 32) fills the rows in 36 blocks of at most 15, the last one partial
-    *stack, m = shape
-    rng = np.random.default_rng(m)
-    a = rng.standard_normal((*stack, m, m))
-    out = dense.core_by_row_blocks(a)
-    for idx in np.ndindex(*stack):
-        np.testing.assert_array_equal(out[idx], dense.core_by_row_blocks(a[idx]))
-
-
-@pytest.mark.parametrize("shape", [(31,), (32,), (33,), (3, 32)])
+@pytest.mark.parametrize("shape", [(31,), (32,), (33,)])
 def test_core_row_blocks_keep_the_bits_and_match_the_dense_oracle(shape, monkeypatch):
-    *stack, m = shape
-    nh, items = vecs_len(m), int(np.prod(stack))
-    step = matcalc._CORE_BLOCK_DOUBLES // (nh * items)
+    (m,) = shape
+    nh = vecs_len(m)
+    step = matcalc._CORE_BLOCK_DOUBLES // nh
     assert 1 <= step < nh and nh % step  # several row blocks, the last one partial
-    b = np.random.default_rng(m).standard_normal((*stack, m, m))
-    a = b @ np.swapaxes(b, -1, -2) / m + np.eye(m)
+    b = np.random.default_rng(m).standard_normal((m, m))
+    a = b @ b.T / m + np.eye(m)
     out = dense.core_by_row_blocks(a)
-    monkeypatch.setattr(matcalc, "_CORE_BLOCK_DOUBLES", nh * nh * items + 1)
+    monkeypatch.setattr(matcalc, "_CORE_BLOCK_DOUBLES", nh * nh + 1)
     np.testing.assert_array_equal(out, dense.core_by_row_blocks(a))  # one block, the same bits
-    for idx in np.ndindex(*stack):
-        assert_close(out[idx], dense.sym_kron_core(a[idx]))
+    assert_close(out, dense.sym_kron_core(a))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 9])
@@ -169,8 +157,8 @@ def test_r_step_gram_matches_dense_upsilon(m, monkeypatch):
     calls = []
     tangent_step = estimators._tangent_step
 
-    def capture(v_star, g, delta):
-        calls.append((v_star, delta, tangent_step(v_star, g, delta)))
+    def capture(v_star, g, delta, pd):
+        calls.append((v_star, delta, tangent_step(v_star, g, delta, pd)))
         return calls[-1][-1]
 
     monkeypatch.setattr(estimators, "_tangent_step", capture)
@@ -206,14 +194,6 @@ def test_vecs_fill_outputs_are_bitwise_symmetric(case, scale, gen):
     }
     for name, x in outs.items():
         np.testing.assert_array_equal(x, x.T, err_msg=name)
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 8, 32])
-def test_upsilon_gram_stack_is_bitwise_symmetric(m):
-    rng = np.random.default_rng(m)
-    v = np.stack([random_sigma(rng, m) for _ in range(5)])
-    gram = dense.upsilon_gram(np.linalg.inv(v))
-    np.testing.assert_array_equal(gram, np.swapaxes(gram, -1, -2))
 
 
 @pytest.mark.parametrize("gen", GENS, ids=str)
@@ -287,21 +267,42 @@ def test_tangent_step_matches_xi_oracle(m, scale):
     v = renormalize(scale, np.stack([random_sigma(rng, m) for _ in range(6)]))
     g = constraint_gradient_vecs(scale, v)
     delta = rng.standard_normal((3, 6, vecs_len(m)))
-    step = estimators._tangent_step(v, g, delta)
+    pd = np.ones(6, dtype=bool)
+    step = estimators._tangent_step(v, g, delta, pd)
     assert_close(step, (dense.dense_xi(scale, v) @ delta[..., None])[..., 0])
-    # trial 1's V* is NaN, trial 2's is not positive definite and trial 5's
-    # gradient is orthogonal to vecs(V*): their steps are NaN, and the
-    # other trials keep their bits
-    bad_v, bad_g = v.copy(), g.copy()
-    bad_v[1, 0, 0] = np.nan
-    bad_v[2] *= -1.0
+    # trial 2 is marked not positive definite and trial 5's gradient is
+    # orthogonal to vecs(V*): their steps are NaN, and the other trials
+    # keep their bits
+    bad_g = g.copy()
+    pd[2] = False
     n0 = vecs(v[5])
     bad_g[5] = 0.0
     bad_g[5, :2] = n0[1], -n0[0]
     assert np.sum(bad_g[5] * n0) == 0.0
-    got = estimators._tangent_step(bad_v, bad_g, delta)
-    assert np.isnan(got[:, [1, 2, 5]]).all()
-    np.testing.assert_array_equal(got[:, [0, 3, 4]], step[:, [0, 3, 4]])
+    got = estimators._tangent_step(v, bad_g, delta, pd)
+    assert np.isnan(got[:, [2, 5]]).all()
+    np.testing.assert_array_equal(got[:, [0, 1, 3, 4]], step[:, [0, 1, 3, 4]])
+
+
+@pytest.mark.parametrize("scale", ALL_SCALES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 10])
+def test_r_step_fails_alone_where_v_star_is_nan_or_not_positive_definite(m, scale):
+    # trial 1's V is NaN and trial 2's is -V, whose scale is not positive
+    # or whose V* is not positive definite: their steps fail, and are not
+    # rejected, and the other trials keep their bits
+    n = vecs_len(m) + 20
+    data = np.random.default_rng(m).standard_normal((4, n, m))
+    tables = VanDerWaerden().table(n, m)[None]
+    v = scm_batch(data, scale)
+    bad_v = v.copy()
+    bad_v[1, 0, 0] = np.nan
+    bad_v[2] *= -1.0
+    want = r_step_batch(data, v, scale, tables)
+    v_new, alpha_hat, rejected = r_step_batch(data, bad_v, scale, tables)
+    assert np.isnan(v_new[:, [1, 2]]).all() and np.isnan(alpha_hat[:, [1, 2]]).all()
+    assert not rejected[:, [1, 2]].any()
+    for got, w in zip((v_new, alpha_hat, rejected), want):
+        np.testing.assert_array_equal(got[:, [0, 3]], w[:, [0, 3]])
 
 
 @given(
@@ -316,7 +317,7 @@ def test_tangent_step_is_xi_delta_at_random_spd_shapes(m, scale, seed):
     q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     v = renormalize(scale, (q * np.exp(rng.uniform(-2.0, 2.0, m))) @ q.T)[None]
     delta = rng.standard_normal((2, 1, vecs_len(m)))
-    step = estimators._tangent_step(v, constraint_gradient_vecs(scale, v), delta)
+    step = estimators._tangent_step(v, constraint_gradient_vecs(scale, v), delta, [True])
     want = (dense.dense_xi(scale, v) @ delta[..., None])[..., 0]
     np.testing.assert_allclose(step, want, rtol=1e-9, atol=1e-11 * np.abs(want).max())
 
