@@ -3,7 +3,8 @@
 All subcommands read a JSON config (schema version 1) and write CSV plus
 optional SVG artifacts.  Exit codes: 0 success, 1 check failures, 2
 usage or configuration errors, including a model the config describes
-that cannot be evaluated (one line on stderr, nothing written).
+that cannot be evaluated and a path that cannot be used (one line on
+stderr, nothing written).
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import bounds as bounds_mod
-from .config import POSITIVE, UNIT, ConfigError, check_number, check_reals, reject_unknown
+from .config import (
+    POSITIVE, UNIT, ConfigError, check_choice, check_number, check_reals, reject_unknown,
+)
 from .generators import gaussian, generalized_gaussian, student_t
 from .invariants import run_invariant_suite
 from .parameterize import (
@@ -29,28 +32,30 @@ from .parameterize import (
     verify_adaptivity_by_fim,
 )
 from .matcalc import vecs_len
-from .scale import decompose, scale_by_name
+from .scale import SCALES, decompose, scale_by_name
 from .simulate import SimConfig, run_simulation, write_svg_chart
 
 SCHEMA_VERSION = 1
 
 
 def _load_config(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    schema = data.pop("schema", None)
+    schema = check_number(data.pop("schema", None), "schema", int)
     if schema != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config schema must be {SCHEMA_VERSION}, got {schema!r}"
-        )
+        raise ConfigError(f"schema must be {SCHEMA_VERSION}, got {schema!r}")
     return data
+
+
+def _out_dir(path):
+    """``--out`` as a Path, rejected before any work when it is an existing
+    file, on which the ``mkdir`` after the run would fail."""
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"--out {path} exists and is not a directory")
+    return out
 
 
 # the keys each spec accepts, by the value of its selecting key
@@ -76,13 +81,11 @@ PARAMETERIZATION_KEYS = {
 
 
 def _spec_kind(spec, key, known, where):
-    """The value of ``spec``'s selecting key, once every key of ``spec`` is
-    one that its kind accepts."""
-    if not isinstance(spec, dict) or key not in spec:
-        raise ConfigError(f'{where} spec needs a "{key}" key')
-    kind = spec[key]
-    if not isinstance(kind, str) or kind not in known:
-        raise ConfigError(f"unknown {where} {key} {kind!r}; valid: {', '.join(known)}")
+    """The value of the spec ``where``'s selecting key, once every key of
+    ``spec`` is one that its kind accepts."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {spec!r}")
+    kind = check_choice(spec.get(key), f"{where}.{key}", known)
     reject_unknown(spec, known[kind], f"{where} ({kind})")
     return kind
 
@@ -100,7 +103,7 @@ def _generator_from_spec(spec):
 def _sigma_from_spec(spec, m):
     if isinstance(spec, dict):
         spec = {"kind": "toeplitz", **spec}
-    kind = _spec_kind(spec, "kind", SIGMA_KEYS, "scatter")
+    kind = _spec_kind(spec, "kind", SIGMA_KEYS, "sigma")
     if kind == "toeplitz":
         rho = check_number(spec.get("rho", 0.8), "sigma.rho", inside=UNIT)
         return toeplitz(rho ** np.arange(m))
@@ -110,13 +113,6 @@ def _sigma_from_spec(spec, m):
     if mat.shape != (m, m):
         raise ConfigError(f"explicit scatter must be {m}x{m}")
     return mat
-
-
-def _scale_from_name(name):
-    try:
-        return scale_by_name(name)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0])
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +130,9 @@ def cmd_simulate(args) -> int:
         data["root_seed"] = args.seed
     if args.scale is not None:
         data["scale_kind"] = args.scale
-    try:
-        config = SimConfig.from_dict(data)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc))
+    config = SimConfig.from_dict(data)
+    out_dir = _out_dir(args.out)
     result = run_simulation(config)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"simulation_{config.scale_kind}"
     csv_path = out_dir / f"{stem}.csv"
@@ -178,18 +171,15 @@ def _print_json(obj):
 def cmd_bounds(args) -> int:
     data = _load_config(args.config)
     reject_unknown(data, ("m", "scale", "generator", "sigma"), "bounds config")
-    try:
-        m = check_number(data["m"], "m", int, least=2)
-        scale = _scale_from_name(data.get("scale", "trace"))
-        gen = _generator_from_spec(data.get("generator", {"family": "gaussian"}))
-        sigma = _sigma_from_spec(data.get("sigma", {"kind": "toeplitz"}), m)
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}")
+    m = check_number(data.get("m"), "m", int, least=2)
+    scale = scale_by_name(check_choice(data.get("scale", "trace"), "scale", SCALES))
+    gen = _generator_from_spec(data.get("generator", {"family": "gaussian"}))
+    sigma = _sigma_from_spec(data.get("sigma", {"kind": "toeplitz"}), m)
+    out_dir = _out_dir(args.out)
     bset = bounds_mod.bound_set(scale, sigma, gen)
     # the chain can raise on an evaluable-looking scatter, so it runs before
     # anything is written: exit 2 leaves no output
     report = bounds_mod.verify_chain(scale, decompose(scale, sigma).v, [gen], m)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"bounds_{scale.kind}_{gen.name}.csv"
     bounds_mod.write_bounds_csv(bset, csv_path)
@@ -244,9 +234,9 @@ def _parameterization_from_spec(spec):
         return low_rank_example(rng, m, gamma0, get("noise", 0.8, inside=POSITIVE))
     if name == "shape_scale":
         m = get("m", 4, int, least=2)  # a shape needs a free coordinate
-        scale = _scale_from_name(spec.get("scale", "trace"))
+        kind = check_choice(spec.get("scale", "trace"), "parameterization.scale", SCALES)
         return shape_scale_example(
-            scale, m, get("rho", 0.8, inside=UNIT), get("s", 1.5, inside=POSITIVE)
+            scale_by_name(kind), m, get("rho", 0.8, inside=UNIT), get("s", 1.5, inside=POSITIVE)
         )
     m = get("m", 3, int, least=1)  # breaking
     return breaking_example(m, get("rho", 0.5, inside=UNIT), get("gamma0", 1.3, inside=POSITIVE))
@@ -281,7 +271,7 @@ def cmd_verify(args) -> int:
         data = _load_config(args.config)
         reject_unknown(data, ("level",), "verify config")
         level = data.get("level", level)
-    report = run_invariant_suite(level=level)
+    report = run_invariant_suite(level=check_choice(level, "level", ("fast", "full")))
     if args.json:
         entries = [vars(e) for e in report.entries]
         _print_json({"level": report.level, "all_passed": report.all_passed,
@@ -321,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run the invariant suite")
     p_v.add_argument("--config", help="optional config carrying the level")
-    p_v.add_argument("--level", choices=("fast", "full"), default="fast")
+    p_v.add_argument("--level", default="fast", help="fast | full")
     p_v.add_argument("--json", action="store_true", help="print the table as one JSON object")
     p_v.set_defaults(fn=cmd_verify)
     return parser
@@ -342,9 +332,10 @@ def main(argv=None) -> int:
     # a model the config describes that cannot be evaluated: a generator
     # parameter or functional out of range, a scatter that is not PD
     # (LinAlgError), an unidentifiable parameterization, a shape off its
-    # manifold, an alpha at the singular point of a bound, an undefined
-    # moment or an unknown verify level; all are ValueError subclasses
-    except ValueError as exc:
+    # manifold, an alpha at the singular point of a bound or an undefined
+    # moment, all ValueError subclasses; or a path that cannot be read or
+    # written: a missing config, a directory as --config or a file as --out
+    except (ValueError, OSError) as exc:
         msg = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 2

@@ -3,9 +3,9 @@
 JSON hands a reader ``bool``, strings, lists and ``null`` wherever a
 number is expected, and Python's ``int(...)`` would truncate ``4.7`` to 4
 or accept ``"4"``.  Each reader here rejects such a value, and
-:func:`check_number` a number outside its range, with a
-:class:`ConfigError` that names the key, which the CLI turns into exit
-code 2 before anything is written.
+:func:`check_number` a number outside its range and :func:`check_choice`
+a string outside its choices, with a :class:`ConfigError` that names the
+key, which the CLI turns into exit code 2 before anything is written.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import math
 
 import numpy as np
 
-__all__ = ["POSITIVE", "UNIT", "ConfigError", "check_number", "check_reals", "reject_unknown"]
+__all__ = [
+    "POSITIVE", "UNIT", "ConfigError", "check_choice", "check_number", "check_reals", "reject_unknown",
+]
 
 # open intervals for check_number's ``inside``
 UNIT = (-1.0, 1.0)  # a Toeplitz rho^|i-j| is PD exactly for |rho| < 1
@@ -49,6 +51,13 @@ def check_number(value, key, kind=float, least=None, inside=None):
     if inside is not None and not inside[0] < value < inside[1]:
         raise ConfigError(f"{key} must lie in ({inside[0]:g}, {inside[1]:g}), got {value!r}")
     return kind(value)
+
+
+def check_choice(value, key, choices):
+    """``value`` when it is one of the strings in ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{key} must be one of {', '.join(sorted(choices))}, got {value!r}")
+    return value
 
 
 def check_reals(value, key):

@@ -69,7 +69,7 @@ from scipy.linalg import toeplitz
 
 from .bounds import _scale_known_gap, crb_shape
 from . import estimators
-from .config import UNIT, check_number, reject_unknown
+from .config import UNIT, ConfigError, check_choice, check_number, reject_unknown
 from .estimators import (
     TScore,
     VanDerWaerden,
@@ -125,10 +125,10 @@ class SimConfig:
         for nu in self.nu_grid:
             check_number(nu, "nu_grid", inside=(2.0, math.inf))
         if not self.nu_grid:
-            raise ValueError("nu_grid must hold at least one nu")
+            raise ConfigError("nu_grid must hold at least one nu")
         if len(set(self.nu_grid)) < len(self.nu_grid):
-            raise ValueError(f"nu_grid must not repeat a nu, got {list(self.nu_grid)}")
-        scale_by_name(self.scale_kind)
+            raise ConfigError(f"nu_grid must not repeat a nu, got {list(self.nu_grid)}")
+        check_choice(self.scale_kind, "scale_kind", SCALES)
 
     @property
     def sigma0(self):
@@ -137,10 +137,8 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         reject_unknown(data, cls.__dataclass_fields__, "simulation config")
-        data = dict(data)
-        if "nu_grid" in data:
-            if not isinstance(data["nu_grid"], (list, tuple)):
-                raise ValueError(f"nu_grid must be a list, got {data['nu_grid']!r}")
+        if not isinstance(data.get("nu_grid", ()), (list, tuple)):
+            raise ConfigError(f"nu_grid must be a list, got {data['nu_grid']!r}")
         return cls(**data)
 
 

@@ -27,6 +27,7 @@ import test_generators as generator_tests
 import test_matcalc as matcalc_tests
 from ellipfim import bounds, cli, estimators, fim, invariants, parameterize, simulate
 from ellipfim.cli import _print_json, main
+from ellipfim.config import ConfigError
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
 from ellipfim.invariants import run_invariant_suite
 from ellipfim.generators import sample, student_t
@@ -79,6 +80,19 @@ def test_config_rejects_unknown_keys():
 def test_config_rejects_unknown_score():
     with pytest.raises(ValueError):
         SimConfig.from_dict({"scores": ["huber"]})
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [({"scale_kind": "frobenius"}, "scale_kind"), ({"nu_grid": []}, "nu_grid"),
+     ({"nu_grid": [3.0, 3.0]}, "nu_grid")],
+    ids=["scale_kind", "empty_nu_grid", "repeated_nu"],
+)
+def test_config_raises_config_error_naming_the_field(bad, named):
+    with pytest.raises(ConfigError, match=f"^{named} must"):
+        SimConfig(**bad)
+    with pytest.raises(ConfigError, match="^nu_grid must be a list"):
+        SimConfig.from_dict({"nu_grid": 5.0})
 
 
 # ---------------------------------------------------------------------------
@@ -787,9 +801,9 @@ def test_cli_simulate_overrides(tmp_path):
 def test_cli_unknown_scale_exits_2(tmp_path, capsys):
     data = {**SMALL, "trials": 5, "nu_grid": [5.0]}
     assert run_cli(tmp_path, "simulate", data, "--scale", "frobenius") == 2
-    err = capsys.readouterr().err
-    for valid in ("det", "first", "trace"):
-        assert valid in err
+    captured = capsys.readouterr()
+    assert captured.err == "config error: scale_kind must be one of det, first, trace, got 'frobenius'\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_exits_2(tmp_path):
@@ -963,6 +977,13 @@ def test_cli_verify_json_lists_every_entry(capsys, level):
     assert [e["name"] for e in report["entries"]] == [name for name, _ in checks]
     for e in report["entries"]:
         assert set(e) == {"name", "passed", "detail", "seconds"} and e["passed"] is True
+
+
+def test_cli_verify_level_flag_reads_like_the_config_key(capsys):
+    assert main(["verify", "--level", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: level must be one of fast, full, got 'bogus'\n"
+    assert captured.out == ""
 
 
 def test_cli_verify_json_keeps_exit_1(capsys, monkeypatch):
@@ -1235,6 +1256,46 @@ BAD_CONFIG_VALUES = {
     "simulate_trials0": ("simulate", {"trials": 0}, "trials must be >= 1"),
     "simulate_parallelism0": ("simulate", {"parallelism": 0}, "parallelism must be >= 1"),
     "simulate_nu_below_2": ("simulate", {"nu_grid": [1.5]}, "nu_grid must lie in (2, inf)"),
+    # a choice-valued key outside its choices reads the same in every subcommand
+    "bounds_scale_unknown": ("bounds", {"m": 4, "scale": "frobenius"},
+                             "scale must be one of det, first, trace, got 'frobenius'"),
+    "simulate_scale_kind_unknown": ("simulate", {"scale_kind": "frobenius"},
+                                    "scale_kind must be one of det, first, trace, got 'frobenius'"),
+    "shape_scale_scale_unknown": (
+        "adaptivity",
+        {"parameterization": {"name": "shape_scale", "scale": "frobenius"}},
+        "parameterization.scale must be one of det, first, trace, got 'frobenius'",
+    ),
+    "shape_scale_scale_list": (
+        "adaptivity",
+        {"parameterization": {"name": "shape_scale", "scale": ["det"]}},
+        "parameterization.scale must be one of det, first, trace, got ['det']",
+    ),
+    "generator_family_unknown": (
+        "bounds",
+        {"m": 4, "generator": {"family": "cauchy"}},
+        "generator.family must be one of gaussian, generalized_gaussian, gg, student_t, t, got 'cauchy'",
+    ),
+    "generator_family_missing": (
+        "adaptivity",
+        {"parameterization": {"name": "split"}, "generator": {"nu": 5}},
+        "generator.family must be one of",
+    ),
+    "sigma_kind_unknown": ("bounds", {"m": 4, "sigma": {"kind": "band"}},
+                           "sigma.kind must be one of identity, matrix, toeplitz, got 'band'"),
+    "parameterization_name_unknown": (
+        "adaptivity",
+        {"parameterization": {"name": "foo"}},
+        "parameterization.name must be one of breaking, low_rank, shape_scale, split, got 'foo'",
+    ),
+    "parameterization_name_null": ("adaptivity", {"parameterization": {"name": None}},
+                                   "parameterization.name must be one of"),
+    "verify_level_list": ("verify", {"level": ["fast"]}, "level must be one of fast, full, got ['fast']"),
+    "schema_true": ("verify", {"schema": True}, "schema must be an integer, got True"),
+    "schema_float": ("bounds", {"schema": 1.0, "m": 4}, "schema must be an integer, got 1.0"),
+    "schema_missing": ("adaptivity", {"schema": None}, "schema must be an integer, got None"),
+    "schema_2": ("simulate", {"schema": 2}, "schema must be 1, got 2"),
+    "bounds_m_missing": ("bounds", {}, "m must be an integer, got None"),
 }
 
 
@@ -1243,10 +1304,42 @@ def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, case):
     command, data, named = BAD_CONFIG_VALUES[case]
     assert run_cli(tmp_path, command, data) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error:") and named in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("config error:") and named in line
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds", "adaptivity", "verify"])
+def test_cli_directory_as_config_exits_2_with_one_line(tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "out")] if command in ("bounds", "simulate") else []
+    assert main([command, "--config", str(tmp_path), *out]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: IsADirectoryError:") and captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [("simulate", {**SMALL, "trials": 5, "nu_grid": [5.0]}), ("bounds", {"m": 4})],
+)
+def test_cli_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, data):
+    # the mkdir that fails on a file comes after the study (simulate) or the
+    # bounds and chain (bounds)
+    def no_work(*args):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_work)
+    monkeypatch.setattr(bounds, "bound_set", no_work)
+    (tmp_path / "out").write_text("kept")
+    assert run_cli(tmp_path, command, data) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line == f"error: NotADirectoryError: --out {tmp_path / 'out'} exists and is not a directory"
+    assert captured.out == "" and (tmp_path / "out").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
 
 
 def _non_finite_configs():
