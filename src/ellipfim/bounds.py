@@ -123,12 +123,18 @@ def crb_shape(scale: ScaleFunctional, v, gen: DensityGenerator):
     v = np.asarray(v, dtype=float)
     m = v.shape[0]
     _require_ovecs(m)
+    x, y = _shape_rank_two(scale, v)
+    return _vecs_fill(v, x=x, y=y, start=1, coef=1.0 / gen.alpha(m))
+
+
+def _shape_rank_two(scale: ScaleFunctional, v):
+    """x = -a and y = c of ``crb_shape``'s rank-two term x y^T + y x^T,
+    free of the generator, which enters the bound only as 1/alpha(m)."""
     g = scale.gradient(v)
     g = 0.5 * (g + g.T)
     vgv = v @ g @ v
     a = vecs(decompose(scale, v).v)
-    c = 2.0 * vecs(vgv) - np.sum(g * vgv) * a
-    return _vecs_fill(v, x=-a, y=c, start=1, coef=1.0 / gen.alpha(m))
+    return -a, 2.0 * vecs(vgv) - np.sum(g * vgv) * a
 
 
 def crb_shape_det_root(v, gen: DensityGenerator):
@@ -171,15 +177,16 @@ def _scale_terms(scale: ScaleFunctional, v):
     return quad, vecs(0.5 * (vgv + vgv.T)) - quad * vecs(decompose(scale, v).v)
 
 
-def _scale_known_gap(scale: ScaleFunctional, v, gen: DensityGenerator):
+def _scale_known_gap(scale: ScaleFunctional, v, gen: DensityGenerator, terms=None):
     """u with SCRB - CRB(.|s) = u u^T: by the block inverse of the (ovecs V, s)
     FIM, u = psi / sqrt(c) with c and psi of ``crb_scale``, free of s.  It is
-    0 on the det-root scale, where G = V^-1 / m makes p = 0."""
+    0 on the det-root scale, where G = V^-1 / m makes p = 0.  ``terms`` is
+    ``_scale_terms(scale, v)``, computed here when not given."""
     m = v.shape[0]
     alpha = gen.alpha(m)
     if scale is DET_ROOT:
         return np.zeros(vecs_len(m) - 1)
-    quad, p = _scale_terms(scale, v)
+    quad, p = _scale_terms(scale, v) if terms is None else terms
     return p[1:] * np.sqrt(2.0 / (alpha * (quad - _rank1_coeff(alpha, m))))
 
 

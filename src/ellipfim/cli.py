@@ -50,11 +50,16 @@ def _load_config(path):
 
 
 def _out_dir(path):
-    """``--out`` as a Path, rejected before any work when it is an existing
-    file, on which the ``mkdir`` after the run would fail."""
+    """``--out`` as a Path, rejected before any work when it or its nearest
+    existing ancestor is not a directory, where the ``mkdir`` after the run
+    would fail."""
     out = Path(path)
-    if out.exists() and not out.is_dir():
-        raise NotADirectoryError(f"--out {path} exists and is not a directory")
+    for existing in (out, *out.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                what = path if existing == out else f"{path} lies below {existing}, which"
+                raise NotADirectoryError(f"--out {what} exists and is not a directory")
+            break
     return out
 
 

@@ -17,7 +17,8 @@ D_m^+ (I + K_m)(A (x) A) D_m^+T and D_m^T (A (x) A) D_m are
 m(m+1)/2 x m(m+1)/2 matrices whose entries are a_ik a_jl + a_il a_jk
 (Magnus & Neudecker 1980), yielded row block by row block by
 :func:`_core_row_blocks` from the same index pairs.  :func:`_vecs_fill`
-turns that core into every vecs-space bound and Fisher information.
+turns that core into every vecs-space bound and Fisher information, and
+:func:`_vecs_diagonal` evaluates the bound form's diagonal alone.
 
 Memory.  With d = m(m+1)/2, an m = 32 core is 2.2 MB and an m = 64 one
 35 MB, so no caller forms a second d x d array beside its result.
@@ -180,6 +181,25 @@ def _vecs_fill(a, c_kron=1.0, c_rank1=0.0, x=None, y=None, start=0, k=None, coef
             blk *= coef
         out[p] = blk
     return out
+
+
+def _vecs_diagonal(a, x, y, start=0):
+    """The diagonal of the bound form of :func:`_vecs_fill` at coef = 1,
+    entries ``start:``, as one fresh vector.
+
+    Entry p = (i, j) is the core's a_ii a_jj + a_ij a_ji of sym(A) plus
+    x_p y_p + y_p x_p, formed with the fill's operations in its order, so
+    it equals ``np.diagonal(_vecs_fill(a, x=x, y=y, start=start))`` to the
+    bit; no d x d array is built.
+    """
+    a = np.asarray(a, dtype=float)
+    a = 0.5 * (a + a.T)
+    r, c = (idx[start:] for idx in _tril_indices_colmajor(a.shape[0]))
+    diag = a[r, r] * a[c, c]
+    diag += a[r, c] * a[c, r]
+    x, y = x[start:], y[start:]
+    diag += x * y + y * x
+    return diag
 
 
 def vecs(a):

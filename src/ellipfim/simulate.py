@@ -6,7 +6,12 @@ run the five shape estimators of ``COLUMNS`` (the SCM, Tyler, and the
 one-step R-estimators from Tyler with the van der Waerden, t(3) and
 matched t(nu) scores), and report the MSE index next to the
 semiparametric bound trace and the scale-and-generator-known parametric
-bound trace (both divided by n, the per-dataset scale).
+bound trace (both divided by n, the per-dataset scale).  The generator
+enters both only through alpha(m), so a run computes one generator-free
+diagonal of the bound and each nu then costs O(d), d = m(m+1)/2: no
+d x d bound is built (``_bounds``).  Each cell's MSE and standard error
+are reduced with the other cells' in one pass (``_cell_stats``), to the
+bits of a per-cell mean and std.
 
 The trials of the whole run form one sequence, ordered by nu index and
 then by trial index, and a block is a contiguous run of it, so one block
@@ -67,7 +72,7 @@ import numpy as np
 import scipy
 from scipy.linalg import toeplitz
 
-from .bounds import _scale_known_gap, crb_shape
+from .bounds import _scale_known_gap, _scale_terms, _shape_rank_two
 from . import estimators
 from .config import UNIT, ConfigError, check_choice, check_number, reject_unknown
 from .estimators import (
@@ -79,7 +84,7 @@ from .estimators import (
     tyler_renormalize,
 )
 from .generators import sample_stack, student_t
-from .matcalc import _frozen, ovecs, vecs_len
+from .matcalc import _frozen, _vecs_diagonal, ovecs, vecs_len
 from .scale import SCALES, decompose, scale_by_name
 
 __all__ = [
@@ -114,6 +119,8 @@ class SimConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.nu_grid, (list, tuple)):
+            raise ConfigError(f"nu_grid must be a list, got {self.nu_grid!r}")
         object.__setattr__(self, "nu_grid", tuple(self.nu_grid))
         check_number(self.m, "m", int, least=2)
         # the R-estimators' tangent solve needs n > m(m+1)/2
@@ -137,8 +144,6 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         reject_unknown(data, cls.__dataclass_fields__, "simulation config")
-        if not isinstance(data.get("nu_grid", ()), (list, tuple)):
-            raise ConfigError(f"nu_grid must be a list, got {data['nu_grid']!r}")
         return cls(**data)
 
 
@@ -276,6 +281,16 @@ class SimResult:
             "block_size": self.block_size,
             "blocks": self.blocks,
             "workers_used": self.workers_used,
+            # the CSV's %.6g at full precision, null where not finite
+            "cells": [
+                {
+                    "nu": c.nu,
+                    "estimator": c.estimator,
+                    "mse": c.mse if math.isfinite(c.mse) else None,
+                    "stderr": c.stderr if math.isfinite(c.stderr) else None,
+                }
+                for c in self.cells
+            ],
             "failed_cells": [
                 {"nu": c.nu, "estimator": c.estimator, "n_failed": c.n_failed}
                 for c in self.cells
@@ -293,14 +308,24 @@ class SimResult:
 
 def _bounds(config: SimConfig):
     """nu -> (trace of ``crb_shape``, trace of the scale-known CRB(.|s)),
-    both over n; CRB(.|s) = SCRB - u u^T in closed form."""
+    both over n; CRB(.|s) = SCRB - u u^T in closed form.
+
+    The generator enters ``crb_shape`` only as its factor 1/alpha(m) and
+    u only through alpha(m), so the run computes the generator-free part
+    once: the bound's diagonal before that factor (``_vecs_diagonal`` of
+    ``_shape_rank_two``) and ``_scale_terms``.  Each nu then costs O(d)
+    and builds no d x d array; both traces are those of ``crb_shape`` and
+    ``_scale_known_gap`` to the bit.
+    """
     scale = scale_by_name(config.scale_kind)
     v0 = decompose(scale, config.sigma0).v
+    diag = _vecs_diagonal(v0, *_shape_rank_two(scale, v0), start=1)
+    terms = _scale_terms(scale, v0)
     out = {}
     for nu in config.nu_grid:
         gen = student_t(nu)
-        trace = float(np.trace(crb_shape(scale, v0, gen)))
-        u = _scale_known_gap(scale, v0, gen)
+        trace = float(np.sum(diag * (1.0 / gen.alpha(config.m))))
+        u = _scale_known_gap(scale, v0, gen, terms)
         out[nu] = (trace / config.n, (trace - float(u @ u)) / config.n)
     return out
 
@@ -342,30 +367,19 @@ def run_simulation(config: SimConfig) -> SimResult:
         np.concatenate(part).reshape(per_nu + np.shape(part[0])[1:])
         for part in zip(*results)
     )
-    cells = []
-    for nu_idx, nu in enumerate(config.nu_grid):
-        for j, name in enumerate(COLUMNS):
-            col = errors[nu_idx, :, j]
-            ok = np.isfinite(col)
-            n_failed = int((~ok).sum())
-            vals = col[ok]
-            mse = float(vals.mean()) if vals.size else float("nan")
-            # one valid trial gives no spread: NaN, not an exact MSE
-            stderr = (
-                float(vals.std(ddof=1) / math.sqrt(vals.size))
-                if vals.size > 1
-                else float("nan")
-            )
-            cells.append(
-                CellResult(
-                    nu=nu,
-                    estimator=name,
-                    mse=mse,
-                    stderr=stderr,
-                    n_failed=n_failed,
-                    valid=bool(n_failed <= FAILURE_RATE_LIMIT * config.trials),
-                )
-            )
+    mse, stderr, n_failed = _cell_stats(errors)
+    cells = [
+        CellResult(
+            nu=nu,
+            estimator=name,
+            mse=float(mse[i, j]),
+            stderr=float(stderr[i, j]),
+            n_failed=int(n_failed[i, j]),
+            valid=bool(n_failed[i, j] <= FAILURE_RATE_LIMIT * config.trials),
+        )
+        for i, nu in enumerate(config.nu_grid)
+        for j, name in enumerate(COLUMNS)
+    ]
     return SimResult(
         config=config,
         cells=cells,
@@ -375,6 +389,36 @@ def run_simulation(config: SimConfig) -> SimResult:
         workers_used=workers,
         diagnostics=_diagnostics(config, iterations, residual, rejected, alpha_hat),
     )
+
+
+def _cell_stats(errors):
+    """(mse, stderr, n_failed), each (nu, estimator), of the (nu, trial,
+    estimator) squared errors, NaN marking a failed trial.
+
+    Each cell's figures are numpy's mean and std(ddof=1) of its valid
+    trials.  The cells without a failure are reduced along the last axis
+    of one C-contiguous (nu, estimator, trial) copy, whose rows numpy sums
+    as it sums a 1-D array, so they keep the bits of a per-cell reduction;
+    a cell with a failed trial is compacted first.  Fewer than two valid
+    trials give no spread: stderr NaN, not 0, and no valid trial gives
+    mse NaN.
+    """
+    rows = np.ascontiguousarray(np.moveaxis(errors, 1, -1))
+    ok = np.isfinite(rows)
+    n_failed = (~ok).sum(axis=-1)
+    mse, stderr = np.full(n_failed.shape, np.nan), np.full(n_failed.shape, np.nan)
+    whole = n_failed == 0
+    full = rows[whole]
+    mse[whole] = full.mean(axis=-1)
+    if rows.shape[-1] > 1:
+        stderr[whole] = full.std(axis=-1, ddof=1) / math.sqrt(rows.shape[-1])
+    for cell in zip(*np.nonzero(~whole)):
+        vals = rows[cell][ok[cell]]
+        if vals.size:
+            mse[cell] = vals.mean()
+        if vals.size > 1:
+            stderr[cell] = vals.std(ddof=1) / math.sqrt(vals.size)
+    return mse, stderr, n_failed
 
 
 def _diagnostics(config: SimConfig, iterations, residual, rejected, alpha_hat):

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -25,7 +26,7 @@ import test_estimators as estimator_tests
 import test_fim as fim_tests
 import test_generators as generator_tests
 import test_matcalc as matcalc_tests
-from ellipfim import bounds, cli, estimators, fim, invariants, parameterize, simulate
+from ellipfim import bounds, cli, estimators, fim, invariants, matcalc, parameterize, simulate
 from ellipfim.cli import _print_json, main
 from ellipfim.config import ConfigError
 from ellipfim.estimators import ScoreFunction, VanDerWaerden, r_step_batch, tyler_batch
@@ -93,6 +94,13 @@ def test_config_raises_config_error_naming_the_field(bad, named):
         SimConfig(**bad)
     with pytest.raises(ConfigError, match="^nu_grid must be a list"):
         SimConfig.from_dict({"nu_grid": 5.0})
+
+
+@pytest.mark.parametrize("nu_grid", [5.0, "3.0", None, {3.0: 1}], ids=repr)
+def test_config_built_in_the_library_rejects_a_nu_grid_that_is_not_a_list(nu_grid):
+    # the check of __post_init__, before any element is read
+    with pytest.raises(ConfigError, match=f"^nu_grid must be a list, got {re.escape(repr(nu_grid))}$"):
+        SimConfig(nu_grid=nu_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -1342,6 +1350,33 @@ def test_cli_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
 
 
+@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+@pytest.mark.parametrize(
+    "command, data",
+    [("simulate", {**SMALL, "trials": 5, "nu_grid": [5.0]}), ("bounds", {"m": 4})],
+)
+def test_cli_out_below_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, data, below):
+    # the nearest existing ancestor of --out is a file: mkdir would fail after the work
+    def no_work(*args):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_work)
+    monkeypatch.setattr(bounds, "bound_set", no_work)
+    (tmp_path / "afile").write_text("kept")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, **data}))
+    out = tmp_path / "afile" / below
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line == (
+        f"error: NotADirectoryError: --out {out} lies below {tmp_path / 'afile'}, "
+        "which exists and is not a directory"
+    )
+    assert captured.out == "" and (tmp_path / "afile").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+
+
 def _non_finite_configs():
     for value in (float("nan"), float("inf"), -float("inf")):
         for family, key in (("t", "nu"), ("gg", "shape")):
@@ -1758,18 +1793,99 @@ def test_diagnostics_read_the_tyler_tolerance_at_call_time(monkeypatch):
 
 @pytest.mark.parametrize("scale_kind", ["first", "trace", "det"])
 def test_run_bounds_equal_the_public_bounds_bit_for_bit(scale_kind):
-    # the same operations per nu; the scale-known bound is the closed form
-    # SCRB - u u^T
-    config = SimConfig(**{**SMALL, "scale_kind": scale_kind, "nu_grid": (2.1, 3.0, 50.0)})
+    # the traces from one generator-free diagonal against the traces of the
+    # full bounds; the scale-known bound is the closed form SCRB - u u^T
     scale = scale_by_name(scale_kind)
-    v0 = decompose(scale, config.sigma0).v
-    got = simulate._bounds(config)
-    assert list(got) == list(config.nu_grid)
-    for nu in config.nu_grid:
-        gen = student_t(nu)
-        trace = float(np.trace(crb_shape(scale, v0, gen)))
-        u = bounds._scale_known_gap(scale, v0, gen)
-        assert got[nu] == (trace / config.n, (trace - float(u @ u)) / config.n)
+    for m, rho in itertools.product((2, 3, 4, 10, 32), (0.0, 0.8, 0.95)):
+        config = SimConfig(**{
+            **SMALL, "m": m, "n": max(SMALL["n"], m * (m + 1) // 2 + 1), "rho": rho,
+            "scale_kind": scale_kind, "nu_grid": (2.05, 3.0, 50.0, 1e6),
+        })
+        v0 = decompose(scale, config.sigma0).v
+        got = simulate._bounds(config)
+        assert list(got) == list(config.nu_grid)
+        for nu in config.nu_grid:
+            gen = student_t(nu)
+            trace = float(np.trace(crb_shape(scale, v0, gen)))
+            u = bounds._scale_known_gap(scale, v0, gen)
+            assert got[nu] == (trace / config.n, (trace - float(u @ u)) / config.n), (m, rho, nu)
+
+
+def test_run_builds_no_d_by_d_bound(monkeypatch):
+    # the bound traces come from an O(d) diagonal: no crb_shape, and no fill
+    # of the d x d core, on any scale
+    def d_by_d(*args, **kwargs):
+        raise AssertionError("a d x d bound was built")
+
+    monkeypatch.setattr(bounds, "crb_shape", d_by_d)
+    for module in (matcalc, bounds, fim):
+        monkeypatch.setattr(module, "_vecs_fill", d_by_d)
+    monkeypatch.setattr(matcalc, "_core_row_blocks", d_by_d)
+    for scale_kind in ("first", "trace", "det"):
+        simulate._MEMO.clear()
+        result = run_simulation(SimConfig(**{**SMALL, "scale_kind": scale_kind, "trials": 3}))
+        assert all(np.isfinite(pair).all() for pair in result.bounds.values())
+
+
+def _per_cell_compaction(config, errors):
+    """Each cell's (mse, stderr, n_failed) as the numpy mean and std of its
+    own compacted column of the (nu, trial, estimator) errors."""
+    out = []
+    for i in range(len(config.nu_grid)):
+        for j in range(len(simulate.COLUMNS)):
+            col = errors[i, :, j]
+            vals = col[np.isfinite(col)]
+            mse = float(vals.mean()) if vals.size else float("nan")
+            stderr = (
+                float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else float("nan")
+            )
+            out.append((mse, stderr, col.size - vals.size))
+    return out
+
+
+@pytest.mark.parametrize(
+    "base", [SMALL, FAILING, {**SMALL, "trials": 1}], ids=["small", "failing", "one_trial"]
+)
+def test_cells_equal_the_per_cell_compaction_bit_for_bit(monkeypatch, base):
+    # one pass over a (nu, estimator, trial) copy keeps each cell's bits
+    seen = []
+    real = simulate._cell_stats
+
+    def record(errors):
+        seen.append(errors.copy())
+        return real(errors)
+
+    monkeypatch.setattr(simulate, "_cell_stats", record)
+    config = SimConfig(**base)
+    result = run_simulation(config)
+    [errors] = seen
+    expected = _per_cell_compaction(config, errors)
+    got = [(c.mse, c.stderr, c.n_failed) for c in result.cells]
+    assert [np.float64(x).tobytes() for cell in got for x in cell[:2]] == [
+        np.float64(x).tobytes() for cell in expected for x in cell[:2]
+    ]
+    assert [cell[2] for cell in got] == [cell[2] for cell in expected]
+    if base is FAILING:
+        assert sum(cell[2] for cell in got) == 2
+
+
+def test_metadata_records_each_cell_at_full_precision(tmp_path):
+    # the CSV's %.6g figures as floats that read back to the same bits, and
+    # null for the NaN stderr of a one-trial cell
+    for base in (FAILING, {**SMALL, "trials": 1}):
+        result = run_simulation(SimConfig(**base))
+        result.write_metadata(tmp_path / "m.json")
+        cells = json.loads((tmp_path / "m.json").read_text())["cells"]
+        assert cells == [
+            {
+                "nu": c.nu,
+                "estimator": c.estimator,
+                "mse": None if math.isnan(c.mse) else c.mse,
+                "stderr": None if math.isnan(c.stderr) else c.stderr,
+            }
+            for c in result.cells
+        ]
+    assert all(cell["stderr"] is None and cell["mse"] is not None for cell in cells)
 
 
 def mp_scale_known_trace(v, scale_kind, alpha, dps=50):

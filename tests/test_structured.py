@@ -196,6 +196,18 @@ def test_vecs_fill_outputs_are_bitwise_symmetric(case, scale, gen):
         np.testing.assert_array_equal(x, x.T, err_msg=name)
 
 
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("case", ["m2", "m3", "m4", "m8", "m32", "spd32", "unsym5"])
+def test_vecs_diagonal_is_the_bound_fill_diagonal_to_the_bit(case, start):
+    # the diagonal evaluator against the diagonal of the one row-block fill,
+    # also for a non-symmetric A, which both symmetrize
+    rng = np.random.default_rng(len(case) + start)
+    a = rng.standard_normal((5, 5)) if case == "unsym5" else _fill_scatter(case)
+    x, y = rng.standard_normal((2, vecs_len(a.shape[0])))
+    diag = matcalc._vecs_diagonal(a, x, y, start=start)
+    np.testing.assert_array_equal(diag, np.diagonal(matcalc._vecs_fill(a, x=x, y=y, start=start)))
+
+
 @pytest.mark.parametrize("gen", GENS, ids=str)
 @pytest.mark.parametrize("name", ["split", "low_rank", "shape_scale", "shape_scale_m32"])
 def test_theta_fims_are_bitwise_symmetric(name, gen):
